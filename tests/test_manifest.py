@@ -3,11 +3,23 @@ import pytest
 from vty.errors import ManifestError, UnresolvedReferenceError
 from vty.formulas import parse_formula
 from vty.manifest import (
+    AxiomDeclDef,
     Bounds,
+    Manifest,
     load_manifest,
     parse_manifest,
     registry_manifest,
     save_manifest,
+)
+from vty.projection import (
+    AxiomDeclaration,
+    CITATION,
+    EXEC_EXHAUSTIVE,
+    EXEC_POSITIVE,
+    Evidence,
+    SATISFIED,
+    UNKNOWN,
+    VIOLATED,
 )
 from vty.seed import seed_axiom_declarations, seed_registry, seed_theorems
 from vty.varieties import check_prevariety, check_variety
@@ -51,6 +63,122 @@ prevariety PV {
 }
 """
 
+# Canonical text that uses every entry keyword of every block kind. Where
+# the canonical order is the given order (premises, schemas, use,
+# prevariety components, statuses) the entries are deliberately out of
+# alphabetical order.
+ALL_ENTRIES = """\
+signature p q r
+
+bounds depth=2 atoms=12 enum=5000 size=900
+
+rule mp {
+  premise a
+  premise (-> a b)
+  conclude b
+}
+
+rule sub substitution
+
+calculus L {
+  depth 1
+  atoms s t
+  axiom (-> p q)
+  axiom p
+  schema K (-> a (-> b a))
+  schema E (-> bot a)
+  use sub mp
+}
+
+map ident identity
+
+map ren renaming {
+  rename a p
+  rename b q
+  domain (-> a b)
+  domain a
+}
+
+map tab table {
+  pair p q
+  pair q p
+  domain p
+  domain q
+}
+
+map swap table {
+  pair q p
+}
+
+component K1 {
+  calculus L
+  axiom-map ident
+  theorem-map ident
+  theorem (-> p q)
+  theorem p
+}
+
+component K2 {
+  calculus L
+  axiom-map ren
+  theorem-map tab
+  theorem q
+}
+
+prevariety PV {
+  quasi
+  component K2
+  component K1
+  auto
+}
+
+prevariety EX {
+  component K1
+  axiom (-> p q)
+  axiom p
+  rule-ref mp sub
+  theorem p
+}
+
+witness W {
+  prevariety PV
+  indices 1 2
+  calculus L
+  axiom-map ident
+  theorem-map ident
+  theorem (-> p q)
+  theorem p
+}
+
+axiom-decl AX "says \\"quoted\\" and \\\\ slashed"
+
+axiom-decl BX "second"
+
+axiom-decl CX "third"
+
+class C "A class" {
+  status CX satisfied citation "a book"
+  status AX violated exec-positive rm_self_loop_diverges 3
+  status BX satisfied exec-exhaustive dfa_totality_exhaustive "small automata"
+}
+
+class D "Another" {
+  status AX unknown
+}
+
+theorem-rec T1 {
+  statement "holds"
+  depends AX BX
+  source "notes"
+}
+
+theorem-rec T2 {
+  statement "always"
+  source ""
+  unconditional
+}
+"""
+
 
 def failing(text, match):
     with pytest.raises(ManifestError) as err:
@@ -59,17 +187,24 @@ def failing(text, match):
     return err.value
 
 
+def canonical_input(data_dir, name):
+    if name == "all_entries":
+        return ALL_ENTRIES
+    return (data_dir / name).read_text()
+
+
 class TestCanonicalText:
-    @pytest.mark.parametrize("name", DATA_FILES)
+    @pytest.mark.parametrize("name", DATA_FILES + ("all_entries",))
     def test_shipped_files_are_canonical(self, data_dir, name):
-        text = (data_dir / name).read_text()
+        text = canonical_input(data_dir, name)
         manifest = parse_manifest(text, source=name)
         assert manifest.to_text() == text
 
-    @pytest.mark.parametrize("name", DATA_FILES)
+    @pytest.mark.parametrize("name", DATA_FILES + ("all_entries",))
     def test_reparsing_canonical_text_is_identity(self, data_dir, name):
-        manifest = load_manifest(data_dir / name)
+        manifest = parse_manifest(canonical_input(data_dir, name), source=name)
         again = parse_manifest(manifest.to_text(), source=manifest.source)
+        assert again == manifest
         assert again.to_text() == manifest.to_text()
 
     def test_noncanonical_input_is_normalized(self):
@@ -94,6 +229,142 @@ class TestCanonicalText:
         assert manifest.axiom_decls[0].statement == 'quote " and slash \\'
         text = manifest.to_text()
         assert parse_manifest(text).axiom_decls[0].statement == 'quote " and slash \\'
+
+
+class TestAllEntries:
+    def test_parsed_values(self):
+        m = parse_manifest(ALL_ENTRIES)
+        f = parse_formula
+        assert m.signature == ("p", "q", "r")
+        assert m.bounds == Bounds(depth=2, atoms=12, enum=5000, size=900)
+        mp, sub = m.rules
+        assert (mp.name, mp.kind, mp.premises, mp.conclusion) == (
+            "mp", "schema", (f("a"), f("(-> a b)")), f("b"))
+        assert (sub.name, sub.kind, sub.premises, sub.conclusion) == (
+            "sub", "substitution", (), None)
+        (calc,) = m.calculi
+        assert calc.depth == 1
+        assert calc.atoms == ("s", "t")
+        assert calc.axioms == (f("(-> p q)"), f("p"))
+        assert calc.schemas == (("K", f("(-> a (-> b a))")), ("E", f("(-> bot a)")))
+        assert calc.use == ("sub", "mp")
+        ident, ren, tab, swap = m.maps
+        assert (ident.kind, ident.renames, ident.pairs, ident.domain) == (
+            "identity", (), (), None)
+        assert (ren.kind, ren.renames, ren.domain) == (
+            "renaming", (("a", "p"), ("b", "q")), (f("(-> a b)"), f("a")))
+        assert (tab.kind, tab.pairs, tab.domain) == (
+            "table", ((f("p"), f("q")), (f("q"), f("p"))),
+            (f("p"), f("q")))
+        assert (swap.kind, swap.pairs, swap.domain) == (
+            "table", ((f("q"), f("p")),), None)
+        k1, k2 = m.components
+        assert (k1.calculus_ref, k1.axiom_map_ref, k1.theorem_map_ref, k1.theorems) == (
+            "L", "ident", "ident", (f("(-> p q)"), f("p")))
+        assert (k2.axiom_map_ref, k2.theorem_map_ref, k2.theorems) == (
+            "ren", "tab", (f("q"),))
+        pv, ex = m.prevarieties
+        assert (pv.quasi, pv.auto, pv.component_refs) == (True, True, ("K2", "K1"))
+        assert (pv.axioms, pv.rule_refs, pv.theorems) == ((), (), ())
+        assert (ex.quasi, ex.auto, ex.component_refs) == (False, False, ("K1",))
+        assert (ex.axioms, ex.rule_refs, ex.theorems) == (
+            (f("(-> p q)"), f("p")), ("mp", "sub"), (f("p"),))
+        (wit,) = m.witnesses
+        assert (wit.prevariety_ref, wit.indices, wit.calculus_ref) == ("PV", (1, 2), "L")
+        assert (wit.axiom_map_ref, wit.theorem_map_ref, wit.theorems) == (
+            "ident", "ident", (f("(-> p q)"), f("p")))
+        assert [(d.axiom_id, d.statement) for d in m.axiom_decls] == [
+            ("AX", 'says "quoted" and \\ slashed'), ("BX", "second"), ("CX", "third")]
+        c, d = m.classes
+        assert (c.class_id, c.display_name) == ("C", "A class")
+        assert c.statuses == (
+            ("CX", SATISFIED, Evidence(CITATION, citation="a book")),
+            ("AX", VIOLATED, Evidence(EXEC_POSITIVE, witness_id="rm_self_loop_diverges",
+                                      suite_size=3)),
+            ("BX", SATISFIED, Evidence(EXEC_EXHAUSTIVE, witness_id="dfa_totality_exhaustive",
+                                       domain="small automata")),
+        )
+        assert (d.class_id, d.display_name, d.statuses) == (
+            "D", "Another", (("AX", UNKNOWN, None),))
+        t1, t2 = m.theorem_recs
+        assert (t1.theorem_id, t1.statement, t1.depends, t1.source, t1.unconditional) == (
+            "T1", "holds", ("AX", "BX"), "notes", False)
+        assert (t2.theorem_id, t2.statement, t2.depends, t2.source, t2.unconditional) == (
+            "T2", "always", (), "", True)
+        assert [r.line for r in m.rules] == [5, 11]
+
+    def test_scrambled_entries_normalize_to_the_fixture(self):
+        scrambled = (ALL_ENTRIES
+                     .replace("signature p q r", "signature r p q")
+                     .replace("  axiom (-> p q)\n  axiom p\n  schema",
+                              "  axiom p\n  axiom (-> p q)\n  schema")
+                     .replace("  rename a p\n  rename b q", "  rename b q\n  rename a p")
+                     .replace("  pair p q\n  pair q p", "  pair q p\n  pair p q")
+                     .replace("rule-ref mp sub", "rule-ref sub\n  rule-ref mp")
+                     .replace("depends AX BX", "depends BX AX"))
+        assert scrambled != ALL_ENTRIES
+        assert parse_manifest(scrambled).to_text() == ALL_ENTRIES
+
+
+# (text, message, line, 1-based column) for errors raised while parsing
+PARSE_ERRORS = [
+    ("rule mp {\n  premise a\n  conclude a\n  conclude a\n}\n",
+     "conclude given twice", 4, 1),
+    ("rule mp {\n  premise a\n}\n", "rule 'mp' never concludes", 1, 1),
+    ("rule mp {\n  assume a\n}\n", "unknown rule entry 'assume'", 2, 3),
+    ("rule mp {\n  (a)\n}\n", "expected premise or conclude, found '('", 2, 3),
+    ("calculus L {\n  depth 1\n  depth 2\n}\n", "depth given twice", 3, 1),
+    ("calculus L {\n  depth x\n}\n", "expected a depth, found 'x'", 2, 9),
+    ("calculus L {\n  atoms p Q\n}\n", "bad atom name 'Q'", 2, 11),
+    ("calculus L {\n  axiom p q\n}\n", "unexpected trailing 'q'", 2, 11),
+    ("calculus L {\n  lemma p\n}\n", "unknown calculus entry 'lemma'", 2, 3),
+    ("calculus L extra {\n}\n", "unexpected trailing 'extra'", 1, 12),
+    ("map m bijection {\n}\n", "unknown map kind 'bijection'", 1, 1),
+    ("map m renaming {\n  pair p q\n}\n", "unknown renaming map entry 'pair'", 2, 3),
+    ("map m table {\n  rename a p\n}\n", "unknown table map entry 'rename'", 2, 3),
+    ("map m renaming {\n  rename a\n}\n", "expected an atom name", 2, 11),
+    ("map m table {\n  pair p\n}\n", "expected a formula", 2, 9),
+    ("component C {\n  calculus L\n  calculus L\n}\n", "calculus given twice", 3, 1),
+    ("component C {\n  calculus L\n  theorem-map m\n}\n",
+     "component 'C' never names its axiom-map", 1, 1),
+    ("component C {\n  calculus\n}\n", "expected a calculus id", 2, 11),
+    ("component C {\n  axiom p\n}\n", "unknown component entry 'axiom'", 2, 3),
+    ("witness W {\n  prevariety PV\n  prevariety PV\n}\n", "prevariety given twice", 3, 1),
+    ("witness W {\n  prevariety PV\n  indices 1\n  calculus L\n  axiom-map m\n}\n",
+     "witness 'W' never names its theorem-map", 1, 1),
+    ("witness W {\n  indices 1\n  indices 2\n}\n", "indices given twice", 3, 1),
+    ("witness W {\n  indices 1 x\n}\n", "expected an index, found 'x'", 2, 13),
+    ("prevariety PV {\n  auto\n}\n", "prevariety 'PV' lists no components", 1, 1),
+    ("prevariety PV {\n  quasi yes\n}\n", "unexpected trailing 'yes'", 2, 9),
+    ('class X "X" {\n  status AX maybe\n}\n', "unknown status 'maybe'", 2, 13),
+    ('class X "X" {\n  status AX satisfied rumour "x"\n}\n',
+     "unknown evidence kind 'rumour'", 2, 23),
+    ('class X "X" {\n  status AX satisfied citation ""\n}\n',
+     "citation evidence needs citation text", 2, 1),
+    ('class X "X" {\n  status AX satisfied exec-positive w n\n}\n',
+     "expected a suite size, found 'n'", 2, 39),
+    ('class X "X" {\n  score AX\n}\n', "unknown class entry 'score'", 2, 3),
+    ("class X {\n}\n", "expected a quoted display name", 1, 8),
+    ('theorem-rec t {\n  source "s"\n}\n', "theorem-rec 't' needs a statement", 1, 1),
+    ('theorem-rec t {\n  statement s\n}\n', "expected a quoted statement", 2, 13),
+    ('theorem-rec t {\n  proof "s"\n}\n', "unknown theorem entry 'proof'", 2, 3),
+    ("widget w {\n}\n", "unknown block keyword 'widget'", 1, 1),
+    ("axiom-decl AX {\n}\n", "unknown block keyword 'axiom-decl'", 1, 1),
+    ("calculus L\n", "unknown directive 'calculus'", 1, 1),
+    ("axiom-decl AX\n", "expected a quoted statement", 1, 14),
+    ("signature p\nsignature q\n", "signature given twice", 2, 1),
+    ("bounds depth=1 size=0\n", "atoms, enum and size bounds must be positive", 1, 1),
+    ("bounds depth=1\nbounds depth=2\n", "bounds given twice", 2, 1),
+    ("bounds depth=1 frob=2\n", "unknown bound 'frob'", 1, 16),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", PARSE_ERRORS,
+                         ids=[case[1] for case in PARSE_ERRORS])
+def test_parse_error_location(text, message, line, col):
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(text, source="w.vty")
+    assert str(err.value) == f"w.vty:{line}:{col}: {message}"
 
 
 class TestParseErrors:
