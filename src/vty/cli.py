@@ -33,8 +33,14 @@ from .machines import (
     format_machine,
     parse_machine,
 )
-from .manifest import Bounds, Manifest, load_manifest, parse_manifest
-from .projection import classify_relation, minimal_axiom_subsets, project, registry_report
+from .manifest import BOUND_NAMES, Bounds, Manifest, load_manifest, parse_manifest
+from .projection import (
+    MatrixReport,
+    classify_relation,
+    minimal_axiom_subsets,
+    project,
+    registry_report,
+)
 from .varieties import (
     check_bijective_variety,
     check_prevariety,
@@ -57,9 +63,10 @@ def _parse_bounds_override(text: str) -> dict[str, int]:
         if not part:
             continue
         key, sep, raw = part.partition("=")
-        if not sep or key not in ("depth", "atoms", "enum", "size") or not raw.isdigit():
+        if not sep or key not in BOUND_NAMES or not raw.isdigit():
             raise argparse.ArgumentTypeError(
-                f"bad bounds entry {part!r}; expected depth=N,atoms=N,enum=N,size=N"
+                f"bad bounds entry {part!r}; expected "
+                + ",".join(f"{name}=N" for name in BOUND_NAMES)
             )
         values[key] = int(raw)
     return values
@@ -72,18 +79,16 @@ def _formula_arg(text: str) -> Formula:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _schedule_arg(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad fuel schedule {text!r}")
+def _int_list_arg(what: str):
+    """An argparse type for comma-separated integers, named `what` in errors."""
 
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            return tuple(int(part) for part in text.split(",") if part.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}")
 
-def _inputs_arg(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad input list {text!r}")
+    return parse
 
 
 def _global_options() -> argparse.ArgumentParser:
@@ -160,13 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     brute.add_argument("--y", type=int, required=True, help="target output")
     brute.add_argument("--max-instructions", type=int, default=3)
     brute.add_argument("--max-registers", type=int, default=1)
-    brute.add_argument("--inputs", type=_inputs_arg, default=(0,))
+    brute.add_argument("--inputs", type=_int_list_arg("input list"), default=(0,))
     brute.add_argument("--fuel", type=int, default=50)
     recognize = mode.add_parser("recognize", help="dovetail one machine",
                                 parents=[shared])
     recognize.add_argument("--machine", required=True, help="machine text file")
     recognize.add_argument("--y", type=int, required=True)
-    recognize.add_argument("--schedule", type=_schedule_arg, required=True,
+    recognize.add_argument("--schedule", type=_int_list_arg("fuel schedule"),
+                           required=True,
                            help="strictly increasing fuel list, e.g. 8,16,32")
     recognize.add_argument("--max-input", type=int, default=None)
 
@@ -330,9 +336,9 @@ def _cmd_fixed_output(args, manifest: Manifest, bounds: Bounds):
 
 
 def _cmd_report_matrix(args, manifest: Manifest, bounds: Bounds):
+    # the report itself, so main can print its own text layout
     profiles, theorems, declarations = manifest.registry()
-    report = registry_report(profiles, theorems, declarations)
-    return report.to_dict(), 0
+    return registry_report(profiles, theorems, declarations), 0
 
 
 _COMMANDS = {
@@ -423,11 +429,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         report["errors"] = [str(exc)]
         _emit(report, fmt)
         return 1
+    if isinstance(result, MatrixReport):
+        if fmt == "text":
+            print(result.to_text())
+            return code
+        result = result.to_dict()
     report["result"] = result
-    if args.command == "report-matrix" and fmt == "text":
-        profiles, theorems, declarations = manifest.registry()
-        print(registry_report(profiles, theorems, declarations).to_text())
-        return code
     _emit(report, fmt)
     return code
 

@@ -11,7 +11,7 @@ Text syntax, bit for bit::
     binary   (and F G) | (or F G) | (-> F G)
 
 ``parse_formula`` and ``format_formula`` are mutually inverse on
-canonical text.
+canonical text. Parentheses nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ from .errors import FormulaParseError
 from .lex import LexError, Token, tokenize_line
 
 ATOM_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
+
+# The formula functions recurse once or twice per level of nesting; near
+# 450 levels a CLI command ran out of the interpreter's default recursion
+# limit (1000) between parsing and reporting, so the parser stops well short.
+MAX_NESTING = 200
 
 
 class Formula:
@@ -91,6 +96,11 @@ def formula_key(formula: Formula) -> str:
 
 def parse_formula_tokens(tokens: list[Token], index: int) -> tuple[Formula, int]:
     """Parse one formula from a token list, returning it and the next index."""
+    return _parse(tokens, index, 0)
+
+
+def _parse(tokens: list[Token], index: int, depth: int) -> tuple[Formula, int]:
+    # depth counts the parentheses open around tokens[index]
     if index >= len(tokens):
         col = tokens[-1].col + len(tokens[-1].text) if tokens else 0
         raise FormulaParseError("expected a formula", col)
@@ -102,18 +112,21 @@ def parse_formula_tokens(tokens: list[Token], index: int) -> tuple[Formula, int]
             return Atom(tok.text), index + 1
         raise FormulaParseError(f"bad atom name {tok.text!r}", tok.col)
     if tok.kind == "LPAREN":
+        if depth == MAX_NESTING:
+            raise FormulaParseError(
+                f"formula nests deeper than {MAX_NESTING} parentheses", tok.col)
         if index + 1 >= len(tokens):
             raise FormulaParseError("expected a connective after (", tok.col)
         op = tokens[index + 1]
         if op.kind != "WORD":
             raise FormulaParseError("expected a connective after (", op.col)
         if op.text == "not":
-            operand, nxt = parse_formula_tokens(tokens, index + 2)
+            operand, nxt = _parse(tokens, index + 2, depth + 1)
             nxt = _expect_rparen(tokens, nxt, tok.col)
             return Not(operand), nxt
         if op.text in _BINARY:
-            left, nxt = parse_formula_tokens(tokens, index + 2)
-            right, nxt = parse_formula_tokens(tokens, nxt)
+            left, nxt = _parse(tokens, index + 2, depth + 1)
+            right, nxt = _parse(tokens, nxt, depth + 1)
             nxt = _expect_rparen(tokens, nxt, tok.col)
             return _BINARY[op.text](left, right), nxt
         raise FormulaParseError(f"unknown connective {op.text!r}", op.col)

@@ -16,6 +16,8 @@ class Token:
 
 
 class LexError(ValueError):
+    """A fault at a column of one line; the manifest reader also raises it."""
+
     def __init__(self, message: str, col: int):
         super().__init__(message)
         self.message = message

@@ -74,13 +74,20 @@ A prevariety block either says `auto` (or gives no triad lines at all),
 letting the loader assemble the axiom, rule and theorem unions from the
 components, or claims the triad explicitly with `axiom`, `rule-ref` and
 `theorem` lines for the checker to verify.
+
+Each block kind's layout (header fields, entry keywords, how often each
+may appear, how its values read and write, canonical order) is declared
+once, in the block table below; the reader and the canonical writer
+both walk it. Quoted strings are single-line: the writer raises
+ValueError for a string holding a line break. Formulas nest at most
+``formulas.MAX_NESTING`` parentheses deep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .calculus import (
     AxiomSchema,
@@ -91,7 +98,7 @@ from .calculus import (
     SubstitutionRule,
 )
 from .errors import FormulaParseError, ManifestError, UnresolvedReferenceError
-from .formulas import ATOM_NAME, Formula, formula_key, format_formula, parse_formula_tokens
+from .formulas import ATOM_NAME, Formula, format_formula, parse_formula_tokens
 from .lex import LexError, Token, tokenize_line
 from .machines import DEFAULT_ENUMERATION_CAP
 from .projection import (
@@ -132,8 +139,10 @@ class Bounds:
             raise ValueError("atoms, enum and size bounds must be positive")
 
     def to_dict(self) -> dict:
-        return {"depth": self.depth, "atoms": self.atoms,
-                "enum": self.enum, "size": self.size}
+        return asdict(self)
+
+
+BOUND_NAMES = tuple(f.name for f in fields(Bounds))
 
 
 # --- declaration layer -------------------------------------------------------
@@ -145,7 +154,7 @@ class Bounds:
 @dataclass(frozen=True)
 class RuleDef:
     name: str
-    kind: str  # "schema" or "substitution"
+    kind: str = "schema"  # or "substitution"
     premises: tuple[Formula, ...] = ()
     conclusion: Formula | None = None
     line: int = field(default=0, compare=False)
@@ -365,15 +374,14 @@ class Manifest:
         Raises ManifestError naming the offending line. Does not run any
         closure; resolution errors that need proof search surface later.
         """
-        self._check_unique("rule", [(r.name, r.line) for r in self.rules])
-        self._check_unique("calculus", [(c.calculus_id, c.line) for c in self.calculi])
-        self._check_unique("map", [(m.map_id, m.line) for m in self.maps])
-        self._check_unique("component", [(c.component_id, c.line) for c in self.components])
-        self._check_unique("prevariety", [(p.prevariety_id, p.line) for p in self.prevarieties])
-        self._check_unique("witness", [(w.witness_id, w.line) for w in self.witnesses])
-        self._check_unique("axiom-decl", [(a.axiom_id, a.line) for a in self.axiom_decls])
-        self._check_unique("class", [(c.class_id, c.line) for c in self.classes])
-        self._check_unique("theorem-rec", [(t.theorem_id, t.line) for t in self.theorem_recs])
+        for spec in _BLOCKS:
+            seen: set[str] = set()
+            for d in getattr(self, spec.attr):
+                ident = getattr(d, spec.id_field)
+                if ident in seen:
+                    raise ManifestError(f"duplicate {spec.keyword} {ident!r}",
+                                        self.source, d.line)
+                seen.add(ident)
         for rule in self.rules:
             self._build(lambda: self.rule_object(rule.name, rule.line), rule.line)
         for calc in self.calculi:
@@ -434,13 +442,6 @@ class Manifest:
                                       rec.unconditional),
                 rec.line)
 
-    def _check_unique(self, kind: str, named: list[tuple[str, int]]) -> None:
-        seen: dict[str, int] = {}
-        for name, line in named:
-            if name in seen:
-                raise ManifestError(f"duplicate {kind} {name!r}", self.source, line)
-            seen[name] = line
-
     def _build(self, thunk, line: int) -> None:
         try:
             thunk()
@@ -452,159 +453,11 @@ class Manifest:
     # -- canonical text --
 
     def to_text(self) -> str:
-        blocks: list[list[str]] = []
-        if self.signature:
-            blocks.append(["signature " + " ".join(sorted(self.signature))])
-        b = self.bounds
-        blocks.append([f"bounds depth={b.depth} atoms={b.atoms} "
-                       f"enum={b.enum} size={b.size}"])
-        for rule in self.rules:
-            blocks.append(_rule_lines(rule))
-        for calc in self.calculi:
-            blocks.append(_calculus_lines(calc))
-        for map_def in self.maps:
-            blocks.append(_map_lines(map_def))
-        for comp in self.components:
-            blocks.append(_component_lines(comp))
-        for pv in self.prevarieties:
-            blocks.append(_prevariety_lines(pv))
-        for wit in self.witnesses:
-            blocks.append(_witness_lines(wit))
-        for decl in self.axiom_decls:
-            blocks.append([f"axiom-decl {decl.axiom_id} {_quote(decl.statement)}"])
-        for cls in self.classes:
-            blocks.append(_class_lines(cls))
-        for rec in self.theorem_recs:
-            blocks.append(_theorem_rec_lines(rec))
+        blocks = [[line] for row in _DIRECTIVES.values()
+                  for line in row.lines(getattr(self, row.field))]
+        blocks += [spec.lines(d) for spec in _BLOCKS
+                   for d in getattr(self, spec.attr)]
         return "\n\n".join("\n".join(lines) for lines in blocks) + "\n"
-
-
-def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _sorted_texts(formulas: Iterable[Formula]) -> list[str]:
-    return sorted((format_formula(f) for f in formulas))
-
-
-def _rule_lines(rule: RuleDef) -> list[str]:
-    if rule.kind == "substitution":
-        return [f"rule {rule.name} substitution"]
-    lines = [f"rule {rule.name} {{"]
-    for premise in rule.premises:
-        lines.append(f"  premise {format_formula(premise)}")
-    assert rule.conclusion is not None
-    lines.append(f"  conclude {format_formula(rule.conclusion)}")
-    lines.append("}")
-    return lines
-
-
-def _calculus_lines(calc: CalculusDef) -> list[str]:
-    lines = [f"calculus {calc.calculus_id} {{"]
-    if calc.depth is not None:
-        lines.append(f"  depth {calc.depth}")
-    if calc.atoms:
-        lines.append("  atoms " + " ".join(sorted(calc.atoms)))
-    for text in _sorted_texts(calc.axioms):
-        lines.append(f"  axiom {text}")
-    for schema_id, pattern in calc.schemas:
-        lines.append(f"  schema {schema_id} {format_formula(pattern)}")
-    if calc.use:
-        lines.append("  use " + " ".join(calc.use))
-    lines.append("}")
-    return lines
-
-
-def _map_lines(map_def: MapDef) -> list[str]:
-    if map_def.kind == "identity":
-        return [f"map {map_def.map_id} identity"]
-    lines = [f"map {map_def.map_id} {map_def.kind} {{"]
-    if map_def.kind == "renaming":
-        for old, new in sorted(map_def.renames):
-            lines.append(f"  rename {old} {new}")
-    else:
-        ordered = sorted(map_def.pairs, key=lambda p: formula_key(p[0]))
-        for source, target in ordered:
-            lines.append(f"  pair {format_formula(source)} {format_formula(target)}")
-    if map_def.domain is not None:
-        for text in _sorted_texts(map_def.domain):
-            lines.append(f"  domain {text}")
-    lines.append("}")
-    return lines
-
-
-def _component_lines(comp: ComponentDef) -> list[str]:
-    lines = [f"component {comp.component_id} {{"]
-    lines.append(f"  calculus {comp.calculus_ref}")
-    lines.append(f"  axiom-map {comp.axiom_map_ref}")
-    lines.append(f"  theorem-map {comp.theorem_map_ref}")
-    for text in _sorted_texts(comp.theorems):
-        lines.append(f"  theorem {text}")
-    lines.append("}")
-    return lines
-
-
-def _prevariety_lines(pv: PrevarietyDef) -> list[str]:
-    lines = [f"prevariety {pv.prevariety_id} {{"]
-    if pv.quasi:
-        lines.append("  quasi")
-    for ref in pv.component_refs:
-        lines.append(f"  component {ref}")
-    if pv.auto:
-        lines.append("  auto")
-    for text in _sorted_texts(pv.axioms):
-        lines.append(f"  axiom {text}")
-    if pv.rule_refs:
-        lines.append("  rule-ref " + " ".join(sorted(pv.rule_refs)))
-    for text in _sorted_texts(pv.theorems):
-        lines.append(f"  theorem {text}")
-    lines.append("}")
-    return lines
-
-
-def _witness_lines(wit: WitnessDef) -> list[str]:
-    lines = [f"witness {wit.witness_id} {{"]
-    lines.append(f"  prevariety {wit.prevariety_ref}")
-    lines.append("  indices " + " ".join(str(i) for i in wit.indices))
-    lines.append(f"  calculus {wit.calculus_ref}")
-    lines.append(f"  axiom-map {wit.axiom_map_ref}")
-    lines.append(f"  theorem-map {wit.theorem_map_ref}")
-    for text in _sorted_texts(wit.theorems):
-        lines.append(f"  theorem {text}")
-    lines.append("}")
-    return lines
-
-
-_STATUS_WORDS = {SATISFIED: "satisfied", VIOLATED: "violated", UNKNOWN: "unknown"}
-
-
-def _class_lines(cls: ClassDef) -> list[str]:
-    lines = [f"class {cls.class_id} {_quote(cls.display_name)} {{"]
-    for axiom_id, status, evidence in cls.statuses:
-        parts = [f"  status {axiom_id} {_STATUS_WORDS[status]}"]
-        if evidence is not None:
-            if evidence.kind == CITATION:
-                parts.append(f"citation {_quote(evidence.citation or '')}")
-            elif evidence.kind == EXEC_POSITIVE:
-                parts.append(f"exec-positive {evidence.witness_id} {evidence.suite_size}")
-            else:
-                parts.append(f"exec-exhaustive {evidence.witness_id} "
-                             f"{_quote(evidence.domain or '')}")
-        lines.append(" ".join(parts))
-    lines.append("}")
-    return lines
-
-
-def _theorem_rec_lines(rec: TheoremRecDef) -> list[str]:
-    lines = [f"theorem-rec {rec.theorem_id} {{"]
-    lines.append(f"  statement {_quote(rec.statement)}")
-    if rec.depends:
-        lines.append("  depends " + " ".join(sorted(rec.depends)))
-    lines.append(f"  source {_quote(rec.source)}")
-    if rec.unconditional:
-        lines.append("  unconditional")
-    lines.append("}")
-    return lines
 
 
 def registry_manifest(
@@ -635,440 +488,403 @@ def registry_manifest(
     )
 
 
-# --- parser ------------------------------------------------------------------
+# --- the block table ---------------------------------------------------------
+# Each block kind and directive is declared once, below; the reader and the
+# canonical writer both walk these declarations. A fault in a line is raised
+# as LexError(message, column) and the reader adds the line number. Token
+# lists are never empty: the reader skips blank lines.
+
+
+def _take_word(tokens: list[Token], i: int, what: str) -> tuple[str, int]:
+    if i >= len(tokens):
+        raise LexError(f"expected {what}", tokens[-1].col + len(tokens[-1].text))
+    if tokens[i].kind != "WORD":
+        raise LexError(f"expected {what}, found {tokens[i].text!r}", tokens[i].col)
+    return tokens[i].text, i + 1
+
+
+def _take_atom(tokens: list[Token], i: int) -> tuple[str, int]:
+    word, nxt = _take_word(tokens, i, "an atom name")
+    if not ATOM_NAME.match(word):
+        raise LexError(f"bad atom name {word!r}", tokens[i].col)
+    return word, nxt
+
+
+def _done(tokens: list[Token], i: int) -> None:
+    if i < len(tokens):
+        raise LexError(f"unexpected trailing {tokens[i].text!r}", tokens[i].col)
+
+
+@dataclass(frozen=True)
+class _Arg:
+    """How one value reads from a line's tokens and writes back as text."""
+
+    read: Callable[[list[Token], int], tuple[Any, int]]  # value and next index
+    write: Callable[[Any], str] = str
+
+
+def _word(what: str) -> _Arg:
+    return _Arg(lambda tokens, i: _take_word(tokens, i, what))
+
+
+def _int(what: str) -> _Arg:
+    def read(tokens: list[Token], i: int) -> tuple[int, int]:
+        word, nxt = _take_word(tokens, i, what)
+        if not word.isdecimal():
+            raise LexError(f"expected {what}, found {word!r}", tokens[i].col)
+        return int(word), nxt
+
+    return _Arg(read)
+
+
+def _string(what: str) -> _Arg:
+    def read(tokens: list[Token], i: int) -> tuple[str, int]:
+        if i >= len(tokens) or tokens[i].kind != "STRING":
+            col = tokens[i].col if i < len(tokens) else tokens[-1].col + len(tokens[-1].text)
+            raise LexError(f"expected a quoted {what}", col)
+        return tokens[i].text, i + 1
+
+    def write(text: str) -> str:
+        # lines split where str.splitlines splits, so a string holds none of those
+        if text and text.splitlines() != [text]:
+            raise ValueError(f"{what} {text!r} spans lines; manifest strings are single-line")
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    return _Arg(read, write)
+
+
+def _seq(*args: _Arg) -> _Arg:
+    """Several values in a row, read and written as one tuple."""
+
+    def read(tokens: list[Token], i: int) -> tuple[tuple, int]:
+        values = []
+        for arg in args:
+            value, i = arg.read(tokens, i)
+            values.append(value)
+        return tuple(values), i
+
+    # a value that writes as nothing (no evidence) leaves no gap
+    return _Arg(read, lambda values: " ".join(filter(None, (
+        arg.write(value) for arg, value in zip(args, values)))))
+
+
+def _choice(what: str, noun: str, words: dict[str, str]) -> _Arg:
+    """A word from a fixed set, read as the value it stands for."""
+
+    def read(tokens: list[Token], i: int) -> tuple[str, int]:
+        word, nxt = _take_word(tokens, i, what)
+        if word not in words:
+            raise LexError(f"unknown {noun} {word!r}", tokens[i].col)
+        return words[word], nxt
+
+    return _Arg(read, {value: word for word, value in words.items()}.__getitem__)
+
+
+_ATOM = _Arg(_take_atom)
+_FORMULA = _Arg(parse_formula_tokens, format_formula)
+
+
+def _take_fields(fields: Sequence[tuple[str, _Arg]], tokens: list[Token],
+                 i: int) -> dict[str, Any]:
+    values: dict[str, Any] = {}
+    for name, arg in fields:
+        values[name], i = arg.read(tokens, i)
+    _done(tokens, i)
+    return values
+
+
+def _read_bounds(tokens: list[Token], i: int) -> tuple[Bounds, int]:
+    values: dict[str, int] = {}
+    for tok in tokens[i:]:
+        if tok.kind != "WORD" or "=" not in tok.text:
+            raise LexError("bounds entries look like depth=3", tok.col)
+        key, _, raw = tok.text.partition("=")
+        if key not in BOUND_NAMES:
+            raise LexError(f"unknown bound {key!r}", tok.col)
+        if key in values:
+            raise LexError(f"bound {key!r} given twice", tok.col)
+        if not raw.isdecimal():
+            raise LexError(f"bound {key!r} needs an integer", tok.col)
+        values[key] = int(raw)
+    try:
+        return Bounds(**values), len(tokens)
+    except ValueError as exc:
+        raise LexError(str(exc), 0) from None
+
+
+_EVIDENCE_KIND = _choice("an evidence kind", "evidence kind", {
+    "citation": CITATION, "exec-positive": EXEC_POSITIVE, "exec-exhaustive": EXEC_EXHAUSTIVE})
+# the Evidence fields that follow each evidence kind
+_EVIDENCE_FIELDS = {
+    CITATION: (("citation", _string("citation")),),
+    EXEC_POSITIVE: (("witness_id", _word("a witness id")),
+                    ("suite_size", _int("a suite size"))),
+    EXEC_EXHAUSTIVE: (("witness_id", _word("a witness id")),
+                      ("domain", _string("domain description"))),
+}
+
+
+def _read_evidence(tokens: list[Token], i: int) -> tuple[Evidence | None, int]:
+    if i == len(tokens):
+        return None, i
+    kind, i = _EVIDENCE_KIND.read(tokens, i)
+    values = _take_fields(_EVIDENCE_FIELDS[kind], tokens, i)
+    try:
+        return Evidence(kind, **values), len(tokens)
+    except ValueError as exc:
+        raise LexError(str(exc), 0) from None
+
+
+def _write_evidence(evidence: Evidence | None) -> str:
+    if evidence is None:
+        return ""
+    return " ".join([_EVIDENCE_KIND.write(evidence.kind)] + [
+        arg.write(getattr(evidence, name)) for name, arg in _EVIDENCE_FIELDS[evidence.kind]])
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """One entry keyword: the field it fills and how its lines read and write."""
+
+    keyword: str
+    field: str
+    arg: _Arg | None = None  # None: a flag, the keyword alone sets True
+    once: bool = False       # a second line is an error (else the last one wins)
+    many: bool = False       # the values of every line collect into a tuple
+    spread: bool = False     # one line lists any number of values (and they collect)
+    sort: bool = False       # written sorted by text, else in the given order
+    required: str = ""       # the fault when the block or directive gives no value
+    kind: str = ""           # map blocks: the one map kind that takes it
+
+    def read(self, values: dict[str, Any], tokens: list[Token]) -> None:
+        if self.once and self.field in values:
+            raise LexError(f"{self.keyword} given twice", 0)
+        if self.spread:
+            items, i = [], 1
+            while i < len(tokens):
+                item, i = self.arg.read(tokens, i)
+                items.append(item)
+        else:
+            item, i = self.arg.read(tokens, 1) if self.arg else (True, 1)
+            _done(tokens, i)
+            items = [item]
+        if not (self.many or self.spread):
+            values[self.field] = items[0]
+        elif items:
+            values[self.field] = values.get(self.field, ()) + tuple(items)
+
+    def lines(self, value) -> list[str]:
+        if self.arg is None:
+            return [self.keyword] if value else []
+        if not (self.many or self.spread):
+            value = () if value is None else (value,)
+        texts = [self.arg.write(item) for item in value or ()]
+        if self.sort:
+            texts.sort()
+        if self.spread:
+            return [" ".join([self.keyword] + texts)] if texts else []
+        return [f"{self.keyword} {text}" for text in texts]
+
+
+def _ref(keyword: str, field: str) -> _Entry:
+    return _Entry(keyword, field, _word(f"a {keyword} id"), once=True,
+                  required=f"never names its {keyword}")
+
+
+@dataclass(frozen=True)
+class _Block:
+    keyword: str
+    attr: str                               # the Manifest attribute listing the defs
+    cls: type
+    header: tuple[tuple[str, _Arg], ...]    # fields after the keyword; the first is the id
+    entries: tuple[_Entry, ...] = ()        # none: a one-line directive without braces
+    noun: str = ""                          # names the block in "unknown ... entry"
+    expect: str = ""                        # what an entry line starts with
+    # the kind that `<keyword> <id> <kind>` declares on one line, what the
+    # reader expects in its place, and the fault when another word is there
+    line_form: tuple[str, str, str] | None = None
+
+    @property
+    def id_field(self) -> str:
+        return self.header[0][0]
+
+    def lines(self, d) -> list[str]:
+        kind = getattr(d, "kind", "")
+        if self.line_form and kind == self.line_form[0]:
+            return [f"{self.keyword} {getattr(d, self.id_field)} {kind}"]
+        head = " ".join([self.keyword] + [arg.write(getattr(d, name))
+                                          for name, arg in self.header])
+        if not self.entries:
+            return [head]
+        lines = [head + " {"]
+        for row in self.entries:
+            if row.kind in ("", kind):
+                lines += ["  " + line for line in row.lines(getattr(d, row.field))]
+        return lines + ["}"]
+
+
+_DIRECTIVES = {row.keyword: row for row in (
+    _Entry("signature", "signature", _ATOM, once=True, spread=True, sort=True,
+           required="needs at least one atom"),
+    _Entry("bounds", "bounds", _Arg(_read_bounds, lambda b: " ".join(
+        f"{name}={value}" for name, value in b.to_dict().items())), once=True),
+)}
+
+# in Manifest field order, which is also the order of the canonical text
+_BLOCKS = (
+    _Block("rule", "rules", RuleDef, (("name", _word("a rule name")),), (
+        _Entry("premise", "premises", _FORMULA, many=True),
+        _Entry("conclude", "conclusion", _FORMULA, once=True, required="never concludes"),
+    ), noun="rule", expect="premise or conclude", line_form=(
+        "substitution", "the word substitution", "expected substitution, found {!r}")),
+    _Block("calculus", "calculi", CalculusDef, (("calculus_id", _word("a calculus id")),), (
+        _Entry("depth", "depth", _int("a depth"), once=True),
+        _Entry("atoms", "atoms", _ATOM, many=True, spread=True, sort=True),
+        _Entry("axiom", "axioms", _FORMULA, many=True, sort=True),
+        _Entry("schema", "schemas", _seq(_word("a schema id"), _FORMULA), many=True),
+        _Entry("use", "use", _word("a rule name"), many=True, spread=True),
+    ), noun="calculus", expect="a calculus entry"),
+    _Block("map", "maps", MapDef, (("map_id", _word("a map id")),
+                                   ("kind", _word("renaming or table"))), (
+        _Entry("rename", "renames", _seq(_ATOM, _ATOM), many=True, sort=True, kind="renaming"),
+        _Entry("pair", "pairs", _seq(_FORMULA, _FORMULA), many=True, sort=True, kind="table"),
+        _Entry("domain", "domain", _FORMULA, many=True, sort=True),
+    ), noun="map", expect="a map entry", line_form=(
+        "identity", "a map kind",
+        "only identity maps fit on one line; renaming and table maps need a block")),
+    _Block("component", "components", ComponentDef, (("component_id", _word("a component id")),), (
+        _ref("calculus", "calculus_ref"),
+        _ref("axiom-map", "axiom_map_ref"),
+        _ref("theorem-map", "theorem_map_ref"),
+        _Entry("theorem", "theorems", _FORMULA, many=True, sort=True),
+    ), noun="component", expect="a component entry"),
+    _Block("prevariety", "prevarieties", PrevarietyDef,
+           (("prevariety_id", _word("a prevariety id")),), (
+        _Entry("quasi", "quasi"),
+        _Entry("component", "component_refs", _word("a component id"), many=True,
+               required="lists no components"),
+        _Entry("auto", "auto"),
+        _Entry("axiom", "axioms", _FORMULA, many=True, sort=True),
+        _Entry("rule-ref", "rule_refs", _word("a rule name"), many=True, spread=True, sort=True),
+        _Entry("theorem", "theorems", _FORMULA, many=True, sort=True),
+    ), noun="prevariety", expect="a prevariety entry"),
+    _Block("witness", "witnesses", WitnessDef, (("witness_id", _word("a witness id")),), (
+        _ref("prevariety", "prevariety_ref"),
+        _Entry("indices", "indices", _int("an index"), once=True, spread=True),
+        _ref("calculus", "calculus_ref"),
+        _ref("axiom-map", "axiom_map_ref"),
+        _ref("theorem-map", "theorem_map_ref"),
+        _Entry("theorem", "theorems", _FORMULA, many=True, sort=True),
+    ), noun="witness", expect="a witness entry"),
+    _Block("axiom-decl", "axiom_decls", AxiomDeclDef,
+           (("axiom_id", _word("an axiom id")), ("statement", _string("statement")))),
+    _Block("class", "classes", ClassDef, (("class_id", _word("a class id")),
+                                          ("display_name", _string("display name"))), (
+        _Entry("status", "statuses", _seq(
+            _word("an axiom id"),
+            _choice("satisfied, violated or unknown", "status",
+                    {"satisfied": SATISFIED, "violated": VIOLATED, "unknown": UNKNOWN}),
+            _Arg(_read_evidence, _write_evidence)), many=True),
+    ), noun="class", expect="status"),
+    _Block("theorem-rec", "theorem_recs", TheoremRecDef,
+           (("theorem_id", _word("a theorem id")),), (
+        _Entry("statement", "statement", _string("statement"), required="needs a statement"),
+        _Entry("depends", "depends", _word("an axiom id"), many=True, spread=True, sort=True),
+        _Entry("source", "source", _string("source")),
+        _Entry("unconditional", "unconditional"),
+    ), noun="theorem", expect="a theorem entry"),
+)
+_KEYWORDS = {spec.keyword: spec for spec in _BLOCKS}
+
+
+# --- reader ------------------------------------------------------------------
 
 
 class _Parser:
-    def __init__(self, text: str, source: str):
+    def __init__(self, source: str):
         self.source = source
-        self.lines = text.splitlines()
-        self.signature: tuple[str, ...] = ()
-        self.bounds: Bounds | None = None
-        self.rules: list[RuleDef] = []
-        self.calculi: list[CalculusDef] = []
-        self.maps: list[MapDef] = []
-        self.components: list[ComponentDef] = []
-        self.prevarieties: list[PrevarietyDef] = []
-        self.witnesses: list[WitnessDef] = []
-        self.axiom_decls: list[AxiomDeclDef] = []
-        self.classes: list[ClassDef] = []
-        self.theorem_recs: list[TheoremRecDef] = []
+        self.values: dict[str, Any] = {}  # Manifest fields
 
-    def fail(self, message: str, line: int, col: int = 0):
-        raise ManifestError(message, self.source, line, col)
-
-    def parse(self) -> Manifest:
-        block: tuple[str, list[Token], int] | None = None
-        body: list[tuple[int, list[Token]]] = []
-        for lineno, raw in enumerate(self.lines, start=1):
+    def parse(self, text: str) -> Manifest:
+        block: tuple[str, list[Token], int, list] | None = None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             try:
                 tokens = tokenize_line(raw)
-            except LexError as exc:
-                self.fail(exc.message, lineno, exc.col)
-            if not tokens:
-                continue
-            if block is not None:
-                if len(tokens) == 1 and tokens[0].kind == "RBRACE":
-                    kind, header, start = block
-                    self._finish_block(kind, header, start, body)
-                    block, body = None, []
+                if not tokens:
+                    continue
+                if block is None and tokens[-1].kind == "LBRACE":
+                    keyword, _ = _take_word(tokens, 0, "a block keyword")
+                    block = (keyword, tokens[:-1], lineno, [])
+                elif block is None:
+                    self._directive(tokens, lineno)
+                elif len(tokens) == 1 and tokens[0].kind == "RBRACE":
+                    self._block(*block)
+                    block = None
                 elif any(t.kind in ("LBRACE", "RBRACE") for t in tokens):
-                    self.fail("braces may not nest", lineno, tokens[0].col)
+                    raise LexError("braces may not nest", tokens[0].col)
                 else:
-                    body.append((lineno, tokens))
-                continue
-            if tokens[-1].kind == "LBRACE":
-                keyword = self._word(tokens, 0, lineno, "a block keyword")
-                block = (keyword, tokens[:-1], lineno)
-                continue
-            self._top_level(tokens, lineno)
+                    block[3].append((lineno, tokens))
+            except (LexError, FormulaParseError) as exc:
+                raise ManifestError(exc.message, self.source, lineno, exc.col) from None
         if block is not None:
-            self.fail(f"unclosed {block[0]} block", block[2])
-        manifest = Manifest(
-            source=self.source,
-            signature=self.signature,
-            bounds=self.bounds or Bounds(),
-            rules=tuple(self.rules),
-            calculi=tuple(self.calculi),
-            maps=tuple(self.maps),
-            components=tuple(self.components),
-            prevarieties=tuple(self.prevarieties),
-            witnesses=tuple(self.witnesses),
-            axiom_decls=tuple(self.axiom_decls),
-            classes=tuple(self.classes),
-            theorem_recs=tuple(self.theorem_recs),
-        )
+            raise ManifestError(f"unclosed {block[0]} block", self.source, block[2])
+        manifest = Manifest(source=self.source, **self.values)
         manifest.validate()
         return manifest
 
-    # -- token helpers --
-
-    def _word(self, tokens: list[Token], i: int, lineno: int, what: str) -> str:
-        if i >= len(tokens):
-            col = tokens[-1].col + len(tokens[-1].text) if tokens else 0
-            self.fail(f"expected {what}", lineno, col)
-        if tokens[i].kind != "WORD":
-            self.fail(f"expected {what}, found {tokens[i].text!r}",
-                      lineno, tokens[i].col)
-        return tokens[i].text
-
-    def _string(self, tokens: list[Token], i: int, lineno: int, what: str) -> str:
-        if i >= len(tokens) or tokens[i].kind != "STRING":
-            col = tokens[i].col if i < len(tokens) else (
-                tokens[-1].col + len(tokens[-1].text) if tokens else 0)
-            self.fail(f"expected a quoted {what}", lineno, col)
-        return tokens[i].text
-
-    def _int(self, tokens: list[Token], i: int, lineno: int, what: str) -> int:
-        word = self._word(tokens, i, lineno, what)
-        if not word.isdigit():
-            self.fail(f"expected {what}, found {word!r}", lineno, tokens[i].col)
-        return int(word)
-
-    def _atom_name(self, tokens: list[Token], i: int, lineno: int) -> str:
-        word = self._word(tokens, i, lineno, "an atom name")
-        if not ATOM_NAME.match(word):
-            self.fail(f"bad atom name {word!r}", lineno, tokens[i].col)
-        return word
-
-    def _formula(self, tokens: list[Token], i: int, lineno: int) -> tuple[Formula, int]:
-        try:
-            return parse_formula_tokens(tokens, i)
-        except FormulaParseError as exc:
-            self.fail(exc.message, lineno, exc.col)
-
-    def _one_formula(self, tokens: list[Token], i: int, lineno: int) -> Formula:
-        formula, nxt = self._formula(tokens, i, lineno)
-        self._done(tokens, nxt, lineno)
-        return formula
-
-    def _done(self, tokens: list[Token], i: int, lineno: int) -> None:
-        if i < len(tokens):
-            self.fail(f"unexpected trailing {tokens[i].text!r}", lineno, tokens[i].col)
-
-    # -- single-line directives --
-
-    def _top_level(self, tokens: list[Token], lineno: int) -> None:
-        keyword = self._word(tokens, 0, lineno, "a directive")
-        if keyword == "signature":
-            if self.signature:
-                self.fail("signature given twice", lineno)
-            names = [self._atom_name(tokens, i, lineno) for i in range(1, len(tokens))]
-            if not names:
-                self.fail("signature needs at least one atom", lineno)
-            self.signature = tuple(names)
-        elif keyword == "bounds":
-            if self.bounds is not None:
-                self.fail("bounds given twice", lineno)
-            self.bounds = self._parse_bounds(tokens, lineno)
-        elif keyword == "rule":
-            name = self._word(tokens, 1, lineno, "a rule name")
-            marker = self._word(tokens, 2, lineno, "the word substitution")
-            if marker != "substitution":
-                self.fail(f"expected substitution, found {marker!r}",
-                          lineno, tokens[2].col)
-            self._done(tokens, 3, lineno)
-            self.rules.append(RuleDef(name, "substitution", line=lineno))
-        elif keyword == "map":
-            map_id = self._word(tokens, 1, lineno, "a map id")
-            kind = self._word(tokens, 2, lineno, "a map kind")
-            if kind != "identity":
-                self.fail("only identity maps fit on one line; "
-                          "renaming and table maps need a block", lineno, tokens[2].col)
-            self._done(tokens, 3, lineno)
-            self.maps.append(MapDef(map_id, "identity", line=lineno))
-        elif keyword == "axiom-decl":
-            axiom_id = self._word(tokens, 1, lineno, "an axiom id")
-            statement = self._string(tokens, 2, lineno, "statement")
-            self._done(tokens, 3, lineno)
-            self.axiom_decls.append(AxiomDeclDef(axiom_id, statement, line=lineno))
+    def _directive(self, tokens: list[Token], line: int) -> None:
+        keyword, _ = _take_word(tokens, 0, "a directive")
+        spec = _KEYWORDS.get(keyword)
+        if keyword in _DIRECTIVES:
+            row = _DIRECTIVES[keyword]
+            row.read(self.values, tokens)
+            if row.required and not self.values.get(row.field):
+                raise LexError(f"{keyword} {row.required}", 0)
+        elif spec is not None and spec.line_form:
+            kind, what, fault = spec.line_form
+            ident, _ = spec.header[0][1].read(tokens, 1)
+            word, _ = _take_word(tokens, 2, what)
+            if word != kind:
+                raise LexError(fault.format(word), tokens[2].col)
+            _done(tokens, 3)
+            self._add(spec, {spec.id_field: ident, "kind": kind}, line)
+        elif spec is not None and not spec.entries:
+            self._add(spec, _take_fields(spec.header, tokens, 1), line)
         else:
-            self.fail(f"unknown directive {keyword!r}", lineno, tokens[0].col)
+            raise LexError(f"unknown directive {keyword!r}", tokens[0].col)
 
-    def _parse_bounds(self, tokens: list[Token], lineno: int) -> Bounds:
-        values: dict[str, int] = {}
-        for tok in tokens[1:]:
-            if tok.kind != "WORD" or "=" not in tok.text:
-                self.fail("bounds entries look like depth=3", lineno, tok.col)
-            key, _, raw = tok.text.partition("=")
-            if key not in ("depth", "atoms", "enum", "size"):
-                self.fail(f"unknown bound {key!r}", lineno, tok.col)
-            if key in values:
-                self.fail(f"bound {key!r} given twice", lineno, tok.col)
-            if not raw.isdigit():
-                self.fail(f"bound {key!r} needs an integer", lineno, tok.col)
-            values[key] = int(raw)
+    def _block(self, keyword: str, header: list[Token], start: int,
+               body: list[tuple[int, list[Token]]]) -> None:
+        spec = _KEYWORDS.get(keyword)
+        line = start  # the line a fault is reported at
         try:
-            return Bounds(**values)
-        except ValueError as exc:
-            self.fail(str(exc), lineno)
+            if spec is None or not spec.entries:
+                raise LexError(f"unknown block keyword {keyword!r}", 0)
+            values = _take_fields(spec.header, header, 1)
+            kind = values.get("kind", "")  # a map block's kind picks its entries
+            if kind not in {row.kind for row in spec.entries}:
+                raise LexError(f"unknown {keyword} kind {kind!r}", 0)
+            rows = {row.keyword: row for row in spec.entries if row.kind in ("", kind)}
+            noun = f"{kind} {spec.noun}" if kind else spec.noun
+            for line, tokens in body:
+                key, _ = _take_word(tokens, 0, spec.expect)
+                if key not in rows:
+                    raise LexError(f"unknown {noun} entry {key!r}", tokens[0].col)
+                rows[key].read(values, tokens)
+            line = start
+            for row in spec.entries:
+                if row.required and not values.get(row.field):
+                    raise LexError(f"{keyword} {values[spec.id_field]!r} {row.required}", 0)
+        except (LexError, FormulaParseError) as exc:
+            raise ManifestError(exc.message, self.source, line, exc.col) from None
+        self._add(spec, values, start)
 
-    # -- blocks --
-
-    def _finish_block(self, kind: str, header: list[Token], start: int,
-                      body: list[tuple[int, list[Token]]]) -> None:
-        handlers = {
-            "rule": self._finish_rule,
-            "calculus": self._finish_calculus,
-            "map": self._finish_map,
-            "component": self._finish_component,
-            "prevariety": self._finish_prevariety,
-            "witness": self._finish_witness,
-            "class": self._finish_class,
-            "theorem-rec": self._finish_theorem_rec,
-        }
-        if kind not in handlers:
-            self.fail(f"unknown block keyword {kind!r}", start)
-        handlers[kind](header, start, body)
-
-    def _finish_rule(self, header, start, body) -> None:
-        name = self._word(header, 1, start, "a rule name")
-        self._done(header, 2, start)
-        premises: list[Formula] = []
-        conclusion: Formula | None = None
-        for lineno, tokens in body:
-            key = self._word(tokens, 0, lineno, "premise or conclude")
-            if key == "premise":
-                premises.append(self._one_formula(tokens, 1, lineno))
-            elif key == "conclude":
-                if conclusion is not None:
-                    self.fail("conclude given twice", lineno)
-                conclusion = self._one_formula(tokens, 1, lineno)
-            else:
-                self.fail(f"unknown rule entry {key!r}", lineno, tokens[0].col)
-        if conclusion is None:
-            self.fail(f"rule {name!r} never concludes", start)
-        self.rules.append(RuleDef(name, "schema", tuple(premises), conclusion,
-                                  line=start))
-
-    def _finish_calculus(self, header, start, body) -> None:
-        calculus_id = self._word(header, 1, start, "a calculus id")
-        self._done(header, 2, start)
-        depth: int | None = None
-        atoms: list[str] = []
-        axioms: list[Formula] = []
-        schemas: list[tuple[str, Formula]] = []
-        use: list[str] = []
-        for lineno, tokens in body:
-            key = self._word(tokens, 0, lineno, "a calculus entry")
-            if key == "depth":
-                if depth is not None:
-                    self.fail("depth given twice", lineno)
-                depth = self._int(tokens, 1, lineno, "a depth")
-                self._done(tokens, 2, lineno)
-            elif key == "atoms":
-                for i in range(1, len(tokens)):
-                    atoms.append(self._atom_name(tokens, i, lineno))
-            elif key == "axiom":
-                axioms.append(self._one_formula(tokens, 1, lineno))
-            elif key == "schema":
-                schema_id = self._word(tokens, 1, lineno, "a schema id")
-                formula, nxt = self._formula(tokens, 2, lineno)
-                self._done(tokens, nxt, lineno)
-                schemas.append((schema_id, formula))
-            elif key == "use":
-                for i in range(1, len(tokens)):
-                    use.append(self._word(tokens, i, lineno, "a rule name"))
-            else:
-                self.fail(f"unknown calculus entry {key!r}", lineno, tokens[0].col)
-        self.calculi.append(CalculusDef(
-            calculus_id, depth, tuple(atoms), tuple(axioms), tuple(schemas),
-            tuple(use), line=start))
-
-    def _finish_map(self, header, start, body) -> None:
-        map_id = self._word(header, 1, start, "a map id")
-        kind = self._word(header, 2, start, "renaming or table")
-        self._done(header, 3, start)
-        if kind not in ("renaming", "table"):
-            self.fail(f"unknown map kind {kind!r}", start)
-        renames: list[tuple[str, str]] = []
-        pairs: list[tuple[Formula, Formula]] = []
-        domain: list[Formula] = []
-        saw_domain = False
-        for lineno, tokens in body:
-            key = self._word(tokens, 0, lineno, "a map entry")
-            if key == "rename" and kind == "renaming":
-                old = self._atom_name(tokens, 1, lineno)
-                new = self._atom_name(tokens, 2, lineno)
-                self._done(tokens, 3, lineno)
-                renames.append((old, new))
-            elif key == "pair" and kind == "table":
-                source, nxt = self._formula(tokens, 1, lineno)
-                target, nxt = self._formula(tokens, nxt, lineno)
-                self._done(tokens, nxt, lineno)
-                pairs.append((source, target))
-            elif key == "domain":
-                saw_domain = True
-                domain.append(self._one_formula(tokens, 1, lineno))
-            else:
-                self.fail(f"unknown {kind} map entry {key!r}", lineno, tokens[0].col)
-        self.maps.append(MapDef(
-            map_id, kind, tuple(renames), tuple(pairs),
-            tuple(domain) if saw_domain else None, line=start))
-
-    def _finish_component(self, header, start, body) -> None:
-        component_id = self._word(header, 1, start, "a component id")
-        self._done(header, 2, start)
-        refs = {"calculus": "", "axiom-map": "", "theorem-map": ""}
-        theorems: list[Formula] = []
-        for lineno, tokens in body:
-            key = self._word(tokens, 0, lineno, "a component entry")
-            if key in refs:
-                if refs[key]:
-                    self.fail(f"{key} given twice", lineno)
-                refs[key] = self._word(tokens, 1, lineno, f"a {key} id")
-                self._done(tokens, 2, lineno)
-            elif key == "theorem":
-                theorems.append(self._one_formula(tokens, 1, lineno))
-            else:
-                self.fail(f"unknown component entry {key!r}", lineno, tokens[0].col)
-        for key, value in refs.items():
-            if not value:
-                self.fail(f"component {component_id!r} never names its {key}", start)
-        self.components.append(ComponentDef(
-            component_id, refs["calculus"], refs["axiom-map"], refs["theorem-map"],
-            tuple(theorems), line=start))
-
-    def _finish_prevariety(self, header, start, body) -> None:
-        prevariety_id = self._word(header, 1, start, "a prevariety id")
-        self._done(header, 2, start)
-        component_refs: list[str] = []
-        quasi = False
-        auto = False
-        axioms: list[Formula] = []
-        rule_refs: list[str] = []
-        theorems: list[Formula] = []
-        for lineno, tokens in body:
-            key = self._word(tokens, 0, lineno, "a prevariety entry")
-            if key == "component":
-                component_refs.append(self._word(tokens, 1, lineno, "a component id"))
-                self._done(tokens, 2, lineno)
-            elif key == "quasi":
-                self._done(tokens, 1, lineno)
-                quasi = True
-            elif key == "auto":
-                self._done(tokens, 1, lineno)
-                auto = True
-            elif key == "axiom":
-                axioms.append(self._one_formula(tokens, 1, lineno))
-            elif key == "rule-ref":
-                for i in range(1, len(tokens)):
-                    rule_refs.append(self._word(tokens, i, lineno, "a rule name"))
-            elif key == "theorem":
-                theorems.append(self._one_formula(tokens, 1, lineno))
-            else:
-                self.fail(f"unknown prevariety entry {key!r}", lineno, tokens[0].col)
-        if not component_refs:
-            self.fail(f"prevariety {prevariety_id!r} lists no components", start)
-        self.prevarieties.append(PrevarietyDef(
-            prevariety_id, tuple(component_refs), quasi, auto,
-            tuple(axioms), tuple(rule_refs), tuple(theorems), line=start))
-
-    def _finish_witness(self, header, start, body) -> None:
-        witness_id = self._word(header, 1, start, "a witness id")
-        self._done(header, 2, start)
-        refs = {"prevariety": "", "calculus": "", "axiom-map": "", "theorem-map": ""}
-        indices: list[int] = []
-        theorems: list[Formula] = []
-        for lineno, tokens in body:
-            key = self._word(tokens, 0, lineno, "a witness entry")
-            if key in refs:
-                if refs[key]:
-                    self.fail(f"{key} given twice", lineno)
-                refs[key] = self._word(tokens, 1, lineno, f"a {key} id")
-                self._done(tokens, 2, lineno)
-            elif key == "indices":
-                if indices:
-                    self.fail("indices given twice", lineno)
-                for i in range(1, len(tokens)):
-                    indices.append(self._int(tokens, i, lineno, "an index"))
-            elif key == "theorem":
-                theorems.append(self._one_formula(tokens, 1, lineno))
-            else:
-                self.fail(f"unknown witness entry {key!r}", lineno, tokens[0].col)
-        for key, value in refs.items():
-            if not value:
-                self.fail(f"witness {witness_id!r} never names its {key}", start)
-        self.witnesses.append(WitnessDef(
-            witness_id, refs["prevariety"], tuple(indices), refs["calculus"],
-            refs["axiom-map"], refs["theorem-map"], tuple(theorems), line=start))
-
-    _STATUS_BY_WORD = {word: status for status, word in _STATUS_WORDS.items()}
-
-    def _finish_class(self, header, start, body) -> None:
-        class_id = self._word(header, 1, start, "a class id")
-        display_name = self._string(header, 2, start, "display name")
-        self._done(header, 3, start)
-        statuses: list[tuple[str, str, Evidence | None]] = []
-        for lineno, tokens in body:
-            key = self._word(tokens, 0, lineno, "status")
-            if key != "status":
-                self.fail(f"unknown class entry {key!r}", lineno, tokens[0].col)
-            axiom_id = self._word(tokens, 1, lineno, "an axiom id")
-            word = self._word(tokens, 2, lineno, "satisfied, violated or unknown")
-            if word not in self._STATUS_BY_WORD:
-                self.fail(f"unknown status {word!r}", lineno, tokens[2].col)
-            status = self._STATUS_BY_WORD[word]
-            evidence: Evidence | None = None
-            if len(tokens) > 3:
-                evidence = self._parse_evidence(tokens, 3, lineno)
-            statuses.append((axiom_id, status, evidence))
-        self.classes.append(ClassDef(class_id, display_name, tuple(statuses),
-                                     line=start))
-
-    def _parse_evidence(self, tokens: list[Token], i: int, lineno: int) -> Evidence:
-        kind = self._word(tokens, i, lineno, "an evidence kind")
-        try:
-            if kind == "citation":
-                text = self._string(tokens, i + 1, lineno, "citation")
-                self._done(tokens, i + 2, lineno)
-                return Evidence(CITATION, citation=text)
-            if kind == "exec-positive":
-                witness_id = self._word(tokens, i + 1, lineno, "a witness id")
-                size = self._int(tokens, i + 2, lineno, "a suite size")
-                self._done(tokens, i + 3, lineno)
-                return Evidence(EXEC_POSITIVE, witness_id=witness_id, suite_size=size)
-            if kind == "exec-exhaustive":
-                witness_id = self._word(tokens, i + 1, lineno, "a witness id")
-                domain = self._string(tokens, i + 2, lineno, "domain description")
-                self._done(tokens, i + 3, lineno)
-                return Evidence(EXEC_EXHAUSTIVE, witness_id=witness_id, domain=domain)
-        except ValueError as exc:
-            self.fail(str(exc), lineno)
-        self.fail(f"unknown evidence kind {kind!r}", lineno, tokens[i].col)
-
-    def _finish_theorem_rec(self, header, start, body) -> None:
-        theorem_id = self._word(header, 1, start, "a theorem id")
-        self._done(header, 2, start)
-        statement = ""
-        source = ""
-        depends: list[str] = []
-        unconditional = False
-        for lineno, tokens in body:
-            key = self._word(tokens, 0, lineno, "a theorem entry")
-            if key == "statement":
-                statement = self._string(tokens, 1, lineno, "statement")
-                self._done(tokens, 2, lineno)
-            elif key == "source":
-                source = self._string(tokens, 1, lineno, "source")
-                self._done(tokens, 2, lineno)
-            elif key == "depends":
-                for i in range(1, len(tokens)):
-                    depends.append(self._word(tokens, i, lineno, "an axiom id"))
-            elif key == "unconditional":
-                self._done(tokens, 1, lineno)
-                unconditional = True
-            else:
-                self.fail(f"unknown theorem entry {key!r}", lineno, tokens[0].col)
-        if not statement:
-            self.fail(f"theorem-rec {theorem_id!r} needs a statement", start)
-        self.theorem_recs.append(TheoremRecDef(
-            theorem_id, statement, tuple(depends), source, unconditional,
-            line=start))
+    def _add(self, spec: _Block, values: dict[str, Any], line: int) -> None:
+        self.values[spec.attr] = self.values.get(spec.attr, ()) + (spec.cls(**values, line=line),)
 
 
 def parse_manifest(text: str, source: str = "<manifest>") -> Manifest:
-    return _Parser(text, source).parse()
+    return _Parser(source).parse(text)
 
 
 def load_manifest(path: str | Path) -> Manifest:

@@ -624,9 +624,7 @@ def _injectivity(
     return diagnostics
 
 
-def component_membership(
-    pv: Prevariety, query: Formula, *, size_cap: int = DEFAULT_SIZE_CAP
-) -> tuple[str, ...]:
+def component_membership(pv: Prevariety, query: Formula) -> tuple[str, ...]:
     """Ids of the components whose designated image contains the query."""
     hits = []
     for component in pv.components:

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import vty.cli
 from vty.cli import main
+from vty.formulas import MAX_NESTING
 from vty.machines import encode_machine, parse_machine
 
 
@@ -264,6 +266,32 @@ class TestOutputControls:
         assert rows["TT"].count("-") == 2
         assert rows["RM"].count("C") == 2
 
+    def test_matrix_is_built_once_in_text_format(self, capsys, monkeypatch):
+        calls = []
+        real = vty.cli.registry_report
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(vty.cli, "registry_report", counting)
+        code, _ = run_cli(capsys, "report-matrix", "--format", "text")
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--bounds", "width=3", "report-matrix"],
+         "bad bounds entry 'width=3'; expected depth=N,atoms=N,enum=N,size=N"),
+        (["fixed-output", "brute", "--y", "1", "--inputs", "1,x"], "bad input list '1,x'"),
+        (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1", "--schedule", "8,y"],
+         "bad fuel schedule '8,y'"),
+    ])
+    def test_bad_argument_lists_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_text_rendering_of_nested_reports(self, capsys, data_dir):
         code, out = run_cli(
             capsys, "check-variety", str(data_dir / "shared_core_nowitness.vty"),
@@ -272,6 +300,38 @@ class TestOutputControls:
         assert code == 1
         assert "code: MISSING_WITNESS" in out
         assert "verdict: FAIL" in out
+
+
+def nested_manifest(levels: int) -> str:
+    # `(-> p (not (not ... p)))` nests `levels` parentheses deep
+    deep = "(-> p " + "(not " * (levels - 1) + "p" + ")" * levels
+    return (
+        "rule mp {\n  premise a\n  premise (-> a b)\n  conclude b\n}\n\n"
+        f"calculus L {{\n  depth 2\n  axiom p\n  axiom {deep}\n  use mp\n}}\n"
+    )
+
+
+class TestNestingLimit:
+    def test_formula_at_the_limit_closes_with_proofs(self, capsys, tmp_path):
+        path = tmp_path / "deep.vty"
+        path.write_text(nested_manifest(MAX_NESTING))
+        code, report = run_json(capsys, "closure", str(path), "--with-proofs")
+        assert code == 0
+        assert report["errors"] == []
+        assert report["result"]["count"] == 3  # both axioms and what mp derives
+        assert len(report["result"]["proofs"]) == 3
+
+    def test_one_level_deeper_is_a_located_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.vty"
+        text = nested_manifest(MAX_NESTING + 1)
+        path.write_text(text)
+        code, report = run_json(capsys, "closure", str(path))
+        assert code == 2
+        line = text.splitlines()[9]
+        col = [i for i, ch in enumerate(line) if ch == "("][MAX_NESTING] + 1
+        assert report["errors"] == [
+            f"{path}:10:{col}: formula nests deeper than {MAX_NESTING} parentheses"
+        ]
 
 
 class TestEncodingLock:

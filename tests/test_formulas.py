@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from vty.errors import FormulaParseError
 from vty.formulas import (
+    MAX_NESTING,
     And,
     Atom,
     Bottom,
@@ -92,6 +93,19 @@ class TestParsing:
         # equal text means equal tree; no semantic identification happens
         assert parse_formula("(and p q)") != parse_formula("(and q p)")
         assert parse_formula("p") != parse_formula("(not (not p))")
+
+
+class TestNesting:
+    def test_nesting_up_to_the_limit_parses(self):
+        text = "(not " * MAX_NESTING + "p" + ")" * MAX_NESTING
+        assert format_formula(parse_formula(text)) == text
+
+    def test_one_more_level_fails_at_the_first_paren_beyond(self):
+        text = "(not " * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(FormulaParseError) as err:
+            parse_formula(text)
+        assert err.value.col == 5 * MAX_NESTING
+        assert err.value.message == f"formula nests deeper than {MAX_NESTING} parentheses"
 
 
 class TestQueries:

@@ -3,8 +3,8 @@ import pytest
 from vty.errors import ManifestError, UnresolvedReferenceError
 from vty.formulas import parse_formula
 from vty.manifest import (
-    AxiomDeclDef,
     Bounds,
+    ClassDef,
     Manifest,
     load_manifest,
     parse_manifest,
@@ -202,7 +202,10 @@ class TestCanonicalText:
 
     @pytest.mark.parametrize("name", DATA_FILES + ("all_entries",))
     def test_reparsing_canonical_text_is_identity(self, data_dir, name):
-        manifest = parse_manifest(canonical_input(data_dir, name), source=name)
+        if name == "all_entries":
+            manifest = parse_manifest(ALL_ENTRIES, source=name)
+        else:
+            manifest = load_manifest(data_dir / name)
         again = parse_manifest(manifest.to_text(), source=manifest.source)
         assert again == manifest
         assert again.to_text() == manifest.to_text()
@@ -315,6 +318,7 @@ PARSE_ERRORS = [
     ("rule mp {\n  (a)\n}\n", "expected premise or conclude, found '('", 2, 3),
     ("calculus L {\n  depth 1\n  depth 2\n}\n", "depth given twice", 3, 1),
     ("calculus L {\n  depth x\n}\n", "expected a depth, found 'x'", 2, 9),
+    ("calculus L {\n  depth \u00b2\n}\n", "expected a depth, found '\u00b2'", 2, 9),
     ("calculus L {\n  atoms p Q\n}\n", "bad atom name 'Q'", 2, 11),
     ("calculus L {\n  axiom p q\n}\n", "unexpected trailing 'q'", 2, 11),
     ("calculus L {\n  lemma p\n}\n", "unknown calculus entry 'lemma'", 2, 3),
@@ -356,6 +360,7 @@ PARSE_ERRORS = [
     ("bounds depth=1 size=0\n", "atoms, enum and size bounds must be positive", 1, 1),
     ("bounds depth=1\nbounds depth=2\n", "bounds given twice", 2, 1),
     ("bounds depth=1 frob=2\n", "unknown bound 'frob'", 1, 16),
+    ("bounds depth=\u00b2\n", "bound 'depth' needs an integer", 1, 8),
 ]
 
 
@@ -537,6 +542,22 @@ class TestResolution:
         manifest = parse_manifest(MINIMAL)
         calc = manifest.calculus("L")
         assert {"p", "q"} <= set(calc.signature_atoms)
+
+
+class TestStringsStaySingleLine:
+    @pytest.mark.parametrize("text", ["two\nlines", "carriage\rreturn", "crlf\r\n"])
+    def test_registry_statement_with_a_line_break_is_refused(self, text):
+        manifest = registry_manifest([], [], {"AX": AxiomDeclaration("AX", text)})
+        with pytest.raises(ValueError) as err:
+            manifest.to_text()
+        assert str(err.value).startswith(f"statement {text!r} spans lines")
+
+    def test_display_name_and_citation_are_checked_too(self):
+        with pytest.raises(ValueError, match="display name"):
+            Manifest(classes=(ClassDef("C", "a\nb"),)).to_text()
+        evidence = Evidence(CITATION, citation="a\u2028b")
+        with pytest.raises(ValueError, match="citation"):
+            Manifest(classes=(ClassDef("C", "c", (("AX", SATISFIED, evidence),)),)).to_text()
 
 
 class TestSeedRegistryManifest:
