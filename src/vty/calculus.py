@@ -11,21 +11,44 @@ Schema instantiation is restricted to the subformula closure of the
 instance axioms, the goals passed in, and the calculus's declared
 signature atoms. The restriction keeps instance sets finite; reports
 elsewhere label theorem sets with the depth they were computed at.
+
+Derivation order, which fixes every cost and proof ``closure`` reports:
+axioms, then schema instances over the ``formula_key``-sorted domain;
+then rounds, until a round admits nothing, over the rules in calculus
+order. Each rule application works through a ``formula_key``-sorted
+snapshot of everything known when it starts, trying premise tuples in
+lexicographic snapshot order. A derivation replaces a formula's current
+one only at strictly lower cost, so among equal costs the first wins.
+
+A schema rule looks its premise candidates up in a one-level index over
+the snapshot instead of scanning all of it. Buckets hold the formula
+itself, every formula with a given connective, and every formula with a
+given connective and a given immediate child in a given slot, each in
+snapshot order. Under the bindings made by earlier premises, a bound
+atom premise takes its own formula's bucket, a connective with a bound
+atom child takes that child's bucket, another connective takes its
+connective's bucket, and an unbound atom takes the whole snapshot. A
+bucket holds every formula the premise can match, in snapshot order, so
+the tuples matched and the order they are admitted in are those of the
+full scan. Proof objects are built from the derivation table on first
+access.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .errors import DepthExplosionError
 from .formulas import (
+    And,
     Atom,
     Formula,
     Implies,
     Not,
+    Or,
     atoms,
     formula_key,
     match_pattern,
@@ -250,7 +273,13 @@ class _Derivation:
 class ClosureEntry:
     formula: Formula
     cost: int
-    proof: Proof
+    # the whole closure's derivation table, shared by its entries
+    _derivations: Mapping[Formula, _Derivation] = field(repr=False, compare=False)
+
+    @cached_property
+    def proof(self) -> Proof:
+        """Built from the derivation table on first access."""
+        return _build_proof(self.formula, self._derivations)
 
 
 @dataclass(frozen=True)
@@ -341,11 +370,9 @@ def closure(
                 ):
                     changed = True
 
-    entries = []
-    for formula in sorted(best, key=formula_key):
-        derivation = best[formula]
-        entries.append(ClosureEntry(formula, derivation.cost, _build_proof(formula, best)))
-    return ClosureResult(calculus.calculus_id, depth, len(domain), tuple(entries))
+    entries = tuple(ClosureEntry(formula, best[formula].cost, best)
+                    for formula in sorted(best, key=formula_key))
+    return ClosureResult(calculus.calculus_id, depth, len(domain), entries)
 
 
 def _guard_instantiation(calculus: Calculus, domain_size: int, var_count: int, size_cap: int) -> None:
@@ -357,8 +384,48 @@ def _guard_instantiation(calculus: Calculus, domain_size: int, var_count: int, s
         )
 
 
+def _premise_index(known: list[tuple[Formula, _Derivation]]) -> dict[object, list]:
+    """Buckets of ``known``, each a subsequence in ``known``'s own order.
+
+    Keyed by the formula itself, by its connective class, and by
+    ``(class, slot, child)`` for each immediate child.
+    """
+    index: dict[object, list] = {}
+    for item in known:
+        formula = item[0]
+        kind = type(formula)
+        index.setdefault(formula, []).append(item)
+        index.setdefault(kind, []).append(item)
+        for slot, child in enumerate(_children(formula)):
+            index.setdefault((kind, slot, child), []).append(item)
+    return index
+
+
+def _children(formula: Formula) -> tuple[Formula, ...]:
+    if isinstance(formula, Not):
+        return (formula.operand,)
+    if isinstance(formula, (And, Or, Implies)):
+        return (formula.left, formula.right)
+    return ()
+
+
+def _candidates(pattern: Formula, bindings: Mapping[str, Formula], known, index) -> list:
+    """The bucket holding every known formula that can match ``pattern``."""
+    if isinstance(pattern, Atom):
+        bound = bindings.get(pattern.name)
+        return known if bound is None else index.get(bound, [])
+    kind = type(pattern)
+    for slot, child in enumerate(_children(pattern)):
+        if isinstance(child, Atom) and child.name in bindings:
+            return index.get((kind, slot, bindings[child.name]), [])
+    return index.get(kind, [])
+
+
 def _apply_schema_rule(rule, best, depth, admit) -> bool:
+    if depth < 1:
+        return False
     known = [(formula, best[formula]) for formula in sorted(best, key=formula_key)]
+    index = _premise_index(known)
     changed = False
 
     def extend(premise_index: int, bindings: dict[str, Formula],
@@ -373,7 +440,7 @@ def _apply_schema_rule(rule, best, depth, admit) -> bool:
                 changed = True
             return
         pattern = rule.premises[premise_index]
-        for formula, derivation in known:
+        for formula, derivation in _candidates(pattern, bindings, known, index):
             total = cost_sum + derivation.cost
             if total + 1 > depth:
                 continue
@@ -382,8 +449,7 @@ def _apply_schema_rule(rule, best, depth, admit) -> bool:
                 continue
             extend(premise_index + 1, extended, used + (formula,), total)
 
-    if depth >= 1:
-        extend(0, {}, (), 0)
+    extend(0, {}, (), 0)
     return changed
 
 

@@ -17,7 +17,7 @@ canonical text. Parentheses nest at most ``MAX_NESTING`` deep.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
@@ -49,27 +49,56 @@ class Bottom(Formula):
     pass
 
 
+# Compound formulas compute their hash once, at construction, instead of
+# re-hashing the whole tree at every set or dict lookup. The value is the
+# one the generated dataclass hash gives (the hash of the child tuple), so
+# sets of formulas iterate in the same order as before. Equality stays
+# structural.
+def _cached_hash(formula: Formula) -> int:
+    return formula._hash
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class Not(Formula):
     operand: Formula
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _cached_hash
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.operand,)))
 
 
 @dataclass(frozen=True, slots=True, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _cached_hash
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _cached_hash
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _cached_hash
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
 _BINARY = {"and": And, "or": Or, "->": Implies}
 _BINARY_NAMES = {And: "and", Or: "or", Implies: "->"}

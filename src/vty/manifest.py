@@ -79,7 +79,8 @@ Each block kind's layout (header fields, entry keywords, how often each
 may appear, how its values read and write, canonical order) is declared
 once, in the block table below; the reader and the canonical writer
 both walk it. Quoted strings are single-line: the writer raises
-ValueError for a string holding a line break. Formulas nest at most
+ValueError for a string holding a line break, and for a block that lacks
+an entry the reader requires. Formulas nest at most
 ``formulas.MAX_NESTING`` parentheses deep.
 """
 
@@ -703,6 +704,14 @@ class _Block:
     # the kind that `<keyword> <id> <kind>` declares on one line, what the
     # reader expects in its place, and the fault when another word is there
     line_form: tuple[str, str, str] | None = None
+    # the entry rows by keyword for each kind a block header may declare
+    # ("" where the header declares none), built once for the reader
+    rows: dict[str, dict[str, _Entry]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", {
+            kind: {row.keyword: row for row in self.entries if row.kind in ("", kind)}
+            for kind in {row.kind for row in self.entries}})
 
     @property
     def id_field(self) -> str:
@@ -718,8 +727,13 @@ class _Block:
             return [head]
         lines = [head + " {"]
         for row in self.entries:
-            if row.kind in ("", kind):
-                lines += ["  " + line for line in row.lines(getattr(d, row.field))]
+            if row.kind not in ("", kind):
+                continue
+            value = getattr(d, row.field)
+            if row.required and not value:
+                raise ValueError(f"{self.keyword} {getattr(d, self.id_field)!r} "
+                                 f"{row.required}; the {row.keyword!r} entry is required")
+            lines += ["  " + line for line in row.lines(value)]
         return lines + ["}"]
 
 
@@ -862,9 +876,9 @@ class _Parser:
                 raise LexError(f"unknown block keyword {keyword!r}", 0)
             values = _take_fields(spec.header, header, 1)
             kind = values.get("kind", "")  # a map block's kind picks its entries
-            if kind not in {row.kind for row in spec.entries}:
+            rows = spec.rows.get(kind)
+            if rows is None:
                 raise LexError(f"unknown {keyword} kind {kind!r}", 0)
-            rows = {row.keyword: row for row in spec.entries if row.kind in ("", kind)}
             noun = f"{kind} {spec.noun}" if kind else spec.noun
             for line, tokens in body:
                 key, _ = _take_word(tokens, 0, spec.expect)

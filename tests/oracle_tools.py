@@ -1,7 +1,8 @@
 """Independent reference implementations the tests check the library against.
 
 Everything here recomputes answers from definitions, avoiding the
-library's search and interpretation algorithms. Primitive helpers
+library's search and interpretation algorithms, or keeps the plain
+version of an algorithm the library has since sped up. Primitive helpers
 (parsing, matching, substitution) are shared with the library; those
 are unit-tested on their own.
 """
@@ -14,8 +15,13 @@ import random
 from typing import Iterable, Iterator
 
 from vty.calculus import (
+    AxiomStep,
     Calculus,
+    Proof,
+    ProofStep,
+    RuleStep,
     SchemaRule,
+    SchemaStep,
     SubstitutionRule,
     instantiation_domain,
     theorem_formulas,
@@ -87,6 +93,98 @@ def oracle_theorem_set(calculus: Calculus, depth: int) -> frozenset[Formula]:
                         grown.add(substitute(rule.conclusion, bindings))
         levels.append(frozenset(grown))
     return levels[depth]
+
+
+def oracle_scan_closure(
+    calculus: Calculus, depth: int, goals: Iterable[Formula] = ()
+) -> list[tuple[Formula, int, Proof]]:
+    """The closure engine before its premise index: every premise of every
+    rule is tried against every known formula.
+
+    Follows the library's canonical derivation order, so the chosen
+    derivations, and with them the proofs, must agree entry by entry:
+    axioms, then schema instances over the formula_key-sorted domain; then
+    rounds over the rules in order until a round admits nothing, each rule
+    working through a formula_key-sorted snapshot of what is known; a
+    derivation replaces another only at strictly lower cost. Returns
+    (formula, cost, proof) in formula_key order.
+    """
+    domain = sorted(instantiation_domain(calculus, goals), key=formula_key)
+    # formula -> (cost, kind, schema id or rule name, substitution, premises)
+    best: dict[Formula, tuple] = {}
+
+    def admit(formula, cost, kind="axiom", ref="", mapping=None, premises=()):
+        if formula in best and best[formula][0] <= cost:
+            return False
+        best[formula] = (cost, kind, ref, tuple(sorted((mapping or {}).items())), premises)
+        return True
+
+    for formula in sorted(calculus.axioms, key=formula_key):
+        admit(formula, 0)
+    for schema in calculus.schemas:
+        names = sorted(atoms(schema.pattern))
+        for values in itertools.product(domain, repeat=len(names)):
+            mapping = dict(zip(names, values))
+            admit(substitute(schema.pattern, mapping), 0, "schema", schema.schema_id, mapping)
+
+    def scan(rule, known, premise_index, bindings, used, cost_sum) -> bool:
+        if premise_index == len(rule.premises):
+            return admit(substitute(rule.conclusion, bindings), cost_sum + 1,
+                         "rule", rule.name, bindings, used)
+        changed = False
+        for formula, cost in known:
+            if cost_sum + cost + 1 > depth:
+                continue
+            extended = match_pattern(rule.premises[premise_index], formula, bindings)
+            if extended is not None:
+                changed = scan(rule, known, premise_index + 1, extended,
+                               used + (formula,), cost_sum + cost) or changed
+        return changed
+
+    changed = True
+    while changed:
+        changed = False
+        for rule in calculus.rules:
+            known = [(formula, best[formula][0]) for formula in sorted(best, key=formula_key)]
+            if isinstance(rule, SchemaRule):
+                if depth >= 1:
+                    changed = scan(rule, known, 0, {}, (), 0) or changed
+                continue
+            for formula, cost in known:
+                names = sorted(atoms(formula))
+                if cost + 1 > depth or not names:
+                    continue
+                for values in itertools.product(domain, repeat=len(names)):
+                    mapping = dict(zip(names, values))
+                    changed = admit(substitute(formula, mapping), cost + 1,
+                                    "rule", rule.name, mapping, (formula,)) or changed
+
+    def proof(target: Formula) -> Proof:
+        order: list[Formula] = []
+        position: dict[Formula, int] = {}
+
+        def visit(formula: Formula) -> None:
+            if formula not in position:
+                for premise in best[formula][4]:
+                    visit(premise)
+                position[formula] = len(order)
+                order.append(formula)
+
+        visit(target)
+        steps = []
+        for formula in order:
+            _, kind, ref, substitution, premises = best[formula]
+            if kind == "axiom":
+                just = AxiomStep()
+            elif kind == "schema":
+                just = SchemaStep(ref, substitution)
+            else:
+                just = RuleStep(ref, tuple(position[p] for p in premises), substitution)
+            steps.append(ProofStep(formula, just))
+        return Proof(tuple(steps))
+
+    return [(formula, best[formula][0], proof(formula))
+            for formula in sorted(best, key=formula_key)]
 
 
 # --- random worlds for differential testing ----------------------------------

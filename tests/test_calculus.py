@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vty.calculus import (
     AxiomSchema,
@@ -27,16 +27,25 @@ from vty.errors import DepthExplosionError
 from vty.formulas import (
     And,
     Atom,
+    Bottom,
     Implies,
     Not,
+    Or,
     atoms,
     evaluate,
     format_formula,
     parse_formula,
+    substitute,
 )
 from vty.semantics import iter_assignments
 
-from oracle_tools import oracle_theorem_set, random_calculus, shrinking_rule_pool
+import vty.calculus
+from oracle_tools import (
+    oracle_scan_closure,
+    oracle_theorem_set,
+    random_calculus,
+    shrinking_rule_pool,
+)
 
 
 def pf(text):
@@ -184,6 +193,128 @@ class TestOracleEquivalence:
         )
         for depth in (0, 1):
             assert closure(calc, depth).formulas() == oracle_theorem_set(calc, depth)
+
+
+def _index_rule_pool():
+    """Rules whose premises reach every kind of premise-index bucket."""
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    return {
+        "mp": modus_ponens(),
+        # three premises; the later two meet atoms the earlier ones bound
+        "chain3": SchemaRule("chain3", (Implies(a, b), Implies(b, c), a), c),
+        # an implication whose bound atom is its right child
+        "converse": SchemaRule("converse", (b, Implies(a, b)), a),
+        "dsyl": SchemaRule("dsyl", (Not(a), Or(a, b)), b),
+        "mt": SchemaRule("mt", (Implies(a, b), Not(b)), Not(a)),
+        # a bare atom premise already bound by the one before
+        "and_use": SchemaRule("and_use", (And(a, b), a), b),
+        "bot_not": SchemaRule("bot_not", (Bottom(), a), Not(a)),
+        "sub": SubstitutionRule("sub"),
+    }
+
+
+_LEAVES = st.sampled_from([Atom("p"), Atom("q"), Atom("r"), Bottom()])
+_SMALL_FORMULAS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        inner.map(Not),
+        st.tuples(inner, inner).map(lambda pair: And(*pair)),
+        st.tuples(inner, inner).map(lambda pair: Or(*pair)),
+        st.tuples(inner, inner).map(lambda pair: Implies(*pair)),
+    ),
+    max_leaves=3,
+)
+
+
+@st.composite
+def _index_calculi(draw, featured: str):
+    """A small random calculus that always has the featured rule or schemas.
+
+    Besides random axioms it takes instances of most rule premises as
+    axioms, so the rules fire and their conclusions feed each other.
+    """
+    pool = _index_rule_pool()
+    names = set(draw(st.sets(st.sampled_from(sorted(pool)), max_size=1)))
+    hilbert = featured == "hilbert" or draw(st.integers(0, 3)) == 3
+    names.add("mp" if featured == "hilbert" else featured)
+    # schemas and substitution instantiate over the domain: keep it small
+    wide = hilbert or "sub" in names
+    axioms = set(draw(st.frozensets(_SMALL_FORMULAS, min_size=1, max_size=1 if wide else 3)))
+    for name in sorted(names):
+        rule = pool[name]
+        if isinstance(rule, SubstitutionRule):
+            continue
+        metavariables = sorted(set().union(*map(atoms, rule.premises)))
+        # two instances over few atoms often share a conclusion: a tie
+        for _ in range(draw(st.integers(1, 2))):
+            mapping = {m: draw(_LEAVES if wide else _SMALL_FORMULAS) for m in metavariables}
+            for premise in rule.premises:
+                if draw(st.integers(0, 3)) < 3:
+                    axioms.add(substitute(premise, mapping))
+    return Calculus(
+        f"index_{featured}",
+        axioms=frozenset(axioms),
+        schemas=hilbert_schemas() if hilbert else (),
+        rules=tuple(pool[name] for name in sorted(names)),
+    )
+
+
+class TestIndexedClosureMatchesScan:
+    @pytest.mark.parametrize("featured", [
+        "mp", "hilbert", "chain3", "converse", "dsyl", "mt", "and_use", "bot_not", "sub",
+    ])
+    @given(data=st.data(), depth=st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_entries_match_the_scan_oracle(self, featured, data, depth):
+        calc = data.draw(_index_calculi(featured))
+        goals = data.draw(st.lists(_SMALL_FORMULAS, max_size=1))
+        try:
+            result = closure(calc, depth, goals=goals, size_cap=300)
+        except DepthExplosionError:
+            assume(False)
+        expected = oracle_scan_closure(calc, depth, goals)
+        assert [(e.formula, e.cost, e.proof) for e in result.entries] == expected
+
+    def test_ties_go_to_the_first_premises_in_formula_key_order(self):
+        calc = Calculus("ties", axioms=frozenset(map(pf, [
+            "p", "q", "(-> p s)", "(-> q s)", "(-> p q)", "(not q)", "(-> p r)", "(not r)",
+        ])), rules=(modus_ponens(), _index_rule_pool()["mt"]))
+        result = closure(calc, 1)
+        cited = {format_formula(entry.formula): [format_formula(step.formula)
+                                                 for step in entry.proof.steps[:-1]]
+                 for entry in result.entries if entry.cost == 1}
+        assert cited["s"] == ["p", "(-> p s)"]
+        assert cited["(not p)"] == ["(-> p q)", "(not q)"]
+        expected = oracle_scan_closure(calc, 1)
+        assert [(e.formula, e.cost, e.proof) for e in result.entries] == expected
+
+    def test_hilbert4_match_count_guard(self, monkeypatch):
+        calls = 0
+        match = vty.calculus.match_pattern
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return match(*args)
+
+        monkeypatch.setattr(vty.calculus, "match_pattern", counting)
+        calc = with_axioms(base_calculus("hilbert"),
+                           [pf("p"), pf("(-> p q)"), pf("(-> q r)"), pf("(-> r s)")])
+        result = closure(calc, 3)
+        assert len(result.entries) == 559
+        assert calls < 20_000
+
+    def test_proofs_are_built_on_first_access(self, monkeypatch):
+        built = []
+        build = vty.calculus._build_proof
+        monkeypatch.setattr(vty.calculus, "_build_proof",
+                            lambda target, best: built.append(target) or build(target, best))
+        result = closure(chain_calc(), 2)
+        assert built == []
+        proof = result.proof_for(pf("r"))
+        assert built == [pf("r")]
+        assert result.entry_for(pf("r")).proof is proof
+        assert built == [pf("r")]
 
 
 class TestClosureProperties:

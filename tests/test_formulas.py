@@ -202,3 +202,28 @@ class TestEvaluation:
         env = {name: True for name in atoms(formula)}
         value = evaluate(formula, env)
         assert evaluate(Not(formula), env) == (not value)
+
+
+class TestHashing:
+    def test_equal_formulas_built_apart_hash_equal(self):
+        parsed = parse_formula("(-> (not p) (and q (or p bot)))")
+        substituted = substitute(parse_formula("(-> (not a) b)"),
+                                 {"a": Atom("p"), "b": parse_formula("(and q (or p bot))")})
+        built = Implies(Not(Atom("p")), And(Atom("q"), Or(Atom("p"), Bottom())))
+        assert parsed == substituted == built
+        assert hash(parsed) == hash(substituted) == hash(built)
+        assert len({parsed, substituted, built}) == 1
+
+    @given(formulas(max_depth=4))
+    def test_hash_is_the_child_tuple_hash(self, formula):
+        # the cached hash keeps the value the generated dataclass hash gave
+        if isinstance(formula, Not):
+            assert hash(formula) == hash((formula.operand,))
+        elif isinstance(formula, (And, Or, Implies)):
+            assert hash(formula) == hash((formula.left, formula.right))
+        rebuilt = parse_formula(format_formula(formula))
+        assert rebuilt == formula and hash(rebuilt) == hash(formula)
+
+    def test_connectives_stay_distinct(self):
+        p, q = Atom("p"), Atom("q")
+        assert len({And(p, q), Or(p, q), Implies(p, q), And(q, p)}) == 4

@@ -5,7 +5,10 @@ from vty.formulas import parse_formula
 from vty.manifest import (
     Bounds,
     ClassDef,
+    ComponentDef,
     Manifest,
+    PrevarietyDef,
+    RuleDef,
     load_manifest,
     parse_manifest,
     registry_manifest,
@@ -558,6 +561,25 @@ class TestStringsStaySingleLine:
         evidence = Evidence(CITATION, citation="a\u2028b")
         with pytest.raises(ValueError, match="citation"):
             Manifest(classes=(ClassDef("C", "c", (("AX", SATISFIED, evidence),)),)).to_text()
+
+
+class TestRequiredEntries:
+    @pytest.mark.parametrize("manifest, message", [
+        (Manifest(prevarieties=(PrevarietyDef("PV"),)),
+         "prevariety 'PV' lists no components; the 'component' entry is required"),
+        (Manifest(rules=(RuleDef("r"),)),
+         "rule 'r' never concludes; the 'conclude' entry is required"),
+        (Manifest(components=(ComponentDef("C", "calc", "", "id"),)),
+         "component 'C' never names its axiom-map; the 'axiom-map' entry is required"),
+    ])
+    def test_writer_refuses_a_block_the_reader_would_refuse(self, manifest, message):
+        with pytest.raises(ValueError) as err:
+            manifest.to_text()
+        assert str(err.value) == message
+
+    def test_substitution_rule_needs_no_conclusion(self):
+        text = Manifest(rules=(RuleDef("sub", kind="substitution"),)).to_text()
+        assert parse_manifest(text).rules[0].kind == "substitution"
 
 
 class TestSeedRegistryManifest:
