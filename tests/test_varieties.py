@@ -197,6 +197,7 @@ class TestComponentInvariants:
         report = check_prevariety(pv)
         d = diag(report, "MAP_UNDEFINED")[0]
         assert (d.component_id, d.equation, d.subject) == ("C1", "A", "(-> p q)")
+        assert d.message == "axiom map 't' misses an axiom"
 
     def test_theorem_map_hole(self):
         table = FormulaMap.table_map("t", [(pf("p"), pf("p")), (pf("(-> p q)"), pf("(-> p q)"))])
@@ -205,6 +206,7 @@ class TestComponentInvariants:
         report = check_prevariety(pv)
         holes = diag(report, "MAP_UNDEFINED")
         assert [(d.equation, d.subject) for d in holes] == [("M", "q")]
+        assert holes[0].message == "theorem map 't' misses a designated theorem"
 
 
 def shared_core_components():
@@ -285,16 +287,20 @@ class TestVarietyWitnesses:
         assert "checked index tuples of width 1..2" in report.notes
 
     def test_witness_axiom_projection_hole(self):
-        witness = core_witness(
-            axiom_projection=FormulaMap.table_map("t", [(pf("p"), pf("p"))]),
-        )
         pv = assemble_prevariety(shared_core_components())
-        report = check_variety(pv, 2, [witness])
-        d = diag(report, "WITNESS_MAP_UNDEFINED")[0]
-        assert d.component_id == "W12"
-        assert d.subject == "(-> p q)"
-        assert "axiom projection misses a covering axiom" in d.message
-        assert report.tuples[2].status == "invalid"
+        for projection, message in (
+            ("axiom_projection", "axiom projection misses a covering axiom for tuple (1, 2)"),
+            ("theorem_projection", "theorem projection misses a subset member for tuple (1, 2)"),
+        ):
+            witness = core_witness(**{
+                projection: FormulaMap.table_map("t", [(pf("p"), pf("p"))]),
+            })
+            report = check_variety(pv, 2, [witness])
+            d = diag(report, "WITNESS_MAP_UNDEFINED")[0]
+            assert d.component_id == "W12"
+            assert d.subject == "(-> p q)"
+            assert d.message == message
+            assert report.tuples[2].status == "invalid"
 
     def test_witness_axiom_lands_outside_intersection(self):
         witness = core_witness(
@@ -391,14 +397,17 @@ class TestBijectiveModes:
     def test_non_injective_map_is_rejected(self):
         table = FormulaMap.table_map("merge", [(pf("p"), pf("r")), (pf("q"), pf("r"))])
         calc = with_axioms(base_calculus("empty"), fs("p", "q"), calculus_id="flat")
-        comp = Component("B2", calc, table, FormulaMap.identity(), frozenset())
-        pv = assemble_prevariety([comp])
-        report = check_bijective_variety(pv, "prevariety")
-        assert not report.passed
-        d = diag(report, "NOT_BIJECTIVE")[0]
-        assert d.component_id == "B2"
-        assert d.subject == "p, q"
-        assert d.message == "axiom map 'merge' sends both to r"
+        ident = FormulaMap.identity()
+        for label, comp in (
+            ("axiom map", Component("B2", calc, table, ident, frozenset())),
+            ("theorem map", Component("B2", calc, ident, table, fs("p", "q"))),
+        ):
+            report = check_bijective_variety(assemble_prevariety([comp]), "prevariety")
+            assert not report.passed
+            [d] = diag(report, "NOT_BIJECTIVE")
+            assert d.component_id == "B2"
+            assert d.subject == "p, q"
+            assert d.message == f"{label} 'merge' sends both to r"
 
     def test_injectivity_is_per_component(self):
         shared_target = FormulaMap.renaming_map("collapse", {"q": "p"})
