@@ -288,28 +288,13 @@ def universal_run_stats(program_code: int, input_value: int, fuel: int) -> tuple
         raise ValueError("input must be a nonnegative integer")
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
-    micro = 0
+    # Loading: validate the code and size the register file; each loaded
+    # instruction costs one list-cell unpairing and two decode unpairings.
+    loaded = decode_machine(program_code)
+    length = len(loaded.program)
+    micro = 3 * length
 
-    # Loading pass: measure the program and size the register file.
-    length = 0
-    highest = -1
-    rest = program_code
-    if rest < 0:
-        raise DecodeError("program codes are nonnegative")
-    while rest:
-        head, rest = unpair(rest - 1)
-        micro += 1
-        instr = decode_instruction(head)
-        micro += 2
-        if isinstance(instr, (Inc, DecJz)):
-            highest = max(highest, instr.register)
-        length += 1
-    try:
-        RegisterMachine(max(highest + 1, 1), decode_program(program_code))
-    except ValueError as exc:
-        raise DecodeError(str(exc)) from None
-
-    registers = [0] * max(highest + 1, 1)
+    registers = [0] * loaded.registers
     registers[0] = input_value
     pc = 0
     steps = 0

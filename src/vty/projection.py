@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .calculus import (
     Calculus,
@@ -288,14 +288,10 @@ def classify_relation(
         )
     if len(axiom_list) > subset_cap:
         raise SubsetCapExceededError(len(axiom_list), subset_cap)
-    reducible_to: tuple[str, ...] | None = None
-    for width in range(len(axiom_list)):
-        for combo in itertools.combinations(axiom_list, width):
-            if proves(with_axioms(base_calc, combo), goal, depth, size_cap=size_cap):
-                reducible_to = tuple(formula_key(f) for f in combo)
-                break
-        if reducible_to is not None:
-            break
+    smaller = next(_minimal_sufficient_subsets(
+        axiom_list, goal, base_calc, depth, size_cap, len(axiom_list) - 1
+    ), None)
+    reducible_to = None if smaller is None else tuple(formula_key(f) for f in smaller)
     return RelationReport(
         "YES" if consistent else "NO", "YES",
         "NO" if reducible_to is not None else "YES",
@@ -321,17 +317,29 @@ def minimal_axiom_subsets(
     axiom_list = sorted(set(axioms), key=formula_key)
     if len(axiom_list) > subset_cap:
         raise SubsetCapExceededError(len(axiom_list), subset_cap)
-    base_calc = _resolve_base(base)
+    return tuple(frozenset(combo) for combo in _minimal_sufficient_subsets(
+        axiom_list, goal, _resolve_base(base), depth, size_cap, len(axiom_list)
+    ))
+
+
+def _minimal_sufficient_subsets(
+    axiom_list: Sequence[Formula], goal: Formula, base_calc: Calculus,
+    depth: int, size_cap: int, max_width: int,
+) -> Iterator[tuple[Formula, ...]]:
+    """Minimal subsets of the sorted axiom list that prove the goal, smallest first.
+
+    One ``proves`` call per candidate, in ``itertools.combinations``
+    order up to ``max_width``; supersets of a yielded subset are skipped.
+    """
     minimal: list[frozenset[Formula]] = []
-    for width in range(len(axiom_list) + 1):
+    for width in range(max_width + 1):
         for combo in itertools.combinations(axiom_list, width):
             candidate = frozenset(combo)
             if any(found <= candidate for found in minimal):
                 continue
             if proves(with_axioms(base_calc, combo), goal, depth, size_cap=size_cap):
                 minimal.append(candidate)
-    minimal.sort(key=lambda s: (len(s), tuple(sorted(formula_key(f) for f in s))))
-    return tuple(minimal)
+                yield combo
 
 
 # --- registry matrix ---------------------------------------------------------

@@ -29,18 +29,17 @@ def iter_assignments(names: tuple[str, ...]) -> Iterator[dict[str, bool]]:
         yield dict(zip(names, values))
 
 
-def _check_cap(names: tuple[str, ...], atom_cap: int) -> None:
-    if len(names) > atom_cap:
-        raise AtomCapExceededError(len(names), atom_cap)
-
-
 def satisfying_assignment(
     formulas: Iterable[Formula], atom_cap: int = DEFAULT_ATOM_CAP
 ) -> dict[str, bool] | None:
-    """First assignment (in canonical order) making every formula true."""
+    """First assignment (in canonical order) making every formula true.
+
+    The one truth-table loop: ``entails`` and ``check_consistency`` call it.
+    """
     fs = list(formulas)
     names = collect_atoms(fs)
-    _check_cap(names, atom_cap)
+    if len(names) > atom_cap:
+        raise AtomCapExceededError(len(names), atom_cap)
     for assignment in iter_assignments(names):
         if all(evaluate(f, assignment) for f in fs):
             return assignment
@@ -51,13 +50,7 @@ def entails(
     premises: Iterable[Formula], conclusion: Formula, atom_cap: int = DEFAULT_ATOM_CAP
 ) -> bool:
     """True when every assignment satisfying the premises satisfies the conclusion."""
-    ps = list(premises)
-    names = collect_atoms([*ps, conclusion])
-    _check_cap(names, atom_cap)
-    for assignment in iter_assignments(names):
-        if all(evaluate(p, assignment) for p in ps) and not evaluate(conclusion, assignment):
-            return False
-    return True
+    return satisfying_assignment([*premises, Not(conclusion)], atom_cap) is None
 
 
 @dataclass(frozen=True)
@@ -82,20 +75,15 @@ def check_consistency(
 ) -> ConsistencyVerdict:
     """Exact satisfiability of the conjunction, by truth table."""
     fs = sorted(set(formulas), key=formula_key)
-    names = collect_atoms(fs)
-    _check_cap(names, atom_cap)
-    model = None
-    for assignment in iter_assignments(names):
-        if all(evaluate(f, assignment) for f in fs):
-            model = tuple(sorted(assignment.items()))
-            break
-    if model is not None:
-        return ConsistencyVerdict(True, len(names), model=model)
+    model = satisfying_assignment(fs, atom_cap)
+    if model is not None:  # a model assigns every atom
+        return ConsistencyVerdict(True, len(model), model=tuple(sorted(model.items())))
+    atom_count = len(collect_atoms(fs))
     members = set(fs)
     for formula in fs:
         if isinstance(formula, Bottom):
-            return ConsistencyVerdict(False, len(names), "bottom_member", formula)
+            return ConsistencyVerdict(False, atom_count, "bottom_member", formula)
     for formula in fs:
         if Not(formula) in members:
-            return ConsistencyVerdict(False, len(names), "complementary_pair", formula)
-    return ConsistencyVerdict(False, len(names), "truth_table", None)
+            return ConsistencyVerdict(False, atom_count, "complementary_pair", formula)
+    return ConsistencyVerdict(False, atom_count, "truth_table", None)

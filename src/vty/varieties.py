@@ -14,7 +14,7 @@ such.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .calculus import (
@@ -44,14 +44,15 @@ class FormulaMap:
     renaming: tuple[tuple[str, str], ...] | None = None
     table: tuple[tuple[Formula, Formula], ...] | None = None
     domain: frozenset[Formula] | None = None
+    _lookup: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.renaming is None) == (self.table is None):
             raise ValueError("a formula map is either a renaming or a table")
-        if self.table is not None:
-            sources = [source for source, _ in self.table]
-            if len(sources) != len(set(sources)):
-                raise ValueError(f"map {self.map_id!r} lists a source formula twice")
+        lookup = dict(self.table if self.table is not None else self.renaming)
+        if self.table is not None and len(lookup) != len(self.table):
+            raise ValueError(f"map {self.map_id!r} lists a source formula twice")
+        object.__setattr__(self, "_lookup", lookup)
 
     @classmethod
     def identity(cls, map_id: str = "identity") -> FormulaMap:
@@ -79,27 +80,37 @@ class FormulaMap:
     def defined_on(self, formula: Formula) -> bool:
         if self.domain is not None and formula not in self.domain:
             return False
-        if self.table is not None:
-            return any(source == formula for source, _ in self.table)
-        return True
+        return self.table is None or formula in self._lookup
 
     def apply(self, formula: Formula, context: str = "") -> Formula:
-        if not self.defined_on(formula):
+        images, missed = self.over((formula,))
+        if missed:
             raise MapUndefinedError(self.map_id, formula_key(formula), context)
-        if self.table is not None:
-            for source, target in self.table:
-                if source == formula:
-                    return target
-            raise MapUndefinedError(self.map_id, formula_key(formula), context)
-        return rename_atoms(formula, dict(self.renaming or ()))
+        return images[formula]
+
+    def over(self, formulas: Iterable[Formula]) -> tuple[dict[Formula, Formula], tuple[Formula, ...]]:
+        """Images keyed by source, and the sources the map misses, both in formula_key order."""
+        images: dict[Formula, Formula] = {}
+        missed: list[Formula] = []
+        for formula in sorted(formulas, key=formula_key):
+            if not self.defined_on(formula):
+                missed.append(formula)
+            elif self.table is not None:
+                images[formula] = self._lookup[formula]
+            else:
+                images[formula] = rename_atoms(formula, self._lookup)
+        return images, tuple(missed)
 
     def image(self, formulas: Iterable[Formula]) -> frozenset[Formula]:
         """Image over the defined part of the input set."""
-        return frozenset(self.apply(f) for f in formulas if self.defined_on(f))
+        return frozenset(self.over(formulas)[0].values())
 
     def image_total(self, formulas: Iterable[Formula], context: str = "") -> frozenset[Formula]:
-        """Image requiring every input to be in the domain."""
-        return frozenset(self.apply(f, context) for f in formulas)
+        """Image requiring every input to be in the domain; names the first miss."""
+        images, missed = self.over(formulas)
+        if missed:
+            raise MapUndefinedError(self.map_id, formula_key(missed[0]), context)
+        return frozenset(images.values())
 
 
 @dataclass(frozen=True)
@@ -281,74 +292,53 @@ def _texts(formulas: Iterable[Formula]) -> tuple[str, ...]:
 def check_prevariety(pv: Prevariety, *, size_cap: int = DEFAULT_SIZE_CAP) -> StructureReport:
     """Verify the three union equations and the component invariants."""
     diagnostics: list[Diagnostic] = []
-    expected_axioms: set[Formula] = set()
-    expected_rules: set[InferenceRule] = set()
-    expected_theorems: set[Formula] = set()
+    expected: dict[str, set] = {"A": set(), "H": set(), "M": set()}
 
     for component in pv.components:
         cid = component.component_id
         axiom_set = component_axiom_set(component, size_cap=size_cap)
-        for formula in sorted(axiom_set, key=formula_key):
-            if not component.axiom_map.defined_on(formula):
-                diagnostics.append(Diagnostic(
-                    "MAP_UNDEFINED", cid, "A", formula_key(formula),
-                    f"axiom map {component.axiom_map.map_id!r} misses an axiom",
-                ))
-            else:
-                expected_axioms.add(component.axiom_map.apply(formula))
-        expected_rules.update(component.calculus.rules)
         theorem_set = component_theorem_set(component, size_cap=size_cap)
-        for formula in sorted(component.designated_theorems, key=formula_key):
-            if not component.theorem_map.defined_on(formula):
+        for equation, label, formula_map, sources, missed_what in (
+            ("A", "axiom map", component.axiom_map, axiom_set, "an axiom"),
+            ("M", "theorem map", component.theorem_map, component.designated_theorems,
+             "a designated theorem"),
+        ):
+            images, missed = formula_map.over(sources)
+            expected[equation].update(images.values())
+            for formula in missed:
                 diagnostics.append(Diagnostic(
-                    "MAP_UNDEFINED", cid, "M", formula_key(formula),
-                    f"theorem map {component.theorem_map.map_id!r} misses a designated theorem",
+                    "MAP_UNDEFINED", cid, equation, formula_key(formula),
+                    f"{label} {formula_map.map_id!r} misses {missed_what}",
                 ))
-            else:
-                expected_theorems.add(component.theorem_map.apply(formula))
-            if not pv.quasi and formula not in theorem_set:
+        expected["H"].update(component.calculus.rules)
+        if not pv.quasi:
+            for formula in component.designated_theorems - theorem_set:
                 diagnostics.append(Diagnostic(
                     "NOT_A_THEOREM", cid, "M", formula_key(formula),
                     f"not provable within depth {component.calculus.closure_depth}",
                 ))
 
+    # Rules are matched by name, so one rule can differ in content.
+    # Formulas are matched by themselves, not by their text: programmatic
+    # atoms such as Atom("bot") print like the formulas they are not.
     equations = []
-    for name, claimed, expected, code in (
-        ("A", pv.axioms, expected_axioms, "AXIOM_UNION_MISMATCH"),
-        ("M", pv.theorems, expected_theorems, "THEOREM_UNION_MISMATCH"),
+    for name, code, claimed, key, text in (
+        ("A", "AXIOM_UNION_MISMATCH", pv.axioms, lambda f: f, formula_key),
+        ("H", "RULE_UNION_MISMATCH", pv.rules, lambda rule: rule.name, str),
+        ("M", "THEOREM_UNION_MISMATCH", pv.theorems, lambda f: f, formula_key),
     ):
-        status = "OK"
-        for formula in sorted(claimed - expected, key=formula_key):
-            status = "MISMATCH"
-            diagnostics.append(Diagnostic(
-                code, None, name, formula_key(formula),
-                "claimed in the union but contributed by no component",
-            ))
-        for formula in sorted(expected - claimed, key=formula_key):
-            status = "MISMATCH"
-            diagnostics.append(Diagnostic(
-                code, None, name, formula_key(formula),
-                "contributed by a component but missing from the union",
-            ))
-        equations.append((name, status))
-
-    rule_status = "OK"
-    claimed_rules = {rule.name: rule for rule in sorted(pv.rules, key=lambda r: r.name)}
-    expected_by_name = {rule.name: rule for rule in sorted(expected_rules, key=lambda r: r.name)}
-    for name in sorted(set(claimed_rules) | set(expected_by_name)):
-        claimed = claimed_rules.get(name)
-        expected = expected_by_name.get(name)
-        if claimed == expected:
-            continue
-        rule_status = "MISMATCH"
-        if expected is None:
-            message = "claimed in the union but contributed by no component"
-        elif claimed is None:
-            message = "contributed by a component but missing from the union"
-        else:
-            message = "rule content differs between the union and the components"
-        diagnostics.append(Diagnostic("RULE_UNION_MISMATCH", None, "H", name, message))
-    equations.insert(1, ("H", rule_status))
+        claimed_keys = set(map(key, claimed))
+        expected_keys = set(map(key, expected[name]))
+        differing = set(map(key, claimed ^ expected[name]))
+        for subject in differing:
+            if subject not in expected_keys:
+                message = "claimed in the union but contributed by no component"
+            elif subject not in claimed_keys:
+                message = "contributed by a component but missing from the union"
+            else:
+                message = "rule content differs between the union and the components"
+            diagnostics.append(Diagnostic(code, None, name, text(subject), message))
+        equations.append((name, "MISMATCH" if differing else "OK"))
 
     diagnostics.sort(key=Diagnostic.sort_key)
     verdict = "PASS" if not diagnostics else "FAIL"
@@ -402,48 +392,42 @@ def _validate_witness(
     axiom_intersection: frozenset[Formula],
     designated_intersection: frozenset[Formula],
     size_cap: int,
-) -> list[Diagnostic]:
-    diagnostics: list[Diagnostic] = []
+) -> tuple[list[Diagnostic], bool, bool]:
+    """Diagnostics of one witness, and whether each projection is onto its intersection."""
     tuple_text = str(witness.indices)
+    depth = witness.calculus.closure_depth
     covering_axioms = theorem_formulas(witness.calculus, 0, size_cap)
-    for formula in sorted(covering_axioms, key=formula_key):
-        if not witness.axiom_projection.defined_on(formula):
+    covering_theorems = theorem_formulas(witness.calculus, depth, size_cap)
+    diagnostics = [
+        Diagnostic(
+            "WITNESS_THEOREM_UNPROVED", witness.witness_id, None, formula_key(formula),
+            f"not provable in the covering calculus within depth {depth}",
+        )
+        for formula in witness.theorem_subset - covering_theorems
+    ]
+    onto = []
+    for kind, projection, sources, intersection, missed_what in (
+        ("axiom", witness.axiom_projection, covering_axioms, axiom_intersection,
+         "a covering axiom"),
+        ("theorem", witness.theorem_projection, witness.theorem_subset,
+         designated_intersection, "a subset member"),
+    ):
+        images, missed = projection.over(sources)
+        for formula in missed:
             diagnostics.append(Diagnostic(
                 "WITNESS_MAP_UNDEFINED", witness.witness_id, None, formula_key(formula),
-                f"axiom projection misses a covering axiom for tuple {tuple_text}",
+                f"{kind} projection misses {missed_what} for tuple {tuple_text}",
             ))
-            continue
-        image = witness.axiom_projection.apply(formula)
-        if image not in axiom_intersection:
-            diagnostics.append(Diagnostic(
-                "WITNESS_AXIOM_OUTSIDE_INTERSECTION", witness.witness_id, None,
-                formula_key(formula),
-                f"projects to {formula_key(image)} outside the axiom intersection of {tuple_text}",
-            ))
-    covering_theorems = theorem_formulas(
-        witness.calculus, witness.calculus.closure_depth, size_cap
-    )
-    for formula in sorted(witness.theorem_subset, key=formula_key):
-        if formula not in covering_theorems:
-            diagnostics.append(Diagnostic(
-                "WITNESS_THEOREM_UNPROVED", witness.witness_id, None, formula_key(formula),
-                f"not provable in the covering calculus within depth "
-                f"{witness.calculus.closure_depth}",
-            ))
-        if not witness.theorem_projection.defined_on(formula):
-            diagnostics.append(Diagnostic(
-                "WITNESS_MAP_UNDEFINED", witness.witness_id, None, formula_key(formula),
-                f"theorem projection misses a subset member for tuple {tuple_text}",
-            ))
-            continue
-        image = witness.theorem_projection.apply(formula)
-        if image not in designated_intersection:
-            diagnostics.append(Diagnostic(
-                "WITNESS_THEOREM_OUTSIDE_INTERSECTION", witness.witness_id, None,
-                formula_key(formula),
-                f"projects to {formula_key(image)} outside the theorem intersection of {tuple_text}",
-            ))
-    return diagnostics
+        for formula, image in images.items():
+            if image not in intersection:
+                diagnostics.append(Diagnostic(
+                    f"WITNESS_{kind.upper()}_OUTSIDE_INTERSECTION", witness.witness_id, None,
+                    formula_key(formula),
+                    f"projects to {formula_key(image)} outside the {kind} intersection "
+                    f"of {tuple_text}",
+                ))
+        onto.append(frozenset(images.values()) == intersection)
+    return diagnostics, onto[0], onto[1]
 
 
 def check_variety(
@@ -513,18 +497,13 @@ def check_variety(
                     "missing",
                 ))
                 continue
-            problems = _validate_witness(
+            problems, axiom_onto, theorem_onto = _validate_witness(
                 witness, axiom_intersection, designated_intersection, size_cap
             )
-            covering_axioms = theorem_formulas(witness.calculus, 0, size_cap)
-            axiom_image = witness.axiom_projection.image(covering_axioms)
-            theorem_image = witness.theorem_projection.image(witness.theorem_subset)
             records.append(TupleRecord(
                 indices, _texts(axiom_intersection), _texts(theorem_intersection),
                 status if not problems else "invalid",
-                witness.witness_id,
-                axiom_image == axiom_intersection,
-                theorem_image == designated_intersection,
+                witness.witness_id, axiom_onto, theorem_onto,
             ))
             diagnostics.extend(problems)
 
@@ -570,25 +549,32 @@ def check_bijective_variety(
     for component in pv.components:
         cid = component.component_id
         axiom_set = component_axiom_set(component, size_cap=size_cap)
-        diagnostics.extend(_injectivity(
-            component.axiom_map, axiom_set, cid, "axiom map"
-        ))
-        diagnostics.extend(_injectivity(
-            component.theorem_map, component.designated_theorems, cid, "theorem map"
-        ))
+        for label, formula_map, sources in (
+            ("axiom map", component.axiom_map, axiom_set),
+            ("theorem map", component.theorem_map, component.designated_theorems),
+        ):
+            # undefined entries are reported by the prevariety check
+            first_source: dict[Formula, Formula] = {}
+            for formula, image in formula_map.over(sources)[0].items():
+                earlier = first_source.setdefault(image, formula)
+                if earlier != formula:
+                    diagnostics.append(Diagnostic(
+                        "NOT_BIJECTIVE", cid, None,
+                        f"{formula_key(earlier)}, {formula_key(formula)}",
+                        f"{label} {formula_map.map_id!r} sends both to {formula_key(image)}",
+                    ))
         if mode == "variety":
             theorem_set = component_theorem_set(component, size_cap=size_cap)
-            for formula in sorted(theorem_set - component.designated_theorems, key=formula_key):
-                diagnostics.append(Diagnostic(
-                    "THEOREMS_NOT_CLOSED", cid, "M", formula_key(formula),
-                    f"provable at depth {component.calculus.closure_depth} "
-                    "but not designated",
-                ))
-            for formula in sorted(component.designated_theorems - theorem_set, key=formula_key):
-                diagnostics.append(Diagnostic(
-                    "THEOREMS_NOT_CLOSED", cid, "M", formula_key(formula),
-                    "designated but outside the bounded closure",
-                ))
+            designated = component.designated_theorems
+            for outside, message in (
+                (theorem_set - designated,
+                 f"provable at depth {component.calculus.closure_depth} but not designated"),
+                (designated - theorem_set, "designated but outside the bounded closure"),
+            ):
+                diagnostics.extend(
+                    Diagnostic("THEOREMS_NOT_CLOSED", cid, "M", formula_key(formula), message)
+                    for formula in outside
+                )
 
     diagnostics.sort(key=Diagnostic.sort_key)
     verdict = "PASS" if not diagnostics else "FAIL"
@@ -604,34 +590,12 @@ def check_bijective_variety(
     )
 
 
-def _injectivity(
-    formula_map: FormulaMap, domain: frozenset[Formula], cid: str, label: str
-) -> list[Diagnostic]:
-    seen: dict[Formula, Formula] = {}
-    diagnostics: list[Diagnostic] = []
-    for formula in sorted(domain, key=formula_key):
-        if not formula_map.defined_on(formula):
-            continue  # undefined entries are reported by the prevariety check
-        image = formula_map.apply(formula)
-        if image in seen and seen[image] != formula:
-            diagnostics.append(Diagnostic(
-                "NOT_BIJECTIVE", cid, None,
-                f"{formula_key(seen[image])}, {formula_key(formula)}",
-                f"{label} {formula_map.map_id!r} sends both to {formula_key(image)}",
-            ))
-        else:
-            seen.setdefault(image, formula)
-    return diagnostics
-
-
 def component_membership(pv: Prevariety, query: Formula) -> tuple[str, ...]:
     """Ids of the components whose designated image contains the query."""
-    hits = []
-    for component in pv.components:
-        image = component.theorem_map.image(component.designated_theorems)
-        if query in image:
-            hits.append(component.component_id)
-    return tuple(sorted(hits))
+    return tuple(sorted(
+        component.component_id for component in pv.components
+        if query in component.theorem_map.image(component.designated_theorems)
+    ))
 
 
 # --- knowledge-base consistency --------------------------------------------

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -331,6 +334,61 @@ class TestNestingLimit:
         col = [i for i, ch in enumerate(line) if ch == "("][MAX_NESTING] + 1
         assert report["errors"] == [
             f"{path}:10:{col}: formula nests deeper than {MAX_NESTING} parentheses"
+        ]
+
+
+PARTIAL_AXIOM_MAP = """\
+rule mp {
+  premise a
+  premise (-> a b)
+  conclude b
+}
+
+calculus L {
+  depth 1
+  axiom a
+  axiom b
+  axiom c
+  axiom d
+  axiom e
+  use mp
+}
+
+map t table {
+  pair a a
+}
+
+component C {
+  calculus L
+  axiom-map t
+  theorem-map t
+}
+
+prevariety P {
+  component C
+  auto
+}
+"""
+
+
+class TestFirstMissedFormula:
+    def test_assembly_error_names_the_first_miss_under_every_hash_seed(self, tmp_path):
+        path = tmp_path / "partial.vty"
+        path.write_text(PARTIAL_AXIOM_MAP)
+        src = str(Path(vty.cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = set()
+        for hash_seed in ("0", "1", "2", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "vty.cli", "check-prevariety", str(path)],
+                capture_output=True, text=True, env={**env, "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == 1, proc.stderr
+            outputs.add(proc.stdout)
+        [output] = outputs
+        assert json.loads(output)["errors"] == [
+            "map 't' is undefined on b while assembling axioms of component 'C'"
         ]
 
 

@@ -277,6 +277,19 @@ class TestUniversalInterpreter:
         with pytest.raises(DecodeError):
             universal_run(-3, 0, 10)
 
+    @pytest.mark.parametrize("code, message", [
+        (-3, "program codes are nonnegative"),
+        (pair(pair(3, 0), 0) + 1, "opcode 3 is outside the instruction set"),
+        (pair(pair(2, 1), 0) + 1, "HALT carries payload 1, expected 0"),
+        (pair(encode_instruction(Inc(0, 5)), 0) + 1, "instruction 0 jumps to 5"),
+    ], ids=["negative", "opcode", "halt_payload", "jump"])
+    def test_load_errors_match_decode_machine(self, code, message):
+        with pytest.raises(DecodeError) as decoded:
+            decode_machine(code)
+        with pytest.raises(DecodeError) as interpreted:
+            universal_run(code, 0, 10)
+        assert str(interpreted.value) == str(decoded.value) == message
+
     def test_evidence_summary_is_reproducible(self):
         evidence = universality_evidence(samples=100, seed=20260817)
         assert evidence == {

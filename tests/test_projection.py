@@ -318,6 +318,47 @@ class TestMinimalSubsets:
                 assert not (a < b)
 
 
+# Every `proves` call of the subset searches, as the sorted axiom texts of
+# its calculus, for the axioms below and goal r at depth 2 over mp.
+SEARCH_AXIOMS = ("q", "p", "(-> q r)", "(-> p r)", "(-> r s)")
+MINIMAL_SEARCH_CALLS = [
+    (), ("(-> p r)",), ("(-> q r)",), ("(-> r s)",), ("p",), ("q",),
+    ("(-> p r)", "(-> q r)"), ("(-> p r)", "(-> r s)"), ("(-> p r)", "p"),
+    ("(-> p r)", "q"), ("(-> q r)", "(-> r s)"), ("(-> q r)", "p"), ("(-> q r)", "q"),
+    ("(-> r s)", "p"), ("(-> r s)", "q"), ("p", "q"),
+    ("(-> p r)", "(-> q r)", "(-> r s)"), ("(-> p r)", "(-> r s)", "q"),
+    ("(-> q r)", "(-> r s)", "p"), ("(-> r s)", "p", "q"),
+]
+
+
+class TestSubsetSearchCalls:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import vty.projection
+
+        recorded = []
+        original = vty.projection.proves
+
+        def spy(calculus, goal, depth, **kwargs):
+            recorded.append(tuple(sorted(formula_key(a) for a in calculus.axioms)))
+            return original(calculus, goal, depth, **kwargs)
+
+        monkeypatch.setattr(vty.projection, "proves", spy)
+        return recorded
+
+    def test_minimal_search_calls_in_combination_order(self, calls):
+        found = minimal_axiom_subsets([pf(t) for t in SEARCH_AXIOMS], pf("r"), "mp", 2)
+        assert found == (frozenset({pf("(-> p r)"), pf("p")}),
+                         frozenset({pf("(-> q r)"), pf("q")}))
+        assert calls == MINIMAL_SEARCH_CALLS
+
+    def test_classifier_stops_at_the_first_smaller_sufficient_subset(self, calls):
+        report = classify_relation([pf(t) for t in SEARCH_AXIOMS], pf("r"), "mp", 2)
+        assert report.reducible_to == ("(-> p r)", "p")
+        full = tuple(sorted(SEARCH_AXIOMS))
+        assert calls == [full] + MINIMAL_SEARCH_CALLS[:9]
+
+
 class TestSeedRegistry:
     def seed(self):
         from vty.seed import seed_axiom_declarations, seed_registry, seed_theorems

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from vty.calculus import base_calculus, with_axioms
+from vty.calculus import Calculus, base_calculus, with_axioms
 from vty.errors import MapUndefinedError
-from vty.formulas import formula_key, parse_formula
+from vty.formulas import Atom, Bottom, formula_key, parse_formula
 from vty.varieties import (
     Component,
     FormulaMap,
@@ -167,6 +167,30 @@ class TestAssembly:
         d = diag(check_prevariety(mutated), "RULE_UNION_MISMATCH")[0]
         assert d.subject == renamed.name
         assert d.message == "rule content differs between the union and the components"
+
+    def test_two_rules_under_one_name_are_a_mismatch(self):
+        pv = assemble_prevariety([mp_component("C1", ["p"], [])])
+        mp = base_calculus("mp").rules[0]
+        other = type(mp)(mp.name, mp.premises[::-1], mp.conclusion)
+        calc = Calculus("flipped", axioms=fs("p"), rules=(other,))
+        comp = Component("C2", calc, FormulaMap.identity(), FormulaMap.identity(), frozenset())
+        mutated = Prevariety(pv.axioms, pv.rules, pv.theorems, pv.components + (comp,))
+        report = check_prevariety(mutated)
+        assert dict(report.equations)["H"] == "MISMATCH"
+        [d] = diag(report, "RULE_UNION_MISMATCH")
+        assert (d.subject, d.message) == (
+            "mp", "rule content differs between the union and the components"
+        )
+
+    def test_formulas_that_print_alike_stay_two_union_elements(self):
+        calc = with_axioms(base_calculus("empty"), frozenset({Bottom()}), calculus_id="c")
+        comp = Component("C1", calc, FormulaMap.identity(), FormulaMap.identity(), frozenset())
+        pv = Prevariety(frozenset({Atom("bot")}), frozenset(), frozenset(), (comp,))
+        found = diag(check_prevariety(pv), "AXIOM_UNION_MISMATCH")
+        assert [(d.subject, d.message) for d in found] == [
+            ("bot", "claimed in the union but contributed by no component"),
+            ("bot", "contributed by a component but missing from the union"),
+        ]
 
 
 class TestComponentInvariants:
