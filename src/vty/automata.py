@@ -90,7 +90,13 @@ def _words(alphabet: tuple[str, ...], max_length: int) -> Iterator[str]:
 def totality_evidence(
     max_states: int = 2, alphabet: tuple[str, ...] = ("a",), max_word_length: int = 4
 ) -> dict:
-    """Exhaustive check: every run ends and consumes exactly |word| steps."""
+    """Exhaustive check: every run ends and consumes exactly |word| steps.
+
+    A run counts once ``dfa_run_trace`` returns, so every run terminated
+    when the count reaches automata x the census of words up to the
+    length bound.
+    """
+    words = sum(len(alphabet) ** length for length in range(max_word_length + 1))
     automata = 0
     runs = 0
     exact = True
@@ -107,6 +113,6 @@ def totality_evidence(
         "max_word_length": max_word_length,
         "automata": automata,
         "runs": runs,
-        "all_terminated": True,
+        "all_terminated": runs == automata * words,
         "steps_equal_word_length": exact,
     }

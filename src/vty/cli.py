@@ -91,6 +91,31 @@ def _int_list_arg(what: str):
     return parse
 
 
+class _BadArgumentValue(Exception):
+    """A value one of vty's argument types rejected, with argparse's message."""
+
+    def __init__(self, prog: str, message: str):
+        super().__init__(message)
+        self.prog = prog
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises `_BadArgumentValue` for values the argument types reject.
+
+    argparse turns an `ArgumentTypeError` from a type function into the
+    `ArgumentError` it is handling when it calls `error`; every other
+    usage error keeps argparse's usage text and exit status 2.
+    """
+
+    def error(self, message: str):
+        handling = sys.exc_info()[1]
+        if isinstance(handling, argparse.ArgumentError) and isinstance(
+            handling.__context__, argparse.ArgumentTypeError
+        ):
+            raise _BadArgumentValue(self.prog, message)
+        super().error(message)
+
+
 def _global_options() -> argparse.ArgumentParser:
     # attached to the root parser and every subcommand, so the flags are
     # accepted on either side of the command word; SUPPRESS keeps a
@@ -109,7 +134,7 @@ def _global_options() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = _global_options()
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="vty",
         description="check logical varieties, project theorems, run desk-scale models",
         parents=[shared],
@@ -399,8 +424,15 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _BadArgumentValue as exc:
+        # the command word after "vty", if the parser had reached it; the
+        # report is JSON, as --format may not have been read yet
+        command = exc.prog.split()[1:2]
+        _emit({"command": command[0] if command else None, "manifest": None,
+               "errors": [str(exc)]}, "json")
+        return 2
     fmt = getattr(args, "format", None) or os.environ.get("VTY_FORMAT", "json")
     overrides = dict(getattr(args, "bounds", None) or {})
     manifest_path = getattr(args, "manifest", None)

@@ -65,10 +65,15 @@ class SubsetCapExceededError(VtyError):
 
 
 class EnumerationCapExceededError(VtyError):
-    """A brute-force machine enumeration would exceed the run cap."""
+    """A brute-force machine enumeration would exceed the run cap.
 
-    def __init__(self, runs: int, cap: int):
-        super().__init__(f"enumeration needs {runs} runs, above the cap of {cap}")
+    With ``at_least`` the count stopped once it passed the cap, so
+    ``runs`` is a lower bound on the runs the enumeration needs.
+    """
+
+    def __init__(self, runs: int, cap: int, *, at_least: bool = False):
+        bound = "at least " if at_least else ""
+        super().__init__(f"enumeration needs {bound}{runs} runs, above the cap of {cap}")
         self.runs = runs
         self.cap = cap
 

@@ -277,21 +277,25 @@ def universal_run(program_code: int, input_value: int, fuel: int) -> Trace:
 
 
 def universal_run_stats(program_code: int, input_value: int, fuel: int) -> tuple[Trace, int]:
-    """Interpret a program code directly, fetching instructions from the code.
+    """Interpret a program code, with the micro cost of fetching from the code.
 
     The simulated step count matches ``run_machine`` on the decoded
-    machine at the same fuel; the second result counts the bookkeeping
-    micro operations (list-cell visits and unpairings) the interpreter
-    spent, from which an overhead factor can be measured.
+    machine at the same fuel. The second result, ``micro``, is the cost
+    of the list-walking model of a universal machine, not the Python
+    work done: loading charges 3 per instruction (one list-cell
+    unpairing and two decode unpairings), and fetching instruction pc
+    charges pc + 1 cell unpairings to walk the encoded list from its
+    head plus 2 to decode the head, including the fetch that finds a
+    HALT instruction or runs out of fuel. The program is decoded once,
+    at load, and every fetch reads the decoded program.
     """
     if input_value < 0:
         raise ValueError("input must be a nonnegative integer")
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
-    # Loading: validate the code and size the register file; each loaded
-    # instruction costs one list-cell unpairing and two decode unpairings.
     loaded = decode_machine(program_code)
-    length = len(loaded.program)
+    program = loaded.program
+    length = len(program)
     micro = 3 * length
 
     registers = [0] * loaded.registers
@@ -301,15 +305,8 @@ def universal_run_stats(program_code: int, input_value: int, fuel: int) -> tuple
     while True:
         if pc == length:
             return Trace(HALTED, registers[0], steps), micro
-        # Fetch instruction pc by walking the encoded list.
-        rest = program_code
-        for _ in range(pc):
-            _, rest = unpair(rest - 1)
-            micro += 1
-        head, _ = unpair(rest - 1)
-        micro += 1
-        instr = decode_instruction(head)
-        micro += 2
+        micro += pc + 3
+        instr = program[pc]
         if isinstance(instr, Halt):
             return Trace(HALTED, registers[0], steps), micro
         if steps == fuel:
@@ -418,16 +415,19 @@ def _instruction_options(registers: int, length: int) -> list[Instruction]:
     return options
 
 
-def count_machines(max_instructions: int, max_registers: int) -> int:
-    total = 0
+def _machine_counts(max_instructions: int, max_registers: int) -> Iterator[int]:
+    """The number of machines of each length 0..max_instructions, in order."""
     for length in range(max_instructions + 1):
         per_slot = (
             max_registers * (length + 1)
             + max_registers * (length + 1) ** 2
             + 1
         )
-        total += per_slot**length if length else 1
-    return total
+        yield per_slot**length
+
+
+def count_machines(max_instructions: int, max_registers: int) -> int:
+    return sum(_machine_counts(max_instructions, max_registers))
 
 
 def enumerate_machines(max_instructions: int, max_registers: int) -> Iterator[RegisterMachine]:
@@ -461,13 +461,19 @@ def fixed_output_brute(
 ) -> BruteResult:
     """Every (machine, input) in the world that halts with the target output.
 
-    The run count is computed up front; a world larger than the cap is
-    refused rather than sampled.
+    The run count is computed up front, length by length; a world larger
+    than the cap is refused rather than sampled, as soon as the lengths
+    counted so far pass the cap.
     """
-    machine_count = count_machines(bounds.max_instructions, bounds.max_registers)
-    runs = machine_count * len(bounds.inputs)
-    if runs > enumeration_cap:
-        raise EnumerationCapExceededError(runs, enumeration_cap)
+    runs = 0
+    for length, count in enumerate(
+        _machine_counts(bounds.max_instructions, bounds.max_registers)
+    ):
+        runs += count * len(bounds.inputs)
+        if runs > enumeration_cap:
+            raise EnumerationCapExceededError(
+                runs, enumeration_cap, at_least=length < bounds.max_instructions
+            )
     inputs = tuple(sorted(bounds.inputs))
     hits: list[OutputHit] = []
     for machine in enumerate_machines(bounds.max_instructions, bounds.max_registers):

@@ -40,6 +40,16 @@ from vty.formulas import (
     match_pattern,
     substitute,
 )
+from vty.machines import (
+    HALTED,
+    OUT_OF_FUEL,
+    Halt,
+    Inc,
+    Trace,
+    decode_instruction,
+    decode_machine,
+    unpair,
+)
 from vty.varieties import Component, FormulaMap, Prevariety, assemble_prevariety
 
 
@@ -328,6 +338,57 @@ def mini_run(text: str, input_value: int, fuel: int) -> tuple[str, int | None, i
             else:
                 registers[op[1]] = value - 1
                 pc = op[3]
+
+
+def oracle_walk_universal_run(
+    program_code: int, input_value: int, fuel: int
+) -> tuple[Trace, int]:
+    """The list-walking universal interpreter: every step fetches from the code.
+
+    Fetching instruction pc walks the encoded list from its head (pc + 1
+    cell unpairings) and decodes the head (two more), counting each
+    unpairing in ``micro``; loading charges 3 per instruction.
+    """
+    if input_value < 0:
+        raise ValueError("input must be a nonnegative integer")
+    if fuel < 0:
+        raise ValueError("fuel must be nonnegative")
+    # Loading: validate the code and size the register file; each loaded
+    # instruction costs one list-cell unpairing and two decode unpairings.
+    loaded = decode_machine(program_code)
+    length = len(loaded.program)
+    micro = 3 * length
+
+    registers = [0] * loaded.registers
+    registers[0] = input_value
+    pc = 0
+    steps = 0
+    while True:
+        if pc == length:
+            return Trace(HALTED, registers[0], steps), micro
+        # Fetch instruction pc by walking the encoded list.
+        rest = program_code
+        for _ in range(pc):
+            _, rest = unpair(rest - 1)
+            micro += 1
+        head, _ = unpair(rest - 1)
+        micro += 1
+        instr = decode_instruction(head)
+        micro += 2
+        if isinstance(instr, Halt):
+            return Trace(HALTED, registers[0], steps), micro
+        if steps == fuel:
+            return Trace(OUT_OF_FUEL, None, steps), micro
+        steps += 1
+        if isinstance(instr, Inc):
+            registers[instr.register] += 1
+            pc = instr.target
+        else:
+            if registers[instr.register] == 0:
+                pc = instr.target_if_zero
+            else:
+                registers[instr.register] -= 1
+                pc = instr.target_if_positive
 
 
 # --- projection partition by direct table scan --------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import vty.automata as automata
 from vty.automata import DFA, dfa_run, dfa_run_trace, enumerate_dfas, totality_evidence
 from vty.errors import BadSymbolError
 
@@ -106,4 +107,13 @@ class TestTotalityEvidence:
         # 2 automata x (1 + 2 + 4) words.
         assert evidence["automata"] == 2
         assert evidence["runs"] == 14
+        assert evidence["steps_equal_word_length"] is True
+
+    def test_termination_is_measured_from_the_runs(self, monkeypatch):
+        # runs that never happen leave the count short of the word census
+        words = automata._words
+        monkeypatch.setattr(automata, "_words", lambda *args: list(words(*args))[1:])
+        evidence = totality_evidence()
+        assert evidence["runs"] == 18 * 4
+        assert evidence["all_terminated"] is False
         assert evidence["steps_equal_word_length"] is True

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,19 @@ class TestExitCodes:
         )
         assert code == 1
         assert report["errors"]
+
+    @pytest.mark.parametrize("instructions", [1000, 100_000])
+    def test_huge_brute_world_fails_fast_at_the_cap(self, capsys, instructions):
+        start = time.perf_counter()
+        code, report = run_json(
+            capsys, "fixed-output", "brute", "--y", "0",
+            "--max-instructions", str(instructions),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        [error] = report["errors"]
+        assert error.startswith("enumeration needs at least ")
+        assert error.endswith(" runs, above the cap of 1000000")
 
     def test_bad_schedule_is_an_operational_error(self, capsys, data_dir):
         code, report = run_json(
@@ -288,12 +302,32 @@ class TestOutputControls:
         (["fixed-output", "brute", "--y", "1", "--inputs", "1,x"], "bad input list '1,x'"),
         (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1", "--schedule", "8,y"],
          "bad fuel schedule '8,y'"),
+        # the parenthesis past the limit opens at offset 5 * MAX_NESTING
+        (["classify", "--goal", "p", "--axioms", "p",
+          "(not " * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1)],
+         f"col {5 * MAX_NESTING}: formula nests deeper than {MAX_NESTING} parentheses"),
+        (["classify", "--axioms", "p", "--goal", "(p"], "col 1: unknown connective 'p'"),
     ])
     def test_bad_argument_lists_are_usage_errors(self, capsys, argv, message):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        [error] = json.loads(out)["errors"]
+        option = error.removeprefix("argument ").split(":", 1)[0]
+        assert option in argv
+        assert error == f"argument {option}: {message}"
+        assert capsys.readouterr().err == ""
+
+    def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(argv)
+            main(["fixed-output", "brute", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: vty fixed-output brute")
+
+    def test_other_usage_errors_keep_argparse_text(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["classify", "--axioms", "p", "--depth", "x", "--goal", "p"])
         assert exit_info.value.code == 2
-        assert message in capsys.readouterr().err
+        assert "argument --depth: invalid int value: 'x'" in capsys.readouterr().err
 
     def test_text_rendering_of_nested_reports(self, capsys, data_dir):
         code, out = run_cli(

@@ -10,6 +10,7 @@ from vty.machines import (
     Halt,
     Inc,
     RegisterMachine,
+    Trace,
     WorldBounds,
     count_machines,
     decode_instruction,
@@ -33,7 +34,7 @@ from vty.machines import (
     unpair,
 )
 
-from oracle_tools import mini_run
+from oracle_tools import mini_run, oracle_walk_universal_run
 
 
 def machine(*program):
@@ -270,6 +271,47 @@ class TestUniversalInterpreter:
         assert trace.outcome == "HALT"
         assert micro > 0
 
+    @given(
+        seed=st.integers(0, 2**32),
+        size=st.sampled_from((0, 1, 3, 6, 10)),
+        registers=st.integers(1, 3),
+        input_value=st.integers(0, 25),
+        fuel=st.integers(0, 120),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_list_walker_on_random_machines(
+        self, seed, size, registers, input_value, fuel
+    ):
+        code = encode_machine(random_machine(random.Random(seed), size, registers))
+        assert universal_run_stats(code, input_value, fuel) == oracle_walk_universal_run(
+            code, input_value, fuel
+        )
+
+    @pytest.mark.parametrize("program, input_value, fuel, outcome", [
+        ((), 4, 10, "HALT"),
+        ((Inc(0, 1), DecJz(0, 2, 2)), 3, 0, "OUT_OF_FUEL"),
+        ((), 0, 0, "HALT"),
+        ((Inc(0, 1), Inc(0, 0)), 0, 9, "OUT_OF_FUEL"),
+        ((Inc(1, 1), DecJz(1, 2, 3), Inc(0, 3), Halt(), Inc(0, 0)), 2, 50, "HALT"),
+    ], ids=["empty", "fuel_zero", "empty_fuel_zero", "exhaustion", "halt_instruction"])
+    def test_matches_the_list_walker_on_edge_cases(self, program, input_value, fuel, outcome):
+        code = encode_machine(machine(*program))
+        trace, micro = universal_run_stats(code, input_value, fuel)
+        assert trace.outcome == outcome
+        assert (trace, micro) == oracle_walk_universal_run(code, input_value, fuel)
+
+    def test_halt_instruction_fetch_is_charged(self):
+        # load 3 x 3, fetch 0 (3), fetch 1 (4), fetch HALT at 2 (5)
+        code = encode_machine(machine(Inc(0, 1), Inc(0, 2), Halt()))
+        assert universal_run_stats(code, 0, 10) == (Trace("HALT", 2, 2), 9 + 3 + 4 + 5)
+
+    @pytest.mark.parametrize("x, y", [(0, 0), (0, 1), (1, 0), (2, 1), (3, 4)])
+    def test_matches_the_list_walker_on_the_adder(self, data_dir, x, y):
+        code = encode_machine(parse_machine((data_dir / "adder.rm").read_text()))
+        trace, micro = universal_run_stats(code, pair(x, y), 10_000)
+        assert (trace.outcome, trace.output) == ("HALT", x + y)
+        assert (trace, micro) == oracle_walk_universal_run(code, pair(x, y), 10_000)
+
     def test_bad_codes_are_rejected(self):
         bad = pair(encode_instruction(Inc(0, 5)), 0) + 1
         with pytest.raises(DecodeError):
@@ -343,8 +385,21 @@ class TestFixedOutputBrute:
         assert machine() in {hit.machine for hit in result.hits}
 
     def test_enumeration_cap(self):
-        with pytest.raises(EnumerationCapExceededError):
+        # lengths 0..2 already need 2 + 26 + 1250 runs; length 3 is never counted
+        with pytest.raises(EnumerationCapExceededError) as stopped:
             fixed_output_brute(WorldBounds(3, 2, (0, 1), 5), 1, enumeration_cap=100)
+        assert str(stopped.value) == "enumeration needs at least 1278 runs, above the cap of 100"
+
+    def test_cap_passed_at_the_last_length_counts_exactly(self):
+        with pytest.raises(EnumerationCapExceededError) as counted:
+            fixed_output_brute(WorldBounds(3, 1, (0, 1), 5), 1, enumeration_cap=18_875)
+        assert str(counted.value) == "enumeration needs 18876 runs, above the cap of 18875"
+
+    @pytest.mark.parametrize("instructions,registers", [(0, 1), (1, 2), (3, 1)])
+    def test_runs_under_the_cap_are_the_world_size(self, instructions, registers):
+        world = WorldBounds(instructions, registers, (0, 2, 1), 3)
+        runs = 3 * count_machines(instructions, registers)
+        assert fixed_output_brute(world, 1, enumeration_cap=runs).runs == runs
 
     def test_hit_pairs_view(self):
         result = fixed_output_brute(self.tiny_world(), 1)
