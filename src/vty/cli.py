@@ -91,8 +91,8 @@ def _int_list_arg(what: str):
     return parse
 
 
-class _BadArgumentValue(Exception):
-    """A value one of vty's argument types rejected, with argparse's message."""
+class _UsageError(Exception):
+    """A usage error argparse found, with argparse's message."""
 
     def __init__(self, prog: str, message: str):
         super().__init__(message)
@@ -100,20 +100,15 @@ class _BadArgumentValue(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Raises `_BadArgumentValue` for values the argument types reject.
+    """Raises `_UsageError` where argparse would print usage text and exit 2.
 
-    argparse turns an `ArgumentTypeError` from a type function into the
-    `ArgumentError` it is handling when it calls `error`; every other
-    usage error keeps argparse's usage text and exit status 2.
+    Subcommand parsers are of this class too, so a bad value, a missing
+    argument and an unknown command all reach `main`, which reports them
+    as JSON. ``--help`` does not go through `error` and prints as before.
     """
 
     def error(self, message: str):
-        handling = sys.exc_info()[1]
-        if isinstance(handling, argparse.ArgumentError) and isinstance(
-            handling.__context__, argparse.ArgumentTypeError
-        ):
-            raise _BadArgumentValue(self.prog, message)
-        super().error(message)
+        raise _UsageError(self.prog, message)
 
 
 def _global_options() -> argparse.ArgumentParser:
@@ -426,7 +421,7 @@ def _emit(report: dict, fmt: str) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _BadArgumentValue as exc:
+    except _UsageError as exc:
         # the command word after "vty", if the parser had reached it; the
         # report is JSON, as --format may not have been read yet
         command = exc.prog.split()[1:2]

@@ -238,19 +238,30 @@ def rename_atoms(formula: Formula, mapping: Mapping[str, str]) -> Formula:
     return cls(rename_atoms(formula.left, mapping), rename_atoms(formula.right, mapping))
 
 
-def evaluate(formula: Formula, assignment: Mapping[str, bool]) -> bool:
+def evaluate(formula: Formula, assignment: Mapping[str, int], *, true: int = True) -> int:
+    """The formula's value under `assignment`, which gives every atom's value.
+
+    `true` is the all-true value. With the default, values are bools and
+    one row is evaluated. With `true` the all-ones mask of a truth table
+    and atom masks as values (``semantics.atom_masks``), the result is the
+    formula's mask: the same ``^ true``, ``&`` and ``|`` then work on every
+    row at once.
+    """
     if isinstance(formula, Atom):
         return assignment[formula.name]
     if isinstance(formula, Bottom):
         return False
     if isinstance(formula, Not):
-        return not evaluate(formula.operand, assignment)
+        return evaluate(formula.operand, assignment, true=true) ^ true
     if isinstance(formula, And):
-        return evaluate(formula.left, assignment) and evaluate(formula.right, assignment)
+        return evaluate(formula.left, assignment, true=true) & evaluate(
+            formula.right, assignment, true=true)
     if isinstance(formula, Or):
-        return evaluate(formula.left, assignment) or evaluate(formula.right, assignment)
+        return evaluate(formula.left, assignment, true=true) | evaluate(
+            formula.right, assignment, true=true)
     if isinstance(formula, Implies):
-        return (not evaluate(formula.left, assignment)) or evaluate(formula.right, assignment)
+        return (evaluate(formula.left, assignment, true=true) ^ true) | evaluate(
+            formula.right, assignment, true=true)
     raise TypeError(f"not a formula: {formula!r}")
 
 

@@ -1,15 +1,24 @@
 """Truth-table checks for small formula sets.
 
-Everything here enumerates assignments exhaustively, so the atom count
-is capped (default 20). Exceeding the cap raises instead of silently
+Everything here decides by the whole truth table, so the atom count is
+capped (default 20). Exceeding the cap raises instead of silently
 sampling: the caller must partition the formula set.
+
+A table over n atoms is one 2^n-bit int, a mask (Knuth, TAOCP 4A,
+7.1.3). Bit i is row i of the canonical order: the rows of
+``itertools.product((False, True), repeat=n)`` over the sorted atom
+names, so the first atom is the most significant bit of i. An atom's
+mask sets the bits of the rows where it is true; ``evaluate`` combines
+masks with ``&``, ``|`` and ``^`` against the all-true mask, so each
+formula is evaluated once for all rows, and the lowest set bit of a
+conjunction's mask is its first model in canonical order. At the cap a
+mask is 128 KiB.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import AtomCapExceededError
 from .formulas import Bottom, Formula, Not, atoms, evaluate, formula_key
@@ -24,9 +33,20 @@ def collect_atoms(formulas: Iterable[Formula]) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def iter_assignments(names: tuple[str, ...]) -> Iterator[dict[str, bool]]:
-    for values in itertools.product((False, True), repeat=len(names)):
-        yield dict(zip(names, values))
+def atom_masks(names: tuple[str, ...]) -> tuple[dict[str, int], int]:
+    """Each atom's mask over the rows of ``names``, and the all-true mask."""
+    rows = 1 << len(names)
+    masks = {}
+    for position, name in enumerate(names):
+        # the atom is bit n-1-position of the row index: false for `width`
+        # rows, then true for `width` rows, a period doubled until it fills
+        width = rows >> (position + 1)
+        mask, period = ((1 << width) - 1) << width, width << 1
+        while period < rows:
+            mask |= mask << period
+            period <<= 1
+        masks[name] = mask
+    return masks, (1 << rows) - 1
 
 
 def satisfying_assignment(
@@ -35,15 +55,22 @@ def satisfying_assignment(
     """First assignment (in canonical order) making every formula true.
 
     The one truth-table loop: ``entails`` and ``check_consistency`` call it.
+    It ANDs the formulas' masks in the given order and stops at the first
+    empty conjunction.
     """
     fs = list(formulas)
     names = collect_atoms(fs)
     if len(names) > atom_cap:
         raise AtomCapExceededError(len(names), atom_cap)
-    for assignment in iter_assignments(names):
-        if all(evaluate(f, assignment) for f in fs):
-            return assignment
-    return None
+    masks, true = atom_masks(names)
+    models = true
+    for formula in fs:
+        models &= evaluate(formula, masks, true=true)
+        if not models:
+            return None
+    row = (models & -models).bit_length() - 1
+    last = len(names) - 1
+    return {name: bool(row >> (last - position) & 1) for position, name in enumerate(names)}
 
 
 def entails(

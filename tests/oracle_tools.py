@@ -26,6 +26,7 @@ from vty.calculus import (
     instantiation_domain,
     theorem_formulas,
 )
+from vty.errors import AtomCapExceededError
 from vty.formulas import (
     And,
     Atom,
@@ -35,6 +36,7 @@ from vty.formulas import (
     Not,
     Or,
     atoms,
+    evaluate,
     format_formula,
     formula_key,
     match_pattern,
@@ -50,6 +52,7 @@ from vty.machines import (
     decode_machine,
     unpair,
 )
+from vty.semantics import DEFAULT_ATOM_CAP, collect_atoms
 from vty.varieties import Component, FormulaMap, Prevariety, assemble_prevariety
 
 
@@ -454,3 +457,23 @@ def truth_table_entails(premises: Iterable[Formula], conclusion: Formula) -> boo
         if all(value(p, row) for p in premises) and not value(conclusion, row):
             return False
     return True
+
+
+def iter_assignments(names: tuple[str, ...]) -> Iterator[dict[str, bool]]:
+    """Every assignment to `names`, in canonical truth-table row order."""
+    for values in itertools.product((False, True), repeat=len(names)):
+        yield dict(zip(names, values))
+
+
+def oracle_satisfying_assignment(
+    formulas: Iterable[Formula], atom_cap: int = DEFAULT_ATOM_CAP
+) -> dict[str, bool] | None:
+    """The per-row loop `semantics.satisfying_assignment` replaced with masks."""
+    fs = list(formulas)
+    names = collect_atoms(fs)
+    if len(names) > atom_cap:
+        raise AtomCapExceededError(len(names), atom_cap)
+    for assignment in iter_assignments(names):
+        if all(evaluate(f, assignment) for f in fs):
+            return assignment
+    return None

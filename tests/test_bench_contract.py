@@ -1,0 +1,70 @@
+"""What the benchmark in vtybench/ needs from vty, checked from the vty side.
+
+The tracer patches functions by module and name, and the benchmark's
+set-up parses the packaged registry through the CLI; a rename in vty
+would break the benchmark without failing any other test. The tracer's
+tables are read from its file, which stays unchanged.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import vty.semantics
+from vty.formulas import parse_formula
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "vtybench" / "tracer.py"
+
+# Runs in a fresh interpreter, so no test's import or monkeypatch shows.
+RESOLVE_TABLES = f"""
+import importlib, importlib.util, json
+spec = importlib.util.spec_from_file_location("bench_tracer", {str(TRACER)!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import vty
+problems = []
+for table in (tracer.SPANNED, tracer.COUNTED, tracer.CACHES):
+    for name, (module, attr, *_) in table.items():
+        function = getattr(importlib.import_module(module), attr, None)
+        if not callable(function):
+            problems.append(f"{{name}}: {{module}}.{{attr}} is missing")
+        elif table is tracer.CACHES and not hasattr(function, "cache_info"):
+            problems.append(f"{{name}}: {{module}}.{{attr}} is not a memo cache")
+print(json.dumps(problems))
+"""
+
+
+def test_traced_functions_resolve_on_a_fresh_import():
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", RESOLVE_TABLES], capture_output=True,
+                          text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_set_up_parses_the_registry_through_the_cli():
+    import vty.cli
+
+    assert vty.cli._seed_manifest().source == "seed_registry.vty"
+
+
+def test_chain16_evaluates_through_the_semantics_binding(monkeypatch):
+    # the tracer counts `semantics.evaluate` calls at this binding, and the
+    # traced knowledge run fails its self-check when the count reads 0
+    real = vty.semantics.evaluate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vty.semantics, "evaluate", counting)
+    chain = ["p1"] + [f"(-> p{i} p{i + 1})" for i in range(1, 15)] + ["(not p15)"]
+    verdict = vty.semantics.check_consistency([parse_formula(t) for t in chain])
+    assert not verdict.consistent
+    assert 1 <= len(calls) <= 16

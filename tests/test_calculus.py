@@ -37,10 +37,10 @@ from vty.formulas import (
     parse_formula,
     substitute,
 )
-from vty.semantics import iter_assignments
 
 import vty.calculus
 from oracle_tools import (
+    iter_assignments,
     oracle_scan_closure,
     oracle_theorem_set,
     random_calculus,

@@ -309,13 +309,14 @@ class TestOutputControls:
         (["classify", "--axioms", "p", "--goal", "(p"], "col 1: unknown connective 'p'"),
     ])
     def test_bad_argument_lists_are_usage_errors(self, capsys, argv, message):
-        code, out = run_cli(capsys, *argv)
+        code = main(argv)
+        captured = capsys.readouterr()
         assert code == 2
-        [error] = json.loads(out)["errors"]
+        [error] = json.loads(captured.out)["errors"]
         option = error.removeprefix("argument ").split(":", 1)[0]
         assert option in argv
         assert error == f"argument {option}: {message}"
-        assert capsys.readouterr().err == ""
+        assert captured.err == ""
 
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -323,11 +324,24 @@ class TestOutputControls:
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: vty fixed-output brute")
 
-    def test_other_usage_errors_keep_argparse_text(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["classify", "--axioms", "p", "--depth", "x", "--goal", "p"])
-        assert exit_info.value.code == 2
-        assert "argument --depth: invalid int value: 'x'" in capsys.readouterr().err
+    def test_other_usage_errors_get_a_json_report(self, capsys):
+        cases = [
+            (["classify", "--axioms", "p", "--depth", "x", "--goal", "p"],
+             "classify", "argument --depth: invalid int value: 'x'"),
+            (["classify", "--axioms", "p"],
+             "classify", "the following arguments are required: --goal"),
+            (["frobnicate"], None, "argument command: invalid choice: 'frobnicate' "
+             "(choose from 'check-prevariety', 'check-variety', 'closure', "
+             "'consistency', 'project', 'classify', 'minimal-subsets', "
+             "'fixed-output', 'report-matrix')"),
+        ]
+        for argv, command, message in cases:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert json.loads(captured.out) == {
+                "command": command, "manifest": None, "errors": [message]}
+            assert captured.err == ""
 
     def test_text_rendering_of_nested_reports(self, capsys, data_dir):
         code, out = run_cli(

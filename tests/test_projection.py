@@ -25,10 +25,9 @@ from vty.projection import (
     registry_report,
     validate_registry,
 )
-from vty.semantics import iter_assignments
 
 import oracle_tools
-from oracle_tools import oracle_partition
+from oracle_tools import iter_assignments, oracle_partition
 
 
 def pf(text):

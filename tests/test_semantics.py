@@ -1,17 +1,19 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from vty.errors import AtomCapExceededError
-from vty.formulas import Atom, Not, Or, parse_formula
+from vty.formulas import Atom, Not, Or, evaluate, parse_formula
 from vty.semantics import (
+    atom_masks,
     check_consistency,
     collect_atoms,
     entails,
-    iter_assignments,
     satisfying_assignment,
 )
 
-from oracle_tools import truth_table_entails
+from oracle_tools import iter_assignments, oracle_satisfying_assignment, truth_table_entails
 from test_formulas import formulas
 
 
@@ -38,6 +40,63 @@ class TestAssignments:
         assert satisfying_assignment([pf("p"), pf("(not p)")]) is None
         model = satisfying_assignment([pf("(or p q)"), pf("(not p)")])
         assert model is not None and model["q"] is True and model["p"] is False
+
+
+def _outcome(search, formulas_, cap):
+    try:
+        return search(formulas_, cap)
+    except AtomCapExceededError as exc:
+        return ("cap", str(exc), exc.atom_count, exc.cap)
+
+
+class TestMasks:
+    """The mask loop against the per-row loop it replaced."""
+
+    def test_atom_masks_follow_the_row_order(self):
+        masks, true = atom_masks(("p", "q"))
+        # rows 0..3 are (F,F), (F,T), (T,F), (T,T); bit i is row i
+        assert masks == {"p": 0b1100, "q": 0b1010}
+        assert true == 0b1111
+        assert atom_masks(()) == ({}, 1)
+
+    @given(st.lists(formulas(max_depth=3), max_size=5), st.integers(0, 10))
+    def test_first_model_equals_the_oracle(self, formulas_, cap):
+        found = _outcome(satisfying_assignment, formulas_, cap)
+        expected = _outcome(oracle_satisfying_assignment, formulas_, cap)
+        assert found == expected
+        if isinstance(found, dict):
+            assert list(found) == list(expected)  # keys in sorted atom order
+            assert all(type(value) is bool for value in found.values())
+
+    @given(st.lists(formulas(max_depth=3), min_size=1, max_size=4))
+    def test_mask_bits_are_row_values(self, formulas_):
+        names = collect_atoms(formulas_)
+        masks, true = atom_masks(names)
+        for formula in formulas_:
+            table = evaluate(formula, masks, true=true)
+            assert 0 <= table <= true
+            for row, assignment in enumerate(iter_assignments(names)):
+                assert bool(table >> row & 1) == evaluate(formula, assignment)
+
+
+def _chain(length):
+    """p1, p1 -> p2, ..., and not p<length>: unsatisfiable over `length` atoms."""
+    return ([pf("p1")] + [pf(f"(-> p{i} p{i + 1})") for i in range(1, length)]
+            + [pf(f"(not p{length})")])
+
+
+class TestAtomCap:
+    def test_unsatisfiable_chain_at_the_cap(self):
+        start = time.perf_counter()
+        verdict = check_consistency(_chain(20))
+        assert time.perf_counter() - start < 1.0
+        assert (verdict.verdict, verdict.witness_kind, verdict.atom_count) == (
+            "INCONSISTENT", "truth_table", 20)
+
+    def test_one_atom_past_the_cap(self):
+        with pytest.raises(AtomCapExceededError) as info:
+            check_consistency(_chain(21))
+        assert (info.value.atom_count, info.value.cap) == (21, 20)
 
 
 class TestEntails:
@@ -101,7 +160,6 @@ class TestConsistency:
         batch = [pf("(or p q)"), pf("(-> p r)"), pf("(not q)")]
         verdict = check_consistency(batch)
         assert verdict.consistent
-        from vty.formulas import evaluate
         env = dict(verdict.model)
         assert all(evaluate(f, env) for f in batch)
 
