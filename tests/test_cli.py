@@ -222,6 +222,23 @@ class TestReports:
         assert report["result"]["input"] == 0
 
 
+# every parser vty has: the root, each command and each fixed-output mode
+HELP_ARGVS = (
+    (),
+    ("check-prevariety",),
+    ("check-variety",),
+    ("closure",),
+    ("consistency",),
+    ("project",),
+    ("classify",),
+    ("minimal-subsets",),
+    ("fixed-output",),
+    ("fixed-output", "brute"),
+    ("fixed-output", "recognize"),
+    ("report-matrix",),
+)
+
+
 class TestOutputControls:
     def test_json_output_is_deterministic(self, capsys, data_dir):
         argv = ("check-prevariety", str(data_dir / "shared_core.vty"))
@@ -334,6 +351,23 @@ class TestOutputControls:
              "(choose from 'check-prevariety', 'check-variety', 'closure', "
              "'consistency', 'project', 'classify', 'minimal-subsets', "
              "'fixed-output', 'report-matrix')"),
+            ([], None, "the following arguments are required: command"),
+            (["--format", "text"], None, "the following arguments are required: command"),
+            # extra tokens reach the root parser, which names no command
+            (["classify", "--axioms", "p", "--goal", "p", "--bogus"],
+             None, "unrecognized arguments: --bogus"),
+            (["fixed-output", "brute", "--y", "1", "extra"],
+             None, "unrecognized arguments: extra"),
+            (["classify", "--axioms", "(p", "--goal", "p"],
+             "classify", "argument --axioms: col 1: unknown connective 'p'"),
+            # global options before the command word; the report is JSON anyway
+            (["--format", "text", "classify", "--axioms", "p"],
+             "classify", "the following arguments are required: --goal"),
+            (["--bounds", "depth=2", "closure", "--calculus"],
+             "closure", "argument --calculus: expected one argument"),
+            (["fixed-output"], "fixed-output", "the following arguments are required: mode"),
+            (["fixed-output", "walk"], "fixed-output",
+             "argument mode: invalid choice: 'walk' (choose from 'brute', 'recognize')"),
         ]
         for argv, command, message in cases:
             code = main(argv)
@@ -342,6 +376,19 @@ class TestOutputControls:
             assert json.loads(captured.out) == {
                 "command": command, "manifest": None, "errors": [message]}
             assert captured.err == ""
+
+    def test_help_texts(self, capsys, monkeypatch, golden):
+        # argparse wraps help to the terminal width it reads from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = {}
+        for argv in HELP_ARGVS:
+            with pytest.raises(SystemExit) as exit_info:
+                main([*argv, "--help"])
+            captured = capsys.readouterr()
+            assert exit_info.value.code == 0
+            assert captured.err == ""
+            texts[" ".join(["vty", *argv])] = captured.out
+        golden("cli_help", texts)
 
     def test_text_rendering_of_nested_reports(self, capsys, data_dir):
         code, out = run_cli(
