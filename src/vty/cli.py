@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from importlib import resources
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .calculus import (
     AxiomStep,
@@ -63,7 +63,7 @@ def _parse_bounds_override(text: str) -> dict[str, int]:
         if not part:
             continue
         key, sep, raw = part.partition("=")
-        if not sep or key not in BOUND_NAMES or not raw.isdigit():
+        if not sep or key not in BOUND_NAMES or not raw.isdecimal():
             raise argparse.ArgumentTypeError(
                 f"bad bounds entry {part!r}; expected "
                 + ",".join(f"{name}=N" for name in BOUND_NAMES)
@@ -109,95 +109,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise _UsageError(self.prog, message)
-
-
-def _global_options() -> argparse.ArgumentParser:
-    # attached to the root parser and every subcommand, so the flags are
-    # accepted on either side of the command word; SUPPRESS keeps a
-    # subcommand's unset flag from clobbering a value given before it
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--format", choices=("json", "text"), default=argparse.SUPPRESS,
-        help="report format (env VTY_FORMAT sets the default, else json)",
-    )
-    parent.add_argument(
-        "--bounds", type=_parse_bounds_override, default=argparse.SUPPRESS,
-        help="override manifest bounds, e.g. depth=4,atoms=12,enum=100000,size=20000",
-    )
-    return parent
-
-
-def build_parser() -> argparse.ArgumentParser:
-    shared = _global_options()
-    parser = _ArgumentParser(
-        prog="vty",
-        description="check logical varieties, project theorems, run desk-scale models",
-        parents=[shared],
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, manifest_arg: bool = True):
-        cmd = sub.add_parser(name, help=help_text, parents=[shared])
-        if manifest_arg:
-            cmd.add_argument("manifest", nargs="?", default=None,
-                             help="manifest file (default: the packaged seed registry)")
-        return cmd
-
-    cmd = add("check-prevariety", "verify the union equations and report consistency")
-    cmd.add_argument("--prevariety", default=None, help="prevariety id (default: first)")
-
-    cmd = add("check-variety", "verify the width-k witness condition")
-    cmd.add_argument("--prevariety", default=None)
-    cmd.add_argument("--depth", type=int, default=1, metavar="K",
-                     help="maximum index tuple width (default 1)")
-    cmd.add_argument("--bijective", action="store_true",
-                     help="require injective maps as well")
-    cmd.add_argument("--mode", choices=("prevariety", "variety"), default="variety",
-                     help="bijective mode: prevariety skips the closure equations")
-
-    cmd = add("closure", "bounded theorem set of one calculus")
-    cmd.add_argument("--calculus", default=None, help="calculus id")
-    cmd.add_argument("--depth", type=int, default=None)
-    cmd.add_argument("--with-proofs", action="store_true")
-
-    cmd = add("consistency", "per-component and pooled satisfiability")
-    cmd.add_argument("--prevariety", default=None)
-
-    cmd = add("project", "partition registry classes under a theorem's dependencies")
-    cmd.add_argument("--theorem", required=True, help="theorem record id")
-
-    cmd = add("classify", "consistent/sufficient/irreducible flags for an axiom set")
-    cmd.add_argument("--axioms", type=_formula_arg, nargs="+", required=True)
-    cmd.add_argument("--goal", type=_formula_arg, required=True)
-    cmd.add_argument("--base", choices=PRESET_NAMES, default="hilbert")
-    cmd.add_argument("--depth", type=int, default=None)
-
-    cmd = add("minimal-subsets", "all minimal sufficient axiom subsets")
-    cmd.add_argument("--axioms", type=_formula_arg, nargs="+", required=True)
-    cmd.add_argument("--goal", type=_formula_arg, required=True)
-    cmd.add_argument("--base", choices=PRESET_NAMES, default="hilbert")
-    cmd.add_argument("--depth", type=int, default=None)
-
-    fixed = add("fixed-output", "search machine worlds for a target output",
-                manifest_arg=False)
-    mode = fixed.add_subparsers(dest="mode", required=True)
-    brute = mode.add_parser("brute", help="exhaust a bounded world", parents=[shared])
-    brute.add_argument("--y", type=int, required=True, help="target output")
-    brute.add_argument("--max-instructions", type=int, default=3)
-    brute.add_argument("--max-registers", type=int, default=1)
-    brute.add_argument("--inputs", type=_int_list_arg("input list"), default=(0,))
-    brute.add_argument("--fuel", type=int, default=50)
-    recognize = mode.add_parser("recognize", help="dovetail one machine",
-                                parents=[shared])
-    recognize.add_argument("--machine", required=True, help="machine text file")
-    recognize.add_argument("--y", type=int, required=True)
-    recognize.add_argument("--schedule", type=_int_list_arg("fuel schedule"),
-                           required=True,
-                           help="strictly increasing fuel list, e.g. 8,16,32")
-    recognize.add_argument("--max-input", type=int, default=None)
-
-    add("report-matrix", "class-by-theorem corollary matrix")
-    return parser
 
 
 # --- command bodies ----------------------------------------------------------
@@ -361,17 +272,124 @@ def _cmd_report_matrix(args, manifest: Manifest, bounds: Bounds):
     return registry_report(profiles, theorems, declarations), 0
 
 
+# --- command table and parser ------------------------------------------------
+
+
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
+
+
+# accepted on the root parser and every subcommand, so the flags work on
+# either side of the command word; SUPPRESS keeps a subcommand's unset
+# flag from clobbering a value given before it
+_GLOBAL_ARGUMENTS = (
+    _arg("--format", choices=("json", "text"), default=argparse.SUPPRESS,
+         help="report format (env VTY_FORMAT sets the default, else json)"),
+    _arg("--bounds", type=_parse_bounds_override, default=argparse.SUPPRESS,
+         help="override manifest bounds, e.g. depth=4,atoms=12,enum=100000,size=20000"),
+)
+
+_MANIFEST_ARGUMENT = _arg("manifest", nargs="?", default=None,
+                          help="manifest file (default: the packaged seed registry)")
+
+_AXIOM_SET_ARGUMENTS = (
+    _arg("--axioms", type=_formula_arg, nargs="+", required=True),
+    _arg("--goal", type=_formula_arg, required=True),
+    _arg("--base", choices=PRESET_NAMES, default="hilbert"),
+    _arg("--depth", type=int, default=None),
+)
+
+
+class _Command(NamedTuple):
+    run: Callable[..., tuple]  # (args, manifest, bounds) -> (result, exit code)
+    help: str
+    arguments: tuple = ()
+    manifest: bool = True  # takes an optional manifest path
+    modes: tuple = ()  # (mode word, help, arguments) for a command with modes
+
+
+# every command, in the order `vty --help` and its errors list them
 _COMMANDS = {
-    "check-prevariety": _cmd_check_prevariety,
-    "check-variety": _cmd_check_variety,
-    "closure": _cmd_closure,
-    "consistency": _cmd_consistency,
-    "project": _cmd_project,
-    "classify": _cmd_classify,
-    "minimal-subsets": _cmd_minimal_subsets,
-    "fixed-output": _cmd_fixed_output,
-    "report-matrix": _cmd_report_matrix,
+    "check-prevariety": _Command(
+        _cmd_check_prevariety, "verify the union equations and report consistency", (
+            _arg("--prevariety", default=None, help="prevariety id (default: first)"),
+        )),
+    "check-variety": _Command(_cmd_check_variety, "verify the width-k witness condition", (
+        _arg("--prevariety", default=None),
+        _arg("--depth", type=int, default=1, metavar="K",
+             help="maximum index tuple width (default 1)"),
+        _arg("--bijective", action="store_true", help="require injective maps as well"),
+        _arg("--mode", choices=("prevariety", "variety"), default="variety",
+             help="bijective mode: prevariety skips the closure equations"),
+    )),
+    "closure": _Command(_cmd_closure, "bounded theorem set of one calculus", (
+        _arg("--calculus", default=None, help="calculus id"),
+        _arg("--depth", type=int, default=None),
+        _arg("--with-proofs", action="store_true"),
+    )),
+    "consistency": _Command(_cmd_consistency, "per-component and pooled satisfiability", (
+        _arg("--prevariety", default=None),
+    )),
+    "project": _Command(
+        _cmd_project, "partition registry classes under a theorem's dependencies", (
+            _arg("--theorem", required=True, help="theorem record id"),
+        )),
+    "classify": _Command(_cmd_classify,
+                         "consistent/sufficient/irreducible flags for an axiom set",
+                         _AXIOM_SET_ARGUMENTS),
+    "minimal-subsets": _Command(_cmd_minimal_subsets, "all minimal sufficient axiom subsets",
+                                _AXIOM_SET_ARGUMENTS),
+    "fixed-output": _Command(
+        _cmd_fixed_output, "search machine worlds for a target output", manifest=False,
+        modes=(
+            ("brute", "exhaust a bounded world", (
+                _arg("--y", type=int, required=True, help="target output"),
+                _arg("--max-instructions", type=int, default=3),
+                _arg("--max-registers", type=int, default=1),
+                _arg("--inputs", type=_int_list_arg("input list"), default=(0,)),
+                _arg("--fuel", type=int, default=50),
+            )),
+            ("recognize", "dovetail one machine", (
+                _arg("--machine", required=True, help="machine text file"),
+                _arg("--y", type=int, required=True),
+                _arg("--schedule", type=_int_list_arg("fuel schedule"), required=True,
+                     help="strictly increasing fuel list, e.g. 8,16,32"),
+                _arg("--max-input", type=int, default=None),
+            )),
+        )),
+    "report-matrix": _Command(_cmd_report_matrix, "class-by-theorem corollary matrix"),
 }
+
+
+def _add_arguments(parser: argparse.ArgumentParser, rows) -> argparse.ArgumentParser:
+    for flags, options in (*_GLOBAL_ARGUMENTS, *rows):
+        parser.add_argument(*flags, **options)
+    return parser
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The vty parser, with only the subparser of `command` when one is named.
+
+    When a command word comes first in argv, argparse hands every later
+    token to that command's subparser and consults no other, so a parser
+    for that argv needs no other subparser.
+    """
+    parser = _add_arguments(_ArgumentParser(
+        prog="vty",
+        description="check logical varieties, project theorems, run desk-scale models",
+    ), ())
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = _COMMANDS if command is None else (command,)
+    for name in names:
+        spec = _COMMANDS[name]
+        manifest = (_MANIFEST_ARGUMENT,) if spec.manifest else ()
+        cmd = _add_arguments(sub.add_parser(name, help=spec.help),
+                             (*manifest, *spec.arguments))
+        if spec.modes:
+            mode = cmd.add_subparsers(dest="mode", required=True)
+            for mode_name, mode_help, rows in spec.modes:
+                _add_arguments(mode.add_parser(mode_name, help=mode_help), rows)
+    return parser
 
 
 # --- report emission ---------------------------------------------------------
@@ -419,8 +437,11 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except _UsageError as exc:
         # the command word after "vty", if the parser had reached it; the
         # report is JSON, as --format may not have been read yet
@@ -445,7 +466,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     bounds = Bounds(**{**manifest.bounds.to_dict(), **overrides})
     report["bounds"] = bounds.to_dict()
     try:
-        result, code = _COMMANDS[args.command](args, manifest, bounds)
+        result, code = _COMMANDS[args.command].run(args, manifest, bounds)
     except ManifestError as exc:
         report["errors"] = [str(exc)]
         _emit(report, fmt)

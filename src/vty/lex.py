@@ -25,7 +25,11 @@ class LexError(ValueError):
 
 
 def _scan_string(line: str, start: int) -> tuple[str, int]:
-    # start points at the opening quote
+    # start points at the opening quote; a string with no escape before
+    # its closing quote is a plain slice, anything else takes the loop
+    end = line.find('"', start + 1)
+    if end >= 0 and line.find("\\", start + 1, end) < 0:
+        return line[start + 1:end], end + 1
     out: list[str] = []
     i = start + 1
     while i < len(line):

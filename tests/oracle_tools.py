@@ -42,6 +42,7 @@ from vty.formulas import (
     match_pattern,
     substitute,
 )
+from vty.lex import LexError
 from vty.machines import (
     HALTED,
     OUT_OF_FUEL,
@@ -477,3 +478,22 @@ def oracle_satisfying_assignment(
         if all(evaluate(f, assignment) for f in fs):
             return assignment
     return None
+
+
+def oracle_scan_string(line: str, start: int) -> tuple[str, int]:
+    """The per-character string scan `lex._scan_string` now runs only on escapes."""
+    out: list[str] = []
+    i = start + 1
+    while i < len(line):
+        ch = line[i]
+        if ch == '"':
+            return "".join(out), i + 1
+        if ch == "\\":
+            if i + 1 >= len(line) or line[i + 1] not in ('"', "\\"):
+                raise LexError("bad escape in string", i)
+            out.append(line[i + 1])
+            i += 2
+            continue
+        out.append(ch)
+        i += 1
+    raise LexError("unterminated string", start)

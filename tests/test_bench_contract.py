@@ -6,6 +6,7 @@ would break the benchmark without failing any other test. The tracer's
 tables are read from its file, which stays unchanged.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -51,6 +52,15 @@ def test_set_up_parses_the_registry_through_the_cli():
     import vty.cli
 
     assert vty.cli._seed_manifest().source == "seed_registry.vty"
+
+
+def test_cli_takes_the_calls_the_benchmark_makes():
+    # vtybench/session.py calls `cli.main(list(argv))` for every request and
+    # `cli._seed_manifest()` during set-up
+    import vty.cli
+
+    inspect.signature(vty.cli.main).bind(["report-matrix"])
+    inspect.signature(vty.cli._seed_manifest).bind()
 
 
 def test_chain16_evaluates_through_the_semantics_binding(monkeypatch):

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import vty.cli
-from vty.cli import main
+from vty.cli import build_parser, main
 from vty.formulas import MAX_NESTING
 from vty.machines import encode_machine, parse_machine
+
+from test_acceptance import CLI_COMMANDS
 
 
 def run_cli(capsys, *argv):
@@ -368,6 +370,10 @@ class TestOutputControls:
             (["fixed-output"], "fixed-output", "the following arguments are required: mode"),
             (["fixed-output", "walk"], "fixed-output",
              "argument mode: invalid choice: 'walk' (choose from 'brute', 'recognize')"),
+            # a digit that str.isdigit accepts and int() cannot read
+            (["classify", "--axioms", "p", "--goal", "p", "--bounds", "depth=²"],
+             "classify", "argument --bounds: bad bounds entry 'depth=²'; "
+             "expected depth=N,atoms=N,enum=N,size=N"),
         ]
         for argv, command, message in cases:
             code = main(argv)
@@ -398,6 +404,68 @@ class TestOutputControls:
         assert code == 1
         assert "code: MISSING_WITNESS" in out
         assert "verdict: FAIL" in out
+
+
+# one argv of each request shape the benchmark in vtybench/ sends
+BENCH_ARGVS = (
+    ("closure", "{data}/shared_core.vty"),
+    ("closure", "{data}/shared_core.vty", "--with-proofs"),
+    ("minimal-subsets", "--axioms", "a0b", "(-> a0b c1d)", "e2f", "--goal", "c1d",
+     "--base", "mp", "--depth", "3"),
+    ("classify", "--axioms", "a0b", "(-> a0b c1d)", "e2f", "--goal", "c1d",
+     "--base", "mp", "--depth", "3"),
+    ("check-prevariety", "{data}/inconsistent_kb.vty"),
+    ("check-variety", "{data}/inconsistent_kb.vty", "--depth", "5"),
+    ("fixed-output", "brute", "--y", "2", "--max-instructions", "2",
+     "--max-registers", "1", "--inputs", "3,6", "--fuel", "64"),
+    ("fixed-output", "recognize", "--machine", "{data}/adder.rm", "--y", "1",
+     "--schedule", "8,16,32,64,128"),
+)
+
+
+@pytest.fixture
+def parser_count(monkeypatch):
+    """How many vty argparse parsers (root, command or mode) were built."""
+    built = []
+    real = vty.cli._ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(vty.cli._ArgumentParser, "__init__", counting)
+    return built
+
+
+class TestOneCommandParser:
+    @pytest.mark.parametrize("command", CLI_COMMANDS + BENCH_ARGVS, ids=" ".join)
+    def test_same_namespace_as_the_full_parser(self, data_dir, command):
+        argv = [part.format(data=data_dir) for part in command]
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv, count", [
+        (["closure", "--calculus", "L1", "{data}/shared_core.vty"], 2),
+        (["classify", "--axioms", "p", "(-> p q)", "--goal", "q"], 2),
+        (["fixed-output", "brute", "--y", "1", "--max-instructions", "1"], 4),
+        (["fixed-output", "recognize", "--machine", "{data}/adder.rm", "--y", "0",
+          "--schedule", "8,16"], 4),
+        # a global option first, or no command word, builds every parser
+        (["--format", "text", "closure", "--calculus", "L1", "{data}/shared_core.vty"], 12),
+        (["frobnicate"], 12),
+    ])
+    def test_parsers_built_per_call(self, capsys, data_dir, parser_count, argv, count):
+        main([part.format(data=data_dir) for part in argv])
+        capsys.readouterr()
+        assert len(parser_count) == count
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch, parser_count):
+        argv = ["classify", "--axioms", "p", "(-> p q)", "--goal", "q"]
+        expected = run_cli(capsys, *argv)
+        parser_count.clear()
+        monkeypatch.setattr(sys, "argv", ["vty", *argv])
+        code = main()
+        assert (code, capsys.readouterr().out) == expected
+        assert len(parser_count) == 2
 
 
 def nested_manifest(levels: int) -> str:

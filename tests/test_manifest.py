@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vty.errors import ManifestError, UnresolvedReferenceError
 from vty.formulas import parse_formula
+from vty.lex import LexError, _scan_string
 from vty.manifest import (
     Bounds,
     ClassDef,
@@ -26,6 +28,8 @@ from vty.projection import (
 )
 from vty.seed import seed_axiom_declarations, seed_registry, seed_theorems
 from vty.varieties import check_prevariety, check_variety
+
+from oracle_tools import oracle_scan_string
 
 DATA_FILES = (
     "bijective_modes.vty",
@@ -545,6 +549,34 @@ class TestResolution:
         manifest = parse_manifest(MINIMAL)
         calc = manifest.calculus("L")
         assert {"p", "q"} <= set(calc.signature_atoms)
+
+
+def scan_outcome(scan, line: str, start: int):
+    try:
+        return scan(line, start)
+    except LexError as err:
+        return err.message, err.col
+
+
+class TestStringScan:
+    @given(st.text(alphabet='ab "\\#', max_size=14))
+    @settings(max_examples=400)
+    def test_scan_matches_the_per_character_oracle(self, line):
+        for start in (i for i, ch in enumerate(line) if ch == '"'):
+            assert scan_outcome(_scan_string, line, start) == \
+                scan_outcome(oracle_scan_string, line, start)
+
+    @pytest.mark.parametrize("line, start, outcome", [
+        ('"plain" tail', 0, ("plain", 7)),
+        ('x ""', 2, ("", 4)),
+        ('"a\\"b" c', 0, ('a"b', 6)),
+        ('"a\\\\" c', 0, ("a\\", 5)),
+        ('"a\\x"', 0, ("bad escape in string", 2)),
+        ('"ab\\', 0, ("bad escape in string", 3)),
+        ('  "ab', 2, ("unterminated string", 2)),
+    ])
+    def test_escapes_and_errors(self, line, start, outcome):
+        assert scan_outcome(_scan_string, line, start) == outcome
 
 
 class TestStringsStaySingleLine:
