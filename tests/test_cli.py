@@ -201,6 +201,40 @@ class TestReports:
         assert code == 0
         assert report["result"]["subsets"] == [["q"], ["(-> p q)", "p"]]
 
+    @pytest.mark.parametrize("goal, code, tail", [
+        ("(-> q (-> q q))", 0,
+         '  "errors": [],\n'
+         '  "manifest": "seed_registry.vty",\n'
+         '  "result": {\n'
+         '    "base": "hilbert",\n'
+         '    "depth": 0,\n'
+         '    "subsets": [\n'
+         '      []\n'
+         '    ]\n'
+         '  }\n'),
+        ("z", 1,
+         '  "errors": [\n'
+         '    "closure of calculus \'hilbert\' exceeds the size cap of 1000 '
+         '(16^3 instantiation candidates)"\n'
+         '  ],\n'
+         '  "manifest": "seed_registry.vty"\n'),
+    ], ids=["empty-subset", "cap-error"])
+    def test_minimal_subsets_at_the_size_cap(self, capsys, goal, code, tail):
+        # closing the whole axiom set trips the cap (18^3 candidates for the
+        # first goal); each answer is the one the per-subset search gives
+        assert run_cli(
+            capsys, "minimal-subsets", "--axioms",
+            "(-> (-> (-> a b) (-> c d)) (-> (-> e f) (-> g h)))",
+            "--goal", goal, "--depth", "0", "--bounds", "size=1000",
+        ) == (code, '{\n'
+                    '  "bounds": {\n'
+                    '    "atoms": 20,\n'
+                    '    "depth": 3,\n'
+                    '    "enum": 1000000,\n'
+                    '    "size": 1000\n'
+                    '  },\n'
+                    '  "command": "minimal-subsets",\n' + tail + '}\n')
+
     def test_brute_report(self, capsys):
         code, report = run_json(
             capsys, "fixed-output", "brute", "--y", "1",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vty.calculus import check_proof, with_axioms, base_calculus
-from vty.errors import SubsetCapExceededError, UndeclaredAxiomError
+from vty.errors import DepthExplosionError, SubsetCapExceededError, UndeclaredAxiomError
 from vty.formulas import evaluate, formula_key, parse_formula
 from vty.projection import (
     CITATION,
@@ -285,6 +285,11 @@ def _atom_names(formula):
     return atoms(formula)
 
 
+# One axiom with 15 subformulas: its closure over the hilbert schemas passes
+# a size cap of 1000 in instantiation candidates alone.
+CAP_EDGE_AXIOM = "(-> (-> (-> a b) (-> c d)) (-> (-> e f) (-> g h)))"
+
+
 class TestMinimalSubsets:
     def test_redundant_set_has_two_minimal_subsets(self):
         found = minimal_axiom_subsets([pf("p"), pf("q"), pf("(-> p q)")], pf("q"))
@@ -298,6 +303,20 @@ class TestMinimalSubsets:
 
     def test_unreachable_goal_gives_nothing(self):
         assert minimal_axiom_subsets([pf("(-> p q)")], pf("q")) == ()
+
+    def test_empty_subset_answers_although_the_full_set_trips_the_cap(self):
+        # the full set's domain is 18 formulas, 18^3 > 1000 schema instances;
+        # the empty subset's is the goal's 3 subformulas
+        found = minimal_axiom_subsets([pf(CAP_EDGE_AXIOM)], pf("(-> q (-> q q))"),
+                                      "hilbert", 0, size_cap=1000)
+        assert found == (frozenset(),)
+
+    def test_first_subset_that_trips_the_cap_raises(self):
+        with pytest.raises(DepthExplosionError) as caught:
+            minimal_axiom_subsets([pf(CAP_EDGE_AXIOM)], pf("z"), "hilbert", 0, size_cap=1000)
+        assert str(caught.value) == (
+            "closure of calculus 'hilbert' exceeds the size cap of 1000 "
+            "(16^3 instantiation candidates)")
 
     @given(st.integers(0, 2 ** 30))
     @settings(max_examples=20, deadline=None)
