@@ -32,6 +32,24 @@ bucket holds every formula the premise can match, in snapshot order, so
 the tuples matched and the order they are admitted in are those of the
 full scan. Proof objects are built from the derivation table on first
 access.
+
+``labelled_closure`` answers for every subset of a list of extra axioms
+at once, in the manner of an assumption-based truth maintenance system
+(de Kleer, AI 28, 1986). Each formula carries an antichain of labels
+``(support mask, cost)``, bit i of a mask standing for axiom i of the
+list: the formula has a derivation of that cost from the axioms the mask
+names. The listed axioms are labelled with their own bit and base axioms
+with the empty mask. A value of the instantiation domain needs no axiom
+when it is a subformula of a goal or a base axiom or a signature atom,
+and otherwise needs any one listed axiom it is a subformula of; a schema
+or substitution instance needs the union of one such support per value.
+A rule application unions its premises' masks and adds their costs plus
+one. Labels over the depth, and labels another one dominates (a mask
+that is a subset, at no higher cost), are dropped. The run stops with
+``DepthExplosionError`` when its formula count, an instantiation guard
+or its total label count passes the size cap. Closure only grows with
+the axiom set, so when the whole list closes within the caps, no subset
+of it trips one either.
 """
 
 from __future__ import annotations
@@ -39,7 +57,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DepthExplosionError
 from .formulas import (
@@ -526,6 +544,163 @@ def proves(
 def theorem_formulas(calculus: Calculus, depth: int, size_cap: int = DEFAULT_SIZE_CAP) -> frozenset[Formula]:
     """Formula set of ``closure`` without proof objects, memoized."""
     return closure(calculus, depth, size_cap=size_cap).formulas()
+
+
+# --- support labels ----------------------------------------------------------
+
+
+Label = tuple[int, int]  # (support mask, cost)
+
+
+def labelled_closure(
+    calculus: Calculus,
+    axioms: Sequence[Formula],
+    depth: int | None = None,
+    *,
+    goals: Iterable[Formula] = (),
+    size_cap: int = DEFAULT_SIZE_CAP,
+) -> dict[Formula, list[Label]]:
+    """Every formula the calculus derives from some subset of ``axioms``,
+    with the antichain of ``(support mask, cost)`` labels that says which.
+
+    Bit i of a mask stands for ``axioms[i]``. ``closure`` of the calculus
+    extended with a subset S, with the same goals, derives a formula at
+    cost at most c exactly when one of its labels has a mask inside S and
+    a cost at most c. Raises ``DepthExplosionError`` when the formula
+    count, an instantiation guard or the total label count over the whole
+    of ``axioms`` passes ``size_cap``.
+    """
+    if depth is None:
+        depth = calculus.closure_depth
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+
+    base_domain = instantiation_domain(calculus, goals)
+    supports: dict[Formula, list[Label]] = {formula: [(0, 0)] for formula in base_domain}
+    for bit, axiom in enumerate(axioms):
+        for formula in subformula_closure((axiom,)):
+            if formula not in base_domain:
+                supports.setdefault(formula, []).append((1 << bit, 0))
+    domain_sorted = tuple(sorted(supports, key=formula_key))
+    labels: dict[Formula, list[Label]] = {}
+    total = 0
+
+    def add(formula: Formula, mask: int, cost: int) -> bool:
+        nonlocal total
+        antichain = labels.setdefault(formula, [])
+        before = len(antichain)
+        if not _add_label(antichain, mask, cost):
+            return False
+        total += len(antichain) - before
+        if len(labels) > size_cap:
+            raise DepthExplosionError(calculus.calculus_id, size_cap)
+        if total > size_cap:
+            raise DepthExplosionError(calculus.calculus_id, size_cap, f"{total} support labels")
+        return True
+
+    for formula in calculus.axioms:
+        add(formula, 0, 0)
+    for bit, formula in enumerate(axioms):
+        add(formula, 1 << bit, 0)
+    for schema in calculus.schemas:
+        names = sorted(atoms(schema.pattern))
+        _guard_instantiation(calculus, len(domain_sorted), len(names), size_cap)
+        for values in itertools.product(domain_sorted, repeat=len(names)):
+            instance = substitute(schema.pattern, dict(zip(names, values)))
+            for mask, cost in _join_all([supports[value] for value in values], depth):
+                add(instance, mask, cost)
+
+    changed = True
+    while changed:
+        changed = False
+        for rule in calculus.rules:
+            known = [(formula, tuple(labels[formula]))
+                     for formula in sorted(labels, key=formula_key)]
+            if isinstance(rule, SchemaRule):
+                if _label_schema_rule(rule, known, depth, add):
+                    changed = True
+            elif _label_substitution_rule(known, depth, domain_sorted, supports, add,
+                                          calculus, size_cap):
+                changed = True
+    return labels
+
+
+def _add_label(antichain: list[Label], mask: int, cost: int) -> bool:
+    """Add a label unless one in the antichain dominates it, and drop those it dominates.
+
+    A label dominates another when its mask is a subset and its cost no higher.
+    """
+    for kept_mask, kept_cost in antichain:
+        if kept_mask & mask == kept_mask and kept_cost <= cost:
+            return False
+    antichain[:] = [(kept_mask, kept_cost) for kept_mask, kept_cost in antichain
+                    if not (mask & kept_mask == mask and cost <= kept_cost)]
+    antichain.append((mask, cost))
+    return True
+
+
+def _join(left: Iterable[Label], right: Iterable[Label], limit: int) -> list[Label]:
+    """The antichain of unions and cost sums of a label from each side, up to ``limit``."""
+    out: list[Label] = []
+    for left_mask, left_cost in left:
+        for right_mask, right_cost in right:
+            if left_cost + right_cost <= limit:
+                _add_label(out, left_mask | right_mask, left_cost + right_cost)
+    return out
+
+
+def _join_all(antichains: Iterable[Iterable[Label]], limit: int) -> list[Label]:
+    joined: list[Label] = [(0, 0)]
+    for antichain in antichains:
+        joined = _join(joined, antichain, limit)
+    return joined
+
+
+def _label_schema_rule(rule, known, depth, add) -> bool:
+    if depth < 1:
+        return False
+    index = _premise_index(known)
+    changed = False
+
+    def extend(premise_index: int, bindings: dict[str, Formula], partial: list[Label]) -> None:
+        nonlocal changed
+        if premise_index == len(rule.premises):
+            conclusion = substitute(rule.conclusion, bindings)
+            for mask, cost in partial:
+                if add(conclusion, mask, cost + 1):
+                    changed = True
+            return
+        pattern = rule.premises[premise_index]
+        for formula, antichain in _candidates(pattern, bindings, known, index):
+            joined = _join(partial, antichain, depth - 1)
+            if not joined:
+                continue
+            extended = match_pattern(pattern, formula, bindings)
+            if extended is None:
+                continue
+            extend(premise_index + 1, extended, joined)
+
+    extend(0, {}, [(0, 0)])
+    return changed
+
+
+def _label_substitution_rule(known, depth, domain_sorted, supports, add, calculus, size_cap) -> bool:
+    changed = False
+    for formula, antichain in known:
+        usable = [(mask, cost) for mask, cost in antichain if cost + 1 <= depth]
+        if not usable:
+            continue
+        names = sorted(atoms(formula))
+        if not names:
+            continue
+        _guard_instantiation(calculus, len(domain_sorted), len(names), size_cap)
+        for values in itertools.product(domain_sorted, repeat=len(names)):
+            result = substitute(formula, dict(zip(names, values)))
+            joined = _join_all([usable] + [supports[value] for value in values], depth - 1)
+            for mask, cost in joined:
+                if add(result, mask, cost + 1):
+                    changed = True
+    return changed
 
 
 # --- presets ---------------------------------------------------------------

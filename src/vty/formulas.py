@@ -41,7 +41,14 @@ class Formula:
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Atom(Formula):
+    """An atom whose name the parser reads back as this atom, so that
+    ``formula_key`` stays injective."""
+
     name: str
+
+    def __post_init__(self) -> None:
+        if not ATOM_NAME.match(self.name) or self.name == "bot":
+            raise ValueError(f"bad atom name {self.name!r}")
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -137,9 +144,10 @@ def _parse(tokens: list[Token], index: int, depth: int) -> tuple[Formula, int]:
     if tok.kind == "WORD":
         if tok.text == "bot":
             return Bottom(), index + 1
-        if ATOM_NAME.match(tok.text):
+        try:
             return Atom(tok.text), index + 1
-        raise FormulaParseError(f"bad atom name {tok.text!r}", tok.col)
+        except ValueError:
+            raise FormulaParseError(f"bad atom name {tok.text!r}", tok.col) from None
     if tok.kind == "LPAREN":
         if depth == MAX_NESTING:
             raise FormulaParseError(
@@ -229,7 +237,8 @@ def substitute(formula: Formula, mapping: Mapping[str, Formula]) -> Formula:
 
 def rename_atoms(formula: Formula, mapping: Mapping[str, str]) -> Formula:
     if isinstance(formula, Atom):
-        return Atom(mapping.get(formula.name, formula.name))
+        name = mapping.get(formula.name)
+        return formula if name is None else Atom(name)
     if isinstance(formula, Bottom):
         return formula
     if isinstance(formula, Not):

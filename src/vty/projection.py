@@ -17,10 +17,11 @@ from .calculus import (
     DEFAULT_SIZE_CAP,
     Proof,
     base_calculus,
+    labelled_closure,
     proves,
     with_axioms,
 )
-from .errors import SubsetCapExceededError, UndeclaredAxiomError
+from .errors import DepthExplosionError, SubsetCapExceededError, UndeclaredAxiomError
 from .formulas import Formula, formula_key
 from .semantics import DEFAULT_ATOM_CAP, check_consistency, entails
 from .witnesses import WITNESSES
@@ -274,7 +275,7 @@ def classify_relation(
     Sufficiency is one-sided: a proof gives YES, absence of one within
     the depth gives UNKNOWN. Irreducibility is exact relative to the
     same depth bound: once sufficiency holds, every proper subset is
-    retried at that depth.
+    decided at that depth, from one labelled closure of the whole set.
     """
     axiom_list = sorted(set(axioms), key=formula_key)
     base_calc = _resolve_base(base)
@@ -312,7 +313,11 @@ def minimal_axiom_subsets(
     """All minimal sufficient subsets at the depth bound, as an antichain.
 
     Exhaustive over subsets in increasing size; supersets of a found
-    subset are skipped, so no result contains another.
+    subset are skipped, so no result contains another. One labelled
+    closure of the whole set decides every subset: a subset suffices when
+    it contains one of the goal's support masks. When the whole set trips
+    a size cap, each subset gets its own bounded proof search instead, so
+    answers and cap errors are those of searching subset by subset.
     """
     axiom_list = sorted(set(axioms), key=formula_key)
     if len(axiom_list) > subset_cap:
@@ -328,18 +333,35 @@ def _minimal_sufficient_subsets(
 ) -> Iterator[tuple[Formula, ...]]:
     """Minimal subsets of the sorted axiom list that prove the goal, smallest first.
 
-    One ``proves`` call per candidate, in ``itertools.combinations``
-    order up to ``max_width``; supersets of a yielded subset are skipped.
+    Candidates come in ``itertools.combinations`` order up to
+    ``max_width``; supersets of a yielded subset are skipped. One
+    ``labelled_closure`` of the whole list decides every candidate: it
+    proves the goal when one of the goal's support masks lies inside it.
+    Closure only grows with the axiom set, so when the whole list closes
+    within the caps no candidate's closure can trip one. When it does not,
+    each candidate is decided by its own ``proves`` call, which raises the
+    cap error of the first candidate that trips a cap.
     """
-    minimal: list[frozenset[Formula]] = []
+    try:
+        supports = [mask for mask, _ in labelled_closure(
+            base_calc, axiom_list, depth, goals=(goal,), size_cap=size_cap).get(goal, ())]
+    except DepthExplosionError:
+        supports = None
+    minimal: list[int] = []
     for width in range(max_width + 1):
-        for combo in itertools.combinations(axiom_list, width):
-            candidate = frozenset(combo)
-            if any(found <= candidate for found in minimal):
+        for combo in itertools.combinations(range(len(axiom_list)), width):
+            mask = sum(1 << i for i in combo)
+            if any(found & mask == found for found in minimal):
                 continue
-            if proves(with_axioms(base_calc, combo), goal, depth, size_cap=size_cap):
-                minimal.append(candidate)
-                yield combo
+            subset = tuple(axiom_list[i] for i in combo)
+            if supports is None:
+                sufficient = proves(with_axioms(base_calc, subset), goal, depth,
+                                    size_cap=size_cap) is not None
+            else:
+                sufficient = any(support & mask == support for support in supports)
+            if sufficient:
+                minimal.append(mask)
+                yield subset
 
 
 # --- registry matrix ---------------------------------------------------------

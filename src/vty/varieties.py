@@ -319,8 +319,6 @@ def check_prevariety(pv: Prevariety, *, size_cap: int = DEFAULT_SIZE_CAP) -> Str
                 ))
 
     # Rules are matched by name, so one rule can differ in content.
-    # Formulas are matched by themselves, not by their text: programmatic
-    # atoms such as Atom("bot") print like the formulas they are not.
     equations = []
     for name, code, claimed, key, text in (
         ("A", "AXIOM_UNION_MISMATCH", pv.axioms, lambda f: f, formula_key),

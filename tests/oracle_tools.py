@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from vty.calculus import (
     AxiomStep,
@@ -24,7 +24,9 @@ from vty.calculus import (
     SchemaStep,
     SubstitutionRule,
     instantiation_domain,
+    proves,
     theorem_formulas,
+    with_axioms,
 )
 from vty.errors import AtomCapExceededError
 from vty.formulas import (
@@ -199,6 +201,27 @@ def oracle_scan_closure(
 
     return [(formula, best[formula][0], proof(formula))
             for formula in sorted(best, key=formula_key)]
+
+
+def oracle_minimal_sufficient_subsets(
+    axiom_list: Sequence[Formula], goal: Formula, base_calc: Calculus,
+    depth: int, size_cap: int, max_width: int,
+) -> Iterator[tuple[Formula, ...]]:
+    """The subset search before support labels: one ``proves`` per candidate.
+
+    Minimal subsets of the sorted axiom list that prove the goal, smallest
+    first, in ``itertools.combinations`` order up to ``max_width``;
+    supersets of a yielded subset are skipped.
+    """
+    minimal: list[frozenset[Formula]] = []
+    for width in range(max_width + 1):
+        for combo in itertools.combinations(axiom_list, width):
+            candidate = frozenset(combo)
+            if any(found <= candidate for found in minimal):
+                continue
+            if proves(with_axioms(base_calc, combo), goal, depth, size_cap=size_cap):
+                minimal.append(candidate)
+                yield combo
 
 
 # --- random worlds for differential testing ----------------------------------

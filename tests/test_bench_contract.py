@@ -78,3 +78,30 @@ def test_chain16_evaluates_through_the_semantics_binding(monkeypatch):
     verdict = vty.semantics.check_consistency([parse_formula(t) for t in chain])
     assert not verdict.consistent
     assert 1 <= len(calls) <= 16
+
+
+def test_subsets_classify_closes_and_proves_once(monkeypatch, capsys):
+    # the tracer counts every binding of `vty.calculus.closure` and
+    # `vty.calculus.proves`, and the traced subsets run fails its self-check
+    # when either count reads 0; a subsets request's argv has this shape
+    import vty.calculus
+    import vty.cli
+
+    calls = []
+    for name in ("closure", "proves"):
+        real = getattr(vty.calculus, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "vty"]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+
+    code = vty.cli.main(["classify", "--axioms", "(-> b c)", "(-> a b)", "(-> a x)", "a",
+                         "(-> y c)", "--goal", "c", "--base", "mp", "--depth", "3"])
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["reducible_to"] == ["(-> a b)", "(-> b c)", "a"]
+    assert sorted(calls) == ["closure", "proves"]

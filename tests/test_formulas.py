@@ -27,8 +27,13 @@ def names(max_size: int = 3):
     return st.sampled_from(["p", "q", "r", "s", "t0", "long_name"])
 
 
-def formulas(max_depth: int = 4) -> st.SearchStrategy[Formula]:
-    leaves = st.one_of(names().map(Atom), st.just(Bottom()))
+def any_names():
+    """Every name an atom may have."""
+    return st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True).filter(lambda n: n != "bot")
+
+
+def formulas(max_depth: int = 4, atom_names=None) -> st.SearchStrategy[Formula]:
+    leaves = st.one_of((names() if atom_names is None else atom_names).map(Atom), st.just(Bottom()))
     return st.recursive(
         leaves,
         lambda inner: st.one_of(
@@ -85,9 +90,22 @@ class TestParsing:
         with pytest.raises(FormulaParseError):
             parse_formula("(-> p q r)")
 
-    @given(formulas())
+    @given(formulas(atom_names=any_names()))
     def test_round_trip(self, formula):
         assert parse_formula(format_formula(formula)) == formula
+
+    @pytest.mark.parametrize("name", ["bot", "p q", "P", "1p", "p-", "_x", ""])
+    def test_atom_refuses_names_the_parser_reads_otherwise(self, name):
+        with pytest.raises(ValueError, match="bad atom name"):
+            Atom(name)
+
+    @given(st.text(alphabet="abot0_ ()-", max_size=5))
+    def test_an_accepted_atom_name_reads_back_as_that_atom(self, name):
+        try:
+            atom = Atom(name)
+        except ValueError:
+            return
+        assert parse_formula(name) == atom
 
     def test_structural_equality_only(self):
         # equal text means equal tree; no semantic identification happens

@@ -4,9 +4,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vty.calculus import check_proof, with_axioms, base_calculus
-from vty.errors import DepthExplosionError, SubsetCapExceededError, UndeclaredAxiomError
-from vty.formulas import evaluate, formula_key, parse_formula
+import vty.projection
+from vty.calculus import (
+    Calculus,
+    SubstitutionRule,
+    base_calculus,
+    check_proof,
+    modus_ponens,
+    with_axioms,
+)
+from vty.errors import DepthExplosionError, SubsetCapExceededError, UndeclaredAxiomError, VtyError
+from vty.formulas import Atom, Implies, Not, evaluate, formula_key, parse_formula
 from vty.projection import (
     CITATION,
     EXEC_EXHAUSTIVE,
@@ -336,7 +344,7 @@ class TestMinimalSubsets:
                 assert not (a < b)
 
 
-# Every `proves` call of the subset searches, as the sorted axiom texts of
+# Every `proves` call of the per-subset search, as the sorted axiom texts of
 # its calculus, for the axioms below and goal r at depth 2 over mp.
 SEARCH_AXIOMS = ("q", "p", "(-> q r)", "(-> p r)", "(-> r s)")
 MINIMAL_SEARCH_CALLS = [
@@ -347,34 +355,105 @@ MINIMAL_SEARCH_CALLS = [
     ("(-> p r)", "(-> q r)", "(-> r s)"), ("(-> p r)", "(-> r s)", "q"),
     ("(-> q r)", "(-> r s)", "p"), ("(-> r s)", "p", "q"),
 ]
+SEARCH_MINIMAL = (frozenset({pf("(-> p r)"), pf("p")}), frozenset({pf("(-> q r)"), pf("q")}))
+
+
+def spy_on_proves(monkeypatch, module):
+    recorded = []
+    original = module.proves
+
+    def spy(calculus, goal, depth, **kwargs):
+        recorded.append(tuple(sorted(formula_key(a) for a in calculus.axioms)))
+        return original(calculus, goal, depth, **kwargs)
+
+    monkeypatch.setattr(module, "proves", spy)
+    return recorded
 
 
 class TestSubsetSearchCalls:
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        import vty.projection
+    def sorted_axioms(self):
+        return sorted((pf(t) for t in SEARCH_AXIOMS), key=formula_key)
 
-        recorded = []
-        original = vty.projection.proves
-
-        def spy(calculus, goal, depth, **kwargs):
-            recorded.append(tuple(sorted(formula_key(a) for a in calculus.axioms)))
-            return original(calculus, goal, depth, **kwargs)
-
-        monkeypatch.setattr(vty.projection, "proves", spy)
-        return recorded
-
-    def test_minimal_search_calls_in_combination_order(self, calls):
-        found = minimal_axiom_subsets([pf(t) for t in SEARCH_AXIOMS], pf("r"), "mp", 2)
-        assert found == (frozenset({pf("(-> p r)"), pf("p")}),
-                         frozenset({pf("(-> q r)"), pf("q")}))
+    def test_oracle_calls_in_combination_order(self, monkeypatch):
+        calls = spy_on_proves(monkeypatch, oracle_tools)
+        found = oracle_tools.oracle_minimal_sufficient_subsets(
+            self.sorted_axioms(), pf("r"), base_calculus("mp"), 2, 10_000, 5)
+        assert tuple(frozenset(combo) for combo in found) == SEARCH_MINIMAL
         assert calls == MINIMAL_SEARCH_CALLS
 
-    def test_classifier_stops_at_the_first_smaller_sufficient_subset(self, calls):
+    def test_oracle_stops_at_the_first_smaller_sufficient_subset(self, monkeypatch):
+        calls = spy_on_proves(monkeypatch, oracle_tools)
+        first = next(oracle_tools.oracle_minimal_sufficient_subsets(
+            self.sorted_axioms(), pf("r"), base_calculus("mp"), 2, 10_000, 4))
+        assert first == (pf("(-> p r)"), pf("p"))
+        assert calls == MINIMAL_SEARCH_CALLS[:9]
+
+    def test_minimal_search_decides_every_subset_from_labels(self, monkeypatch):
+        calls = spy_on_proves(monkeypatch, vty.projection)
+        found = minimal_axiom_subsets([pf(t) for t in SEARCH_AXIOMS], pf("r"), "mp", 2)
+        assert found == SEARCH_MINIMAL
+        assert calls == []
+
+    def test_classifier_proves_only_the_full_set(self, monkeypatch):
+        calls = spy_on_proves(monkeypatch, vty.projection)
         report = classify_relation([pf(t) for t in SEARCH_AXIOMS], pf("r"), "mp", 2)
         assert report.reducible_to == ("(-> p r)", "p")
-        full = tuple(sorted(SEARCH_AXIOMS))
-        assert calls == [full] + MINIMAL_SEARCH_CALLS[:9]
+        assert calls == [tuple(sorted(SEARCH_AXIOMS))]
+
+    def test_search_falls_back_to_proves_when_the_full_set_trips_a_cap(self, monkeypatch):
+        calls = spy_on_proves(monkeypatch, vty.projection)
+        found = minimal_axiom_subsets([pf(CAP_EDGE_AXIOM)], pf("(-> q (-> q q))"),
+                                      "hilbert", 0, size_cap=1000)
+        assert found == (frozenset(),)
+        assert calls == [()]
+
+
+def small_formulas():
+    leaves = st.sampled_from(["p", "q", "r"]).map(Atom)
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(inner.map(Not), st.tuples(inner, inner).map(lambda t: Implies(*t))),
+        max_leaves=4,
+    )
+
+
+def outcome(search):
+    try:
+        return "result", search()
+    except VtyError as exc:
+        return type(exc), str(exc)
+
+
+SEARCH_BASES = {
+    "mp": "mp",
+    "hilbert": "hilbert",
+    "empty": "empty",
+    "mp+sub": Calculus("mp+sub", rules=(modus_ponens(), SubstitutionRule())),
+}
+
+
+class TestLabelledSearchMatchesOracle:
+    """The labelled search gives every answer and cap error of the per-subset one."""
+
+    @pytest.mark.parametrize("base", sorted(SEARCH_BASES))
+    @given(axioms=st.lists(small_formulas(), max_size=5), goal=small_formulas(),
+           depth=st.integers(0, 3), size_cap=st.sampled_from([30, 300, 10_000]))
+    @settings(max_examples=40, deadline=None)
+    def test_same_subsets_and_reduction(self, base, axioms, goal, depth, size_cap):
+        base_calc = SEARCH_BASES[base]
+
+        def minimal():
+            return minimal_axiom_subsets(axioms, goal, base_calc, depth, size_cap=size_cap)
+
+        def reduction():
+            return classify_relation(axioms, goal, base_calc, depth,
+                                     size_cap=size_cap).reducible_to
+
+        labelled = outcome(minimal), outcome(reduction)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vty.projection, "_minimal_sufficient_subsets",
+                          oracle_tools.oracle_minimal_sufficient_subsets)
+            assert labelled == (outcome(minimal), outcome(reduction))
 
 
 class TestSeedRegistry:

@@ -4,7 +4,7 @@ import pytest
 
 from vty.calculus import Calculus, base_calculus, with_axioms
 from vty.errors import MapUndefinedError
-from vty.formulas import Atom, Bottom, formula_key, parse_formula
+from vty.formulas import parse_formula
 from vty.varieties import (
     Component,
     FormulaMap,
@@ -181,16 +181,6 @@ class TestAssembly:
         assert (d.subject, d.message) == (
             "mp", "rule content differs between the union and the components"
         )
-
-    def test_formulas_that_print_alike_stay_two_union_elements(self):
-        calc = with_axioms(base_calculus("empty"), frozenset({Bottom()}), calculus_id="c")
-        comp = Component("C1", calc, FormulaMap.identity(), FormulaMap.identity(), frozenset())
-        pv = Prevariety(frozenset({Atom("bot")}), frozenset(), frozenset(), (comp,))
-        found = diag(check_prevariety(pv), "AXIOM_UNION_MISMATCH")
-        assert [(d.subject, d.message) for d in found] == [
-            ("bot", "claimed in the union but contributed by no component"),
-            ("bot", "contributed by a component but missing from the union"),
-        ]
 
 
 class TestComponentInvariants:
