@@ -18,6 +18,7 @@ from vty.calculus import (
     closure,
     hilbert_schemas,
     instantiation_domain,
+    labelled_closure,
     modus_ponens,
     proves,
     theorem_formulas,
@@ -57,6 +58,9 @@ def chain_calc(depth=3):
         base_calculus("mp", closure_depth=depth),
         [pf("p"), pf("(-> p q)"), pf("(-> q r)")],
     )
+
+
+HILBERT4 = [pf("p"), pf("(-> p q)"), pf("(-> q r)"), pf("(-> r s)")]
 
 
 def texts(formulas):
@@ -288,21 +292,42 @@ class TestIndexedClosureMatchesScan:
         expected = oracle_scan_closure(calc, 1)
         assert [(e.formula, e.cost, e.proof) for e in result.entries] == expected
 
+    @staticmethod
+    def count_calls(monkeypatch):
+        counts = {"match_pattern": 0, "substitute": 0}
+        for name in counts:
+            real = getattr(vty.calculus, name)
+
+            def counting(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(vty.calculus, name, counting)
+        return counts
+
+    # Upper bounds at the counts of the current engine: a change that makes
+    # the rounds do less work may lower them, none may raise them.
     def test_hilbert4_match_count_guard(self, monkeypatch):
-        calls = 0
-        match = vty.calculus.match_pattern
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return match(*args)
-
-        monkeypatch.setattr(vty.calculus, "match_pattern", counting)
-        calc = with_axioms(base_calculus("hilbert"),
-                           [pf("p"), pf("(-> p q)"), pf("(-> q r)"), pf("(-> r s)")])
-        result = closure(calc, 3)
+        counts = self.count_calls(monkeypatch)
+        result = closure(with_axioms(base_calculus("hilbert"), HILBERT4), 3)
         assert len(result.entries) == 559
-        assert calls < 20_000
+        assert counts["match_pattern"] <= 2_644
+        assert counts["substitute"] <= 1_020
+
+    def test_labelled_hilbert4_count_guard(self, monkeypatch):
+        counts = self.count_calls(monkeypatch)
+        labels = labelled_closure(base_calculus("hilbert"), HILBERT4, 2)
+        assert len(labels) == 550
+        assert counts["match_pattern"] <= 1_821
+        assert counts["substitute"] <= 777
+
+    def test_substitution_rule_count_guard(self, monkeypatch):
+        counts = self.count_calls(monkeypatch)
+        calc = Calculus("sub2", axioms=frozenset({pf("(or p q)"), pf("(-> p r)")}),
+                        rules=(SubstitutionRule("sub"),))
+        result = closure(calc, 2)
+        assert len(result.entries) == 1_570
+        assert counts["substitute"] <= 4_710
 
     def test_proofs_are_built_on_first_access(self, monkeypatch):
         built = []

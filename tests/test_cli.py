@@ -12,6 +12,7 @@ import vty.cli
 from vty.cli import build_parser, main
 from vty.formulas import MAX_NESTING
 from vty.machines import encode_machine, parse_machine
+from vty.manifest import Bounds
 
 from test_acceptance import CLI_COMMANDS
 
@@ -500,6 +501,12 @@ class TestOneCommandParser:
         code = main()
         assert (code, capsys.readouterr().out) == expected
         assert len(parser_count) == 2
+
+
+def test_seed_manifest_bounds_are_the_defaults():
+    # commands that take no manifest report the seed registry's bounds, so a
+    # CLI that skips parsing it must get the same figures from Bounds()
+    assert vty.cli._seed_manifest().bounds == Bounds()
 
 
 def nested_manifest(levels: int) -> str:

@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import vty.projection
 from vty.calculus import (
@@ -10,6 +10,8 @@ from vty.calculus import (
     SubstitutionRule,
     base_calculus,
     check_proof,
+    closure,
+    labelled_closure,
     modus_ponens,
     with_axioms,
 )
@@ -454,6 +456,32 @@ class TestLabelledSearchMatchesOracle:
             patch.setattr(vty.projection, "_minimal_sufficient_subsets",
                           oracle_tools.oracle_minimal_sufficient_subsets)
             assert labelled == (outcome(minimal), outcome(reduction))
+
+
+class TestLabelContract:
+    """What ``labelled_closure`` promises: for every subset S of the listed
+    axioms, the labels with a mask inside S give the costs of closing the
+    calculus extended with S."""
+
+    @pytest.mark.parametrize("base", sorted(SEARCH_BASES))
+    @given(axioms=st.lists(small_formulas(), max_size=4, unique=True), goal=small_formulas(),
+           depth=st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_labels_give_every_subset_closure(self, base, axioms, goal, depth):
+        base_calc = vty.projection._resolve_base(SEARCH_BASES[base])
+        try:
+            labels = labelled_closure(base_calc, axioms, depth, goals=(goal,), size_cap=300)
+        except DepthExplosionError:
+            assume(False)
+        for mask in range(1 << len(axioms)):
+            subset = [axiom for bit, axiom in enumerate(axioms) if mask >> bit & 1]
+            result = closure(with_axioms(base_calc, subset), depth, goals=(goal,), size_cap=300)
+            expected = {}
+            for formula, antichain in labels.items():
+                costs = [cost for support, cost in antichain if support & mask == support]
+                if costs:
+                    expected[formula] = min(costs)
+            assert {entry.formula: entry.cost for entry in result.entries} == expected
 
 
 class TestSeedRegistry:
