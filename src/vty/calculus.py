@@ -12,6 +12,18 @@ instance axioms, the goals passed in, and the calculus's declared
 signature atoms. The restriction keeps instance sets finite; reports
 elsewhere label theorem sets with the depth they were computed at.
 
+One labelled fixpoint computes every closure. It takes the calculus and
+a list of extra axioms, and gives each formula an antichain of labels
+``(support mask, cost)``: the formula has a derivation of that cost from
+the calculus plus the listed axioms the mask names, bit i standing for
+axiom i. Base axioms have the empty mask, listed axioms their own bit. A
+rule application unions its premises' masks and adds their costs plus
+one; labels over the depth, and labels another one dominates (a mask
+that is a subset, at no higher cost), are dropped. ``closure`` is the
+run with no listed axioms, where each formula has one label, its least
+cost. A formula's derivation is recorded whenever it gains a label with
+the empty mask.
+
 Derivation order, which fixes every cost and proof ``closure`` reports:
 axioms, then schema instances over the ``formula_key``-sorted domain;
 then rounds, until a round admits nothing, over the rules in calculus
@@ -33,23 +45,16 @@ the tuples matched and the order they are admitted in are those of the
 full scan. Proof objects are built from the derivation table on first
 access.
 
-``labelled_closure`` answers for every subset of a list of extra axioms
-at once, in the manner of an assumption-based truth maintenance system
-(de Kleer, AI 28, 1986). Each formula carries an antichain of labels
-``(support mask, cost)``, bit i of a mask standing for axiom i of the
-list: the formula has a derivation of that cost from the axioms the mask
-names. The listed axioms are labelled with their own bit and base axioms
-with the empty mask. A value of the instantiation domain needs no axiom
-when it is a subformula of a goal or a base axiom or a signature atom,
-and otherwise needs any one listed axiom it is a subformula of; a schema
-or substitution instance needs the union of one such support per value.
-A rule application unions its premises' masks and adds their costs plus
-one. Labels over the depth, and labels another one dominates (a mask
-that is a subset, at no higher cost), are dropped. The run stops with
-``DepthExplosionError`` when its formula count, an instantiation guard
-or its total label count passes the size cap. Closure only grows with
-the axiom set, so when the whole list closes within the caps, no subset
-of it trips one either.
+``labelled_closure`` is the run with listed axioms. It answers for every
+subset of them at once, as an assumption-based truth maintenance system
+does (de Kleer, AI 28, 1986). A value of the instantiation domain needs
+no axiom when it is a subformula of a goal or a base axiom or a signature
+atom, and otherwise needs any one listed axiom it is a subformula of; a
+schema or substitution instance needs the union of one such support per
+value. The run stops with ``DepthExplosionError`` when its formula count,
+an instantiation guard or its total label count passes the size cap.
+Closure only grows with the axiom set, so when the whole list closes
+within the caps, no subset of it trips one either.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DepthExplosionError
 from .formulas import (
@@ -278,10 +284,12 @@ def check_proof(calculus: Calculus, proof: Proof) -> ProofCheck:
 # --- bounded closure -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Derivation:
+Label = tuple[int, int]  # (support mask, cost)
+_label_cost = itemgetter(1)
+
+
+class _Derivation(NamedTuple):
     kind: str  # axiom | schema | rule
-    cost: int
     ref: str = ""  # schema id or rule name
     substitution: Substitution = ()
     premises: tuple[Formula, ...] = ()
@@ -344,65 +352,174 @@ def closure(
     Deterministic: the result is sorted by formula text and ties in
     derivation choice are broken by the same ordering.
     """
-    if depth is None:
-        depth = calculus.closure_depth
+    depth = calculus.closure_depth if depth is None else depth
+    labels, derivations, domain_size = _fixpoint(calculus, (), depth, goals, size_cap)
+    entries = tuple(ClosureEntry(formula, labels[formula][0][1], derivations)
+                    for formula in sorted(labels, key=formula_key))
+    return ClosureResult(calculus.calculus_id, depth, domain_size, entries)
+
+
+def proves(
+    calculus: Calculus,
+    goal: Formula,
+    depth: int | None = None,
+    *,
+    size_cap: int = DEFAULT_SIZE_CAP,
+) -> Proof | None:
+    """A proof of the goal within the depth bound, or None.
+
+    None means unknown at this bound, never refutation: bounded search
+    cannot refute.
+    """
+    result = closure(calculus, depth, goals=(goal,), size_cap=size_cap)
+    return result.proof_for(goal)
+
+
+@lru_cache(maxsize=512)
+def theorem_formulas(calculus: Calculus, depth: int, size_cap: int = DEFAULT_SIZE_CAP) -> frozenset[Formula]:
+    """Formula set of ``closure`` without proof objects, memoized."""
+    return closure(calculus, depth, size_cap=size_cap).formulas()
+
+
+def labelled_closure(
+    calculus: Calculus,
+    axioms: Sequence[Formula],
+    depth: int | None = None,
+    *,
+    goals: Iterable[Formula] = (),
+    size_cap: int = DEFAULT_SIZE_CAP,
+) -> dict[Formula, list[Label]]:
+    """Every formula the calculus derives from some subset of ``axioms``,
+    with the antichain of ``(support mask, cost)`` labels that says which.
+
+    Bit i of a mask stands for ``axioms[i]``. ``closure`` of the calculus
+    extended with a subset S, with the same goals, derives a formula at
+    cost at most c exactly when one of its labels has a mask inside S and
+    a cost at most c. Raises ``DepthExplosionError`` when the formula
+    count, an instantiation guard or the total label count over the whole
+    of ``axioms`` passes ``size_cap``.
+    """
+    depth = calculus.closure_depth if depth is None else depth
+    return _fixpoint(calculus, axioms, depth, goals, size_cap)[0]
+
+
+def _fixpoint(
+    calculus: Calculus, axioms: Sequence[Formula], depth: int,
+    goals: Iterable[Formula], size_cap: int,
+) -> tuple[dict[Formula, list[Label]], dict[Formula, _Derivation], int]:
+    """The labels of every formula, the derivation behind each formula's
+    cheapest empty-mask label, and the size of the instantiation domain."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
 
-    domain = instantiation_domain(calculus, goals)
-    domain_sorted = tuple(sorted(domain, key=formula_key))
-    best: dict[Formula, _Derivation] = {}
+    base_domain = instantiation_domain(calculus, goals)
+    # the supports of the values outside the base domain
+    supports: dict[Formula, list[Label]] = {}
+    for bit, axiom in enumerate(axioms):
+        for formula in subformula_closure((axiom,)):
+            if formula not in base_domain:
+                supports.setdefault(formula, []).append((1 << bit, 0))
+    domain_sorted = tuple(sorted([*base_domain, *supports], key=formula_key))
+    labels: dict[Formula, list[Label]] = {}
+    derivations: dict[Formula, _Derivation] = {}
+    total = 0
 
-    def admit(formula: Formula, derivation: _Derivation) -> bool:
-        existing = best.get(formula)
-        if existing is not None and existing.cost <= derivation.cost:
+    def add(formula: Formula, mask: int, cost: int, derivation: _Derivation) -> bool:
+        nonlocal total
+        antichain = labels.get(formula, ())
+        grown = _add_label(antichain, mask, cost)
+        if grown is None:
             return False
-        best[formula] = derivation
-        if len(best) > size_cap:
+        labels[formula] = grown
+        total += len(grown) - len(antichain)
+        if not mask:
+            derivations[formula] = derivation
+        if len(labels) > size_cap:
             raise DepthExplosionError(calculus.calculus_id, size_cap)
+        if total > size_cap:
+            raise DepthExplosionError(calculus.calculus_id, size_cap, f"{total} support labels")
         return True
 
+    axiom = _Derivation("axiom")
     for formula in sorted(calculus.axioms, key=formula_key):
-        admit(formula, _Derivation("axiom", 0))
+        add(formula, 0, 0, axiom)
+    for bit, formula in enumerate(axioms):
+        add(formula, 1 << bit, 0, axiom)
     for schema in calculus.schemas:
         names = sorted(atoms(schema.pattern))
         _guard_instantiation(calculus, len(domain_sorted), len(names), size_cap)
         for values in itertools.product(domain_sorted, repeat=len(names)):
             mapping = dict(zip(names, values))
             instance = substitute(schema.pattern, mapping)
-            admit(
-                instance,
-                _Derivation("schema", 0, schema.schema_id, _freeze_substitution(mapping)),
-            )
+            derivation = _Derivation("schema", schema.schema_id, _freeze_substitution(mapping))
+            for mask, cost in _join_values([(0, 0)], values, supports, depth):
+                add(instance, mask, cost, derivation)
 
-    changed = True
+    # every rule application costs one, so at depth 0 no round can admit anything
+    changed = depth > 0
     while changed:
         changed = False
         for rule in calculus.rules:
+            known = [(formula, labels[formula]) for formula in sorted(labels, key=formula_key)]
             if isinstance(rule, SchemaRule):
-                if _apply_schema_rule(rule, best, depth, admit):
+                if _label_schema_rule(rule, known, depth, add):
                     changed = True
-            else:
-                if _apply_substitution_rule(
-                    rule, best, depth, domain_sorted, admit, calculus, size_cap
-                ):
-                    changed = True
-
-    entries = tuple(ClosureEntry(formula, best[formula].cost, best)
-                    for formula in sorted(best, key=formula_key))
-    return ClosureResult(calculus.calculus_id, depth, len(domain), entries)
+            elif _label_substitution_rule(rule, known, depth, domain_sorted, supports, add,
+                                          calculus, size_cap):
+                changed = True
+    return labels, derivations, len(domain_sorted)
 
 
 def _guard_instantiation(calculus: Calculus, domain_size: int, var_count: int, size_cap: int) -> None:
     if var_count and domain_size**var_count > size_cap:
-        raise DepthExplosionError(
-            calculus.calculus_id,
-            size_cap,
-            f"{domain_size}^{var_count} instantiation candidates",
-        )
+        raise DepthExplosionError(calculus.calculus_id, size_cap,
+                                  f"{domain_size}^{var_count} instantiation candidates")
 
 
-def _premise_index(known: list[tuple[Formula, _Derivation]]) -> dict[object, list]:
+def _add_label(antichain: Sequence[Label], mask: int, cost: int) -> list[Label] | None:
+    """A new antichain with the label added and the labels it dominates
+    dropped, or None when a label in the antichain dominates it.
+
+    A label dominates another when its mask is a subset and its cost no
+    higher. Antichains are kept cheapest first, and never changed in
+    place, so a snapshot of them holds.
+    """
+    for kept_mask, kept_cost in antichain:
+        if kept_mask & mask == kept_mask and kept_cost <= cost:
+            return None
+    grown = [(kept_mask, kept_cost) for kept_mask, kept_cost in antichain
+             if not (mask & kept_mask == mask and cost <= kept_cost)]
+    grown.append((mask, cost))
+    grown.sort(key=_label_cost)
+    return grown
+
+
+def _join(left: Sequence[Label], right: Sequence[Label], limit: int) -> list[Label]:
+    """The antichain of unions and cost sums of a label from each side, up to ``limit``."""
+    if len(left) == 1 == len(right):
+        (left_mask, left_cost), (right_mask, right_cost) = left[0], right[0]
+        cost = left_cost + right_cost
+        return [(left_mask | right_mask, cost)] if cost <= limit else []
+    out: list[Label] = []
+    for left_mask, left_cost in left:
+        for right_mask, right_cost in right:
+            if left_cost + right_cost <= limit:
+                out = _add_label(out, left_mask | right_mask, left_cost + right_cost) or out
+    return out
+
+
+def _join_values(joined: list[Label], values: Iterable[Formula],
+                 supports: Mapping[Formula, list[Label]], limit: int) -> list[Label]:
+    """``joined`` joined with the supports of those values outside the base domain."""
+    if supports:
+        for value in values:
+            needed = supports.get(value)
+            if needed is not None:
+                joined = _join(joined, needed, limit)
+    return joined
+
+
+def _premise_index(known: list[tuple[Formula, list[Label]]]) -> dict[object, list]:
     """Buckets of ``known``, each a subsequence in ``known``'s own order.
 
     Keyed by the formula itself, by its connective class, and by
@@ -439,43 +556,45 @@ def _candidates(pattern: Formula, bindings: Mapping[str, Formula], known, index)
     return index.get(kind, [])
 
 
-def _apply_schema_rule(rule, best, depth, admit) -> bool:
-    if depth < 1:
-        return False
-    known = [(formula, best[formula]) for formula in sorted(best, key=formula_key)]
+def _label_schema_rule(rule, known, depth, add) -> bool:
     index = _premise_index(known)
     changed = False
 
-    def extend(premise_index: int, bindings: dict[str, Formula],
-               used: tuple[Formula, ...], cost_sum: int) -> None:
+    # ``floor`` is the least cost of the premises used, so a premise tuple
+    # is pruned exactly when the join of its labels is empty
+    def extend(premise_index: int, bindings: dict[str, Formula], used: tuple[Formula, ...],
+               antichains: tuple[list[Label], ...], floor: int) -> None:
         nonlocal changed
         if premise_index == len(rule.premises):
             conclusion = substitute(rule.conclusion, bindings)
-            derivation = _Derivation(
-                "rule", cost_sum + 1, rule.name, _freeze_substitution(bindings), used
-            )
-            if admit(conclusion, derivation):
-                changed = True
+            derivation = _Derivation("rule", rule.name, _freeze_substitution(bindings), used)
+            joined = [(0, 0)]
+            for antichain in antichains:
+                joined = _join(joined, antichain, depth - 1)
+            for mask, cost in joined:
+                if add(conclusion, mask, cost + 1, derivation):
+                    changed = True
             return
         pattern = rule.premises[premise_index]
-        for formula, derivation in _candidates(pattern, bindings, known, index):
-            total = cost_sum + derivation.cost
-            if total + 1 > depth:
+        for formula, antichain in _candidates(pattern, bindings, known, index):
+            least = floor + antichain[0][1]
+            if least >= depth:
                 continue
             extended = match_pattern(pattern, formula, bindings)
             if extended is None:
                 continue
-            extend(premise_index + 1, extended, used + (formula,), total)
+            extend(premise_index + 1, extended, used + (formula,), antichains + (antichain,), least)
 
-    extend(0, {}, (), 0)
+    extend(0, {}, (), (), 0)
     return changed
 
 
-def _apply_substitution_rule(rule, best, depth, domain_sorted, admit, calculus, size_cap) -> bool:
-    known = [(formula, best[formula]) for formula in sorted(best, key=formula_key)]
+def _label_substitution_rule(rule, known, depth, domain_sorted, supports, add,
+                             calculus, size_cap) -> bool:
     changed = False
-    for formula, derivation in known:
-        if derivation.cost + 1 > depth:
+    for formula, antichain in known:
+        usable = [(mask, cost) for mask, cost in antichain if cost < depth]
+        if not usable:
             continue
         names = sorted(atoms(formula))
         if not names:
@@ -484,12 +603,10 @@ def _apply_substitution_rule(rule, best, depth, domain_sorted, admit, calculus, 
         for values in itertools.product(domain_sorted, repeat=len(names)):
             mapping = dict(zip(names, values))
             result = substitute(formula, mapping)
-            new = _Derivation(
-                "rule", derivation.cost + 1, rule.name,
-                _freeze_substitution(mapping), (formula,),
-            )
-            if admit(result, new):
-                changed = True
+            derivation = _Derivation("rule", rule.name, _freeze_substitution(mapping), (formula,))
+            for mask, cost in _join_values(usable, values, supports, depth - 1):
+                if add(result, mask, cost + 1, derivation):
+                    changed = True
     return changed
 
 
@@ -522,185 +639,6 @@ def _build_proof(target: Formula, best: dict[Formula, _Derivation]) -> Proof:
             )
         steps.append(ProofStep(formula, just))
     return Proof(tuple(steps))
-
-
-def proves(
-    calculus: Calculus,
-    goal: Formula,
-    depth: int | None = None,
-    *,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> Proof | None:
-    """A proof of the goal within the depth bound, or None.
-
-    None means unknown at this bound, never refutation: bounded search
-    cannot refute.
-    """
-    result = closure(calculus, depth, goals=(goal,), size_cap=size_cap)
-    return result.proof_for(goal)
-
-
-@lru_cache(maxsize=512)
-def theorem_formulas(calculus: Calculus, depth: int, size_cap: int = DEFAULT_SIZE_CAP) -> frozenset[Formula]:
-    """Formula set of ``closure`` without proof objects, memoized."""
-    return closure(calculus, depth, size_cap=size_cap).formulas()
-
-
-# --- support labels ----------------------------------------------------------
-
-
-Label = tuple[int, int]  # (support mask, cost)
-
-
-def labelled_closure(
-    calculus: Calculus,
-    axioms: Sequence[Formula],
-    depth: int | None = None,
-    *,
-    goals: Iterable[Formula] = (),
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> dict[Formula, list[Label]]:
-    """Every formula the calculus derives from some subset of ``axioms``,
-    with the antichain of ``(support mask, cost)`` labels that says which.
-
-    Bit i of a mask stands for ``axioms[i]``. ``closure`` of the calculus
-    extended with a subset S, with the same goals, derives a formula at
-    cost at most c exactly when one of its labels has a mask inside S and
-    a cost at most c. Raises ``DepthExplosionError`` when the formula
-    count, an instantiation guard or the total label count over the whole
-    of ``axioms`` passes ``size_cap``.
-    """
-    if depth is None:
-        depth = calculus.closure_depth
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-
-    base_domain = instantiation_domain(calculus, goals)
-    supports: dict[Formula, list[Label]] = {formula: [(0, 0)] for formula in base_domain}
-    for bit, axiom in enumerate(axioms):
-        for formula in subformula_closure((axiom,)):
-            if formula not in base_domain:
-                supports.setdefault(formula, []).append((1 << bit, 0))
-    domain_sorted = tuple(sorted(supports, key=formula_key))
-    labels: dict[Formula, list[Label]] = {}
-    total = 0
-
-    def add(formula: Formula, mask: int, cost: int) -> bool:
-        nonlocal total
-        antichain = labels.setdefault(formula, [])
-        before = len(antichain)
-        if not _add_label(antichain, mask, cost):
-            return False
-        total += len(antichain) - before
-        if len(labels) > size_cap:
-            raise DepthExplosionError(calculus.calculus_id, size_cap)
-        if total > size_cap:
-            raise DepthExplosionError(calculus.calculus_id, size_cap, f"{total} support labels")
-        return True
-
-    for formula in calculus.axioms:
-        add(formula, 0, 0)
-    for bit, formula in enumerate(axioms):
-        add(formula, 1 << bit, 0)
-    for schema in calculus.schemas:
-        names = sorted(atoms(schema.pattern))
-        _guard_instantiation(calculus, len(domain_sorted), len(names), size_cap)
-        for values in itertools.product(domain_sorted, repeat=len(names)):
-            instance = substitute(schema.pattern, dict(zip(names, values)))
-            for mask, cost in _join_all([supports[value] for value in values], depth):
-                add(instance, mask, cost)
-
-    changed = True
-    while changed:
-        changed = False
-        for rule in calculus.rules:
-            known = [(formula, tuple(labels[formula]))
-                     for formula in sorted(labels, key=formula_key)]
-            if isinstance(rule, SchemaRule):
-                if _label_schema_rule(rule, known, depth, add):
-                    changed = True
-            elif _label_substitution_rule(known, depth, domain_sorted, supports, add,
-                                          calculus, size_cap):
-                changed = True
-    return labels
-
-
-def _add_label(antichain: list[Label], mask: int, cost: int) -> bool:
-    """Add a label unless one in the antichain dominates it, and drop those it dominates.
-
-    A label dominates another when its mask is a subset and its cost no higher.
-    """
-    for kept_mask, kept_cost in antichain:
-        if kept_mask & mask == kept_mask and kept_cost <= cost:
-            return False
-    antichain[:] = [(kept_mask, kept_cost) for kept_mask, kept_cost in antichain
-                    if not (mask & kept_mask == mask and cost <= kept_cost)]
-    antichain.append((mask, cost))
-    return True
-
-
-def _join(left: Iterable[Label], right: Iterable[Label], limit: int) -> list[Label]:
-    """The antichain of unions and cost sums of a label from each side, up to ``limit``."""
-    out: list[Label] = []
-    for left_mask, left_cost in left:
-        for right_mask, right_cost in right:
-            if left_cost + right_cost <= limit:
-                _add_label(out, left_mask | right_mask, left_cost + right_cost)
-    return out
-
-
-def _join_all(antichains: Iterable[Iterable[Label]], limit: int) -> list[Label]:
-    joined: list[Label] = [(0, 0)]
-    for antichain in antichains:
-        joined = _join(joined, antichain, limit)
-    return joined
-
-
-def _label_schema_rule(rule, known, depth, add) -> bool:
-    if depth < 1:
-        return False
-    index = _premise_index(known)
-    changed = False
-
-    def extend(premise_index: int, bindings: dict[str, Formula], partial: list[Label]) -> None:
-        nonlocal changed
-        if premise_index == len(rule.premises):
-            conclusion = substitute(rule.conclusion, bindings)
-            for mask, cost in partial:
-                if add(conclusion, mask, cost + 1):
-                    changed = True
-            return
-        pattern = rule.premises[premise_index]
-        for formula, antichain in _candidates(pattern, bindings, known, index):
-            joined = _join(partial, antichain, depth - 1)
-            if not joined:
-                continue
-            extended = match_pattern(pattern, formula, bindings)
-            if extended is None:
-                continue
-            extend(premise_index + 1, extended, joined)
-
-    extend(0, {}, [(0, 0)])
-    return changed
-
-
-def _label_substitution_rule(known, depth, domain_sorted, supports, add, calculus, size_cap) -> bool:
-    changed = False
-    for formula, antichain in known:
-        usable = [(mask, cost) for mask, cost in antichain if cost + 1 <= depth]
-        if not usable:
-            continue
-        names = sorted(atoms(formula))
-        if not names:
-            continue
-        _guard_instantiation(calculus, len(domain_sorted), len(names), size_cap)
-        for values in itertools.product(domain_sorted, repeat=len(names)):
-            result = substitute(formula, dict(zip(names, values)))
-            joined = _join_all([usable] + [supports[value] for value in values], depth - 1)
-            for mask, cost in joined:
-                if add(result, mask, cost + 1):
-                    changed = True
-    return changed
 
 
 # --- presets ---------------------------------------------------------------
