@@ -441,7 +441,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args, extra = build_parser(command).parse_known_args(argv)
+        if extra:
+            # argparse leaves extra tokens to the root parser, but the
+            # command word has been read, so the report names it
+            raise _UsageError(f"vty {args.command}",
+                              f"unrecognized arguments: {' '.join(extra)}")
     except _UsageError as exc:
         # the command word after "vty", if the parser had reached it; the
         # report is JSON, as --format may not have been read yet

@@ -390,11 +390,13 @@ class TestOutputControls:
              "'fixed-output', 'report-matrix')"),
             ([], None, "the following arguments are required: command"),
             (["--format", "text"], None, "the following arguments are required: command"),
-            # extra tokens reach the root parser, which names no command
+            # extra tokens are reported against the command that was read
             (["classify", "--axioms", "p", "--goal", "p", "--bogus"],
-             None, "unrecognized arguments: --bogus"),
+             "classify", "unrecognized arguments: --bogus"),
             (["fixed-output", "brute", "--y", "1", "extra"],
-             None, "unrecognized arguments: extra"),
+             "fixed-output", "unrecognized arguments: extra"),
+            (["--bogus", "classify", "--axioms", "p", "--goal", "p"],
+             "classify", "unrecognized arguments: --bogus"),
             (["classify", "--axioms", "(p", "--goal", "p"],
              "classify", "argument --axioms: col 1: unknown connective 'p'"),
             # global options before the command word; the report is JSON anyway
