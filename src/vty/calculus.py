@@ -352,7 +352,8 @@ def closure(
     Deterministic: the result is sorted by formula text and ties in
     derivation choice are broken by the same ordering.
     """
-    depth = calculus.closure_depth if depth is None else depth
+    if depth is None:
+        depth = calculus.closure_depth
     labels, derivations, domain_size = _fixpoint(calculus, (), depth, goals, size_cap)
     entries = tuple(ClosureEntry(formula, labels[formula][0][1], derivations)
                     for formula in sorted(labels, key=formula_key))
@@ -399,7 +400,8 @@ def labelled_closure(
     count, an instantiation guard or the total label count over the whole
     of ``axioms`` passes ``size_cap``.
     """
-    depth = calculus.closure_depth if depth is None else depth
+    if depth is None:
+        depth = calculus.closure_depth
     return _fixpoint(calculus, axioms, depth, goals, size_cap)[0]
 
 
@@ -440,20 +442,34 @@ def _fixpoint(
             raise DepthExplosionError(calculus.calculus_id, size_cap, f"{total} support labels")
         return True
 
+    def instantiate(pattern: Formula, start: list[Label], limit: int, step: int,
+                    kind: str, ref: str, premises: tuple[Formula, ...] = ()) -> bool:
+        """Add every instance of ``pattern`` over the domain, labelled ``start``
+        joined with the supports its values need, with ``step`` added to the cost."""
+        names = sorted(atoms(pattern))
+        _guard_instantiation(calculus, len(domain_sorted), len(names), size_cap)
+        changed = False
+        for values in itertools.product(domain_sorted, repeat=len(names)):
+            mapping = dict(zip(names, values))
+            instance = substitute(pattern, mapping)
+            derivation = _Derivation(kind, ref, _freeze_substitution(mapping), premises)
+            joined = start
+            if supports:
+                for value in values:
+                    if value in supports:
+                        joined = _join(joined, supports[value], limit)
+            for mask, cost in joined:
+                if add(instance, mask, cost + step, derivation):
+                    changed = True
+        return changed
+
     axiom = _Derivation("axiom")
     for formula in sorted(calculus.axioms, key=formula_key):
         add(formula, 0, 0, axiom)
     for bit, formula in enumerate(axioms):
         add(formula, 1 << bit, 0, axiom)
     for schema in calculus.schemas:
-        names = sorted(atoms(schema.pattern))
-        _guard_instantiation(calculus, len(domain_sorted), len(names), size_cap)
-        for values in itertools.product(domain_sorted, repeat=len(names)):
-            mapping = dict(zip(names, values))
-            instance = substitute(schema.pattern, mapping)
-            derivation = _Derivation("schema", schema.schema_id, _freeze_substitution(mapping))
-            for mask, cost in _join_values([(0, 0)], values, supports, depth):
-                add(instance, mask, cost, derivation)
+        instantiate(schema.pattern, [(0, 0)], depth, 0, "schema", schema.schema_id)
 
     # every rule application costs one, so at depth 0 no round can admit anything
     changed = depth > 0
@@ -464,16 +480,23 @@ def _fixpoint(
             if isinstance(rule, SchemaRule):
                 if _label_schema_rule(rule, known, depth, add):
                     changed = True
-            elif _label_substitution_rule(rule, known, depth, domain_sorted, supports, add,
-                                          calculus, size_cap):
-                changed = True
+                continue
+            # the substitution rule: from a theorem, any instance of it
+            for formula, antichain in known:
+                usable = [label for label in antichain if label[1] < depth]
+                if usable and atoms(formula) and instantiate(
+                        formula, usable, depth - 1, 1, "rule", rule.name, (formula,)):
+                    changed = True
     return labels, derivations, len(domain_sorted)
 
 
 def _guard_instantiation(calculus: Calculus, domain_size: int, var_count: int, size_cap: int) -> None:
     if var_count and domain_size**var_count > size_cap:
-        raise DepthExplosionError(calculus.calculus_id, size_cap,
-                                  f"{domain_size}^{var_count} instantiation candidates")
+        raise DepthExplosionError(
+            calculus.calculus_id,
+            size_cap,
+            f"{domain_size}^{var_count} instantiation candidates",
+        )
 
 
 def _add_label(antichain: Sequence[Label], mask: int, cost: int) -> list[Label] | None:
@@ -506,17 +529,6 @@ def _join(left: Sequence[Label], right: Sequence[Label], limit: int) -> list[Lab
             if left_cost + right_cost <= limit:
                 out = _add_label(out, left_mask | right_mask, left_cost + right_cost) or out
     return out
-
-
-def _join_values(joined: list[Label], values: Iterable[Formula],
-                 supports: Mapping[Formula, list[Label]], limit: int) -> list[Label]:
-    """``joined`` joined with the supports of those values outside the base domain."""
-    if supports:
-        for value in values:
-            needed = supports.get(value)
-            if needed is not None:
-                joined = _join(joined, needed, limit)
-    return joined
 
 
 def _premise_index(known: list[tuple[Formula, list[Label]]]) -> dict[object, list]:
@@ -560,8 +572,9 @@ def _label_schema_rule(rule, known, depth, add) -> bool:
     index = _premise_index(known)
     changed = False
 
-    # ``floor`` is the least cost of the premises used, so a premise tuple
-    # is pruned exactly when the join of its labels is empty
+    # ``floor`` sums the least costs of the premises used, which is the least
+    # cost in the join of their labels, so a premise tuple is pruned exactly
+    # when that join would be empty
     def extend(premise_index: int, bindings: dict[str, Formula], used: tuple[Formula, ...],
                antichains: tuple[list[Label], ...], floor: int) -> None:
         nonlocal changed
@@ -586,27 +599,6 @@ def _label_schema_rule(rule, known, depth, add) -> bool:
             extend(premise_index + 1, extended, used + (formula,), antichains + (antichain,), least)
 
     extend(0, {}, (), (), 0)
-    return changed
-
-
-def _label_substitution_rule(rule, known, depth, domain_sorted, supports, add,
-                             calculus, size_cap) -> bool:
-    changed = False
-    for formula, antichain in known:
-        usable = [(mask, cost) for mask, cost in antichain if cost < depth]
-        if not usable:
-            continue
-        names = sorted(atoms(formula))
-        if not names:
-            continue
-        _guard_instantiation(calculus, len(domain_sorted), len(names), size_cap)
-        for values in itertools.product(domain_sorted, repeat=len(names)):
-            mapping = dict(zip(names, values))
-            result = substitute(formula, mapping)
-            derivation = _Derivation("rule", rule.name, _freeze_substitution(mapping), (formula,))
-            for mask, cost in _join_values(usable, values, supports, depth - 1):
-                if add(result, mask, cost + 1, derivation):
-                    changed = True
     return changed
 
 
