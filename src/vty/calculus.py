@@ -507,11 +507,13 @@ def _add_label(antichain: Sequence[Label], mask: int, cost: int) -> list[Label] 
     higher. Antichains are kept cheapest first, and never changed in
     place, so a snapshot of them holds.
     """
-    for kept_mask, kept_cost in antichain:
+    grown = []
+    for kept in antichain:
+        kept_mask, kept_cost = kept
         if kept_mask & mask == kept_mask and kept_cost <= cost:
             return None
-    grown = [(kept_mask, kept_cost) for kept_mask, kept_cost in antichain
-             if not (mask & kept_mask == mask and cost <= kept_cost)]
+        if not (mask & kept_mask == mask and cost <= kept_cost):
+            grown.append(kept)
     grown.append((mask, cost))
     grown.sort(key=_label_cost)
     return grown

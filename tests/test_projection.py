@@ -463,12 +463,8 @@ class TestLabelContract:
     axioms, the labels with a mask inside S give the costs of closing the
     calculus extended with S."""
 
-    @pytest.mark.parametrize("base", sorted(SEARCH_BASES))
-    @given(axioms=st.lists(small_formulas(), max_size=4, unique=True), goal=small_formulas(),
-           depth=st.integers(0, 3))
-    @settings(max_examples=40, deadline=None)
-    def test_labels_give_every_subset_closure(self, base, axioms, goal, depth):
-        base_calc = vty.projection._resolve_base(SEARCH_BASES[base])
+    @staticmethod
+    def check(base_calc, axioms, goal, depth):
         try:
             labels = labelled_closure(base_calc, axioms, depth, goals=(goal,), size_cap=300)
         except DepthExplosionError:
@@ -482,6 +478,19 @@ class TestLabelContract:
                 if costs:
                     expected[formula] = min(costs)
             assert {entry.formula: entry.cost for entry in result.entries} == expected
+
+    @pytest.mark.parametrize("base", sorted(SEARCH_BASES))
+    @given(axioms=st.lists(small_formulas(), max_size=4, unique=True), goal=small_formulas(),
+           depth=st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_labels_give_every_subset_closure(self, base, axioms, goal, depth):
+        self.check(vty.projection._resolve_base(SEARCH_BASES[base]), axioms, goal, depth)
+
+    def test_a_cheaper_label_found_later_still_prunes(self):
+        # (-> (-> (-> r q) r) (-> (-> r q) q)) needs q at cost 3, by modus
+        # ponens from (-> (-> r q) (-> r q)), whose label (q, cost 2) is found
+        # after its label (p, cost 3); pruning on the first label found loses it
+        self.check(base_calculus("hilbert"), [pf("p"), pf("q")], pf("(-> r q)"), 3)
 
 
 class TestSeedRegistry:
