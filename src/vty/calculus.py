@@ -436,9 +436,9 @@ def _fixpoint(
         total += len(grown) - len(antichain)
         if not mask:
             derivations[formula] = derivation
-        if len(labels) > size_cap:
-            raise DepthExplosionError(calculus.calculus_id, size_cap)
-        if total > size_cap:
+        if total > size_cap:  # every formula has a label, so this covers both caps
+            if len(labels) > size_cap:
+                raise DepthExplosionError(calculus.calculus_id, size_cap)
             raise DepthExplosionError(calculus.calculus_id, size_cap, f"{total} support labels")
         return True
 
@@ -507,6 +507,8 @@ def _add_label(antichain: Sequence[Label], mask: int, cost: int) -> list[Label] 
     higher. Antichains are kept cheapest first, and never changed in
     place, so a snapshot of them holds.
     """
+    if not antichain:
+        return [(mask, cost)]
     grown = []
     for kept in antichain:
         kept_mask, kept_cost = kept
@@ -583,11 +585,11 @@ def _label_schema_rule(rule, known, depth, add) -> bool:
         if premise_index == len(rule.premises):
             conclusion = substitute(rule.conclusion, bindings)
             derivation = _Derivation("rule", rule.name, _freeze_substitution(bindings), used)
-            joined = [(0, 0)]
-            for antichain in antichains:
+            joined = antichains[0]
+            for antichain in antichains[1:]:
                 joined = _join(joined, antichain, depth - 1)
             for mask, cost in joined:
-                if add(conclusion, mask, cost + 1, derivation):
+                if cost < depth and add(conclusion, mask, cost + 1, derivation):
                     changed = True
             return
         pattern = rule.premises[premise_index]
