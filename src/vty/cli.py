@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 from typing import Callable, NamedTuple, Sequence
 
 from .calculus import (
@@ -33,7 +32,7 @@ from .machines import (
     format_machine,
     parse_machine,
 )
-from .manifest import BOUND_NAMES, Bounds, Manifest, load_manifest, parse_manifest
+from .manifest import BOUND_NAMES, Bounds, Manifest, load_manifest
 from .projection import (
     MatrixReport,
     classify_relation,
@@ -41,6 +40,7 @@ from .projection import (
     project,
     registry_report,
 )
+from .seed import SEED_MANIFEST_LABEL, seed_manifest as _seed_manifest
 from .varieties import (
     check_bijective_variety,
     check_prevariety,
@@ -48,12 +48,7 @@ from .varieties import (
     consistency_report,
 )
 
-SEED_MANIFEST_LABEL = "seed_registry.vty"
-
-
-def _seed_manifest() -> Manifest:
-    text = resources.files("vty").joinpath("data/seed_registry.vty").read_text("utf-8")
-    return parse_manifest(text, source=SEED_MANIFEST_LABEL)
+_RECURSION_MESSAGE = "formula nesting exceeds the interpreter's recursion limit"
 
 
 def _parse_bounds_override(text: str) -> dict[str, int]:
@@ -455,7 +450,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                "errors": [str(exc)]}, "json")
         return 2
     fmt = getattr(args, "format", None) or os.environ.get("VTY_FORMAT", "json")
-    overrides = dict(getattr(args, "bounds", None) or {})
     manifest_path = getattr(args, "manifest", None)
     report: dict = {
         "command": args.command,
@@ -464,30 +458,31 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         manifest = load_manifest(manifest_path) if manifest_path else _seed_manifest()
-    except (OSError, ManifestError) as exc:
+        # ValueError: a path with a NUL byte, or a --bounds override of 0
+        bounds = Bounds(**{**manifest.bounds.to_dict(), **getattr(args, "bounds", {})})
+    except (OSError, ManifestError, ValueError) as exc:
         report["errors"] = [str(exc)]
         _emit(report, fmt)
         return 2
-    bounds = Bounds(**{**manifest.bounds.to_dict(), **overrides})
     report["bounds"] = bounds.to_dict()
     try:
         result, code = _COMMANDS[args.command].run(args, manifest, bounds)
     except ManifestError as exc:
-        report["errors"] = [str(exc)]
-        _emit(report, fmt)
-        return 2
+        report["errors"], code = [str(exc)], 2
     except (OSError, VtyError, ValueError) as exc:
         # ValueError covers argument values the parser cannot see through,
         # like a non-increasing fuel schedule or an empty world
-        report["errors"] = [str(exc)]
-        _emit(report, fmt)
-        return 1
-    if isinstance(result, MatrixReport):
-        if fmt == "text":
-            print(result.to_text())
-            return code
-        result = result.to_dict()
-    report["result"] = result
+        report["errors"], code = [str(exc)], 1
+    except RecursionError:
+        # a formula nested past the limit, as a long closure can derive one
+        report["errors"], code = [_RECURSION_MESSAGE], 1
+    else:
+        if isinstance(result, MatrixReport):
+            if fmt == "text":
+                print(result.to_text())
+                return code
+            result = result.to_dict()
+        report["result"] = result
     _emit(report, fmt)
     return code
 

@@ -902,8 +902,17 @@ def parse_manifest(text: str, source: str = "<manifest>") -> Manifest:
 
 
 def load_manifest(path: str | Path) -> Manifest:
-    path = Path(path)
-    return parse_manifest(path.read_text(encoding="utf-8"), source=str(path))
+    # bytes, not text mode: `str.splitlines` in the parser reads \r\n and \r
+    # as line breaks already, and a bad byte gets its line and column
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; a stand-in marks its place
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ManifestError(f"not UTF-8 text at byte 0x{data[exc.start]:02x} ({exc.reason})",
+                            str(path), len(lines), len(lines[-1]) - 1) from None
+    return parse_manifest(text, source=str(path))
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:

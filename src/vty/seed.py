@@ -1,190 +1,36 @@
 """Curated starting registry: ten algorithm classes, four axioms, two theorems.
 
-The statuses are registry data, editable by a curator, not derivations.
-Citations point at the standard literature; the register machine and
-finite automaton rows carry executable evidence instead, wired to the
-named witnesses in this package.
+The registry is data: the packaged manifest ``data/seed_registry.vty``,
+read here and nowhere else. Its statuses are editable by a curator, not
+derivations. Citations point at the standard literature; the register
+machine and finite automaton rows carry executable evidence instead,
+wired to the named witnesses in this package. Every call parses the file
+afresh, so no two calls share an object (a profile's statuses are a dict).
 """
 
 from __future__ import annotations
 
-from .projection import (
-    AxiomDeclaration,
-    AxiomStatus,
-    CITATION,
-    ClassProfile,
-    EXEC_EXHAUSTIVE,
-    EXEC_POSITIVE,
-    Evidence,
-    SATISFIED,
-    TheoremRecord,
-    VIOLATED,
-)
+from importlib import resources
 
-UNIVERSALITY = "UNIVERSALITY"
-TOTALITY = "TOTALITY"
-COMPOSITION = "COMPOSITION"
-DECIDABLE_HALTING = "DECIDABLE_HALTING"
+from .manifest import Manifest, parse_manifest
+from .projection import AxiomDeclaration, ClassProfile, TheoremRecord
+
+SEED_MANIFEST_LABEL = "seed_registry.vty"
 
 
-def seed_axiom_declarations() -> dict[str, AxiomDeclaration]:
-    declarations = (
-        AxiomDeclaration(
-            UNIVERSALITY,
-            "the class contains a universal member able to simulate every member",
-        ),
-        AxiomDeclaration(TOTALITY, "every member halts on every input"),
-        AxiomDeclaration(
-            COMPOSITION, "the class is closed under sequential composition"
-        ),
-        AxiomDeclaration(
-            DECIDABLE_HALTING,
-            "whether a member halts on an input is algorithmically decidable",
-        ),
-    )
-    return {d.axiom_id: d for d in declarations}
-
-
-def _cite(text: str) -> AxiomStatus:
-    return AxiomStatus(SATISFIED, Evidence(CITATION, citation=text))
-
-
-def _cite_violated(text: str) -> AxiomStatus:
-    return AxiomStatus(VIOLATED, Evidence(CITATION, citation=text))
+def seed_manifest() -> Manifest:
+    text = resources.files("vty").joinpath("data/seed_registry.vty").read_text("utf-8")
+    return parse_manifest(text, source=SEED_MANIFEST_LABEL)
 
 
 def seed_registry() -> tuple[ClassProfile, ...]:
-    """The ten classes in fixed declaration order.
-
-    Absent statuses mean UNKNOWN. Only the register machine and finite
-    automaton rows are backed by runnable evidence; see the witness
-    registry for what each witness id checks.
-    """
-    return (
-        ClassProfile("T", "Turing machines", {
-            UNIVERSALITY: _cite("universal Turing machine (Turing 1936)"),
-            COMPOSITION: _cite("machines compose by running one after the other"),
-            TOTALITY: _cite_violated("a machine can loop forever on some input"),
-            DECIDABLE_HALTING: _cite_violated(
-                "undecidability of the halting problem (Turing 1936)"
-            ),
-        }),
-        ClassProfile("TT", "Total Turing machines", {
-            UNIVERSALITY: _cite_violated(
-                "diagonalization: a total universal machine for the total "
-                "class would contradict itself"
-            ),
-            COMPOSITION: _cite("a composition of total machines is total"),
-            TOTALITY: _cite("total by definition of the class"),
-            DECIDABLE_HALTING: _cite(
-                "every run halts, so the halting relation is trivially decidable"
-            ),
-        }),
-        ClassProfile("RAM", "Random access machines", {
-            UNIVERSALITY: _cite(
-                "universal program for random access machines (Cook and Reckhow 1973)"
-            ),
-            COMPOSITION: _cite("program concatenation with register renumbering"),
-            TOTALITY: _cite_violated("unbounded loops may diverge"),
-            DECIDABLE_HALTING: _cite_violated(
-                "simulates Turing machines, inheriting undecidable halting"
-            ),
-        }),
-        ClassProfile("KA", "Kolmogorov algorithms", {
-            UNIVERSALITY: _cite(
-                "a universal machine exists (Kolmogorov and Uspensky 1958)"
-            ),
-            COMPOSITION: _cite("sequential composition of graph rewriting runs"),
-            TOTALITY: _cite_violated(
-                "rewriting may never reach a terminal configuration"
-            ),
-            DECIDABLE_HALTING: _cite_violated(
-                "equivalent in power to Turing machines"
-            ),
-        }),
-        ClassProfile("RM", "Register machines", {
-            UNIVERSALITY: AxiomStatus(SATISFIED, Evidence(
-                EXEC_POSITIVE,
-                witness_id="rm_universal_differential",
-                suite_size=100,
-            )),
-            COMPOSITION: _cite(
-                "programs chain by retargeting halt addresses (Minsky 1967)"
-            ),
-            TOTALITY: AxiomStatus(VIOLATED, Evidence(
-                EXEC_POSITIVE,
-                witness_id="rm_self_loop_diverges",
-                suite_size=3,
-            )),
-            DECIDABLE_HALTING: _cite_violated(
-                "two-counter machines simulate Turing machines (Minsky 1967)"
-            ),
-        }),
-        ClassProfile("PRF", "Partial recursive functions", {
-            UNIVERSALITY: _cite(
-                "Kleene's universal function and normal form (Kleene 1936)"
-            ),
-            COMPOSITION: _cite("closure under composition is part of the definition"),
-            TOTALITY: _cite_violated(
-                "minimization introduces genuinely partial functions"
-            ),
-            DECIDABLE_HALTING: _cite_violated(
-                "the domain of the universal function is undecidable"
-            ),
-        }),
-        ClassProfile("ITM1", "Inductive Turing machines of the first order", {
-            UNIVERSALITY: _cite(
-                "the first-order inductive hierarchy admits universal members"
-            ),
-            COMPOSITION: _cite("the output tape feeds the next machine's input tape"),
-            TOTALITY: _cite_violated(
-                "results may stabilize without the machine halting"
-            ),
-        }),
-        ClassProfile("PETM", "Periodic evolutionary Turing machines", {
-            UNIVERSALITY: _cite("the evolutionary hierarchy admits universal members"),
-            COMPOSITION: _cite("evolution sequences concatenate componentwise"),
-            TOTALITY: _cite_violated("generations may continue without stabilizing"),
-        }),
-        ClassProfile("LPRF", "Limiting partial recursive functions", {
-            UNIVERSALITY: _cite(
-                "a universal limiting partial recursive function exists (Gold 1965)"
-            ),
-            COMPOSITION: _cite("limits compose when the inner limit stabilizes"),
-            TOTALITY: _cite_violated("the limit may fail to exist"),
-        }),
-        ClassProfile("FA", "Finite automata", {
-            UNIVERSALITY: _cite_violated(
-                "no finite automaton simulates every finite automaton "
-                "(pumping argument)"
-            ),
-            TOTALITY: AxiomStatus(SATISFIED, Evidence(
-                EXEC_EXHAUSTIVE,
-                witness_id="dfa_totality_exhaustive",
-                domain="all DFAs with at most 2 states over {a} on words "
-                       "of length at most 4",
-            )),
-            DECIDABLE_HALTING: _cite(
-                "a run always ends after exactly the word length in steps"
-            ),
-        }),
-    )
+    """The ten classes in declaration order; an absent status means UNKNOWN."""
+    return seed_manifest().registry()[0]
 
 
 def seed_theorems() -> tuple[TheoremRecord, ...]:
-    return (
-        TheoremRecord(
-            "fixed_output_undecidable",
-            "no member of the class decides whether a given member produces "
-            "a given output on some input",
-            frozenset({UNIVERSALITY}),
-            "classical recursion theory",
-        ),
-        TheoremRecord(
-            "fixed_output_recognizable",
-            "a member of the class recognizes the pairs (member, output) "
-            "for which some input yields that output",
-            frozenset({UNIVERSALITY, COMPOSITION}),
-            "classical recursion theory",
-        ),
-    )
+    return seed_manifest().registry()[1]
+
+
+def seed_axiom_declarations() -> dict[str, AxiomDeclaration]:
+    return seed_manifest().registry()[2]

@@ -105,3 +105,12 @@ def test_subsets_classify_closes_and_proves_once(monkeypatch, capsys):
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["reducible_to"] == ["(-> a b)", "(-> b c)", "a"]
     assert sorted(calls) == ["closure", "proves"]
+
+
+def test_benchmark_unit_suite_passes():
+    # the harness's own tests drive vty through the names above; they write
+    # only under the git-ignored vtybench/work/
+    proc = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "vtybench/tests"],
+        capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -7,12 +8,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vty.cli
 from vty.cli import build_parser, main
 from vty.formulas import MAX_NESTING
 from vty.machines import encode_machine, parse_machine
-from vty.manifest import Bounds
+from vty.manifest import BOUND_NAMES, Bounds
 
 from test_acceptance import CLI_COMMANDS
 
@@ -83,12 +85,37 @@ class TestExitCodes:
         assert code == 2
         assert report["errors"]
 
+    def test_manifest_path_with_a_nul_byte(self, capsys):
+        code, report = run_json(capsys, "report-matrix", "seed\0.vty")
+        assert (code, report["errors"]) == (2, ["embedded null byte"])
+
     def test_malformed_manifest_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.vty"
         bad.write_text("widget w\n")
         code, report = run_json(capsys, "check-prevariety", str(bad))
         assert code == 2
         assert "unknown directive" in report["errors"][0]
+
+    def test_manifest_that_is_not_utf8_names_the_bad_byte(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.vty"
+        bad.write_bytes("signature p\r\nbounds depth=1 # café ".encode() + b"\xff\n")
+        code, report = run_json(capsys, "report-matrix", str(bad))
+        assert code == 2
+        col = len("bounds depth=1 # café ") + 1
+        assert report["errors"] == [
+            f"{bad}:2:{col}: not UTF-8 text at byte 0xff (invalid start byte)"
+        ]
+
+    @pytest.mark.parametrize("bound", ["atoms", "enum", "size"])
+    def test_zero_bound_override_is_refused_like_a_manifest_bound(self, capsys, bound):
+        code, report = run_json(capsys, "classify", "--axioms", "p", "--goal", "p",
+                                "--bounds", f"depth=1,{bound}=0")
+        assert code == 2
+        assert report == {
+            "command": "classify",
+            "manifest": "seed_registry.vty",
+            "errors": ["atoms, enum and size bounds must be positive"],
+        }
 
     def test_unknown_theorem_id(self, capsys):
         code, report = run_json(capsys, "project", "--theorem", "nope")
@@ -541,6 +568,79 @@ class TestNestingLimit:
         assert report["errors"] == [
             f"{path}:10:{col}: formula nests deeper than {MAX_NESTING} parentheses"
         ]
+
+    def test_derivation_past_the_recursion_limit_is_an_operational_error(
+            self, capsys, tmp_path):
+        # each round wraps the last formula in one more `not`, and formatting
+        # a formula recurses once per level; at the default recursion limit
+        # depth 1200 trips it, and a lowered limit trips it at a cheaper depth
+        path = tmp_path / "negations.vty"
+        path.write_text("rule neg {\n  premise a\n  conclude (not a)\n}\n\n"
+                        "calculus L {\n  axiom p\n  use neg\n}\n")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 200)
+        try:
+            code = main(["closure", str(path), "--depth", "400"])
+        finally:
+            sys.setrecursionlimit(limit)
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["errors"] == [
+            "formula nesting exceeds the interpreter's recursion limit"
+        ]
+        assert "result" not in report
+
+
+# entries of the form key=value, and free text
+BOUNDS_TEXT = st.one_of(
+    st.lists(st.builds("{}{}{}".format, st.sampled_from((*BOUND_NAMES, "frob", "")),
+                       st.sampled_from(("=", "", " = ")),
+                       st.one_of(st.integers(0, 12).map(str), st.text(max_size=3))),
+             max_size=4).map(",".join),
+    st.text(max_size=20),
+)
+
+# manifest fragments, so that fuzzed files reach past the first line
+MANIFEST_PIECES = (
+    b"signature ", b"bounds ", b"depth=", b"size=", b"rule ", b"calculus ", b"axiom ",
+    b"use ", b"premise ", b"conclude ", b"axiom-decl ", b"class ", b"status ",
+    b"theorem-rec ", b"statement ", b"depends ", b"satisfied ", b"citation ",
+    b"AX ", b"p ", b"a ", b"0", b"1", b"(-> a p) ", b"(not ", b"(", b")", b"{", b"}",
+    b'"', b"#", b"\n", b"\r\n", b"\r", b"  ", b"\xff", b"\xc3\xa9", b"\xe2\x82",
+)
+
+MANIFEST_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.sampled_from(MANIFEST_PIECES), max_size=30).map(b"".join),
+)
+
+
+class TestFuzzedInput:
+    # every call prints one JSON report and exits 0, 1 or 2; it exits 0
+    # exactly when the report lists no error
+    def check(self, capsys, argv: list[str]) -> None:
+        code = main(argv)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert captured.err == ""
+        assert code in (0, 1, 2)
+        assert (code == 0) == (report["errors"] == [])
+
+    @given(text=BOUNDS_TEXT)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bounds_override_text(self, capsys, text):
+        self.check(capsys, ["classify", "--axioms", "p", "(-> p q)", "--goal", "q",
+                            "--depth", "1", "--bounds", text])
+
+    @given(data=MANIFEST_BYTES, command=st.sampled_from(
+        (["report-matrix"], ["closure", "--depth", "1"])))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_manifest_bytes(self, capsys, tmp_path, data, command):
+        path = tmp_path / "fuzzed.vty"
+        path.write_bytes(data)
+        self.check(capsys, [*command, str(path)])
 
 
 PARTIAL_AXIOM_MAP = """\

@@ -622,9 +622,31 @@ class TestSeedRegistryManifest:
         packaged = (data_dir / "seed_registry.vty").read_text()
         assert generated.to_text() == packaged
 
-    def test_registry_resolution_equals_seed_objects(self, data_dir):
-        manifest = load_manifest(data_dir / "seed_registry.vty")
-        profiles, theorems, declarations = manifest.registry()
-        assert list(profiles) == list(seed_registry())
-        assert list(theorems) == list(seed_theorems())
-        assert dict(declarations) == dict(seed_axiom_declarations())
+    def test_each_call_builds_fresh_objects(self):
+        # a ClassProfile's statuses are a mutable dict, so no call may hand
+        # out what an earlier call returned
+        first, second = seed_registry(), seed_registry()
+        assert first == second
+        assert all(a.statuses is not b.statuses for a, b in zip(first, second))
+        assert seed_axiom_declarations() is not seed_axiom_declarations()
+
+
+class TestLoadManifest:
+    def test_any_line_break_reads_as_in_text_mode(self, tmp_path):
+        text = "signature p q\nbounds depth=1\n\n# note\nrule sub substitution\n"
+        for newline in ("\r\n", "\r"):
+            path = tmp_path / "breaks.vty"
+            path.write_bytes(text.replace("\n", newline).encode())
+            assert load_manifest(path) == parse_manifest(text)
+
+    @pytest.mark.parametrize("data, where, what", [
+        (b"\xff", "1:1", "0xff (invalid start byte)"),
+        (b"signature p\n\n  \xc3\xa9\xe2\x82 q\n", "3:4", "0xe2 (invalid continuation byte)"),
+        (b"signature p\r\xc3", "2:1", "0xc3 (unexpected end of data)"),
+    ])
+    def test_bytes_that_are_not_utf8_name_their_place(self, tmp_path, data, where, what):
+        path = tmp_path / "bad.vty"
+        path.write_bytes(data)
+        with pytest.raises(ManifestError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}:{where}: not UTF-8 text at byte {what}"
