@@ -30,6 +30,18 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+KNOWLEDGE_FIVE = Path(__file__).parent / "data" / "knowledge_five.vty"
+
+# every command that reads a prevariety, with the manifest path left out
+KNOWLEDGE_FIVE_COMMANDS = (
+    ("check-prevariety",),
+    ("check-variety", "--depth", "5"),
+    ("check-variety", "--depth", "5", "--bijective", "--mode", "prevariety"),
+    ("check-variety", "--depth", "5", "--bijective", "--mode", "variety"),
+    ("consistency",),
+)
+
+
 def normalized(report):
     report = dict(report)
     report["manifest"] = Path(report["manifest"]).name
@@ -190,6 +202,40 @@ class TestReports:
             capsys, "check-variety", manifest, "--bijective", "--mode", "variety"
         )
         golden("check_bijective_variety", normalized(strict))
+
+    def test_five_component_reports(self, capsys, golden):
+        reports = {}
+        for argv in KNOWLEDGE_FIVE_COMMANDS:
+            code, out = run_cli(capsys, argv[0], str(KNOWLEDGE_FIVE), *argv[1:])
+            report = json.loads(out)
+            assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+            reports[" ".join(argv)] = {"exit": code, "report": normalized(report)}
+        golden("knowledge_five_reports", reports)
+
+    @pytest.mark.parametrize("size, argv, calculus", [
+        (3, KNOWLEDGE_FIVE_COMMANDS[0], "L1"),
+        (3, KNOWLEDGE_FIVE_COMMANDS[1], "L1"),
+        (3, KNOWLEDGE_FIVE_COMMANDS[2], "L1"),
+        (3, KNOWLEDGE_FIVE_COMMANDS[4], "L4"),
+        (4, KNOWLEDGE_FIVE_COMMANDS[0], "L4"),
+        (4, KNOWLEDGE_FIVE_COMMANDS[3], "L4"),
+        (4, KNOWLEDGE_FIVE_COMMANDS[4], None),
+    ])
+    def test_size_override_trips_a_check_after_assembly(self, capsys, size, argv, calculus):
+        # assembly closes each calculus under the manifest's size cap of
+        # 100000; the checks close them again under the override. At size 3,
+        # L1's theorem set (4 formulas) trips the checks before L4's axiom
+        # set (4 formulas) does, and consistency reads axiom sets only.
+        code, report = run_json(capsys, argv[0], str(KNOWLEDGE_FIVE), *argv[1:],
+                                "--bounds", f"size={size}")
+        if calculus is None:
+            assert (code, report["errors"]) == (0, [])
+            return
+        assert code == 1
+        assert report["errors"] == [
+            f"closure of calculus '{calculus}' exceeds the size cap of {size}"
+        ]
+        assert "result" not in report
 
     def test_projection_report(self, capsys, golden):
         code, report = run_json(

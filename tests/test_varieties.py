@@ -278,6 +278,23 @@ class TestVarietyWitnesses:
         assert record.witness_id == "self:C1"
         assert record.axiom_projection_surjective is True
 
+    def test_quasi_self_witness_reports_the_unproved_theorem(self):
+        # quasi mode lets the prevariety pass with r unprovable, but the
+        # implicit self witness still needs its theorem subset proved
+        pv = assemble_prevariety([mp_component("C1", ["p"], ["p", "r"])], quasi=True)
+        assert check_prevariety(pv).passed
+        report = check_variety(pv, 1)
+        assert report.verdict == "FAIL"
+        [d] = report.diagnostics
+        assert (d.code, d.component_id, d.subject, d.message) == (
+            "WITNESS_THEOREM_UNPROVED", "self:C1", "r",
+            "not provable in the covering calculus within depth 2",
+        )
+        [record] = report.tuples
+        assert (record.status, record.witness_id) == ("invalid", "self:C1")
+        assert record.axiom_projection_surjective is True
+        assert record.theorem_projection_surjective is True
+
     def test_shared_core_needs_a_witness(self):
         pv = assemble_prevariety(shared_core_components())
         report = check_variety(pv, 2)
