@@ -9,12 +9,18 @@ materialized sets and report every mismatch element by element.
 Theorem sets are always bounded closures, so every equality that
 mentions them is verified up to the component's depth and reported as
 such.
+
+Each component materializes its sets and runs its two maps over them
+once per size cap, and assembly and every check read that one record.
+A width-1 tuple with no witness is checked against the component
+itself, from the same record, in quasi mode too.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .calculus import (
@@ -82,12 +88,6 @@ class FormulaMap:
             return False
         return self.table is None or formula in self._lookup
 
-    def apply(self, formula: Formula, context: str = "") -> Formula:
-        images, missed = self.over((formula,))
-        if missed:
-            raise MapUndefinedError(self.map_id, formula_key(formula), context)
-        return images[formula]
-
     def over(self, formulas: Iterable[Formula]) -> tuple[dict[Formula, Formula], tuple[Formula, ...]]:
         """Images keyed by source, and the sources the map misses, both in formula_key order."""
         images: dict[Formula, Formula] = {}
@@ -101,17 +101,6 @@ class FormulaMap:
                 images[formula] = rename_atoms(formula, self._lookup)
         return images, tuple(missed)
 
-    def image(self, formulas: Iterable[Formula]) -> frozenset[Formula]:
-        """Image over the defined part of the input set."""
-        return frozenset(self.over(formulas)[0].values())
-
-    def image_total(self, formulas: Iterable[Formula], context: str = "") -> frozenset[Formula]:
-        """Image requiring every input to be in the domain; names the first miss."""
-        images, missed = self.over(formulas)
-        if missed:
-            raise MapUndefinedError(self.map_id, formula_key(missed[0]), context)
-        return frozenset(images.values())
-
 
 @dataclass(frozen=True)
 class Component:
@@ -120,6 +109,42 @@ class Component:
     axiom_map: FormulaMap
     theorem_map: FormulaMap
     designated_theorems: frozenset[Formula]
+    # _Mapped records by size cap, built on first use
+    _mapped: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+class _Mapped:
+    """A calculus's sets and two maps run over them, at one size cap.
+
+    The axiom set and both passes are made at once; the bounded theorem
+    set on first read, so that a command which never reads it cannot
+    trip the size cap on it.
+    """
+
+    def __init__(
+        self, calculus: Calculus, axiom_map: FormulaMap, theorem_map: FormulaMap,
+        designated: frozenset[Formula], size_cap: int,
+    ) -> None:
+        self.calculus = calculus
+        self.designated = designated
+        self.size_cap = size_cap
+        self.axioms = theorem_formulas(calculus, 0, size_cap)
+        self.axiom_images, self.axiom_misses = axiom_map.over(self.axioms)
+        self.designated_images, self.designated_misses = theorem_map.over(designated)
+
+    @cached_property
+    def theorems(self) -> frozenset[Formula]:
+        return theorem_formulas(self.calculus, self.calculus.closure_depth, self.size_cap)
+
+
+def _mapped(component: Component, size_cap: int) -> _Mapped:
+    record = component._mapped.get(size_cap)
+    if record is None:
+        record = component._mapped[size_cap] = _Mapped(
+            component.calculus, component.axiom_map, component.theorem_map,
+            component.designated_theorems, size_cap,
+        )
+    return record
 
 
 @dataclass(frozen=True)
@@ -157,16 +182,6 @@ class VarietyWitness:
             raise ValueError("witness indices must be strictly increasing")
 
 
-def component_axiom_set(component: Component, *, size_cap: int = DEFAULT_SIZE_CAP) -> frozenset[Formula]:
-    """Instance axioms plus schema instances over the restricted domain."""
-    return theorem_formulas(component.calculus, 0, size_cap)
-
-
-def component_theorem_set(component: Component, *, size_cap: int = DEFAULT_SIZE_CAP) -> frozenset[Formula]:
-    """Bounded theorem set at the component's own closure depth."""
-    return theorem_formulas(component.calculus, component.calculus.closure_depth, size_cap)
-
-
 def assemble_prevariety(
     components: Sequence[Component],
     *,
@@ -182,19 +197,19 @@ def assemble_prevariety(
     rules: set[InferenceRule] = set()
     theorems: set[Formula] = set()
     for component in components:
-        axiom_set = component_axiom_set(component, size_cap=size_cap)
-        axioms.update(
-            component.axiom_map.image_total(
-                axiom_set, f"assembling axioms of component {component.component_id!r}"
-            )
-        )
+        record = _mapped(component, size_cap)
+        for formula_map, images, missed, union, what in (
+            (component.axiom_map, record.axiom_images, record.axiom_misses, axioms, "axioms"),
+            (component.theorem_map, record.designated_images, record.designated_misses,
+             theorems, "theorems"),
+        ):
+            if missed:
+                raise MapUndefinedError(
+                    formula_map.map_id, formula_key(missed[0]),
+                    f"assembling {what} of component {component.component_id!r}",
+                )
+            union.update(images.values())
         rules.update(component.calculus.rules)
-        theorems.update(
-            component.theorem_map.image_total(
-                component.designated_theorems,
-                f"assembling theorems of component {component.component_id!r}",
-            )
-        )
     return Prevariety(
         frozenset(axioms), frozenset(rules), frozenset(theorems),
         tuple(components), quasi,
@@ -296,14 +311,15 @@ def check_prevariety(pv: Prevariety, *, size_cap: int = DEFAULT_SIZE_CAP) -> Str
 
     for component in pv.components:
         cid = component.component_id
-        axiom_set = component_axiom_set(component, size_cap=size_cap)
-        theorem_set = component_theorem_set(component, size_cap=size_cap)
-        for equation, label, formula_map, sources, missed_what in (
-            ("A", "axiom map", component.axiom_map, axiom_set, "an axiom"),
-            ("M", "theorem map", component.theorem_map, component.designated_theorems,
-             "a designated theorem"),
+        record = _mapped(component, size_cap)
+        # read in quasi mode too, so a size-cap error names the same set
+        theorem_set = record.theorems
+        for equation, label, formula_map, images, missed, missed_what in (
+            ("A", "axiom map", component.axiom_map, record.axiom_images,
+             record.axiom_misses, "an axiom"),
+            ("M", "theorem map", component.theorem_map, record.designated_images,
+             record.designated_misses, "a designated theorem"),
         ):
-            images, missed = formula_map.over(sources)
             expected[equation].update(images.values())
             for formula in missed:
                 diagnostics.append(Diagnostic(
@@ -349,77 +365,45 @@ def check_prevariety(pv: Prevariety, *, size_cap: int = DEFAULT_SIZE_CAP) -> Str
     )
 
 
-def _component_images(pv: Prevariety, size_cap: int):
-    """Per 1-based index: axiom image, bounded-theorem image, designated image."""
-    axiom_images: dict[int, frozenset[Formula]] = {}
-    theorem_images: dict[int, frozenset[Formula]] = {}
-    designated_images: dict[int, frozenset[Formula]] = {}
-    for position, component in enumerate(pv.components, start=1):
-        axiom_images[position] = component.axiom_map.image(
-            component_axiom_set(component, size_cap=size_cap)
-        )
-        theorem_images[position] = component.theorem_map.image(
-            component_theorem_set(component, size_cap=size_cap)
-        )
-        designated_images[position] = component.theorem_map.image(
-            component.designated_theorems
-        )
-    return axiom_images, theorem_images, designated_images
-
-
-def _self_witness(position: int, component: Component) -> VarietyWitness:
-    return VarietyWitness(
-        f"self:{component.component_id}",
-        (position,),
-        component.calculus,
-        component.axiom_map,
-        component.theorem_map,
-        component.designated_theorems,
-    )
-
-
-def _intersect(images: Mapping[int, frozenset[Formula]], indices: tuple[int, ...]) -> frozenset[Formula]:
-    result: frozenset[Formula] | None = None
-    for index in indices:
-        result = images[index] if result is None else result & images[index]
-    return result if result is not None else frozenset()
+def _intersect(images: Sequence[frozenset[Formula]], indices: tuple[int, ...]) -> frozenset[Formula]:
+    return frozenset.intersection(*(images[index - 1] for index in indices))
 
 
 def _validate_witness(
-    witness: VarietyWitness,
+    witness_id: str,
+    indices: tuple[int, ...],
+    covering: _Mapped,
     axiom_intersection: frozenset[Formula],
     designated_intersection: frozenset[Formula],
-    size_cap: int,
 ) -> tuple[list[Diagnostic], bool, bool]:
-    """Diagnostics of one witness, and whether each projection is onto its intersection."""
-    tuple_text = str(witness.indices)
-    depth = witness.calculus.closure_depth
-    covering_axioms = theorem_formulas(witness.calculus, 0, size_cap)
-    covering_theorems = theorem_formulas(witness.calculus, depth, size_cap)
+    """Diagnostics of one witness, given its covering calculus with the
+    projections run over it, and whether each projection is onto its
+    intersection."""
+    tuple_text = str(indices)
+    depth = covering.calculus.closure_depth
     diagnostics = [
         Diagnostic(
-            "WITNESS_THEOREM_UNPROVED", witness.witness_id, None, formula_key(formula),
+            "WITNESS_THEOREM_UNPROVED", witness_id, None, formula_key(formula),
             f"not provable in the covering calculus within depth {depth}",
         )
-        for formula in witness.theorem_subset - covering_theorems
+        for formula in covering.designated - covering.theorems
     ]
     onto = []
-    for kind, projection, sources, intersection, missed_what in (
-        ("axiom", witness.axiom_projection, covering_axioms, axiom_intersection,
+    for kind, images, missed, intersection, missed_what in (
+        ("axiom", covering.axiom_images, covering.axiom_misses, axiom_intersection,
          "a covering axiom"),
-        ("theorem", witness.theorem_projection, witness.theorem_subset,
+        ("theorem", covering.designated_images, covering.designated_misses,
          designated_intersection, "a subset member"),
     ):
-        images, missed = projection.over(sources)
         for formula in missed:
             diagnostics.append(Diagnostic(
-                "WITNESS_MAP_UNDEFINED", witness.witness_id, None, formula_key(formula),
+                "WITNESS_MAP_UNDEFINED", witness_id, None, formula_key(formula),
                 f"{kind} projection misses {missed_what} for tuple {tuple_text}",
             ))
         for formula, image in images.items():
             if image not in intersection:
                 diagnostics.append(Diagnostic(
-                    f"WITNESS_{kind.upper()}_OUTSIDE_INTERSECTION", witness.witness_id, None,
+                    f"WITNESS_{kind.upper()}_OUTSIDE_INTERSECTION", witness_id, None,
                     formula_key(formula),
                     f"projects to {formula_key(image)} outside the {kind} intersection "
                     f"of {tuple_text}",
@@ -456,7 +440,14 @@ def check_variety(
             base.depth_bounds, notes=base.notes,
         )
 
-    axiom_images, theorem_images, designated_images = _component_images(pv, size_cap)
+    mapped = [_mapped(component, size_cap) for component in pv.components]
+    axiom_images = [frozenset(m.axiom_images.values()) for m in mapped]
+    designated_images = [frozenset(m.designated_images.values()) for m in mapped]
+    # only this check maps the bounded theorem sets
+    theorem_images = [
+        frozenset(component.theorem_map.over(m.theorems)[0].values())
+        for component, m in zip(pv.components, mapped)
+    ]
     by_tuple: dict[tuple[int, ...], VarietyWitness] = {}
     diagnostics: list[Diagnostic] = []
     for witness in witnesses:
@@ -481,11 +472,17 @@ def check_variety(
                 ))
                 continue
             witness = by_tuple.get(indices)
-            status = "witnessed"
-            if witness is None and width == 1:
-                witness = _self_witness(indices[0], pv.components[indices[0] - 1])
-                status = "self-witnessed"
-            if witness is None:
+            if witness is not None:
+                witness_id, status = witness.witness_id, "witnessed"
+                covering = _Mapped(
+                    witness.calculus, witness.axiom_projection, witness.theorem_projection,
+                    witness.theorem_subset, size_cap,
+                )
+            elif width == 1:
+                # the implicit self witness: the component's own maps over its own sets
+                witness_id = f"self:{pv.components[indices[0] - 1].component_id}"
+                status, covering = "self-witnessed", mapped[indices[0] - 1]
+            else:
                 diagnostics.append(Diagnostic(
                     "MISSING_WITNESS", None, None, str(indices),
                     "nonempty intersections but no witness supplied for this tuple",
@@ -496,12 +493,12 @@ def check_variety(
                 ))
                 continue
             problems, axiom_onto, theorem_onto = _validate_witness(
-                witness, axiom_intersection, designated_intersection, size_cap
+                witness_id, indices, covering, axiom_intersection, designated_intersection
             )
             records.append(TupleRecord(
                 indices, _texts(axiom_intersection), _texts(theorem_intersection),
                 status if not problems else "invalid",
-                witness.witness_id, axiom_onto, theorem_onto,
+                witness_id, axiom_onto, theorem_onto,
             ))
             diagnostics.extend(problems)
 
@@ -546,14 +543,14 @@ def check_bijective_variety(
 
     for component in pv.components:
         cid = component.component_id
-        axiom_set = component_axiom_set(component, size_cap=size_cap)
-        for label, formula_map, sources in (
-            ("axiom map", component.axiom_map, axiom_set),
-            ("theorem map", component.theorem_map, component.designated_theorems),
+        record = _mapped(component, size_cap)
+        for label, formula_map, images in (
+            ("axiom map", component.axiom_map, record.axiom_images),
+            ("theorem map", component.theorem_map, record.designated_images),
         ):
             # undefined entries are reported by the prevariety check
             first_source: dict[Formula, Formula] = {}
-            for formula, image in formula_map.over(sources)[0].items():
+            for formula, image in images.items():
                 earlier = first_source.setdefault(image, formula)
                 if earlier != formula:
                     diagnostics.append(Diagnostic(
@@ -562,7 +559,7 @@ def check_bijective_variety(
                         f"{label} {formula_map.map_id!r} sends both to {formula_key(image)}",
                     ))
         if mode == "variety":
-            theorem_set = component_theorem_set(component, size_cap=size_cap)
+            theorem_set = record.theorems
             designated = component.designated_theorems
             for outside, message in (
                 (theorem_set - designated,
@@ -586,14 +583,6 @@ def check_bijective_variety(
         kind, verdict, base.equations, tuple(diagnostics),
         base.depth_bounds, base.tuples, notes,
     )
-
-
-def component_membership(pv: Prevariety, query: Formula) -> tuple[str, ...]:
-    """Ids of the components whose designated image contains the query."""
-    return tuple(sorted(
-        component.component_id for component in pv.components
-        if query in component.theorem_map.image(component.designated_theorems)
-    ))
 
 
 # --- knowledge-base consistency --------------------------------------------
@@ -658,9 +647,10 @@ def consistency_report(
     contributions: dict[str, frozenset[Formula]] = {}
     rows: list[ComponentConsistency] = []
     for component in pv.components:
-        pooled = component.axiom_map.image(
-            component_axiom_set(component, size_cap=size_cap)
-        ) | component.theorem_map.image(component.designated_theorems)
+        record = _mapped(component, size_cap)
+        pooled = frozenset(record.axiom_images.values()).union(
+            record.designated_images.values()
+        )
         contributions[component.component_id] = pooled
         verdict = check_consistency(pooled, atom_cap)
         rows.append(ComponentConsistency(

@@ -15,6 +15,7 @@ from vty.cli import build_parser, main
 from vty.formulas import MAX_NESTING
 from vty.machines import encode_machine, parse_machine
 from vty.manifest import BOUND_NAMES, Bounds
+from vty.varieties import FormulaMap
 
 from test_acceptance import CLI_COMMANDS
 
@@ -661,16 +662,53 @@ MANIFEST_BYTES = st.one_of(
 )
 
 
+PREVARIETY_MANIFESTS = ("shared_core.vty", "shared_core_nowitness.vty",
+                        "inconsistent_kb.vty", "bijective_modes.vty")
+ODD_TOKENS = ("", "0", "3", "quasi", "auto", "{", "}", "(", ")", "bot", "(not", "zz",
+              "identity", "renaming", "table")
+
+
+@st.composite
+def mutated_manifest(draw) -> str:
+    """A packaged prevariety manifest with lines deleted, duplicated or
+    swapped, and tokens replaced by other tokens of the file or odd ones."""
+    packaged = Path(vty.cli.__file__).parent / "data"
+    lines = (packaged / draw(st.sampled_from(PREVARIETY_MANIFESTS))).read_text().splitlines()
+    words = sorted({word for line in lines for word in line.split()})
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("delete", "duplicate", "swap", "replace")))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif tokens := lines[i].split():
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[k] = draw(st.sampled_from(words) | st.sampled_from(ODD_TOKENS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+PREVARIETY_MANIFEST_TEXT = mutated_manifest()
+
+
 class TestFuzzedInput:
     # every call prints one JSON report and exits 0, 1 or 2; it exits 0
-    # exactly when the report lists no error
-    def check(self, capsys, argv: list[str]) -> None:
+    # exactly when the report lists no error, except that a check whose
+    # verdict is FAIL exits 1 with no error listed
+    def check(self, capsys, argv: list[str], verdict_exits: bool = False) -> None:
         code = main(argv)
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert captured.err == ""
         assert code in (0, 1, 2)
-        assert (code == 0) == (report["errors"] == [])
+        if report["errors"] or not verdict_exits:
+            assert (code == 0) == (report["errors"] == [])
 
     @given(text=BOUNDS_TEXT)
     @settings(max_examples=100, deadline=None,
@@ -687,6 +725,41 @@ class TestFuzzedInput:
         path = tmp_path / "fuzzed.vty"
         path.write_bytes(data)
         self.check(capsys, [*command, str(path)])
+
+    @given(text=PREVARIETY_MANIFEST_TEXT, command=st.sampled_from((
+        ["check-prevariety"], ["check-variety", "--depth", "2"],
+        ["check-variety", "--depth", "2", "--bijective", "--mode", "prevariety"],
+        ["check-variety", "--depth", "2", "--bijective", "--mode", "variety"],
+        ["consistency"])))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_prevariety_manifests(self, capsys, tmp_path, text, command):
+        path = tmp_path / "mutated.vty"
+        path.write_text(text, encoding="utf-8")
+        self.check(capsys, [command[0], str(path), *command[1:]], verdict_exits=True)
+
+
+class TestMapPasses:
+    # one pass per (map, source set) pair: assembly, the checks and the
+    # consistency report read the same per-component record
+    @pytest.mark.parametrize("argv, passes", [
+        (KNOWLEDGE_FIVE_COMMANDS[0], 10),
+        (KNOWLEDGE_FIVE_COMMANDS[1], 15),
+    ])
+    def test_each_map_runs_once_over_each_set(self, capsys, monkeypatch, argv, passes):
+        real = FormulaMap.over
+        seen = []
+
+        def counting(self, formulas):
+            formulas = frozenset(formulas)
+            seen.append((self, formulas))
+            return real(self, formulas)
+
+        monkeypatch.setattr(FormulaMap, "over", counting)
+        code, _ = run_json(capsys, argv[0], str(KNOWLEDGE_FIVE), *argv[1:])
+        assert code == 0
+        assert len(set(seen)) == passes
+        assert len(seen) == passes
 
 
 PARTIAL_AXIOM_MAP = """\

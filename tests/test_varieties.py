@@ -14,7 +14,6 @@ from vty.varieties import (
     check_bijective_variety,
     check_prevariety,
     check_variety,
-    component_membership,
     consistency_report,
 )
 
@@ -62,44 +61,39 @@ class TestFormulaMap:
 
     def test_renaming_is_homomorphic(self):
         ren = FormulaMap.renaming_map("ren", {"a1": "p", "a2": "q"})
-        assert ren.apply(pf("(-> a1 (and a2 bot))")) == pf("(-> p (and q bot))")
+        f = pf("(-> a1 (and a2 bot))")
+        assert ren.over([f]) == ({f: pf("(-> p (and q bot))")}, ())
 
     def test_renaming_leaves_unmapped_atoms_fixed(self):
         ren = FormulaMap.renaming_map("ren", {"a1": "p"})
-        assert ren.apply(pf("(or a1 z)")) == pf("(or p z)")
+        f = pf("(or a1 z)")
+        assert ren.over([f]) == ({f: pf("(or p z)")}, ())
 
     def test_identity(self):
         ident = FormulaMap.identity()
         f = pf("(not (-> p q))")
-        assert ident.apply(f) == f
+        assert ident.over([f]) == ({f: f}, ())
         assert ident.defined_on(f)
 
     def test_table_is_partial(self):
         table = FormulaMap.table_map("t", [(pf("p"), pf("(and q q)"))])
-        assert table.apply(pf("p")) == pf("(and q q)")
+        assert table.over(fs("p", "q")) == ({pf("p"): pf("(and q q)")}, (pf("q"),))
         assert not table.defined_on(pf("q"))
-        with pytest.raises(MapUndefinedError):
-            table.apply(pf("q"))
 
     def test_domain_restriction_narrows_a_renaming(self):
         ren = FormulaMap.renaming_map("ren", {"p": "q"}, domain=[pf("p")])
-        assert ren.apply(pf("p")) == pf("q")
+        assert ren.over(fs("p", "(not p)")) == ({pf("p"): pf("q")}, (pf("(not p)"),))
         assert not ren.defined_on(pf("(not p)"))
-        with pytest.raises(MapUndefinedError):
-            ren.apply(pf("(not p)"))
 
     def test_outside_domain_is_never_silent_identity(self):
         table = FormulaMap.table_map("t", [(pf("p"), pf("p"))])
-        with pytest.raises(MapUndefinedError) as err:
-            table.apply(pf("r"), "during a test")
-        assert "r" in str(err.value)
+        assert table.over(fs("r")) == ({}, (pf("r"),))
 
-    def test_image_skips_undefined_but_image_total_raises(self):
-        table = FormulaMap.table_map("t", [(pf("p"), pf("q"))])
-        inputs = fs("p", "r")
-        assert table.image(inputs) == fs("q")
-        with pytest.raises(MapUndefinedError):
-            table.image_total(inputs)
+    def test_over_lists_images_and_misses_in_formula_key_order(self):
+        table = FormulaMap.table_map("t", [(pf("p"), pf("q")), (pf("(-> p q)"), pf("q"))])
+        images, missed = table.over(fs("r", "p", "(not s)", "(-> p q)", "a"))
+        assert list(images) == [pf("(-> p q)"), pf("p")]
+        assert missed == (pf("(not s)"), pf("a"), pf("r"))
 
 
 class TestAssembly:
@@ -447,20 +441,6 @@ class TestBijectiveModes:
         pv = assemble_prevariety([comp, mp_component("B4", ["p"], [])])
         report = check_bijective_variety(pv, "prevariety")
         assert report.passed
-
-
-class TestMembership:
-    def test_query_hits_are_sorted_component_ids(self):
-        pv = assemble_prevariety(shared_core_components())
-        assert component_membership(pv, pf("q")) == ("C1", "C2")
-        assert component_membership(pv, pf("a2")) == ()
-        assert component_membership(pv, pf("(-> p q)")) == ("C1", "C2")
-
-    def test_membership_uses_designated_images_only(self):
-        pv = assemble_prevariety([
-            mp_component("C1", ["p", "(-> p q)"], ["p"]),
-        ])
-        assert component_membership(pv, pf("q")) == ()
 
 
 def kb(cid, *axiom_texts):
