@@ -376,9 +376,8 @@ def _validate_witness(
     axiom_intersection: frozenset[Formula],
     designated_intersection: frozenset[Formula],
 ) -> tuple[list[Diagnostic], bool, bool]:
-    """Diagnostics of one witness, given its covering calculus with the
-    projections run over it, and whether each projection is onto its
-    intersection."""
+    """Diagnostics of one witness from its covering record, and whether
+    each projection is onto its intersection."""
     tuple_text = str(indices)
     depth = covering.calculus.closure_depth
     diagnostics = [
