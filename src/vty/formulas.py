@@ -5,7 +5,7 @@ applied anywhere: ``(and p q)`` and ``(and q p)`` are distinct values.
 
 Text syntax, bit for bit::
 
-    atom     [a-z][a-z0-9_]*
+    atom     [a-z][a-z0-9_]* other than bot
     bottom   bot
     unary    (not F)
     binary   (and F G) | (or F G) | (-> F G)
@@ -24,7 +24,9 @@ from typing import Iterable, Iterator, Mapping
 from .errors import FormulaParseError
 from .lex import LexError, Token, tokenize_line
 
-ATOM_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
+# the one rule for atom names, used by ``Atom`` and by the manifest reader:
+# ``bot`` reads back as bottom, so it is no atom
+ATOM_NAME = re.compile(r"(?!bot\Z)[a-z][a-z0-9_]*\Z")
 
 # The formula functions recurse once or twice per level of nesting; near
 # 450 levels a CLI command ran out of the interpreter's default recursion
@@ -47,7 +49,7 @@ class Atom(Formula):
     name: str
 
     def __post_init__(self) -> None:
-        if not ATOM_NAME.match(self.name) or self.name == "bot":
+        if not ATOM_NAME.match(self.name):
             raise ValueError(f"bad atom name {self.name!r}")
 
 

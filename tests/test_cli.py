@@ -109,6 +109,18 @@ class TestExitCodes:
         assert code == 2
         assert "unknown directive" in report["errors"][0]
 
+    @pytest.mark.parametrize("old, new, argv, where", [
+        ("bounds", "signature p bot\nbounds", ["closure", "--calculus", "L1"], "1:13"),
+        ("rename a1 p", "rename a1 bot", ["check-prevariety"], "33:13"),
+        ("rename a1 p", "rename a1 bot", ["consistency"], "33:13"),
+    ], ids=["signature", "rename_check", "rename_consistency"])
+    def test_bot_as_an_atom_name_is_a_located_parse_error(
+            self, capsys, data_dir, tmp_path, old, new, argv, where):
+        path = tmp_path / "bot.vty"
+        path.write_text((data_dir / "shared_core.vty").read_text().replace(old, new, 1))
+        code, report = run_json(capsys, argv[0], str(path), *argv[1:])
+        assert (code, report["errors"]) == (2, [f"{path}:{where}: bad atom name 'bot'"])
+
     def test_manifest_that_is_not_utf8_names_the_bad_byte(self, capsys, tmp_path):
         bad = tmp_path / "latin1.vty"
         bad.write_bytes("signature p\r\nbounds depth=1 # café ".encode() + b"\xff\n")

@@ -327,6 +327,7 @@ PARSE_ERRORS = [
     ("calculus L {\n  depth x\n}\n", "expected a depth, found 'x'", 2, 9),
     ("calculus L {\n  depth \u00b2\n}\n", "expected a depth, found '\u00b2'", 2, 9),
     ("calculus L {\n  atoms p Q\n}\n", "bad atom name 'Q'", 2, 11),
+    ("calculus L {\n  atoms p bot\n}\n", "bad atom name 'bot'", 2, 11),
     ("calculus L {\n  axiom p q\n}\n", "unexpected trailing 'q'", 2, 11),
     ("calculus L {\n  lemma p\n}\n", "unknown calculus entry 'lemma'", 2, 3),
     ("calculus L extra {\n}\n", "unexpected trailing 'extra'", 1, 12),
@@ -334,6 +335,8 @@ PARSE_ERRORS = [
     ("map m renaming {\n  pair p q\n}\n", "unknown renaming map entry 'pair'", 2, 3),
     ("map m table {\n  rename a p\n}\n", "unknown table map entry 'rename'", 2, 3),
     ("map m renaming {\n  rename a\n}\n", "expected an atom name", 2, 11),
+    ("map m renaming {\n  rename a bot\n}\n", "bad atom name 'bot'", 2, 12),
+    ("map m renaming {\n  rename bot p\n}\n", "bad atom name 'bot'", 2, 10),
     ("map m table {\n  pair p\n}\n", "expected a formula", 2, 9),
     ("component C {\n  calculus L\n  calculus L\n}\n", "calculus given twice", 3, 1),
     ("component C {\n  calculus L\n  theorem-map m\n}\n",
@@ -363,6 +366,7 @@ PARSE_ERRORS = [
     ("axiom-decl AX {\n}\n", "unknown block keyword 'axiom-decl'", 1, 1),
     ("calculus L\n", "unknown directive 'calculus'", 1, 1),
     ("axiom-decl AX\n", "expected a quoted statement", 1, 14),
+    ("signature p bot\n", "bad atom name 'bot'", 1, 13),
     ("signature p\nsignature q\n", "signature given twice", 2, 1),
     ("bounds depth=1 size=0\n", "atoms, enum and size bounds must be positive", 1, 1),
     ("bounds depth=1\nbounds depth=2\n", "bounds given twice", 2, 1),
