@@ -80,6 +80,23 @@ def test_chain16_evaluates_through_the_semantics_binding(monkeypatch):
     assert 1 <= len(calls) <= 16
 
 
+def count_calls(monkeypatch, module, names) -> list[str]:
+    """Wrap every binding of each named function of `module` in every vty
+    module, as the tracer does; the returned list gets one name per call."""
+    calls = []
+    for name in names:
+        real = getattr(module, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for loaded in [m for key, m in sys.modules.items() if key.split(".")[0] == "vty"]:
+            if getattr(loaded, name, None) is real:
+                monkeypatch.setattr(loaded, name, counting)
+    return calls
+
+
 def test_subsets_classify_closes_and_proves_once(monkeypatch, capsys):
     # the tracer counts every binding of `vty.calculus.closure` and
     # `vty.calculus.proves`, and the traced subsets run fails its self-check
@@ -87,24 +104,38 @@ def test_subsets_classify_closes_and_proves_once(monkeypatch, capsys):
     import vty.calculus
     import vty.cli
 
-    calls = []
-    for name in ("closure", "proves"):
-        real = getattr(vty.calculus, name)
-
-        def counting(*args, _name=name, _real=real, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "vty"]:
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counting)
-
+    calls = count_calls(monkeypatch, vty.calculus, ("closure", "proves"))
     code = vty.cli.main(["classify", "--axioms", "(-> b c)", "(-> a b)", "(-> a x)", "a",
                          "(-> y c)", "--goal", "c", "--base", "mp", "--depth", "3"])
     assert code == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["reducible_to"] == ["(-> a b)", "(-> b c)", "a"]
     assert sorted(calls) == ["closure", "proves"]
+
+
+def test_universal_run_makes_no_direct_runs(monkeypatch):
+    # the tracer counts `run_machine` and `universal_run_stats` apart, so
+    # neither may run through the other
+    import vty.machines
+
+    calls = count_calls(monkeypatch, vty.machines, ("run_machine", "universal_run_stats"))
+    adder = vty.machines.parse_machine(
+        (ROOT / "src" / "vty" / "data" / "adder.rm").read_text())
+    trace = vty.machines.universal_run(
+        vty.machines.encode_machine(adder), vty.machines.pair(2, 3), 10_000)
+    assert (trace.outcome, trace.output) == ("HALT", 5)
+    assert calls == ["universal_run_stats"]
+
+
+def test_brute_search_makes_one_direct_run_per_run(monkeypatch):
+    # `machines.run_machine.calls` on the world9438 baseline is a count metric
+    import vty.machines
+
+    calls = count_calls(monkeypatch, vty.machines, ("run_machine", "universal_run_stats"))
+    bounds = vty.machines.WorldBounds(2, 1, (0, 1, 2), 20)
+    result = vty.machines.fixed_output_brute(bounds, 2)
+    assert result.runs == 3 * vty.machines.count_machines(2, 1)
+    assert calls == ["run_machine"] * result.runs
 
 
 def test_benchmark_unit_suite_passes():

@@ -709,6 +709,45 @@ def mutated_manifest(draw) -> str:
 PREVARIETY_MANIFEST_TEXT = mutated_manifest()
 
 
+SUBSET_FORMULAS = ("p", "q", "r", "(-> p q)", "(-> q r)", "(-> p r)", "(and p q)",
+                   "(or p r)", "(not p)", "(-> (not q) (not p))")
+
+
+@st.composite
+def subset_formula_text(draw) -> str:
+    """Formula text for `--axioms` and `--goal`: valid, `bot`, with an
+    uppercase atom, or valid text with characters deleted or inserted."""
+    text = draw(st.sampled_from(SUBSET_FORMULAS))
+    kind = draw(st.sampled_from(("valid",) * 4 + ("bot", "upper", "mutated")))
+    if kind == "bot":
+        return draw(st.sampled_from(("bot", text.replace("p", "bot", 1))))
+    if kind == "upper":
+        return text.replace("p", "P")
+    if kind == "mutated":
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(text)))
+            if draw(st.booleans()) and i < len(text):
+                text = text[:i] + text[i + 1:]
+            else:
+                text = text[:i] + draw(st.sampled_from("() pqXbot->-1")) + text[i:]
+    return text
+
+
+SUBSET_ARGV = st.builds(
+    lambda command, axioms, goal, base, depth, bounds: [
+        command, "--axioms", *axioms, "--goal", goal, "--base", base,
+        "--depth", str(depth), *bounds],
+    st.sampled_from(("classify", "minimal-subsets")),
+    st.lists(subset_formula_text(), min_size=1, max_size=4),
+    subset_formula_text(),
+    st.sampled_from(("hilbert", "mp", "empty", "bogus")),
+    st.integers(-1, 4),
+    st.one_of(st.just(()), st.builds("{}={}".format, st.sampled_from(BOUND_NAMES),
+                                     st.integers(1, 40)).map(lambda text: ("--bounds", text)),
+              BOUNDS_TEXT.map(lambda text: ("--bounds", text))),
+)
+
+
 class TestFuzzedInput:
     # every call prints one JSON report and exits 0, 1 or 2; it exits 0
     # exactly when the report lists no error, except that a check whose
@@ -730,6 +769,12 @@ class TestFuzzedInput:
     def test_bounds_override_text(self, capsys, text):
         self.check(capsys, ["classify", "--axioms", "p", "(-> p q)", "--goal", "q",
                             "--depth", "1", "--bounds", text])
+
+    @given(argv=SUBSET_ARGV)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_subset_command_arguments(self, capsys, argv):
+        self.check(capsys, argv)
 
     @given(data=MANIFEST_BYTES, command=st.sampled_from(
         (["report-matrix"], ["closure", "--depth", "1"])))

@@ -104,6 +104,52 @@ class TestRunner:
         else:
             assert second.steps >= first.steps
 
+    @given(
+        seed=st.integers(0, 2**32),
+        size=st.sampled_from((0, 1, 3, 6, 10)),
+        registers=st.integers(1, 3),
+        input_value=st.integers(0, 25),
+        fuel=st.integers(0, 120),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_interpreter_on_random_machines(
+        self, seed, size, registers, input_value, fuel
+    ):
+        m = random_machine(random.Random(seed), size, registers)
+        trace = run_machine(m, input_value, fuel)
+        assert mini_run(format_machine(m), input_value, fuel) == (
+            trace.outcome, trace.output, trace.steps)
+
+    @given(
+        seed=st.integers(0, 2**32),
+        size=st.sampled_from((0, 1, 3, 6, 10)),
+        input_value=st.integers(0, 25),
+        fuel=st.integers(0, 120),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_record_log_replays_step_by_step(self, seed, size, input_value, fuel):
+        # each entry is (pc, registers before the instruction at pc); applying
+        # that instruction gives the next entry, and the last one the trace's end
+        m = random_machine(random.Random(seed), size, 3)
+        trace = run_machine(m, input_value, fuel, record_log=True)
+        assert len(trace.log) == trace.steps
+        assert trace.log[:1] in ((), ((0, (input_value, 0, 0)),))
+        for index, (pc, before) in enumerate(trace.log):
+            instr = m.program[pc]
+            after = list(before)
+            if isinstance(instr, Inc):
+                after[instr.register] += 1
+                nxt = instr.target
+            elif after[instr.register] == 0:
+                nxt = instr.target_if_zero
+            else:
+                after[instr.register] -= 1
+                nxt = instr.target_if_positive
+            if index + 1 < len(trace.log):
+                assert trace.log[index + 1] == (nxt, tuple(after))
+            elif trace.outcome == "HALT":
+                assert nxt == len(m.program) or isinstance(m.program[nxt], Halt)
+                assert trace.output == after[0]
 
 class TestMachineValidation:
     def test_register_bound(self):
@@ -318,6 +364,14 @@ class TestUniversalInterpreter:
             universal_run(bad, 0, 10)
         with pytest.raises(DecodeError):
             universal_run(-3, 0, 10)
+
+    def test_bad_input_is_reported_before_a_bad_code(self):
+        with pytest.raises(ValueError, match="input must be a nonnegative integer") as err:
+            universal_run(-3, -1, 5)
+        assert not isinstance(err.value, DecodeError)
+        with pytest.raises(ValueError, match="fuel must be nonnegative") as err:
+            universal_run(-3, 1, -5)
+        assert not isinstance(err.value, DecodeError)
 
     @pytest.mark.parametrize("code, message", [
         (-3, "program codes are nonnegative"),
