@@ -11,7 +11,9 @@ len-1; the address equal to the program length is the halt address.
 Input goes into register 0, every other register starts at zero, and
 the output is register 0 at the halt. Running costs one fuel unit per
 executed instruction; reaching the halt address or a HALT instruction
-costs nothing.
+costs nothing. ``run_machine`` runs a machine and ``universal_run_stats``
+a program code through one step loop, which also sums the fetch charge
+of the universal machine's unchanged micro-cost model.
 
 Text format, bit for bit, one instruction per line with single spaces
 and 0-based decimal addresses::
@@ -110,35 +112,50 @@ def run_machine(
     machine: RegisterMachine, input_value: int, fuel: int, *, record_log: bool = False
 ) -> Trace:
     """Small-step run. Deterministic: equal arguments give equal traces."""
+    _check_run(input_value, fuel)
+    trace, _ = _step_loop(machine, input_value, fuel, [] if record_log else None)
+    return trace
+
+
+def _check_run(input_value: int, fuel: int) -> None:
     if input_value < 0:
         raise ValueError("input must be a nonnegative integer")
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
+
+
+_HALT = Halt()
+
+
+def _step_loop(
+    machine: RegisterMachine, input_value: int, fuel: int, log: list | None
+) -> tuple[Trace, int]:
+    """The one step loop, for both interpreters: the trace, and the fetch
+    charge of ``universal_run_stats``, pc + 3 for every instruction fetched
+    (the fetch that finds HALT or runs out of fuel included)."""
     registers = [0] * machine.registers
     registers[0] = input_value
-    program = machine.program
-    halt_address = len(program)
-    pc = 0
-    steps = 0
-    log: list[tuple[int, tuple[int, ...]]] | None = [] if record_log else None
-    while True:
-        if pc == halt_address or isinstance(program[pc], Halt):
-            return Trace(HALTED, registers[0], steps, tuple(log) if log is not None else None)
-        if steps == fuel:
-            return Trace(OUT_OF_FUEL, None, steps, tuple(log) if log is not None else None)
-        instr = program[pc]
+    # a HALT at the halt address, so that one test stops the run at either
+    program = machine.program + (_HALT,)
+    pc = steps = pcs = 0  # pcs sums the addresses of the executed instructions
+    while not isinstance(instr := program[pc], Halt) and steps != fuel:
+        pcs += pc
         if log is not None:
             log.append((pc, tuple(registers)))
         steps += 1
         if isinstance(instr, Inc):
             registers[instr.register] += 1
             pc = instr.target
+        elif registers[instr.register] == 0:
+            pc = instr.target_if_zero
         else:
-            if registers[instr.register] == 0:
-                pc = instr.target_if_zero
-            else:
-                registers[instr.register] -= 1
-                pc = instr.target_if_positive
+            registers[instr.register] -= 1
+            pc = instr.target_if_positive
+    charge = pcs + 3 * steps + (0 if pc == len(machine.program) else pc + 3)
+    logged = None if log is None else tuple(log)
+    if isinstance(instr, Halt):
+        return Trace(HALTED, registers[0], steps, logged), charge
+    return Trace(OUT_OF_FUEL, None, steps, logged), charge
 
 
 # --- text format ------------------------------------------------------------
@@ -279,48 +296,20 @@ def universal_run(program_code: int, input_value: int, fuel: int) -> Trace:
 def universal_run_stats(program_code: int, input_value: int, fuel: int) -> tuple[Trace, int]:
     """Interpret a program code, with the micro cost of fetching from the code.
 
-    The simulated step count matches ``run_machine`` on the decoded
-    machine at the same fuel. The second result, ``micro``, is the cost
-    of the list-walking model of a universal machine, not the Python
-    work done: loading charges 3 per instruction (one list-cell
+    The program is decoded once, at load, and run by the same step loop
+    as ``run_machine``, so the trace matches ``run_machine`` on the
+    decoded machine at the same fuel. The second result, ``micro``, is
+    the cost of the list-walking model of a universal machine, not the
+    Python work done: loading charges 3 per instruction (one list-cell
     unpairing and two decode unpairings), and fetching instruction pc
     charges pc + 1 cell unpairings to walk the encoded list from its
     head plus 2 to decode the head, including the fetch that finds a
-    HALT instruction or runs out of fuel. The program is decoded once,
-    at load, and every fetch reads the decoded program.
+    HALT instruction or runs out of fuel.
     """
-    if input_value < 0:
-        raise ValueError("input must be a nonnegative integer")
-    if fuel < 0:
-        raise ValueError("fuel must be nonnegative")
+    _check_run(input_value, fuel)
     loaded = decode_machine(program_code)
-    program = loaded.program
-    length = len(program)
-    micro = 3 * length
-
-    registers = [0] * loaded.registers
-    registers[0] = input_value
-    pc = 0
-    steps = 0
-    while True:
-        if pc == length:
-            return Trace(HALTED, registers[0], steps), micro
-        micro += pc + 3
-        instr = program[pc]
-        if isinstance(instr, Halt):
-            return Trace(HALTED, registers[0], steps), micro
-        if steps == fuel:
-            return Trace(OUT_OF_FUEL, None, steps), micro
-        steps += 1
-        if isinstance(instr, Inc):
-            registers[instr.register] += 1
-            pc = instr.target
-        else:
-            if registers[instr.register] == 0:
-                pc = instr.target_if_zero
-            else:
-                registers[instr.register] -= 1
-                pc = instr.target_if_positive
+    trace, charge = _step_loop(loaded, input_value, fuel, None)
+    return trace, 3 * len(loaded.program) + charge
 
 
 def random_machine(
@@ -352,7 +341,9 @@ def universality_evidence(
 ) -> dict:
     """Differential suite: the code interpreter against the direct one.
 
-    Agreement is exact on outcome, output, and step count. The mean
+    Agreement is exact on outcome, output, and step count; both run one
+    step loop, so it checks what the code path adds, encoding and
+    decoding. The independent oracles are in the test suite. The mean
     overhead factor (micro operations per simulated step) is measured,
     not assumed.
     """
