@@ -67,12 +67,11 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DepthExplosionError
 from .formulas import (
-    And,
     Atom,
+    Binary,
     Formula,
     Implies,
     Not,
-    Or,
     atoms,
     formula_key,
     match_pattern,
@@ -555,7 +554,7 @@ def _premise_index(known: list[tuple[Formula, list[Label]]]) -> dict[object, lis
 def _children(formula: Formula) -> tuple[Formula, ...]:
     if isinstance(formula, Not):
         return (formula.operand,)
-    if isinstance(formula, (And, Or, Implies)):
+    if isinstance(formula, Binary):
         return (formula.left, formula.right)
     return ()
 

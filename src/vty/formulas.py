@@ -12,6 +12,10 @@ Text syntax, bit for bit::
 
 ``parse_formula`` and ``format_formula`` are mutually inverse on
 canonical text. Parentheses nest at most ``MAX_NESTING`` deep.
+
+The three binary connectives are subclasses of one node, ``Binary``,
+each naming its word once. One rewrite, ``substitute``, replaces atoms;
+renaming atoms is substituting atoms for them.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 from .errors import FormulaParseError
 from .lex import LexError, Token, tokenize_line
@@ -78,7 +82,11 @@ class Not(Formula):
 
 
 @dataclass(frozen=True, slots=True, repr=False)
-class And(Formula):
+class Binary(Formula):
+    """A binary connective. Each subclass names its connective word once;
+    equality needs the same subclass, so ``And(p, q) != Or(p, q)``."""
+
+    word: ClassVar[str]
     left: Formula
     right: Formula
     _hash: int = field(init=False, repr=False, compare=False)
@@ -88,29 +96,23 @@ class And(Formula):
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Or(Formula):
-    left: Formula
-    right: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
-    __hash__ = _cached_hash
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+# each keeps empty __slots__ so that its instances carry no __dict__
+class And(Binary):
+    __slots__ = ()
+    word = "and"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
-    __hash__ = _cached_hash
+class Or(Binary):
+    __slots__ = ()
+    word = "or"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
-_BINARY = {"and": And, "or": Or, "->": Implies}
-_BINARY_NAMES = {And: "and", Or: "or", Implies: "->"}
+class Implies(Binary):
+    __slots__ = ()
+    word = "->"
+
+
+_BINARY = {cls.word: cls for cls in Binary.__subclasses__()}
 
 
 def format_formula(formula: Formula) -> str:
@@ -120,9 +122,8 @@ def format_formula(formula: Formula) -> str:
         return "bot"
     if isinstance(formula, Not):
         return f"(not {format_formula(formula.operand)})"
-    if isinstance(formula, (And, Or, Implies)):
-        op = _BINARY_NAMES[type(formula)]
-        return f"({op} {format_formula(formula.left)} {format_formula(formula.right)})"
+    if isinstance(formula, Binary):
+        return f"({formula.word} {format_formula(formula.left)} {format_formula(formula.right)})"
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -202,7 +203,7 @@ def atoms(formula: Formula) -> frozenset[str]:
             found.add(node.name)
         elif isinstance(node, Not):
             stack.append(node.operand)
-        elif isinstance(node, (And, Or, Implies)):
+        elif isinstance(node, Binary):
             stack.append(node.left)
             stack.append(node.right)
     return frozenset(found)
@@ -213,7 +214,7 @@ def subformulas(formula: Formula) -> Iterator[Formula]:
     yield formula
     if isinstance(formula, Not):
         yield from subformulas(formula.operand)
-    elif isinstance(formula, (And, Or, Implies)):
+    elif isinstance(formula, Binary):
         yield from subformulas(formula.left)
         yield from subformulas(formula.right)
 
@@ -235,18 +236,6 @@ def substitute(formula: Formula, mapping: Mapping[str, Formula]) -> Formula:
         return Not(substitute(formula.operand, mapping))
     cls = type(formula)
     return cls(substitute(formula.left, mapping), substitute(formula.right, mapping))
-
-
-def rename_atoms(formula: Formula, mapping: Mapping[str, str]) -> Formula:
-    if isinstance(formula, Atom):
-        name = mapping.get(formula.name)
-        return formula if name is None else Atom(name)
-    if isinstance(formula, Bottom):
-        return formula
-    if isinstance(formula, Not):
-        return Not(rename_atoms(formula.operand, mapping))
-    cls = type(formula)
-    return cls(rename_atoms(formula.left, mapping), rename_atoms(formula.right, mapping))
 
 
 def evaluate(formula: Formula, assignment: Mapping[str, int], *, true: int = True) -> int:
@@ -301,7 +290,7 @@ def _match_into(pattern: Formula, target: Formula, bindings: dict[str, Formula])
         return isinstance(target, Bottom)
     if isinstance(pattern, Not):
         return isinstance(target, Not) and _match_into(pattern.operand, target.operand, bindings)
-    if isinstance(pattern, (And, Or, Implies)):
+    if isinstance(pattern, Binary):
         if type(target) is not type(pattern):
             return False
         return _match_into(pattern.left, target.left, bindings) and _match_into(

@@ -30,7 +30,7 @@ from .calculus import (
     theorem_formulas,
 )
 from .errors import MapUndefinedError
-from .formulas import Formula, formula_key, rename_atoms
+from .formulas import Atom, Formula, formula_key, substitute
 from .semantics import DEFAULT_ATOM_CAP, ConsistencyVerdict, check_consistency
 
 DEFAULT_COMPONENT_SUBSET_CAP = 4096
@@ -41,9 +41,10 @@ class FormulaMap:
     """A partial formula-to-formula map: an atom renaming or a finite table.
 
     Renamings extend homomorphically over connectives and leave unmapped
-    atoms fixed. Tables map listed formulas only. An optional domain
-    restriction narrows either kind. Applying a map outside its domain
-    raises; it is never a silent identity.
+    atoms fixed: a renaming substitutes the atoms it names. Tables map
+    listed formulas only. An optional domain restriction narrows either
+    kind. Applying a map outside its domain raises; it is never a silent
+    identity.
     """
 
     map_id: str
@@ -55,9 +56,12 @@ class FormulaMap:
     def __post_init__(self) -> None:
         if (self.renaming is None) == (self.table is None):
             raise ValueError("a formula map is either a renaming or a table")
-        lookup = dict(self.table if self.table is not None else self.renaming)
-        if self.table is not None and len(lookup) != len(self.table):
-            raise ValueError(f"map {self.map_id!r} lists a source formula twice")
+        if self.table is None:
+            lookup = {source: Atom(target) for source, target in self.renaming}
+        else:
+            lookup = dict(self.table)
+            if len(lookup) != len(self.table):
+                raise ValueError(f"map {self.map_id!r} lists a source formula twice")
         object.__setattr__(self, "_lookup", lookup)
 
     @classmethod
@@ -98,7 +102,7 @@ class FormulaMap:
             elif self.table is not None:
                 images[formula] = self._lookup[formula]
             else:
-                images[formula] = rename_atoms(formula, self._lookup)
+                images[formula] = substitute(formula, self._lookup)
         return images, tuple(missed)
 
 

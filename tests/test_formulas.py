@@ -6,6 +6,7 @@ from vty.formulas import (
     MAX_NESTING,
     And,
     Atom,
+    Binary,
     Bottom,
     Formula,
     Implies,
@@ -16,7 +17,6 @@ from vty.formulas import (
     format_formula,
     match_pattern,
     parse_formula,
-    rename_atoms,
     subformula_closure,
     subformulas,
     substitute,
@@ -159,9 +159,9 @@ class TestSubstitution:
         out = substitute(formula, {"p": Atom("q"), "q": Atom("p")})
         assert format_formula(out) == "(and q p)"
 
-    def test_rename_atoms(self):
+    def test_substituting_atoms_renames(self):
         formula = parse_formula("(-> a1 (not a2))")
-        out = rename_atoms(formula, {"a1": "p", "a2": "q"})
+        out = substitute(formula, {"a1": Atom("p"), "a2": Atom("q")})
         assert format_formula(out) == "(-> p (not q))"
 
     @given(formulas())
@@ -237,7 +237,7 @@ class TestHashing:
         # the cached hash keeps the value the generated dataclass hash gave
         if isinstance(formula, Not):
             assert hash(formula) == hash((formula.operand,))
-        elif isinstance(formula, (And, Or, Implies)):
+        elif isinstance(formula, Binary):
             assert hash(formula) == hash((formula.left, formula.right))
         rebuilt = parse_formula(format_formula(formula))
         assert rebuilt == formula and hash(rebuilt) == hash(formula)
@@ -245,3 +245,6 @@ class TestHashing:
     def test_connectives_stay_distinct(self):
         p, q = Atom("p"), Atom("q")
         assert len({And(p, q), Or(p, q), Implies(p, q), And(q, p)}) == 4
+        assert And(p, q) != Or(p, q) and Or(p, q) != Implies(p, q)
+        assert [type(f).word for f in (And(p, q), Or(p, q), Implies(p, q))] == ["and", "or", "->"]
+        assert not any(hasattr(f, "__dict__") for f in (And(p, q), Or(p, q), Implies(p, q)))

@@ -80,6 +80,10 @@ class TestFormulaMap:
         assert table.over(fs("p", "q")) == ({pf("p"): pf("(and q q)")}, (pf("q"),))
         assert not table.defined_on(pf("q"))
 
+    def test_a_renaming_names_only_atoms(self):
+        with pytest.raises(ValueError, match="bad atom name 'bot'"):
+            FormulaMap.renaming_map("ren", {"p": "bot"})
+
     def test_domain_restriction_narrows_a_renaming(self):
         ren = FormulaMap.renaming_map("ren", {"p": "q"}, domain=[pf("p")])
         assert ren.over(fs("p", "(not p)")) == ({pf("p"): pf("q")}, (pf("(not p)"),))
