@@ -343,7 +343,7 @@ def universality_evidence(
 
     Agreement is exact on outcome, output, and step count; both run one
     step loop, so it checks what the code path adds, encoding and
-    decoding. The independent oracles are in the test suite. The mean
+    decoding. The mean
     overhead factor (micro operations per simulated step) is measured,
     not assumed.
     """
