@@ -344,6 +344,20 @@ class TestReports:
         assert report["result"]["verdict"] == "YES"
         assert report["result"]["input"] == 0
 
+    def test_fixed_output_reports(self, capsys, data_dir, golden):
+        # the two requests the machines benchmark sends, report for report
+        reports = {}
+        for argv in (
+            ("fixed-output", "brute", "--y", "2", "--max-instructions", "2",
+             "--max-registers", "1", "--inputs", "3,6", "--fuel", "64"),
+            ("fixed-output", "recognize", "--machine", str(data_dir / "adder.rm"),
+             "--y", "1", "--schedule", "8,16,32,64,128"),
+        ):
+            code, report = run_json(capsys, *argv)
+            assert code == 0
+            reports[argv[1]] = report
+        golden("fixed_output_reports", reports)
+
 
 # every parser vty has: the root, each command and each fixed-output mode
 HELP_ARGVS = (

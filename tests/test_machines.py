@@ -34,6 +34,8 @@ from vty.machines import (
     unpair,
 )
 
+from vty.machines import _instruction_options
+
 from oracle_tools import mini_run, oracle_walk_universal_run
 
 
@@ -187,14 +189,34 @@ class TestTextFormat:
         with pytest.raises(ValueError) as err:
             parse_machine("INC 0 1\nWAT 3\n")
         assert "line 2" in str(err.value)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             parse_machine("INC 0\n")
+        assert str(err.value) == "line 1: bad instruction 'INC 0'"
         with pytest.raises(ValueError):
             parse_machine("HALT 0\n")
 
-    def test_parsed_jumps_are_validated(self):
-        with pytest.raises(ValueError):
-            parse_machine("INC 0 9\n")
+    @pytest.mark.parametrize("text, message", [
+        ("INC 0 9\n", "instruction 0 jumps to 9"),
+        ("INC -1 0\n", "instruction 0 uses register -1"),
+    ])
+    def test_parsed_machines_are_validated(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_machine(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("seed, arguments, text", [
+        (0, (), "DECJZ 1 0 2\nHALT\nDECJZ 1 6 6\nDECJZ 1 2 4\nINC 2 1\nDECJZ 0 6 0"),
+        (1, (), "HALT"),
+        (2, (), "INC 0 0\nDECJZ 0 5 6\nHALT\nDECJZ 1 4 1\nHALT\nINC 2 5"),
+        (4, (), "DECJZ 0 1 1"),
+        (5, (10, 2), "DECJZ 1 8 0\nDECJZ 0 0 2\nINC 1 7\nINC 1 8\nINC 0 0\nHALT\n"
+                     "INC 1 4\nINC 1 2\nINC 0 9"),
+        (11, (8, 4), "HALT\nDECJZ 3 3 2\nHALT\nDECJZ 1 1 7\nDECJZ 1 1 0\nHALT\n"
+                     "DECJZ 3 2 0"),
+    ])
+    def test_random_draws_are_pinned(self, seed, arguments, text):
+        # the draw order of random_machine fixes every seeded sample in the suite
+        assert format_machine(random_machine(random.Random(seed), *arguments)) == text
 
 
 class TestAdder:
@@ -259,6 +281,14 @@ class TestEncoding:
         for instr in self.instructions():
             assert decode_instruction(encode_instruction(instr)) == instr
 
+    @pytest.mark.parametrize("instr, code", [
+        (Inc(0, 0), 0), (Inc(1, 0), 2), (Inc(3, 7), 2015),
+        (DecJz(0, 0, 0), 1), (DecJz(1, 0, 3), 2209), (DecJz(2, 5, 1), 52648),
+        (Halt(), 3),
+    ])
+    def test_instruction_codes_are_pinned(self, instr, code):
+        assert encode_instruction(instr) == code
+
     def test_program_round_trip(self):
         rng = random.Random(20260817)
         for _ in range(40):
@@ -280,12 +310,12 @@ class TestEncoding:
     def test_halt_payload_must_be_zero(self):
         with pytest.raises(DecodeError) as err:
             decode_instruction(pair(2, 1))
-        assert "HALT carries payload 1" in str(err.value)
+        assert str(err.value) == "HALT carries payload 1, expected 0"
 
     def test_unknown_opcode(self):
         with pytest.raises(DecodeError) as err:
             decode_instruction(pair(3, 0))
-        assert "opcode 3" in str(err.value)
+        assert str(err.value) == "opcode 3 is outside the instruction set"
 
     def test_negative_program_code(self):
         with pytest.raises(DecodeError):
@@ -387,7 +417,7 @@ class TestUniversalInterpreter:
         assert str(interpreted.value) == str(decoded.value) == message
 
     def test_evidence_summary_is_reproducible(self):
-        evidence = universality_evidence(samples=100, seed=20260817)
+        evidence = universality_evidence()
         assert evidence == {
             "samples": 100,
             "seed": 20260817,
@@ -409,16 +439,43 @@ class TestWorldEnumeration:
         with pytest.raises(ValueError):
             WorldBounds(1, 1, (0,), 0)
 
-    @pytest.mark.parametrize("instructions,registers", [(0, 1), (1, 1), (2, 1), (1, 2), (2, 2)])
+    # the cap arithmetic counts what the enumerator yields: every world of
+    # at most 10 000 machines in the table below is enumerated in full
+    KNOWN_COUNTS = {
+        0: (1, 1, 1),
+        1: (8, 14, 20),
+        2: (177, 639, 1389),
+        3: (9438, 69560, 228370),
+        4: (932959, 13915401, 68803331),
+    }
+
+    @pytest.mark.parametrize("instructions,registers", [
+        (instructions, registers)
+        for instructions, counts in KNOWN_COUNTS.items()
+        for registers, count in enumerate(counts, start=1) if count <= 10_000])
     def test_count_matches_enumeration(self, instructions, registers):
         machines = list(enumerate_machines(instructions, registers))
         assert len(machines) == count_machines(instructions, registers)
         assert len(set(machines)) == len(machines)
 
     def test_known_counts(self):
-        assert count_machines(1, 1) == 8
-        assert count_machines(2, 2) == 639
-        assert count_machines(3, 1) == 9438
+        for instructions, counts in self.KNOWN_COUNTS.items():
+            for registers, count in enumerate(counts, start=1):
+                assert count_machines(instructions, registers) == count
+
+    @pytest.mark.parametrize("registers, length, codes", [
+        (1, 0, [0, 1, 3]),
+        (1, 1, [0, 5, 1, 26, 8, 134, 3]),
+        (1, 2, [0, 5, 20, 1, 26, 251, 8, 134, 1079, 64, 701, 4276, 3]),
+        (2, 0, [0, 2, 1, 4, 3]),
+        (2, 1, [0, 5, 2, 14, 1, 26, 8, 134, 4, 53, 19, 229, 3]),
+        (2, 2, [0, 5, 20, 2, 14, 44, 1, 26, 251, 8, 134, 1079, 64, 701, 4276,
+                4, 53, 404, 19, 229, 1538, 118, 1033, 5563, 3]),
+    ])
+    def test_option_order_is_pinned(self, registers, length, codes):
+        # the canonical enumeration order, and so the order of brute hits
+        options = _instruction_options(registers, length)
+        assert [encode_instruction(option) for option in options] == codes
 
 
 class TestFixedOutputBrute:
