@@ -57,11 +57,13 @@ class FormulaMap:
         if (self.renaming is None) == (self.table is None):
             raise ValueError("a formula map is either a renaming or a table")
         if self.table is None:
-            lookup = {source: Atom(target) for source, target in self.renaming}
+            pairs = self.renaming
+            lookup = {source: Atom(target) for source, target in pairs}
         else:
-            lookup = dict(self.table)
-            if len(lookup) != len(self.table):
-                raise ValueError(f"map {self.map_id!r} lists a source formula twice")
+            pairs = self.table
+            lookup = dict(pairs)
+        if len(lookup) != len(pairs):
+            raise ValueError(f"map {self.map_id!r} lists a source formula twice")
         object.__setattr__(self, "_lookup", lookup)
 
     @classmethod

@@ -436,6 +436,18 @@ class TestValidation:
             "duplicate prevariety 'PV'",
         )
 
+    @pytest.mark.parametrize("kind, entries", [
+        ("renaming", "  rename p q\n  rename p r\n"),
+        ("table", "  pair p q\n  pair p r\n"),
+    ])
+    def test_map_listing_a_source_twice_is_located(self, kind, entries):
+        text = MINIMAL.replace("map ident identity",
+                               f"map ident identity\n\nmap twice {kind} {{\n{entries}}}")
+        line = text.splitlines().index(f"map twice {kind} {{") + 1
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(text, source="w.vty")
+        assert str(err.value) == f"w.vty:{line}:1: map 'twice' lists a source formula twice"
+
     def test_unresolved_calculus(self):
         text = MINIMAL.replace("calculus L\n", "calculus GONE\n")
         with pytest.raises(UnresolvedReferenceError) as err:

@@ -56,8 +56,12 @@ class TestFormulaMap:
             FormulaMap("bad", renaming=(), table=())
 
     def test_duplicate_table_source_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="map 'dup' lists a source formula twice"):
             FormulaMap.table_map("dup", [(pf("p"), pf("q")), (pf("p"), pf("r"))])
+
+    def test_duplicate_renaming_source_rejected(self):
+        with pytest.raises(ValueError, match="map 'dup' lists a source formula twice"):
+            FormulaMap("dup", renaming=(("p", "q"), ("p", "r")))
 
     def test_renaming_is_homomorphic(self):
         ren = FormulaMap.renaming_map("ren", {"a1": "p", "a2": "q"})
