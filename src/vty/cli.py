@@ -488,7 +488,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a reader that closed early shows up here
+    except BrokenPipeError:
+        # Python flushes stdout once more at exit; writing to devnull keeps
+        # that flush from printing a second BrokenPipeError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -890,6 +890,22 @@ class TestFirstMissedFormula:
         ]
 
 
+def test_reader_closing_early_exits_1_without_a_traceback(tmp_path):
+    # the read end is closed before vty starts, so its first write fails
+    # as a `| head -1` reader makes a long report's writes fail
+    src = str(Path(vty.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "vty.cli", "report-matrix"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 class TestEncodingLock:
     def test_adder_program_code_is_stable(self, data_dir):
         adder = parse_machine((data_dir / "adder.rm").read_text())
