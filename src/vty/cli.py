@@ -74,6 +74,18 @@ def _formula_arg(text: str) -> Formula:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _depth_arg(text: str) -> int:
+    """An argparse type for --depth: a nonnegative int. A non-integer keeps
+    the message argparse gives for type=int."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if depth < 0:
+        raise argparse.ArgumentTypeError("depth must be nonnegative")
+    return depth
+
+
 def _int_list_arg(what: str):
     """An argparse type for comma-separated integers, named `what` in errors."""
 
@@ -291,7 +303,7 @@ _AXIOM_SET_ARGUMENTS = (
     _arg("--axioms", type=_formula_arg, nargs="+", required=True),
     _arg("--goal", type=_formula_arg, required=True),
     _arg("--base", choices=PRESET_NAMES, default="hilbert"),
-    _arg("--depth", type=int, default=None),
+    _arg("--depth", type=_depth_arg, default=None),
 )
 
 
@@ -319,7 +331,7 @@ _COMMANDS = {
     )),
     "closure": _Command(_cmd_closure, "bounded theorem set of one calculus", (
         _arg("--calculus", default=None, help="calculus id"),
-        _arg("--depth", type=int, default=None),
+        _arg("--depth", type=_depth_arg, default=None),
         _arg("--with-proofs", action="store_true"),
     )),
     "consistency": _Command(_cmd_consistency, "per-component and pooled satisfiability", (

@@ -482,6 +482,12 @@ class TestOutputControls:
         cases = [
             (["classify", "--axioms", "p", "--depth", "x", "--goal", "p"],
              "classify", "argument --depth: invalid int value: 'x'"),
+            (["classify", "--axioms", "p", "--depth", "-1", "--goal", "p"],
+             "classify", "argument --depth: depth must be nonnegative"),
+            (["minimal-subsets", "--axioms", "p", "--goal", "p", "--depth", "-1"],
+             "minimal-subsets", "argument --depth: depth must be nonnegative"),
+            (["closure", "--depth", "-1"],
+             "closure", "argument --depth: depth must be nonnegative"),
             (["classify", "--axioms", "p"],
              "classify", "the following arguments are required: --goal"),
             (["frobnicate"], None, "argument command: invalid choice: 'frobnicate' "
