@@ -25,7 +25,7 @@ and 0-based decimal addresses::
 Integer codes. The pairing function is the Cantor pairing
 pair(x, y) = (x + y) (x + y + 1) / 2 + y, with unpair its inverse.
 Instructions code as pair(opcode, payload) with opcodes INC=0,
-DECJZ=1, HALT=2 and payloads
+DECJZ=1, HALT=2 and payloads that fold pair over the operands from the right:
 
     INC r k        pair(r, k)
     DECJZ r kz kp  pair(r, pair(kz, kp))
@@ -37,6 +37,11 @@ pair(h, t) + 1. Decoding rejects HALT payloads other than zero and any
 program whose jump targets fall outside 0..len; the register count of
 a decoded machine is one more than the largest register index used, or
 one for the empty program.
+
+``INSTRUCTIONS`` is the one place that defines the instruction set: an
+opcode is an index into it, a kind's operands are its fields in order,
+the register first. Text, codes, enumeration, counts and random draws
+read it; only the step loop and validation name each kind's fields.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import ClassVar, Iterator, Sequence
 
 from .errors import DecodeError, EnumerationCapExceededError
 
@@ -57,12 +63,14 @@ OUT_OF_FUEL = "OUT_OF_FUEL"
 
 @dataclass(frozen=True)
 class Inc:
+    word: ClassVar[str] = "INC"
     register: int
     target: int
 
 
 @dataclass(frozen=True)
 class DecJz:
+    word: ClassVar[str] = "DECJZ"
     register: int
     target_if_zero: int
     target_if_positive: int
@@ -70,10 +78,23 @@ class DecJz:
 
 @dataclass(frozen=True)
 class Halt:
-    pass
+    word: ClassVar[str] = "HALT"
 
 
 Instruction = Inc | DecJz | Halt
+
+INSTRUCTIONS = (Inc, DecJz, Halt)
+_OPERAND_NAMES = {kind: tuple(f.name for f in fields(kind)) for kind in INSTRUCTIONS}
+_BY_WORD = {kind.word: kind for kind in INSTRUCTIONS}
+# each kind's text line, e.g. "%s %d %d" % (word, register, target) for INC
+_TEXT = {kind: (" ".join(["%s", *["%d"] * len(names)]), attrgetter("word", *names))
+         for kind, names in _OPERAND_NAMES.items()}
+
+
+def _operand_sizes(kind: type, registers: int, length: int) -> list[int]:
+    """How many values each operand of `kind` takes: a register, then 0..length."""
+    targets = len(_OPERAND_NAMES[kind]) - 1
+    return [registers] + [length + 1] * targets if targets >= 0 else []
 
 
 @dataclass(frozen=True)
@@ -164,14 +185,8 @@ def _step_loop(
 def format_machine(machine: RegisterMachine) -> str:
     lines = []
     for instr in machine.program:
-        if isinstance(instr, Inc):
-            lines.append(f"INC {instr.register} {instr.target}")
-        elif isinstance(instr, DecJz):
-            lines.append(
-                f"DECJZ {instr.register} {instr.target_if_zero} {instr.target_if_positive}"
-            )
-        else:
-            lines.append("HALT")
+        template, values = _TEXT[type(instr)]
+        lines.append(template % values(instr))
     return "\n".join(lines)
 
 
@@ -182,27 +197,22 @@ def parse_machine(text: str) -> RegisterMachine:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
+        word, *operands = line.split()
+        kind = _BY_WORD.get(word)
         try:
-            if parts[0] == "INC" and len(parts) == 3:
-                program.append(Inc(int(parts[1]), int(parts[2])))
-            elif parts[0] == "DECJZ" and len(parts) == 4:
-                program.append(DecJz(int(parts[1]), int(parts[2]), int(parts[3])))
-            elif parts[0] == "HALT" and len(parts) == 1:
-                program.append(Halt())
-            else:
+            if kind is None or len(operands) != len(_OPERAND_NAMES[kind]):
                 raise ValueError
+            program.append(kind(*map(int, operands)))
         except ValueError:
             raise ValueError(f"line {number}: bad instruction {line!r}") from None
     return machine_from_program(tuple(program))
 
 
 def machine_from_program(program: Sequence[Instruction]) -> RegisterMachine:
-    highest = -1
-    for instr in program:
-        if isinstance(instr, (Inc, DecJz)):
-            highest = max(highest, instr.register)
-    return RegisterMachine(max(highest + 1, 1), tuple(program))
+    # the register is each kind's first operand
+    used = [getattr(instr, names[0]) for instr in program
+            if (names := _OPERAND_NAMES[type(instr)])]
+    return RegisterMachine(max([0, *used]) + 1, tuple(program))
 
 
 # --- integer codes ----------------------------------------------------------
@@ -223,36 +233,25 @@ def unpair(z: int) -> tuple[int, int]:
     return s - y, y
 
 
-OPCODE_INC = 0
-OPCODE_DECJZ = 1
-OPCODE_HALT = 2
-
-
 def encode_instruction(instr: Instruction) -> int:
-    if isinstance(instr, Inc):
-        return pair(OPCODE_INC, pair(instr.register, instr.target))
-    if isinstance(instr, DecJz):
-        return pair(
-            OPCODE_DECJZ,
-            pair(instr.register, pair(instr.target_if_zero, instr.target_if_positive)),
-        )
-    return pair(OPCODE_HALT, 0)
+    *operands, payload = [getattr(instr, name) for name in _OPERAND_NAMES[type(instr)]] or [0]
+    for operand in reversed(operands):
+        payload = pair(operand, payload)
+    return pair(INSTRUCTIONS.index(type(instr)), payload)
 
 
 def decode_instruction(code: int) -> Instruction:
     opcode, payload = unpair(code)
-    if opcode == OPCODE_INC:
-        register, target = unpair(payload)
-        return Inc(register, target)
-    if opcode == OPCODE_DECJZ:
-        register, rest = unpair(payload)
-        target_if_zero, target_if_positive = unpair(rest)
-        return DecJz(register, target_if_zero, target_if_positive)
-    if opcode == OPCODE_HALT:
-        if payload != 0:
-            raise DecodeError(f"HALT carries payload {payload}, expected 0")
-        return Halt()
-    raise DecodeError(f"opcode {opcode} is outside the instruction set")
+    if opcode >= len(INSTRUCTIONS):
+        raise DecodeError(f"opcode {opcode} is outside the instruction set")
+    kind = INSTRUCTIONS[opcode]
+    if not _OPERAND_NAMES[kind] and payload != 0:
+        raise DecodeError(f"{kind.word} carries payload {payload}, expected 0")
+    operands = []
+    for _ in _OPERAND_NAMES[kind][1:]:
+        operand, payload = unpair(payload)
+        operands.append(operand)
+    return kind(*operands, payload) if _OPERAND_NAMES[kind] else kind()
 
 
 def encode_program(program: Sequence[Instruction]) -> int:
@@ -318,15 +317,8 @@ def random_machine(
     length = rng.randint(0, max_instructions)
     program: list[Instruction] = []
     for _ in range(length):
-        kind = rng.randrange(3)
-        if kind == 0:
-            program.append(Inc(rng.randrange(max_registers), rng.randint(0, length)))
-        elif kind == 1:
-            program.append(DecJz(
-                rng.randrange(max_registers), rng.randint(0, length), rng.randint(0, length)
-            ))
-        else:
-            program.append(Halt())
+        kind = INSTRUCTIONS[rng.randrange(len(INSTRUCTIONS))]
+        program.append(kind(*map(rng.randrange, _operand_sizes(kind, max_registers, length))))
     return RegisterMachine(max_registers, tuple(program))
 
 
@@ -394,26 +386,16 @@ class WorldBounds:
 
 
 def _instruction_options(registers: int, length: int) -> list[Instruction]:
-    options: list[Instruction] = []
-    for register in range(registers):
-        for target in range(length + 1):
-            options.append(Inc(register, target))
-    for register in range(registers):
-        for target_if_zero in range(length + 1):
-            for target_if_positive in range(length + 1):
-                options.append(DecJz(register, target_if_zero, target_if_positive))
-    options.append(Halt())
-    return options
+    """Every instruction of one slot: by kind in INSTRUCTIONS order, then by operands."""
+    return [kind(*operands) for kind in INSTRUCTIONS for operands in
+            itertools.product(*map(range, _operand_sizes(kind, registers, length)))]
 
 
 def _machine_counts(max_instructions: int, max_registers: int) -> Iterator[int]:
     """The number of machines of each length 0..max_instructions, in order."""
     for length in range(max_instructions + 1):
-        per_slot = (
-            max_registers * (length + 1)
-            + max_registers * (length + 1) ** 2
-            + 1
-        )
+        per_slot = sum(math.prod(_operand_sizes(kind, max_registers, length))
+                       for kind in INSTRUCTIONS)
         yield per_slot**length
 
 
