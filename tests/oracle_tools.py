@@ -15,6 +15,7 @@ import random
 from typing import Iterable, Iterator, Sequence
 
 from vty.calculus import (
+    DEFAULT_SIZE_CAP,
     AxiomStep,
     Calculus,
     Proof,
@@ -55,8 +56,16 @@ from vty.machines import (
     decode_machine,
     unpair,
 )
-from vty.semantics import DEFAULT_ATOM_CAP, collect_atoms
-from vty.varieties import Component, FormulaMap, Prevariety, assemble_prevariety
+from vty.semantics import DEFAULT_ATOM_CAP, check_consistency, collect_atoms
+from vty.varieties import (
+    DEFAULT_COMPONENT_SUBSET_CAP,
+    Component,
+    ComponentConsistency,
+    FormulaMap,
+    KnowledgeConsistencyReport,
+    Prevariety,
+    assemble_prevariety,
+)
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -319,6 +328,58 @@ def deletion_mutations(pv: Prevariety) -> list[tuple[str, str, Prevariety]]:
             dataclasses.replace(pv, theorems=pv.theorems - {formula}),
         ))
     return mutations
+
+
+def oracle_consistency_report(
+    pv: Prevariety,
+    *,
+    atom_cap: int = DEFAULT_ATOM_CAP,
+    size_cap: int = DEFAULT_SIZE_CAP,
+    subset_cap: int = DEFAULT_COMPONENT_SUBSET_CAP,
+) -> KnowledgeConsistencyReport:
+    """The consistency report before component masks: one truth table per
+    examined component subset.
+
+    Each component contributes its mapped axioms and designated theorems.
+    Subsets of two or more components are examined in increasing width, in
+    ``itertools.combinations`` order; a superset of a known inconsistent set
+    is skipped, and the search stops after ``subset_cap`` candidates.
+    """
+    contributions: dict[str, frozenset[Formula]] = {}
+    rows: list[ComponentConsistency] = []
+    for component in pv.components:
+        axiom_images, _ = component.axiom_map.over(
+            theorem_formulas(component.calculus, 0, size_cap))
+        designated_images, _ = component.theorem_map.over(component.designated_theorems)
+        pooled = frozenset(axiom_images.values()).union(designated_images.values())
+        contributions[component.component_id] = pooled
+        verdict = check_consistency(pooled, atom_cap)
+        rows.append(ComponentConsistency(
+            component.component_id, verdict.verdict, len(pooled), verdict.atom_count))
+
+    global_verdict = check_consistency(pv.axioms | pv.theorems, atom_cap)
+    flag = all(row.verdict == "CONSISTENT" for row in rows) and not global_verdict.consistent
+
+    ids = [component.component_id for component in pv.components]
+    minimal = [(row.component_id,) for row in rows if row.verdict == "INCONSISTENT"]
+    notes: list[str] = []
+    examined = 0
+    for combo in itertools.chain.from_iterable(
+            itertools.combinations(ids, width) for width in range(2, len(ids) + 1)):
+        examined += 1
+        if examined > subset_cap:
+            notes.append(f"subset search truncated after {subset_cap} candidates")
+            break
+        if any(set(found) <= set(combo) for found in minimal):
+            continue
+        pooled = frozenset().union(*(contributions[cid] for cid in combo))
+        if not check_consistency(pooled, atom_cap).consistent:
+            minimal.append(combo)
+    notes.append("per-component sets are the pooled axiom and theorem images")
+    return KnowledgeConsistencyReport(
+        tuple(rows), global_verdict.verdict, global_verdict.witness_kind, flag,
+        tuple(minimal), tuple(notes),
+    )
 
 
 # --- reference register machine interpreter ----------------------------------

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vty.calculus import Calculus, base_calculus, with_axioms
-from vty.errors import MapUndefinedError
+from vty.errors import MapUndefinedError, VtyError
 from vty.formulas import parse_formula
 from vty.varieties import (
     Component,
@@ -17,7 +19,7 @@ from vty.varieties import (
     consistency_report,
 )
 
-from oracle_tools import deletion_mutations, random_prevariety
+from oracle_tools import deletion_mutations, oracle_consistency_report, random_prevariety
 
 
 def pf(text):
@@ -517,3 +519,31 @@ class TestKnowledgeConsistency:
         assert payload["pairs"] == [["K1", "K2"]]
         assert payload["global"] == "INCONSISTENT"
         assert payload["locally_consistent_globally_inconsistent"] is True
+
+
+def report_or_error(build):
+    try:
+        return "report", build().to_dict()
+    except VtyError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestConsistencyReportMatchesOracle:
+    """The report, or the error, of the per-subset search, one prevariety at a time."""
+
+    @given(seed=st.integers(0, 2 ** 30), count=st.integers(1, 5),
+           union=st.sampled_from(("assembled", "one deleted", "empty")),
+           atom_cap=st.sampled_from((1, 2, 3, 4, 20)), subset_cap=st.sampled_from((2, 4096)))
+    @settings(max_examples=200, deadline=None)
+    def test_same_report(self, seed, count, union, atom_cap, subset_cap):
+        rng = random.Random(seed)
+        pv = random_prevariety(rng, count)
+        # a claimed union with fewer atoms than the components pass the
+        # global check and reach the subset search past the atom cap
+        if union == "one deleted" and (mutations := deletion_mutations(pv)):
+            pv = rng.choice(mutations)[2]
+        elif union == "empty":
+            pv = dataclasses.replace(pv, axioms=frozenset(), theorems=frozenset())
+        caps = {"atom_cap": atom_cap, "subset_cap": subset_cap}
+        assert report_or_error(lambda: consistency_report(pv, **caps)) == report_or_error(
+            lambda: oracle_consistency_report(pv, **caps))
