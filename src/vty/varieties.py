@@ -18,10 +18,12 @@ itself, from the same record, in quasi mode too.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .calculus import (
     Calculus,
@@ -30,8 +32,14 @@ from .calculus import (
     theorem_formulas,
 )
 from .errors import MapUndefinedError
-from .formulas import Atom, Formula, formula_key, substitute
-from .semantics import DEFAULT_ATOM_CAP, ConsistencyVerdict, check_consistency
+from .formulas import Atom, Formula, evaluate, formula_key, substitute
+from .semantics import (
+    DEFAULT_ATOM_CAP,
+    ConsistencyVerdict,
+    atom_masks,
+    check_consistency,
+    collect_atoms,
+)
 
 DEFAULT_COMPONENT_SUBSET_CAP = 4096
 
@@ -648,6 +656,13 @@ def consistency_report(
     set is not, is detected and flagged. Minimal inconsistent component
     subsets are found by exhaustive subset search in increasing size;
     supersets of a known inconsistent subset are skipped.
+
+    When the components' contributions together stay within the atom cap,
+    each component's formulas are evaluated once over all their atoms and
+    ANDed into one mask per component; a subset is consistent exactly when
+    the AND of its members' masks is nonzero. Past the cap, each examined
+    subset gets its own ``check_consistency``, which raises the cap error
+    of the first subset that passes the cap.
     """
     contributions: dict[str, frozenset[Formula]] = {}
     rows: list[ComponentConsistency] = []
@@ -673,6 +688,7 @@ def consistency_report(
     for row in rows:
         if row.verdict == "INCONSISTENT":
             minimal.append((row.component_id,))
+    consistent = _subset_consistency(contributions, atom_cap)
     examined = 0
     truncated = False
     for width in range(2, len(ids) + 1):
@@ -683,8 +699,7 @@ def consistency_report(
                 break
             if any(set(found) <= set(combo) for found in minimal):
                 continue
-            pooled = frozenset().union(*(contributions[cid] for cid in combo))
-            if not check_consistency(pooled, atom_cap).consistent:
+            if not consistent(combo):
                 minimal.append(combo)
         if truncated:
             break
@@ -700,3 +715,20 @@ def consistency_report(
         tuple(minimal),
         tuple(notes),
     )
+
+
+def _subset_consistency(
+    contributions: Mapping[str, frozenset[Formula]], atom_cap: int
+) -> Callable[[Sequence[str]], bool]:
+    """Whether the pooled contributions of a set of component ids are consistent."""
+    names = collect_atoms(itertools.chain.from_iterable(contributions.values()))
+    if len(names) > atom_cap:
+        return lambda ids: check_consistency(
+            frozenset().union(*(contributions[cid] for cid in ids)), atom_cap).consistent
+    masks, true = atom_masks(names)
+    models = {
+        cid: functools.reduce(operator.and_,
+                              (evaluate(formula, masks, true=true) for formula in formulas), true)
+        for cid, formulas in contributions.items()
+    }
+    return lambda ids: functools.reduce(operator.and_, (models[cid] for cid in ids)) != 0
