@@ -434,6 +434,29 @@ SEARCH_BASES = {
 }
 
 
+def assert_search_matches_oracle(axioms, goal, base_calc, depth, **caps):
+    """Same minimal subsets and reduction, or the same error, as the
+    per-subset search; returns the minimal subsets found."""
+
+    def minimal():
+        return minimal_axiom_subsets(axioms, goal, base_calc, depth, **caps)
+
+    def reduction():
+        return classify_relation(axioms, goal, base_calc, depth, **caps).reducible_to
+
+    labelled = outcome(minimal), outcome(reduction)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vty.projection, "_minimal_sufficient_subsets",
+                      oracle_tools.oracle_minimal_sufficient_subsets)
+        assert labelled == (outcome(minimal), outcome(reduction))
+    return labelled[0][1]
+
+
+# mp chains over five atoms, with shortcuts and a loop back
+CHAIN_POOL = ("a", "b", "c", "(-> a b)", "(-> b c)", "(-> c d)", "(-> d e)", "(-> a c)",
+              "(-> b d)", "(-> a e)", "(-> e a)", "(-> c e)", "(-> (-> a b) e)", "d")
+
+
 class TestLabelledSearchMatchesOracle:
     """The labelled search gives every answer and cap error of the per-subset one."""
 
@@ -442,20 +465,32 @@ class TestLabelledSearchMatchesOracle:
            depth=st.integers(0, 3), size_cap=st.sampled_from([30, 300, 10_000]))
     @settings(max_examples=40, deadline=None)
     def test_same_subsets_and_reduction(self, base, axioms, goal, depth, size_cap):
-        base_calc = SEARCH_BASES[base]
+        assert_search_matches_oracle(axioms, goal, SEARCH_BASES[base], depth, size_cap=size_cap)
 
-        def minimal():
-            return minimal_axiom_subsets(axioms, goal, base_calc, depth, size_cap=size_cap)
+    @given(pool=st.permutations(CHAIN_POOL), size=st.integers(0, 13),
+           goal=st.sampled_from("abcdez").map(Atom), depth=st.integers(0, 4),
+           subset_cap=st.sampled_from([4, 12, 12, 12]))
+    @settings(max_examples=60, deadline=None)
+    def test_up_to_twelve_axioms(self, pool, size, goal, depth, subset_cap):
+        axioms = [pf(text) for text in pool[:size]]
+        assert_search_matches_oracle(axioms, goal, "mp", depth, subset_cap=subset_cap)
 
-        def reduction():
-            return classify_relation(axioms, goal, base_calc, depth,
-                                     size_cap=size_cap).reducible_to
+    @pytest.mark.parametrize("goal, count", [("e", 11), ("z", 0)])
+    def test_twelve_axioms(self, goal, count):
+        axioms = [pf(text) for text in CHAIN_POOL[:12]]
+        found = assert_search_matches_oracle(axioms, pf(goal), "mp", 4)
+        assert len(found) == count
+        with pytest.raises(SubsetCapExceededError):
+            minimal_axiom_subsets([*axioms, pf("(-> e z)")], pf(goal), "mp", 4)
 
-        labelled = outcome(minimal), outcome(reduction)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(vty.projection, "_minimal_sufficient_subsets",
-                          oracle_tools.oracle_minimal_sufficient_subsets)
-            assert labelled == (outcome(minimal), outcome(reduction))
+    def test_a_cheaper_support_that_contains_another(self):
+        # (-> p p) is an axiom at cost 0 and a hilbert theorem at cost 2, so
+        # the goal's antichain holds a support mask inside a cheaper one
+        axioms, goal = [pf("(-> p p)")], pf("(-> p p)")
+        labels = labelled_closure(base_calculus("hilbert"), axioms, 2, goals=(goal,))
+        assert sorted(labels[goal]) == [(0, 2), (1, 0)]
+        assert assert_search_matches_oracle(axioms, goal, "hilbert", 2) == (frozenset(),)
+        assert classify_relation(axioms, goal, "hilbert", 2).reducible_to == ()
 
 
 class TestLabelContract:
