@@ -312,12 +312,13 @@ def minimal_axiom_subsets(
 ) -> tuple[frozenset[Formula], ...]:
     """All minimal sufficient subsets at the depth bound, as an antichain.
 
-    Exhaustive over subsets in increasing size; supersets of a found
-    subset are skipped, so no result contains another. One labelled
-    closure of the whole set decides every subset: a subset suffices when
-    it contains one of the goal's support masks. When the whole set trips
-    a size cap, each subset gets its own bounded proof search instead, so
-    answers and cap errors are those of searching subset by subset.
+    Ordered by size, then by combination order of the sorted axioms; no
+    result contains another. One labelled closure of the whole set gives
+    the answer: a subset suffices when it contains one of the goal's
+    support masks, so the minimal ones are the masks that contain no
+    other. When the whole set trips a size cap, each subset gets its own
+    bounded proof search instead, so answers and cap errors are those of
+    searching subset by subset.
     """
     axiom_list = sorted(set(axioms), key=formula_key)
     if len(axiom_list) > subset_cap:
@@ -333,35 +334,40 @@ def _minimal_sufficient_subsets(
 ) -> Iterator[tuple[Formula, ...]]:
     """Minimal subsets of the sorted axiom list that prove the goal, smallest first.
 
-    Candidates come in ``itertools.combinations`` order up to
-    ``max_width``; supersets of a yielded subset are skipped. One
-    ``labelled_closure`` of the whole list decides every candidate: it
-    proves the goal when one of the goal's support masks lies inside it.
-    Closure only grows with the axiom set, so when the whole list closes
-    within the caps no candidate's closure can trip one. When it does not,
-    each candidate is decided by its own ``proves`` call, which raises the
-    cap error of the first candidate that trips a cap.
+    Subsets come in ``itertools.combinations`` order up to ``max_width``;
+    no yielded subset contains another. One ``labelled_closure`` of the
+    whole list answers directly: a subset proves the goal when one of the
+    goal's support masks lies inside it, so the minimal sufficient subsets
+    are the support masks that contain no other, ordered by width and then
+    by combination order. Closure only grows with the axiom set, so when
+    the whole list closes within the caps no subset's closure can trip one.
+    When it does not, every candidate in combination order that contains no
+    yielded subset gets its own ``proves`` call, which raises the cap error
+    of the first candidate that trips a cap.
     """
     try:
         supports = [mask for mask, _ in labelled_closure(
             base_calc, axiom_list, depth, goals=(goal,), size_cap=size_cap).get(goal, ())]
     except DepthExplosionError:
         supports = None
+    if supports is None:
+        candidates = (combo for width in range(max_width + 1)
+                      for combo in itertools.combinations(range(len(axiom_list)), width))
+    else:
+        bits = [tuple(i for i in range(len(axiom_list)) if mask >> i & 1) for mask in supports]
+        candidates = sorted((combo for combo in bits if len(combo) <= max_width),
+                            key=lambda combo: (len(combo), combo))
     minimal: list[int] = []
-    for width in range(max_width + 1):
-        for combo in itertools.combinations(range(len(axiom_list)), width):
-            mask = sum(1 << i for i in combo)
-            if any(found & mask == found for found in minimal):
-                continue
-            subset = tuple(axiom_list[i] for i in combo)
-            if supports is None:
-                sufficient = proves(with_axioms(base_calc, subset), goal, depth,
-                                    size_cap=size_cap) is not None
-            else:
-                sufficient = any(support & mask == support for support in supports)
-            if sufficient:
-                minimal.append(mask)
-                yield subset
+    for combo in candidates:
+        mask = sum(1 << i for i in combo)
+        if any(found & mask == found for found in minimal):
+            continue
+        subset = tuple(axiom_list[i] for i in combo)
+        if supports is None and proves(with_axioms(base_calc, subset), goal, depth,
+                                       size_cap=size_cap) is None:
+            continue
+        minimal.append(mask)
+        yield subset
 
 
 # --- registry matrix ---------------------------------------------------------
