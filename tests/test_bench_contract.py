@@ -113,6 +113,34 @@ def test_subsets_classify_closes_and_proves_once(monkeypatch, capsys):
     assert sorted(calls) == ["closure", "proves"]
 
 
+def test_knowledge_checks_each_component_and_the_union_once(monkeypatch, capsys):
+    # within the atom cap the subset search reads one mask per component, so
+    # check_consistency runs once per component row and once for the union;
+    # the traced knowledge run fails its self-check when either count reads 0
+    import vty.cli
+
+    calls = count_calls(monkeypatch, vty.semantics, ("check_consistency", "evaluate"))
+    code = vty.cli.main(["check-prevariety", str(ROOT / "tests" / "data" / "knowledge_five.vty")])
+    assert code == 0
+    consistency = json.loads(capsys.readouterr().out)["result"]["consistency"]
+    assert len(consistency["minimal_inconsistent_sets"]) > 0
+    assert calls.count("check_consistency") == len(consistency["components"]) + 1
+    assert "evaluate" in calls
+
+
+def test_minimal_subsets_of_twelve_axioms_close_once(monkeypatch):
+    # the goal's support masks answer every subset: no proof search per subset
+    import vty.calculus
+    from vty.projection import minimal_axiom_subsets
+
+    calls = count_calls(monkeypatch, vty.calculus, ("labelled_closure", "proves"))
+    axioms = [parse_formula(f"a{i}") for i in range(6)] + [
+        parse_formula(f"(-> a{i} g)") for i in range(6)]
+    found = minimal_axiom_subsets(axioms, parse_formula("g"), "mp", 1)
+    assert len(found) == 6
+    assert calls == ["labelled_closure"]
+
+
 def test_universal_run_makes_no_direct_runs(monkeypatch):
     # the tracer counts `run_machine` and `universal_run_stats` apart, so
     # neither may run through the other
