@@ -74,16 +74,25 @@ def _formula_arg(text: str) -> Formula:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _depth_arg(text: str) -> int:
-    """An argparse type for --depth: a nonnegative int. A non-integer keeps
-    the message argparse gives for type=int."""
-    try:
-        depth = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if depth < 0:
-        raise argparse.ArgumentTypeError("depth must be nonnegative")
-    return depth
+def _int_arg(what: str, minimum: int):
+    """An argparse type for an int of at least `minimum` (0 or 1), named
+    `what` in errors. A non-integer keeps the message argparse gives for
+    type=int."""
+    bound = "nonnegative" if minimum == 0 else "positive"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{what} must be {bound}")
+        return value
+
+    return parse
+
+
+_depth_arg = _int_arg("depth", 0)
 
 
 def _int_list_arg(what: str):
@@ -361,7 +370,7 @@ _COMMANDS = {
                 _arg("--y", type=int, required=True),
                 _arg("--schedule", type=_int_list_arg("fuel schedule"), required=True,
                      help="strictly increasing fuel list, e.g. 8,16,32"),
-                _arg("--max-input", type=int, default=None),
+                _arg("--max-input", type=_int_arg("max-input", 0), default=None),
             )),
         )),
     "report-matrix": _Command(_cmd_report_matrix, "class-by-theorem corollary matrix"),

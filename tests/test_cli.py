@@ -488,6 +488,12 @@ class TestOutputControls:
              "minimal-subsets", "argument --depth: depth must be nonnegative"),
             (["closure", "--depth", "-1"],
              "closure", "argument --depth: depth must be nonnegative"),
+            (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1", "--schedule", "8",
+              "--max-input", "-1"],
+             "fixed-output", "argument --max-input: max-input must be nonnegative"),
+            (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1", "--schedule", "8",
+              "--max-input", "1.5"],
+             "fixed-output", "argument --max-input: invalid int value: '1.5'"),
             (["classify", "--axioms", "p"],
              "classify", "the following arguments are required: --goal"),
             (["frobnicate"], None, "argument command: invalid choice: 'frobnicate' "
