@@ -360,10 +360,10 @@ _COMMANDS = {
         modes=(
             ("brute", "exhaust a bounded world", (
                 _arg("--y", type=int, required=True, help="target output"),
-                _arg("--max-instructions", type=int, default=3),
-                _arg("--max-registers", type=int, default=1),
+                _arg("--max-instructions", type=_int_arg("max-instructions", 0), default=3),
+                _arg("--max-registers", type=_int_arg("max-registers", 1), default=1),
                 _arg("--inputs", type=_int_list_arg("input list"), default=(0,)),
-                _arg("--fuel", type=int, default=50),
+                _arg("--fuel", type=_int_arg("fuel", 1), default=50),
             )),
             ("recognize", "dovetail one machine", (
                 _arg("--machine", required=True, help="machine text file"),

@@ -494,6 +494,14 @@ class TestOutputControls:
             (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1", "--schedule", "8",
               "--max-input", "1.5"],
              "fixed-output", "argument --max-input: invalid int value: '1.5'"),
+            (["fixed-output", "brute", "--y", "1", "--fuel", "0"],
+             "fixed-output", "argument --fuel: fuel must be positive"),
+            (["fixed-output", "brute", "--y", "1", "--max-registers", "0"],
+             "fixed-output", "argument --max-registers: max-registers must be positive"),
+            (["fixed-output", "brute", "--y", "1", "--max-instructions", "-1"],
+             "fixed-output", "argument --max-instructions: max-instructions must be nonnegative"),
+            (["fixed-output", "brute", "--y", "1", "--fuel", "x"],
+             "fixed-output", "argument --fuel: invalid int value: 'x'"),
             (["classify", "--axioms", "p"],
              "classify", "the following arguments are required: --goal"),
             (["frobnicate"], None, "argument command: invalid choice: 'frobnicate' "
