@@ -332,7 +332,7 @@ _COMMANDS = {
         )),
     "check-variety": _Command(_cmd_check_variety, "verify the width-k witness condition", (
         _arg("--prevariety", default=None),
-        _arg("--depth", type=int, default=1, metavar="K",
+        _arg("--depth", type=_int_arg("depth", 1), default=1, metavar="K",
              help="maximum index tuple width (default 1)"),
         _arg("--bijective", action="store_true", help="require injective maps as well"),
         _arg("--mode", choices=("prevariety", "variety"), default="variety",

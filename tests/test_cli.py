@@ -502,6 +502,12 @@ class TestOutputControls:
              "fixed-output", "argument --max-instructions: max-instructions must be nonnegative"),
             (["fixed-output", "brute", "--y", "1", "--fuel", "x"],
              "fixed-output", "argument --fuel: invalid int value: 'x'"),
+            (["check-variety", "--depth", "0"],
+             "check-variety", "argument --depth: depth must be positive"),
+            (["check-variety", "--depth", "-1"],
+             "check-variety", "argument --depth: depth must be positive"),
+            (["check-variety", "--depth", "two"],
+             "check-variety", "argument --depth: invalid int value: 'two'"),
             (["classify", "--axioms", "p"],
              "classify", "the following arguments are required: --goal"),
             (["frobnicate"], None, "argument command: invalid choice: 'frobnicate' "
