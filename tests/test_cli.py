@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -788,6 +789,74 @@ SUBSET_ARGV = st.builds(
 )
 
 
+# option values: an int in range, or a token that is not an int
+ODD_VALUE_TOKENS = ("", "x", "1.5", "-", "--", "--y", "0x1", "1,2")
+
+
+def int_token(low: int, high: int):
+    """Mostly an int in range, so that most argv get past the parser."""
+    ints = st.integers(low, high).map(str)
+    return st.one_of(ints, ints, ints, st.sampled_from(ODD_VALUE_TOKENS))
+
+
+def optional(flag: str, value=None):
+    """No tokens, or the flag, followed by a drawn value when one is given."""
+    return st.just(()) | (st.just((flag,)) if value is None
+                          else value.map(lambda drawn: (flag, drawn)))
+
+
+def comma_list(element, max_size: int):
+    return st.lists(element, max_size=max_size).map(",".join)
+
+
+PACKAGED = Path(vty.cli.__file__).parent / "data"
+CLOSURE_MANIFESTS = (None, KNOWLEDGE_FIVE, *(PACKAGED / name for name in PREVARIETY_MANIFESTS))
+
+CLOSURE_ARGV = st.builds(
+    lambda manifest, calculus, depth, proofs: [
+        "closure", *([str(manifest)] if manifest else []), *calculus, *depth, *proofs],
+    st.sampled_from(CLOSURE_MANIFESTS),
+    optional("--calculus", st.sampled_from(("L1", "L2", "L5", "CORE", "LB", "zz", ""))),
+    optional("--depth", int_token(-1, 4)),
+    optional("--with-proofs"),
+)
+
+SEED_THEOREMS = tuple(t.theorem_id for t in vty.cli._seed_manifest().registry()[1])
+
+PROJECT_ARGV = st.builds(
+    lambda theorem, extra: ["project", *theorem, *extra],
+    optional("--theorem", st.sampled_from(SEED_THEOREMS) | st.text(max_size=8)),
+    st.sampled_from(((), ("--theorem",), ("extra",))),
+)
+
+# a world of at most 2 instructions, 2 registers, 4 inputs and fuel 64
+BRUTE_ARGV = st.builds(
+    lambda y, instructions, *rest: [
+        "fixed-output", "brute", "--y", y, "--max-instructions", instructions,
+        *itertools.chain.from_iterable(rest)],
+    int_token(-1, 3),
+    int_token(-1, 2),
+    optional("--max-registers", int_token(0, 2)),
+    optional("--inputs", comma_list(int_token(-1, 5), 4)),
+    optional("--fuel", int_token(0, 64)),
+)
+
+MACHINE_PIECES = (b"INC ", b"DECJZ ", b"HALT", b"0 ", b"1 ", b"2 ", b"-1 ", b"x ", b"#",
+                  b"\n", b"\n", b"\xff")
+
+# the machine is the packaged adder, a missing file, a directory or a
+# fuzzed text; the schedule has at most 4 stages of fuel up to 64
+RECOGNIZE_ARGV = st.builds(
+    lambda machine, y, schedule, max_input: (machine, [
+        "fixed-output", "recognize", "--y", y, "--schedule", schedule, *max_input]),
+    st.sampled_from(("adder", "missing", "directory")) | st.lists(
+        st.sampled_from(MACHINE_PIECES), max_size=20).map(b"".join),
+    int_token(-1, 3),
+    comma_list(int_token(-1, 64), 4),
+    optional("--max-input", int_token(-1, 3)),
+)
+
+
 class TestFuzzedInput:
     # every call prints one JSON report and exits 0, 1 or 2; it exits 0
     # exactly when the report lists no error, except that a check whose
@@ -824,6 +893,28 @@ class TestFuzzedInput:
         path = tmp_path / "fuzzed.vty"
         path.write_bytes(data)
         self.check(capsys, [*command, str(path)])
+
+    @given(argv=st.one_of(CLOSURE_ARGV, PROJECT_ARGV, BRUTE_ARGV))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_closure_project_and_brute_arguments(self, capsys, argv):
+        self.check(capsys, argv)
+
+    @given(drawn=RECOGNIZE_ARGV)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_recognize_arguments(self, capsys, tmp_path, drawn):
+        machine, argv = drawn
+        if machine == "adder":
+            path = PACKAGED / "adder.rm"
+        elif machine == "missing":
+            path = tmp_path / "missing.rm"
+        elif machine == "directory":
+            path = tmp_path
+        else:
+            path = tmp_path / "fuzzed.rm"
+            path.write_bytes(machine)
+        self.check(capsys, [*argv, "--machine", str(path)])
 
     @given(text=PREVARIETY_MANIFEST_TEXT, command=st.sampled_from((
         ["check-prevariety"], ["check-variety", "--depth", "2"],
