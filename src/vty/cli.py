@@ -92,9 +92,6 @@ def _int_arg(what: str, minimum: int):
     return parse
 
 
-_depth_arg = _int_arg("depth", 0)
-
-
 def _int_list_arg(what: str):
     """An argparse type for comma-separated integers, named `what` in errors."""
 
@@ -312,7 +309,7 @@ _AXIOM_SET_ARGUMENTS = (
     _arg("--axioms", type=_formula_arg, nargs="+", required=True),
     _arg("--goal", type=_formula_arg, required=True),
     _arg("--base", choices=PRESET_NAMES, default="hilbert"),
-    _arg("--depth", type=_depth_arg, default=None),
+    _arg("--depth", type=_int_arg("depth", 0), default=None),
 )
 
 
@@ -340,7 +337,7 @@ _COMMANDS = {
     )),
     "closure": _Command(_cmd_closure, "bounded theorem set of one calculus", (
         _arg("--calculus", default=None, help="calculus id"),
-        _arg("--depth", type=_depth_arg, default=None),
+        _arg("--depth", type=_int_arg("depth", 0), default=None),
         _arg("--with-proofs", action="store_true"),
     )),
     "consistency": _Command(_cmd_consistency, "per-component and pooled satisfiability", (

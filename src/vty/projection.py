@@ -354,8 +354,8 @@ def _minimal_sufficient_subsets(
         candidates = (combo for width in range(max_width + 1)
                       for combo in itertools.combinations(range(len(axiom_list)), width))
     else:
-        bits = [tuple(i for i in range(len(axiom_list)) if mask >> i & 1) for mask in supports]
-        candidates = sorted((combo for combo in bits if len(combo) <= max_width),
+        combos = [tuple(i for i in range(len(axiom_list)) if mask >> i & 1) for mask in supports]
+        candidates = sorted((combo for combo in combos if len(combo) <= max_width),
                             key=lambda combo: (len(combo), combo))
     minimal: list[int] = []
     for combo in candidates:

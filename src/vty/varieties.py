@@ -18,11 +18,10 @@ itself, from the same record, in quasi mode too.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .calculus import (
@@ -720,15 +719,14 @@ def consistency_report(
 def _subset_consistency(
     contributions: Mapping[str, frozenset[Formula]], atom_cap: int
 ) -> Callable[[Sequence[str]], bool]:
-    """Whether the pooled contributions of a set of component ids are consistent."""
+    """A test of whether the pooled contributions of some component ids are consistent."""
     names = collect_atoms(itertools.chain.from_iterable(contributions.values()))
     if len(names) > atom_cap:
         return lambda ids: check_consistency(
             frozenset().union(*(contributions[cid] for cid in ids)), atom_cap).consistent
     masks, true = atom_masks(names)
     models = {
-        cid: functools.reduce(operator.and_,
-                              (evaluate(formula, masks, true=true) for formula in formulas), true)
+        cid: reduce(and_, (evaluate(formula, masks, true=true) for formula in formulas), true)
         for cid, formulas in contributions.items()
     }
-    return lambda ids: functools.reduce(operator.and_, (models[cid] for cid in ids)) != 0
+    return lambda ids: reduce(and_, (models[cid] for cid in ids)) != 0
