@@ -483,6 +483,18 @@ class TestLabelledSearchMatchesOracle:
         with pytest.raises(SubsetCapExceededError):
             minimal_axiom_subsets([*axioms, pf("(-> e z)")], pf(goal), "mp", 4)
 
+    def test_subsets_of_one_width_come_in_combination_order(self):
+        # by their sorted positions (0, 1, 2, 5), (0, 1, 4, 5), (0, 2, 3, 5):
+        # sorting on the last position first would swap the last two
+        axioms = [pf(t) for t in ("(-> a (-> b g))", "(-> c a)", "(-> c b)", "a", "b", "c")]
+        found = assert_search_matches_oracle(axioms, pf("g"), "mp", 4)
+        assert [sorted(formula_key(f) for f in s) for s in found] == [
+            ["(-> a (-> b g))", "a", "b"],
+            ["(-> a (-> b g))", "(-> c a)", "(-> c b)", "c"],
+            ["(-> a (-> b g))", "(-> c a)", "b", "c"],
+            ["(-> a (-> b g))", "(-> c b)", "a", "c"],
+        ]
+
     def test_a_cheaper_support_that_contains_another(self):
         # (-> p p) is an axiom at cost 0 and a hilbert theorem at cost 2, so
         # the goal's antichain holds a support mask inside a cheaper one
