@@ -74,32 +74,41 @@ def _formula_arg(text: str) -> Formula:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _at_least(minimum: int, what: str, value: int) -> int:
+    """`value`, or a usage error naming `what` when it is below `minimum` (0 or 1)."""
+    if value < minimum:
+        bound = "nonnegative" if minimum == 0 else "positive"
+        raise argparse.ArgumentTypeError(f"{what} must be {bound}")
+    return value
+
+
 def _int_arg(what: str, minimum: int):
-    """An argparse type for an int of at least `minimum` (0 or 1), named
-    `what` in errors. A non-integer keeps the message argparse gives for
-    type=int."""
-    bound = "nonnegative" if minimum == 0 else "positive"
+    """An argparse type for an int of at least `minimum`, named `what` in
+    errors. A non-integer keeps the message argparse gives for type=int."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"{what} must be {bound}")
-        return value
+        return _at_least(minimum, what, value)
 
     return parse
 
 
-def _int_list_arg(what: str):
-    """An argparse type for comma-separated integers, named `what` in errors."""
+def _int_list_arg(what: str, items: str, minimum: int):
+    """An argparse type for comma-separated ints of at least `minimum`; the
+    list is named `what` when it does not parse, its entries `items` when
+    one is below `minimum`."""
 
     def parse(text: str) -> tuple[int, ...]:
         try:
-            return tuple(int(part) for part in text.split(",") if part.strip())
+            values = tuple(int(part) for part in text.split(",") if part.strip())
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad {what} {text!r}")
+        if values:
+            _at_least(minimum, items, min(values))
+        return values
 
     return parse
 
@@ -359,13 +368,14 @@ _COMMANDS = {
                 _arg("--y", type=int, required=True, help="target output"),
                 _arg("--max-instructions", type=_int_arg("max-instructions", 0), default=3),
                 _arg("--max-registers", type=_int_arg("max-registers", 1), default=1),
-                _arg("--inputs", type=_int_list_arg("input list"), default=(0,)),
+                _arg("--inputs", type=_int_list_arg("input list", "inputs", 0), default=(0,)),
                 _arg("--fuel", type=_int_arg("fuel", 1), default=50),
             )),
             ("recognize", "dovetail one machine", (
                 _arg("--machine", required=True, help="machine text file"),
                 _arg("--y", type=int, required=True),
-                _arg("--schedule", type=_int_list_arg("fuel schedule"), required=True,
+                _arg("--schedule", type=_int_list_arg("fuel schedule", "fuel values", 1),
+                     required=True,
                      help="strictly increasing fuel list, e.g. 8,16,32"),
                 _arg("--max-input", type=_int_arg("max-input", 0), default=None),
             )),

@@ -503,6 +503,14 @@ class TestOutputControls:
              "fixed-output", "argument --max-instructions: max-instructions must be nonnegative"),
             (["fixed-output", "brute", "--y", "1", "--fuel", "x"],
              "fixed-output", "argument --fuel: invalid int value: 'x'"),
+            (["fixed-output", "brute", "--y", "1", "--inputs", "0,-1"],
+             "fixed-output", "argument --inputs: inputs must be nonnegative"),
+            (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1",
+              "--schedule", "0,8"],
+             "fixed-output", "argument --schedule: fuel values must be positive"),
+            (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1",
+              "--schedule", "8,-16"],
+             "fixed-output", "argument --schedule: fuel values must be positive"),
             (["check-variety", "--depth", "0"],
              "check-variety", "argument --depth: depth must be positive"),
             (["check-variety", "--depth", "-1"],
