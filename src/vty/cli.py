@@ -365,7 +365,7 @@ _COMMANDS = {
         _cmd_fixed_output, "search machine worlds for a target output", manifest=False,
         modes=(
             ("brute", "exhaust a bounded world", (
-                _arg("--y", type=int, required=True, help="target output"),
+                _arg("--y", type=_int_arg("y", 0), required=True, help="target output"),
                 _arg("--max-instructions", type=_int_arg("max-instructions", 0), default=3),
                 _arg("--max-registers", type=_int_arg("max-registers", 1), default=1),
                 _arg("--inputs", type=_int_list_arg("input list", "inputs", 0), default=(0,)),
@@ -373,7 +373,7 @@ _COMMANDS = {
             )),
             ("recognize", "dovetail one machine", (
                 _arg("--machine", required=True, help="machine text file"),
-                _arg("--y", type=int, required=True),
+                _arg("--y", type=_int_arg("y", 0), required=True),
                 _arg("--schedule", type=_int_list_arg("fuel schedule", "fuel values", 1),
                      required=True,
                      help="strictly increasing fuel list, e.g. 8,16,32"),

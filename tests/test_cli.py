@@ -503,6 +503,14 @@ class TestOutputControls:
              "fixed-output", "argument --max-instructions: max-instructions must be nonnegative"),
             (["fixed-output", "brute", "--y", "1", "--fuel", "x"],
              "fixed-output", "argument --fuel: invalid int value: 'x'"),
+            # no machine outputs a negative number
+            (["fixed-output", "brute", "--y", "-1", "--max-instructions", "1",
+              "--inputs", "0,1", "--fuel", "20"],
+             "fixed-output", "argument --y: y must be nonnegative"),
+            (["fixed-output", "recognize", "--machine", "m.rm", "--y", "-1", "--schedule", "8"],
+             "fixed-output", "argument --y: y must be nonnegative"),
+            (["fixed-output", "brute", "--y", "x"],
+             "fixed-output", "argument --y: invalid int value: 'x'"),
             (["fixed-output", "brute", "--y", "1", "--inputs", "0,-1"],
              "fixed-output", "argument --inputs: inputs must be nonnegative"),
             (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1",
