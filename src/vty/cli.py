@@ -452,9 +452,78 @@ def _scalar(value) -> str:
     return str(value)
 
 
+_encode_string = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+def _write_json(value, chunks: list[str], newline: str) -> None:
+    """Append the chunks of `value` as json.dumps(value, indent=2,
+    sort_keys=True) writes it, `newline` being the line break and indent
+    before its closing bracket.
+
+    With an indent, json.dumps runs its pure-Python encoder, which nests a
+    generator per container; one list of chunks costs less. Types are
+    tested in json.encoder's order, so subclasses read as json reads them.
+    A dict key that is not a str raises TypeError in the string encoder,
+    where json would convert it.
+    """
+    if isinstance(value, str):
+        chunks.append(_encode_string(value))
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            chunks.append("NaN")
+        elif value == _INFINITY:
+            chunks.append("Infinity")
+        elif value == -_INFINITY:
+            chunks.append("-Infinity")
+        else:
+            chunks.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            chunks.append(separator)
+            separator = "," + inner
+            _write_json(item, chunks, inner)
+        chunks.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            chunks.append(separator)
+            separator = "," + inner
+            chunks.append(_encode_string(key))
+            chunks.append(": ")
+            _write_json(value[key], chunks, inner)
+        chunks.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value) -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True), built in one pass."""
+    chunks: list[str] = []
+    _write_json(value, chunks, "\n")
+    return "".join(chunks)
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
     else:
         print("\n".join(_render_text(report)))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import random
 from typing import Iterable, Iterator, Sequence
 
@@ -581,3 +582,8 @@ def oracle_scan_string(line: str, start: int) -> tuple[str, int]:
         out.append(ch)
         i += 1
     raise LexError("unterminated string", start)
+
+
+def oracle_report_json(value) -> str:
+    """The report text the CLI's one-pass emitter must reproduce byte for byte."""
+    return json.dumps(value, indent=2, sort_keys=True)

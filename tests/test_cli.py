@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,11 +14,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vty.cli
 from vty.cli import build_parser, main
-from vty.formulas import MAX_NESTING
+from vty.formulas import MAX_NESTING, parse_formula
 from vty.machines import encode_machine, parse_machine
 from vty.manifest import BOUND_NAMES, Bounds
 from vty.varieties import FormulaMap
 
+from oracle_tools import oracle_report_json
 from test_acceptance import CLI_COMMANDS
 
 
@@ -943,6 +945,63 @@ class TestFuzzedInput:
         path = tmp_path / "mutated.vty"
         path.write_text(text, encoding="utf-8")
         self.check(capsys, [command[0], str(path), *command[1:]], verdict_exits=True)
+
+
+# subclasses whose own text is not their json text, as json reads only
+# the int or str value
+class _Int(int):
+    def __repr__(self):
+        return "_Int"
+
+    __str__ = __repr__
+
+
+class _Str(str):
+    def __repr__(self):
+        return "_Str"
+
+    __str__ = __repr__
+
+
+# controls, quote, backslash, DEL, non-ASCII, a line separator, lone
+# surrogates and a character beyond the BMP
+ESCAPED_CHARACTERS = "\x00\x1f\"\\\x7f\u00e9\u2028\ud800\udfff\U0001f600"
+JSON_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(ESCAPED_CHARACTERS),
+                    max_size=6)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-2**200, 2**200), st.integers(-3, 3).map(_Int),
+    st.floats(), st.sampled_from((-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300)),
+    JSON_TEXT, JSON_TEXT.map(_Str),
+)
+# report-shaped values: str-keyed dicts, lists and tuples, empty or nested
+REPORT_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT | JSON_TEXT.map(_Str), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestReportEmitter:
+    @given(value=REPORT_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_same_text_as_json_dumps(self, value):
+        assert vty.cli._json_text(value) == oracle_report_json(value)
+
+    @pytest.mark.parametrize("value", [
+        {1: "one"},
+        {"steps": [{None: 0}]},
+        {"atoms": {"p", "q"}},
+        [frozenset()],
+        {"formula": parse_formula("(-> p q)")},
+    ], ids=["int-key", "nested-none-key", "set", "frozenset", "formula"])
+    def test_a_value_json_would_convert_or_refuse_raises(self, value):
+        with pytest.raises(TypeError):
+            vty.cli._json_text(value)
 
 
 class TestMapPasses:
