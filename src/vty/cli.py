@@ -24,7 +24,7 @@ from .calculus import (
     closure,
 )
 from .errors import ManifestError, VtyError
-from .formulas import Formula, format_formula, parse_formula
+from .formulas import Formula, formula_key, parse_formula
 from .machines import (
     WorldBounds,
     fixed_output_brute,
@@ -137,7 +137,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _substitution_dict(substitution) -> dict[str, str]:
-    return {var: format_formula(value) for var, value in substitution}
+    return {var: formula_key(value) for var, value in substitution}
 
 
 def _proof_dict(proof: Proof) -> dict:
@@ -154,7 +154,7 @@ def _proof_dict(proof: Proof) -> dict:
             kind = {"kind": "rule", "rule": j.rule_name,
                     "premises": list(j.premises),
                     "substitution": _substitution_dict(j.substitution)}
-        steps.append({"formula": format_formula(step.formula), **kind})
+        steps.append({"formula": formula_key(step.formula), **kind})
     return {"steps": steps, "rule_applications": proof.rule_applications()}
 
 
@@ -191,7 +191,7 @@ def _cmd_closure(args, manifest: Manifest, bounds: Bounds):
     calc = manifest.calculus(calculus_id)
     depth = args.depth if args.depth is not None else calc.closure_depth
     result = closure(calc, depth, size_cap=bounds.size)
-    formulas = sorted(format_formula(f) for f in result.formulas())
+    formulas = sorted(formula_key(f) for f in result.formulas())
     out = {
         "calculus": calculus_id,
         "depth": result.depth,
@@ -201,11 +201,11 @@ def _cmd_closure(args, manifest: Manifest, bounds: Bounds):
     }
     if args.with_proofs:
         out["proofs"] = {
-            format_formula(entry.formula): _proof_dict(entry.proof)
+            formula_key(entry.formula): _proof_dict(entry.proof)
             for entry in result.entries
         }
         out["costs"] = {
-            format_formula(entry.formula): entry.cost for entry in result.entries
+            formula_key(entry.formula): entry.cost for entry in result.entries
         }
     return out, 0
 
@@ -245,7 +245,7 @@ def _cmd_minimal_subsets(args, manifest: Manifest, bounds: Bounds):
     return {
         "depth": depth,
         "base": args.base,
-        "subsets": [sorted(format_formula(f) for f in s) for s in subsets],
+        "subsets": [sorted(formula_key(f) for f in s) for s in subsets],
     }, 0
 
 

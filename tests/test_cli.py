@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vty.cli
 from vty.cli import build_parser, main
-from vty.formulas import MAX_NESTING, parse_formula
+from vty.formulas import MAX_NESTING, formula_key, parse_formula
 from vty.machines import encode_machine, parse_machine
 from vty.manifest import BOUND_NAMES, Bounds
 from vty.varieties import FormulaMap
@@ -50,6 +50,19 @@ def normalized(report):
     report = dict(report)
     report["manifest"] = Path(report["manifest"]).name
     return report
+
+
+@pytest.fixture
+def formula_text_from_the_cache(monkeypatch):
+    """Fail a report builder that formats a formula instead of reading the
+    text closure's formula_key cache already holds."""
+
+    def refuse(formula):
+        raise AssertionError(f"formatted {formula!r} again")
+
+    monkeypatch.setattr(vty.cli, "format_formula", refuse, raising=False)
+    # the benchmark's tracer and cold start read these
+    assert callable(formula_key.cache_info) and callable(formula_key.cache_clear)
 
 
 class TestExitCodes:
@@ -266,7 +279,7 @@ class TestReports:
         assert code == 0
         golden("report_matrix_seed", report)
 
-    def test_closure_with_proofs(self, capsys, data_dir, golden):
+    def test_closure_with_proofs(self, capsys, data_dir, golden, formula_text_from_the_cache):
         code, report = run_json(
             capsys, "closure", str(data_dir / "shared_core.vty"),
             "--calculus", "L1", "--with-proofs",
@@ -274,7 +287,7 @@ class TestReports:
         assert code == 0
         golden("closure_l1_with_proofs", normalized(report))
 
-    def test_classifier_report(self, capsys, golden):
+    def test_classifier_report(self, capsys, golden, formula_text_from_the_cache):
         code, report = run_json(
             capsys, "classify", "--axioms", "p", "(-> p q)", "--goal", "q",
         )
@@ -283,7 +296,7 @@ class TestReports:
         assert report["result"]["irreducible"] == "YES"
         golden("classify_modus_ponens", report)
 
-    def test_minimal_subsets_report(self, capsys):
+    def test_minimal_subsets_report(self, capsys, formula_text_from_the_cache):
         code, report = run_json(
             capsys, "minimal-subsets",
             "--axioms", "p", "q", "(-> p q)", "--goal", "q",
