@@ -106,8 +106,7 @@ def _int_list_arg(what: str, items: str, minimum: int):
             values = tuple(int(part) for part in text.split(",") if part.strip())
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad {what} {text!r}")
-        if values:
-            _at_least(minimum, items, min(values))
+        _at_least(minimum, items, min(values, default=minimum))
         return values
 
     return parse
