@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE"}
-_BREAKERS = set(' \t#(){}"')
+# after any blanks: a word (1), a parenthesis or brace (2), a string with
+# no escape (3), the quote of any other string (4), or no token at all (a
+# comment or the end of the line); one of them always matches
+_TOKEN = re.compile(r'[ \t]*(?:([^ \t#(){}"]+)|([(){}])|"([^"\\]*)"|(")|#|\Z)')
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # LPAREN RPAREN LBRACE RBRACE STRING WORD
     text: str  # for STRING this is the unescaped value
     col: int   # 0-based column of the first character
@@ -50,27 +53,20 @@ def _scan_string(line: str, start: int) -> tuple[str, int]:
 def tokenize_line(line: str) -> list[Token]:
     """Split one line into tokens. A # outside a string starts a comment."""
     tokens: list[Token] = []
+    match = _TOKEN.match
     i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
-            break
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, i))
-            i += 1
-            continue
-        if ch == '"':
-            value, end = _scan_string(line, i)
-            tokens.append(Token("STRING", value, i))
-            i = end
-            continue
-        j = i
-        while j < n and line[j] not in _BREAKERS:
-            j += 1
-        tokens.append(Token("WORD", line[i:j], i))
-        i = j
-    return tokens
+    while True:
+        m = match(line, i)
+        group = m.lastindex
+        if group is None:
+            return tokens
+        i = m.end()
+        if group == 1:
+            tokens.append(Token("WORD", m[1], m.start(1)))
+        elif group == 2:
+            tokens.append(Token(_PUNCT[m[2]], m[2], m.start(2)))
+        elif group == 3:
+            tokens.append(Token("STRING", m[3], m.start(3) - 1))
+        else:
+            value, i = _scan_string(line, m.start(4))
+            tokens.append(Token("STRING", value, m.start(4)))

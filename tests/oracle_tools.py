@@ -46,7 +46,7 @@ from vty.formulas import (
     match_pattern,
     substitute,
 )
-from vty.lex import LexError
+from vty.lex import LexError, Token
 from vty.machines import (
     HALTED,
     OUT_OF_FUEL,
@@ -582,6 +582,36 @@ def oracle_scan_string(line: str, start: int) -> tuple[str, int]:
         out.append(ch)
         i += 1
     raise LexError("unterminated string", start)
+
+
+def oracle_tokenize_line(line: str) -> list[Token]:
+    """The per-character line scan `lex.tokenize_line` now does with one regex."""
+    punct = {"(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE"}
+    tokens: list[Token] = []
+    i = 0
+    n = len(line)
+    while i < n:
+        ch = line[i]
+        if ch in " \t":
+            i += 1
+            continue
+        if ch == "#":
+            break
+        if ch in punct:
+            tokens.append(Token(punct[ch], ch, i))
+            i += 1
+            continue
+        if ch == '"':
+            value, end = oracle_scan_string(line, i)
+            tokens.append(Token("STRING", value, i))
+            i = end
+            continue
+        j = i
+        while j < n and line[j] not in ' \t#(){}"':
+            j += 1
+        tokens.append(Token("WORD", line[i:j], i))
+        i = j
+    return tokens
 
 
 def oracle_report_json(value) -> str:

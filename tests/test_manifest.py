@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from vty.errors import ManifestError, UnresolvedReferenceError
 from vty.formulas import parse_formula
-from vty.lex import LexError, _scan_string
+from vty.lex import LexError, Token, _scan_string, tokenize_line
 from vty.manifest import (
     Bounds,
     ClassDef,
@@ -29,7 +29,7 @@ from vty.projection import (
 from vty.seed import seed_axiom_declarations, seed_registry, seed_theorems
 from vty.varieties import check_prevariety, check_variety
 
-from oracle_tools import oracle_scan_string
+from oracle_tools import oracle_scan_string, oracle_tokenize_line
 
 DATA_FILES = (
     "bijective_modes.vty",
@@ -593,6 +593,27 @@ class TestStringScan:
     ])
     def test_escapes_and_errors(self, line, start, outcome):
         assert scan_outcome(_scan_string, line, start) == outcome
+
+
+class TestLineLexer:
+    @given(st.text(alphabet=' \t#(){}"\\\n\r\x0bapéλж', max_size=16))
+    @settings(max_examples=500)
+    def test_tokens_match_the_per_character_oracle(self, line):
+        try:
+            expected = oracle_tokenize_line(line)
+        except LexError as err:
+            with pytest.raises(LexError) as got:
+                tokenize_line(line)
+            assert (got.value.message, got.value.col) == (err.message, err.col)
+        else:
+            assert tokenize_line(line) == expected
+
+    def test_each_token_kind(self):
+        assert tokenize_line('é(a "b\\"c" {}) "" # "x') == [
+            Token("WORD", "é", 0), Token("LPAREN", "(", 1), Token("WORD", "a", 2),
+            Token("STRING", 'b"c', 4), Token("LBRACE", "{", 11), Token("RBRACE", "}", 12),
+            Token("RPAREN", ")", 13), Token("STRING", "", 15),
+        ]
 
 
 class TestStringsStaySingleLine:
