@@ -147,9 +147,10 @@ BOUND_NAMES = tuple(f.name for f in fields(Bounds))
 
 
 # --- declaration layer -------------------------------------------------------
-# Parse products stay close to the text; resolution into live calculus
-# and variety objects happens on demand so a manifest with a bad
+# Parse products stay close to the text, so a manifest with a bad
 # reference still parses far enough to report the precise line.
+# Validation then resolves them into live calculus and variety objects,
+# each built once.
 
 
 @dataclass(frozen=True)
@@ -259,6 +260,12 @@ class Manifest:
     classes: tuple[ClassDef, ...] = ()
     theorem_recs: tuple[TheoremRecDef, ...] = ()
 
+    # the live rules, calculi, maps, components and witnesses by attribute
+    # and id, as validate built them; a manifest from dataclasses.replace
+    # starts without them and builds its own on first use
+    _built: dict[str, dict[str, Any]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+
     # -- lookup helpers --
 
     def _find(self, entries, key, wanted, kind, ref_line):
@@ -269,49 +276,32 @@ class Manifest:
             f"unknown {kind} {wanted!r}", self.source, ref_line
         )
 
+    def _get(self, built: dict[str, dict[str, Any]], attr: str, wanted: str,
+             kind: str, ref_line: int) -> Any:
+        found = built[attr].get(wanted)
+        if found is None:
+            raise UnresolvedReferenceError(f"unknown {kind} {wanted!r}", self.source, ref_line)
+        return found
+
+    def _table(self) -> dict[str, dict[str, Any]]:
+        if not self._built:
+            self.validate()
+        return self._built
+
     def rule_def(self, name: str, ref_line: int = 0) -> RuleDef:
         return self._find(self.rules, lambda r: r.name, name, "rule", ref_line)
 
     def rule_object(self, name: str, ref_line: int = 0) -> InferenceRule:
-        d = self.rule_def(name, ref_line)
-        if d.kind == "substitution":
-            return SubstitutionRule(d.name)
-        assert d.conclusion is not None
-        return SchemaRule(d.name, d.premises, d.conclusion)
+        return self._get(self._table(), "rules", name, "rule", ref_line)
 
     def calculus(self, calculus_id: str, ref_line: int = 0) -> Calculus:
-        d = self._find(self.calculi, lambda c: c.calculus_id, calculus_id,
-                       "calculus", ref_line)
-        use = d.use if d.use else tuple(r.name for r in self.rules)
-        rules = tuple(self.rule_object(name, d.line) for name in use)
-        return Calculus(
-            d.calculus_id,
-            axioms=frozenset(d.axioms),
-            schemas=tuple(AxiomSchema(sid, pattern) for sid, pattern in d.schemas),
-            rules=rules,
-            closure_depth=self.bounds.depth if d.depth is None else d.depth,
-            signature_atoms=frozenset(self.signature) | frozenset(d.atoms),
-        )
+        return self._get(self._table(), "calculi", calculus_id, "calculus", ref_line)
 
     def formula_map(self, map_id: str, ref_line: int = 0) -> FormulaMap:
-        d = self._find(self.maps, lambda m: m.map_id, map_id, "map", ref_line)
-        domain = None if d.domain is None else frozenset(d.domain)
-        if d.kind == "identity":
-            return FormulaMap.identity(d.map_id)
-        if d.kind == "renaming":
-            return FormulaMap(d.map_id, renaming=tuple(sorted(d.renames)), domain=domain)
-        return FormulaMap.table_map(d.map_id, d.pairs, domain=domain)
+        return self._get(self._table(), "maps", map_id, "map", ref_line)
 
     def component(self, component_id: str, ref_line: int = 0) -> Component:
-        d = self._find(self.components, lambda c: c.component_id, component_id,
-                       "component", ref_line)
-        return Component(
-            d.component_id,
-            self.calculus(d.calculus_ref, d.line),
-            self.formula_map(d.axiom_map_ref, d.line),
-            self.formula_map(d.theorem_map_ref, d.line),
-            frozenset(d.theorems),
-        )
+        return self._get(self._table(), "components", component_id, "component", ref_line)
 
     def default_prevariety_id(self) -> str:
         if not self.prevarieties:
@@ -333,19 +323,9 @@ class Manifest:
 
     def prevariety_witnesses(self, prevariety_id: str | None = None) -> tuple[VarietyWitness, ...]:
         wanted = prevariety_id or self.default_prevariety_id()
-        out = []
-        for d in self.witnesses:
-            if d.prevariety_ref != wanted:
-                continue
-            out.append(VarietyWitness(
-                d.witness_id,
-                d.indices,
-                self.calculus(d.calculus_ref, d.line),
-                self.formula_map(d.axiom_map_ref, d.line),
-                self.formula_map(d.theorem_map_ref, d.line),
-                frozenset(d.theorems),
-            ))
-        return tuple(out)
+        built = self._table()["witnesses"]
+        return tuple(built[d.witness_id] for d in self.witnesses
+                     if d.prevariety_ref == wanted)
 
     def registry(self) -> tuple[tuple[ClassProfile, ...], tuple[TheoremRecord, ...],
                                 dict[str, AxiomDeclaration]]:
@@ -370,10 +350,12 @@ class Manifest:
     # -- validation --
 
     def validate(self) -> None:
-        """Check every cross-reference and constructible object.
+        """Check every cross-reference, and build each live object once.
 
         Raises ManifestError naming the offending line. Does not run any
         closure; resolution errors that need proof search surface later.
+        The rules, calculi, maps, components and witnesses built here are
+        the ones the lookup helpers return.
         """
         for spec in _BLOCKS:
             seen: set[str] = set()
@@ -383,24 +365,45 @@ class Manifest:
                     raise ManifestError(f"duplicate {spec.keyword} {ident!r}",
                                         self.source, d.line)
                 seen.add(ident)
+        built: dict[str, dict[str, Any]] = {
+            attr: {} for attr in ("rules", "calculi", "maps", "components", "witnesses")}
+
+        def get(attr: str, wanted: str, kind: str, line: int) -> Any:
+            return self._get(built, attr, wanted, kind, line)
+
+        rules = built["rules"]
         for rule in self.rules:
-            self._build(lambda: self.rule_object(rule.name, rule.line), rule.line)
+            rules[rule.name] = self._build(lambda: _rule_object(rule), rule.line)
         for calc in self.calculi:
-            self._build(lambda: self.calculus(calc.calculus_id, calc.line), calc.line)
+            built["calculi"][calc.calculus_id] = self._build(lambda: Calculus(
+                calc.calculus_id,
+                axioms=frozenset(calc.axioms),
+                schemas=tuple(AxiomSchema(sid, pattern) for sid, pattern in calc.schemas),
+                rules=tuple(get("rules", name, "rule", calc.line) for name in calc.use)
+                if calc.use else tuple(rules.values()),
+                closure_depth=self.bounds.depth if calc.depth is None else calc.depth,
+                signature_atoms=frozenset(self.signature) | frozenset(calc.atoms),
+            ), calc.line)
         for map_def in self.maps:
-            self._build(lambda: self.formula_map(map_def.map_id, map_def.line),
-                        map_def.line)
+            built["maps"][map_def.map_id] = self._build(lambda: _formula_map(map_def),
+                                                        map_def.line)
         for comp in self.components:
-            self._build(lambda: self.component(comp.component_id, comp.line), comp.line)
+            built["components"][comp.component_id] = self._build(lambda: Component(
+                comp.component_id,
+                get("calculi", comp.calculus_ref, "calculus", comp.line),
+                get("maps", comp.axiom_map_ref, "map", comp.line),
+                get("maps", comp.theorem_map_ref, "map", comp.line),
+                frozenset(comp.theorems),
+            ), comp.line)
         for pv in self.prevarieties:
             if pv.auto and (pv.axioms or pv.rule_refs or pv.theorems):
                 raise ManifestError(
                     f"prevariety {pv.prevariety_id!r} says auto but also claims "
                     "an explicit union", self.source, pv.line)
             for ref in pv.component_refs:
-                self.component(ref, pv.line)
+                get("components", ref, "component", pv.line)
             for name in pv.rule_refs:
-                self.rule_object(name, pv.line)
+                get("rules", name, "rule", pv.line)
         declared = {p.prevariety_id: p for p in self.prevarieties}
         for wit in self.witnesses:
             if wit.prevariety_ref not in declared:
@@ -415,9 +418,14 @@ class Manifest:
                 raise ManifestError(
                     f"witness {wit.witness_id!r} index out of range 1..{width}",
                     self.source, wit.line)
-            self.calculus(wit.calculus_ref, wit.line)
-            self.formula_map(wit.axiom_map_ref, wit.line)
-            self.formula_map(wit.theorem_map_ref, wit.line)
+            built["witnesses"][wit.witness_id] = VarietyWitness(
+                wit.witness_id,
+                wit.indices,
+                get("calculi", wit.calculus_ref, "calculus", wit.line),
+                get("maps", wit.axiom_map_ref, "map", wit.line),
+                get("maps", wit.theorem_map_ref, "map", wit.line),
+                frozenset(wit.theorems),
+            )
         axiom_ids = {a.axiom_id for a in self.axiom_decls}
         for cls in self.classes:
             for axiom_id, status, evidence in cls.statuses:
@@ -442,10 +450,11 @@ class Manifest:
                                       frozenset(rec.depends), rec.source,
                                       rec.unconditional),
                 rec.line)
+        self._built.update(built)
 
-    def _build(self, thunk, line: int) -> None:
+    def _build(self, thunk, line: int) -> Any:
         try:
-            thunk()
+            return thunk()
         except UnresolvedReferenceError:
             raise
         except (ValueError, AssertionError) as exc:
@@ -459,6 +468,22 @@ class Manifest:
         blocks += [spec.lines(d) for spec in _BLOCKS
                    for d in getattr(self, spec.attr)]
         return "\n\n".join("\n".join(lines) for lines in blocks) + "\n"
+
+
+def _rule_object(d: RuleDef) -> InferenceRule:
+    if d.kind == "substitution":
+        return SubstitutionRule(d.name)
+    assert d.conclusion is not None
+    return SchemaRule(d.name, d.premises, d.conclusion)
+
+
+def _formula_map(d: MapDef) -> FormulaMap:
+    domain = None if d.domain is None else frozenset(d.domain)
+    if d.kind == "identity":
+        return FormulaMap.identity(d.map_id)
+    if d.kind == "renaming":
+        return FormulaMap(d.map_id, renaming=tuple(sorted(d.renames)), domain=domain)
+    return FormulaMap.table_map(d.map_id, d.pairs, domain=domain)
 
 
 def registry_manifest(
