@@ -1,6 +1,11 @@
+import dataclasses
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vty.calculus import Calculus
 from vty.errors import ManifestError, UnresolvedReferenceError
 from vty.formulas import parse_formula
 from vty.lex import LexError, Token, _scan_string, tokenize_line
@@ -27,7 +32,7 @@ from vty.projection import (
     VIOLATED,
 )
 from vty.seed import seed_axiom_declarations, seed_registry, seed_theorems
-from vty.varieties import check_prevariety, check_variety
+from vty.varieties import Component, FormulaMap, check_prevariety, check_variety
 
 from oracle_tools import oracle_scan_string, oracle_tokenize_line
 
@@ -565,6 +570,76 @@ class TestResolution:
         manifest = parse_manifest(MINIMAL)
         calc = manifest.calculus("L")
         assert {"p", "q"} <= set(calc.signature_atoms)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts each Calculus, FormulaMap and Component built, by type and id."""
+    counts: Counter = Counter()
+    for cls in (Calculus, FormulaMap, Component):
+        def counting(self, *args, real=cls.__init__, **kwargs):
+            real(self, *args, **kwargs)
+            counts[type(self).__name__, getattr(self, dataclasses.fields(self)[0].name)] += 1
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+class TestEachObjectBuiltOnce:
+    @pytest.mark.parametrize("path", [
+        Path(__file__).parent / "data" / "knowledge_five.vty",
+        Path(__file__).parent.parent / "src" / "vty" / "data" / "shared_core.vty",
+    ], ids=["knowledge_five", "shared_core"])
+    def test_parse_then_prevariety_builds_each_object_once(self, builds, path):
+        manifest = load_manifest(path)
+        for pv in manifest.prevarieties:
+            manifest.prevariety(pv.prevariety_id)
+            manifest.prevariety_witnesses(pv.prevariety_id)
+        assert manifest.witnesses or path.stem == "knowledge_five"
+        assert builds == Counter(
+            [("Calculus", d.calculus_id) for d in manifest.calculi]
+            + [("FormulaMap", d.map_id) for d in manifest.maps]
+            + [("Component", d.component_id) for d in manifest.components])
+
+    def test_lookups_return_the_objects_validation_built(self, data_dir):
+        manifest = load_manifest(data_dir / "shared_core.vty")
+        pv = manifest.prevariety("SHARED")
+        assert pv.components == tuple(manifest.component(d.component_id)
+                                      for d in manifest.components)
+        assert all(a is b for a, b in zip(pv.components, manifest.prevariety("SHARED").components))
+        witness = manifest.prevariety_witnesses("SHARED")[0]
+        assert witness.calculus is manifest.calculus(manifest.witnesses[0].calculus_ref)
+
+    def test_a_replaced_manifest_resolves_its_own_defs(self):
+        manifest = parse_manifest(MINIMAL)
+        first = manifest.calculus("L")
+        changed = dataclasses.replace(
+            manifest, calculi=(dataclasses.replace(manifest.calculi[0], depth=1),))
+        assert changed.calculus("L").closure_depth == 1
+        assert changed.component("C").calculus is changed.calculus("L")
+        assert manifest.calculus("L") is first and first.closure_depth == 2
+        undepthed = parse_manifest(MINIMAL.replace("  depth 2\n", ""))
+        deeper = dataclasses.replace(undepthed, bounds=Bounds(depth=5))
+        assert deeper.calculus("L").closure_depth == 5
+        assert undepthed.calculus("L").closure_depth == 3
+
+    def test_a_replaced_manifest_reports_its_own_faults(self):
+        manifest = parse_manifest(MINIMAL)
+        broken = dataclasses.replace(manifest, components=(
+            dataclasses.replace(manifest.components[0], calculus_ref="nope"),))
+        for _ in range(2):  # a failed validation keeps no table
+            with pytest.raises(UnresolvedReferenceError, match="unknown calculus 'nope'"):
+                broken.component("C")
+        assert manifest.component("C").calculus is manifest.calculus("L")
+
+    def test_equality_hash_and_text_ignore_the_table(self):
+        built = parse_manifest(MINIMAL)
+        fresh = dataclasses.replace(built)
+        assert built._built and not fresh._built
+        assert built == fresh
+        assert hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh)
+        assert built.to_text() == fresh.to_text()
 
 
 def scan_outcome(scan, line: str, start: int):
