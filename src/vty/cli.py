@@ -58,12 +58,15 @@ def _parse_bounds_override(text: str) -> dict[str, int]:
         if not part:
             continue
         key, sep, raw = part.partition("=")
-        if not sep or key not in BOUND_NAMES or not raw.isdecimal():
+        try:
+            if not sep or key not in BOUND_NAMES or not raw.isdecimal():
+                raise ValueError
+            values[key] = int(raw)  # which also refuses more digits than it converts
+        except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad bounds entry {part!r}; expected "
                 + ",".join(f"{name}=N" for name in BOUND_NAMES)
-            )
-        values[key] = int(raw)
+            ) from None
     return values
 
 
@@ -106,7 +109,9 @@ def _int_list_arg(what: str, items: str, minimum: int):
             values = tuple(int(part) for part in text.split(",") if part.strip())
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad {what} {text!r}")
-        _at_least(minimum, items, min(values, default=minimum))
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty {what} {text!r}")
+        _at_least(minimum, items, min(values))
         return values
 
     return parse

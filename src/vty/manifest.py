@@ -553,12 +553,19 @@ def _word(what: str) -> _Arg:
     return _Arg(lambda tokens, i: _take_word(tokens, i, what))
 
 
+def _decimal(digits: str, what: str, col: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise LexError(f"{what} has too many digits ({len(digits)})", col) from None
+
+
 def _int(what: str) -> _Arg:
     def read(tokens: list[Token], i: int) -> tuple[int, int]:
         word, nxt = _take_word(tokens, i, what)
         if not word.isdecimal():
             raise LexError(f"expected {what}, found {word!r}", tokens[i].col)
-        return int(word), nxt
+        return _decimal(word, what, tokens[i].col), nxt
 
     return _Arg(read)
 
@@ -631,7 +638,7 @@ def _read_bounds(tokens: list[Token], i: int) -> tuple[Bounds, int]:
             raise LexError(f"bound {key!r} given twice", tok.col)
         if not raw.isdecimal():
             raise LexError(f"bound {key!r} needs an integer", tok.col)
-        values[key] = int(raw)
+        values[key] = _decimal(raw, f"bound {key!r}", tok.col)
     try:
         return Bounds(**values), len(tokens)
     except ValueError as exc:

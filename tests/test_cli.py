@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import vty.cli
 from vty.cli import build_parser, main
@@ -472,6 +472,12 @@ class TestOutputControls:
         (["fixed-output", "brute", "--y", "1", "--inputs", "1,x"], "bad input list '1,x'"),
         (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1", "--schedule", "8,y"],
          "bad fuel schedule '8,y'"),
+        (["fixed-output", "brute", "--y", "1", "--inputs", ","], "empty input list ','"),
+        (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1", "--schedule", ""],
+         "empty fuel schedule ''"),
+        # more digits than int() converts
+        (["--bounds", "depth=" + "9" * 4400, "report-matrix"],
+         f"bad bounds entry 'depth={'9' * 4400}'; expected depth=N,atoms=N,enum=N,size=N"),
         # the parenthesis past the limit opens at offset 5 * MAX_NESTING
         (["classify", "--goal", "p", "--axioms", "p",
           "(not " * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1)],
@@ -738,6 +744,7 @@ MANIFEST_PIECES = (
     b"theorem-rec ", b"statement ", b"depends ", b"satisfied ", b"citation ",
     b"AX ", b"p ", b"a ", b"0", b"1", b"(-> a p) ", b"(not ", b"(", b")", b"{", b"}",
     b'"', b"#", b"\n", b"\r\n", b"\r", b"  ", b"\xff", b"\xc3\xa9", b"\xe2\x82",
+    b"9" * 4400,  # more digits than int() converts
 )
 
 MANIFEST_BYTES = st.one_of(
@@ -892,7 +899,7 @@ class TestFuzzedInput:
     # every call prints one JSON report and exits 0, 1 or 2; it exits 0
     # exactly when the report lists no error, except that a check whose
     # verdict is FAIL exits 1 with no error listed
-    def check(self, capsys, argv: list[str], verdict_exits: bool = False) -> None:
+    def check(self, capsys, argv: list[str], verdict_exits: bool = False) -> tuple[int, dict]:
         code = main(argv)
         captured = capsys.readouterr()
         report = json.loads(captured.out)
@@ -902,6 +909,7 @@ class TestFuzzedInput:
             assert code in (0, 1)
         else:
             assert (code == 0) == (report["errors"] == [])
+        return code, report
 
     @given(text=BOUNDS_TEXT)
     @settings(max_examples=100, deadline=None,
@@ -920,10 +928,14 @@ class TestFuzzedInput:
         (["report-matrix"], ["closure", "--depth", "1"])))
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(data=b"bounds depth=" + b"9" * 4400, command=["report-matrix"])
     def test_manifest_bytes(self, capsys, tmp_path, data, command):
         path = tmp_path / "fuzzed.vty"
         path.write_bytes(data)
-        self.check(capsys, [*command, str(path)])
+        code, report = self.check(capsys, [*command, str(path)])
+        if code == 2:
+            # every manifest fault names its place in the file
+            assert all(error.startswith(f"{path}:") for error in report["errors"])
 
     @given(argv=st.one_of(CLOSURE_ARGV, PROJECT_ARGV, BRUTE_ARGV))
     @settings(max_examples=150, deadline=None,

@@ -322,6 +322,8 @@ class TestAllEntries:
 
 
 # (text, message, line, 1-based column) for errors raised while parsing
+BIG = "9" * 4400
+
 PARSE_ERRORS = [
     ("rule mp {\n  premise a\n  conclude a\n  conclude a\n}\n",
      "conclude given twice", 4, 1),
@@ -377,6 +379,12 @@ PARSE_ERRORS = [
     ("bounds depth=1\nbounds depth=2\n", "bounds given twice", 2, 1),
     ("bounds depth=1 frob=2\n", "unknown bound 'frob'", 1, 16),
     ("bounds depth=\u00b2\n", "bound 'depth' needs an integer", 1, 8),
+    # integers with more digits than int() converts (4 300 by default)
+    (f"calculus L {{\n  depth {BIG}\n}}\n", "a depth has too many digits (4400)", 2, 9),
+    (f"bounds depth=1 size={BIG}\n", "bound 'size' has too many digits (4400)", 1, 16),
+    (f"witness W {{\n  indices 1 {BIG}\n}}\n", "an index has too many digits (4400)", 2, 13),
+    (f'class X "X" {{\n  status AX satisfied exec-positive w {BIG}\n}}\n',
+     "a suite size has too many digits (4400)", 2, 39),
 ]
 
 
