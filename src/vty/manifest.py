@@ -866,7 +866,9 @@ class _Parser:
                 elif len(tokens) == 1 and tokens[0].kind == "RBRACE":
                     self._block(*block)
                     block = None
-                elif any(t.kind in ("LBRACE", "RBRACE") for t in tokens):
+                # only a line with a brace character can hold a brace token
+                elif ("{" in raw or "}" in raw) and any(
+                        t.kind in ("LBRACE", "RBRACE") for t in tokens):
                     raise LexError("braces may not nest", tokens[0].col)
                 else:
                     block[3].append((lineno, tokens))
