@@ -260,21 +260,14 @@ class Manifest:
     classes: tuple[ClassDef, ...] = ()
     theorem_recs: tuple[TheoremRecDef, ...] = ()
 
-    # the live rules, calculi, maps, components and witnesses by attribute
-    # and id, as validate built them; a manifest from dataclasses.replace
-    # starts without them and builds its own on first use
+    # the live rules, calculi, maps, components and witnesses, and the
+    # prevariety defs, by attribute and id, as validate built them; a
+    # manifest from dataclasses.replace starts without them and builds its
+    # own on first use
     _built: dict[str, dict[str, Any]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     # -- lookup helpers --
-
-    def _find(self, entries, key, wanted, kind, ref_line):
-        for entry in entries:
-            if key(entry) == wanted:
-                return entry
-        raise UnresolvedReferenceError(
-            f"unknown {kind} {wanted!r}", self.source, ref_line
-        )
 
     def _get(self, built: dict[str, dict[str, Any]], attr: str, wanted: str,
              kind: str, ref_line: int) -> Any:
@@ -287,9 +280,6 @@ class Manifest:
         if not self._built:
             self.validate()
         return self._built
-
-    def rule_def(self, name: str, ref_line: int = 0) -> RuleDef:
-        return self._find(self.rules, lambda r: r.name, name, "rule", ref_line)
 
     def rule_object(self, name: str, ref_line: int = 0) -> InferenceRule:
         return self._get(self._table(), "rules", name, "rule", ref_line)
@@ -311,8 +301,7 @@ class Manifest:
 
     def prevariety(self, prevariety_id: str | None = None) -> Prevariety:
         wanted = prevariety_id or self.default_prevariety_id()
-        d = self._find(self.prevarieties, lambda p: p.prevariety_id, wanted,
-                       "prevariety", 0)
+        d = self._get(self._table(), "prevarieties", wanted, "prevariety", 0)
         components = tuple(self.component(ref, d.line) for ref in d.component_refs)
         if d.is_auto():
             return assemble_prevariety(components, quasi=d.quasi,
@@ -367,6 +356,7 @@ class Manifest:
                 seen.add(ident)
         built: dict[str, dict[str, Any]] = {
             attr: {} for attr in ("rules", "calculi", "maps", "components", "witnesses")}
+        built["prevarieties"] = {p.prevariety_id: p for p in self.prevarieties}
 
         def get(attr: str, wanted: str, kind: str, line: int) -> Any:
             return self._get(built, attr, wanted, kind, line)
@@ -404,12 +394,9 @@ class Manifest:
                 get("components", ref, "component", pv.line)
             for name in pv.rule_refs:
                 get("rules", name, "rule", pv.line)
-        declared = {p.prevariety_id: p for p in self.prevarieties}
         for wit in self.witnesses:
-            if wit.prevariety_ref not in declared:
-                raise UnresolvedReferenceError(
-                    f"unknown prevariety {wit.prevariety_ref!r}", self.source, wit.line)
-            width = len(declared[wit.prevariety_ref].component_refs)
+            width = len(get("prevarieties", wit.prevariety_ref, "prevariety", wit.line)
+                        .component_refs)
             if not wit.indices or list(wit.indices) != sorted(set(wit.indices)):
                 raise ManifestError(
                     f"witness {wit.witness_id!r} needs strictly increasing indices",
