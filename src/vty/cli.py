@@ -61,7 +61,7 @@ def _parse_bounds_override(text: str) -> dict[str, int]:
         try:
             if not sep or key not in BOUND_NAMES or not raw.isdecimal():
                 raise ValueError
-            values[key] = int(raw)  # which also refuses more digits than it converts
+            values[key] = int(raw)  # a ValueError past int()'s digit limit too
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad bounds entry {part!r}; expected "
@@ -100,9 +100,9 @@ def _int_arg(what: str, minimum: int):
 
 
 def _int_list_arg(what: str, items: str, minimum: int):
-    """An argparse type for comma-separated ints of at least `minimum`; the
-    list is named `what` when it does not parse, its entries `items` when
-    one is below `minimum`."""
+    """An argparse type for a nonempty list of comma-separated ints of at
+    least `minimum`; the list is named `what` when it does not parse or is
+    empty, its entries `items` when one is below `minimum`."""
 
     def parse(text: str) -> tuple[int, ...]:
         try:

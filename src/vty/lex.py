@@ -28,11 +28,8 @@ class LexError(ValueError):
 
 
 def _scan_string(line: str, start: int) -> tuple[str, int]:
-    # start points at the opening quote; a string with no escape before
-    # its closing quote is a plain slice, anything else takes the loop
-    end = line.find('"', start + 1)
-    if end >= 0 and line.find("\\", start + 1, end) < 0:
-        return line[start + 1:end], end + 1
+    # start points at the opening quote; _TOKEN reads a string with no
+    # escape, so the lexer calls this for the others and unterminated ones
     out: list[str] = []
     i = start + 1
     while i < len(line):

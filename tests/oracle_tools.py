@@ -566,7 +566,8 @@ def oracle_satisfying_assignment(
 
 
 def oracle_scan_string(line: str, start: int) -> tuple[str, int]:
-    """The per-character string scan `lex._scan_string` now runs only on escapes."""
+    """The per-character string scan, kept apart from `lex._scan_string` so
+    that the lexer's oracle shares no code with the lexer."""
     out: list[str] = []
     i = start + 1
     while i < len(line):
