@@ -444,7 +444,7 @@ class Manifest:
             return thunk()
         except UnresolvedReferenceError:
             raise
-        except (ValueError, AssertionError) as exc:
+        except ValueError as exc:
             raise ManifestError(str(exc), self.source, line) from exc
 
     # -- canonical text --
@@ -460,7 +460,8 @@ class Manifest:
 def _rule_object(d: RuleDef) -> InferenceRule:
     if d.kind == "substitution":
         return SubstitutionRule(d.name)
-    assert d.conclusion is not None
+    if d.conclusion is None:
+        raise ValueError(f"rule {d.name!r} never concludes")
     return SchemaRule(d.name, d.premises, d.conclusion)
 
 

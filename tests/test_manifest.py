@@ -533,6 +533,12 @@ class TestValidation:
             parse_manifest(text)
         assert "undeclared axiom 'MISSING'" in str(err.value)
 
+    def test_a_schema_rule_def_without_a_conclusion_is_refused(self):
+        rule = RuleDef("r", premises=(parse_formula("a"),), line=4)
+        with pytest.raises(ManifestError) as err:
+            Manifest(rules=(rule,)).validate()
+        assert str(err.value) == "<manifest>:4:1: rule 'r' never concludes"
+
     def test_bad_component_objects_fail_at_their_line(self):
         text = MINIMAL.replace("depth 2", "depth 2\n  axiom p\n  axiom p")
         manifest = parse_manifest(text)  # duplicate axiom lines collapse in a set
