@@ -442,8 +442,6 @@ class Manifest:
     def _build(self, thunk, line: int) -> Any:
         try:
             return thunk()
-        except UnresolvedReferenceError:
-            raise
         except ValueError as exc:
             raise ManifestError(str(exc), self.source, line) from exc
 
