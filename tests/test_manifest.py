@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vty
 from vty.calculus import Calculus
 from vty.errors import ManifestError, UnresolvedReferenceError
 from vty.formulas import parse_formula
@@ -602,7 +603,7 @@ def builds(monkeypatch):
 class TestEachObjectBuiltOnce:
     @pytest.mark.parametrize("path", [
         Path(__file__).parent / "data" / "knowledge_five.vty",
-        Path(__file__).parent.parent / "src" / "vty" / "data" / "shared_core.vty",
+        Path(vty.__file__).parent / "data" / "shared_core.vty",
     ], ids=["knowledge_five", "shared_core"])
     def test_parse_then_prevariety_builds_each_object_once(self, builds, path):
         manifest = load_manifest(path)
