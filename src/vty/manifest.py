@@ -690,7 +690,7 @@ class _Entry:
         if not (self.many or self.spread):
             values[self.field] = items[0]
         elif items:
-            values[self.field] = values.get(self.field, ()) + tuple(items)
+            values.setdefault(self.field, []).extend(items)
 
     def lines(self, value) -> list[str]:
         if self.arg is None:
@@ -862,7 +862,10 @@ class _Parser:
                 raise ManifestError(exc.message, self.source, lineno, exc.col) from None
         if block is not None:
             raise ManifestError(f"unclosed {block[0]} block", self.source, block[2])
-        manifest = Manifest(source=self.source, **self.values)
+        # each directive and block kind collects into a list, held as a tuple
+        manifest = Manifest(source=self.source, **{
+            name: tuple(value) if type(value) is list else value
+            for name, value in self.values.items()})
         manifest.validate()
         return manifest
 
@@ -907,14 +910,17 @@ class _Parser:
                 rows[key].read(values, tokens)
             line = start
             for row in spec.entries:
-                if row.required and not values.get(row.field):
+                value = values.get(row.field)
+                if row.required and not value:
                     raise LexError(f"{keyword} {values[spec.id_field]!r} {row.required}", 0)
+                if type(value) is list:  # entries collected line by line
+                    values[row.field] = tuple(value)
         except (LexError, FormulaParseError) as exc:
             raise ManifestError(exc.message, self.source, line, exc.col) from None
         self._add(spec, values, start)
 
     def _add(self, spec: _Block, values: dict[str, Any], line: int) -> None:
-        self.values[spec.attr] = self.values.get(spec.attr, ()) + (spec.cls(**values, line=line),)
+        self.values.setdefault(spec.attr, []).append(spec.cls(**values, line=line))
 
 
 def parse_manifest(text: str, source: str = "<manifest>") -> Manifest:
