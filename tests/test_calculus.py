@@ -80,6 +80,11 @@ class TestRuleConstruction:
         with pytest.raises(ValueError):
             Calculus("c", rules=(modus_ponens(), modus_ponens()))
 
+    def test_duplicate_schema_ids_rejected(self):
+        p1 = hilbert_schemas()[0]
+        with pytest.raises(ValueError, match="duplicate schema ids"):
+            Calculus("c", schemas=(p1, AxiomSchema(p1.schema_id, Atom("a"))))
+
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             Calculus("c", closure_depth=-1)
@@ -480,6 +485,37 @@ class TestProofChecking:
                                     (("p", pf("(and r (and r r))")),))),
         ))
         assert check_proof(calc, proof).valid
+
+    def sub_calculus(self):
+        return Calculus("free", axioms=frozenset({pf("(-> p p)")}),
+                        rules=(SubstitutionRule("sub"),))
+
+    def test_substitution_takes_one_premise(self):
+        proof = Proof((
+            ProofStep(pf("(-> p p)"), AxiomStep()),
+            ProofStep(pf("(-> q q)"), RuleStep("sub", (0, 0), (("p", pf("q")),))),
+        ))
+        check = check_proof(self.sub_calculus(), proof)
+        assert (check.valid, check.step, check.reason, check.detail) == (
+            False, 1, "BAD_PREMISE", "substitution takes one premise")
+
+    def test_substitution_instance_must_match_its_step(self):
+        proof = Proof((
+            ProofStep(pf("(-> p p)"), AxiomStep()),
+            ProofStep(pf("(-> q r)"), RuleStep("sub", (0,), (("p", pf("q")),))),
+        ))
+        check = check_proof(self.sub_calculus(), proof)
+        assert (check.valid, check.step, check.reason) == (False, 1, "CONCLUSION_MISMATCH")
+
+    def test_mp_takes_two_premises(self):
+        calc, proof = self.proof_of_q()
+        steps = list(proof.steps)
+        last = steps[-1]
+        short = RuleStep("mp", last.justification.premises[:1], last.justification.substitution)
+        steps[-1] = ProofStep(last.formula, short)
+        check = check_proof(calc, Proof(tuple(steps)))
+        assert (check.valid, check.step, check.reason, check.detail) == (
+            False, len(steps) - 1, "BAD_PREMISE", "rule 'mp' takes 2 premises")
 
 
 class TestPresets:
