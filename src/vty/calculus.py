@@ -169,31 +169,16 @@ class Calculus:
 # --- proof objects ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomStep:
-    pass
+class ProofStep(NamedTuple):
+    """One proof line: the formula, how it is justified ("axiom", "schema"
+    or "rule"), the schema id or rule name, the substitution used, and for
+    a rule the indices of the earlier steps it cites."""
 
-
-@dataclass(frozen=True)
-class SchemaStep:
-    schema_id: str
-    substitution: Substitution
-
-
-@dataclass(frozen=True)
-class RuleStep:
-    rule_name: str
-    premises: tuple[int, ...]
-    substitution: Substitution
-
-
-Justification = AxiomStep | SchemaStep | RuleStep
-
-
-@dataclass(frozen=True)
-class ProofStep:
     formula: Formula
-    justification: Justification
+    kind: str
+    ref: str = ""
+    substitution: Substitution = ()
+    premises: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -205,7 +190,7 @@ class Proof:
         return self.steps[-1].formula
 
     def rule_applications(self) -> int:
-        return sum(1 for step in self.steps if isinstance(step.justification, RuleStep))
+        return sum(1 for step in self.steps if step.kind == "rule")
 
 
 @dataclass(frozen=True)
@@ -214,10 +199,6 @@ class ProofCheck:
     step: int | None = None
     reason: str | None = None
     detail: str = ""
-
-    @property
-    def verdict(self) -> str:
-        return "VALID" if self.valid else "INVALID"
 
 
 def check_proof(calculus: Calculus, proof: Proof) -> ProofCheck:
@@ -229,27 +210,26 @@ def check_proof(calculus: Calculus, proof: Proof) -> ProofCheck:
     if not proof.steps:
         return ProofCheck(False, None, "EMPTY_PROOF", "a proof needs at least one step")
     for index, step in enumerate(proof.steps):
-        just = step.justification
-        if isinstance(just, AxiomStep):
+        if step.kind == "axiom":
             if step.formula not in calculus.axioms:
                 return ProofCheck(False, index, "UNKNOWN_AXIOM", formula_key(step.formula))
-        elif isinstance(just, SchemaStep):
-            schema = calculus.schema(just.schema_id)
+        elif step.kind == "schema":
+            schema = calculus.schema(step.ref)
             if schema is None:
-                return ProofCheck(False, index, "UNKNOWN_SCHEMA", just.schema_id)
-            if substitute(schema.pattern, dict(just.substitution)) != step.formula:
+                return ProofCheck(False, index, "UNKNOWN_SCHEMA", step.ref)
+            if substitute(schema.pattern, dict(step.substitution)) != step.formula:
                 return ProofCheck(
                     False, index, "SCHEMA_MISMATCH",
                     f"substitution does not produce {formula_key(step.formula)}",
                 )
-        elif isinstance(just, RuleStep):
-            rule = calculus.rule(just.rule_name)
+        elif step.kind == "rule":
+            rule = calculus.rule(step.ref)
             if rule is None:
-                return ProofCheck(False, index, "UNKNOWN_RULE", just.rule_name)
-            if any(p < 0 or p >= index for p in just.premises):
+                return ProofCheck(False, index, "UNKNOWN_RULE", step.ref)
+            if any(p < 0 or p >= index for p in step.premises):
                 return ProofCheck(False, index, "BAD_PREMISE", "premise index out of range")
-            cited = [proof.steps[p].formula for p in just.premises]
-            mapping = dict(just.substitution)
+            cited = [proof.steps[p].formula for p in step.premises]
+            mapping = dict(step.substitution)
             if isinstance(rule, SubstitutionRule):
                 if len(cited) != 1:
                     return ProofCheck(False, index, "BAD_PREMISE", "substitution takes one premise")
@@ -276,7 +256,7 @@ def check_proof(calculus: Calculus, proof: Proof) -> ProofCheck:
                         "rule conclusion does not match the step formula",
                     )
         else:
-            return ProofCheck(False, index, "UNKNOWN_JUSTIFICATION", repr(just))
+            return ProofCheck(False, index, "UNKNOWN_JUSTIFICATION", repr(step.kind))
     return ProofCheck(True)
 
 
@@ -618,21 +598,11 @@ def _build_proof(target: Formula, best: dict[Formula, _Derivation]) -> Proof:
         order.append(formula)
 
     visit(target)
-    steps: list[ProofStep] = []
+    steps = []
     for formula in order:
-        derivation = best[formula]
-        just: Justification
-        if derivation.kind == "axiom":
-            just = AxiomStep()
-        elif derivation.kind == "schema":
-            just = SchemaStep(derivation.ref, derivation.substitution)
-        else:
-            just = RuleStep(
-                derivation.ref,
-                tuple(index[premise] for premise in derivation.premises),
-                derivation.substitution,
-            )
-        steps.append(ProofStep(formula, just))
+        kind, ref, substitution, premises = best[formula]
+        steps.append(ProofStep(formula, kind, ref, substitution,
+                               tuple(index[premise] for premise in premises)))
     return Proof(tuple(steps))
 
 

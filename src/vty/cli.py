@@ -15,14 +15,7 @@ import os
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from .calculus import (
-    AxiomStep,
-    PRESET_NAMES,
-    Proof,
-    RuleStep,
-    SchemaStep,
-    closure,
-)
+from .calculus import PRESET_NAMES, Proof, closure
 from .errors import ManifestError, VtyError
 from .formulas import Formula, formula_key, parse_formula
 from .machines import (
@@ -146,19 +139,14 @@ def _substitution_dict(substitution) -> dict[str, str]:
 
 def _proof_dict(proof: Proof) -> dict:
     steps = []
-    for step in proof.steps:
-        j = step.justification
-        if isinstance(j, AxiomStep):
-            kind: dict = {"kind": "axiom"}
-        elif isinstance(j, SchemaStep):
-            kind = {"kind": "schema", "schema": j.schema_id,
-                    "substitution": _substitution_dict(j.substitution)}
-        else:
-            assert isinstance(j, RuleStep)
-            kind = {"kind": "rule", "rule": j.rule_name,
-                    "premises": list(j.premises),
-                    "substitution": _substitution_dict(j.substitution)}
-        steps.append({"formula": formula_key(step.formula), **kind})
+    for formula, kind, ref, substitution, premises in proof.steps:
+        step = {"formula": formula_key(formula), "kind": kind}
+        if kind != "axiom":
+            step[kind] = ref  # "schema": its id, or "rule": its name
+            step["substitution"] = _substitution_dict(substitution)
+            if kind == "rule":
+                step["premises"] = list(premises)
+        steps.append(step)
     return {"steps": steps, "rule_applications": proof.rule_applications()}
 
 

@@ -150,7 +150,8 @@ BOUND_NAMES = tuple(f.name for f in fields(Bounds))
 # Parse products stay close to the text, so a manifest with a bad
 # reference still parses far enough to report the precise line.
 # Validation then resolves them into live calculus and variety objects,
-# each built once.
+# each built once. Axiom declarations need no resolving: the reader makes
+# the projection layer's own AxiomDeclaration records.
 
 
 @dataclass(frozen=True)
@@ -221,13 +222,6 @@ class WitnessDef:
 
 
 @dataclass(frozen=True)
-class AxiomDeclDef:
-    axiom_id: str
-    statement: str
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
 class ClassDef:
     class_id: str
     display_name: str
@@ -256,7 +250,7 @@ class Manifest:
     components: tuple[ComponentDef, ...] = ()
     prevarieties: tuple[PrevarietyDef, ...] = ()
     witnesses: tuple[WitnessDef, ...] = ()
-    axiom_decls: tuple[AxiomDeclDef, ...] = ()
+    axiom_decls: tuple[AxiomDeclaration, ...] = ()
     classes: tuple[ClassDef, ...] = ()
     theorem_recs: tuple[TheoremRecDef, ...] = ()
 
@@ -287,9 +281,6 @@ class Manifest:
     def calculus(self, calculus_id: str, ref_line: int = 0) -> Calculus:
         return self._get(self._table(), "calculi", calculus_id, "calculus", ref_line)
 
-    def formula_map(self, map_id: str, ref_line: int = 0) -> FormulaMap:
-        return self._get(self._table(), "maps", map_id, "map", ref_line)
-
     def component(self, component_id: str, ref_line: int = 0) -> Component:
         return self._get(self._table(), "components", component_id, "component", ref_line)
 
@@ -318,10 +309,7 @@ class Manifest:
 
     def registry(self) -> tuple[tuple[ClassProfile, ...], tuple[TheoremRecord, ...],
                                 dict[str, AxiomDeclaration]]:
-        declarations = {
-            d.axiom_id: AxiomDeclaration(d.axiom_id, d.statement)
-            for d in self.axiom_decls
-        }
+        declarations = {d.axiom_id: d for d in self.axiom_decls}
         profiles = tuple(
             ClassProfile(c.class_id, c.display_name, {
                 axiom_id: AxiomStatus(status, evidence)
@@ -482,9 +470,7 @@ def registry_manifest(
     """A registry-only manifest from live profile objects."""
     return Manifest(
         bounds=bounds,
-        axiom_decls=tuple(
-            AxiomDeclDef(d.axiom_id, d.statement) for d in declarations.values()
-        ),
+        axiom_decls=tuple(declarations.values()),
         classes=tuple(
             ClassDef(p.class_id, p.display_name, tuple(
                 (axiom_id, status.status, status.evidence)
@@ -808,7 +794,7 @@ _BLOCKS = (
         _ref("theorem-map", "theorem_map_ref"),
         _Entry("theorem", "theorems", _FORMULA, many=True, sort=True),
     ), noun="witness", expect="a witness entry"),
-    _Block("axiom-decl", "axiom_decls", AxiomDeclDef,
+    _Block("axiom-decl", "axiom_decls", AxiomDeclaration,
            (("axiom_id", _word("an axiom id")), ("statement", _string("statement")))),
     _Block("class", "classes", ClassDef, (("class_id", _word("a class id")),
                                           ("display_name", _string("display name"))), (

@@ -9,7 +9,7 @@ is a mechanical partition, not a proof search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .calculus import (
@@ -41,6 +41,8 @@ DEFAULT_SUBSET_CAP = 12
 class AxiomDeclaration:
     axiom_id: str
     statement: str
+    # the manifest line that declared it, or 0
+    line: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -63,18 +65,6 @@ class Evidence:
                 raise ValueError("exec-exhaustive evidence needs a witness id and a domain")
         else:
             raise ValueError(f"unknown evidence kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.citation is not None:
-            out["citation"] = self.citation
-        if self.witness_id is not None:
-            out["witness"] = self.witness_id
-        if self.suite_size is not None:
-            out["suite_size"] = self.suite_size
-        if self.domain is not None:
-            out["domain"] = self.domain
-        return out
 
 
 @dataclass(frozen=True)
@@ -146,7 +136,7 @@ def validate_registry(
                         f"class {profile.class_id!r} cites unknown witness "
                         f"{evidence.witness_id!r}"
                     )
-                if run_exec and not WITNESSES[evidence.witness_id].run().passed:
+                if run_exec and not WITNESSES[evidence.witness_id]().passed:
                     raise AssertionError(
                         f"witness {evidence.witness_id!r} failed for class "
                         f"{profile.class_id!r}"

@@ -30,7 +30,7 @@ from .calculus import (
     InferenceRule,
     theorem_formulas,
 )
-from .errors import MapUndefinedError
+from .errors import AtomCapExceededError, MapUndefinedError
 from .formulas import Atom, Formula, evaluate, formula_key, substitute
 from .semantics import (
     DEFAULT_ATOM_CAP,
@@ -658,36 +658,45 @@ def consistency_report(
 
     When the components' contributions together stay within the atom cap,
     each component's formulas are evaluated once over all their atoms and
-    ANDed into one mask per component; a subset is consistent exactly when
-    the AND of its members' masks is nonzero. Past the cap, each examined
-    subset gets its own ``check_consistency``, which raises the cap error
-    of the first subset that passes the cap.
+    ANDed into one mask per component; a component, or a subset of them, is
+    consistent exactly when the AND of its masks is nonzero. Past the cap,
+    each one gets its own ``check_consistency``, which raises the cap error
+    of the first subset that passes the cap. A component past the cap on
+    its own raises before any later component is mapped.
     """
-    contributions: dict[str, frozenset[Formula]] = {}
-    rows: list[ComponentConsistency] = []
+    contributions: list[frozenset[Formula]] = []
+    atom_counts: list[int] = []
     for component in pv.components:
         record = _mapped(component, size_cap)
         pooled = frozenset(record.axiom_images.values()).union(
             record.designated_images.values()
         )
-        contributions[component.component_id] = pooled
-        verdict = check_consistency(pooled, atom_cap)
-        rows.append(ComponentConsistency(
-            component.component_id, verdict.verdict, len(pooled), verdict.atom_count
-        ))
+        atom_count = len(collect_atoms(pooled))
+        if atom_count > atom_cap:
+            raise AtomCapExceededError(atom_count, atom_cap)
+        contributions.append(pooled)
+        atom_counts.append(atom_count)
 
     global_set = pv.axioms | pv.theorems
     global_verdict = check_consistency(global_set, atom_cap)
+    consistent = _subset_consistency(contributions, atom_cap)
+    rows = [
+        ComponentConsistency(component.component_id,
+                             "CONSISTENT" if consistent((i,)) else "INCONSISTENT",
+                             len(pooled), atom_count)
+        for i, (component, pooled, atom_count)
+        in enumerate(zip(pv.components, contributions, atom_counts))
+    ]
     all_locally_consistent = all(row.verdict == "CONSISTENT" for row in rows)
     flag = all_locally_consistent and not global_verdict.consistent
 
     ids = [component.component_id for component in pv.components]
+    position = {cid: i for i, cid in enumerate(ids)}  # a repeated id names its last component
     minimal: list[tuple[str, ...]] = []
     notes: list[str] = []
     for row in rows:
         if row.verdict == "INCONSISTENT":
             minimal.append((row.component_id,))
-    consistent = _subset_consistency(contributions, atom_cap)
     examined = 0
     truncated = False
     for width in range(2, len(ids) + 1):
@@ -698,7 +707,7 @@ def consistency_report(
                 break
             if any(set(found) <= set(combo) for found in minimal):
                 continue
-            if not consistent(combo):
+            if not consistent([position[cid] for cid in combo]):
                 minimal.append(combo)
         if truncated:
             break
@@ -717,16 +726,16 @@ def consistency_report(
 
 
 def _subset_consistency(
-    contributions: Mapping[str, frozenset[Formula]], atom_cap: int
-) -> Callable[[Sequence[str]], bool]:
-    """A test of whether the pooled contributions of some component ids are consistent."""
-    names = collect_atoms(itertools.chain.from_iterable(contributions.values()))
+    contributions: Sequence[frozenset[Formula]], atom_cap: int
+) -> Callable[[Sequence[int]], bool]:
+    """A test of whether the pooled contributions at some positions are consistent."""
+    names = collect_atoms(itertools.chain.from_iterable(contributions))
     if len(names) > atom_cap:
-        return lambda ids: check_consistency(
-            frozenset().union(*(contributions[cid] for cid in ids)), atom_cap).consistent
+        return lambda positions: check_consistency(
+            frozenset().union(*(contributions[i] for i in positions)), atom_cap).consistent
     masks, true = atom_masks(names)
-    models = {
-        cid: reduce(and_, (evaluate(formula, masks, true=true) for formula in formulas), true)
-        for cid, formulas in contributions.items()
-    }
-    return lambda ids: reduce(and_, (models[cid] for cid in ids)) != 0
+    models = [
+        reduce(and_, (evaluate(formula, masks, true=true) for formula in formulas), true)
+        for formulas in contributions
+    ]
+    return lambda positions: reduce(and_, (models[i] for i in positions)) != 0

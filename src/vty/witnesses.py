@@ -20,22 +20,14 @@ class WitnessOutcome:
     details: dict
 
 
-@dataclass(frozen=True)
-class ExecutableWitness:
-    witness_id: str
-    description: str
-    runner: Callable[[], WitnessOutcome]
-
-    def run(self) -> WitnessOutcome:
-        return self.runner()
-
-
 def _rm_universal_differential() -> WitnessOutcome:
+    """Code-driven interpretation agrees with direct runs on randomized programs."""
     report = machines.universality_evidence()
     return WitnessOutcome("rm_universal_differential", report["all_agree"], report)
 
 
 def _rm_self_loop_diverges() -> WitnessOutcome:
+    """A one-instruction self loop runs out of fuel at every tried bound."""
     loop = machines.RegisterMachine(1, (machines.Inc(0, 0),))
     fuels = (10, 100, 1000)
     outcomes = {
@@ -49,34 +41,21 @@ def _rm_self_loop_diverges() -> WitnessOutcome:
 
 
 def _dfa_totality_exhaustive() -> WitnessOutcome:
+    """Every small automaton consumes exactly one step per symbol on every short word."""
     report = automata.totality_evidence()
     passed = report["all_terminated"] and report["steps_equal_word_length"]
     return WitnessOutcome("dfa_totality_exhaustive", passed, report)
 
 
-WITNESSES: dict[str, ExecutableWitness] = {
-    witness.witness_id: witness
-    for witness in (
-        ExecutableWitness(
-            "rm_universal_differential",
-            "code-driven interpretation agrees with direct runs on randomized programs",
-            _rm_universal_differential,
-        ),
-        ExecutableWitness(
-            "rm_self_loop_diverges",
-            "a one-instruction self loop runs out of fuel at every tried bound",
-            _rm_self_loop_diverges,
-        ),
-        ExecutableWitness(
-            "dfa_totality_exhaustive",
-            "every small automaton consumes exactly one step per symbol on every short word",
-            _dfa_totality_exhaustive,
-        ),
-    )
+# each witness id and the function that runs it
+WITNESSES: dict[str, Callable[[], WitnessOutcome]] = {
+    "rm_universal_differential": _rm_universal_differential,
+    "rm_self_loop_diverges": _rm_self_loop_diverges,
+    "dfa_totality_exhaustive": _dfa_totality_exhaustive,
 }
 
 
 def run_witness(witness_id: str) -> WitnessOutcome:
     if witness_id not in WITNESSES:
         raise KeyError(f"unknown witness {witness_id!r}")
-    return WITNESSES[witness_id].run()
+    return WITNESSES[witness_id]()

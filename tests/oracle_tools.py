@@ -17,13 +17,10 @@ from typing import Iterable, Iterator, Sequence
 
 from vty.calculus import (
     DEFAULT_SIZE_CAP,
-    AxiomStep,
     Calculus,
     Proof,
     ProofStep,
-    RuleStep,
     SchemaRule,
-    SchemaStep,
     SubstitutionRule,
     instantiation_domain,
     proves,
@@ -200,13 +197,8 @@ def oracle_scan_closure(
         steps = []
         for formula in order:
             _, kind, ref, substitution, premises = best[formula]
-            if kind == "axiom":
-                just = AxiomStep()
-            elif kind == "schema":
-                just = SchemaStep(ref, substitution)
-            else:
-                just = RuleStep(ref, tuple(position[p] for p in premises), substitution)
-            steps.append(ProofStep(formula, just))
+            steps.append(ProofStep(formula, kind, ref, substitution,
+                                   tuple(position[p] for p in premises)))
         return Proof(tuple(steps))
 
     return [(formula, best[formula][0], proof(formula))

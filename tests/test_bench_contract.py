@@ -113,10 +113,10 @@ def test_subsets_classify_closes_and_proves_once(monkeypatch, capsys):
     assert sorted(calls) == ["closure", "proves"]
 
 
-def test_knowledge_checks_each_component_and_the_union_once(monkeypatch, capsys):
-    # within the atom cap the subset search reads one mask per component, so
-    # check_consistency runs once per component row and once for the union;
-    # the traced knowledge run fails its self-check when either count reads 0
+def test_knowledge_checks_consistency_once_for_the_union(monkeypatch, capsys):
+    # within the atom cap each component row and the subset search read one
+    # mask per component, so check_consistency runs only for the union; the
+    # traced knowledge run fails its self-check when either count reads 0
     import vty.cli
 
     calls = count_calls(monkeypatch, vty.semantics, ("check_consistency", "evaluate"))
@@ -124,7 +124,7 @@ def test_knowledge_checks_each_component_and_the_union_once(monkeypatch, capsys)
     assert code == 0
     consistency = json.loads(capsys.readouterr().out)["result"]["consistency"]
     assert len(consistency["minimal_inconsistent_sets"]) > 0
-    assert calls.count("check_consistency") == len(consistency["components"]) + 1
+    assert calls.count("check_consistency") == 1
     assert "evaluate" in calls
 
 

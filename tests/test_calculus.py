@@ -5,13 +5,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vty.calculus import (
     AxiomSchema,
-    AxiomStep,
     Calculus,
     Proof,
     ProofStep,
-    RuleStep,
     SchemaRule,
-    SchemaStep,
     SubstitutionRule,
     base_calculus,
     check_proof,
@@ -419,7 +416,7 @@ class TestProofChecking:
 
     def test_unknown_axiom(self):
         calc, _ = self.proof_of_q()
-        bogus = Proof((ProofStep(pf("r"), AxiomStep()),))
+        bogus = Proof((ProofStep(pf("r"), "axiom"),))
         check = check_proof(calc, bogus)
         assert not check.valid and check.reason == "UNKNOWN_AXIOM" and check.step == 0
 
@@ -427,10 +424,8 @@ class TestProofChecking:
         calc, proof = self.proof_of_q()
         steps = list(proof.steps)
         last = steps[-1]
-        assert isinstance(last.justification, RuleStep)
-        renamed = RuleStep("modus_tollens", last.justification.premises,
-                           last.justification.substitution)
-        steps[-1] = ProofStep(last.formula, renamed)
+        assert last.kind == "rule"
+        steps[-1] = last._replace(ref="modus_tollens")
         check = check_proof(calc, Proof(tuple(steps)))
         assert not check.valid and check.reason == "UNKNOWN_RULE"
 
@@ -438,8 +433,7 @@ class TestProofChecking:
         calc, proof = self.proof_of_q()
         steps = list(proof.steps)
         last = steps[-1]
-        broken = RuleStep("mp", (0, 99), last.justification.substitution)
-        steps[-1] = ProofStep(last.formula, broken)
+        steps[-1] = last._replace(premises=(0, 99))
         check = check_proof(calc, Proof(tuple(steps)))
         assert not check.valid and check.reason == "BAD_PREMISE"
 
@@ -448,8 +442,7 @@ class TestProofChecking:
         steps = list(proof.steps)
         last = steps[-1]
         # cite the implication twice; the first premise no longer matches
-        twisted = RuleStep("mp", (1, 1), last.justification.substitution)
-        steps[-1] = ProofStep(last.formula, twisted)
+        steps[-1] = last._replace(premises=(1, 1))
         check = check_proof(calc, Proof(tuple(steps)))
         assert not check.valid and check.reason == "BAD_PREMISE"
 
@@ -457,20 +450,20 @@ class TestProofChecking:
         calc, proof = self.proof_of_q()
         steps = list(proof.steps)
         last = steps[-1]
-        steps[-1] = ProofStep(pf("(not q)"), last.justification)
+        steps[-1] = last._replace(formula=pf("(not q)"))
         check = check_proof(calc, Proof(tuple(steps)))
         assert not check.valid and check.reason == "CONCLUSION_MISMATCH"
 
     def test_unknown_schema_and_mismatch(self):
         calc = base_calculus("hilbert")
-        good = SchemaStep("P1", (("a", pf("p")), ("b", pf("q"))))
         instance = pf("(-> p (-> q p))")
-        assert check_proof(calc, Proof((ProofStep(instance, good),))).valid
-        unknown = SchemaStep("P9", (("a", pf("p")),))
-        check = check_proof(calc, Proof((ProofStep(instance, unknown),)))
+        good = ProofStep(instance, "schema", "P1", (("a", pf("p")), ("b", pf("q"))))
+        assert check_proof(calc, Proof((good,))).valid
+        unknown = ProofStep(instance, "schema", "P9", (("a", pf("p")),))
+        check = check_proof(calc, Proof((unknown,)))
         assert check.reason == "UNKNOWN_SCHEMA"
-        lied = SchemaStep("P1", (("a", pf("q")), ("b", pf("q"))))
-        check = check_proof(calc, Proof((ProofStep(instance, lied),)))
+        lied = ProofStep(instance, "schema", "P1", (("a", pf("q")), ("b", pf("q"))))
+        check = check_proof(calc, Proof((lied,)))
         assert check.reason == "SCHEMA_MISMATCH"
 
     def test_checker_accepts_unrestricted_instantiation(self):
@@ -480,9 +473,8 @@ class TestProofChecking:
                         rules=(SubstitutionRule("sub"),))
         big = pf("(-> (and r (and r r)) (and r (and r r)))")
         proof = Proof((
-            ProofStep(pf("(-> p p)"), AxiomStep()),
-            ProofStep(big, RuleStep("sub", (0,),
-                                    (("p", pf("(and r (and r r))")),))),
+            ProofStep(pf("(-> p p)"), "axiom"),
+            ProofStep(big, "rule", "sub", (("p", pf("(and r (and r r))")),), (0,)),
         ))
         assert check_proof(calc, proof).valid
 
@@ -492,8 +484,8 @@ class TestProofChecking:
 
     def test_substitution_takes_one_premise(self):
         proof = Proof((
-            ProofStep(pf("(-> p p)"), AxiomStep()),
-            ProofStep(pf("(-> q q)"), RuleStep("sub", (0, 0), (("p", pf("q")),))),
+            ProofStep(pf("(-> p p)"), "axiom"),
+            ProofStep(pf("(-> q q)"), "rule", "sub", (("p", pf("q")),), (0, 0)),
         ))
         check = check_proof(self.sub_calculus(), proof)
         assert (check.valid, check.step, check.reason, check.detail) == (
@@ -501,8 +493,8 @@ class TestProofChecking:
 
     def test_substitution_instance_must_match_its_step(self):
         proof = Proof((
-            ProofStep(pf("(-> p p)"), AxiomStep()),
-            ProofStep(pf("(-> q r)"), RuleStep("sub", (0,), (("p", pf("q")),))),
+            ProofStep(pf("(-> p p)"), "axiom"),
+            ProofStep(pf("(-> q r)"), "rule", "sub", (("p", pf("q")),), (0,)),
         ))
         check = check_proof(self.sub_calculus(), proof)
         assert (check.valid, check.step, check.reason) == (False, 1, "CONCLUSION_MISMATCH")
@@ -511,11 +503,18 @@ class TestProofChecking:
         calc, proof = self.proof_of_q()
         steps = list(proof.steps)
         last = steps[-1]
-        short = RuleStep("mp", last.justification.premises[:1], last.justification.substitution)
-        steps[-1] = ProofStep(last.formula, short)
+        steps[-1] = last._replace(premises=last.premises[:1])
         check = check_proof(calc, Proof(tuple(steps)))
         assert (check.valid, check.step, check.reason, check.detail) == (
             False, len(steps) - 1, "BAD_PREMISE", "rule 'mp' takes 2 premises")
+
+    def test_unknown_kind(self):
+        calc, proof = self.proof_of_q()
+        steps = list(proof.steps)
+        steps[-1] = steps[-1]._replace(kind="lemma")
+        check = check_proof(calc, Proof(tuple(steps)))
+        assert (check.valid, check.step, check.reason, check.detail) == (
+            False, len(steps) - 1, "UNKNOWN_JUSTIFICATION", "'lemma'")
 
 
 class TestPresets:

@@ -1,9 +1,11 @@
 import hashlib
+import importlib
 import inspect
 import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -667,6 +669,55 @@ class TestOneCommandParser:
         code = main()
         assert (code, capsys.readouterr().out) == expected
         assert len(parser_count) == 2
+
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "vtybench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """The benchmark's request builders and its reference checker, imported
+    from vtybench/ as they are; its modules import each other by bare name."""
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        return importlib.import_module("workloads"), importlib.import_module("reference")
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+
+
+class TestPrintedProofsPassAnIndependentChecker:
+    """Every printed proof, and its printed cost where there is one, passes
+    `reference.proof_problem`, which reads the JSON with its own
+    s-expression reader and imports nothing from vty."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closure_with_proofs_on_the_benchmark_shapes(self, capsys, tmp_path, bench, seed):
+        workloads, reference = bench
+        rng = random.Random(seed)
+        names = workloads.NamePool(rng)
+        shapes = [shape for shape in workloads.PROOF_SHAPES if shape[3]]
+        assert {shape[0] for shape in shapes} == {"hilbert", "mp"}
+        for index, shape in enumerate(shapes):
+            request = workloads.make_proof_request(rng, names, tmp_path, index, shape)
+            code, report = run_json(capsys, *request.steps[0].argv)
+            assert code == 0, report["errors"]
+            result = report["result"]
+            assert sorted(result["proofs"]) == sorted(result["costs"]) == result["formulas"]
+            axioms = set(request.spec["axioms"])
+            for formula, proof in result["proofs"].items():
+                assert reference.proof_problem(
+                    proof, formula, axioms, result["costs"][formula]) is None
+
+    @pytest.mark.parametrize("axioms", [["p", "(-> p q)"], ["p", "q", "(-> p q)"], ["(-> p q)"]])
+    def test_classify_on_the_criterion_6_sets(self, capsys, bench, axioms):
+        _, reference = bench
+        code, report = run_json(capsys, "classify", "--axioms", *axioms, "--goal", "q")
+        assert code == 0
+        result = report["result"]
+        if result["sufficient"] == "UNKNOWN":  # the open question has no proof to print
+            assert "proof" not in result
+        else:
+            assert reference.proof_problem(result["proof"], "q", set(axioms)) is None
 
 
 def test_seed_manifest_bounds_are_the_defaults():

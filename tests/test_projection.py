@@ -89,7 +89,7 @@ class TestRecordValidation:
             Evidence(EXEC_EXHAUSTIVE, witness_id="w")
         with pytest.raises(ValueError):
             Evidence("GUESS", citation="x")
-        assert Evidence(CITATION, citation="a book").to_dict()["kind"] == CITATION
+        assert Evidence(CITATION, citation="a book").citation == "a book"
         assert Evidence(EXEC_POSITIVE, witness_id="w", suite_size=3).suite_size == 3
         assert Evidence(EXEC_EXHAUSTIVE, witness_id="w", domain="tiny").domain == "tiny"
 

@@ -19,7 +19,12 @@ from vty.varieties import (
     consistency_report,
 )
 
-from oracle_tools import deletion_mutations, oracle_consistency_report, random_prevariety
+from oracle_tools import (
+    deletion_mutations,
+    oracle_consistency_report,
+    random_component,
+    random_prevariety,
+)
 
 
 def pf(text):
@@ -547,3 +552,15 @@ class TestConsistencyReportMatchesOracle:
         caps = {"atom_cap": atom_cap, "subset_cap": subset_cap}
         assert report_or_error(lambda: consistency_report(pv, **caps)) == report_or_error(
             lambda: oracle_consistency_report(pv, **caps))
+
+    @given(seed=st.integers(0, 2 ** 30), atom_cap=st.sampled_from((1, 2, 3, 20)))
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_component_id_keeps_a_row_per_component(self, seed, atom_cap):
+        # a prevariety built in Python may repeat an id; each component keeps
+        # its own row, and the subset search reads the last one of an id
+        rng = random.Random(seed)
+        pv = assemble_prevariety([random_component(rng, cid) for cid in ("C1", "C2", "C1")])
+        report = report_or_error(lambda: consistency_report(pv, atom_cap=atom_cap))
+        assert report == report_or_error(lambda: oracle_consistency_report(pv, atom_cap=atom_cap))
+        if report[0] == "report":
+            assert [row["component"] for row in report[1]["components"]] == ["C1", "C2", "C1"]
