@@ -193,6 +193,18 @@ theorem-rec T2 {
 """
 
 
+# a width-1 witness over MINIMAL's prevariety, for the witness validation tests
+WITNESS = """
+witness W {
+  prevariety PV
+  indices 1
+  calculus L
+  axiom-map ident
+  theorem-map ident
+}
+"""
+
+
 def failing(text, match):
     with pytest.raises(ManifestError) as err:
         parse_manifest(text)
@@ -488,26 +500,47 @@ class TestValidation:
         failing(text, "says auto but also claims an explicit union")
 
     def test_witness_indices_must_increase(self):
-        witness = (
-            "\nwitness W {\n  prevariety PV\n  indices 1 1\n  calculus L\n"
-            "  axiom-map ident\n  theorem-map ident\n}\n"
-        )
+        witness = WITNESS.replace("  indices 1\n", "  indices 1 1\n")
         failing(MINIMAL + witness, "strictly increasing indices")
 
     def test_witness_indices_must_be_in_range(self):
-        witness = (
-            "\nwitness W {\n  prevariety PV\n  indices 2\n  calculus L\n"
-            "  axiom-map ident\n  theorem-map ident\n}\n"
-        )
+        witness = WITNESS.replace("  indices 1\n", "  indices 2\n")
         failing(MINIMAL + witness, "index out of range 1..1")
 
     def test_witness_needs_a_known_prevariety(self):
-        witness = (
-            "\nwitness W {\n  prevariety GONE\n  indices 1\n  calculus L\n"
-            "  axiom-map ident\n  theorem-map ident\n}\n"
-        )
+        witness = WITNESS.replace("  prevariety PV\n", "  prevariety GONE\n")
         with pytest.raises(UnresolvedReferenceError):
             parse_manifest(MINIMAL + witness)
+
+    @pytest.mark.parametrize("edits, message", [
+        ((("calculus L", "calculus GONE"),), "unknown calculus 'GONE'"),
+        ((("axiom-map ident", "axiom-map gone"),), "unknown map 'gone'"),
+        ((("theorem-map ident", "theorem-map gone"),), "unknown map 'gone'"),
+        # references resolve in entry order: calculus, axiom map, theorem map
+        ((("calculus L", "calculus GONE"), ("axiom-map ident", "axiom-map gone")),
+         "unknown calculus 'GONE'"),
+        ((("axiom-map ident", "axiom-map first"), ("theorem-map ident", "theorem-map second")),
+         "unknown map 'first'"),
+    ])
+    def test_witness_references_must_resolve(self, edits, message):
+        witness = WITNESS
+        for old, new in edits:
+            witness = witness.replace(f"  {old}\n", f"  {new}\n")
+        text = MINIMAL + witness
+        line = text.splitlines().index("witness W {") + 1
+        with pytest.raises(UnresolvedReferenceError) as err:
+            parse_manifest(text, source="w.vty")
+        assert str(err.value) == f"w.vty:{line}:1: {message}"
+
+    def test_witness_index_fault_comes_before_its_references(self):
+        witness = WITNESS.replace("  indices 1\n", "  indices 1 1\n").replace(
+            "  calculus L\n", "  calculus GONE\n")
+        text = MINIMAL + witness
+        line = text.splitlines().index("witness W {") + 1
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(text, source="w.vty")
+        assert type(err.value) is ManifestError
+        assert str(err.value) == f"w.vty:{line}:1: witness 'W' needs strictly increasing indices"
 
     def test_class_requires_declared_axioms(self):
         text = 'class X "X" {\n  status NOPE satisfied citation "book"\n}\n'

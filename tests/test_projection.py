@@ -158,6 +158,13 @@ class TestProjection:
         assert [e.class_id for e in report.corollaries] == ["a", "b"]
         assert report.not_applicable == ()
 
+    def test_unconditional_theorem_ignores_a_violated_dependency(self):
+        profiles = [profile("a", AX1=VIOLATED), profile("b", AX1=UNKNOWN), profile("c")]
+        report = project(theorem({"AX1"}, unconditional=True), profiles, DECLS)
+        assert [e.class_id for e in report.corollaries] == ["a", "b", "c"]
+        assert report.corollaries[0].detail == "for A: t holds"
+        assert report.not_applicable == report.unknown == ()
+
     def test_unknown_dependency_id_is_rejected(self):
         with pytest.raises(UndeclaredAxiomError):
             project(theorem({"AX1", "NOPE"}), [profile("a")], DECLS)
