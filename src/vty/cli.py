@@ -160,9 +160,7 @@ def _cmd_check_prevariety(args, manifest: Manifest, bounds: Bounds):
 
 def _cmd_check_variety(args, manifest: Manifest, bounds: Bounds):
     pv = manifest.prevariety(args.prevariety)
-    witnesses = manifest.prevariety_witnesses(
-        args.prevariety or manifest.default_prevariety_id()
-    )
+    witnesses = manifest.prevariety_witnesses(args.prevariety)
     if args.bijective:
         report = check_bijective_variety(pv, args.mode, args.depth, witnesses,
                                          size_cap=bounds.size)

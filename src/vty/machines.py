@@ -40,8 +40,8 @@ one for the empty program.
 
 ``INSTRUCTIONS`` is the one place that defines the instruction set: an
 opcode is an index into it, a kind's operands are its fields in order,
-the register first. Text, codes, enumeration, counts and random draws
-read it; only the step loop and validation name each kind's fields.
+the register first. Text, codes, enumeration, counts, random draws and
+validation read it; only the step loop names each kind's fields.
 """
 
 from __future__ import annotations
@@ -107,13 +107,10 @@ class RegisterMachine:
             raise ValueError("a machine needs at least register 0")
         halt_address = len(self.program)
         for address, instr in enumerate(self.program):
-            if isinstance(instr, Inc):
-                used, targets = instr.register, (instr.target,)
-            elif isinstance(instr, DecJz):
-                used = instr.register
-                targets = (instr.target_if_zero, instr.target_if_positive)
-            else:
+            operands = [getattr(instr, name) for name in _OPERAND_NAMES.get(type(instr), ())]
+            if not operands:
                 continue
+            used, *targets = operands
             if not 0 <= used < self.registers:
                 raise ValueError(f"instruction {address} uses register {used}")
             for target in targets:
@@ -424,9 +421,6 @@ class BruteResult:
     target: int
     runs: int
     hits: tuple[OutputHit, ...]
-
-    def hit_pairs(self) -> frozenset[tuple[RegisterMachine, int]]:
-        return frozenset((hit.machine, hit.input_value) for hit in self.hits)
 
 
 def fixed_output_brute(

@@ -73,7 +73,9 @@ Grammar, by example:
 A prevariety block either says `auto` (or gives no triad lines at all),
 letting the loader assemble the axiom, rule and theorem unions from the
 components, or claims the triad explicitly with `axiom`, `rule-ref` and
-`theorem` lines for the checker to verify.
+`theorem` lines for the checker to verify. A witness block names its
+prevariety and index tuple, then gives the entries of a component block:
+the component that covers the tuple, under the witness id.
 
 Each block kind's layout (header fields, entry keywords, how often each
 may appear, how its values read and write, canonical order) is declared
@@ -349,6 +351,15 @@ class Manifest:
         def get(attr: str, wanted: str, kind: str, line: int) -> Any:
             return self._get(built, attr, wanted, kind, line)
 
+        def component(ident: str, d: ComponentDef | WitnessDef) -> Component:
+            return Component(
+                ident,
+                get("calculi", d.calculus_ref, "calculus", d.line),
+                get("maps", d.axiom_map_ref, "map", d.line),
+                get("maps", d.theorem_map_ref, "map", d.line),
+                frozenset(d.theorems),
+            )
+
         rules = built["rules"]
         for rule in self.rules:
             rules[rule.name] = self._build(lambda: _rule_object(rule), rule.line)
@@ -366,13 +377,7 @@ class Manifest:
             built["maps"][map_def.map_id] = self._build(lambda: _formula_map(map_def),
                                                         map_def.line)
         for comp in self.components:
-            built["components"][comp.component_id] = self._build(lambda: Component(
-                comp.component_id,
-                get("calculi", comp.calculus_ref, "calculus", comp.line),
-                get("maps", comp.axiom_map_ref, "map", comp.line),
-                get("maps", comp.theorem_map_ref, "map", comp.line),
-                frozenset(comp.theorems),
-            ), comp.line)
+            built["components"][comp.component_id] = component(comp.component_id, comp)
         for pv in self.prevarieties:
             if pv.auto and (pv.axioms or pv.rule_refs or pv.theorems):
                 raise ManifestError(
@@ -394,13 +399,7 @@ class Manifest:
                     f"witness {wit.witness_id!r} index out of range 1..{width}",
                     self.source, wit.line)
             built["witnesses"][wit.witness_id] = VarietyWitness(
-                wit.witness_id,
-                wit.indices,
-                get("calculi", wit.calculus_ref, "calculus", wit.line),
-                get("maps", wit.axiom_map_ref, "map", wit.line),
-                get("maps", wit.theorem_map_ref, "map", wit.line),
-                frozenset(wit.theorems),
-            )
+                wit.indices, component(wit.witness_id, wit))
         axiom_ids = {a.axiom_id for a in self.axiom_decls}
         for cls in self.classes:
             for axiom_id, status, evidence in cls.statuses:
@@ -748,6 +747,14 @@ _DIRECTIVES = {row.keyword: row for row in (
         f"{name}={value}" for name, value in b.to_dict().items())), once=True),
 )}
 
+# a component's entries; a witness block gives them for its covering component
+_COMPONENT_ENTRIES = (
+    _ref("calculus", "calculus_ref"),
+    _ref("axiom-map", "axiom_map_ref"),
+    _ref("theorem-map", "theorem_map_ref"),
+    _Entry("theorem", "theorems", _FORMULA, many=True, sort=True),
+)
+
 # in Manifest field order, which is also the order of the canonical text
 _BLOCKS = (
     _Block("rule", "rules", RuleDef, (("name", _word("a rule name")),), (
@@ -770,12 +777,8 @@ _BLOCKS = (
     ), noun="map", expect="a map entry", line_form=(
         "identity", "a map kind",
         "only identity maps fit on one line; renaming and table maps need a block")),
-    _Block("component", "components", ComponentDef, (("component_id", _word("a component id")),), (
-        _ref("calculus", "calculus_ref"),
-        _ref("axiom-map", "axiom_map_ref"),
-        _ref("theorem-map", "theorem_map_ref"),
-        _Entry("theorem", "theorems", _FORMULA, many=True, sort=True),
-    ), noun="component", expect="a component entry"),
+    _Block("component", "components", ComponentDef, (("component_id", _word("a component id")),),
+           _COMPONENT_ENTRIES, noun="component", expect="a component entry"),
     _Block("prevariety", "prevarieties", PrevarietyDef,
            (("prevariety_id", _word("a prevariety id")),), (
         _Entry("quasi", "quasi"),
@@ -789,11 +792,7 @@ _BLOCKS = (
     _Block("witness", "witnesses", WitnessDef, (("witness_id", _word("a witness id")),), (
         _ref("prevariety", "prevariety_ref"),
         _Entry("indices", "indices", _int("an index"), once=True, spread=True),
-        _ref("calculus", "calculus_ref"),
-        _ref("axiom-map", "axiom_map_ref"),
-        _ref("theorem-map", "theorem_map_ref"),
-        _Entry("theorem", "theorems", _FORMULA, many=True, sort=True),
-    ), noun="witness", expect="a witness entry"),
+    ) + _COMPONENT_ENTRIES, noun="witness", expect="a witness entry"),
     _Block("axiom-decl", "axiom_decls", AxiomDeclaration,
            (("axiom_id", _word("an axiom id")), ("statement", _string("statement")))),
     _Block("class", "classes", ClassDef, (("class_id", _word("a class id")),

@@ -187,14 +187,8 @@ def project(
     not_applicable: list[ProjectionEntry] = []
     unknown: list[ProjectionEntry] = []
     for profile in profiles:
-        if theorem.unconditional:
-            corollaries.append(ProjectionEntry(
-                profile.class_id, profile.display_name,
-                f"for {profile.display_name}: {theorem.statement}",
-            ))
-            continue
         statuses = {d: profile.status_of(d).status for d in sorted(theorem.dependencies)}
-        if all(s == SATISFIED for s in statuses.values()):
+        if theorem.unconditional or all(s == SATISFIED for s in statuses.values()):
             corollaries.append(ProjectionEntry(
                 profile.class_id, profile.display_name,
                 f"for {profile.display_name}: {theorem.statement}",

@@ -12,8 +12,9 @@ such.
 
 Each component materializes its sets and runs its two maps over them
 once per size cap, and assembly and every check read that one record.
-A width-1 tuple with no witness is checked against the component
-itself, from the same record, in quasi mode too.
+A variety witness is an index tuple and the component that covers it,
+so its record is built and cached the same way; a width-1 tuple with no
+witness is covered by its own component, in quasi mode too.
 """
 
 from __future__ import annotations
@@ -127,23 +128,21 @@ class Component:
 
 
 class _Mapped:
-    """A calculus's sets and two maps run over them, at one size cap.
+    """A component's sets and two maps run over them, at one size cap.
 
     The axiom set and both passes are made at once; the bounded theorem
     set on first read, so that a command which never reads it cannot
     trip the size cap on it.
     """
 
-    def __init__(
-        self, calculus: Calculus, axiom_map: FormulaMap, theorem_map: FormulaMap,
-        designated: frozenset[Formula], size_cap: int,
-    ) -> None:
-        self.calculus = calculus
-        self.designated = designated
+    def __init__(self, component: Component, size_cap: int) -> None:
+        self.calculus = component.calculus
+        self.designated = component.designated_theorems
         self.size_cap = size_cap
-        self.axioms = theorem_formulas(calculus, 0, size_cap)
-        self.axiom_images, self.axiom_misses = axiom_map.over(self.axioms)
-        self.designated_images, self.designated_misses = theorem_map.over(designated)
+        self.axioms = theorem_formulas(self.calculus, 0, size_cap)
+        self.axiom_images, self.axiom_misses = component.axiom_map.over(self.axioms)
+        self.designated_images, self.designated_misses = component.theorem_map.over(
+            self.designated)
 
     @cached_property
     def theorems(self) -> frozenset[Formula]:
@@ -153,10 +152,7 @@ class _Mapped:
 def _mapped(component: Component, size_cap: int) -> _Mapped:
     record = component._mapped.get(size_cap)
     if record is None:
-        record = component._mapped[size_cap] = _Mapped(
-            component.calculus, component.axiom_map, component.theorem_map,
-            component.designated_theorems, size_cap,
-        )
+        record = component._mapped[size_cap] = _Mapped(component, size_cap)
     return record
 
 
@@ -173,20 +169,18 @@ class Prevariety:
 
 @dataclass(frozen=True)
 class VarietyWitness:
-    """A covering calculus for one index tuple, with its two projections.
+    """One index tuple and the component that covers it.
 
-    The axiom projection must send every axiom of the covering calculus
-    into the axiom-image intersection of the tuple; the theorem
-    projection must send the theorem subset (theorems of the covering
-    calculus) into the designated-theorem-image intersection.
+    The witness id is the covering component's id. Its axiom map is the
+    axiom projection: it must send every axiom of the covering calculus
+    into the axiom-image intersection of the tuple. Its theorem map is
+    the theorem projection: it must send the covering component's
+    designated theorems, which its calculus must prove, into the
+    designated-theorem-image intersection.
     """
 
-    witness_id: str
     indices: tuple[int, ...]  # 1-based component positions, strictly increasing
-    calculus: Calculus
-    axiom_projection: FormulaMap
-    theorem_projection: FormulaMap
-    theorem_subset: frozenset[Formula]
+    covering: Component
 
     def __post_init__(self) -> None:
         if not self.indices:
@@ -284,7 +278,6 @@ class TupleRecord:
 @dataclass(frozen=True)
 class StructureReport:
     kind: str  # prevariety | variety | bijective-prevariety | bijective-variety
-    verdict: str  # PASS | FAIL
     equations: tuple[tuple[str, str], ...]  # (name, OK | MISMATCH) pairs
     diagnostics: tuple[Diagnostic, ...]
     depth_bounds: tuple[tuple[str, int], ...]
@@ -293,7 +286,11 @@ class StructureReport:
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "PASS"
+        return not self.diagnostics
+
+    @property
+    def verdict(self) -> str:
+        return "PASS" if self.passed else "FAIL"
 
     def to_dict(self) -> dict:
         return {
@@ -368,12 +365,11 @@ def check_prevariety(pv: Prevariety, *, size_cap: int = DEFAULT_SIZE_CAP) -> Str
         equations.append((name, "MISMATCH" if differing else "OK"))
 
     diagnostics.sort(key=Diagnostic.sort_key)
-    verdict = "PASS" if not diagnostics else "FAIL"
     notes = ()
     if pv.quasi:
         notes = ("quasi mode: designated theorems are not required to be provable",)
     return StructureReport(
-        "prevariety", verdict, tuple(equations), tuple(diagnostics),
+        "prevariety", tuple(equations), tuple(diagnostics),
         _depth_bounds(pv), notes=notes,
     )
 
@@ -444,7 +440,7 @@ def check_variety(
     base = check_prevariety(pv, size_cap=size_cap)
     if not base.passed:
         return StructureReport(
-            "variety", "FAIL", base.equations,
+            "variety", base.equations,
             base.diagnostics + (Diagnostic(
                 "PREVARIETY_FAILED", None, None, None,
                 "the union equations must pass before witness checks run",
@@ -460,16 +456,16 @@ def check_variety(
         frozenset(component.theorem_map.over(m.theorems)[0].values())
         for component, m in zip(pv.components, mapped)
     ]
-    by_tuple: dict[tuple[int, ...], VarietyWitness] = {}
+    by_tuple: dict[tuple[int, ...], Component] = {}
     diagnostics: list[Diagnostic] = []
     for witness in witnesses:
         if witness.indices in by_tuple:
             diagnostics.append(Diagnostic(
-                "DUPLICATE_WITNESS", witness.witness_id, None, str(witness.indices),
-                "another witness already covers this tuple",
+                "DUPLICATE_WITNESS", witness.covering.component_id, None,
+                str(witness.indices), "another witness already covers this tuple",
             ))
             continue
-        by_tuple[witness.indices] = witness
+        by_tuple[witness.indices] = witness.covering
 
     records: list[TupleRecord] = []
     count = len(pv.components)
@@ -483,17 +479,13 @@ def check_variety(
                     indices, (), (), "vacuous",
                 ))
                 continue
-            witness = by_tuple.get(indices)
-            if witness is not None:
-                witness_id, status = witness.witness_id, "witnessed"
-                covering = _Mapped(
-                    witness.calculus, witness.axiom_projection, witness.theorem_projection,
-                    witness.theorem_subset, size_cap,
-                )
+            covering = by_tuple.get(indices)
+            if covering is not None:
+                witness_id, status = covering.component_id, "witnessed"
             elif width == 1:
-                # the implicit self witness: the component's own maps over its own sets
-                witness_id = f"self:{pv.components[indices[0] - 1].component_id}"
-                status, covering = "self-witnessed", mapped[indices[0] - 1]
+                # the implicit self witness: the component covers its own tuple
+                covering = pv.components[indices[0] - 1]
+                witness_id, status = f"self:{covering.component_id}", "self-witnessed"
             else:
                 diagnostics.append(Diagnostic(
                     "MISSING_WITNESS", None, None, str(indices),
@@ -505,7 +497,8 @@ def check_variety(
                 ))
                 continue
             problems, axiom_onto, theorem_onto = _validate_witness(
-                witness_id, indices, covering, axiom_intersection, designated_intersection
+                witness_id, indices, _mapped(covering, size_cap),
+                axiom_intersection, designated_intersection,
             )
             records.append(TupleRecord(
                 indices, _texts(axiom_intersection), _texts(theorem_intersection),
@@ -515,7 +508,6 @@ def check_variety(
             diagnostics.extend(problems)
 
     diagnostics.sort(key=Diagnostic.sort_key)
-    verdict = "PASS" if not diagnostics else "FAIL"
     notes = (
         f"checked index tuples of width 1..{min(k, count)}",
         "theorem intersections computed on bounded closures at each component's depth",
@@ -523,7 +515,7 @@ def check_variety(
     if pv.quasi:
         notes = notes + ("quasi mode: designated theorems are not required to be provable",)
     return StructureReport(
-        "variety", verdict, base.equations, tuple(diagnostics),
+        "variety", base.equations, tuple(diagnostics),
         base.depth_bounds, tuple(records), notes,
     )
 
@@ -584,7 +576,6 @@ def check_bijective_variety(
                 )
 
     diagnostics.sort(key=Diagnostic.sort_key)
-    verdict = "PASS" if not diagnostics else "FAIL"
     notes = base.notes + (
         "bijectivity is checked as injectivity on the materialized domain; "
         "every map is onto its own image by construction",
@@ -592,7 +583,7 @@ def check_bijective_variety(
     if mode == "variety":
         notes = notes + ("designated theorem sets compared with closures up to each depth",)
     return StructureReport(
-        kind, verdict, base.equations, tuple(diagnostics),
+        kind, base.equations, tuple(diagnostics),
         base.depth_bounds, base.tuples, notes,
     )
 
@@ -690,29 +681,20 @@ def consistency_report(
     all_locally_consistent = all(row.verdict == "CONSISTENT" for row in rows)
     flag = all_locally_consistent and not global_verdict.consistent
 
-    ids = [component.component_id for component in pv.components]
-    position = {cid: i for i, cid in enumerate(ids)}  # a repeated id names its last component
-    minimal: list[tuple[str, ...]] = []
+    # the search runs over component positions, so each component of a
+    # repeated id takes part; the report names the sets by id
+    minimal = [(i,) for i, row in enumerate(rows) if row.verdict == "INCONSISTENT"]
     notes: list[str] = []
-    for row in rows:
-        if row.verdict == "INCONSISTENT":
-            minimal.append((row.component_id,))
-    examined = 0
-    truncated = False
-    for width in range(2, len(ids) + 1):
-        for combo in itertools.combinations(ids, width):
-            examined += 1
-            if examined > subset_cap:
-                truncated = True
-                break
-            if any(set(found) <= set(combo) for found in minimal):
-                continue
-            if not consistent([position[cid] for cid in combo]):
-                minimal.append(combo)
-        if truncated:
+    candidates = itertools.chain.from_iterable(
+        itertools.combinations(range(len(rows)), width) for width in range(2, len(rows) + 1))
+    for examined, combo in enumerate(candidates, start=1):
+        if examined > subset_cap:
+            notes.append(f"subset search truncated after {subset_cap} candidates")
             break
-    if truncated:
-        notes.append(f"subset search truncated after {subset_cap} candidates")
+        if any(set(found) <= set(combo) for found in minimal):
+            continue
+        if not consistent(combo):
+            minimal.append(combo)
     notes.append("per-component sets are the pooled axiom and theorem images")
 
     return KnowledgeConsistencyReport(
@@ -720,7 +702,7 @@ def consistency_report(
         global_verdict.verdict,
         global_verdict.witness_kind,
         flag,
-        tuple(minimal),
+        tuple(tuple(rows[i].component_id for i in found) for found in minimal),
         tuple(notes),
     )
 

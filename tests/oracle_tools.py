@@ -338,14 +338,14 @@ def oracle_consistency_report(
     ``itertools.combinations`` order; a superset of a known inconsistent set
     is skipped, and the search stops after ``subset_cap`` candidates.
     """
-    contributions: dict[str, frozenset[Formula]] = {}
+    contributions: list[frozenset[Formula]] = []
     rows: list[ComponentConsistency] = []
     for component in pv.components:
         axiom_images, _ = component.axiom_map.over(
             theorem_formulas(component.calculus, 0, size_cap))
         designated_images, _ = component.theorem_map.over(component.designated_theorems)
         pooled = frozenset(axiom_images.values()).union(designated_images.values())
-        contributions[component.component_id] = pooled
+        contributions.append(pooled)
         verdict = check_consistency(pooled, atom_cap)
         rows.append(ComponentConsistency(
             component.component_id, verdict.verdict, len(pooled), verdict.atom_count))
@@ -353,25 +353,25 @@ def oracle_consistency_report(
     global_verdict = check_consistency(pv.axioms | pv.theorems, atom_cap)
     flag = all(row.verdict == "CONSISTENT" for row in rows) and not global_verdict.consistent
 
-    ids = [component.component_id for component in pv.components]
-    minimal = [(row.component_id,) for row in rows if row.verdict == "INCONSISTENT"]
+    # subsets are sets of component positions, named by id in the report
+    minimal = [(i,) for i, row in enumerate(rows) if row.verdict == "INCONSISTENT"]
     notes: list[str] = []
     examined = 0
     for combo in itertools.chain.from_iterable(
-            itertools.combinations(ids, width) for width in range(2, len(ids) + 1)):
+            itertools.combinations(range(len(rows)), width) for width in range(2, len(rows) + 1)):
         examined += 1
         if examined > subset_cap:
             notes.append(f"subset search truncated after {subset_cap} candidates")
             break
         if any(set(found) <= set(combo) for found in minimal):
             continue
-        pooled = frozenset().union(*(contributions[cid] for cid in combo))
+        pooled = frozenset().union(*(contributions[i] for i in combo))
         if not check_consistency(pooled, atom_cap).consistent:
             minimal.append(combo)
     notes.append("per-component sets are the pooled axiom and theorem images")
     return KnowledgeConsistencyReport(
         tuple(rows), global_verdict.verdict, global_verdict.witness_kind, flag,
-        tuple(minimal), tuple(notes),
+        tuple(tuple(rows[i].component_id for i in found) for found in minimal), tuple(notes),
     )
 
 

@@ -198,6 +198,10 @@ class TestTextFormat:
     @pytest.mark.parametrize("text, message", [
         ("INC 0 9\n", "instruction 0 jumps to 9"),
         ("INC -1 0\n", "instruction 0 uses register -1"),
+        # the register is checked before the targets, and the targets in order
+        ("DECJZ -1 9 0\n", "instruction 0 uses register -1"),
+        ("DECJZ 0 9 7\n", "instruction 0 jumps to 9"),
+        ("HALT\nDECJZ 0 1 5\n", "instruction 1 jumps to 5"),
     ])
     def test_parsed_machines_are_validated(self, text, message):
         with pytest.raises(ValueError) as err:
@@ -511,10 +515,6 @@ class TestFixedOutputBrute:
         world = WorldBounds(instructions, registers, (0, 2, 1), 3)
         runs = 3 * count_machines(instructions, registers)
         assert fixed_output_brute(world, 1, enumeration_cap=runs).runs == runs
-
-    def test_hit_pairs_view(self):
-        result = fixed_output_brute(self.tiny_world(), 1)
-        assert result.hit_pairs() == frozenset({(machine(Inc(0, 1)), 0)})
 
 
 class TestFixedOutputRecognize:

@@ -586,7 +586,7 @@ class TestResolution:
         assert len(pv.components) == 2
         assert check_prevariety(pv).passed
         witnesses = manifest.prevariety_witnesses("SHARED")
-        assert [w.witness_id for w in witnesses] == ["W12"]
+        assert [w.covering.component_id for w in witnesses] == ["W12"]
         assert check_variety(pv, 2, witnesses).passed
 
     def test_missing_witness_file_fails_width_two(self, data_dir):
@@ -647,7 +647,8 @@ class TestEachObjectBuiltOnce:
         assert builds == Counter(
             [("Calculus", d.calculus_id) for d in manifest.calculi]
             + [("FormulaMap", d.map_id) for d in manifest.maps]
-            + [("Component", d.component_id) for d in manifest.components])
+            + [("Component", d.component_id) for d in manifest.components]
+            + [("Component", d.witness_id) for d in manifest.witnesses])
 
     def test_lookups_return_the_objects_validation_built(self, data_dir):
         manifest = load_manifest(data_dir / "shared_core.vty")
@@ -656,7 +657,7 @@ class TestEachObjectBuiltOnce:
                                       for d in manifest.components)
         assert all(a is b for a, b in zip(pv.components, manifest.prevariety("SHARED").components))
         witness = manifest.prevariety_witnesses("SHARED")[0]
-        assert witness.calculus is manifest.calculus(manifest.witnesses[0].calculus_ref)
+        assert witness.covering.calculus is manifest.calculus(manifest.witnesses[0].calculus_ref)
 
     def test_a_replaced_manifest_resolves_its_own_defs(self):
         manifest = parse_manifest(MINIMAL)

@@ -240,20 +240,20 @@ def shared_core_components():
 
 
 def core_witness(witness_id="W12", **overrides):
+    """Tuple (1, 2) covered by a component on the shared core."""
     calc = with_axioms(
         base_calculus("mp", closure_depth=2),
         fs("p", "(-> p q)"),
         calculus_id="core",
     )
     fields = {
-        "indices": (1, 2),
         "calculus": calc,
-        "axiom_projection": FormulaMap.identity(),
-        "theorem_projection": FormulaMap.identity(),
-        "theorem_subset": fs("p", "q", "(-> p q)"),
+        "axiom_map": FormulaMap.identity(),
+        "theorem_map": FormulaMap.identity(),
+        "designated_theorems": fs("p", "q", "(-> p q)"),
     }
     fields.update(overrides)
-    return VarietyWitness(witness_id, **fields)
+    return VarietyWitness((1, 2), Component(witness_id, **fields))
 
 
 class TestVarietyWitnesses:
@@ -329,8 +329,8 @@ class TestVarietyWitnesses:
     def test_witness_axiom_projection_hole(self):
         pv = assemble_prevariety(shared_core_components())
         for projection, message in (
-            ("axiom_projection", "axiom projection misses a covering axiom for tuple (1, 2)"),
-            ("theorem_projection", "theorem projection misses a subset member for tuple (1, 2)"),
+            ("axiom_map", "axiom projection misses a covering axiom for tuple (1, 2)"),
+            ("theorem_map", "theorem projection misses a subset member for tuple (1, 2)"),
         ):
             witness = core_witness(**{
                 projection: FormulaMap.table_map("t", [(pf("p"), pf("p"))]),
@@ -344,7 +344,7 @@ class TestVarietyWitnesses:
 
     def test_witness_axiom_lands_outside_intersection(self):
         witness = core_witness(
-            axiom_projection=FormulaMap.renaming_map("shift", {"p": "r"}),
+            axiom_map=FormulaMap.renaming_map("shift", {"p": "r"}),
         )
         pv = assemble_prevariety(shared_core_components())
         report = check_variety(pv, 2, [witness])
@@ -352,8 +352,8 @@ class TestVarietyWitnesses:
         assert {d.subject for d in found} == {"p", "(-> p q)"}
         assert "outside the axiom intersection of (1, 2)" in found[0].message
 
-    def test_witness_theorem_subset_must_be_provable(self):
-        witness = core_witness(theorem_subset=fs("p", "r"))
+    def test_witness_designated_theorems_must_be_provable(self):
+        witness = core_witness(designated_theorems=fs("p", "r"))
         pv = assemble_prevariety(shared_core_components())
         report = check_variety(pv, 2, [witness])
         d = diag(report, "WITNESS_THEOREM_UNPROVED")[0]
@@ -362,8 +362,8 @@ class TestVarietyWitnesses:
 
     def test_witness_theorem_lands_outside_intersection(self):
         witness = core_witness(
-            theorem_subset=fs("q"),
-            theorem_projection=FormulaMap.renaming_map("shift", {"q": "s"}),
+            designated_theorems=fs("q"),
+            theorem_map=FormulaMap.renaming_map("shift", {"q": "s"}),
         )
         pv = assemble_prevariety(shared_core_components())
         report = check_variety(pv, 2, [witness])
@@ -557,10 +557,19 @@ class TestConsistencyReportMatchesOracle:
     @settings(max_examples=100, deadline=None)
     def test_repeated_component_id_keeps_a_row_per_component(self, seed, atom_cap):
         # a prevariety built in Python may repeat an id; each component keeps
-        # its own row, and the subset search reads the last one of an id
+        # its own row and takes part in the subset search under that id
         rng = random.Random(seed)
         pv = assemble_prevariety([random_component(rng, cid) for cid in ("C1", "C2", "C1")])
         report = report_or_error(lambda: consistency_report(pv, atom_cap=atom_cap))
         assert report == report_or_error(lambda: oracle_consistency_report(pv, atom_cap=atom_cap))
         if report[0] == "report":
             assert [row["component"] for row in report[1]["components"]] == ["C1", "C2", "C1"]
+
+    def test_repeated_component_id_is_searched_by_position(self):
+        # every row is consistent and the first C1 clashes with C2, while the
+        # second C1 does not; a search by id would read only the second
+        rng = random.Random(87)
+        pv = assemble_prevariety([random_component(rng, cid) for cid in ("C1", "C2", "C1")])
+        report = consistency_report(pv)
+        assert [row.verdict for row in report.components] == ["CONSISTENT"] * 3
+        assert report.minimal_inconsistent_sets == (("C1", "C2"),)
