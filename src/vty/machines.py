@@ -86,6 +86,9 @@ Instruction = Inc | DecJz | Halt
 INSTRUCTIONS = (Inc, DecJz, Halt)
 _OPERAND_NAMES = {kind: tuple(f.name for f in fields(kind)) for kind in INSTRUCTIONS}
 _BY_WORD = {kind.word: kind for kind in INSTRUCTIONS}
+# the register and the target fields of each kind with operands, split once for validation
+_REGISTER_AND_TARGETS = {kind: (names[0], names[1:])
+                         for kind, names in _OPERAND_NAMES.items() if names}
 # each kind's text line, e.g. "%s %d %d" % (word, register, target) for INC
 _TEXT = {kind: (" ".join(["%s", *["%d"] * len(names)]), attrgetter("word", *names))
          for kind, names in _OPERAND_NAMES.items()}
@@ -107,13 +110,15 @@ class RegisterMachine:
             raise ValueError("a machine needs at least register 0")
         halt_address = len(self.program)
         for address, instr in enumerate(self.program):
-            operands = [getattr(instr, name) for name in _OPERAND_NAMES.get(type(instr), ())]
-            if not operands:
+            operands = _REGISTER_AND_TARGETS.get(type(instr))
+            if operands is None:
                 continue
-            used, *targets = operands
+            register, targets = operands
+            used = getattr(instr, register)
             if not 0 <= used < self.registers:
                 raise ValueError(f"instruction {address} uses register {used}")
-            for target in targets:
+            for name in targets:
+                target = getattr(instr, name)
                 if not 0 <= target <= halt_address:
                     raise ValueError(f"instruction {address} jumps to {target}")
 

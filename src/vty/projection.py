@@ -176,9 +176,9 @@ def project(
 ) -> ProjectionReport:
     """Partition the registry by the theorem's dependencies.
 
-    Every dependency satisfied gives a corollary; any dependency
-    violated rules the class out; anything else stays unknown. The
-    registry order is preserved in each part.
+    An unconditional theorem, or every dependency satisfied, gives a
+    corollary; any dependency violated rules the class out; anything
+    else stays unknown. The registry order is preserved in each part.
     """
     for axiom_id in sorted(theorem.dependencies):
         if axiom_id not in declarations:
