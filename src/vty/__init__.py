@@ -31,6 +31,7 @@ from .errors import (
     FormulaParseError,
     ManifestError,
     MapUndefinedError,
+    StepCapExceededError,
     SubsetCapExceededError,
     UndeclaredAxiomError,
     UnresolvedReferenceError,
@@ -89,7 +90,7 @@ __all__ = [
     "DecodeError", "DepthExplosionError", "EnumerationCapExceededError",
     "Evidence", "Formula", "FormulaMap", "FormulaParseError", "Implies",
     "Manifest", "ManifestError", "MapUndefinedError", "Not", "Or",
-    "Prevariety", "Proof", "RegisterMachine", "SchemaRule",
+    "Prevariety", "Proof", "RegisterMachine", "SchemaRule", "StepCapExceededError",
     "SubsetCapExceededError", "SubstitutionRule", "TheoremRecord", "Bottom",
     "UndeclaredAxiomError", "UnresolvedReferenceError", "VarietyWitness",
     "VtyError", "assemble_prevariety", "base_calculus",

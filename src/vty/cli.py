@@ -383,9 +383,12 @@ def _add_arguments(parser: argparse.ArgumentParser, rows) -> argparse.ArgumentPa
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The vty parser, with only the subparser of `command` when one is named.
 
-    When a command word comes first in argv, argparse hands every later
-    token to that command's subparser and consults no other, so a parser
-    for that argv needs no other subparser.
+    `main` reads a plain argv with `_direct_parse` and builds this parser
+    only for the rest: help, a global option before the command word, and
+    every usage error, so their text is argparse's. When a command word
+    comes first in argv, argparse hands every later token to that
+    command's subparser and consults no other, so a parser for that argv
+    needs no other subparser.
     """
     parser = _add_arguments(_ArgumentParser(
         prog="vty",
@@ -403,6 +406,79 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             for mode_name, mode_help, rows in spec.modes:
                 _add_arguments(mode.add_parser(mode_name, help=mode_help), rows)
     return parser
+
+
+def _direct_parse(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The Namespace `build_parser().parse_args(argv)` gives, read straight
+    from the command table, or None when argv is not in the plain form.
+
+    The plain form is the command word, the mode word of a command with
+    modes, then exact long flags, each with its value or, for nargs "+",
+    its run of values, and at most one manifest path. None is returned for
+    anything else, help and every usage error included, so argparse reads
+    that argv and its text stays argparse's: an unknown, abbreviated or
+    repeated flag, `--opt=value`, any other token that starts with "-"
+    where a value or path stands, a missing value, mode or required flag,
+    a second path, and a value its type or choices refuse. Every option
+    row has one long flag, its dest argparse's: no dashes, "-" read as "_".
+    """
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    values = {"command": argv[0]}
+    rows, rest = spec.arguments, argv[1:]
+    if spec.modes:
+        modes = {name: mode_rows for name, _, mode_rows in spec.modes}
+        if not rest or rest[0] not in modes:
+            return None
+        values["mode"], rows, rest = rest[0], modes[rest[0]], rest[1:]
+    if spec.manifest:
+        values["manifest"] = None
+    table = {}
+    for (flag,), options in (*_GLOBAL_ARGUMENTS, *rows):
+        dest = flag[2:].replace("-", "_")
+        table[flag] = dest, options
+        switch = options.get("action") == "store_true"
+        default = options.get("default", False if switch else None)
+        if default is not argparse.SUPPRESS:
+            values[dest] = default
+    seen = set()
+    index = 0
+    while index < len(rest):
+        token = rest[index]
+        index += 1
+        if not token.startswith("-"):
+            if not spec.manifest or "manifest" in seen:
+                return None
+            seen.add("manifest")
+            values["manifest"] = token
+            continue
+        if token not in table or token in seen:
+            return None
+        seen.add(token)
+        dest, options = table[token]
+        if options.get("action") == "store_true":
+            values[dest] = True
+            continue
+        many = options.get("nargs") == "+"
+        start = index
+        while index < len(rest) and not rest[index].startswith("-"):
+            index += 1
+            if not many:
+                break
+        if index == start:
+            return None
+        convert = options.get("type", str)
+        try:
+            read = [convert(text) for text in rest[start:index]]
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # as argparse catches
+            return None
+        if "choices" in options and any(item not in options["choices"] for item in read):
+            return None
+        values[dest] = read if many else read[0]
+    if any(row.get("required") and flag not in seen for flag, (_, row) in table.items()):
+        return None
+    return argparse.Namespace(**values)
 
 
 # --- report emission ---------------------------------------------------------
@@ -519,16 +595,25 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one vty command on `argv` (default: sys.argv[1:]), print its
+    report and return the exit code.
+
+    A plain argv is read straight from the command table (`_direct_parse`);
+    any other argv, help and every usage error go through the argparse
+    parser of `build_parser`, so their text is argparse's.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args, extra = build_parser(command).parse_known_args(argv)
-        if extra:
-            # argparse leaves extra tokens to the root parser, but the
-            # command word has been read, so the report names it
-            raise _UsageError(f"vty {args.command}",
-                              f"unrecognized arguments: {' '.join(extra)}")
+        args = _direct_parse(argv)
+        if args is None:
+            command = argv[0] if argv and argv[0] in _COMMANDS else None
+            args, extra = build_parser(command).parse_known_args(argv)
+            if extra:
+                # argparse leaves extra tokens to the root parser, but the
+                # command word has been read, so the report names it
+                raise _UsageError(f"vty {args.command}",
+                                  f"unrecognized arguments: {' '.join(extra)}")
     except _UsageError as exc:
         # the command word after "vty", if the parser had reached it; the
         # report is JSON, as --format may not have been read yet

@@ -78,6 +78,19 @@ class EnumerationCapExceededError(VtyError):
         self.cap = cap
 
 
+class StepCapExceededError(VtyError):
+    """A machine search could run more steps than the step cap.
+
+    ``steps`` is the most the search could run: every run to the end of
+    its fuel.
+    """
+
+    def __init__(self, steps: int, cap: int):
+        super().__init__(f"search needs up to {steps} steps, above the cap of {cap}")
+        self.steps = steps
+        self.cap = cap
+
+
 class DecodeError(VtyError):
     """An integer does not decode to a well-formed machine."""
 

@@ -53,9 +53,11 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import ClassVar, Iterator, Sequence
 
-from .errors import DecodeError, EnumerationCapExceededError
+from .errors import DecodeError, EnumerationCapExceededError, StepCapExceededError
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
+# the most steps one Fixed Output search may run, counted before any run
+DEFAULT_STEP_CAP = 10_000_000
 
 HALTED = "HALT"
 OUT_OF_FUEL = "OUT_OF_FUEL"
@@ -112,6 +114,8 @@ class RegisterMachine:
         for address, instr in enumerate(self.program):
             operands = _REGISTER_AND_TARGETS.get(type(instr))
             if operands is None:
+                if type(instr) is not Halt:
+                    raise ValueError(f"instruction {address} is not an instruction")
                 continue
             register, targets = operands
             used = getattr(instr, register)
@@ -413,6 +417,11 @@ def enumerate_machines(max_instructions: int, max_registers: int) -> Iterator[Re
             yield RegisterMachine(max_registers, combo)
 
 
+def _check_steps(steps: int) -> None:
+    if steps > DEFAULT_STEP_CAP:
+        raise StepCapExceededError(steps, DEFAULT_STEP_CAP)
+
+
 @dataclass(frozen=True)
 class OutputHit:
     machine: RegisterMachine
@@ -435,7 +444,8 @@ def fixed_output_brute(
 
     The run count is computed up front, length by length; a world larger
     than the cap is refused rather than sampled, as soon as the lengths
-    counted so far pass the cap.
+    counted so far pass the cap. A world within it whose runs times fuel
+    pass ``DEFAULT_STEP_CAP`` is refused too.
     """
     runs = 0
     for length, count in enumerate(
@@ -446,6 +456,7 @@ def fixed_output_brute(
             raise EnumerationCapExceededError(
                 runs, enumeration_cap, at_least=length < bounds.max_instructions
             )
+    _check_steps(runs * bounds.fuel)
     inputs = tuple(sorted(bounds.inputs))
     hits: list[OutputHit] = []
     for machine in enumerate_machines(bounds.max_instructions, bounds.max_registers):
@@ -482,7 +493,8 @@ def fixed_output_recognize(
     Stage s runs inputs 0..s (clipped to max_input) at fuel schedule[s].
     The first hit in that fixed diagonal order is returned, so the
     certificate is reproducible; exhausting the schedule means unknown,
-    never no.
+    never no. A schedule whose probes, run to the end of their fuel, would
+    pass ``DEFAULT_STEP_CAP`` steps is refused before any run.
     """
     if not fuel_schedule:
         raise ValueError("the fuel schedule must not be empty")
@@ -490,9 +502,11 @@ def fixed_output_recognize(
         raise ValueError("fuel values must be positive")
     if any(b >= a for a, b in zip(fuel_schedule[1:], fuel_schedule)):
         raise ValueError("the fuel schedule must be strictly increasing")
+    tops = [stage if max_input is None else min(stage, max_input)
+            for stage in range(len(fuel_schedule))]
+    _check_steps(sum((top + 1) * fuel for top, fuel in zip(tops, fuel_schedule)))
     probes = 0
-    for stage, fuel in enumerate(fuel_schedule):
-        top = stage if max_input is None else min(stage, max_input)
+    for stage, (top, fuel) in enumerate(zip(tops, fuel_schedule)):
         for input_value in range(top + 1):
             probes += 1
             trace = run_machine(machine, input_value, fuel)

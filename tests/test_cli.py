@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import inspect
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import vty.cli
-from vty.cli import build_parser, main
+from vty.cli import _UsageError, _direct_parse, build_parser, main
 from vty.formulas import MAX_NESTING, formula_key, parse_formula
-from vty.machines import encode_machine, parse_machine
+from vty.machines import DEFAULT_STEP_CAP, encode_machine, parse_machine
 from vty.manifest import BOUND_NAMES, Bounds
 from vty.varieties import FormulaMap
 
@@ -190,6 +191,22 @@ class TestExitCodes:
         [error] = report["errors"]
         assert error.startswith("enumeration needs at least ")
         assert error.endswith(" runs, above the cap of 1000000")
+
+    @pytest.mark.parametrize("argv, steps", [
+        (["fixed-output", "brute", "--y", "5", "--fuel", "100000000",
+          "--max-instructions", "1", "--inputs", "0"], 8 * 100_000_000),
+        (["fixed-output", "recognize", "--machine", "{loop}", "--y", "5",
+          "--schedule", "1000000000"], 1_000_000_000),
+    ])
+    def test_search_past_the_step_cap_fails_fast(self, capsys, tmp_path, argv, steps):
+        loop = tmp_path / "loop.rm"
+        loop.write_text("INC 0 0\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, report = run_json(capsys, *(part.format(loop=loop) for part in argv))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert report["errors"] == [
+            f"search needs up to {steps} steps, above the cap of 10000000"]
 
     def test_bad_schedule_is_an_operational_error(self, capsys, data_dir):
         code, report = run_json(
@@ -647,11 +664,15 @@ class TestOneCommandParser:
         assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
 
     @pytest.mark.parametrize("argv, count", [
-        (["closure", "--calculus", "L1", "{data}/shared_core.vty"], 2),
-        (["classify", "--axioms", "p", "(-> p q)", "--goal", "q"], 2),
-        (["fixed-output", "brute", "--y", "1", "--max-instructions", "1"], 4),
+        # a plain argv is read from the command table, with no parser
+        (["closure", "--calculus", "L1", "{data}/shared_core.vty"], 0),
+        (["classify", "--axioms", "p", "(-> p q)", "--goal", "q"], 0),
+        (["fixed-output", "brute", "--y", "1", "--max-instructions", "1"], 0),
         (["fixed-output", "recognize", "--machine", "{data}/adder.rm", "--y", "0",
-          "--schedule", "8,16"], 4),
+          "--schedule", "8,16"], 0),
+        # any other argv builds the command's parsers: root, command and modes
+        (["fixed-output", "brute", "--y=1"], 4),
+        (["fixed-output", "brute", "--max-i", "1", "--y", "1"], 4),
         # a global option first, or no command word, builds every parser
         (["--format", "text", "closure", "--calculus", "L1", "{data}/shared_core.vty"], 12),
         (["frobnicate"], 12),
@@ -668,7 +689,46 @@ class TestOneCommandParser:
         monkeypatch.setattr(sys, "argv", ["vty", *argv])
         code = main()
         assert (code, capsys.readouterr().out) == expected
-        assert len(parser_count) == 2
+        assert len(parser_count) == 0
+
+    @given(argv=st.deferred(lambda: ORACLE_ARGV))
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_direct_pass_reads_as_argparse_or_not_at_all(self, capsys, argv):
+        direct = _direct_parse(argv)
+        try:
+            expected = build_parser().parse_args(argv)
+        except (_UsageError, SystemExit):
+            capsys.readouterr()  # the help text
+            assert direct is None
+        else:
+            assert direct is None or direct == expected
+
+    def test_every_benchmark_argv_takes_the_direct_path(self, tmp_path, bench):
+        # a silent fallback to argparse would pass every other test
+        workloads, _ = bench
+        for workload in workloads.WORKLOADS.values():
+            for seed in (1, 2):
+                for request in workloads.generate(workload, seed, 40, tmp_path):
+                    for argv in (step.argv for step in request.steps if step.argv):
+                        direct = _direct_parse(argv)
+                        assert direct is not None, argv
+                        assert direct == build_parser().parse_args(argv)
+
+    def test_rows_the_direct_pass_reads(self):
+        rows = [*vty.cli._GLOBAL_ARGUMENTS]
+        for spec in vty.cli._COMMANDS.values():
+            rows += spec.arguments
+            for _, _, mode_rows in spec.modes:
+                rows += mode_rows
+        for flags, options in rows:
+            # the dest is read from the one long flag
+            assert len(flags) == 1 and flags[0].startswith("--")
+            # argparse runs a str default other than SUPPRESS through the
+            # type; the direct pass does not
+            default = options.get("default")
+            assert not (isinstance(default, str) and default is not argparse.SUPPRESS
+                        and "type" in options)
 
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "vtybench"
@@ -918,7 +978,11 @@ PROJECT_ARGV = st.builds(
     st.sampled_from(((), ("--theorem",), ("extra",))),
 )
 
-# a world of at most 2 instructions, 2 registers, 4 inputs and fuel 64
+# fuel that takes any world or schedule past the step cap
+PAST_THE_STEP_CAP = st.just(str(100 * DEFAULT_STEP_CAP))
+
+# a world of at most 2 instructions, 2 registers, 4 inputs and fuel 64,
+# or fuel past the step cap
 BRUTE_ARGV = st.builds(
     lambda y, instructions, *rest: [
         "fixed-output", "brute", "--y", y, "--max-instructions", instructions,
@@ -927,23 +991,82 @@ BRUTE_ARGV = st.builds(
     int_token(-1, 2),
     optional("--max-registers", int_token(0, 2)),
     optional("--inputs", comma_list(int_token(-1, 5), 4)),
-    optional("--fuel", int_token(0, 64)),
+    optional("--fuel", int_token(0, 64) | PAST_THE_STEP_CAP),
 )
 
 MACHINE_PIECES = (b"INC ", b"DECJZ ", b"HALT", b"0 ", b"1 ", b"2 ", b"-1 ", b"x ", b"#",
                   b"\n", b"\n", b"\xff")
 
 # the machine is the packaged adder, a missing file, a directory or a
-# fuzzed text; the schedule has at most 4 stages of fuel up to 64
+# fuzzed text; the schedule has at most 4 stages of fuel up to 64, or
+# past the step cap
 RECOGNIZE_ARGV = st.builds(
     lambda machine, y, schedule, max_input: (machine, [
         "fixed-output", "recognize", "--y", y, "--schedule", schedule, *max_input]),
     st.sampled_from(("adder", "missing", "directory")) | st.lists(
         st.sampled_from(MACHINE_PIECES), max_size=20).map(b"".join),
     int_token(-1, 3),
-    comma_list(int_token(-1, 64), 4),
+    comma_list(int_token(-1, 64) | PAST_THE_STEP_CAP, 4),
     optional("--max-input", int_token(-1, 3)),
 )
+
+
+PREVARIETY_IDS = ("KB", "SHARED", "BIJ", "zz", "")
+MANIFEST_PATH = st.sampled_from(CLOSURE_MANIFESTS).map(lambda path: [str(path)] if path else [])
+
+# the commands that read a prevariety, and report-matrix, each with an
+# optional manifest (the seed registry declares no prevariety)
+MANIFEST_COMMAND_ARGV = st.one_of(
+    st.builds(lambda command, manifest, prevariety: [command, *manifest, *prevariety],
+              st.sampled_from(("check-prevariety", "consistency")), MANIFEST_PATH,
+              optional("--prevariety", st.sampled_from(PREVARIETY_IDS))),
+    st.builds(lambda manifest, *options: ["check-variety", *manifest,
+                                          *itertools.chain.from_iterable(options)],
+              MANIFEST_PATH,
+              optional("--prevariety", st.sampled_from(PREVARIETY_IDS)),
+              optional("--depth", int_token(0, 3)),
+              optional("--bijective"),
+              optional("--mode", st.sampled_from(("prevariety", "variety", "quasi")))),
+    MANIFEST_PATH.map(lambda manifest: ["report-matrix", *manifest]),
+)
+
+PLAIN_ARGV = st.one_of(
+    SUBSET_ARGV, CLOSURE_ARGV, PROJECT_ARGV, BRUTE_ARGV, MANIFEST_COMMAND_ARGV,
+    RECOGNIZE_ARGV.map(lambda drawn: [*drawn[1], "--machine", "m.rm"]),
+)
+
+
+@st.composite
+def irregular_argv(draw) -> list[str]:
+    """A plain argv with its option groups shuffled, one flag repeated or
+    abbreviated, one flag joined to its value by "=", or --format put first."""
+    argv = draw(PLAIN_ARGV)
+    head = 2 if argv[0] == "fixed-output" else 1
+    groups: list[list[str]] = []
+    for token in argv[head:]:
+        if token.startswith("--") or not groups:
+            groups.append([token])
+        else:
+            groups[-1].append(token)
+    flagged = [group for group in groups if group[0].startswith("--")]
+    kind = draw(st.sampled_from(("shuffle", "repeat", "abbreviate", "equals", "format")))
+    if kind == "shuffle":
+        groups = draw(st.permutations(groups))
+    elif kind == "format":
+        argv[:head] = ["--format", draw(st.sampled_from(("json", "text"))), *argv[:head]]
+        head += 2
+    elif flagged:
+        group = draw(st.sampled_from(flagged))
+        if kind == "repeat":
+            groups.append(list(group))
+        elif kind == "abbreviate":
+            group[0] = group[0][:draw(st.integers(3, len(group[0])))]
+        elif len(group) > 1:
+            group[:2] = [f"{group[0]}={group[1]}"]
+    return [*argv[:head], *itertools.chain.from_iterable(groups)]
+
+
+ORACLE_ARGV = PLAIN_ARGV | irregular_argv()
 
 
 class TestFuzzedInput:
@@ -1009,6 +1132,12 @@ class TestFuzzedInput:
             path = tmp_path / "fuzzed.rm"
             path.write_bytes(machine)
         self.check(capsys, [*argv, "--machine", str(path)])
+
+    @given(argv=MANIFEST_COMMAND_ARGV)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_manifest_command_arguments(self, capsys, argv):
+        self.check(capsys, argv, verdict_exits=True)
 
     @given(text=PREVARIETY_MANIFEST_TEXT, command=st.sampled_from((
         ["check-prevariety"], ["check-variety", "--depth", "2"],

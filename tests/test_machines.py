@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vty.errors import DecodeError, EnumerationCapExceededError
+import vty.machines
+from vty.errors import DecodeError, EnumerationCapExceededError, StepCapExceededError
 from vty.machines import (
     BruteResult,
     DecJz,
@@ -162,6 +163,11 @@ class TestMachineValidation:
         with pytest.raises(ValueError):
             RegisterMachine(1, (Inc(0, 2),))
         RegisterMachine(1, (Inc(0, 1),))  # one past the end is the halt address
+
+    @pytest.mark.parametrize("entry", ["junk", None, 3, (0, 1)])
+    def test_entry_that_is_not_an_instruction(self, entry):
+        with pytest.raises(ValueError, match="^instruction 1 is not an instruction$"):
+            RegisterMachine(1, (Inc(0, 1), entry))
 
     def test_at_least_one_register(self):
         with pytest.raises(ValueError):
@@ -510,6 +516,20 @@ class TestFixedOutputBrute:
             fixed_output_brute(WorldBounds(3, 1, (0, 1), 5), 1, enumeration_cap=18_875)
         assert str(counted.value) == "enumeration needs 18876 runs, above the cap of 18875"
 
+    def test_step_cap_is_runs_times_fuel(self, monkeypatch):
+        # the tiny world is 8 runs of fuel 4
+        monkeypatch.setattr(vty.machines, "DEFAULT_STEP_CAP", 32)
+        assert fixed_output_brute(self.tiny_world(), 1).runs == 8
+        monkeypatch.setattr(vty.machines, "DEFAULT_STEP_CAP", 31)
+        with pytest.raises(StepCapExceededError) as capped:
+            fixed_output_brute(self.tiny_world(), 1)
+        assert str(capped.value) == "search needs up to 32 steps, above the cap of 31"
+
+    def test_enumeration_cap_is_checked_before_the_step_cap(self, monkeypatch):
+        monkeypatch.setattr(vty.machines, "DEFAULT_STEP_CAP", 1)
+        with pytest.raises(EnumerationCapExceededError):
+            fixed_output_brute(self.tiny_world(), 1, enumeration_cap=7)
+
     @pytest.mark.parametrize("instructions,registers", [(0, 1), (1, 2), (3, 1)])
     def test_runs_under_the_cap_are_the_world_size(self, instructions, registers):
         world = WorldBounds(instructions, registers, (0, 2, 1), 3)
@@ -550,6 +570,16 @@ class TestFixedOutputRecognize:
             machine(DecJz(0, 0, 0)), 1, [1, 2, 3, 4], max_input=1
         )
         assert recognition.probes == 1 + 2 + 2 + 2
+
+    def test_step_cap_sums_probes_times_fuel(self, monkeypatch):
+        # stages probe 1, 2, 2 and 2 inputs: 1*1 + 2*2 + 2*3 + 2*4 = 19 steps
+        m = machine(DecJz(0, 0, 0))
+        monkeypatch.setattr(vty.machines, "DEFAULT_STEP_CAP", 19)
+        assert fixed_output_recognize(m, 1, [1, 2, 3, 4], max_input=1).probes == 7
+        monkeypatch.setattr(vty.machines, "DEFAULT_STEP_CAP", 18)
+        with pytest.raises(StepCapExceededError) as capped:
+            fixed_output_recognize(m, 1, [1, 2, 3, 4], max_input=1)
+        assert str(capped.value) == "search needs up to 19 steps, above the cap of 18"
 
     def test_schedule_validation(self):
         m = machine()
