@@ -380,24 +380,19 @@ def _add_arguments(parser: argparse.ArgumentParser, rows) -> argparse.ArgumentPa
     return parser
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The vty parser, with only the subparser of `command` when one is named.
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every vty command.
 
     `main` reads a plain argv with `_direct_parse` and builds this parser
-    only for the rest: help, a global option before the command word, and
-    every usage error, so their text is argparse's. When a command word
-    comes first in argv, argparse hands every later token to that
-    command's subparser and consults no other, so a parser for that argv
-    needs no other subparser.
+    only for the rest: help, a global option before the command word, an
+    irregular argv and every usage error, so their text is argparse's.
     """
     parser = _add_arguments(_ArgumentParser(
         prog="vty",
         description="check logical varieties, project theorems, run desk-scale models",
     ), ())
     sub = parser.add_subparsers(dest="command", required=True)
-    names = _COMMANDS if command is None else (command,)
-    for name in names:
-        spec = _COMMANDS[name]
+    for name, spec in _COMMANDS.items():
         manifest = (_MANIFEST_ARGUMENT,) if spec.manifest else ()
         cmd = _add_arguments(sub.add_parser(name, help=spec.help),
                              (*manifest, *spec.arguments))
@@ -607,8 +602,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _direct_parse(argv)
         if args is None:
-            command = argv[0] if argv and argv[0] in _COMMANDS else None
-            args, extra = build_parser(command).parse_known_args(argv)
+            args, extra = build_parser().parse_known_args(argv)
             if extra:
                 # argparse leaves extra tokens to the root parser, but the
                 # command word has been read, so the report names it

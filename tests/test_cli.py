@@ -23,7 +23,6 @@ from vty.manifest import BOUND_NAMES, Bounds
 from vty.varieties import FormulaMap
 
 from oracle_tools import oracle_report_json
-from test_acceptance import CLI_COMMANDS
 
 
 def run_cli(capsys, *argv):
@@ -626,23 +625,6 @@ class TestOutputControls:
         assert "verdict: FAIL" in out
 
 
-# one argv of each request shape the benchmark in vtybench/ sends
-BENCH_ARGVS = (
-    ("closure", "{data}/shared_core.vty"),
-    ("closure", "{data}/shared_core.vty", "--with-proofs"),
-    ("minimal-subsets", "--axioms", "a0b", "(-> a0b c1d)", "e2f", "--goal", "c1d",
-     "--base", "mp", "--depth", "3"),
-    ("classify", "--axioms", "a0b", "(-> a0b c1d)", "e2f", "--goal", "c1d",
-     "--base", "mp", "--depth", "3"),
-    ("check-prevariety", "{data}/inconsistent_kb.vty"),
-    ("check-variety", "{data}/inconsistent_kb.vty", "--depth", "5"),
-    ("fixed-output", "brute", "--y", "2", "--max-instructions", "2",
-     "--max-registers", "1", "--inputs", "3,6", "--fuel", "64"),
-    ("fixed-output", "recognize", "--machine", "{data}/adder.rm", "--y", "1",
-     "--schedule", "8,16,32,64,128"),
-)
-
-
 @pytest.fixture
 def parser_count(monkeypatch):
     """How many vty argparse parsers (root, command or mode) were built."""
@@ -658,11 +640,6 @@ def parser_count(monkeypatch):
 
 
 class TestOneCommandParser:
-    @pytest.mark.parametrize("command", CLI_COMMANDS + BENCH_ARGVS, ids=" ".join)
-    def test_same_namespace_as_the_full_parser(self, data_dir, command):
-        argv = [part.format(data=data_dir) for part in command]
-        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
-
     @pytest.mark.parametrize("argv, count", [
         # a plain argv is read from the command table, with no parser
         (["closure", "--calculus", "L1", "{data}/shared_core.vty"], 0),
@@ -670,10 +647,9 @@ class TestOneCommandParser:
         (["fixed-output", "brute", "--y", "1", "--max-instructions", "1"], 0),
         (["fixed-output", "recognize", "--machine", "{data}/adder.rm", "--y", "0",
           "--schedule", "8,16"], 0),
-        # any other argv builds the command's parsers: root, command and modes
-        (["fixed-output", "brute", "--y=1"], 4),
-        (["fixed-output", "brute", "--max-i", "1", "--y", "1"], 4),
-        # a global option first, or no command word, builds every parser
+        # any other argv builds every parser: root, commands and modes
+        (["fixed-output", "brute", "--y=1"], 12),
+        (["fixed-output", "brute", "--max-i", "1", "--y", "1"], 12),
         (["--format", "text", "closure", "--calculus", "L1", "{data}/shared_core.vty"], 12),
         (["frobnicate"], 12),
     ])
