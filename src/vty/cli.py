@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Callable, NamedTuple, Sequence
 
 from .calculus import PRESET_NAMES, Proof, closure
@@ -25,7 +26,7 @@ from .machines import (
     format_machine,
     parse_machine,
 )
-from .manifest import BOUND_NAMES, Bounds, Manifest, load_manifest
+from .manifest import BOUND_NAMES, Manifest, load_manifest
 from .projection import (
     MatrixReport,
     classify_relation,
@@ -150,26 +151,27 @@ def _proof_dict(proof: Proof) -> dict:
     return {"steps": steps, "rule_applications": proof.rule_applications()}
 
 
-def _cmd_check_prevariety(args, manifest: Manifest, bounds: Bounds):
+def _cmd_check_prevariety(args, manifest: Manifest):
     pv = manifest.prevariety(args.prevariety)
+    bounds = manifest.bounds
     structure = check_prevariety(pv, size_cap=bounds.size)
     consistency = consistency_report(pv, atom_cap=bounds.atoms, size_cap=bounds.size)
     result = {"structure": structure.to_dict(), "consistency": consistency.to_dict()}
     return result, 0 if structure.passed else 1
 
 
-def _cmd_check_variety(args, manifest: Manifest, bounds: Bounds):
+def _cmd_check_variety(args, manifest: Manifest):
     pv = manifest.prevariety(args.prevariety)
     witnesses = manifest.prevariety_witnesses(args.prevariety)
     if args.bijective:
         report = check_bijective_variety(pv, args.mode, args.depth, witnesses,
-                                         size_cap=bounds.size)
+                                         size_cap=manifest.bounds.size)
     else:
-        report = check_variety(pv, args.depth, witnesses, size_cap=bounds.size)
+        report = check_variety(pv, args.depth, witnesses, size_cap=manifest.bounds.size)
     return report.to_dict(), 0 if report.passed else 1
 
 
-def _cmd_closure(args, manifest: Manifest, bounds: Bounds):
+def _cmd_closure(args, manifest: Manifest):
     if args.calculus is None:
         if len(manifest.calculi) != 1:
             raise ManifestError(
@@ -180,7 +182,7 @@ def _cmd_closure(args, manifest: Manifest, bounds: Bounds):
         calculus_id = args.calculus
     calc = manifest.calculus(calculus_id)
     depth = args.depth if args.depth is not None else calc.closure_depth
-    result = closure(calc, depth, size_cap=bounds.size)
+    result = closure(calc, depth, size_cap=manifest.bounds.size)
     formulas = sorted(formula_key(f) for f in result.formulas())
     out = {
         "calculus": calculus_id,
@@ -200,13 +202,14 @@ def _cmd_closure(args, manifest: Manifest, bounds: Bounds):
     return out, 0
 
 
-def _cmd_consistency(args, manifest: Manifest, bounds: Bounds):
+def _cmd_consistency(args, manifest: Manifest):
     pv = manifest.prevariety(args.prevariety)
+    bounds = manifest.bounds
     report = consistency_report(pv, atom_cap=bounds.atoms, size_cap=bounds.size)
     return report.to_dict(), 0
 
 
-def _cmd_project(args, manifest: Manifest, bounds: Bounds):
+def _cmd_project(args, manifest: Manifest):
     profiles, theorems, declarations = manifest.registry()
     by_id = {t.theorem_id: t for t in theorems}
     if args.theorem not in by_id:
@@ -216,7 +219,8 @@ def _cmd_project(args, manifest: Manifest, bounds: Bounds):
     return report.to_dict(), 0
 
 
-def _cmd_classify(args, manifest: Manifest, bounds: Bounds):
+def _cmd_classify(args, manifest: Manifest):
+    bounds = manifest.bounds
     depth = args.depth if args.depth is not None else bounds.depth
     report = classify_relation(
         args.axioms, args.goal, args.base, depth,
@@ -228,7 +232,8 @@ def _cmd_classify(args, manifest: Manifest, bounds: Bounds):
     return out, 0
 
 
-def _cmd_minimal_subsets(args, manifest: Manifest, bounds: Bounds):
+def _cmd_minimal_subsets(args, manifest: Manifest):
+    bounds = manifest.bounds
     depth = args.depth if args.depth is not None else bounds.depth
     subsets = minimal_axiom_subsets(args.axioms, args.goal, args.base, depth,
                                     size_cap=bounds.size)
@@ -239,11 +244,11 @@ def _cmd_minimal_subsets(args, manifest: Manifest, bounds: Bounds):
     }, 0
 
 
-def _cmd_fixed_output(args, manifest: Manifest, bounds: Bounds):
+def _cmd_fixed_output(args, manifest: Manifest):
     if args.mode == "brute":
         world = WorldBounds(args.max_instructions, args.max_registers,
                             tuple(args.inputs), args.fuel)
-        result = fixed_output_brute(world, args.y, enumeration_cap=bounds.enum)
+        result = fixed_output_brute(world, args.y, enumeration_cap=manifest.bounds.enum)
         return {
             "mode": "brute",
             "target": result.target,
@@ -278,7 +283,7 @@ def _cmd_fixed_output(args, manifest: Manifest, bounds: Bounds):
     }, 0
 
 
-def _cmd_report_matrix(args, manifest: Manifest, bounds: Bounds):
+def _cmd_report_matrix(args, manifest: Manifest):
     # the report itself, so main can print its own text layout
     profiles, theorems, declarations = manifest.registry()
     return registry_report(profiles, theorems, declarations), 0
@@ -313,7 +318,7 @@ _AXIOM_SET_ARGUMENTS = (
 
 
 class _Command(NamedTuple):
-    run: Callable[..., tuple]  # (args, manifest, bounds) -> (result, exit code)
+    run: Callable[..., tuple]  # (args, manifest) -> (result, exit code)
     help: str
     arguments: tuple = ()
     manifest: bool = True  # takes an optional manifest path
@@ -595,7 +600,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     A plain argv is read straight from the command table (`_direct_parse`);
     any other argv, help and every usage error go through the argparse
-    parser of `build_parser`, so their text is argparse's.
+    parser of `build_parser`, so their text is argparse's. A `--bounds`
+    override replaces the manifest's bounds line for the run: the command
+    reads only `manifest.bounds`, and the report prints them.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -623,16 +630,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         "errors": [],
     }
     try:
-        manifest = load_manifest(manifest_path) if manifest_path else _seed_manifest()
         # ValueError: a path with a NUL byte, or a --bounds override of 0
-        bounds = Bounds(**{**manifest.bounds.to_dict(), **getattr(args, "bounds", {})})
+        manifest = load_manifest(manifest_path) if manifest_path else _seed_manifest()
+        if hasattr(args, "bounds"):
+            # the override stands in for the manifest's bounds line, so the
+            # replaced manifest validates and assembles under it
+            manifest = replace(manifest, bounds=replace(manifest.bounds, **args.bounds))
     except (OSError, ManifestError, ValueError) as exc:
         report["errors"] = [str(exc)]
         _emit(report, fmt)
         return 2
-    report["bounds"] = bounds.to_dict()
+    report["bounds"] = manifest.bounds.to_dict()
     try:
-        result, code = _COMMANDS[args.command].run(args, manifest, bounds)
+        result, code = _COMMANDS[args.command].run(args, manifest)
     except ManifestError as exc:
         report["errors"], code = [str(exc)], 2
     except (OSError, VtyError, ValueError) as exc:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -19,7 +20,7 @@ import vty.cli
 from vty.cli import _UsageError, _direct_parse, build_parser, main
 from vty.formulas import MAX_NESTING, formula_key, parse_formula
 from vty.machines import DEFAULT_STEP_CAP, encode_machine, parse_machine
-from vty.manifest import BOUND_NAMES, Bounds
+from vty.manifest import BOUND_NAMES, Bounds, load_manifest, save_manifest
 from vty.varieties import FormulaMap
 
 from oracle_tools import oracle_report_json
@@ -46,6 +47,40 @@ KNOWLEDGE_FIVE_COMMANDS = (
     ("check-variety", "--depth", "5", "--bijective", "--mode", "variety"),
     ("consistency",),
 )
+
+
+# one mp calculus with no depth entry, so it closes at the bounds depth
+DEPTHLESS_MANIFEST = """\
+bounds depth=1 size=20
+
+rule mp {
+  premise a
+  premise (-> a b)
+  conclude b
+}
+
+calculus L1 {
+  axiom p
+  axiom (-> p q)
+  axiom (-> q r)
+  axiom (-> r s)
+  use mp
+}
+
+map ident identity
+
+component K1 {
+  calculus L1
+  axiom-map ident
+  theorem-map ident
+  theorem s
+}
+
+prevariety PV {
+  component K1
+  auto
+}
+"""
 
 
 def normalized(report):
@@ -260,19 +295,20 @@ class TestReports:
         golden("knowledge_five_reports", reports)
 
     @pytest.mark.parametrize("size, argv, calculus", [
-        (3, KNOWLEDGE_FIVE_COMMANDS[0], "L1"),
-        (3, KNOWLEDGE_FIVE_COMMANDS[1], "L1"),
-        (3, KNOWLEDGE_FIVE_COMMANDS[2], "L1"),
+        (3, KNOWLEDGE_FIVE_COMMANDS[0], "L4"),
+        (3, KNOWLEDGE_FIVE_COMMANDS[1], "L4"),
+        (3, KNOWLEDGE_FIVE_COMMANDS[2], "L4"),
         (3, KNOWLEDGE_FIVE_COMMANDS[4], "L4"),
         (4, KNOWLEDGE_FIVE_COMMANDS[0], "L4"),
         (4, KNOWLEDGE_FIVE_COMMANDS[3], "L4"),
         (4, KNOWLEDGE_FIVE_COMMANDS[4], None),
     ])
-    def test_size_override_trips_a_check_after_assembly(self, capsys, size, argv, calculus):
-        # assembly closes each calculus under the manifest's size cap of
-        # 100000; the checks close them again under the override. At size 3,
-        # L1's theorem set (4 formulas) trips the checks before L4's axiom
-        # set (4 formulas) does, and consistency reads axiom sets only.
+    def test_size_override_caps_assembly_and_the_checks(self, capsys, size, argv, calculus):
+        # the override replaces the manifest's size cap of 100000, so
+        # assembly closes each axiom set under it: at size 3, L4's axiom set
+        # (4 formulas) trips every command. At size 4 assembly passes and
+        # the checks trip on L4's theorem set; consistency reads axiom sets
+        # only.
         code, report = run_json(capsys, argv[0], str(KNOWLEDGE_FIVE), *argv[1:],
                                 "--bounds", f"size={size}")
         if calculus is None:
@@ -283,6 +319,38 @@ class TestReports:
             f"closure of calculus '{calculus}' exceeds the size cap of {size}"
         ]
         assert "result" not in report
+
+    def test_depth_override_closes_a_calculus_without_a_depth_entry(self, capsys, tmp_path):
+        # such a calculus closes at the bounds depth, which the override replaces
+        path = tmp_path / "depthless.vty"
+        path.write_text(DEPTHLESS_MANIFEST, encoding="utf-8")
+        for depth, formulas in ((1, ["q"]), (3, ["q", "r", "s"])):
+            code, report = run_json(capsys, "closure", str(path), "--bounds", f"depth={depth}")
+            assert code == 0
+            assert report["bounds"]["depth"] == report["result"]["depth"] == depth
+            assert report["result"]["formulas"] == [
+                "(-> p q)", "(-> q r)", "(-> r s)", "p", *formulas]
+
+    @pytest.mark.parametrize("override", [
+        {"depth": 1}, {"depth": 3}, {"size": 3}, {"size": 6}, {"depth": 4, "size": 40},
+    ], ids=str)
+    def test_bounds_override_equals_a_rewritten_manifest(self, capsys, tmp_path, override):
+        depthless = tmp_path / "depthless.vty"
+        depthless.write_text(DEPTHLESS_MANIFEST, encoding="utf-8")
+        rewritten = tmp_path / "rewritten.vty"
+        text = ",".join(f"{name}={value}" for name, value in override.items())
+        for path in (depthless, KNOWLEDGE_FIVE,
+                     *(PACKAGED / name for name in PREVARIETY_MANIFESTS)):
+            manifest = load_manifest(path)
+            bounds = dataclasses.replace(manifest.bounds, **override)
+            save_manifest(dataclasses.replace(manifest, bounds=bounds), rewritten)
+            for argv in (["closure", "--calculus", manifest.calculi[0].calculus_id],
+                         ["check-prevariety"], ["check-variety", "--depth", "2"],
+                         ["consistency"]):
+                code, out = run_cli(capsys, argv[0], str(path), *argv[1:], "--bounds", text)
+                expected = run_cli(capsys, argv[0], str(rewritten), *argv[1:])
+                assert (code, out.replace(str(path), "M")) == (
+                    expected[0], expected[1].replace(str(rewritten), "M"))
 
     def test_projection_report(self, capsys, golden):
         code, report = run_json(
