@@ -172,18 +172,17 @@ def _cmd_check_variety(args, manifest: Manifest):
 
 
 def _cmd_closure(args, manifest: Manifest):
-    if args.calculus is None:
+    calculus_id = args.calculus
+    if calculus_id is None:
         if len(manifest.calculi) != 1:
             raise ManifestError(
                 "pick a calculus with --calculus; the manifest declares "
                 f"{len(manifest.calculi)}", manifest.source, 0)
         calculus_id = manifest.calculi[0].calculus_id
-    else:
-        calculus_id = args.calculus
-    calc = manifest.calculus(calculus_id)
-    depth = args.depth if args.depth is not None else calc.closure_depth
-    result = closure(calc, depth, size_cap=manifest.bounds.size)
-    formulas = sorted(formula_key(f) for f in result.formulas())
+    # closure reads depth None as the calculus depth and sorts its entries
+    result = closure(manifest.calculus(calculus_id), args.depth, size_cap=manifest.bounds.size)
+    entries = result.entries
+    formulas = [formula_key(e.formula) for e in entries]
     out = {
         "calculus": calculus_id,
         "depth": result.depth,
@@ -192,13 +191,8 @@ def _cmd_closure(args, manifest: Manifest):
         "formulas": formulas,
     }
     if args.with_proofs:
-        out["proofs"] = {
-            formula_key(entry.formula): _proof_dict(entry.proof)
-            for entry in result.entries
-        }
-        out["costs"] = {
-            formula_key(entry.formula): entry.cost for entry in result.entries
-        }
+        out["proofs"] = {formula_key(e.formula): _proof_dict(e.proof) for e in entries}
+        out["costs"] = {formula_key(e.formula): e.cost for e in entries}
     return out, 0
 
 
@@ -601,8 +595,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     A plain argv is read straight from the command table (`_direct_parse`);
     any other argv, help and every usage error go through the argparse
     parser of `build_parser`, so their text is argparse's. A `--bounds`
-    override replaces the manifest's bounds line for the run: the command
-    reads only `manifest.bounds`, and the report prints them.
+    override replaces the manifest's bounds line, the only bounds a command reads.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -632,9 +625,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # ValueError: a path with a NUL byte, or a --bounds override of 0
         manifest = load_manifest(manifest_path) if manifest_path else _seed_manifest()
-        if hasattr(args, "bounds"):
-            # the override stands in for the manifest's bounds line, so the
-            # replaced manifest validates and assembles under it
+        if hasattr(args, "bounds"):  # stands in for the manifest's bounds line
             manifest = replace(manifest, bounds=replace(manifest.bounds, **args.bounds))
     except (OSError, ManifestError, ValueError) as exc:
         report["errors"] = [str(exc)]
