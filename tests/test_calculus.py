@@ -85,6 +85,8 @@ class TestRuleConstruction:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             Calculus("c", closure_depth=-1)
+        with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+            closure(chain_calc(), -1)
 
 
 class TestClosureExamples:
@@ -95,6 +97,13 @@ class TestClosureExamples:
         assert texts(closure(calc, 2).formulas()) == [
             "(-> p q)", "(-> q r)", "p", "q", "r"
         ]
+
+    def test_depth_defaults_to_the_calculus_depth(self):
+        calc = chain_calc(depth=1)
+        axioms = [pf("(-> r s)")]
+        assert closure(calc) == closure(calc, 1)
+        assert labelled_closure(calc, axioms) == labelled_closure(calc, axioms, 1)
+        assert labelled_closure(calc, axioms) != labelled_closure(calc, axioms, 3)
 
     def test_chain_costs(self):
         result = closure(chain_calc(), 2)

@@ -74,6 +74,15 @@ class TestParsing:
             parse_formula("(-> p q")
         assert err.value.col == 0  # points at the unclosed paren
 
+    @pytest.mark.parametrize("text, message", [
+        ('"p', "col 0: unterminated string"),
+        ("((p q)", "col 1: expected a connective after ("),
+    ])
+    def test_error_names_its_column(self, text, message):
+        with pytest.raises(FormulaParseError) as err:
+            parse_formula(text)
+        assert str(err.value) == message
+
     def test_trailing_garbage(self):
         with pytest.raises(FormulaParseError):
             parse_formula("p q")

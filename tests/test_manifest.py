@@ -246,6 +246,14 @@ class TestCanonicalText:
         assert manifest.bounds == Bounds()
         assert "bounds depth=3 atoms=20 enum=1000000 size=10000" in manifest.to_text()
 
+    @pytest.mark.parametrize("values, message", [
+        ({"depth": -1}, "depth bound must be nonnegative"),
+        ({"size": 0}, "atoms, enum and size bounds must be positive"),
+    ])
+    def test_bounds_refuse_values_out_of_range(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Bounds(**values)
+
     def test_save_and_load_round_trip(self, tmp_path):
         manifest = parse_manifest(MINIMAL)
         target = tmp_path / "world.vty"

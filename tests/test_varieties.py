@@ -257,6 +257,16 @@ def core_witness(witness_id="W12", **overrides):
 
 
 class TestVarietyWitnesses:
+    @pytest.mark.parametrize("indices, message", [
+        ((), "a witness covers at least one component index"),
+        ((2, 1), "witness indices must be strictly increasing"),
+        ((1, 1), "witness indices must be strictly increasing"),
+    ])
+    def test_indices_must_be_nonempty_and_increasing(self, indices, message):
+        covering = core_witness().covering
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            VarietyWitness(indices, covering)
+
     def test_width_must_be_positive(self):
         pv = assemble_prevariety([mp_component("C1", ["p"], [])])
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import pytest
 
 from vty.projection import validate_registry
 from vty.seed import seed_axiom_declarations, seed_registry
-from vty.witnesses import WITNESSES, run_witness
+from vty.witnesses import WITNESSES, WitnessOutcome, run_witness
 
 
 class TestWitnessSuite:
@@ -36,3 +36,9 @@ class TestWitnessSuite:
 
     def test_seed_registry_evidence_runs_clean(self):
         validate_registry(seed_registry(), seed_axiom_declarations(), run_exec=True)
+
+    def test_a_failing_witness_fails_validation(self, monkeypatch):
+        monkeypatch.setitem(WITNESSES, "rm_self_loop_diverges",
+                            lambda: WitnessOutcome("rm_self_loop_diverges", False, {}))
+        with pytest.raises(AssertionError, match="^witness 'rm_self_loop_diverges' failed"):
+            validate_registry(seed_registry(), seed_axiom_declarations(), run_exec=True)
