@@ -892,6 +892,12 @@ BOUNDS_TEXT = st.one_of(
     st.text(max_size=20),
 )
 
+# no --bounds, one entry in range, or free bounds text
+BOUNDS_OPTION = st.just(()) | st.one_of(
+    st.builds("{}={}".format, st.sampled_from(BOUND_NAMES), st.integers(1, 40)),
+    BOUNDS_TEXT,
+).map(lambda text: ("--bounds", text))
+
 # manifest fragments, so that fuzzed files reach past the first line
 MANIFEST_PIECES = (
     b"signature ", b"bounds ", b"depth=", b"size=", b"rule ", b"calculus ", b"axiom ",
@@ -976,9 +982,7 @@ SUBSET_ARGV = st.builds(
     subset_formula_text(),
     st.sampled_from(("hilbert", "mp", "empty", "bogus")),
     st.integers(-1, 4),
-    st.one_of(st.just(()), st.builds("{}={}".format, st.sampled_from(BOUND_NAMES),
-                                     st.integers(1, 40)).map(lambda text: ("--bounds", text)),
-              BOUNDS_TEXT.map(lambda text: ("--bounds", text))),
+    BOUNDS_OPTION,
 )
 
 
@@ -1006,12 +1010,14 @@ PACKAGED = Path(vty.cli.__file__).parent / "data"
 CLOSURE_MANIFESTS = (None, KNOWLEDGE_FIVE, *(PACKAGED / name for name in PREVARIETY_MANIFESTS))
 
 CLOSURE_ARGV = st.builds(
-    lambda manifest, calculus, depth, proofs: [
-        "closure", *([str(manifest)] if manifest else []), *calculus, *depth, *proofs],
+    lambda manifest, *options: [
+        "closure", *([str(manifest)] if manifest else []),
+        *itertools.chain.from_iterable(options)],
     st.sampled_from(CLOSURE_MANIFESTS),
     optional("--calculus", st.sampled_from(("L1", "L2", "L5", "CORE", "LB", "zz", ""))),
     optional("--depth", int_token(-1, 4)),
     optional("--with-proofs"),
+    BOUNDS_OPTION,
 )
 
 SEED_THEOREMS = tuple(t.theorem_id for t in vty.cli._seed_manifest().registry()[1])
@@ -1059,19 +1065,24 @@ PREVARIETY_IDS = ("KB", "SHARED", "BIJ", "zz", "")
 MANIFEST_PATH = st.sampled_from(CLOSURE_MANIFESTS).map(lambda path: [str(path)] if path else [])
 
 # the commands that read a prevariety, and report-matrix, each with an
-# optional manifest (the seed registry declares no prevariety)
-MANIFEST_COMMAND_ARGV = st.one_of(
-    st.builds(lambda command, manifest, prevariety: [command, *manifest, *prevariety],
-              st.sampled_from(("check-prevariety", "consistency")), MANIFEST_PATH,
-              optional("--prevariety", st.sampled_from(PREVARIETY_IDS))),
-    st.builds(lambda manifest, *options: ["check-variety", *manifest,
-                                          *itertools.chain.from_iterable(options)],
-              MANIFEST_PATH,
-              optional("--prevariety", st.sampled_from(PREVARIETY_IDS)),
-              optional("--depth", int_token(0, 3)),
-              optional("--bijective"),
-              optional("--mode", st.sampled_from(("prevariety", "variety", "quasi")))),
-    MANIFEST_PATH.map(lambda manifest: ["report-matrix", *manifest]),
+# optional manifest (the seed registry declares no prevariety) and an
+# optional --bounds
+MANIFEST_COMMAND_ARGV = st.builds(
+    lambda argv, bounds: [*argv, *bounds],
+    st.one_of(
+        st.builds(lambda command, manifest, prevariety: [command, *manifest, *prevariety],
+                  st.sampled_from(("check-prevariety", "consistency")), MANIFEST_PATH,
+                  optional("--prevariety", st.sampled_from(PREVARIETY_IDS))),
+        st.builds(lambda manifest, *options: ["check-variety", *manifest,
+                                              *itertools.chain.from_iterable(options)],
+                  MANIFEST_PATH,
+                  optional("--prevariety", st.sampled_from(PREVARIETY_IDS)),
+                  optional("--depth", int_token(0, 3)),
+                  optional("--bijective"),
+                  optional("--mode", st.sampled_from(("prevariety", "variety", "quasi")))),
+        MANIFEST_PATH.map(lambda manifest: ["report-matrix", *manifest]),
+    ),
+    BOUNDS_OPTION,
 )
 
 PLAIN_ARGV = st.one_of(
