@@ -9,6 +9,12 @@ import vty
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DATA_DIR = Path(vty.__file__).parent / "data"
 
+# pyproject's pythonpath puts src/ on this process's path only; tests that
+# run `python -m vty.cli` in a subprocess need it in the environment too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
+
 
 @pytest.fixture
 def data_dir() -> Path:
