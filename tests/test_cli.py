@@ -24,6 +24,7 @@ from vty.manifest import BOUND_NAMES, Bounds, load_manifest, save_manifest
 from vty.varieties import FormulaMap
 
 from oracle_tools import oracle_report_json
+from test_acceptance import CLI_COMMANDS
 
 
 def run_cli(capsys, *argv):
@@ -693,6 +694,23 @@ class TestOutputControls:
         assert "verdict: FAIL" in out
 
 
+# one argv of each request shape the benchmark in vtybench/ sends
+BENCH_ARGVS = (
+    ("closure", "{data}/shared_core.vty"),
+    ("closure", "{data}/shared_core.vty", "--with-proofs"),
+    ("minimal-subsets", "--axioms", "a0b", "(-> a0b c1d)", "e2f", "--goal", "c1d",
+     "--base", "mp", "--depth", "3"),
+    ("classify", "--axioms", "a0b", "(-> a0b c1d)", "e2f", "--goal", "c1d",
+     "--base", "mp", "--depth", "3"),
+    ("check-prevariety", "{data}/inconsistent_kb.vty"),
+    ("check-variety", "{data}/inconsistent_kb.vty", "--depth", "5"),
+    ("fixed-output", "brute", "--y", "2", "--max-instructions", "2",
+     "--max-registers", "1", "--inputs", "3,6", "--fuel", "64"),
+    ("fixed-output", "recognize", "--machine", "{data}/adder.rm", "--y", "1",
+     "--schedule", "8,16,32,64,128"),
+)
+
+
 @pytest.fixture
 def parser_count(monkeypatch):
     """How many vty argparse parsers (root, command or mode) were built."""
@@ -708,6 +726,15 @@ def parser_count(monkeypatch):
 
 
 class TestOneCommandParser:
+    @pytest.mark.parametrize("command", CLI_COMMANDS + BENCH_ARGVS, ids=" ".join)
+    def test_same_namespace_as_the_full_parser(self, data_dir, command):
+        # every acceptance and benchmark argv is plain, so the direct pass
+        # reads it, and into the Namespace the full parser gives
+        argv = [part.format(data=data_dir) for part in command]
+        direct = _direct_parse(argv)
+        assert direct is not None
+        assert direct == build_parser().parse_args(argv)
+
     @pytest.mark.parametrize("argv, count", [
         # a plain argv is read from the command table, with no parser
         (["closure", "--calculus", "L1", "{data}/shared_core.vty"], 0),
@@ -1115,7 +1142,8 @@ def irregular_argv(draw) -> list[str]:
         if kind == "repeat":
             groups.append(list(group))
         elif kind == "abbreviate":
-            group[0] = group[0][:draw(st.integers(3, len(group[0])))]
+            # a bare "--" drawn as a value has no prefix to cut
+            group[0] = group[0][:draw(st.integers(3, max(3, len(group[0]))))]
         elif len(group) > 1:
             group[:2] = [f"{group[0]}={group[1]}"]
     return [*argv[:head], *itertools.chain.from_iterable(groups)]
