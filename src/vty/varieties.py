@@ -322,8 +322,6 @@ def check_prevariety(pv: Prevariety, *, size_cap: int = DEFAULT_SIZE_CAP) -> Str
     for component in pv.components:
         cid = component.component_id
         record = _mapped(component, size_cap)
-        # read in quasi mode too, so a size-cap error names the same set
-        theorem_set = record.theorems
         for equation, label, formula_map, images, missed, missed_what in (
             ("A", "axiom map", component.axiom_map, record.axiom_images,
              record.axiom_misses, "an axiom"),
@@ -338,7 +336,7 @@ def check_prevariety(pv: Prevariety, *, size_cap: int = DEFAULT_SIZE_CAP) -> Str
                 ))
         expected["H"].update(component.calculus.rules)
         if not pv.quasi:
-            for formula in component.designated_theorems - theorem_set:
+            for formula in component.designated_theorems - record.theorems:
                 diagnostics.append(Diagnostic(
                     "NOT_A_THEOREM", cid, "M", formula_key(formula),
                     f"not provable within depth {component.calculus.closure_depth}",

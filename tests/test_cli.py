@@ -295,22 +295,34 @@ class TestReports:
             reports[" ".join(argv)] = {"exit": code, "report": normalized(report)}
         golden("knowledge_five_reports", reports)
 
-    @pytest.mark.parametrize("size, argv, calculus", [
-        (3, KNOWLEDGE_FIVE_COMMANDS[0], "L4"),
-        (3, KNOWLEDGE_FIVE_COMMANDS[1], "L4"),
-        (3, KNOWLEDGE_FIVE_COMMANDS[2], "L4"),
-        (3, KNOWLEDGE_FIVE_COMMANDS[4], "L4"),
-        (4, KNOWLEDGE_FIVE_COMMANDS[0], "L4"),
-        (4, KNOWLEDGE_FIVE_COMMANDS[3], "L4"),
-        (4, KNOWLEDGE_FIVE_COMMANDS[4], None),
+    @pytest.mark.parametrize("size, argv, calculus, quasi", [
+        (3, KNOWLEDGE_FIVE_COMMANDS[0], "L4", False),
+        (3, KNOWLEDGE_FIVE_COMMANDS[1], "L4", False),
+        (3, KNOWLEDGE_FIVE_COMMANDS[2], "L4", False),
+        (3, KNOWLEDGE_FIVE_COMMANDS[4], "L4", False),
+        (4, KNOWLEDGE_FIVE_COMMANDS[0], "L4", False),
+        (4, KNOWLEDGE_FIVE_COMMANDS[3], "L4", False),
+        (4, KNOWLEDGE_FIVE_COMMANDS[4], None, False),
+        (4, KNOWLEDGE_FIVE_COMMANDS[0], None, True),
+        (4, KNOWLEDGE_FIVE_COMMANDS[1], "L4", True),
+        (4, KNOWLEDGE_FIVE_COMMANDS[2], None, True),
+        (4, KNOWLEDGE_FIVE_COMMANDS[3], "L4", True),
+        (4, KNOWLEDGE_FIVE_COMMANDS[4], None, True),
     ])
-    def test_size_override_caps_assembly_and_the_checks(self, capsys, size, argv, calculus):
+    def test_size_override_caps_assembly_and_the_checks(self, capsys, tmp_path, size, argv,
+                                                         calculus, quasi):
         # the override replaces the manifest's size cap of 100000, so
         # assembly closes each axiom set under it: at size 3, L4's axiom set
         # (4 formulas) trips every command. At size 4 assembly passes and
         # the checks trip on L4's theorem set; consistency reads axiom sets
-        # only.
-        code, report = run_json(capsys, argv[0], str(KNOWLEDGE_FIVE), *argv[1:],
+        # only, and in quasi mode so do check-prevariety and the bijective
+        # prevariety mode.
+        path = KNOWLEDGE_FIVE
+        if quasi:
+            path = tmp_path / "quasi.vty"
+            path.write_text(KNOWLEDGE_FIVE.read_text(encoding="utf-8").replace(
+                "  auto\n", "  auto\n  quasi\n"), encoding="utf-8")
+        code, report = run_json(capsys, argv[0], str(path), *argv[1:],
                                 "--bounds", f"size={size}")
         if calculus is None:
             assert (code, report["errors"]) == (0, [])
