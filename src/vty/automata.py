@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import BadSymbolError
 
@@ -60,11 +60,6 @@ def dfa_run_trace(dfa: DFA, word: str) -> tuple[str, int]:
         steps += 1
     verdict = ACCEPT if state in dfa.accepting else REJECT
     return verdict, steps
-
-
-def dfa_run(dfa: DFA, word: str) -> str:
-    verdict, _ = dfa_run_trace(dfa, word)
-    return verdict
 
 
 def enumerate_dfas(max_states: int, alphabet: tuple[str, ...]) -> Iterator[DFA]:

@@ -90,7 +90,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from .calculus import (
     AxiomSchema,
@@ -457,32 +457,6 @@ def _formula_map(d: MapDef) -> FormulaMap:
     if d.kind == "renaming":
         return FormulaMap(d.map_id, renaming=tuple(sorted(d.renames)), domain=domain)
     return FormulaMap.table_map(d.map_id, d.pairs, domain=domain)
-
-
-def registry_manifest(
-    profiles: Sequence[ClassProfile],
-    theorems: Sequence[TheoremRecord],
-    declarations: Mapping[str, AxiomDeclaration],
-    *,
-    bounds: Bounds = Bounds(),
-) -> Manifest:
-    """A registry-only manifest from live profile objects."""
-    return Manifest(
-        bounds=bounds,
-        axiom_decls=tuple(declarations.values()),
-        classes=tuple(
-            ClassDef(p.class_id, p.display_name, tuple(
-                (axiom_id, status.status, status.evidence)
-                for axiom_id, status in p.statuses.items()
-            ))
-            for p in profiles
-        ),
-        theorem_recs=tuple(
-            TheoremRecDef(t.theorem_id, t.statement, tuple(sorted(t.dependencies)),
-                          t.source, t.unconditional)
-            for t in theorems
-        ),
-    )
 
 
 # --- the block table ---------------------------------------------------------
@@ -924,7 +898,3 @@ def load_manifest(path: str | Path) -> Manifest:
         raise ManifestError(f"not UTF-8 text at byte 0x{data[exc.start]:02x} ({exc.reason})",
                             str(path), len(lines), len(lines[-1]) - 1) from None
     return parse_manifest(text, source=str(path))
-
-
-def save_manifest(manifest: Manifest, path: str | Path) -> None:
-    Path(path).write_text(manifest.to_text(), encoding="utf-8")

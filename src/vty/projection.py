@@ -24,7 +24,6 @@ from .calculus import (
 from .errors import DepthExplosionError, SubsetCapExceededError, UndeclaredAxiomError
 from .formulas import Formula, formula_key
 from .semantics import DEFAULT_ATOM_CAP, check_consistency, entails
-from .witnesses import WITNESSES
 
 SATISFIED = "SATISFIED"
 VIOLATED = "VIOLATED"
@@ -81,7 +80,7 @@ class AxiomStatus:
             raise ValueError("an unknown status carries no evidence")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClassProfile:
     class_id: str
     display_name: str
@@ -89,15 +88,6 @@ class ClassProfile:
 
     def status_of(self, axiom_id: str) -> AxiomStatus:
         return self.statuses.get(axiom_id, AxiomStatus(UNKNOWN))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClassProfile):
-            return NotImplemented
-        return (
-            self.class_id == other.class_id
-            and self.display_name == other.display_name
-            and dict(self.statuses) == dict(other.statuses)
-        )
 
 
 @dataclass(frozen=True)
@@ -113,34 +103,6 @@ class TheoremRecord:
             raise ValueError(
                 f"theorem {self.theorem_id!r} needs dependencies or the unconditional flag"
             )
-
-
-def validate_registry(
-    profiles: Sequence[ClassProfile],
-    declarations: Mapping[str, AxiomDeclaration],
-    *,
-    run_exec: bool = False,
-) -> None:
-    """Reject undeclared axiom ids and dangling witness references.
-
-    With run_exec, executable evidence is run and must pass.
-    """
-    for profile in profiles:
-        for axiom_id, status in profile.statuses.items():
-            if axiom_id not in declarations:
-                raise UndeclaredAxiomError(axiom_id)
-            evidence = status.evidence
-            if evidence is not None and evidence.witness_id is not None:
-                if evidence.witness_id not in WITNESSES:
-                    raise KeyError(
-                        f"class {profile.class_id!r} cites unknown witness "
-                        f"{evidence.witness_id!r}"
-                    )
-                if run_exec and not WITNESSES[evidence.witness_id]().passed:
-                    raise AssertionError(
-                        f"witness {evidence.witness_id!r} failed for class "
-                        f"{profile.class_id!r}"
-                    )
 
 
 @dataclass(frozen=True)

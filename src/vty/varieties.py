@@ -35,7 +35,6 @@ from .errors import AtomCapExceededError, MapUndefinedError
 from .formulas import Atom, Formula, evaluate, formula_key, substitute
 from .semantics import (
     DEFAULT_ATOM_CAP,
-    ConsistencyVerdict,
     atom_masks,
     check_consistency,
     collect_atoms,

@@ -2,7 +2,7 @@
 
 Each witness is a named, deterministic check over the machine modules.
 Evidence of kind EXEC_POSITIVE or EXEC_EXHAUSTIVE must reference one of
-these ids; validation can run the witness and require it to pass.
+these ids, which manifest validation checks; `WITNESSES[id]()` runs one.
 """
 
 from __future__ import annotations
@@ -53,9 +53,3 @@ WITNESSES: dict[str, Callable[[], WitnessOutcome]] = {
     "rm_self_loop_diverges": _rm_self_loop_diverges,
     "dfa_totality_exhaustive": _dfa_totality_exhaustive,
 }
-
-
-def run_witness(witness_id: str) -> WitnessOutcome:
-    if witness_id not in WITNESSES:
-        raise KeyError(f"unknown witness {witness_id!r}")
-    return WITNESSES[witness_id]()

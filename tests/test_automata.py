@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import vty.automata as automata
-from vty.automata import DFA, dfa_run, dfa_run_trace, enumerate_dfas, totality_evidence
+from vty.automata import DFA, dfa_run_trace, enumerate_dfas, totality_evidence
 from vty.errors import BadSymbolError
 
 
@@ -50,10 +50,10 @@ class TestConstruction:
 class TestRuns:
     def test_parity_language(self):
         dfa = even_as()
-        assert dfa_run(dfa, "") == "ACCEPT"
-        assert dfa_run(dfa, "a") == "REJECT"
-        assert dfa_run(dfa, "aa") == "ACCEPT"
-        assert dfa_run(dfa, "aaa") == "REJECT"
+        assert dfa_run_trace(dfa, "")[0] == "ACCEPT"
+        assert dfa_run_trace(dfa, "a")[0] == "REJECT"
+        assert dfa_run_trace(dfa, "aa")[0] == "ACCEPT"
+        assert dfa_run_trace(dfa, "aaa")[0] == "REJECT"
 
     def test_steps_equal_word_length(self):
         dfa = even_as()
@@ -63,7 +63,7 @@ class TestRuns:
 
     def test_bad_symbol_is_located(self):
         with pytest.raises(BadSymbolError) as err:
-            dfa_run(even_as(), "aba")
+            dfa_run_trace(even_as(), "aba")
         assert "b" in str(err.value)
         assert "1" in str(err.value)
 

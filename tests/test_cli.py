@@ -20,7 +20,7 @@ import vty.cli
 from vty.cli import _UsageError, _direct_parse, build_parser, main
 from vty.formulas import MAX_NESTING, formula_key, parse_formula
 from vty.machines import DEFAULT_STEP_CAP, encode_machine, parse_machine
-from vty.manifest import BOUND_NAMES, Bounds, load_manifest, save_manifest
+from vty.manifest import BOUND_NAMES, Bounds, load_manifest
 from vty.varieties import FormulaMap
 
 from oracle_tools import oracle_report_json
@@ -356,7 +356,8 @@ class TestReports:
                      *(PACKAGED / name for name in PREVARIETY_MANIFESTS)):
             manifest = load_manifest(path)
             bounds = dataclasses.replace(manifest.bounds, **override)
-            save_manifest(dataclasses.replace(manifest, bounds=bounds), rewritten)
+            rewritten.write_text(dataclasses.replace(manifest, bounds=bounds).to_text(),
+                                 encoding="utf-8")
             for argv in (["closure", "--calculus", manifest.calculi[0].calculus_id],
                          ["check-prevariety"], ["check-variety", "--depth", "2"],
                          ["consistency"]):

@@ -19,8 +19,6 @@ from vty.manifest import (
     RuleDef,
     load_manifest,
     parse_manifest,
-    registry_manifest,
-    save_manifest,
 )
 from vty.projection import (
     AxiomDeclaration,
@@ -32,7 +30,7 @@ from vty.projection import (
     UNKNOWN,
     VIOLATED,
 )
-from vty.seed import seed_axiom_declarations, seed_registry, seed_theorems
+from vty.seed import seed_axiom_declarations, seed_registry
 from vty.varieties import Component, FormulaMap, check_prevariety, check_variety
 
 from oracle_tools import oracle_scan_string, oracle_tokenize_line
@@ -257,7 +255,7 @@ class TestCanonicalText:
     def test_save_and_load_round_trip(self, tmp_path):
         manifest = parse_manifest(MINIMAL)
         target = tmp_path / "world.vty"
-        save_manifest(manifest, target)
+        target.write_text(manifest.to_text(), encoding="utf-8")
         assert load_manifest(target).to_text() == manifest.to_text()
 
     def test_strings_are_escaped(self):
@@ -751,7 +749,7 @@ class TestLineLexer:
 class TestStringsStaySingleLine:
     @pytest.mark.parametrize("text", ["two\nlines", "carriage\rreturn", "crlf\r\n"])
     def test_registry_statement_with_a_line_break_is_refused(self, text):
-        manifest = registry_manifest([], [], {"AX": AxiomDeclaration("AX", text)})
+        manifest = Manifest(axiom_decls=(AxiomDeclaration("AX", text),))
         with pytest.raises(ValueError) as err:
             manifest.to_text()
         assert str(err.value).startswith(f"statement {text!r} spans lines")
@@ -784,13 +782,6 @@ class TestRequiredEntries:
 
 
 class TestSeedRegistryManifest:
-    def test_packaged_file_matches_the_seed_objects(self, data_dir):
-        generated = registry_manifest(
-            seed_registry(), seed_theorems(), seed_axiom_declarations(),
-        )
-        packaged = (data_dir / "seed_registry.vty").read_text()
-        assert generated.to_text() == packaged
-
     def test_each_call_builds_fresh_objects(self):
         # a ClassProfile's statuses are a mutable dict, so no call may hand
         # out what an earlier call returned
