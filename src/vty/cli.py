@@ -93,10 +93,11 @@ def _int_arg(what: str, minimum: int):
     return parse
 
 
-def _int_list_arg(what: str, items: str, minimum: int):
+def _int_list_arg(what: str, items: str, minimum: int, *, distinct: bool = False):
     """An argparse type for a nonempty list of comma-separated ints of at
-    least `minimum`; the list is named `what` when it does not parse or is
-    empty, its entries `items` when one is below `minimum`."""
+    least `minimum`, with no value twice if `distinct`; the list is named
+    `what` when it does not parse or is empty, its entries `items` when one
+    is below `minimum` or repeats."""
 
     def parse(text: str) -> tuple[int, ...]:
         try:
@@ -106,6 +107,8 @@ def _int_list_arg(what: str, items: str, minimum: int):
         if not values:
             raise argparse.ArgumentTypeError(f"empty {what} {text!r}")
         _at_least(minimum, items, min(values))
+        if distinct and len(set(values)) != len(values):
+            raise argparse.ArgumentTypeError(f"{items} must be distinct")
         return values
 
     return parse
@@ -357,7 +360,8 @@ _COMMANDS = {
                 _arg("--y", type=_int_arg("y", 0), required=True, help="target output"),
                 _arg("--max-instructions", type=_int_arg("max-instructions", 0), default=3),
                 _arg("--max-registers", type=_int_arg("max-registers", 1), default=1),
-                _arg("--inputs", type=_int_list_arg("input list", "inputs", 0), default=(0,)),
+                _arg("--inputs", type=_int_list_arg("input list", "inputs", 0, distinct=True),
+                     default=(0,)),
                 _arg("--fuel", type=_int_arg("fuel", 1), default=50),
             )),
             ("recognize", "dovetail one machine", (

@@ -389,6 +389,8 @@ class WorldBounds:
             raise ValueError("bounds must be positive")
         if not self.inputs:
             raise ValueError("the world needs at least one input")
+        if len(set(self.inputs)) != len(self.inputs):
+            raise ValueError("the world's inputs must be distinct")
 
 
 def _instruction_options(registers: int, length: int) -> list[Instruction]:

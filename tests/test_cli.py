@@ -634,6 +634,9 @@ class TestOutputControls:
              "fixed-output", "argument --y: invalid int value: 'x'"),
             (["fixed-output", "brute", "--y", "1", "--inputs", "0,-1"],
              "fixed-output", "argument --inputs: inputs must be nonnegative"),
+            # a repeated input would repeat its hits and count its runs twice
+            (["fixed-output", "brute", "--y", "1", "--inputs", "1,0,1"],
+             "fixed-output", "argument --inputs: inputs must be distinct"),
             (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1",
               "--schedule", "0,8"],
              "fixed-output", "argument --schedule: fuel values must be positive"),

@@ -448,6 +448,8 @@ class TestWorldEnumeration:
             WorldBounds(1, 1, (), 5)
         with pytest.raises(ValueError):
             WorldBounds(1, 1, (0,), 0)
+        with pytest.raises(ValueError, match="distinct"):
+            WorldBounds(1, 1, (0, 2, 0), 5)
 
     # the cap arithmetic counts what the enumerator yields: every world of
     # at most 10 000 machines in the table below is enumerated in full
