@@ -13,7 +13,9 @@ the output is register 0 at the halt. Running costs one fuel unit per
 executed instruction; reaching the halt address or a HALT instruction
 costs nothing. ``run_machine`` runs a machine and ``universal_run_stats``
 a program code through one step loop, which also sums the fetch charge
-of the universal machine's unchanged micro-cost model.
+of the universal machine's unchanged micro-cost model. A machine
+compiles its program as it validates it, into one integer row per
+address, and the loop dispatches on each row's opcode.
 
 Text format, bit for bit, one instruction per line with single spaces
 and 0-based decimal addresses::
@@ -40,8 +42,8 @@ one for the empty program.
 
 ``INSTRUCTIONS`` is the one place that defines the instruction set: an
 opcode is an index into it, a kind's operands are its fields in order,
-the register first. Text, codes, enumeration, counts, random draws and
-validation read it; only the step loop names each kind's fields.
+the register first. Text, codes, enumeration, counts, random draws,
+validation and the compiled rows read it; the step loop reads only rows.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import ClassVar, Iterator, Sequence
 
@@ -86,11 +88,13 @@ class Halt:
 Instruction = Inc | DecJz | Halt
 
 INSTRUCTIONS = (Inc, DecJz, Halt)
+_INC, _HALT = INSTRUCTIONS.index(Inc), INSTRUCTIONS.index(Halt)
 _OPERAND_NAMES = {kind: tuple(f.name for f in fields(kind)) for kind in INSTRUCTIONS}
 _BY_WORD = {kind.word: kind for kind in INSTRUCTIONS}
-# the register and the target fields of each kind with operands, split once for validation
-_REGISTER_AND_TARGETS = {kind: (names[0], names[1:])
-                         for kind, names in _OPERAND_NAMES.items() if names}
+# the opcode of each kind with operands, and a getter of its register, first
+# target and last target, for validation and compiling
+_OPERANDS = {kind: (INSTRUCTIONS.index(kind), attrgetter(names[0], names[1], names[-1]))
+             for kind, names in _OPERAND_NAMES.items() if names}
 # each kind's text line, e.g. "%s %d %d" % (word, register, target) for INC
 _TEXT = {kind: (" ".join(["%s", *["%d"] * len(names)]), attrgetter("word", *names))
          for kind, names in _OPERAND_NAMES.items()}
@@ -102,29 +106,40 @@ def _operand_sizes(kind: type, registers: int, length: int) -> list[int]:
     return [registers] + [length + 1] * targets if targets >= 0 else []
 
 
+# the compiled row of HALT, also the row at the halt address
+_HALT_ROW = (_HALT, 0, 0, 0)
+
+
 @dataclass(frozen=True)
 class RegisterMachine:
     registers: int
     program: tuple[Instruction, ...]
+    # one (opcode, register, target, target) row per address up to the halt
+    # address: INC repeats its target, DECJZ has its zero target first
+    _rows: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.registers < 1:
             raise ValueError("a machine needs at least register 0")
         halt_address = len(self.program)
+        rows = []
         for address, instr in enumerate(self.program):
-            operands = _REGISTER_AND_TARGETS.get(type(instr))
-            if operands is None:
+            compiled = _OPERANDS.get(type(instr))
+            if compiled is None:
                 if type(instr) is not Halt:
                     raise ValueError(f"instruction {address} is not an instruction")
+                rows.append(_HALT_ROW)
                 continue
-            register, targets = operands
-            used = getattr(instr, register)
-            if not 0 <= used < self.registers:
-                raise ValueError(f"instruction {address} uses register {used}")
-            for name in targets:
-                target = getattr(instr, name)
+            opcode, operands = compiled
+            register, first, last = operands(instr)
+            if not 0 <= register < self.registers:
+                raise ValueError(f"instruction {address} uses register {register}")
+            for target in first, last:
                 if not 0 <= target <= halt_address:
                     raise ValueError(f"instruction {address} jumps to {target}")
+            rows.append((opcode, register, first, last))
+        rows.append(_HALT_ROW)
+        object.__setattr__(self, "_rows", tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -151,36 +166,56 @@ def _check_run(input_value: int, fuel: int) -> None:
         raise ValueError("fuel must be nonnegative")
 
 
-_HALT = Halt()
-
-
 def _step_loop(
     machine: RegisterMachine, input_value: int, fuel: int, log: list | None
 ) -> tuple[Trace, int]:
     """The one step loop, for both interpreters: the trace, and the fetch
     charge of ``universal_run_stats``, pc + 3 for every instruction fetched
-    (the fetch that finds HALT or runs out of fuel included)."""
+    (the fetch that finds HALT or runs out of fuel included).
+
+    A run that records no log looks for a repeated state, (pc, registers),
+    with Brent's cycle finding: after each step it compares the state with
+    one saved at the last power-of-two distance. A repeat means the run
+    loops until its fuel runs out, so the loop adds the steps and the
+    address sums of the whole periods left at once; the trace and the
+    charge are those of running every step.
+    """
     registers = [0] * machine.registers
     registers[0] = input_value
-    # a HALT at the halt address, so that one test stops the run at either
-    program = machine.program + (_HALT,)
+    rows = machine._rows
     pc = steps = pcs = 0  # pcs sums the addresses of the executed instructions
-    while not isinstance(instr := program[pc], Halt) and steps != fuel:
+    # the saved state, its step count and address sum, and the distance at
+    # which it is saved next; a saved pc of -1 never matches
+    saved_pc, saved_registers, saved_steps, saved_pcs = pc, registers[:], 0, 0
+    distance = 1
+    if log is not None:
+        saved_pc = distance = -1
+    opcode, register, target, if_positive = rows[0]
+    while opcode != _HALT and steps < fuel:
         pcs += pc
         if log is not None:
             log.append((pc, tuple(registers)))
         steps += 1
-        if isinstance(instr, Inc):
-            registers[instr.register] += 1
-            pc = instr.target
-        elif registers[instr.register] == 0:
-            pc = instr.target_if_zero
+        if opcode == _INC:
+            registers[register] += 1
+            pc = target
+        elif registers[register]:
+            registers[register] -= 1
+            pc = if_positive
         else:
-            registers[instr.register] -= 1
-            pc = instr.target_if_positive
+            pc = target
+        if pc == saved_pc and registers == saved_registers:
+            period = steps - saved_steps
+            periods = (fuel - steps) // period
+            steps, pcs = steps + periods * period, pcs + periods * (pcs - saved_pcs)
+            saved_pc = distance = -1
+        elif steps - saved_steps == distance:
+            saved_pc, saved_registers, saved_steps, saved_pcs = pc, registers[:], steps, pcs
+            distance *= 2
+        opcode, register, target, if_positive = rows[pc]
     charge = pcs + 3 * steps + (0 if pc == len(machine.program) else pc + 3)
     logged = None if log is None else tuple(log)
-    if isinstance(instr, Halt):
+    if opcode == _HALT:
         return Trace(HALTED, registers[0], steps, logged), charge
     return Trace(OUT_OF_FUEL, None, steps, logged), charge
 
@@ -419,6 +454,32 @@ def enumerate_machines(max_instructions: int, max_registers: int) -> Iterator[Re
             yield RegisterMachine(max_registers, combo)
 
 
+def _slot_classes(jumps: Sequence[frozenset[int]], length: int) -> Iterator[list[Sequence[int]]]:
+    """The machines of one length, in classes that run alike on every input.
+
+    A run from slot 0 reads only the slots that the jumps of the slots it
+    reads lead to, so the slots reachable from slot 0 decide every run.
+    `jumps[i]` holds the slots below `length` that option i jumps to. Each
+    class is given as the option indices that each slot may hold: one for
+    a reachable slot, every option for the others. The lowest reachable
+    slot not yet filled is filled next, so each class is made once.
+    """
+    every = range(len(jumps))
+    filled: dict[int, int] = {}
+
+    def fill(pending: frozenset[int]) -> Iterator[list[Sequence[int]]]:
+        if not pending:
+            yield [(filled[slot],) if slot in filled else every for slot in range(length)]
+            return
+        slot = min(pending)
+        for index, targets in enumerate(jumps):
+            filled[slot] = index
+            yield from fill(pending.union(targets).difference(filled))
+        del filled[slot]
+
+    return fill(frozenset({0} if length else ()))
+
+
 def _check_steps(steps: int) -> None:
     if steps > DEFAULT_STEP_CAP:
         raise StepCapExceededError(steps, DEFAULT_STEP_CAP)
@@ -447,7 +508,10 @@ def fixed_output_brute(
     The run count is computed up front, length by length; a world larger
     than the cap is refused rather than sampled, as soon as the lengths
     counted so far pass the cap. A world within it whose runs times fuel
-    pass ``DEFAULT_STEP_CAP`` is refused too.
+    pass ``DEFAULT_STEP_CAP`` is refused too. ``runs`` counts the world's
+    (machine, input) pairs; the search runs one machine of each class of
+    ``_slot_classes`` per input, and a class that halts on the target
+    stands for every machine in it.
     """
     runs = 0
     for length, count in enumerate(
@@ -459,13 +523,27 @@ def fixed_output_brute(
                 runs, enumeration_cap, at_least=length < bounds.max_instructions
             )
     _check_steps(runs * bounds.fuel)
-    inputs = tuple(sorted(bounds.inputs))
+    inputs = sorted(bounds.inputs)
+    registers = bounds.max_registers
     hits: list[OutputHit] = []
-    for machine in enumerate_machines(bounds.max_instructions, bounds.max_registers):
-        for input_value in inputs:
-            trace = run_machine(machine, input_value, bounds.fuel)
-            if trace.outcome == HALTED and trace.output == target:
-                hits.append(OutputHit(machine, input_value, trace.steps))
+    for length in range(bounds.max_instructions + 1):
+        options = _instruction_options(registers, length)
+        # the operands after the register are the targets
+        jumps = [frozenset(getattr(option, name) for name in _OPERAND_NAMES[type(option)][1:])
+                 - {length} for option in options]
+        # option indices of each machine that hits -> its (input, steps), by input
+        found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for choices in _slot_classes(jumps, length):
+            machine = RegisterMachine(registers, tuple(options[c[0]] for c in choices))
+            for input_value in inputs:
+                trace = run_machine(machine, input_value, bounds.fuel)
+                if trace.outcome == HALTED and trace.output == target:
+                    for key in itertools.product(*choices):
+                        found.setdefault(key, []).append((input_value, trace.steps))
+        # sorted keys are the order of enumerate_machines
+        for key in sorted(found):
+            machine = RegisterMachine(registers, tuple(options[i] for i in key))
+            hits.extend(OutputHit(machine, value, steps) for value, steps in found[key])
     return BruteResult(bounds, target, runs, tuple(hits))
 
 

@@ -47,11 +47,16 @@ from vty.lex import LexError, Token
 from vty.machines import (
     HALTED,
     OUT_OF_FUEL,
+    BruteResult,
     Halt,
     Inc,
+    OutputHit,
     Trace,
+    WorldBounds,
     decode_instruction,
     decode_machine,
+    enumerate_machines,
+    run_machine,
     unpair,
 )
 from vty.semantics import DEFAULT_ATOM_CAP, check_consistency, collect_atoms
@@ -419,6 +424,24 @@ def mini_run(text: str, input_value: int, fuel: int) -> tuple[str, int | None, i
             else:
                 registers[op[1]] = value - 1
                 pc = op[3]
+
+
+def oracle_fixed_output_brute(bounds: WorldBounds, target: int) -> BruteResult:
+    """Run every machine of the world on every input, in enumeration order.
+
+    The plain search ``fixed_output_brute`` replaced, without its caps:
+    ``runs`` counts the runs made, and the hits come in the order of
+    ``enumerate_machines``, then by input.
+    """
+    runs = 0
+    hits: list[OutputHit] = []
+    for machine in enumerate_machines(bounds.max_instructions, bounds.max_registers):
+        for input_value in sorted(bounds.inputs):
+            runs += 1
+            trace = run_machine(machine, input_value, bounds.fuel)
+            if trace.outcome == HALTED and trace.output == target:
+                hits.append(OutputHit(machine, input_value, trace.steps))
+    return BruteResult(bounds, target, runs, tuple(hits))
 
 
 def oracle_walk_universal_run(

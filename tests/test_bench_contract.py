@@ -155,15 +155,39 @@ def test_universal_run_makes_no_direct_runs(monkeypatch):
     assert calls == ["universal_run_stats"]
 
 
-def test_brute_search_makes_one_direct_run_per_run(monkeypatch):
-    # `machines.run_machine.calls` on the world9438 baseline is a count metric
+def reachable_slots(program) -> set[int]:
+    """The slots of `program` that a run from slot 0 can read."""
+    from vty.machines import DecJz, Inc
+
+    seen: set[int] = set()
+    todo = [0]
+    while todo:
+        slot = todo.pop()
+        if slot < len(program) and slot not in seen:
+            seen.add(slot)
+            instr = program[slot]
+            if isinstance(instr, Inc):
+                todo.append(instr.target)
+            elif isinstance(instr, DecJz):
+                todo += [instr.target_if_zero, instr.target_if_positive]
+    return seen
+
+
+def test_brute_search_makes_one_direct_run_per_class_and_input(monkeypatch):
+    # `machines.run_machine.calls` on the world9438 baseline is a count metric;
+    # machines that agree on the slots a run can read run alike, so brute
+    # force runs one machine of each such class on each input
     import vty.machines
 
+    classes = {(len(m.program), tuple((slot, m.program[slot])
+                                      for slot in sorted(reachable_slots(m.program))))
+               for m in vty.machines.enumerate_machines(2, 1)}
+    assert (len(classes), vty.machines.count_machines(2, 1)) == (93, 177)
     calls = count_calls(monkeypatch, vty.machines, ("run_machine", "universal_run_stats"))
     bounds = vty.machines.WorldBounds(2, 1, (0, 1, 2), 20)
     result = vty.machines.fixed_output_brute(bounds, 2)
     assert result.runs == 3 * vty.machines.count_machines(2, 1)
-    assert calls == ["run_machine"] * result.runs
+    assert calls == ["run_machine"] * (3 * len(classes))
 
 
 def test_benchmark_unit_suite_passes():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +38,7 @@ from vty.machines import (
 
 from vty.machines import _instruction_options
 
-from oracle_tools import mini_run, oracle_walk_universal_run
+from oracle_tools import mini_run, oracle_fixed_output_brute, oracle_walk_universal_run
 
 
 def machine(*program):
@@ -153,6 +154,54 @@ class TestRunner:
             elif trace.outcome == "HALT":
                 assert nxt == len(m.program) or isinstance(m.program[nxt], Halt)
                 assert trace.output == after[0]
+
+
+# programs that enter a loop: (text, input, period of the loop)
+CYCLING = [
+    ("DECJZ 0 0 0", 0, 1),
+    ("INC 0 1\nDECJZ 0 0 0", 3, 2),
+    # counts register 0 down, then loops through slots 1, 2 and 3
+    ("DECJZ 0 1 0\nINC 1 2\nDECJZ 1 3 3\nDECJZ 0 1 1", 5, 3),
+]
+
+
+class TestCycleSkip:
+    """A run that repeats a state skips its remaining whole periods."""
+
+    @pytest.mark.parametrize("text, input_value", [("DECJZ 0 0 0", 0),
+                                                   ("INC 0 1\nDECJZ 0 0 0", 3)])
+    def test_a_billion_steps_of_a_loop_take_under_a_second(self, text, input_value):
+        start = time.monotonic()
+        trace = run_machine(parse_machine(text), input_value, 10**9)
+        assert time.monotonic() - start < 1.0
+        assert (trace.outcome, trace.output, trace.steps) == ("OUT_OF_FUEL", None, 10**9)
+
+    @pytest.mark.parametrize("text, input_value", [case[:2] for case in CYCLING])
+    @pytest.mark.parametrize("fuel", [1, 2, 7, 64, 1000, 1001, 4999])
+    def test_charges_equal_the_list_walker(self, text, input_value, fuel):
+        code = encode_machine(parse_machine(text))
+        assert universal_run_stats(code, input_value, fuel) == oracle_walk_universal_run(
+            code, input_value, fuel)
+        assert mini_run(text, input_value, fuel) == ("OUT_OF_FUEL", None, fuel)
+
+    @given(seed=st.integers(0, 2**32), input_value=st.integers(0, 5),
+           fuel=st.integers(200, 3000))
+    @settings(max_examples=100, deadline=None)
+    def test_long_runs_of_random_machines_equal_the_list_walker(self, seed, input_value, fuel):
+        code = encode_machine(random_machine(random.Random(seed), 4, 2))
+        assert universal_run_stats(code, input_value, fuel) == oracle_walk_universal_run(
+            code, input_value, fuel)
+
+    @pytest.mark.parametrize("text, input_value, period", CYCLING)
+    def test_record_log_logs_every_step(self, text, input_value, period):
+        m = parse_machine(text)
+        trace = run_machine(m, input_value, 500, record_log=True)
+        assert (trace.outcome, trace.steps, len(trace.log)) == ("OUT_OF_FUEL", 500, 500)
+        assert trace.log[0] == (0, (input_value,) + (0,) * (m.registers - 1))
+        # the tail repeats with the loop's period
+        assert trace.log[-period:] == trace.log[-2 * period:-period]
+        assert run_machine(m, input_value, 500) == Trace("OUT_OF_FUEL", None, 500)
+
 
 class TestMachineValidation:
     def test_register_bound(self):
@@ -531,6 +580,29 @@ class TestFixedOutputBrute:
         monkeypatch.setattr(vty.machines, "DEFAULT_STEP_CAP", 1)
         with pytest.raises(EnumerationCapExceededError):
             fixed_output_brute(self.tiny_world(), 1, enumeration_cap=7)
+
+    @given(
+        instructions=st.integers(0, 3),
+        registers=st.integers(1, 2),
+        fuel=st.integers(1, 64),
+        inputs=st.lists(st.integers(1, 6), unique=True, max_size=2).flatmap(
+            lambda others: st.permutations([0, *others])),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_plain_search(self, instructions, registers, fuel, inputs):
+        # every target that occurs, and one that does not, in worlds within the cap
+        cap = 20_000
+        bounds = WorldBounds(instructions, registers, tuple(inputs), fuel)
+        if count_machines(instructions, registers) * len(inputs) > cap:
+            with pytest.raises(EnumerationCapExceededError):
+                fixed_output_brute(bounds, 0, enumeration_cap=cap)
+            return
+        outputs = {run_machine(m, value, fuel).output
+                   for m in enumerate_machines(instructions, registers) for value in inputs}
+        outputs.discard(None)
+        for target in sorted(outputs) + [max(outputs) + 1]:
+            result = fixed_output_brute(bounds, target, enumeration_cap=cap)
+            assert result == oracle_fixed_output_brute(bounds, target)
 
     @pytest.mark.parametrize("instructions,registers", [(0, 1), (1, 2), (3, 1)])
     def test_runs_under_the_cap_are_the_world_size(self, instructions, registers):
