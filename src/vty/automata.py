@@ -82,30 +82,32 @@ def _words(alphabet: tuple[str, ...], max_length: int) -> Iterator[str]:
             yield "".join(combo)
 
 
-def totality_evidence(
-    max_states: int = 2, alphabet: tuple[str, ...] = ("a",), max_word_length: int = 4
-) -> dict:
+# the automata and words of the exhaustive check
+_EVIDENCE_STATES, _EVIDENCE_ALPHABET, _EVIDENCE_WORD_LENGTH = 2, ("a",), 4
+
+
+def totality_evidence() -> dict:
     """Exhaustive check: every run ends and consumes exactly |word| steps.
 
     A run counts once ``dfa_run_trace`` returns, so every run terminated
     when the count reaches automata x the census of words up to the
     length bound.
     """
-    words = sum(len(alphabet) ** length for length in range(max_word_length + 1))
+    words = sum(len(_EVIDENCE_ALPHABET) ** length for length in range(_EVIDENCE_WORD_LENGTH + 1))
     automata = 0
     runs = 0
     exact = True
-    for dfa in enumerate_dfas(max_states, alphabet):
+    for dfa in enumerate_dfas(_EVIDENCE_STATES, _EVIDENCE_ALPHABET):
         automata += 1
-        for word in _words(alphabet, max_word_length):
+        for word in _words(_EVIDENCE_ALPHABET, _EVIDENCE_WORD_LENGTH):
             _, steps = dfa_run_trace(dfa, word)
             runs += 1
             if steps != len(word):
                 exact = False
     return {
-        "max_states": max_states,
-        "alphabet": list(alphabet),
-        "max_word_length": max_word_length,
+        "max_states": _EVIDENCE_STATES,
+        "alphabet": list(_EVIDENCE_ALPHABET),
+        "max_word_length": _EVIDENCE_WORD_LENGTH,
         "automata": automata,
         "runs": runs,
         "all_terminated": runs == automata * words,

@@ -643,11 +643,11 @@ def base_calculus(name: str, *, closure_depth: int = 3) -> Calculus:
     raise ValueError(f"unknown calculus preset {name!r}; choose from {PRESET_NAMES}")
 
 
-def with_axioms(base: Calculus, axioms: Iterable[Formula], *, calculus_id: str | None = None) -> Calculus:
+def with_axioms(base: Calculus, axioms: Iterable[Formula]) -> Calculus:
     """The base calculus extended with extra instance axioms."""
     merged = frozenset(base.axioms) | frozenset(axioms)
     return Calculus(
-        calculus_id or base.calculus_id,
+        base.calculus_id,
         axioms=merged,
         schemas=base.schemas,
         rules=base.rules,

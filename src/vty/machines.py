@@ -147,15 +147,12 @@ class Trace:
     outcome: str  # HALT or OUT_OF_FUEL
     output: int | None
     steps: int
-    log: tuple[tuple[int, tuple[int, ...]], ...] | None = None
 
 
-def run_machine(
-    machine: RegisterMachine, input_value: int, fuel: int, *, record_log: bool = False
-) -> Trace:
+def run_machine(machine: RegisterMachine, input_value: int, fuel: int) -> Trace:
     """Small-step run. Deterministic: equal arguments give equal traces."""
     _check_run(input_value, fuel)
-    trace, _ = _step_loop(machine, input_value, fuel, [] if record_log else None)
+    trace, _ = _step_loop(machine, input_value, fuel)
     return trace
 
 
@@ -166,15 +163,13 @@ def _check_run(input_value: int, fuel: int) -> None:
         raise ValueError("fuel must be nonnegative")
 
 
-def _step_loop(
-    machine: RegisterMachine, input_value: int, fuel: int, log: list | None
-) -> tuple[Trace, int]:
+def _step_loop(machine: RegisterMachine, input_value: int, fuel: int) -> tuple[Trace, int]:
     """The one step loop, for both interpreters: the trace, and the fetch
     charge of ``universal_run_stats``, pc + 3 for every instruction fetched
     (the fetch that finds HALT or runs out of fuel included).
 
-    A run that records no log looks for a repeated state, (pc, registers),
-    with Brent's cycle finding: after each step it compares the state with
+    The loop looks for a repeated state, (pc, registers), with Brent's
+    cycle finding: after each step it compares the state with
     one saved at the last power-of-two distance. A repeat means the run
     loops until its fuel runs out, so the loop adds the steps and the
     address sums of the whole periods left at once; the trace and the
@@ -188,13 +183,9 @@ def _step_loop(
     # which it is saved next; a saved pc of -1 never matches
     saved_pc, saved_registers, saved_steps, saved_pcs = pc, registers[:], 0, 0
     distance = 1
-    if log is not None:
-        saved_pc = distance = -1
     opcode, register, target, if_positive = rows[0]
     while opcode != _HALT and steps < fuel:
         pcs += pc
-        if log is not None:
-            log.append((pc, tuple(registers)))
         steps += 1
         if opcode == _INC:
             registers[register] += 1
@@ -214,10 +205,9 @@ def _step_loop(
             distance *= 2
         opcode, register, target, if_positive = rows[pc]
     charge = pcs + 3 * steps + (0 if pc == len(machine.program) else pc + 3)
-    logged = None if log is None else tuple(log)
     if opcode == _HALT:
-        return Trace(HALTED, registers[0], steps, logged), charge
-    return Trace(OUT_OF_FUEL, None, steps, logged), charge
+        return Trace(HALTED, registers[0], steps), charge
+    return Trace(OUT_OF_FUEL, None, steps), charge
 
 
 # --- text format ------------------------------------------------------------
@@ -348,7 +338,7 @@ def universal_run_stats(program_code: int, input_value: int, fuel: int) -> tuple
     """
     _check_run(input_value, fuel)
     loaded = decode_machine(program_code)
-    trace, charge = _step_loop(loaded, input_value, fuel, None)
+    trace, charge = _step_loop(loaded, input_value, fuel)
     return trace, 3 * len(loaded.program) + charge
 
 
@@ -363,15 +353,11 @@ def random_machine(
     return RegisterMachine(max_registers, tuple(program))
 
 
-def universality_evidence(
-    samples: int = 100,
-    seed: int = 20260817,
-    *,
-    max_instructions: int = 6,
-    max_registers: int = 3,
-    max_input: int = 20,
-    fuel: int = 200,
-) -> dict:
+# the machines, inputs and fuel of the differential suite
+_EVIDENCE_INSTRUCTIONS, _EVIDENCE_REGISTERS, _EVIDENCE_MAX_INPUT, _EVIDENCE_FUEL = 6, 3, 20, 200
+
+
+def universality_evidence(samples: int = 100, seed: int = 20260817) -> dict:
     """Differential suite: the code interpreter against the direct one.
 
     Agreement is exact on outcome, output, and step count; both run one
@@ -385,11 +371,11 @@ def universality_evidence(
     micro_total = 0
     steps_total = 0
     for _ in range(samples):
-        machine = random_machine(rng, max_instructions, max_registers)
+        machine = random_machine(rng, _EVIDENCE_INSTRUCTIONS, _EVIDENCE_REGISTERS)
         code = encode_machine(machine)
-        input_value = rng.randint(0, max_input)
-        direct = run_machine(machine, input_value, fuel)
-        simulated, micro = universal_run_stats(code, input_value, fuel)
+        input_value = rng.randint(0, _EVIDENCE_MAX_INPUT)
+        direct = run_machine(machine, input_value, _EVIDENCE_FUEL)
+        simulated, micro = universal_run_stats(code, input_value, _EVIDENCE_FUEL)
         if (direct.outcome, direct.output, direct.steps) == (
             simulated.outcome, simulated.output, simulated.steps
         ):
@@ -402,7 +388,7 @@ def universality_evidence(
         "seed": seed,
         "agreements": agreements,
         "all_agree": agreements == samples,
-        "fuel": fuel,
+        "fuel": _EVIDENCE_FUEL,
         "mean_overhead_factor": factor,
     }
 

@@ -280,8 +280,8 @@ class Manifest:
     def rule_object(self, name: str, ref_line: int = 0) -> InferenceRule:
         return self._get(self._table(), "rules", name, "rule", ref_line)
 
-    def calculus(self, calculus_id: str, ref_line: int = 0) -> Calculus:
-        return self._get(self._table(), "calculi", calculus_id, "calculus", ref_line)
+    def calculus(self, calculus_id: str) -> Calculus:
+        return self._get(self._table(), "calculi", calculus_id, "calculus", 0)
 
     def component(self, component_id: str, ref_line: int = 0) -> Component:
         return self._get(self._table(), "components", component_id, "component", ref_line)

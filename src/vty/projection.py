@@ -213,7 +213,6 @@ def classify_relation(
     depth: int = 3,
     *,
     atom_cap: int = DEFAULT_ATOM_CAP,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> RelationReport:
     """Consistency, bounded sufficiency, and exact subset irreducibility.
@@ -233,8 +232,7 @@ def classify_relation(
             "YES" if consistent else "NO", "UNKNOWN", "UNKNOWN",
             depth, base_calc.calculus_id, entailed,
         )
-    if len(axiom_list) > subset_cap:
-        raise SubsetCapExceededError(len(axiom_list), subset_cap)
+    _check_subset_cap(axiom_list)
     smaller = next(_minimal_sufficient_subsets(
         axiom_list, goal, base_calc, depth, size_cap, len(axiom_list) - 1
     ), None)
@@ -253,7 +251,6 @@ def minimal_axiom_subsets(
     base: Calculus | str = "hilbert",
     depth: int = 3,
     *,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> tuple[frozenset[Formula], ...]:
     """All minimal sufficient subsets at the depth bound, as an antichain.
@@ -267,11 +264,15 @@ def minimal_axiom_subsets(
     searching subset by subset.
     """
     axiom_list = sorted(set(axioms), key=formula_key)
-    if len(axiom_list) > subset_cap:
-        raise SubsetCapExceededError(len(axiom_list), subset_cap)
+    _check_subset_cap(axiom_list)
     return tuple(frozenset(combo) for combo in _minimal_sufficient_subsets(
         axiom_list, goal, _resolve_base(base), depth, size_cap, len(axiom_list)
     ))
+
+
+def _check_subset_cap(axiom_list: Sequence[Formula]) -> None:
+    if len(axiom_list) > DEFAULT_SUBSET_CAP:
+        raise SubsetCapExceededError(len(axiom_list), DEFAULT_SUBSET_CAP)
 
 
 def _minimal_sufficient_subsets(

@@ -78,13 +78,8 @@ class FormulaMap:
         return cls(map_id, renaming=())
 
     @classmethod
-    def renaming_map(
-        cls, map_id: str, mapping: Mapping[str, str],
-        domain: Iterable[Formula] | None = None,
-    ) -> FormulaMap:
-        pairs = tuple(sorted(mapping.items()))
-        dom = frozenset(domain) if domain is not None else None
-        return cls(map_id, renaming=pairs, domain=dom)
+    def renaming_map(cls, map_id: str, mapping: Mapping[str, str]) -> FormulaMap:
+        return cls(map_id, renaming=tuple(sorted(mapping.items())))
 
     @classmethod
     def table_map(
@@ -635,7 +630,6 @@ def consistency_report(
     *,
     atom_cap: int = DEFAULT_ATOM_CAP,
     size_cap: int = DEFAULT_SIZE_CAP,
-    subset_cap: int = DEFAULT_COMPONENT_SUBSET_CAP,
 ) -> KnowledgeConsistencyReport:
     """Per-component and global satisfiability, with minimal bad subsets.
 
@@ -685,8 +679,9 @@ def consistency_report(
     candidates = itertools.chain.from_iterable(
         itertools.combinations(range(len(rows)), width) for width in range(2, len(rows) + 1))
     for examined, combo in enumerate(candidates, start=1):
-        if examined > subset_cap:
-            notes.append(f"subset search truncated after {subset_cap} candidates")
+        if examined > DEFAULT_COMPONENT_SUBSET_CAP:
+            notes.append(
+                f"subset search truncated after {DEFAULT_COMPONENT_SUBSET_CAP} candidates")
             break
         if any(set(found) <= set(combo) for found in minimal):
             continue

@@ -102,8 +102,11 @@ class TestTotalityEvidence:
             "steps_equal_word_length": True,
         }
 
-    def test_word_census_drives_the_run_count(self):
-        evidence = totality_evidence(max_states=1, alphabet=("a", "b"), max_word_length=2)
+    def test_word_census_drives_the_run_count(self, monkeypatch):
+        monkeypatch.setattr(automata, "_EVIDENCE_STATES", 1)
+        monkeypatch.setattr(automata, "_EVIDENCE_ALPHABET", ("a", "b"))
+        monkeypatch.setattr(automata, "_EVIDENCE_WORD_LENGTH", 2)
+        evidence = totality_evidence()
         # 2 automata x (1 + 2 + 4) words.
         assert evidence["automata"] == 2
         assert evidence["runs"] == 14

@@ -533,8 +533,9 @@ class TestPresets:
             base_calculus("sequent")
 
     def test_with_axioms_merges(self):
-        extended = with_axioms(base_calculus("mp"), [pf("p")], calculus_id="mine")
-        assert extended.calculus_id == "mine"
+        extended = with_axioms(base_calculus("mp"), [pf("p")])
+        assert extended.calculus_id == "mp"
+        assert extended.rules == base_calculus("mp").rules
         assert pf("p") in extended.axioms
 
     def test_theorem_formulas_memoizes_consistently(self):

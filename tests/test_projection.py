@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -466,7 +467,8 @@ class TestLabelledSearchMatchesOracle:
     @settings(max_examples=60, deadline=None)
     def test_up_to_twelve_axioms(self, pool, size, goal, depth, subset_cap):
         axioms = [pf(text) for text in pool[:size]]
-        assert_search_matches_oracle(axioms, goal, "mp", depth, subset_cap=subset_cap)
+        with mock.patch.object(vty.projection, "DEFAULT_SUBSET_CAP", subset_cap):
+            assert_search_matches_oracle(axioms, goal, "mp", depth)
 
     @pytest.mark.parametrize("goal, count", [("e", 11), ("z", 0)])
     def test_twelve_axioms(self, goal, count):

@@ -1,9 +1,11 @@
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vty.varieties
 from vty.calculus import Calculus, base_calculus, with_axioms
 from vty.errors import MapUndefinedError, VtyError
 from vty.formulas import parse_formula
@@ -36,9 +38,8 @@ def fs(*texts):
 
 
 def mp_component(cid, axiom_texts, designated_texts, fmap=None, depth=2):
-    calc = with_axioms(
-        base_calculus("mp", closure_depth=depth),
-        fs(*axiom_texts),
+    calc = dataclasses.replace(
+        with_axioms(base_calculus("mp", closure_depth=depth), fs(*axiom_texts)),
         calculus_id=f"calc_{cid}",
     )
     fmap = fmap or FormulaMap.identity()
@@ -96,7 +97,7 @@ class TestFormulaMap:
             FormulaMap.renaming_map("ren", {"p": "bot"})
 
     def test_domain_restriction_narrows_a_renaming(self):
-        ren = FormulaMap.renaming_map("ren", {"p": "q"}, domain=[pf("p")])
+        ren = FormulaMap("ren", renaming=(("p", "q"),), domain=fs("p"))
         assert ren.over(fs("p", "(not p)")) == ({pf("p"): pf("q")}, (pf("(not p)"),))
         assert not ren.defined_on(pf("(not p)"))
 
@@ -241,9 +242,8 @@ def shared_core_components():
 
 def core_witness(witness_id="W12", **overrides):
     """Tuple (1, 2) covered by a component on the shared core."""
-    calc = with_axioms(
-        base_calculus("mp", closure_depth=2),
-        fs("p", "(-> p q)"),
+    calc = dataclasses.replace(
+        with_axioms(base_calculus("mp", closure_depth=2), fs("p", "(-> p q)")),
         calculus_id="core",
     )
     fields = {
@@ -446,7 +446,8 @@ class TestBijectiveModes:
 
     def test_non_injective_map_is_rejected(self):
         table = FormulaMap.table_map("merge", [(pf("p"), pf("r")), (pf("q"), pf("r"))])
-        calc = with_axioms(base_calculus("empty"), fs("p", "q"), calculus_id="flat")
+        calc = dataclasses.replace(
+            with_axioms(base_calculus("empty"), fs("p", "q")), calculus_id="flat")
         ident = FormulaMap.identity()
         for label, comp in (
             ("axiom map", Component("B2", calc, table, ident, frozenset())),
@@ -461,7 +462,8 @@ class TestBijectiveModes:
 
     def test_injectivity_is_per_component(self):
         shared_target = FormulaMap.renaming_map("collapse", {"q": "p"})
-        calc = with_axioms(base_calculus("empty"), fs("q"), calculus_id="one")
+        calc = dataclasses.replace(
+            with_axioms(base_calculus("empty"), fs("q")), calculus_id="one")
         comp = Component("B3", calc, shared_target, shared_target, frozenset())
         pv = assemble_prevariety([comp, mp_component("B4", ["p"], [])])
         report = check_bijective_variety(pv, "prevariety")
@@ -469,9 +471,8 @@ class TestBijectiveModes:
 
 
 def kb(cid, *axiom_texts):
-    calc = with_axioms(
-        base_calculus("empty", closure_depth=1),
-        fs(*axiom_texts),
+    calc = dataclasses.replace(
+        with_axioms(base_calculus("empty", closure_depth=1), fs(*axiom_texts)),
         calculus_id=f"kb_{cid}",
     )
     return Component(cid, calc, FormulaMap.identity(), FormulaMap.identity(), frozenset())
@@ -512,9 +513,10 @@ class TestKnowledgeConsistency:
         report = consistency_report(pv)
         assert report.minimal_inconsistent_sets == (("K1", "K2"),)
 
-    def test_subset_search_cap_is_reported(self):
+    def test_subset_search_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(vty.varieties, "DEFAULT_COMPONENT_SUBSET_CAP", 2)
         pv = assemble_prevariety([kb(f"K{i}", f"a{i}") for i in range(1, 5)])
-        report = consistency_report(pv, subset_cap=2)
+        report = consistency_report(pv)
         assert any(note == "subset search truncated after 2 candidates" for note in report.notes)
 
     def test_component_rows_count_pooled_formulas(self):
@@ -559,9 +561,10 @@ class TestConsistencyReportMatchesOracle:
             pv = rng.choice(mutations)[2]
         elif union == "empty":
             pv = dataclasses.replace(pv, axioms=frozenset(), theorems=frozenset())
-        caps = {"atom_cap": atom_cap, "subset_cap": subset_cap}
-        assert report_or_error(lambda: consistency_report(pv, **caps)) == report_or_error(
-            lambda: oracle_consistency_report(pv, **caps))
+        with mock.patch.object(vty.varieties, "DEFAULT_COMPONENT_SUBSET_CAP", subset_cap):
+            report = report_or_error(lambda: consistency_report(pv, atom_cap=atom_cap))
+        assert report == report_or_error(lambda: oracle_consistency_report(
+            pv, atom_cap=atom_cap, subset_cap=subset_cap))
 
     @given(seed=st.integers(0, 2 ** 30), atom_cap=st.sampled_from((1, 2, 3, 20)))
     @settings(max_examples=100, deadline=None)
