@@ -627,15 +627,14 @@ class _Entry:
     keyword: str
     field: str
     arg: _Arg | None = None  # None: a flag, the keyword alone sets True
-    once: bool = False       # a second line is an error (else the last one wins)
-    many: bool = False       # the values of every line collect into a tuple
+    many: bool = False       # every line's values collect into a tuple; else one line only
     spread: bool = False     # one line lists any number of values (and they collect)
     sort: bool = False       # written sorted by text, else in the given order
     required: str = ""       # the fault when the block or directive gives no value
     kind: str = ""           # map blocks: the one map kind that takes it
 
     def read(self, values: dict[str, Any], tokens: list[Token]) -> None:
-        if self.once and self.field in values:
+        if not self.many and self.field in values:
             raise LexError(f"{self.keyword} given twice", 0)
         if self.spread:
             items, i = [], 1
@@ -665,7 +664,7 @@ class _Entry:
 
 
 def _ref(keyword: str, field: str) -> _Entry:
-    return _Entry(keyword, field, _word(f"a {keyword} id"), once=True,
+    return _Entry(keyword, field, _word(f"a {keyword} id"),
                   required=f"never names its {keyword}")
 
 
@@ -715,10 +714,10 @@ class _Block:
 
 
 _DIRECTIVES = {row.keyword: row for row in (
-    _Entry("signature", "signature", _ATOM, once=True, spread=True, sort=True,
+    _Entry("signature", "signature", _ATOM, spread=True, sort=True,
            required="needs at least one atom"),
     _Entry("bounds", "bounds", _Arg(_read_bounds, lambda b: " ".join(
-        f"{name}={value}" for name, value in b.to_dict().items())), once=True),
+        f"{name}={value}" for name, value in b.to_dict().items()))),
 )}
 
 # a component's entries; a witness block gives them for its covering component
@@ -733,11 +732,11 @@ _COMPONENT_ENTRIES = (
 _BLOCKS = (
     _Block("rule", "rules", RuleDef, (("name", _word("a rule name")),), (
         _Entry("premise", "premises", _FORMULA, many=True),
-        _Entry("conclude", "conclusion", _FORMULA, once=True, required="never concludes"),
+        _Entry("conclude", "conclusion", _FORMULA, required="never concludes"),
     ), noun="rule", expect="premise or conclude", line_form=(
         "substitution", "the word substitution", "expected substitution, found {!r}")),
     _Block("calculus", "calculi", CalculusDef, (("calculus_id", _word("a calculus id")),), (
-        _Entry("depth", "depth", _int("a depth"), once=True),
+        _Entry("depth", "depth", _int("a depth")),
         _Entry("atoms", "atoms", _ATOM, many=True, spread=True, sort=True),
         _Entry("axiom", "axioms", _FORMULA, many=True, sort=True),
         _Entry("schema", "schemas", _seq(_word("a schema id"), _FORMULA), many=True),
@@ -765,7 +764,7 @@ _BLOCKS = (
     ), noun="prevariety", expect="a prevariety entry"),
     _Block("witness", "witnesses", WitnessDef, (("witness_id", _word("a witness id")),), (
         _ref("prevariety", "prevariety_ref"),
-        _Entry("indices", "indices", _int("an index"), once=True, spread=True),
+        _Entry("indices", "indices", _int("an index"), spread=True),
     ) + _COMPONENT_ENTRIES, noun="witness", expect="a witness entry"),
     _Block("axiom-decl", "axiom_decls", AxiomDeclaration,
            (("axiom_id", _word("an axiom id")), ("statement", _string("statement")))),

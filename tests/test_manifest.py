@@ -376,6 +376,10 @@ PARSE_ERRORS = [
     ("witness W {\n  indices 1 x\n}\n", "expected an index, found 'x'", 2, 13),
     ("prevariety PV {\n  auto\n}\n", "prevariety 'PV' lists no components", 1, 1),
     ("prevariety PV {\n  quasi yes\n}\n", "unexpected trailing 'yes'", 2, 9),
+    # only an entry that collects may repeat; a second single-valued line or
+    # flag would overwrite the first, or say nothing
+    ("prevariety PV {\n  component C\n  quasi\n  quasi\n}\n", "quasi given twice", 4, 1),
+    ("prevariety PV {\n  component C\n  auto\n  auto\n}\n", "auto given twice", 4, 1),
     ('class X "X" {\n  status AX maybe\n}\n', "unknown status 'maybe'", 2, 13),
     ('class X "X" {\n  status AX satisfied rumour "x"\n}\n',
      "unknown evidence kind 'rumour'", 2, 23),
@@ -388,6 +392,11 @@ PARSE_ERRORS = [
     ('theorem-rec t {\n  source "s"\n}\n', "theorem-rec 't' needs a statement", 1, 1),
     ('theorem-rec t {\n  statement s\n}\n', "expected a quoted statement", 2, 13),
     ('theorem-rec t {\n  proof "s"\n}\n', "unknown theorem entry 'proof'", 2, 3),
+    ('theorem-rec t {\n  statement "a"\n  statement "b"\n}\n', "statement given twice", 3, 1),
+    ('theorem-rec t {\n  statement "a"\n  source "x"\n  source "y"\n}\n',
+     "source given twice", 4, 1),
+    ('theorem-rec t {\n  statement "a"\n  unconditional\n  unconditional\n}\n',
+     "unconditional given twice", 4, 1),
     ("widget w {\n}\n", "unknown block keyword 'widget'", 1, 1),
     ("axiom-decl AX {\n}\n", "unknown block keyword 'axiom-decl'", 1, 1),
     ("calculus L\n", "unknown directive 'calculus'", 1, 1),
