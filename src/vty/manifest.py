@@ -402,11 +402,16 @@ class Manifest:
                 wit.indices, component(wit.witness_id, wit))
         axiom_ids = {a.axiom_id for a in self.axiom_decls}
         for cls in self.classes:
+            scored: set[str] = set()
             for axiom_id, status, evidence in cls.statuses:
                 if axiom_id not in axiom_ids:
                     raise UnresolvedReferenceError(
                         f"class {cls.class_id!r} scores undeclared axiom {axiom_id!r}",
                         self.source, cls.line)
+                if axiom_id in scored:
+                    raise ManifestError(f"class {cls.class_id!r} scores axiom {axiom_id!r} twice",
+                                        self.source, cls.line)
+                scored.add(axiom_id)
                 self._build(lambda: AxiomStatus(status, evidence), cls.line)
                 if evidence is not None and evidence.witness_id is not None \
                         and evidence.witness_id not in WITNESSES:

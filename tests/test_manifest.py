@@ -563,6 +563,16 @@ class TestValidation:
             parse_manifest(text)
         assert "undeclared axiom 'NOPE'" in str(err.value)
 
+    def test_class_scores_each_axiom_once(self):
+        # a second status for one axiom would silently replace the first
+        text = ('axiom-decl A "a"\n\n'
+                'class C "c" {\n  status A satisfied citation "x"\n'
+                '  status A violated citation "y"\n}\n')
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(text, source="w.vty")
+        assert type(err.value) is ManifestError
+        assert str(err.value) == "w.vty:3:1: class 'C' scores axiom 'A' twice"
+
     def test_class_evidence_witness_must_exist(self):
         text = (
             'axiom-decl AX "says"\n\n'
