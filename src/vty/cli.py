@@ -26,7 +26,7 @@ from .machines import (
     format_machine,
     parse_machine,
 )
-from .manifest import BOUND_NAMES, Manifest, load_manifest
+from .manifest import BOUND_NAMES, Manifest, load_manifest, read_bound_entry
 from .projection import (
     MatrixReport,
     classify_relation,
@@ -51,11 +51,8 @@ def _parse_bounds_override(text: str) -> dict[str, int]:
         part = part.strip()
         if not part:
             continue
-        key, sep, raw = part.partition("=")
         try:
-            if not sep or key not in BOUND_NAMES or not raw.isdecimal():
-                raise ValueError
-            values[key] = int(raw)  # a ValueError past int()'s digit limit too
+            read_bound_entry(part, 0, values)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad bounds entry {part!r}; expected "

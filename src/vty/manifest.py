@@ -576,19 +576,27 @@ def _take_fields(fields: Sequence[tuple[str, _Arg]], tokens: list[Token],
     return values
 
 
+def read_bound_entry(text: str, col: int, values: dict[str, int]) -> None:
+    """Read one `name=N` entry of a `bounds` line or a `--bounds` override
+    into `values`; a fault raises LexError at `col`."""
+    key, sep, raw = text.partition("=")
+    if not sep:
+        raise LexError("bounds entries look like depth=3", col)
+    if key not in BOUND_NAMES:
+        raise LexError(f"unknown bound {key!r}", col)
+    if key in values:
+        raise LexError(f"bound {key!r} given twice", col)
+    if not raw.isdecimal():
+        raise LexError(f"bound {key!r} needs an integer", col)
+    values[key] = _decimal(raw, f"bound {key!r}", col)
+
+
 def _read_bounds(tokens: list[Token], i: int) -> tuple[Bounds, int]:
     values: dict[str, int] = {}
     for tok in tokens[i:]:
-        if tok.kind != "WORD" or "=" not in tok.text:
+        if tok.kind != "WORD":
             raise LexError("bounds entries look like depth=3", tok.col)
-        key, _, raw = tok.text.partition("=")
-        if key not in BOUND_NAMES:
-            raise LexError(f"unknown bound {key!r}", tok.col)
-        if key in values:
-            raise LexError(f"bound {key!r} given twice", tok.col)
-        if not raw.isdecimal():
-            raise LexError(f"bound {key!r} needs an integer", tok.col)
-        values[key] = _decimal(raw, f"bound {key!r}", tok.col)
+        read_bound_entry(tok.text, tok.col, values)
     try:
         return Bounds(**values), len(tokens)
     except ValueError as exc:

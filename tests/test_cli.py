@@ -569,6 +569,9 @@ class TestOutputControls:
     @pytest.mark.parametrize("argv, message", [
         (["--bounds", "width=3", "report-matrix"],
          "bad bounds entry 'width=3'; expected depth=N,atoms=N,enum=N,size=N"),
+        # a repeated key, refused as a manifest's bounds line refuses it
+        (["--bounds", "depth=1,depth=2", "report-matrix"],
+         "bad bounds entry 'depth=2'; expected depth=N,atoms=N,enum=N,size=N"),
         (["fixed-output", "brute", "--y", "1", "--inputs", "1,x"], "bad input list '1,x'"),
         (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1", "--schedule", "8,y"],
          "bad fuel schedule '8,y'"),
