@@ -33,6 +33,7 @@ from .errors import (
     MapUndefinedError,
     StepCapExceededError,
     SubsetCapExceededError,
+    TupleCapExceededError,
     UndeclaredAxiomError,
     UnresolvedReferenceError,
     VtyError,
@@ -92,8 +93,8 @@ __all__ = [
     "Manifest", "ManifestError", "MapUndefinedError", "Not", "Or",
     "Prevariety", "Proof", "RegisterMachine", "SchemaRule", "StepCapExceededError",
     "SubsetCapExceededError", "SubstitutionRule", "TheoremRecord", "Bottom",
-    "UndeclaredAxiomError", "UnresolvedReferenceError", "VarietyWitness",
-    "VtyError", "assemble_prevariety", "base_calculus",
+    "TupleCapExceededError", "UndeclaredAxiomError", "UnresolvedReferenceError",
+    "VarietyWitness", "VtyError", "assemble_prevariety", "base_calculus",
     "check_bijective_variety", "check_consistency", "check_prevariety",
     "check_proof", "check_variety", "classify_relation", "closure",
     "consistency_report", "decode_machine", "encode_machine", "entails",

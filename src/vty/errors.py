@@ -91,6 +91,15 @@ class StepCapExceededError(VtyError):
         self.cap = cap
 
 
+class TupleCapExceededError(VtyError):
+    """A variety check would visit more index tuples than the tuple cap."""
+
+    def __init__(self, tuples: int, cap: int):
+        super().__init__(f"variety check needs {tuples} index tuples, above the cap of {cap}")
+        self.tuples = tuples
+        self.cap = cap
+
+
 class DecodeError(VtyError):
     """An integer does not decode to a well-formed machine."""
 

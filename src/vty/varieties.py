@@ -20,6 +20,7 @@ witness is covered by its own component, in quasi mode too.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
@@ -31,7 +32,7 @@ from .calculus import (
     InferenceRule,
     theorem_formulas,
 )
-from .errors import AtomCapExceededError, MapUndefinedError
+from .errors import AtomCapExceededError, MapUndefinedError, TupleCapExceededError
 from .formulas import Atom, Formula, evaluate, formula_key, substitute
 from .semantics import (
     DEFAULT_ATOM_CAP,
@@ -41,6 +42,8 @@ from .semantics import (
 )
 
 DEFAULT_COMPONENT_SUBSET_CAP = 4096
+# the most index tuples one variety check may visit, counted before the first
+DEFAULT_TUPLE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -425,7 +428,9 @@ def check_variety(
     passes vacuously. Single-index tuples fall back to the component
     itself as an implicit self witness when none is supplied. All other
     nonvacuous tuples need an explicit witness; verification never
-    searches for one.
+    searches for one. Once the prevariety check passes, a check that
+    would visit more than ``DEFAULT_TUPLE_CAP`` tuples is refused before
+    the first.
     """
     if k < 1:
         raise ValueError("tuple width k must be at least 1")
@@ -439,6 +444,10 @@ def check_variety(
             ),),
             base.depth_bounds, notes=base.notes,
         )
+    count = len(pv.components)
+    tuples = sum(math.comb(count, width) for width in range(1, min(k, count) + 1))
+    if tuples > DEFAULT_TUPLE_CAP:
+        raise TupleCapExceededError(tuples, DEFAULT_TUPLE_CAP)
 
     mapped = [_mapped(component, size_cap) for component in pv.components]
     axiom_images = [frozenset(m.axiom_images.values()) for m in mapped]
@@ -460,7 +469,6 @@ def check_variety(
         by_tuple[witness.indices] = witness.covering
 
     records: list[TupleRecord] = []
-    count = len(pv.components)
     for width in range(1, min(k, count) + 1):
         for indices in itertools.combinations(range(1, count + 1), width):
             axiom_intersection = _intersect(axiom_images, indices)

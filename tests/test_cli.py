@@ -243,6 +243,23 @@ class TestExitCodes:
         assert report["errors"] == [
             f"search needs up to {steps} steps, above the cap of 10000000"]
 
+    def test_variety_check_past_the_tuple_cap_fails_fast(self, capsys, tmp_path):
+        # 20 components make 2 ** 20 - 1 index tuples of width 1..20
+        ids = [f"K{i}" for i in range(1, 21)]
+        path = tmp_path / "twenty.vty"
+        path.write_text("\n\n".join([
+            "calculus L {\n  axiom p\n}", "map ident identity",
+            *[f"component {cid} {{\n  calculus L\n  axiom-map ident\n"
+              "  theorem-map ident\n}" for cid in ids],
+            "prevariety PV {\n" + "".join(f"  component {cid}\n" for cid in ids) + "}",
+        ]) + "\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, report = run_json(capsys, "check-variety", str(path), "--depth", "20")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert report["errors"] == [
+            "variety check needs 1048575 index tuples, above the cap of 100000"]
+
     def test_bad_schedule_is_an_operational_error(self, capsys, data_dir):
         code, report = run_json(
             capsys, "fixed-output", "recognize",

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import vty.varieties
 from vty.calculus import Calculus, base_calculus, with_axioms
-from vty.errors import MapUndefinedError, VtyError
+from vty.errors import MapUndefinedError, TupleCapExceededError, VtyError
 from vty.formulas import parse_formula
 from vty.varieties import (
     Component,
@@ -271,6 +271,22 @@ class TestVarietyWitnesses:
         pv = assemble_prevariety([mp_component("C1", ["p"], [])])
         with pytest.raises(ValueError):
             check_variety(pv, 0)
+
+    @pytest.mark.parametrize("k, tuples", [(1, 4), (2, 10), (3, 14), (9, 15)])
+    def test_tuple_cap_counts_the_tuples_before_the_first(self, monkeypatch, k, tuples):
+        pv = assemble_prevariety([mp_component(f"C{i}", [f"a{i}"], []) for i in range(4)])
+        monkeypatch.setattr(vty.varieties, "DEFAULT_TUPLE_CAP", tuples)
+        assert len(check_variety(pv, k).tuples) == tuples
+        monkeypatch.setattr(vty.varieties, "DEFAULT_TUPLE_CAP", tuples - 1)
+        with pytest.raises(TupleCapExceededError, match=(
+                f"^variety check needs {tuples} index tuples, above the cap of {tuples - 1}$")):
+            check_variety(pv, k)
+
+    def test_a_failed_prevariety_is_reported_under_any_tuple_cap(self, monkeypatch):
+        monkeypatch.setattr(vty.varieties, "DEFAULT_TUPLE_CAP", 0)
+        pv = assemble_prevariety([mp_component("C1", ["p"], []), mp_component("C2", ["q"], [])])
+        report = check_variety(dataclasses.replace(pv, axioms=frozenset()), 2)
+        assert "PREVARIETY_FAILED" in codes(report)
 
     def test_disjoint_alphabets_pass_vacuously(self):
         pv = assemble_prevariety([
