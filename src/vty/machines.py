@@ -169,8 +169,8 @@ def _step_loop(machine: RegisterMachine, input_value: int, fuel: int) -> tuple[T
     (the fetch that finds HALT or runs out of fuel included).
 
     The loop looks for a repeated state, (pc, registers), with Brent's
-    cycle finding: after each step it compares the state with
-    one saved at the last power-of-two distance. A repeat means the run
+    cycle finding: after each step it compares the state with one saved
+    at the last power-of-two distance. A repeat means the run
     loops until its fuel runs out, so the loop adds the steps and the
     address sums of the whole periods left at once; the trace and the
     charge are those of running every step.
