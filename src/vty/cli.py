@@ -204,13 +204,9 @@ def _cmd_consistency(args, manifest: Manifest):
 
 
 def _cmd_project(args, manifest: Manifest):
-    profiles, theorems, declarations = manifest.registry()
-    by_id = {t.theorem_id: t for t in theorems}
-    if args.theorem not in by_id:
-        raise ManifestError(f"unknown theorem record {args.theorem!r}",
-                            manifest.source, 0)
-    report = project(by_id[args.theorem], profiles, declarations)
-    return report.to_dict(), 0
+    theorem = manifest.theorem_record(args.theorem)
+    profiles, _, declarations = manifest.registry()
+    return project(theorem, profiles, declarations).to_dict(), 0
 
 
 def _cmd_classify(args, manifest: Manifest):

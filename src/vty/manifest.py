@@ -151,9 +151,9 @@ BOUND_NAMES = tuple(f.name for f in fields(Bounds))
 # --- declaration layer -------------------------------------------------------
 # Parse products stay close to the text, so a manifest with a bad
 # reference still parses far enough to report the precise line.
-# Validation then resolves them into live calculus and variety objects,
-# each built once. Axiom declarations need no resolving: the reader makes
-# the projection layer's own AxiomDeclaration records.
+# Validation then resolves them into live calculus, variety and registry
+# objects, each built once. Axiom declarations need no resolving: the
+# reader makes the projection layer's own AxiomDeclaration records.
 
 
 @dataclass(frozen=True)
@@ -256,10 +256,10 @@ class Manifest:
     classes: tuple[ClassDef, ...] = ()
     theorem_recs: tuple[TheoremRecDef, ...] = ()
 
-    # the live rules, calculi, maps, components and witnesses, and the
-    # prevariety defs, by attribute and id, as validate built them; a
-    # manifest from dataclasses.replace starts without them and builds its
-    # own on first use
+    # the live rules, calculi, maps, components, witnesses, class profiles
+    # and theorem records, and the prevariety defs and axiom declarations,
+    # by attribute and id, as validate built them; a manifest from
+    # dataclasses.replace starts without them and builds its own on first use
     _built: dict[str, dict[str, Any]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
@@ -309,22 +309,14 @@ class Manifest:
         return tuple(built[d.witness_id] for d in self.witnesses
                      if d.prevariety_ref == wanted)
 
+    def theorem_record(self, theorem_id: str) -> TheoremRecord:
+        return self._get(self._table(), "theorem_recs", theorem_id, "theorem record", 0)
+
     def registry(self) -> tuple[tuple[ClassProfile, ...], tuple[TheoremRecord, ...],
                                 dict[str, AxiomDeclaration]]:
-        declarations = {d.axiom_id: d for d in self.axiom_decls}
-        profiles = tuple(
-            ClassProfile(c.class_id, c.display_name, {
-                axiom_id: AxiomStatus(status, evidence)
-                for axiom_id, status, evidence in c.statuses
-            })
-            for c in self.classes
-        )
-        theorems = tuple(
-            TheoremRecord(t.theorem_id, t.statement, frozenset(t.depends),
-                          t.source, t.unconditional)
-            for t in self.theorem_recs
-        )
-        return profiles, theorems, declarations
+        built = self._table()
+        return (tuple(built["classes"].values()), tuple(built["theorem_recs"].values()),
+                built["axiom_decls"])
 
     # -- validation --
 
@@ -334,7 +326,8 @@ class Manifest:
         Raises ManifestError naming the offending line. Does not run any
         closure; resolution errors that need proof search surface later.
         The rules, calculi, maps, components and witnesses built here are
-        the ones the lookup helpers return.
+        the ones the lookup helpers return, and the class profiles and
+        theorem records are the ones `registry` returns.
         """
         for spec in _BLOCKS:
             seen: set[str] = set()
@@ -344,9 +337,10 @@ class Manifest:
                     raise ManifestError(f"duplicate {spec.keyword} {ident!r}",
                                         self.source, d.line)
                 seen.add(ident)
-        built: dict[str, dict[str, Any]] = {
-            attr: {} for attr in ("rules", "calculi", "maps", "components", "witnesses")}
+        built: dict[str, dict[str, Any]] = {attr: {} for attr in (
+            "rules", "calculi", "maps", "components", "witnesses", "classes", "theorem_recs")}
         built["prevarieties"] = {p.prevariety_id: p for p in self.prevarieties}
+        declarations = built["axiom_decls"] = {a.axiom_id: a for a in self.axiom_decls}
 
         def get(attr: str, wanted: str, kind: str, line: int) -> Any:
             return self._get(built, attr, wanted, kind, line)
@@ -400,31 +394,31 @@ class Manifest:
                     self.source, wit.line)
             built["witnesses"][wit.witness_id] = VarietyWitness(
                 wit.indices, component(wit.witness_id, wit))
-        axiom_ids = {a.axiom_id for a in self.axiom_decls}
         for cls in self.classes:
-            scored: set[str] = set()
+            statuses: dict[str, AxiomStatus] = {}
             for axiom_id, status, evidence in cls.statuses:
-                if axiom_id not in axiom_ids:
+                if axiom_id not in declarations:
                     raise UnresolvedReferenceError(
                         f"class {cls.class_id!r} scores undeclared axiom {axiom_id!r}",
                         self.source, cls.line)
-                if axiom_id in scored:
+                if axiom_id in statuses:
                     raise ManifestError(f"class {cls.class_id!r} scores axiom {axiom_id!r} twice",
                                         self.source, cls.line)
-                scored.add(axiom_id)
-                self._build(lambda: AxiomStatus(status, evidence), cls.line)
+                statuses[axiom_id] = self._build(lambda: AxiomStatus(status, evidence), cls.line)
                 if evidence is not None and evidence.witness_id is not None \
                         and evidence.witness_id not in WITNESSES:
                     raise UnresolvedReferenceError(
                         f"unknown executable witness {evidence.witness_id!r}",
                         self.source, cls.line)
+            built["classes"][cls.class_id] = ClassProfile(cls.class_id, cls.display_name,
+                                                          statuses)
         for rec in self.theorem_recs:
             for dep in rec.depends:
-                if dep not in axiom_ids:
+                if dep not in declarations:
                     raise UnresolvedReferenceError(
                         f"theorem {rec.theorem_id!r} depends on undeclared "
                         f"axiom {dep!r}", self.source, rec.line)
-            self._build(
+            built["theorem_recs"][rec.theorem_id] = self._build(
                 lambda: TheoremRecord(rec.theorem_id, rec.statement,
                                       frozenset(rec.depends), rec.source,
                                       rec.unconditional),

@@ -30,7 +30,7 @@ from vty.projection import (
     UNKNOWN,
     VIOLATED,
 )
-from vty.seed import seed_axiom_declarations, seed_registry
+from vty.seed import seed_axiom_declarations, seed_manifest, seed_registry
 from vty.varieties import Component, FormulaMap, check_prevariety, check_variety
 
 from oracle_tools import oracle_scan_string, oracle_tokenize_line
@@ -801,6 +801,15 @@ class TestRequiredEntries:
 
 
 class TestSeedRegistryManifest:
+    def test_registry_returns_the_records_validation_built(self):
+        manifest = seed_manifest()
+        profiles, theorems, declarations = manifest.registry()
+        again = manifest.registry()
+        assert len(profiles) == 10 and len(theorems) == 2
+        assert all(a is b for a, b in zip(profiles + theorems, again[0] + again[1]))
+        assert declarations is again[2]
+        assert all(manifest.theorem_record(t.theorem_id) is t for t in theorems)
+
     def test_each_call_builds_fresh_objects(self):
         # a ClassProfile's statuses are a mutable dict, so no call may hand
         # out what an earlier call returned
