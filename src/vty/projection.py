@@ -131,45 +131,46 @@ class ProjectionReport:
         }
 
 
+# the part of the registry a class falls in under a theorem, in report order,
+# and its mark in the matrix
+CELL_MARKS = {"corollary": "C", "not_applicable": "-", "unknown": "?"}
+
+
+def _check_declared(theorem: TheoremRecord, declarations: Mapping[str, AxiomDeclaration]) -> None:
+    for axiom_id in sorted(theorem.dependencies):
+        if axiom_id not in declarations:
+            raise UndeclaredAxiomError(axiom_id)
+
+
+def _cell(theorem: TheoremRecord, profile: ClassProfile) -> tuple[str, str]:
+    """The part one class falls in under the theorem, and the detail that says why.
+
+    An unconditional theorem, or every dependency satisfied, gives a
+    corollary; any dependency violated rules the class out; anything
+    else stays unknown.
+    """
+    statuses = {d: profile.status_of(d).status for d in sorted(theorem.dependencies)}
+    if theorem.unconditional or all(s == SATISFIED for s in statuses.values()):
+        return "corollary", f"for {profile.display_name}: {theorem.statement}"
+    blockers = [d for d, s in statuses.items() if s == VIOLATED]
+    if blockers:
+        return "not_applicable", "violates " + ", ".join(blockers)
+    return "unknown", "unresolved " + ", ".join(d for d, s in statuses.items() if s == UNKNOWN)
+
+
 def project(
     theorem: TheoremRecord,
     profiles: Sequence[ClassProfile],
     declarations: Mapping[str, AxiomDeclaration],
 ) -> ProjectionReport:
-    """Partition the registry by the theorem's dependencies.
-
-    An unconditional theorem, or every dependency satisfied, gives a
-    corollary; any dependency violated rules the class out; anything
-    else stays unknown. The registry order is preserved in each part.
-    """
-    for axiom_id in sorted(theorem.dependencies):
-        if axiom_id not in declarations:
-            raise UndeclaredAxiomError(axiom_id)
-    corollaries: list[ProjectionEntry] = []
-    not_applicable: list[ProjectionEntry] = []
-    unknown: list[ProjectionEntry] = []
+    """Partition the registry by the theorem's dependencies, each class
+    as `_cell` decides. The registry order is preserved in each part."""
+    _check_declared(theorem, declarations)
+    parts: dict[str, list[ProjectionEntry]] = {part: [] for part in CELL_MARKS}
     for profile in profiles:
-        statuses = {d: profile.status_of(d).status for d in sorted(theorem.dependencies)}
-        if theorem.unconditional or all(s == SATISFIED for s in statuses.values()):
-            corollaries.append(ProjectionEntry(
-                profile.class_id, profile.display_name,
-                f"for {profile.display_name}: {theorem.statement}",
-            ))
-        elif any(s == VIOLATED for s in statuses.values()):
-            blockers = sorted(d for d, s in statuses.items() if s == VIOLATED)
-            not_applicable.append(ProjectionEntry(
-                profile.class_id, profile.display_name,
-                "violates " + ", ".join(blockers),
-            ))
-        else:
-            open_ids = sorted(d for d, s in statuses.items() if s == UNKNOWN)
-            unknown.append(ProjectionEntry(
-                profile.class_id, profile.display_name,
-                "unresolved " + ", ".join(open_ids),
-            ))
-    return ProjectionReport(
-        theorem.theorem_id, tuple(corollaries), tuple(not_applicable), tuple(unknown)
-    )
+        part, detail = _cell(theorem, profile)
+        parts[part].append(ProjectionEntry(profile.class_id, profile.display_name, detail))
+    return ProjectionReport(theorem.theorem_id, *map(tuple, parts.values()))
 
 
 # --- axioms-to-theorem relation ---------------------------------------------
@@ -320,9 +321,6 @@ def _minimal_sufficient_subsets(
 # --- registry matrix ---------------------------------------------------------
 
 
-CELL_MARKS = {"corollary": "C", "not_applicable": "-", "unknown": "?"}
-
-
 @dataclass(frozen=True)
 class MatrixReport:
     classes: tuple[str, ...]
@@ -358,20 +356,12 @@ def registry_report(
     theorems: Sequence[TheoremRecord],
     declarations: Mapping[str, AxiomDeclaration],
 ) -> MatrixReport:
-    """Class-by-theorem matrix in declared order, cell values from project."""
-    columns = tuple(theorem.theorem_id for theorem in theorems)
-    rows = []
-    by_class: dict[str, dict[str, str]] = {p.class_id: {} for p in profiles}
+    """Class-by-theorem matrix in declared order, each cell the part of the
+    registry `_cell` puts the class in, as in `project`."""
     for theorem in theorems:
-        report = project(theorem, profiles, declarations)
-        for entry in report.corollaries:
-            by_class[entry.class_id][theorem.theorem_id] = "corollary"
-        for entry in report.not_applicable:
-            by_class[entry.class_id][theorem.theorem_id] = "not_applicable"
-        for entry in report.unknown:
-            by_class[entry.class_id][theorem.theorem_id] = "unknown"
-    for profile in profiles:
-        rows.append(tuple(by_class[profile.class_id][t] for t in columns))
+        _check_declared(theorem, declarations)
     return MatrixReport(
-        tuple(p.class_id for p in profiles), columns, tuple(rows)
+        tuple(p.class_id for p in profiles),
+        tuple(theorem.theorem_id for theorem in theorems),
+        tuple(tuple(_cell(theorem, p)[0] for theorem in theorems) for p in profiles),
     )

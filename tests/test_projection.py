@@ -606,6 +606,34 @@ class TestMatrix:
             for row, class_id in enumerate(matrix.classes):
                 assert matrix.cells[row][column] == expect[class_id]
 
+    def test_one_function_decides_each_cell(self, monkeypatch):
+        decided = []
+        real = vty.projection._cell
+
+        def counting(record, prof):
+            decided.append((record.theorem_id, prof.class_id))
+            return real(record, prof)
+
+        monkeypatch.setattr(vty.projection, "_cell", counting)
+        profiles = [profile("a", AX1=SATISFIED), profile("b", AX1=VIOLATED)]
+        theorems = [theorem({"AX1"}, "t1"), theorem({"AX2"}, "t2")]
+        with mock.patch.object(vty.projection, "project", side_effect=AssertionError):
+            matrix = registry_report(profiles, theorems, DECLS)
+        assert matrix.cells == (("corollary", "unknown"), ("not_applicable", "unknown"))
+        assert sorted(decided) == [("t1", "a"), ("t1", "b"), ("t2", "a"), ("t2", "b")]
+        decided.clear()
+        project(theorems[0], profiles, DECLS)
+        assert decided == [("t1", "a"), ("t1", "b")]
+
+    @pytest.mark.parametrize("class_count", [0, 2])
+    def test_the_first_theorem_with_an_undeclared_dependency_is_named(self, class_count):
+        profiles = [profile(f"c{i}", AX1=SATISFIED) for i in range(class_count)]
+        theorems = [theorem({"AX1"}, "t1"), theorem({"AX1", "NOPE_B"}, "t2"),
+                    theorem({"NOPE_A"}, "t3")]
+        with pytest.raises(UndeclaredAxiomError) as err:
+            registry_report(profiles, theorems, DECLS)
+        assert err.value.axiom_id == "NOPE_B"
+
     def test_empty_theorem_list(self):
         matrix = registry_report([profile("a")], [], DECLS)
         assert matrix.theorems == ()
