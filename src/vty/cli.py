@@ -14,10 +14,10 @@ import json
 import os
 import sys
 from dataclasses import replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .calculus import PRESET_NAMES, Proof, closure
-from .errors import ManifestError, VtyError
+from .errors import ManifestError, UnresolvedReferenceError, VtyError
 from .formulas import Formula, formula_key, parse_formula
 from .machines import (
     WorldBounds,
@@ -134,6 +134,18 @@ class _ArgumentParser(argparse.ArgumentParser):
 # --- command bodies ----------------------------------------------------------
 
 
+def _declared(flag: str, lookup: Callable[[], Any]) -> Any:
+    """`lookup()`, where an id the manifest does not declare is a fault of
+    the option `flag`. A manifest's lookup reports the id it was asked for
+    at line 0; a reference on a manifest line keeps its line."""
+    try:
+        return lookup()
+    except UnresolvedReferenceError as exc:
+        if exc.line:
+            raise
+        raise argparse.ArgumentTypeError(f"argument {flag}: {exc.message}") from None
+
+
 def _substitution_dict(substitution) -> dict[str, str]:
     return {var: formula_key(value) for var, value in substitution}
 
@@ -152,7 +164,7 @@ def _proof_dict(proof: Proof) -> dict:
 
 
 def _cmd_check_prevariety(args, manifest: Manifest):
-    pv = manifest.prevariety(args.prevariety)
+    pv = _declared("--prevariety", lambda: manifest.prevariety(args.prevariety))
     bounds = manifest.bounds
     structure = check_prevariety(pv, size_cap=bounds.size)
     consistency = consistency_report(pv, atom_cap=bounds.atoms, size_cap=bounds.size)
@@ -161,7 +173,7 @@ def _cmd_check_prevariety(args, manifest: Manifest):
 
 
 def _cmd_check_variety(args, manifest: Manifest):
-    pv = manifest.prevariety(args.prevariety)
+    pv = _declared("--prevariety", lambda: manifest.prevariety(args.prevariety))
     witnesses = manifest.prevariety_witnesses(args.prevariety)
     if args.bijective:
         report = check_bijective_variety(pv, args.mode, args.depth, witnesses,
@@ -180,7 +192,8 @@ def _cmd_closure(args, manifest: Manifest):
                 f"{len(manifest.calculi)}", manifest.source, 0)
         calculus_id = manifest.calculi[0].calculus_id
     # closure reads depth None as the calculus depth and sorts its entries
-    result = closure(manifest.calculus(calculus_id), args.depth, size_cap=manifest.bounds.size)
+    calculus = _declared("--calculus", lambda: manifest.calculus(calculus_id))
+    result = closure(calculus, args.depth, size_cap=manifest.bounds.size)
     entries = result.entries
     formulas = [formula_key(e.formula) for e in entries]
     out = {
@@ -197,14 +210,14 @@ def _cmd_closure(args, manifest: Manifest):
 
 
 def _cmd_consistency(args, manifest: Manifest):
-    pv = manifest.prevariety(args.prevariety)
+    pv = _declared("--prevariety", lambda: manifest.prevariety(args.prevariety))
     bounds = manifest.bounds
     report = consistency_report(pv, atom_cap=bounds.atoms, size_cap=bounds.size)
     return report.to_dict(), 0
 
 
 def _cmd_project(args, manifest: Manifest):
-    theorem = manifest.theorem_record(args.theorem)
+    theorem = _declared("--theorem", lambda: manifest.theorem_record(args.theorem))
     profiles, _, declarations = manifest.registry()
     return project(theorem, profiles, declarations).to_dict(), 0
 
@@ -631,7 +644,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     report["bounds"] = manifest.bounds.to_dict()
     try:
         result, code = _COMMANDS[args.command].run(args, manifest)
-    except ManifestError as exc:
+    except (ManifestError, argparse.ArgumentTypeError) as exc:
         report["errors"], code = [str(exc)], 2
     except (OSError, VtyError, ValueError) as exc:
         # ValueError covers argument values the parser cannot see through,

@@ -196,10 +196,29 @@ class TestExitCodes:
             "errors": ["atoms, enum and size bounds must be positive"],
         }
 
-    def test_unknown_theorem_id(self, capsys):
-        code, report = run_json(capsys, "project", "--theorem", "nope")
+    @pytest.mark.parametrize("argv, error", [
+        (("closure", "shared_core.vty", "--calculus", "nope"),
+         "argument --calculus: unknown calculus 'nope'"),
+        (("check-prevariety", "shared_core.vty", "--prevariety", "nope"),
+         "argument --prevariety: unknown prevariety 'nope'"),
+        (("check-variety", "shared_core.vty", "--prevariety", "nope"),
+         "argument --prevariety: unknown prevariety 'nope'"),
+        (("consistency", "shared_core.vty", "--prevariety", "nope"),
+         "argument --prevariety: unknown prevariety 'nope'"),
+        (("project", "--theorem", "nope"), "argument --theorem: unknown theorem record 'nope'"),
+    ], ids=["closure", "check-prevariety", "check-variety", "consistency", "project"])
+    def test_an_unknown_id_is_an_argument_error(self, capsys, data_dir, argv, error):
+        command, *rest = argv
+        if rest[0].endswith(".vty"):
+            rest[0] = str(data_dir / rest[0])
+        code, report = run_json(capsys, command, *rest)
         assert code == 2
-        assert "unknown theorem record 'nope'" in report["errors"][0]
+        assert report == {
+            "command": command,
+            "manifest": rest[0] if rest[0].endswith(".vty") else "seed_registry.vty",
+            "bounds": report["bounds"],
+            "errors": [error],
+        }
 
     def test_closure_needs_a_calculus_choice(self, capsys, data_dir):
         code, report = run_json(capsys, "closure", str(data_dir / "shared_core.vty"))
