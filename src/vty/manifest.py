@@ -654,7 +654,7 @@ class _Entry:
             items = [item]
         if not (self.many or self.spread):
             values[self.field] = items[0]
-        elif items:
+        else:  # an empty line is kept too, so a second one is seen
             values.setdefault(self.field, []).extend(items)
 
     def lines(self, value) -> list[str]:

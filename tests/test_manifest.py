@@ -373,6 +373,8 @@ PARSE_ERRORS = [
     ("witness W {\n  prevariety PV\n  indices 1\n  calculus L\n  axiom-map m\n}\n",
      "witness 'W' never names its theorem-map", 1, 1),
     ("witness W {\n  indices 1\n  indices 2\n}\n", "indices given twice", 3, 1),
+    # an empty line counts as the first
+    ("witness W {\n  indices\n  indices 1\n}\n", "indices given twice", 3, 1),
     ("witness W {\n  indices 1 x\n}\n", "expected an index, found 'x'", 2, 13),
     ("prevariety PV {\n  auto\n}\n", "prevariety 'PV' lists no components", 1, 1),
     ("prevariety PV {\n  quasi yes\n}\n", "unexpected trailing 'yes'", 2, 9),
@@ -416,8 +418,16 @@ PARSE_ERRORS = [
 ]
 
 
+def case_ids(cases):
+    """Each case's message, numbered from 2 where an earlier case has it."""
+    seen = Counter()
+    for _, message, *_ in cases:
+        seen[message] += 1
+        yield message if seen[message] == 1 else f"{message} {seen[message]}"
+
+
 @pytest.mark.parametrize("text, message, line, col", PARSE_ERRORS,
-                         ids=[case[1] for case in PARSE_ERRORS])
+                         ids=list(case_ids(PARSE_ERRORS)))
 def test_parse_error_location(text, message, line, col):
     with pytest.raises(ManifestError) as err:
         parse_manifest(text, source="w.vty")
@@ -517,6 +527,8 @@ class TestValidation:
     def test_witness_indices_must_increase(self):
         witness = WITNESS.replace("  indices 1\n", "  indices 1 1\n")
         failing(MINIMAL + witness, "strictly increasing indices")
+        failing(MINIMAL + WITNESS.replace("  indices 1\n", "  indices\n"),
+                "strictly increasing indices")
 
     def test_witness_indices_must_be_in_range(self):
         witness = WITNESS.replace("  indices 1\n", "  indices 2\n")
