@@ -77,6 +77,7 @@ class TestParsing:
     @pytest.mark.parametrize("text, message", [
         ('"p', "col 0: unterminated string"),
         ("((p q)", "col 1: expected a connective after ("),
+        ("(", "col 0: expected a connective after ("),
     ])
     def test_error_names_its_column(self, text, message):
         with pytest.raises(FormulaParseError) as err:

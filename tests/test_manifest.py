@@ -456,6 +456,7 @@ class TestParseErrors:
 
     def test_bounds_errors(self):
         failing("bounds depth\n", "bounds entries look like depth=3")
+        assert failing('bounds depth=1 "depth=3"\n', "bounds entries look like depth=3").col == 15
         failing("bounds width=3\n", "unknown bound 'width'")
         failing("bounds depth=3 depth=4\n", "bound 'depth' given twice")
         failing("bounds depth=x\n", "bound 'depth' needs an integer")
