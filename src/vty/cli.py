@@ -488,28 +488,21 @@ def _direct_parse(argv: Sequence[str]) -> argparse.Namespace | None:
 # --- report emission ---------------------------------------------------------
 
 
-def _render_text(value, indent: int = 0) -> list[str]:
+def _render_text(value: dict | list, indent: int = 0) -> list[str]:
+    """The lines of a report's dict or list; a nested scalar prints inline."""
     pad = "  " * indent
     if isinstance(value, dict):
-        lines = []
-        for key in sorted(value):
-            inner = value[key]
-            if isinstance(inner, (dict, list)) and inner:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(inner, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_scalar(inner)}")
-        return lines
-    if isinstance(value, list):
-        lines = []
-        for inner in value:
-            if isinstance(inner, (dict, list)) and inner:
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(inner, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(inner)}")
-        return lines
-    return [f"{pad}{_scalar(value)}"]
+        rows = [(f"{key}:", value[key]) for key in sorted(value)]
+    else:
+        rows = [("-", inner) for inner in value]
+    lines = []
+    for head, inner in rows:
+        if isinstance(inner, (dict, list)) and inner:
+            lines.append(f"{pad}{head}")
+            lines.extend(_render_text(inner, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {_scalar(inner)}")
+    return lines
 
 
 def _scalar(value) -> str:

@@ -86,11 +86,10 @@ class FormulaMap:
 
     @classmethod
     def table_map(
-        cls, map_id: str, pairs: Mapping[Formula, Formula] | Iterable[tuple[Formula, Formula]],
+        cls, map_id: str, pairs: Iterable[tuple[Formula, Formula]],
         domain: Iterable[Formula] | None = None,
     ) -> FormulaMap:
-        items = pairs.items() if isinstance(pairs, Mapping) else pairs
-        frozen = tuple(sorted(items, key=lambda pair: formula_key(pair[0])))
+        frozen = tuple(sorted(pairs, key=lambda pair: formula_key(pair[0])))
         dom = frozenset(domain) if domain is not None else None
         return cls(map_id, table=frozen, domain=dom)
 
