@@ -135,14 +135,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _declared(flag: str, lookup: Callable[[], Any]) -> Any:
-    """`lookup()`, where an id the manifest does not declare is a fault of
-    the option `flag`. A manifest's lookup reports the id it was asked for
-    at line 0; a reference on a manifest line keeps its line."""
+    """`lookup()`, with an id that the manifest does not declare reported as
+    a fault of the option `flag`. The manifest was validated when it was
+    loaded, so the one reference a lookup can miss is the id asked for."""
     try:
         return lookup()
     except UnresolvedReferenceError as exc:
-        if exc.line:
-            raise
         raise argparse.ArgumentTypeError(f"argument {flag}: {exc.message}") from None
 
 
