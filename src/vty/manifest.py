@@ -1,10 +1,7 @@
 """Line-oriented manifest files tying calculi, components and registries together.
 
 A manifest is plain text: single-line directives plus brace-delimited
-blocks, one entry per line, comments with #. The serializer emits a
-canonical form (fixed section order, sorted formula lists) that parses
-back to an equal manifest, and serializing a canonically produced file
-reproduces it byte for byte.
+blocks, one entry per line, comments with #.
 
 Grammar, by example:
 
@@ -78,12 +75,9 @@ prevariety and index tuple, then gives the entries of a component block:
 the component that covers the tuple, under the witness id.
 
 Each block kind's layout (header fields, entry keywords, how often each
-may appear, how its values read and write, canonical order) is declared
-once, in the block table below; the reader and the canonical writer
-both walk it. Quoted strings are single-line: the writer raises
-ValueError for a string holding a line break, and for a block that lacks
-an entry the reader requires. Formulas nest at most
-``formulas.MAX_NESTING`` parentheses deep.
+may appear, how its values read) is declared once, in the block table
+below, and the reader walks it. Quoted strings are single-line, and
+formulas nest at most ``formulas.MAX_NESTING`` parentheses deep.
 """
 
 from __future__ import annotations
@@ -101,7 +95,7 @@ from .calculus import (
     SubstitutionRule,
 )
 from .errors import FormulaParseError, ManifestError, UnresolvedReferenceError
-from .formulas import ATOM_NAME, Formula, format_formula, parse_formula_tokens
+from .formulas import ATOM_NAME, Formula, parse_formula_tokens
 from .lex import LexError, Token, tokenize_line
 from .machines import DEFAULT_ENUMERATION_CAP
 from .projection import (
@@ -431,15 +425,6 @@ class Manifest:
         except ValueError as exc:
             raise ManifestError(str(exc), self.source, line) from exc
 
-    # -- canonical text --
-
-    def to_text(self) -> str:
-        blocks = [[line] for row in _DIRECTIVES.values()
-                  for line in row.lines(getattr(self, row.field))]
-        blocks += [spec.lines(d) for spec in _BLOCKS
-                   for d in getattr(self, spec.attr)]
-        return "\n\n".join("\n".join(lines) for lines in blocks) + "\n"
-
 
 def _rule_object(d: RuleDef) -> InferenceRule:
     if d.kind == "substitution":
@@ -459,10 +444,13 @@ def _formula_map(d: MapDef) -> FormulaMap:
 
 
 # --- the block table ---------------------------------------------------------
-# Each block kind and directive is declared once, below; the reader and the
-# canonical writer both walk these declarations. A fault in a line is raised
-# as LexError(message, column) and the reader adds the line number. Token
-# lists are never empty: the reader skips blank lines.
+# Each block kind and directive is declared once, below, and the reader walks
+# these declarations. Each value reads as a function of a line's tokens and
+# the index to start at, giving the value and the index after it. A fault in
+# a line is raised as LexError(message, column) and the reader adds the line
+# number. Token lists are never empty: the reader skips blank lines.
+
+_Read = Callable[[list[Token], int], tuple[Any, int]]
 
 
 def _take_word(tokens: list[Token], i: int, what: str) -> tuple[str, int]:
@@ -485,16 +473,8 @@ def _done(tokens: list[Token], i: int) -> None:
         raise LexError(f"unexpected trailing {tokens[i].text!r}", tokens[i].col)
 
 
-@dataclass(frozen=True)
-class _Arg:
-    """How one value reads from a line's tokens and writes back as text."""
-
-    read: Callable[[list[Token], int], tuple[Any, int]]  # value and next index
-    write: Callable[[Any], str] = str
-
-
-def _word(what: str) -> _Arg:
-    return _Arg(lambda tokens, i: _take_word(tokens, i, what))
+def _word(what: str) -> _Read:
+    return lambda tokens, i: _take_word(tokens, i, what)
 
 
 def _decimal(digits: str, what: str, col: int) -> int:
@@ -504,48 +484,40 @@ def _decimal(digits: str, what: str, col: int) -> int:
         raise LexError(f"{what} has too many digits ({len(digits)})", col) from None
 
 
-def _int(what: str) -> _Arg:
+def _int(what: str) -> _Read:
     def read(tokens: list[Token], i: int) -> tuple[int, int]:
         word, nxt = _take_word(tokens, i, what)
         if not word.isdecimal():
             raise LexError(f"expected {what}, found {word!r}", tokens[i].col)
         return _decimal(word, what, tokens[i].col), nxt
 
-    return _Arg(read)
+    return read
 
 
-def _string(what: str) -> _Arg:
+def _string(what: str) -> _Read:
     def read(tokens: list[Token], i: int) -> tuple[str, int]:
         if i >= len(tokens) or tokens[i].kind != "STRING":
             col = tokens[i].col if i < len(tokens) else tokens[-1].col + len(tokens[-1].text)
             raise LexError(f"expected a quoted {what}", col)
         return tokens[i].text, i + 1
 
-    def write(text: str) -> str:
-        # lines split where str.splitlines splits, so a string holds none of those
-        if text and text.splitlines() != [text]:
-            raise ValueError(f"{what} {text!r} spans lines; manifest strings are single-line")
-        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-    return _Arg(read, write)
+    return read
 
 
-def _seq(*args: _Arg) -> _Arg:
-    """Several values in a row, read and written as one tuple."""
+def _seq(*reads: _Read) -> _Read:
+    """Several values in a row, read as one tuple."""
 
     def read(tokens: list[Token], i: int) -> tuple[tuple, int]:
         values = []
-        for arg in args:
-            value, i = arg.read(tokens, i)
+        for read_one in reads:
+            value, i = read_one(tokens, i)
             values.append(value)
         return tuple(values), i
 
-    # a value that writes as nothing (no evidence) leaves no gap
-    return _Arg(read, lambda values: " ".join(filter(None, (
-        arg.write(value) for arg, value in zip(args, values)))))
+    return read
 
 
-def _choice(what: str, noun: str, words: dict[str, str]) -> _Arg:
+def _choice(what: str, noun: str, words: dict[str, str]) -> _Read:
     """A word from a fixed set, read as the value it stands for."""
 
     def read(tokens: list[Token], i: int) -> tuple[str, int]:
@@ -554,18 +526,14 @@ def _choice(what: str, noun: str, words: dict[str, str]) -> _Arg:
             raise LexError(f"unknown {noun} {word!r}", tokens[i].col)
         return words[word], nxt
 
-    return _Arg(read, {value: word for word, value in words.items()}.__getitem__)
+    return read
 
 
-_ATOM = _Arg(_take_atom)
-_FORMULA = _Arg(parse_formula_tokens, format_formula)
-
-
-def _take_fields(fields: Sequence[tuple[str, _Arg]], tokens: list[Token],
+def _take_fields(fields: Sequence[tuple[str, _Read]], tokens: list[Token],
                  i: int) -> dict[str, Any]:
     values: dict[str, Any] = {}
-    for name, arg in fields:
-        values[name], i = arg.read(tokens, i)
+    for name, read in fields:
+        values[name], i = read(tokens, i)
     _done(tokens, i)
     return values
 
@@ -612,7 +580,7 @@ _EVIDENCE_FIELDS = {
 def _read_evidence(tokens: list[Token], i: int) -> tuple[Evidence | None, int]:
     if i == len(tokens):
         return None, i
-    kind, i = _EVIDENCE_KIND.read(tokens, i)
+    kind, i = _EVIDENCE_KIND(tokens, i)
     values = _take_fields(_EVIDENCE_FIELDS[kind], tokens, i)
     try:
         return Evidence(kind, **values), len(tokens)
@@ -620,25 +588,17 @@ def _read_evidence(tokens: list[Token], i: int) -> tuple[Evidence | None, int]:
         raise LexError(str(exc), 0) from None
 
 
-def _write_evidence(evidence: Evidence | None) -> str:
-    if evidence is None:
-        return ""
-    return " ".join([_EVIDENCE_KIND.write(evidence.kind)] + [
-        arg.write(getattr(evidence, name)) for name, arg in _EVIDENCE_FIELDS[evidence.kind]])
-
-
 @dataclass(frozen=True)
 class _Entry:
-    """One entry keyword: the field it fills and how its lines read and write."""
+    """One entry keyword: the field it fills and how its lines read."""
 
     keyword: str
     field: str
-    arg: _Arg | None = None  # None: a flag, the keyword alone sets True
-    many: bool = False       # every line's values collect into a tuple; else one line only
-    spread: bool = False     # one line lists any number of values (and they collect)
-    sort: bool = False       # written sorted by text, else in the given order
-    required: str = ""       # the fault when the block or directive gives no value
-    kind: str = ""           # map blocks: the one map kind that takes it
+    arg: _Read | None = None  # None: a flag, the keyword alone sets True
+    many: bool = False        # every line's values collect into a tuple; else one line only
+    spread: bool = False      # one line lists any number of values (and they collect)
+    required: str = ""        # the fault when the block or directive gives no value
+    kind: str = ""            # map blocks: the one map kind that takes it
 
     def read(self, values: dict[str, Any], tokens: list[Token]) -> None:
         if not self.many and self.field in values:
@@ -646,28 +606,16 @@ class _Entry:
         if self.spread:
             items, i = [], 1
             while i < len(tokens):
-                item, i = self.arg.read(tokens, i)
+                item, i = self.arg(tokens, i)
                 items.append(item)
         else:
-            item, i = self.arg.read(tokens, 1) if self.arg else (True, 1)
+            item, i = self.arg(tokens, 1) if self.arg else (True, 1)
             _done(tokens, i)
             items = [item]
         if not (self.many or self.spread):
             values[self.field] = items[0]
         else:  # an empty line is kept too, so a second one is seen
             values.setdefault(self.field, []).extend(items)
-
-    def lines(self, value) -> list[str]:
-        if self.arg is None:
-            return [self.keyword] if value else []
-        if not (self.many or self.spread):
-            value = () if value is None else (value,)
-        texts = [self.arg.write(item) for item in value or ()]
-        if self.sort:
-            texts.sort()
-        if self.spread:
-            return [" ".join([self.keyword] + texts)] if texts else []
-        return [f"{self.keyword} {text}" for text in texts]
 
 
 def _ref(keyword: str, field: str) -> _Entry:
@@ -680,7 +628,7 @@ class _Block:
     keyword: str
     attr: str                               # the Manifest attribute listing the defs
     cls: type
-    header: tuple[tuple[str, _Arg], ...]    # fields after the keyword; the first is the id
+    header: tuple[tuple[str, _Read], ...]   # fields after the keyword; the first is the id
     entries: tuple[_Entry, ...] = ()        # none: a one-line directive without braces
     noun: str = ""                          # names the block in "unknown ... entry"
     expect: str = ""                        # what an entry line starts with
@@ -700,31 +648,10 @@ class _Block:
     def id_field(self) -> str:
         return self.header[0][0]
 
-    def lines(self, d) -> list[str]:
-        kind = getattr(d, "kind", "")
-        if self.line_form and kind == self.line_form[0]:
-            return [f"{self.keyword} {getattr(d, self.id_field)} {kind}"]
-        head = " ".join([self.keyword] + [arg.write(getattr(d, name))
-                                          for name, arg in self.header])
-        if not self.entries:
-            return [head]
-        lines = [head + " {"]
-        for row in self.entries:
-            if row.kind not in ("", kind):
-                continue
-            value = getattr(d, row.field)
-            if row.required and not value:
-                raise ValueError(f"{self.keyword} {getattr(d, self.id_field)!r} "
-                                 f"{row.required}; the {row.keyword!r} entry is required")
-            lines += ["  " + line for line in row.lines(value)]
-        return lines + ["}"]
-
 
 _DIRECTIVES = {row.keyword: row for row in (
-    _Entry("signature", "signature", _ATOM, spread=True, sort=True,
-           required="needs at least one atom"),
-    _Entry("bounds", "bounds", _Arg(_read_bounds, lambda b: " ".join(
-        f"{name}={value}" for name, value in b.to_dict().items()))),
+    _Entry("signature", "signature", _take_atom, spread=True, required="needs at least one atom"),
+    _Entry("bounds", "bounds", _read_bounds),
 )}
 
 # a component's entries; a witness block gives them for its covering component
@@ -732,28 +659,29 @@ _COMPONENT_ENTRIES = (
     _ref("calculus", "calculus_ref"),
     _ref("axiom-map", "axiom_map_ref"),
     _ref("theorem-map", "theorem_map_ref"),
-    _Entry("theorem", "theorems", _FORMULA, many=True, sort=True),
+    _Entry("theorem", "theorems", parse_formula_tokens, many=True),
 )
 
-# in Manifest field order, which is also the order of the canonical text
+# in Manifest field order
 _BLOCKS = (
     _Block("rule", "rules", RuleDef, (("name", _word("a rule name")),), (
-        _Entry("premise", "premises", _FORMULA, many=True),
-        _Entry("conclude", "conclusion", _FORMULA, required="never concludes"),
+        _Entry("premise", "premises", parse_formula_tokens, many=True),
+        _Entry("conclude", "conclusion", parse_formula_tokens, required="never concludes"),
     ), noun="rule", expect="premise or conclude", line_form=(
         "substitution", "the word substitution", "expected substitution, found {!r}")),
     _Block("calculus", "calculi", CalculusDef, (("calculus_id", _word("a calculus id")),), (
         _Entry("depth", "depth", _int("a depth")),
-        _Entry("atoms", "atoms", _ATOM, many=True, spread=True, sort=True),
-        _Entry("axiom", "axioms", _FORMULA, many=True, sort=True),
-        _Entry("schema", "schemas", _seq(_word("a schema id"), _FORMULA), many=True),
+        _Entry("atoms", "atoms", _take_atom, many=True, spread=True),
+        _Entry("axiom", "axioms", parse_formula_tokens, many=True),
+        _Entry("schema", "schemas", _seq(_word("a schema id"), parse_formula_tokens), many=True),
         _Entry("use", "use", _word("a rule name"), many=True, spread=True),
     ), noun="calculus", expect="a calculus entry"),
     _Block("map", "maps", MapDef, (("map_id", _word("a map id")),
                                    ("kind", _word("renaming or table"))), (
-        _Entry("rename", "renames", _seq(_ATOM, _ATOM), many=True, sort=True, kind="renaming"),
-        _Entry("pair", "pairs", _seq(_FORMULA, _FORMULA), many=True, sort=True, kind="table"),
-        _Entry("domain", "domain", _FORMULA, many=True, sort=True),
+        _Entry("rename", "renames", _seq(_take_atom, _take_atom), many=True, kind="renaming"),
+        _Entry("pair", "pairs", _seq(parse_formula_tokens, parse_formula_tokens), many=True,
+               kind="table"),
+        _Entry("domain", "domain", parse_formula_tokens, many=True),
     ), noun="map", expect="a map entry", line_form=(
         "identity", "a map kind",
         "only identity maps fit on one line; renaming and table maps need a block")),
@@ -765,9 +693,9 @@ _BLOCKS = (
         _Entry("component", "component_refs", _word("a component id"), many=True,
                required="lists no components"),
         _Entry("auto", "auto"),
-        _Entry("axiom", "axioms", _FORMULA, many=True, sort=True),
-        _Entry("rule-ref", "rule_refs", _word("a rule name"), many=True, spread=True, sort=True),
-        _Entry("theorem", "theorems", _FORMULA, many=True, sort=True),
+        _Entry("axiom", "axioms", parse_formula_tokens, many=True),
+        _Entry("rule-ref", "rule_refs", _word("a rule name"), many=True, spread=True),
+        _Entry("theorem", "theorems", parse_formula_tokens, many=True),
     ), noun="prevariety", expect="a prevariety entry"),
     _Block("witness", "witnesses", WitnessDef, (("witness_id", _word("a witness id")),), (
         _ref("prevariety", "prevariety_ref"),
@@ -781,12 +709,12 @@ _BLOCKS = (
             _word("an axiom id"),
             _choice("satisfied, violated or unknown", "status",
                     {"satisfied": SATISFIED, "violated": VIOLATED, "unknown": UNKNOWN}),
-            _Arg(_read_evidence, _write_evidence)), many=True),
+            _read_evidence), many=True),
     ), noun="class", expect="status"),
     _Block("theorem-rec", "theorem_recs", TheoremRecDef,
            (("theorem_id", _word("a theorem id")),), (
         _Entry("statement", "statement", _string("statement"), required="needs a statement"),
-        _Entry("depends", "depends", _word("an axiom id"), many=True, spread=True, sort=True),
+        _Entry("depends", "depends", _word("an axiom id"), many=True, spread=True),
         _Entry("source", "source", _string("source")),
         _Entry("unconditional", "unconditional"),
     ), noun="theorem", expect="a theorem entry"),
@@ -844,7 +772,7 @@ class _Parser:
                 raise LexError(f"{keyword} {row.required}", 0)
         elif spec is not None and spec.line_form:
             kind, what, fault = spec.line_form
-            ident, _ = spec.header[0][1].read(tokens, 1)
+            ident, _ = spec.header[0][1](tokens, 1)
             word, _ = _take_word(tokens, 2, what)
             if word != kind:
                 raise LexError(fault.format(word), tokens[2].col)

@@ -162,7 +162,7 @@ ROWS = (
            "out.append(line[i + 1])",
            "out.append(ch)", (
                "tests/test_manifest.py::TestStringScan::test_scan_matches_the_per_character_oracle",
-               "tests/test_manifest.py::TestCanonicalText::test_strings_are_escaped",
+               'tests/test_manifest.py::TestStringScan::test_escapes_and_errors["a\\\\"b" c-0-outcome2]',
            )),
     Mutant("plain-string-column-off-by-one", "src/vty/lex.py",
            'tokens.append(Token("STRING", m[3], m.start(3) - 1))',

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -392,8 +393,11 @@ class TestReports:
                      *(PACKAGED / name for name in PREVARIETY_MANIFESTS)):
             manifest = load_manifest(path)
             bounds = dataclasses.replace(manifest.bounds, **override)
-            rewritten.write_text(dataclasses.replace(manifest, bounds=bounds).to_text(),
-                                 encoding="utf-8")
+            merged = " ".join(f"{name}={value}" for name, value in bounds.to_dict().items())
+            rewritten_text, count = re.subn(r"^bounds .*$", f"bounds {merged}",
+                                            path.read_text(encoding="utf-8"), flags=re.M)
+            assert count == 1
+            rewritten.write_text(rewritten_text, encoding="utf-8")
             for argv in (["closure", "--calculus", manifest.calculi[0].calculus_id],
                          ["check-prevariety"], ["check-variety", "--depth", "2"],
                          ["consistency"]):
