@@ -252,16 +252,19 @@ def _index_calculi(draw, featured: str):
     names = set(draw(st.sets(st.sampled_from(sorted(pool)), max_size=1)))
     hilbert = featured == "hilbert" or draw(st.integers(0, 3)) == 3
     names.add("mp" if featured == "hilbert" else featured)
-    # schemas and substitution instantiate over the domain: keep it small
+    # schemas and substitution instantiate over the domain: keep it small.
+    # P2's three metavariables pass the test's size cap of 300 on a domain
+    # of seven formulas, so hilbert axioms are atoms, one instance per rule
     wide = hilbert or "sub" in names
-    axioms = set(draw(st.frozensets(_SMALL_FORMULAS, min_size=1, max_size=1 if wide else 3)))
+    axioms = set(draw(st.frozensets(_LEAVES if hilbert else _SMALL_FORMULAS,
+                                    min_size=1, max_size=1 if wide else 3)))
     for name in sorted(names):
         rule = pool[name]
         if isinstance(rule, SubstitutionRule):
             continue
         metavariables = sorted(set().union(*map(atoms, rule.premises)))
         # two instances over few atoms often share a conclusion: a tie
-        for _ in range(draw(st.integers(1, 2))):
+        for _ in range(draw(st.integers(1, 1 if hilbert else 2))):
             mapping = {m: draw(_LEAVES if wide else _SMALL_FORMULAS) for m in metavariables}
             for premise in rule.premises:
                 if draw(st.integers(0, 3)) < 3:
