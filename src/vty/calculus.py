@@ -304,9 +304,6 @@ class ClosureResult:
     def __contains__(self, formula: Formula) -> bool:
         return formula in self._index
 
-    def entry_for(self, formula: Formula) -> ClosureEntry | None:
-        return self._index.get(formula)
-
     def proof_for(self, formula: Formula) -> Proof | None:
         entry = self._index.get(formula)
         return entry.proof if entry else None

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .calculus import (
     Calculus,
@@ -79,10 +79,6 @@ class FormulaMap:
     @classmethod
     def identity(cls, map_id: str = "identity") -> FormulaMap:
         return cls(map_id, renaming=())
-
-    @classmethod
-    def renaming_map(cls, map_id: str, mapping: Mapping[str, str]) -> FormulaMap:
-        return cls(map_id, renaming=tuple(sorted(mapping.items())))
 
     @classmethod
     def table_map(

@@ -292,7 +292,7 @@ def random_component(rng: random.Random, cid: str) -> Component:
         names = ["p", "q", "r", "s", "u", "v"]
         shuffled = names[:]
         rng.shuffle(shuffled)
-        fmap = FormulaMap.renaming_map(f"ren_{cid}", dict(zip(names, shuffled)))
+        fmap = FormulaMap(f"ren_{cid}", renaming=tuple(zip(names, shuffled)))
     return Component(cid, calc, fmap, fmap, designated)
 
 

@@ -74,12 +74,12 @@ def _set_by_call(call, positional):
 
 
 def test_every_public_function_is_used_or_documented():
-    # a module-level function without a leading underscore is API: some
-    # library code calls or names it, or README documents it; one that only
-    # tests reach belongs in the tests
+    # a function or method without a leading underscore is API: some library
+    # code calls or names it, or README documents it; one that only tests
+    # reach belongs in the tests
     used = _references(LIBRARY)
-    unused = [name for name, _, _ in _public_functions()
-              if "." not in name and name not in used
+    unused = [qualified for qualified, _, _ in _public_functions()
+              if (name := qualified.rsplit(".", 1)[-1]) not in used
               and not re.search(rf"\b{name}\b", README)]
     assert unused == []
 

@@ -72,12 +72,12 @@ class TestFormulaMap:
             FormulaMap("dup", renaming=(("p", "q"), ("p", "r")))
 
     def test_renaming_is_homomorphic(self):
-        ren = FormulaMap.renaming_map("ren", {"a1": "p", "a2": "q"})
+        ren = FormulaMap("ren", renaming=(("a1", "p"), ("a2", "q")))
         f = pf("(-> a1 (and a2 bot))")
         assert ren.over([f]) == ({f: pf("(-> p (and q bot))")}, ())
 
     def test_renaming_leaves_unmapped_atoms_fixed(self):
-        ren = FormulaMap.renaming_map("ren", {"a1": "p"})
+        ren = FormulaMap("ren", renaming=(("a1", "p"),))
         f = pf("(or a1 z)")
         assert ren.over([f]) == ({f: pf("(or p z)")}, ())
 
@@ -94,7 +94,7 @@ class TestFormulaMap:
 
     def test_a_renaming_names_only_atoms(self):
         with pytest.raises(ValueError, match="bad atom name 'bot'"):
-            FormulaMap.renaming_map("ren", {"p": "bot"})
+            FormulaMap("ren", renaming=(("p", "bot"),))
 
     def test_domain_restriction_narrows_a_renaming(self):
         ren = FormulaMap("ren", renaming=(("p", "q"),), domain=fs("p"))
@@ -124,7 +124,7 @@ class TestAssembly:
         assert report.depth_bounds == (("C1", 2),)
 
     def test_assembly_applies_the_maps(self):
-        ren = FormulaMap.renaming_map("ren", {"a1": "p", "a2": "q"})
+        ren = FormulaMap("ren", renaming=(("a1", "p"), ("a2", "q")))
         pv = assemble_prevariety([
             mp_component("C2", ["a1", "(-> a1 a2)"], ["a2"], fmap=ren),
         ])
@@ -235,7 +235,7 @@ class TestComponentInvariants:
 
 def shared_core_components():
     c1 = mp_component("C1", ["p", "(-> p q)"], ["p", "q", "(-> p q)"])
-    ren = FormulaMap.renaming_map("ren", {"a1": "p", "a2": "q"})
+    ren = FormulaMap("ren", renaming=(("a1", "p"), ("a2", "q")))
     c2 = mp_component("C2", ["a1", "(-> a1 a2)"], ["a1", "a2", "(-> a1 a2)"], fmap=ren)
     return [c1, c2]
 
@@ -370,7 +370,7 @@ class TestVarietyWitnesses:
 
     def test_witness_axiom_lands_outside_intersection(self):
         witness = core_witness(
-            axiom_map=FormulaMap.renaming_map("shift", {"p": "r"}),
+            axiom_map=FormulaMap("shift", renaming=(("p", "r"),)),
         )
         pv = assemble_prevariety(shared_core_components())
         report = check_variety(pv, 2, [witness])
@@ -389,7 +389,7 @@ class TestVarietyWitnesses:
     def test_witness_theorem_lands_outside_intersection(self):
         witness = core_witness(
             designated_theorems=fs("q"),
-            theorem_map=FormulaMap.renaming_map("shift", {"q": "s"}),
+            theorem_map=FormulaMap("shift", renaming=(("q", "s"),)),
         )
         pv = assemble_prevariety(shared_core_components())
         report = check_variety(pv, 2, [witness])
@@ -477,7 +477,7 @@ class TestBijectiveModes:
             assert d.message == f"{label} 'merge' sends both to r"
 
     def test_injectivity_is_per_component(self):
-        shared_target = FormulaMap.renaming_map("collapse", {"q": "p"})
+        shared_target = FormulaMap("collapse", renaming=(("q", "p"),))
         calc = dataclasses.replace(
             with_axioms(base_calculus("empty"), fs("q")), calculus_id="one")
         comp = Component("B3", calc, shared_target, shared_target, frozenset())
