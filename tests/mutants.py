@@ -134,6 +134,11 @@ ROWS = (
                "tests/test_calculus.py::TestOracleEquivalence::test_substitution_rule_matches_oracle",
                "tests/test_calculus.py::TestIndexedClosureMatchesScan::test_entries_match_the_scan_oracle[sub]",
            )),
+    Mutant("schema-rule-conclusion-at-the-depth", "src/vty/calculus.py",
+           "if cost < depth and add(conclusion, mask, cost + 1, derivation):",
+           "if cost <= depth and add(conclusion, mask, cost + 1, derivation):", (
+               "tests/test_projection.py::TestLabelContract::test_a_one_premise_rule_stops_at_the_depth",
+           )),
     Mutant("label-dominance-reversed", "src/vty/calculus.py",
            "if kept_mask & mask == kept_mask and kept_cost <= cost:",
            "if kept_mask & mask == mask and kept_cost <= cost:", (

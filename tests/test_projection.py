@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import vty.projection
 from vty.calculus import (
     Calculus,
+    SchemaRule,
     SubstitutionRule,
     base_calculus,
     check_proof,
@@ -533,6 +534,15 @@ class TestLabelContract:
         # ponens from (-> (-> r q) (-> r q)), whose label (q, cost 2) is found
         # after its label (p, cost 3); pruning on the first label found loses it
         self.check(base_calculus("hilbert"), [pf("p"), pf("q")], pf("(-> r q)"), 3)
+
+    def test_a_one_premise_rule_stops_at_the_depth(self):
+        # r costs 0 with the listed axiom and 2 without it; a one-premise rule
+        # takes r's labels unjoined, so only its check on the cost keeps
+        # (not r) at cost 3 out of a closure of depth 2
+        neg = SchemaRule("neg", (Atom("a"),), Not(Atom("a")))
+        calc = Calculus("neg", axioms=frozenset(map(pf, ["p", "(-> p q)", "(-> q r)"])),
+                        rules=(modus_ponens(), neg))
+        self.check(calc, [pf("r")], pf("(not r)"), 2)
 
 
 class TestSeedRegistry:
