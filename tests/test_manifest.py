@@ -197,6 +197,68 @@ def failing(text, match):
     return err.value
 
 
+DATA_FILES = (
+    "bijective_modes.vty",
+    "inconsistent_kb.vty",
+    "seed_registry.vty",
+    "shared_core.vty",
+    "shared_core_nowitness.vty",
+)
+
+# the block keyword that opens each kind of def, by Manifest attribute
+BLOCK_KEYWORDS = {
+    "rules": "rule", "calculi": "calculus", "maps": "map", "components": "component",
+    "prevarieties": "prevariety", "witnesses": "witness", "axiom_decls": "axiom-decl",
+    "classes": "class", "theorem_recs": "theorem-rec",
+}
+
+
+def manifest_text(data_dir, name):
+    if name == "all_entries":
+        return ALL_ENTRIES
+    return (data_dir / name).read_text(encoding="utf-8")
+
+
+def noisy(text):
+    """The same manifest with every line re-indented by a tab, a comment
+    after it, and a comment line and a blank line between any two."""
+    return "".join(f"\t{line.strip()}  # note\n# between\n\n" if line.strip() else "\n"
+                   for line in text.splitlines())
+
+
+class TestShippedFiles:
+    @pytest.mark.parametrize("name", DATA_FILES + ("all_entries",))
+    def test_load_and_parse_agree(self, data_dir, tmp_path, name):
+        text = manifest_text(data_dir, name)
+        path = tmp_path / "copy.vty"
+        path.write_bytes(text.encode("utf-8"))
+        loaded = load_manifest(path)
+        assert loaded == parse_manifest(text)
+        assert loaded.source == str(path)
+
+    @pytest.mark.parametrize("name", DATA_FILES + ("all_entries",))
+    def test_comments_blank_lines_and_indentation_change_nothing(self, data_dir, name):
+        text = manifest_text(data_dir, name)
+        assert noisy(text) != text
+        manifest = parse_manifest(text)
+        again = parse_manifest(noisy(text))
+        assert again == manifest
+        assert again.registry() == manifest.registry()
+
+    @pytest.mark.parametrize("name", DATA_FILES + ("all_entries",))
+    def test_each_def_records_the_line_that_opens_it(self, data_dir, name):
+        lines = manifest_text(data_dir, name).splitlines()
+        manifest = parse_manifest("\n".join(lines))
+        seen = 0
+        for attr, keyword in BLOCK_KEYWORDS.items():
+            for d in getattr(manifest, attr):
+                ident = getattr(d, dataclasses.fields(d)[0].name)
+                assert lines[d.line - 1].split()[:2] == [keyword, ident]
+                seen += 1
+        assert seen == sum(line.split()[0] in BLOCK_KEYWORDS.values()
+                           for line in lines if line[:1].isalpha())
+
+
 def test_a_manifest_without_bounds_gets_the_default_bounds():
     assert parse_manifest(MINIMAL).bounds == Bounds()
 
@@ -727,6 +789,21 @@ class TestLineLexer:
             Token("STRING", 'b"c', 4), Token("LBRACE", "{", 11), Token("RBRACE", "}", 12),
             Token("RPAREN", ")", 13), Token("STRING", "", 15),
         ]
+
+
+class TestStringsStaySingleLine:
+    # every break that str.splitlines knows ends the line, and so the string
+    @pytest.mark.parametrize("text, line, col", [
+        ('axiom-decl AX "two\nlines"\n', 1, 15),
+        ('class C "carriage\rreturn" {\n}\n', 1, 9),
+        ('axiom-decl AX "x"\n\nclass C "c" {\n  status AX satisfied citation "a\u2028b"\n}\n',
+         4, 32),
+        ('theorem-rec t {\n  statement "crlf\r\n"\n}\n', 2, 13),
+    ], ids=["statement", "display name", "citation", "theorem statement"])
+    def test_a_line_break_leaves_the_string_unterminated(self, text, line, col):
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(text, source="w.vty")
+        assert str(err.value) == f"w.vty:{line}:{col}: unterminated string"
 
 
 class TestRequiredEntries:
