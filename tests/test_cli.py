@@ -280,6 +280,17 @@ class TestExitCodes:
         assert report["errors"] == [
             "variety check needs 1048575 index tuples, above the cap of 100000"]
 
+    @pytest.mark.parametrize("argv, error", [
+        (["minimal-subsets", "--axioms", *(f"a{i}" for i in range(13)), "--goal", "a1",
+          "--base", "mp"], "13 axioms exceed the subset enumeration cap of 12"),
+        (["classify", "--axioms", "p", "q", "r", "--goal", "p", "--base", "mp",
+          "--bounds", "atoms=2"], "truth table over 3 atoms exceeds the cap of 2"),
+    ])
+    def test_subset_and_atom_caps_refuse_the_search(self, capsys, argv, error):
+        code, report = run_json(capsys, *argv)
+        assert code == 1
+        assert report["errors"] == [error]
+
     def test_bad_schedule_is_an_operational_error(self, capsys, data_dir):
         code, report = run_json(
             capsys, "fixed-output", "recognize",
