@@ -23,17 +23,13 @@ from .calculus import (
     with_axioms,
 )
 from .errors import (
-    AtomCapExceededError,
     BadSymbolError,
+    CapExceededError,
     DecodeError,
     DepthExplosionError,
-    EnumerationCapExceededError,
     FormulaParseError,
     ManifestError,
     MapUndefinedError,
-    StepCapExceededError,
-    SubsetCapExceededError,
-    TupleCapExceededError,
     UndeclaredAxiomError,
     UnresolvedReferenceError,
     VtyError,
@@ -86,16 +82,14 @@ from .varieties import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "And", "Atom", "AtomCapExceededError", "AxiomDeclaration", "AxiomSchema",
-    "BadSymbolError", "Bounds", "Calculus", "ClassProfile", "Component",
-    "DecodeError", "DepthExplosionError", "EnumerationCapExceededError",
-    "Evidence", "Formula", "FormulaMap", "FormulaParseError", "Implies",
-    "Manifest", "ManifestError", "MapUndefinedError", "Not", "Or",
-    "Prevariety", "Proof", "RegisterMachine", "SchemaRule", "StepCapExceededError",
-    "SubsetCapExceededError", "SubstitutionRule", "TheoremRecord", "Bottom",
-    "TupleCapExceededError", "UndeclaredAxiomError", "UnresolvedReferenceError",
-    "VarietyWitness", "VtyError", "assemble_prevariety", "base_calculus",
-    "check_bijective_variety", "check_consistency", "check_prevariety",
+    "And", "Atom", "AxiomDeclaration", "AxiomSchema", "BadSymbolError", "Bottom",
+    "Bounds", "Calculus", "CapExceededError", "ClassProfile", "Component",
+    "DecodeError", "DepthExplosionError", "Evidence", "Formula", "FormulaMap",
+    "FormulaParseError", "Implies", "Manifest", "ManifestError", "MapUndefinedError",
+    "Not", "Or", "Prevariety", "Proof", "RegisterMachine", "SchemaRule",
+    "SubstitutionRule", "TheoremRecord", "UndeclaredAxiomError",
+    "UnresolvedReferenceError", "VarietyWitness", "VtyError", "assemble_prevariety",
+    "base_calculus", "check_bijective_variety", "check_consistency", "check_prevariety",
     "check_proof", "check_variety", "classify_relation", "closure",
     "consistency_report", "decode_machine", "encode_machine", "entails",
     "fixed_output_brute", "fixed_output_recognize", "format_formula",

@@ -16,14 +16,28 @@ class FormulaParseError(VtyError):
         self.col = col
 
 
-class AtomCapExceededError(VtyError):
-    """A truth-table check would enumerate more atoms than the cap allows."""
+# the refusal of each cap, by its bound; `atoms` and `enum` are `Bounds` keys
+_CAP_MESSAGES = {
+    "atoms": "truth table over {count} atoms exceeds the cap of {cap}",
+    "subsets": "{count} axioms exceed the subset enumeration cap of {cap}",
+    "enum": "enumeration needs {count} runs, above the cap of {cap}",
+    "steps": "search needs up to {count} steps, above the cap of {cap}",
+    "tuples": "variety check needs {count} index tuples, above the cap of {cap}",
+}
 
-    def __init__(self, atom_count: int, cap: int):
-        super().__init__(
-            f"truth table over {atom_count} atoms exceeds the cap of {cap}"
-        )
-        self.atom_count = atom_count
+
+class CapExceededError(VtyError):
+    """Work refused before it starts: it needs ``count`` of ``bound``, above ``cap``.
+
+    With ``at_least`` the count stopped once it passed the cap, so ``count``
+    is a lower bound on what the work needs.
+    """
+
+    def __init__(self, bound: str, count: int, cap: int, *, at_least: bool = False):
+        shown = f"at least {count}" if at_least else count
+        super().__init__(_CAP_MESSAGES[bound].format(count=shown, cap=cap))
+        self.bound = bound
+        self.count = count
         self.cap = cap
 
 
@@ -55,49 +69,8 @@ class MapUndefinedError(VtyError):
         self.formula_text = formula_text
 
 
-class SubsetCapExceededError(VtyError):
-    """An axiom set is too large for exact subset enumeration."""
-
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"{size} axioms exceed the subset enumeration cap of {cap}")
-        self.size = size
-        self.cap = cap
 
 
-class EnumerationCapExceededError(VtyError):
-    """A brute-force machine enumeration would exceed the run cap.
-
-    With ``at_least`` the count stopped once it passed the cap, so
-    ``runs`` is a lower bound on the runs the enumeration needs.
-    """
-
-    def __init__(self, runs: int, cap: int, *, at_least: bool = False):
-        bound = "at least " if at_least else ""
-        super().__init__(f"enumeration needs {bound}{runs} runs, above the cap of {cap}")
-        self.runs = runs
-        self.cap = cap
-
-
-class StepCapExceededError(VtyError):
-    """A machine search could run more steps than the step cap.
-
-    ``steps`` is the most the search could run: every run to the end of
-    its fuel.
-    """
-
-    def __init__(self, steps: int, cap: int):
-        super().__init__(f"search needs up to {steps} steps, above the cap of {cap}")
-        self.steps = steps
-        self.cap = cap
-
-
-class TupleCapExceededError(VtyError):
-    """A variety check would visit more index tuples than the tuple cap."""
-
-    def __init__(self, tuples: int, cap: int):
-        super().__init__(f"variety check needs {tuples} index tuples, above the cap of {cap}")
-        self.tuples = tuples
-        self.cap = cap
 
 
 class DecodeError(VtyError):

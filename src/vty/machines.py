@@ -55,7 +55,7 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import ClassVar, Iterator, Sequence
 
-from .errors import DecodeError, EnumerationCapExceededError, StepCapExceededError
+from .errors import CapExceededError, DecodeError
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 # the most steps one Fixed Output search may run, counted before any run
@@ -468,7 +468,7 @@ def _slot_classes(jumps: Sequence[frozenset[int]], length: int) -> Iterator[list
 
 def _check_steps(steps: int) -> None:
     if steps > DEFAULT_STEP_CAP:
-        raise StepCapExceededError(steps, DEFAULT_STEP_CAP)
+        raise CapExceededError("steps", steps, DEFAULT_STEP_CAP)
 
 
 @dataclass(frozen=True)
@@ -505,9 +505,8 @@ def fixed_output_brute(
     ):
         runs += count * len(bounds.inputs)
         if runs > enumeration_cap:
-            raise EnumerationCapExceededError(
-                runs, enumeration_cap, at_least=length < bounds.max_instructions
-            )
+            raise CapExceededError("enum", runs, enumeration_cap,
+                                   at_least=length < bounds.max_instructions)
     _check_steps(runs * bounds.fuel)
     inputs = sorted(bounds.inputs)
     registers = bounds.max_registers

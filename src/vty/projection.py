@@ -21,7 +21,7 @@ from .calculus import (
     proves,
     with_axioms,
 )
-from .errors import DepthExplosionError, SubsetCapExceededError, UndeclaredAxiomError
+from .errors import CapExceededError, DepthExplosionError, UndeclaredAxiomError
 from .formulas import Formula, formula_key
 from .semantics import DEFAULT_ATOM_CAP, check_consistency, entails
 
@@ -273,7 +273,7 @@ def minimal_axiom_subsets(
 
 def _check_subset_cap(axiom_list: Sequence[Formula]) -> None:
     if len(axiom_list) > DEFAULT_SUBSET_CAP:
-        raise SubsetCapExceededError(len(axiom_list), DEFAULT_SUBSET_CAP)
+        raise CapExceededError("subsets", len(axiom_list), DEFAULT_SUBSET_CAP)
 
 
 def _minimal_sufficient_subsets(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import AtomCapExceededError
+from .errors import CapExceededError
 from .formulas import Bottom, Formula, Not, atoms, evaluate, formula_key
 
 DEFAULT_ATOM_CAP = 20
@@ -61,7 +61,7 @@ def satisfying_assignment(
     fs = list(formulas)
     names = collect_atoms(fs)
     if len(names) > atom_cap:
-        raise AtomCapExceededError(len(names), atom_cap)
+        raise CapExceededError("atoms", len(names), atom_cap)
     masks, true = atom_masks(names)
     models = true
     for formula in fs:

@@ -32,7 +32,7 @@ from .calculus import (
     InferenceRule,
     theorem_formulas,
 )
-from .errors import AtomCapExceededError, MapUndefinedError, TupleCapExceededError
+from .errors import CapExceededError, MapUndefinedError
 from .formulas import Atom, Formula, evaluate, formula_key, substitute
 from .semantics import (
     DEFAULT_ATOM_CAP,
@@ -442,7 +442,7 @@ def check_variety(
     count = len(pv.components)
     tuples = sum(math.comb(count, width) for width in range(1, min(k, count) + 1))
     if tuples > DEFAULT_TUPLE_CAP:
-        raise TupleCapExceededError(tuples, DEFAULT_TUPLE_CAP)
+        raise CapExceededError("tuples", tuples, DEFAULT_TUPLE_CAP)
 
     mapped = [_mapped(component, size_cap) for component in pv.components]
     axiom_images = [frozenset(m.axiom_images.values()) for m in mapped]
@@ -658,7 +658,7 @@ def consistency_report(
         )
         atom_count = len(collect_atoms(pooled))
         if atom_count > atom_cap:
-            raise AtomCapExceededError(atom_count, atom_cap)
+            raise CapExceededError("atoms", atom_count, atom_cap)
         contributions.append(pooled)
         atom_counts.append(atom_count)
 

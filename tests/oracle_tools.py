@@ -27,7 +27,7 @@ from vty.calculus import (
     theorem_formulas,
     with_axioms,
 )
-from vty.errors import AtomCapExceededError
+from vty.errors import CapExceededError
 from vty.formulas import (
     And,
     Atom,
@@ -573,7 +573,7 @@ def oracle_satisfying_assignment(
     fs = list(formulas)
     names = collect_atoms(fs)
     if len(names) > atom_cap:
-        raise AtomCapExceededError(len(names), atom_cap)
+        raise CapExceededError("atoms", len(names), atom_cap)
     for assignment in iter_assignments(names):
         if all(evaluate(f, assignment) for f in fs):
             return assignment

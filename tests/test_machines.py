@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vty.machines
-from vty.errors import DecodeError, EnumerationCapExceededError, StepCapExceededError
+from vty.errors import CapExceededError, DecodeError
 from vty.machines import (
     BruteResult,
     DecJz,
@@ -514,12 +514,12 @@ class TestFixedOutputBrute:
 
     def test_enumeration_cap(self):
         # lengths 0..2 already need 2 + 26 + 1250 runs; length 3 is never counted
-        with pytest.raises(EnumerationCapExceededError) as stopped:
+        with pytest.raises(CapExceededError) as stopped:
             fixed_output_brute(WorldBounds(3, 2, (0, 1), 5), 1, enumeration_cap=100)
         assert str(stopped.value) == "enumeration needs at least 1278 runs, above the cap of 100"
 
     def test_cap_passed_at_the_last_length_counts_exactly(self):
-        with pytest.raises(EnumerationCapExceededError) as counted:
+        with pytest.raises(CapExceededError) as counted:
             fixed_output_brute(WorldBounds(3, 1, (0, 1), 5), 1, enumeration_cap=18_875)
         assert str(counted.value) == "enumeration needs 18876 runs, above the cap of 18875"
 
@@ -528,14 +528,15 @@ class TestFixedOutputBrute:
         monkeypatch.setattr(vty.machines, "DEFAULT_STEP_CAP", 32)
         assert fixed_output_brute(self.tiny_world(), 1).runs == 8
         monkeypatch.setattr(vty.machines, "DEFAULT_STEP_CAP", 31)
-        with pytest.raises(StepCapExceededError) as capped:
+        with pytest.raises(CapExceededError) as capped:
             fixed_output_brute(self.tiny_world(), 1)
         assert str(capped.value) == "search needs up to 32 steps, above the cap of 31"
 
     def test_enumeration_cap_is_checked_before_the_step_cap(self, monkeypatch):
         monkeypatch.setattr(vty.machines, "DEFAULT_STEP_CAP", 1)
-        with pytest.raises(EnumerationCapExceededError):
+        with pytest.raises(CapExceededError) as capped:
             fixed_output_brute(self.tiny_world(), 1, enumeration_cap=7)
+        assert capped.value.bound == "enum"
 
     @given(
         instructions=st.integers(0, 3),
@@ -550,8 +551,9 @@ class TestFixedOutputBrute:
         cap = 20_000
         bounds = WorldBounds(instructions, registers, tuple(inputs), fuel)
         if count_machines(instructions, registers) * len(inputs) > cap:
-            with pytest.raises(EnumerationCapExceededError):
+            with pytest.raises(CapExceededError) as capped:
                 fixed_output_brute(bounds, 0, enumeration_cap=cap)
+            assert capped.value.bound == "enum"
             return
         outputs = {run_machine(m, value, fuel).output
                    for m in enumerate_machines(instructions, registers) for value in inputs}
@@ -607,7 +609,7 @@ class TestFixedOutputRecognize:
         monkeypatch.setattr(vty.machines, "DEFAULT_STEP_CAP", 19)
         assert fixed_output_recognize(m, 1, [1, 2, 3, 4], max_input=1).probes == 7
         monkeypatch.setattr(vty.machines, "DEFAULT_STEP_CAP", 18)
-        with pytest.raises(StepCapExceededError) as capped:
+        with pytest.raises(CapExceededError) as capped:
             fixed_output_recognize(m, 1, [1, 2, 3, 4], max_input=1)
         assert str(capped.value) == "search needs up to 19 steps, above the cap of 18"
 

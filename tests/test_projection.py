@@ -17,7 +17,7 @@ from vty.calculus import (
     modus_ponens,
     with_axioms,
 )
-from vty.errors import DepthExplosionError, SubsetCapExceededError, UndeclaredAxiomError, VtyError
+from vty.errors import CapExceededError, DepthExplosionError, UndeclaredAxiomError, VtyError
 from vty.formulas import Atom, Implies, Not, evaluate, formula_key, parse_formula
 from vty.projection import (
     CITATION,
@@ -263,10 +263,10 @@ class TestRelationClassifier:
 
     def test_subset_cap_guards_the_search(self):
         axioms = [pf(f"a{i}") for i in range(14)]
-        with pytest.raises(SubsetCapExceededError):
-            classify_relation(axioms, pf("a1"), base="mp")
-        with pytest.raises(SubsetCapExceededError):
-            minimal_axiom_subsets(axioms, pf("a1"), base="mp")
+        for search in (classify_relation, minimal_axiom_subsets):
+            with pytest.raises(CapExceededError) as capped:
+                search(axioms, pf("a1"), base="mp")
+            assert capped.value.bound == "subsets"
 
     @given(st.integers(0, 2 ** 30))
     @settings(max_examples=25, deadline=None)
@@ -476,8 +476,9 @@ class TestLabelledSearchMatchesOracle:
         axioms = [pf(text) for text in CHAIN_POOL[:12]]
         found = assert_search_matches_oracle(axioms, pf(goal), "mp", 4)
         assert len(found) == count
-        with pytest.raises(SubsetCapExceededError):
+        with pytest.raises(CapExceededError) as capped:
             minimal_axiom_subsets([*axioms, pf("(-> e z)")], pf(goal), "mp", 4)
+        assert capped.value.bound == "subsets"
 
     def test_subsets_of_one_width_come_in_combination_order(self):
         # by their sorted positions (0, 1, 2, 5), (0, 1, 4, 5), (0, 2, 3, 5):

@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from vty.errors import AtomCapExceededError
+from vty.errors import CapExceededError
 from vty.formulas import Atom, Not, Or, evaluate, parse_formula
 from vty.semantics import (
     atom_masks,
@@ -45,8 +45,8 @@ class TestAssignments:
 def _outcome(search, formulas_, cap):
     try:
         return search(formulas_, cap)
-    except AtomCapExceededError as exc:
-        return ("cap", str(exc), exc.atom_count, exc.cap)
+    except CapExceededError as exc:
+        return ("cap", str(exc), exc.bound, exc.count, exc.cap)
 
 
 class TestMasks:
@@ -94,9 +94,9 @@ class TestAtomCap:
             "INCONSISTENT", "truth_table", 20)
 
     def test_one_atom_past_the_cap(self):
-        with pytest.raises(AtomCapExceededError) as info:
+        with pytest.raises(CapExceededError) as info:
             check_consistency(_chain(21))
-        assert (info.value.atom_count, info.value.cap) == (21, 20)
+        assert (info.value.bound, info.value.count, info.value.cap) == ("atoms", 21, 20)
 
 
 class TestEntails:
@@ -119,8 +119,9 @@ class TestEntails:
 
     def test_atom_cap(self):
         premises = [Atom(f"a{i}") for i in range(6)]
-        with pytest.raises(AtomCapExceededError):
+        with pytest.raises(CapExceededError) as info:
             entails(premises, Atom("a0"), 5)
+        assert info.value.bound == "atoms"
 
 
 class TestConsistency:
@@ -165,5 +166,6 @@ class TestConsistency:
 
     def test_atom_cap_respected(self):
         batch = [Or(Atom(f"x{i}"), Not(Atom(f"x{i}"))) for i in range(4)]
-        with pytest.raises(AtomCapExceededError):
+        with pytest.raises(CapExceededError) as info:
             check_consistency(batch, 3)
+        assert info.value.bound == "atoms"

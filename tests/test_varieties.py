@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import vty.varieties
 from vty.calculus import Calculus, base_calculus, with_axioms
-from vty.errors import MapUndefinedError, TupleCapExceededError, VtyError
+from vty.errors import CapExceededError, MapUndefinedError, VtyError
 from vty.formulas import parse_formula
 from vty.varieties import (
     Component,
@@ -278,7 +278,7 @@ class TestVarietyWitnesses:
         monkeypatch.setattr(vty.varieties, "DEFAULT_TUPLE_CAP", tuples)
         assert len(check_variety(pv, k).tuples) == tuples
         monkeypatch.setattr(vty.varieties, "DEFAULT_TUPLE_CAP", tuples - 1)
-        with pytest.raises(TupleCapExceededError, match=(
+        with pytest.raises(CapExceededError, match=(
                 f"^variety check needs {tuples} index tuples, above the cap of {tuples - 1}$")):
             check_variety(pv, k)
 
