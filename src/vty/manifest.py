@@ -271,14 +271,11 @@ class Manifest:
             self.validate()
         return self._built
 
-    def rule_object(self, name: str, ref_line: int = 0) -> InferenceRule:
-        return self._get(self._table(), "rules", name, "rule", ref_line)
-
     def calculus(self, calculus_id: str) -> Calculus:
         return self._get(self._table(), "calculi", calculus_id, "calculus", 0)
 
-    def component(self, component_id: str, ref_line: int = 0) -> Component:
-        return self._get(self._table(), "components", component_id, "component", ref_line)
+    def component(self, component_id: str) -> Component:
+        return self._get(self._table(), "components", component_id, "component", 0)
 
     def default_prevariety_id(self) -> str:
         if not self.prevarieties:
@@ -288,12 +285,14 @@ class Manifest:
 
     def prevariety(self, prevariety_id: str | None = None) -> Prevariety:
         wanted = prevariety_id or self.default_prevariety_id()
-        d = self._get(self._table(), "prevarieties", wanted, "prevariety", 0)
-        components = tuple(self.component(ref, d.line) for ref in d.component_refs)
+        built = self._table()
+        d = self._get(built, "prevarieties", wanted, "prevariety", 0)
+        # validate resolved every component and rule ref
+        components = tuple(built["components"][ref] for ref in d.component_refs)
         if d.is_auto():
             return assemble_prevariety(components, quasi=d.quasi,
                                        size_cap=self.bounds.size)
-        rules = frozenset(self.rule_object(name, d.line) for name in d.rule_refs)
+        rules = frozenset(built["rules"][name] for name in d.rule_refs)
         return Prevariety(frozenset(d.axioms), rules, frozenset(d.theorems),
                           components, d.quasi)
 
