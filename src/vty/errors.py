@@ -69,10 +69,6 @@ class MapUndefinedError(VtyError):
         self.formula_text = formula_text
 
 
-
-
-
-
 class DecodeError(VtyError):
     """An integer does not decode to a well-formed machine."""
 
