@@ -71,6 +71,34 @@ ROWS = (
                "tests/test_cli.py::TestReports::test_fixed_output_reports",
                "tests/test_bench_contract.py::test_brute_search_makes_one_direct_run_per_class_and_input",
            )),
+    # the caps that refuse work before it starts, each at exactly its cap
+    Mutant("atom-cap-at-the-cap", "src/vty/semantics.py",
+           "if len(names) > atom_cap:",
+           "if len(names) >= atom_cap:", (
+               "tests/test_semantics.py::TestAtomCap::test_unsatisfiable_chain_at_the_cap",
+           )),
+    Mutant("component-atom-cap-at-the-cap", "src/vty/varieties.py",
+           "if atom_count > atom_cap:",
+           "if atom_count >= atom_cap:", (
+               "tests/test_varieties.py::TestKnowledgeConsistency::test_a_component_at_the_atom_cap_gets_its_row",
+           )),
+    Mutant("subset-cap-at-the-cap", "src/vty/projection.py",
+           "if len(axiom_list) > DEFAULT_SUBSET_CAP:",
+           "if len(axiom_list) >= DEFAULT_SUBSET_CAP:", (
+               "tests/test_projection.py::TestRelationClassifier::test_subset_cap_guards_the_search",
+               "tests/test_projection.py::TestLabelledSearchMatchesOracle::test_twelve_axioms",
+           )),
+    Mutant("step-cap-at-the-cap", "src/vty/machines.py",
+           "if steps > DEFAULT_STEP_CAP:",
+           "if steps >= DEFAULT_STEP_CAP:", (
+               "tests/test_machines.py::TestFixedOutputBrute::test_step_cap_is_runs_times_fuel",
+               "tests/test_machines.py::TestFixedOutputRecognize::test_step_cap_sums_probes_times_fuel",
+           )),
+    Mutant("enumeration-cap-at-the-cap", "src/vty/machines.py",
+           "if runs > enumeration_cap:",
+           "if runs >= enumeration_cap:", (
+               "tests/test_machines.py::TestFixedOutputBrute::test_runs_under_the_cap_are_the_world_size",
+           )),
     # varieties: the index-tuple cap of a variety check
     Mutant("tuple-cap-at-the-cap", "src/vty/varieties.py",
            "if tuples > DEFAULT_TUPLE_CAP:",

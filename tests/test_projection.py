@@ -262,7 +262,10 @@ class TestRelationClassifier:
         assert check_proof(calc, report.proof).valid
 
     def test_subset_cap_guards_the_search(self):
-        axioms = [pf(f"a{i}") for i in range(14)]
+        axioms = [pf(f"a{i}") for i in range(13)]
+        assert classify_relation(axioms[:12], pf("a1"), base="mp").sufficient == "YES"
+        assert minimal_axiom_subsets(axioms[:12], pf("a1"), base="mp") == (
+            frozenset({pf("a1")}),)
         for search in (classify_relation, minimal_axiom_subsets):
             with pytest.raises(CapExceededError) as capped:
                 search(axioms, pf("a1"), base="mp")

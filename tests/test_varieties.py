@@ -517,6 +517,14 @@ class TestKnowledgeConsistency:
         assert report.minimal_inconsistent_sets == (("K1", "K2", "K3"),)
         assert report.pairs == ()
 
+    def test_a_component_at_the_atom_cap_gets_its_row(self):
+        pv = assemble_prevariety([kb("K1", "p", "(-> p q)")])
+        [row] = consistency_report(pv, atom_cap=2).components
+        assert (row.verdict, row.atom_count) == ("CONSISTENT", 2)
+        with pytest.raises(CapExceededError, match=(
+                "^truth table over 2 atoms exceeds the cap of 1$")):
+            consistency_report(pv, atom_cap=1)
+
     def test_locally_broken_component_is_a_singleton_set(self):
         pv = assemble_prevariety([kb("K0", "p", "(not p)"), kb("K1", "q")])
         report = consistency_report(pv)
