@@ -11,7 +11,9 @@ written to guard; a refactor that moves the code updates the row.
 
 Each row is applied to its own copy of the checkout in a temporary
 directory, and only its named tests run there; a test named without a
-parametrize case stands for all its cases. The runner prints one line per
+parametrize case stands for all its cases. Every run passes
+`--hypothesis-seed=0`, so a property test draws the same examples each
+time and a row's verdict repeats. The runner prints one line per
 row and exits 1 if a named test passes on its mutant or does not run (the
 mutant is alive), or if a row's source text no longer occurs exactly
 once; an unknown row name exits 2. `tests/test_mutants.py` checks every row's source text and test
@@ -244,7 +246,7 @@ def run(row: Mutant) -> tuple[bool, str]:
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
-                 *row.tests],
+                 "--hypothesis-seed=0", *row.tests],
                 cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return False, f"no result within {TIMEOUT_S} s"
