@@ -27,23 +27,36 @@ the empty mask.
 Derivation order, which fixes every cost and proof ``closure`` reports:
 axioms, then schema instances over the ``formula_key``-sorted domain;
 then rounds, until a round admits nothing, over the rules in calculus
-order. Each rule application works through a ``formula_key``-sorted
-snapshot of everything known when it starts, trying premise tuples in
-lexicographic snapshot order. A derivation replaces a formula's current
-one only at strictly lower cost, so among equal costs the first wins.
+order. Each rule application reads a snapshot of everything known when
+it starts, and admits premise tuples in lexicographic order of the
+``formula_key``-sorted snapshot, with the labels the snapshot holds. A
+derivation replaces a formula's current one only at strictly lower cost,
+so among equal costs the first wins.
 
-A schema rule looks its premise candidates up in a one-level index over
-the snapshot instead of scanning all of it. Buckets hold the formula
-itself, every formula with a given connective, and every formula with a
-given connective and a given immediate child in a given slot, each in
-snapshot order. Under the bindings made by earlier premises, a bound
-atom premise takes its own formula's bucket, a connective with a bound
-atom child takes that child's bucket, another connective takes its
-connective's bucket, and an unbound atom takes the whole snapshot. A
-bucket holds every formula the premise can match, in snapshot order, so
-the tuples matched and the order they are admitted in are those of the
-full scan. Proof objects are built from the derivation table on first
-access.
+Rounds are semi-naive (Bancilhon and Ramakrishnan, SIGMOD 1986). A
+formula is fresh for a rule when it was admitted or gained a label since
+that rule's previous application started; for its first, every formula
+is. A premise tuple with no fresh premise offered the same labels at the
+previous application, and labels only improve, so each of them is
+dominated now: skipping the tuple leaves what the application admits
+unchanged. The substitution rule instantiates the fresh formulas only. A
+schema rule gathers the tuples that hold a fresh premise, one pass per
+position of the first fresh premise, starting the join from it; then it
+admits them sorted into snapshot order. When more tuples than the size
+cap are gathered, it drops them and walks every tuple of the sorted
+snapshot in order instead, admitting as it goes, so one application
+never holds more than the cap.
+
+Premise candidates come from a one-level index kept for the whole run: a
+formula enters it once, when it is first admitted. Buckets hold every
+formula with a given connective, and every formula with a given
+connective and a given immediate child in a given slot. Under the
+bindings made by earlier premises, a bound atom premise takes its bound
+formula if that is known, a connective with a bound atom child takes
+that child's bucket, another connective takes its connective's bucket,
+and an unbound atom takes everything known. A bucket holds every formula
+the premise can match. Proof objects are built from the derivation table
+on first access.
 
 ``labelled_closure`` is the run with listed axioms. It answers for every
 subset of them at once, as an assumption-based truth maintenance system
@@ -400,6 +413,8 @@ def _fixpoint(
     domain_sorted = tuple(sorted([*base_domain, *supports], key=formula_key))
     labels: dict[Formula, list[Label]] = {}
     derivations: dict[Formula, _Derivation] = {}
+    index: dict[object, list[Formula]] = {}  # the premise index of every known formula
+    changes: list[Formula] = []  # each formula again whenever its antichain grows
     total = 0
 
     def add(formula: Formula, mask: int, cost: int, derivation: _Derivation) -> bool:
@@ -408,7 +423,10 @@ def _fixpoint(
         grown = _add_label(antichain, mask, cost)
         if grown is None:
             return False
+        if not antichain:
+            _index_formula(index, formula)
         labels[formula] = grown
+        changes.append(formula)
         total += len(grown) - len(antichain)
         if not mask:
             derivations[formula] = derivation
@@ -447,18 +465,26 @@ def _fixpoint(
     for schema in calculus.schemas:
         instantiate(schema.pattern, [(0, 0)], depth, 0, "schema", schema.schema_id)
 
+    # where ``changes`` stood when each rule last started: what was logged
+    # since then is fresh for the rule's next application
+    marks = [0] * len(calculus.rules)
     # every rule application costs one, so at depth 0 no round can admit anything
     changed = depth > 0
     while changed:
         changed = False
-        for rule in calculus.rules:
-            known = [(formula, labels[formula]) for formula in sorted(labels, key=formula_key)]
+        for position, rule in enumerate(calculus.rules):
+            fresh = set(changes[marks[position]:])
+            marks[position] = len(changes)
+            if not fresh:
+                continue
             if isinstance(rule, SchemaRule):
-                if _label_schema_rule(rule, known, depth, add):
+                if _label_schema_rule(rule, labels, fresh, index, depth, add, size_cap):
                     changed = True
                 continue
-            # the substitution rule: from a theorem, any instance of it
-            for formula, antichain in known:
+            # the substitution rule: from a theorem, any instance of it, with
+            # the labels the fresh formulas had when the application started
+            fresh_known = [(formula, labels[formula]) for formula in sorted(fresh, key=formula_key)]
+            for formula, antichain in fresh_known:
                 usable = [label for label in antichain if label[1] < depth]
                 if usable and atoms(formula) and instantiate(
                         formula, usable, depth - 1, 1, "rule", rule.name, (formula,)):
@@ -511,20 +537,20 @@ def _join(left: Sequence[Label], right: Sequence[Label], limit: int) -> list[Lab
     return out
 
 
-def _premise_index(known: list[tuple[Formula, list[Label]]]) -> dict[object, list]:
-    """Buckets of ``known``, each a subsequence in ``known``'s own order.
+def _index_formula(index: dict[object, list[Formula]], formula: Formula) -> None:
+    """Enter ``formula`` in the bucket of its connective class and in the
+    bucket of ``(class, slot, child)`` for each immediate child."""
+    kind = type(formula)
+    index.setdefault(kind, []).append(formula)
+    for slot, child in enumerate(_children(formula)):
+        index.setdefault((kind, slot, child), []).append(formula)
 
-    Keyed by the formula itself, by its connective class, and by
-    ``(class, slot, child)`` for each immediate child.
-    """
-    index: dict[object, list] = {}
-    for item in known:
-        formula = item[0]
-        kind = type(formula)
-        index.setdefault(formula, []).append(item)
-        index.setdefault(kind, []).append(item)
-        for slot, child in enumerate(_children(formula)):
-            index.setdefault((kind, slot, child), []).append(item)
+
+def _premise_index(known: Iterable[Formula]) -> dict[object, list[Formula]]:
+    """The buckets of ``known``, each a subsequence in ``known``'s own order."""
+    index: dict[object, list[Formula]] = {}
+    for formula in known:
+        _index_formula(index, formula)
     return index
 
 
@@ -536,49 +562,108 @@ def _children(formula: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def _candidates(pattern: Formula, bindings: Mapping[str, Formula], known, index) -> list:
-    """The bucket holding every known formula that can match ``pattern``."""
+def _candidates(pattern: Formula, bindings: Mapping[str, Formula],
+                known: Mapping[Formula, list[Label]], index) -> Iterable[Formula]:
+    """Every formula of ``known`` that can match ``pattern``, in the order
+    of ``known`` when ``index`` is its premise index."""
     if isinstance(pattern, Atom):
         bound = bindings.get(pattern.name)
-        return known if bound is None else index.get(bound, [])
+        if bound is None:
+            return known
+        return (bound,) if bound in known else ()
     kind = type(pattern)
     for slot, child in enumerate(_children(pattern)):
         if isinstance(child, Atom) and child.name in bindings:
-            return index.get((kind, slot, bindings[child.name]), [])
-    return index.get(kind, [])
+            return index.get((kind, slot, bindings[child.name]), ())
+    return index.get(kind, ())
 
 
-def _label_schema_rule(rule, known, depth, add) -> bool:
-    index = _premise_index(known)
+def _label_schema_rule(rule, labels, fresh, index, depth, add, size_cap) -> bool:
+    """Apply a schema rule to every premise tuple that holds a fresh premise.
+
+    The tuples are gathered in one pass per position of the first fresh
+    premise, each joined from that premise, and admitted in lexicographic
+    snapshot order with the antichains the application started with.
+    Past ``size_cap`` gathered tuples the application drops them and
+    walks every tuple of a sorted snapshot in order instead, admitting as
+    it goes.
+    """
+    premises = rule.premises
+    last = len(premises) - 1
+    # the tuple being built and its antichains, by premise position
+    used: list = [None] * len(premises)
+    chains: list = [None] * len(premises)
+    pending: list = []
     changed = False
 
-    # ``floor`` sums the least costs of the premises used, which is the least
-    # cost in the join of their labels, so a premise tuple is pruned exactly
-    # when that join would be empty
-    def extend(premise_index: int, bindings: dict[str, Formula], used: tuple[Formula, ...],
-               antichains: tuple[list[Label], ...], floor: int) -> None:
+    def admit(bindings, premise_tuple, antichains) -> bool:
         nonlocal changed
-        if premise_index == len(rule.premises):
-            conclusion = substitute(rule.conclusion, bindings)
-            derivation = _Derivation("rule", rule.name, _freeze_substitution(bindings), used)
-            joined = antichains[0]
-            for antichain in antichains[1:]:
-                joined = _join(joined, antichain, depth - 1)
-            for mask, cost in joined:
-                if cost < depth and add(conclusion, mask, cost + 1, derivation):
-                    changed = True
-            return
-        pattern = rule.premises[premise_index]
-        for formula, antichain in _candidates(pattern, bindings, known, index):
+        conclusion = substitute(rule.conclusion, bindings)
+        derivation = _Derivation("rule", rule.name, _freeze_substitution(bindings), premise_tuple)
+        joined = antichains[0]
+        for antichain in antichains[1:]:
+            joined = _join(joined, antichain, depth - 1)
+        for mask, cost in joined:
+            if cost < depth and add(conclusion, mask, cost + 1, derivation):
+                changed = True
+        return True
+
+    def hold(bindings, premise_tuple, antichains) -> bool:
+        pending.append((tuple(map(formula_key, premise_tuple)), bindings, premise_tuple, antichains))
+        return len(pending) <= size_cap
+
+    # One pass takes the premises in ``order``, the first of them from
+    # ``pool`` and the rest from ``known`` through ``buckets``; a premise
+    # before position ``first`` takes no fresh formula. ``floor`` sums the
+    # least costs of the premises used, which is the least cost in the join
+    # of their labels, so a tuple is pruned exactly when that join would be
+    # empty. ``emit`` takes each tuple, and returning False ends the pass.
+    def extend(step: int, bindings: dict[str, Formula], floor: int) -> bool:
+        position = order[step]
+        pattern = premises[position]
+        for formula in pool if step == 0 else _candidates(pattern, bindings, known, buckets):
+            if position < first and formula in fresh:
+                continue
+            antichain = known[formula]
             least = floor + antichain[0][1]
             if least >= depth:
                 continue
             extended = match_pattern(pattern, formula, bindings)
             if extended is None:
                 continue
-            extend(premise_index + 1, extended, used + (formula,), antichains + (antichain,), least)
+            used[position], chains[position] = formula, antichain
+            if not (extend(step + 1, extended, least) if step < last
+                    else emit(extended, tuple(used), tuple(chains))):
+                return False
+        return True
 
-    extend(0, {}, (), (), 0)
+    # nothing is admitted while the tuples are gathered, so ``labels`` is
+    # the snapshot and ``index`` its premise index
+    known, buckets, emit = labels, index, hold
+    everything = len(fresh) == len(labels)
+    for first in range(1 if everything else len(premises)):
+        order = (first, *range(first), *range(first + 1, len(premises)))
+        pattern = premises[first]
+        if everything:
+            pool = _candidates(pattern, {}, known, buckets)
+        elif isinstance(pattern, Atom):
+            pool = fresh
+        else:  # what the connective's bucket holds of the fresh formulas
+            pool = [formula for formula in fresh if type(formula) is type(pattern)]
+        if not extend(0, {}, 0):
+            break
+    else:
+        pending.sort(key=itemgetter(0))
+        for _, bindings, premise_tuple, antichains in pending:
+            admit(bindings, premise_tuple, antichains)
+        return changed
+    # more than ``size_cap`` tuples: the ordered walk over a sorted snapshot
+    pending.clear()
+    known = {formula: labels[formula] for formula in sorted(labels, key=formula_key)}
+    buckets, emit, first = _premise_index(known), admit, 0
+    order = tuple(range(len(premises)))
+    pool = _candidates(premises[0], {}, known, buckets)
+    extend(0, {}, 0)
     return changed
 
 

@@ -126,8 +126,9 @@ def oracle_theorem_set(calculus: Calculus, depth: int) -> frozenset[Formula]:
 def oracle_scan_closure(
     calculus: Calculus, depth: int, goals: Iterable[Formula] = ()
 ) -> list[tuple[Formula, int, Proof]]:
-    """The closure engine before its premise index: every premise of every
-    rule is tried against every known formula.
+    """The closure engine as a full scan: every round tries every premise
+    of every rule against every known formula, with no premise index and
+    no skipping of tuples whose premises did not change.
 
     Follows the library's canonical derivation order, so the chosen
     derivations, and with them the proofs, must agree entry by entry:

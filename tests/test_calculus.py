@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -304,6 +305,18 @@ class TestIndexedClosureMatchesScan:
         expected = oracle_scan_closure(calc, 1)
         assert [(e.formula, e.cost, e.proof) for e in result.entries] == expected
 
+    def test_ties_in_a_later_round_go_to_the_first_premises_in_formula_key_order(self):
+        # in round two s has two derivations of cost 2: (p, (-> p s)) whose
+        # second premise is fresh, and (q, (-> q s)) whose first one is
+        calc = Calculus("late_ties", axioms=frozenset(map(pf, [
+            "p", "r", "(-> r (-> p s))", "(-> r q)", "(-> q s)",
+        ])), rules=(modus_ponens(),))
+        result = closure(calc, 2)
+        cited = [format_formula(step.formula) for step in result.proof_for(pf("s")).steps]
+        assert cited == ["p", "r", "(-> r (-> p s))", "(-> p s)", "s"]
+        expected = oracle_scan_closure(calc, 2)
+        assert [(e.formula, e.cost, e.proof) for e in result.entries] == expected
+
     @staticmethod
     def count_calls(monkeypatch):
         counts = {"match_pattern": 0, "substitute": 0}
@@ -323,15 +336,15 @@ class TestIndexedClosureMatchesScan:
         counts = self.count_calls(monkeypatch)
         result = closure(with_axioms(base_calculus("hilbert"), HILBERT4), 3)
         assert len(result.entries) == 559
-        assert counts["match_pattern"] <= 2_644
-        assert counts["substitute"] <= 1_020
+        assert counts["match_pattern"] <= 825
+        assert counts["substitute"] <= 613
 
     def test_labelled_hilbert4_count_guard(self, monkeypatch):
         counts = self.count_calls(monkeypatch)
         labels = labelled_closure(base_calculus("hilbert"), HILBERT4, 2)
         assert len(labels) == 550
-        assert counts["match_pattern"] <= 1_821
-        assert counts["substitute"] <= 777
+        assert counts["match_pattern"] <= 726
+        assert counts["substitute"] <= 571
 
     def test_substitution_rule_count_guard(self, monkeypatch):
         counts = self.count_calls(monkeypatch)
@@ -339,7 +352,7 @@ class TestIndexedClosureMatchesScan:
                         rules=(SubstitutionRule("sub"),))
         result = closure(calc, 2)
         assert len(result.entries) == 1_570
-        assert counts["substitute"] <= 4_710
+        assert counts["substitute"] <= 2_330
 
     def test_proofs_are_built_on_first_access(self, monkeypatch):
         built = []
@@ -353,6 +366,43 @@ class TestIndexedClosureMatchesScan:
         (entry,) = [entry for entry in result.entries if entry.formula == pf("r")]
         assert entry.proof is proof
         assert built == [pf("r")]
+
+
+class TestPendingBound:
+    """A schema rule application gathers at most the size cap of premise
+    tuples; past it, it walks the sorted snapshot in order instead."""
+
+    @staticmethod
+    def atom_calculus(calculus_id, count, rule):
+        return Calculus(calculus_id, axioms=frozenset(Atom(f"p{i}") for i in range(count)),
+                        rules=(rule,))
+
+    def test_a_wide_rule_is_refused_in_bounded_memory(self):
+        a, b = Atom("a"), Atom("b")
+        calc = self.atom_calculus("A", 400, SchemaRule("andI", (a, b), And(a, b)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DepthExplosionError,
+                               match=r"^closure of calculus 'A' exceeds the size cap of 10000$"):
+                closure(calc, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("count, conclusion, depth, size_cap", [
+        # 40 000 tuples, every conclusion already known
+        (200, "a", 3, 10_000),
+        # 400 tuples, then 800 that hold a fresh premise and fit the depth;
+        # each conclusion has 20 derivations, and the first in snapshot order wins
+        (20, "(and a a)", 2, 300),
+    ])
+    def test_the_ordered_walk_matches_the_scan_oracle(self, count, conclusion, depth, size_cap):
+        a, b = Atom("a"), Atom("b")
+        calc = self.atom_calculus("walk", count, SchemaRule("r", (a, b), pf(conclusion)))
+        result = closure(calc, depth, size_cap=size_cap)
+        expected = oracle_scan_closure(calc, depth)
+        assert [(e.formula, e.cost, e.proof) for e in result.entries] == expected
 
 
 class TestClosureProperties:
