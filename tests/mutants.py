@@ -169,6 +169,30 @@ ROWS = (
            "if cost <= depth and add(conclusion, mask, cost + 1, derivation):", (
                "tests/test_projection.py::TestLabelContract::test_a_one_premise_rule_stops_at_the_depth",
            )),
+    # semi-naive rounds: a tuple with no fresh premise adds nothing, and the
+    # tuples gathered are admitted in snapshot order
+    Mutant("nothing-fresh-after-round-one", "src/vty/calculus.py",
+           "fresh = set(changes[marks[position]:])",
+           "fresh = set() if marks[position] else set(changes)", (
+               "tests/test_calculus.py::TestClosureExamples::test_chain_by_depth",
+               "tests/test_calculus.py::TestIndexedClosureMatchesScan::test_entries_match_the_scan_oracle[mp]",
+           )),
+    Mutant("pending-tuples-unsorted", "src/vty/calculus.py",
+           "pending.sort(key=itemgetter(0))",
+           "pass", (
+               "tests/test_calculus.py::TestIndexedClosureMatchesScan"
+               "::test_ties_in_a_later_round_go_to_the_first_premises_in_formula_key_order",
+           )),
+    Mutant("fresh-premise-after-a-fresh-one", "src/vty/calculus.py",
+           "if position < first and formula in fresh:",
+           "if False:", (
+               "tests/test_calculus.py::TestIndexedClosureMatchesScan::test_hilbert4_match_count_guard",
+           )),
+    Mutant("substitution-of-every-known-formula", "src/vty/calculus.py",
+           "for formula in sorted(fresh, key=formula_key)]",
+           "for formula in sorted(labels, key=formula_key)]", (
+               "tests/test_calculus.py::TestIndexedClosureMatchesScan::test_substitution_rule_count_guard",
+           )),
     Mutant("label-dominance-reversed", "src/vty/calculus.py",
            "if kept_mask & mask == kept_mask and kept_cost <= cost:",
            "if kept_mask & mask == mask and kept_cost <= cost:", (
