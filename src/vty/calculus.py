@@ -93,6 +93,8 @@ from .formulas import (
 )
 
 DEFAULT_SIZE_CAP = 10_000
+# the closure depth bound wherever none is given
+DEFAULT_DEPTH = 3
 
 Substitution = tuple[tuple[str, Formula], ...]
 
@@ -153,7 +155,7 @@ class Calculus:
     axioms: frozenset[Formula] = frozenset()
     schemas: tuple[AxiomSchema, ...] = ()
     rules: tuple[InferenceRule, ...] = ()
-    closure_depth: int = 3
+    closure_depth: int = DEFAULT_DEPTH
     signature_atoms: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
@@ -709,7 +711,7 @@ def hilbert_schemas() -> tuple[AxiomSchema, ...]:
 PRESET_NAMES = ("hilbert", "mp", "empty")
 
 
-def base_calculus(name: str, *, closure_depth: int = 3) -> Calculus:
+def base_calculus(name: str, *, closure_depth: int = DEFAULT_DEPTH) -> Calculus:
     """Named proof-system presets.
 
     hilbert: the three standard implication and negation schemas with

@@ -89,6 +89,7 @@ from typing import Any, Callable, Sequence
 from .calculus import (
     AxiomSchema,
     Calculus,
+    DEFAULT_DEPTH,
     DEFAULT_SIZE_CAP,
     InferenceRule,
     SchemaRule,
@@ -124,7 +125,7 @@ from .witnesses import WITNESSES
 
 @dataclass(frozen=True)
 class Bounds:
-    depth: int = 3
+    depth: int = DEFAULT_DEPTH
     atoms: int = DEFAULT_ATOM_CAP
     enum: int = DEFAULT_ENUMERATION_CAP
     size: int = DEFAULT_SIZE_CAP
@@ -252,30 +253,23 @@ class Manifest:
 
     # the live rules, calculi, maps, components, witnesses, class profiles
     # and theorem records, and the prevariety defs and axiom declarations,
-    # by attribute and id, as validate built them; a manifest from
-    # dataclasses.replace starts without them and builds its own on first use
+    # by attribute and id, as validation built them when the manifest was made
     _built: dict[str, dict[str, Any]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     # -- lookup helpers --
 
-    def _get(self, built: dict[str, dict[str, Any]], attr: str, wanted: str,
-             kind: str, ref_line: int) -> Any:
-        found = built[attr].get(wanted)
+    def _get(self, attr: str, wanted: str, kind: str, ref_line: int) -> Any:
+        found = self._built[attr].get(wanted)
         if found is None:
             raise UnresolvedReferenceError(f"unknown {kind} {wanted!r}", self.source, ref_line)
         return found
 
-    def _table(self) -> dict[str, dict[str, Any]]:
-        if not self._built:
-            self.validate()
-        return self._built
-
     def calculus(self, calculus_id: str) -> Calculus:
-        return self._get(self._table(), "calculi", calculus_id, "calculus", 0)
+        return self._get("calculi", calculus_id, "calculus", 0)
 
     def component(self, component_id: str) -> Component:
-        return self._get(self._table(), "components", component_id, "component", 0)
+        return self._get("components", component_id, "component", 0)
 
     def default_prevariety_id(self) -> str:
         if not self.prevarieties:
@@ -285,9 +279,9 @@ class Manifest:
 
     def prevariety(self, prevariety_id: str | None = None) -> Prevariety:
         wanted = prevariety_id or self.default_prevariety_id()
-        built = self._table()
-        d = self._get(built, "prevarieties", wanted, "prevariety", 0)
-        # validate resolved every component and rule ref
+        d = self._get("prevarieties", wanted, "prevariety", 0)
+        # validation resolved every component and rule ref
+        built = self._built
         components = tuple(built["components"][ref] for ref in d.component_refs)
         if d.is_auto():
             return assemble_prevariety(components, quasi=d.quasi,
@@ -298,29 +292,30 @@ class Manifest:
 
     def prevariety_witnesses(self, prevariety_id: str | None = None) -> tuple[VarietyWitness, ...]:
         wanted = prevariety_id or self.default_prevariety_id()
-        built = self._table()["witnesses"]
+        built = self._built["witnesses"]
         return tuple(built[d.witness_id] for d in self.witnesses
                      if d.prevariety_ref == wanted)
 
     def theorem_record(self, theorem_id: str) -> TheoremRecord:
-        return self._get(self._table(), "theorem_recs", theorem_id, "theorem record", 0)
+        return self._get("theorem_recs", theorem_id, "theorem record", 0)
 
     def registry(self) -> tuple[tuple[ClassProfile, ...], tuple[TheoremRecord, ...],
                                 dict[str, AxiomDeclaration]]:
-        built = self._table()
+        built = self._built
         return (tuple(built["classes"].values()), tuple(built["theorem_recs"].values()),
                 built["axiom_decls"])
 
     # -- validation --
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Check every cross-reference, and build each live object once.
 
-        Raises ManifestError naming the offending line. Does not run any
-        closure; resolution errors that need proof search surface later.
-        The rules, calculi, maps, components and witnesses built here are
-        the ones the lookup helpers return, and the class profiles and
-        theorem records are the ones `registry` returns.
+        Raises ManifestError naming the offending line, so no manifest
+        exists unvalidated, one from `dataclasses.replace` included. Does
+        not run any closure; resolution errors that need proof search
+        surface later. The rules, calculi, maps, components and witnesses
+        built here are the ones the lookup helpers return, and the class
+        profiles and theorem records are the ones `registry` returns.
         """
         for spec in _BLOCKS:
             seen: set[str] = set()
@@ -330,20 +325,18 @@ class Manifest:
                     raise ManifestError(f"duplicate {spec.keyword} {ident!r}",
                                         self.source, d.line)
                 seen.add(ident)
-        built: dict[str, dict[str, Any]] = {attr: {} for attr in (
-            "rules", "calculi", "maps", "components", "witnesses", "classes", "theorem_recs")}
+        built = self._built
+        built.update({attr: {} for attr in (
+            "rules", "calculi", "maps", "components", "witnesses", "classes", "theorem_recs")})
         built["prevarieties"] = {p.prevariety_id: p for p in self.prevarieties}
         declarations = built["axiom_decls"] = {a.axiom_id: a for a in self.axiom_decls}
-
-        def get(attr: str, wanted: str, kind: str, line: int) -> Any:
-            return self._get(built, attr, wanted, kind, line)
 
         def component(ident: str, d: ComponentDef | WitnessDef) -> Component:
             return Component(
                 ident,
-                get("calculi", d.calculus_ref, "calculus", d.line),
-                get("maps", d.axiom_map_ref, "map", d.line),
-                get("maps", d.theorem_map_ref, "map", d.line),
+                self._get("calculi", d.calculus_ref, "calculus", d.line),
+                self._get("maps", d.axiom_map_ref, "map", d.line),
+                self._get("maps", d.theorem_map_ref, "map", d.line),
                 frozenset(d.theorems),
             )
 
@@ -355,7 +348,7 @@ class Manifest:
                 calc.calculus_id,
                 axioms=frozenset(calc.axioms),
                 schemas=tuple(AxiomSchema(sid, pattern) for sid, pattern in calc.schemas),
-                rules=tuple(get("rules", name, "rule", calc.line) for name in calc.use)
+                rules=tuple(self._get("rules", name, "rule", calc.line) for name in calc.use)
                 if calc.use else tuple(rules.values()),
                 closure_depth=self.bounds.depth if calc.depth is None else calc.depth,
                 signature_atoms=frozenset(self.signature) | frozenset(calc.atoms),
@@ -371,11 +364,11 @@ class Manifest:
                     f"prevariety {pv.prevariety_id!r} says auto but also claims "
                     "an explicit union", self.source, pv.line)
             for ref in pv.component_refs:
-                get("components", ref, "component", pv.line)
+                self._get("components", ref, "component", pv.line)
             for name in pv.rule_refs:
-                get("rules", name, "rule", pv.line)
+                self._get("rules", name, "rule", pv.line)
         for wit in self.witnesses:
-            width = len(get("prevarieties", wit.prevariety_ref, "prevariety", wit.line)
+            width = len(self._get("prevarieties", wit.prevariety_ref, "prevariety", wit.line)
                         .component_refs)
             if not wit.indices or list(wit.indices) != sorted(set(wit.indices)):
                 raise ManifestError(
@@ -416,7 +409,6 @@ class Manifest:
                                       frozenset(rec.depends), rec.source,
                                       rec.unconditional),
                 rec.line)
-        self._built.update(built)
 
     def _build(self, thunk, line: int) -> Any:
         try:
@@ -755,11 +747,9 @@ class _Parser:
         if block is not None:
             raise ManifestError(f"unclosed {block[0]} block", self.source, block[2])
         # each directive and block kind collects into a list, held as a tuple
-        manifest = Manifest(source=self.source, **{
+        return Manifest(source=self.source, **{
             name: tuple(value) if type(value) is list else value
             for name, value in self.values.items()})
-        manifest.validate()
-        return manifest
 
     def _directive(self, tokens: list[Token], line: int) -> None:
         keyword, _ = _take_word(tokens, 0, "a directive")

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .calculus import (
     Calculus,
+    DEFAULT_DEPTH,
     DEFAULT_SIZE_CAP,
     Proof,
     base_calculus,
@@ -211,7 +212,7 @@ def classify_relation(
     axioms: Iterable[Formula],
     goal: Formula,
     base: Calculus | str = "hilbert",
-    depth: int = 3,
+    depth: int = DEFAULT_DEPTH,
     *,
     atom_cap: int = DEFAULT_ATOM_CAP,
     size_cap: int = DEFAULT_SIZE_CAP,
@@ -250,7 +251,7 @@ def minimal_axiom_subsets(
     axioms: Iterable[Formula],
     goal: Formula,
     base: Calculus | str = "hilbert",
-    depth: int = 3,
+    depth: int = DEFAULT_DEPTH,
     *,
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> tuple[frozenset[Formula], ...]:

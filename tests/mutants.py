@@ -134,6 +134,13 @@ ROWS = (
            "if False:", (
                "tests/test_manifest.py::TestValidation::test_theorem_rec_dependencies_must_be_declared",
            )),
+    # a manifest that validates only when asked to: dataclasses.replace
+    # would then hand out a manifest with unresolved references
+    Mutant("manifest-not-validated-when-made", "src/vty/manifest.py",
+           '    def __post_init__(self) -> None:\n        """Check every cross-reference',
+           '    def validate(self) -> None:\n        """Check every cross-reference', (
+               "tests/test_manifest.py::TestEachObjectBuiltOnce::test_a_replaced_manifest_reports_its_own_faults",
+           )),
     # projection: the one cell decision of project and registry_report
     Mutant("cell-violated-and-unknown-swapped", "src/vty/projection.py",
            "blockers = [d for d, s in statuses.items() if s == VIOLATED]",

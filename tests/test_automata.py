@@ -120,3 +120,12 @@ class TestTotalityEvidence:
         assert evidence["runs"] == 18 * 4
         assert evidence["all_terminated"] is False
         assert evidence["steps_equal_word_length"] is True
+
+    def test_a_wrong_step_count_is_flagged(self, monkeypatch):
+        # one run that reports a step more than its word has letters
+        run = automata.dfa_run_trace
+        monkeypatch.setattr(automata, "dfa_run_trace",
+                            lambda dfa, word: (run(dfa, word)[0], len(word) + (word == "aa")))
+        evidence = totality_evidence()
+        assert evidence["runs"] == 90 and evidence["all_terminated"] is True
+        assert evidence["steps_equal_word_length"] is False

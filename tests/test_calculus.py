@@ -1,3 +1,4 @@
+import inspect
 import random
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from vty.calculus import (
     AxiomSchema,
     Calculus,
+    DEFAULT_DEPTH,
     Proof,
     ProofStep,
     SchemaRule,
@@ -36,6 +38,8 @@ from vty.formulas import (
     parse_formula,
     substitute,
 )
+from vty.manifest import Bounds
+from vty.projection import classify_relation, minimal_axiom_subsets
 
 import vty.calculus
 from oracle_tools import (
@@ -594,3 +598,11 @@ class TestPresets:
         calc = chain_calc()
         assert theorem_formulas(calc, 2) == closure(calc, 2).formulas()
         assert theorem_formulas(calc, 2) is theorem_formulas(calc, 2)
+
+    def test_every_default_depth_is_the_one_constant(self):
+        def default(function):
+            return inspect.signature(function).parameters["depth"].default
+
+        assert DEFAULT_DEPTH == 3
+        assert [Calculus("c").closure_depth, base_calculus("mp").closure_depth, Bounds().depth,
+                default(classify_relation), default(minimal_axiom_subsets)] == [DEFAULT_DEPTH] * 5

@@ -211,6 +211,19 @@ class TestMatching:
             assert substitute(pattern, bindings) == target
 
 
+class TestNotAFormula:
+    @pytest.mark.parametrize("call", [
+        format_formula,
+        lambda bad: evaluate(bad, {}),
+        lambda bad: match_pattern(Not(bad), Not(Atom("p"))),
+    ], ids=["format_formula", "evaluate", "match_pattern"])
+    def test_a_non_formula_is_refused_by_name(self, call):
+        # text is not a formula until it is parsed
+        with pytest.raises(TypeError) as err:
+            call("p")
+        assert str(err.value) == "not a formula: 'p'"
+
+
 class TestEvaluation:
     def test_connective_tables(self):
         p, q = Atom("p"), Atom("q")

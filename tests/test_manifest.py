@@ -347,7 +347,7 @@ class TestAllEntries:
 
         def validated(manifest):
             # PV is auto, and its components' maps do not assemble; EX lists its union
-            built = manifest._table()
+            built = manifest._built
             return ({attr: built[attr] for attr in ("calculi", "maps", "components", "witnesses")},
                     manifest.prevariety("EX"), manifest.registry())
 
@@ -584,6 +584,22 @@ class TestValidation:
         assert type(err.value) is ManifestError
         assert str(err.value) == f"w.vty:{line}:1: witness 'W' needs strictly increasing indices"
 
+    # validation runs block kind by block kind, not in text order: duplicate
+    # ids, then rules, calculi, maps, components, ..., classes, theorem records
+    @pytest.mark.parametrize("text, message", [
+        ("signature p\n\ncalculus L {\n  axiom p\n}\n\nmap ident identity\n\n"
+         "component C {\n  calculus L\n  axiom-map ident\n  theorem-map gone\n}\n"
+         "calculus L {\n  axiom p\n}\n",
+         "<manifest>:14:1: duplicate calculus 'L'"),
+        ('axiom-decl A "a"\ntheorem-rec T {\n  statement "s"\n  depends Z\n}\n'
+         'class K "k" {\n  status B unknown\n}\n',
+         "<manifest>:6:1: class 'K' scores undeclared axiom 'B'"),
+    ], ids=["duplicate before unknown map", "class before theorem record"])
+    def test_of_two_faults_the_earlier_block_kind_is_reported(self, text, message):
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(text)
+        assert str(err.value) == message
+
     def test_class_requires_declared_axioms(self):
         text = 'class X "X" {\n  status NOPE satisfied citation "book"\n}\n'
         with pytest.raises(UnresolvedReferenceError) as err:
@@ -622,7 +638,7 @@ class TestValidation:
     def test_a_schema_rule_def_without_a_conclusion_is_refused(self):
         rule = RuleDef("r", premises=(parse_formula("a"),), line=4)
         with pytest.raises(ManifestError) as err:
-            Manifest(rules=(rule,)).validate()
+            Manifest(rules=(rule,))
         assert str(err.value) == "<manifest>:4:1: rule 'r' never concludes"
 
     def test_bad_component_objects_fail_at_their_line(self):
@@ -726,17 +742,17 @@ class TestEachObjectBuiltOnce:
 
     def test_a_replaced_manifest_reports_its_own_faults(self):
         manifest = parse_manifest(MINIMAL)
-        broken = dataclasses.replace(manifest, components=(
-            dataclasses.replace(manifest.components[0], calculus_ref="nope"),))
-        for _ in range(2):  # a failed validation keeps no table
-            with pytest.raises(UnresolvedReferenceError, match="unknown calculus 'nope'"):
-                broken.component("C")
+        component = dataclasses.replace(manifest.components[0], calculus_ref="nope")
+        with pytest.raises(UnresolvedReferenceError) as err:
+            dataclasses.replace(manifest, components=(component,))
+        assert str(err.value) == "<manifest>:18:1: unknown calculus 'nope'"
         assert manifest.component("C").calculus is manifest.calculus("L")
 
     def test_equality_hash_and_text_ignore_the_table(self):
         built = parse_manifest(MINIMAL)
         fresh = dataclasses.replace(built)
-        assert built._built and not fresh._built
+        assert built._built and fresh._built
+        assert built._built["calculi"]["L"] is not fresh._built["calculi"]["L"]
         assert built == fresh
         assert hash(built) == hash(fresh)
         assert repr(built) == repr(fresh)
