@@ -197,6 +197,14 @@ class TestExitCodes:
             "errors": ["atoms, enum and size bounds must be positive"],
         }
 
+    def test_a_manifest_fault_is_reported_before_a_bad_bounds_override(self, capsys, tmp_path):
+        # the manifest is validated first; the merged bounds are checked after
+        bad = tmp_path / "bad.vty"
+        bad.write_text("map ident identity\ncalculus L {\n}\ncomponent C {\n  calculus nope\n"
+                       "  axiom-map ident\n  theorem-map ident\n}\n", encoding="utf-8")
+        code, report = run_json(capsys, "check-prevariety", str(bad), "--bounds", "size=0")
+        assert (code, report["errors"]) == (2, [f"{bad}:4:1: unknown calculus 'nope'"])
+
     @pytest.mark.parametrize("argv, error", [
         (("closure", "shared_core.vty", "--calculus", "nope"),
          "argument --calculus: unknown calculus 'nope'"),
