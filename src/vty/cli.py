@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .calculus import PRESET_NAMES, Proof, closure
@@ -596,7 +595,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     A plain argv is read straight from the command table (`_direct_parse`);
     any other argv, help and every usage error go through the argparse
     parser of `build_parser`, so their text is argparse's. A `--bounds`
-    override replaces the manifest's bounds line, the only bounds a command reads.
+    override is read with the manifest and stands in for its bounds line,
+    the only bounds a command reads.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -625,9 +625,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         # ValueError: a path with a NUL byte, or a --bounds override of 0
-        manifest = load_manifest(manifest_path) if manifest_path else _seed_manifest()
-        if hasattr(args, "bounds"):  # stands in for the manifest's bounds line
-            manifest = replace(manifest, bounds=replace(manifest.bounds, **args.bounds))
+        override = getattr(args, "bounds", None)
+        manifest = (load_manifest(manifest_path, bounds=override) if manifest_path
+                    else _seed_manifest(bounds=override))
     except (OSError, ManifestError, ValueError) as exc:
         report["errors"] = [str(exc)]
         _emit(report, fmt)

@@ -75,16 +75,16 @@ prevariety and index tuple, then gives the entries of a component block:
 the component that covers the tuple, under the witness id.
 
 Each block kind's layout (header fields, entry keywords, how often each
-may appear, how its values read) is declared once, in the block table
-below, and the reader walks it. Quoted strings are single-line, and
-formulas nest at most ``formulas.MAX_NESTING`` parentheses deep.
+may appear, how its values read) and the object it makes are declared
+once, in the block table below, and the reader walks it. Quoted strings
+are single-line; formulas nest at most ``formulas.MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .calculus import (
     AxiomSchema,
@@ -143,295 +143,78 @@ class Bounds:
 BOUND_NAMES = tuple(f.name for f in fields(Bounds))
 
 
-# --- declaration layer -------------------------------------------------------
-# Parse products stay close to the text, so a manifest with a bad
-# reference still parses far enough to report the precise line.
-# Validation then resolves them into live calculus, variety and registry
-# objects, each built once. Axiom declarations need no resolving: the
-# reader makes the projection layer's own AxiomDeclaration records.
+# --- the manifest ------------------------------------------------------------
+# The reader builds the live calculus, variety and registry objects straight
+# from the values each block gives, once the text pass is done; a fault is
+# reported at the line of the block that has it.
 
 
 @dataclass(frozen=True)
-class RuleDef:
-    name: str
-    kind: str = "schema"  # or "substitution"
-    premises: tuple[Formula, ...] = ()
-    conclusion: Formula | None = None
-    line: int = field(default=0, compare=False)
+class _Prevariety:
+    """A prevariety block with its components resolved. The union of an
+    `auto` block is assembled when asked for, as assembly runs closures."""
 
-
-@dataclass(frozen=True)
-class CalculusDef:
-    calculus_id: str
-    depth: int | None = None
-    atoms: tuple[str, ...] = ()
-    axioms: tuple[Formula, ...] = ()
-    schemas: tuple[tuple[str, Formula], ...] = ()
-    use: tuple[str, ...] = ()
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class MapDef:
-    map_id: str
-    kind: str  # "identity", "renaming" or "table"
-    renames: tuple[tuple[str, str], ...] = ()
-    pairs: tuple[tuple[Formula, Formula], ...] = ()
-    domain: tuple[Formula, ...] | None = None
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class ComponentDef:
-    component_id: str
-    calculus_ref: str = ""
-    axiom_map_ref: str = ""
-    theorem_map_ref: str = ""
-    theorems: tuple[Formula, ...] = ()
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class PrevarietyDef:
     prevariety_id: str
-    component_refs: tuple[str, ...] = ()
-    quasi: bool = False
-    auto: bool = False
-    axioms: tuple[Formula, ...] = ()
-    rule_refs: tuple[str, ...] = ()
-    theorems: tuple[Formula, ...] = ()
-    line: int = field(default=0, compare=False)
-
-    def is_auto(self) -> bool:
-        return self.auto or not (self.axioms or self.rule_refs or self.theorems)
-
-
-@dataclass(frozen=True)
-class WitnessDef:
-    witness_id: str
-    prevariety_ref: str = ""
-    indices: tuple[int, ...] = ()
-    calculus_ref: str = ""
-    axiom_map_ref: str = ""
-    theorem_map_ref: str = ""
-    theorems: tuple[Formula, ...] = ()
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class ClassDef:
-    class_id: str
-    display_name: str
-    statuses: tuple[tuple[str, str, Evidence | None], ...] = ()
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class TheoremRecDef:
-    theorem_id: str
-    statement: str = ""
-    depends: tuple[str, ...] = ()
-    source: str = ""
-    unconditional: bool = False
-    line: int = field(default=0, compare=False)
+    components: tuple[Component, ...]
+    quasi: bool
+    union: Prevariety | None  # the union the block claims; None: `auto`
 
 
 @dataclass(frozen=True)
 class Manifest:
+    """The objects a manifest declares, in block order, each built once by
+    the reader under the bounds it runs with. Not hashable: the axiom
+    declarations are a dict, as are the class profiles' statuses."""
+
     source: str = field(default="<manifest>", compare=False)
     signature: tuple[str, ...] = ()
     bounds: Bounds = Bounds()
-    rules: tuple[RuleDef, ...] = ()
-    calculi: tuple[CalculusDef, ...] = ()
-    maps: tuple[MapDef, ...] = ()
-    components: tuple[ComponentDef, ...] = ()
-    prevarieties: tuple[PrevarietyDef, ...] = ()
-    witnesses: tuple[WitnessDef, ...] = ()
-    axiom_decls: tuple[AxiomDeclaration, ...] = ()
-    classes: tuple[ClassDef, ...] = ()
-    theorem_recs: tuple[TheoremRecDef, ...] = ()
+    rules: tuple[InferenceRule, ...] = ()
+    calculi: tuple[Calculus, ...] = ()
+    maps: tuple[FormulaMap, ...] = ()
+    components: tuple[Component, ...] = ()
+    prevarieties: tuple[_Prevariety, ...] = ()
+    witnesses: tuple[tuple[str, VarietyWitness], ...] = ()  # (prevariety id, witness)
+    axiom_decls: dict[str, AxiomDeclaration] = field(default_factory=dict)
+    classes: tuple[ClassProfile, ...] = ()
+    theorem_recs: tuple[TheoremRecord, ...] = ()
 
-    # the live rules, calculi, maps, components, witnesses, class profiles
-    # and theorem records, and the prevariety defs and axiom declarations,
-    # by attribute and id, as validation built them when the manifest was made
-    _built: dict[str, dict[str, Any]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
-
-    # -- lookup helpers --
-
-    def _get(self, attr: str, wanted: str, kind: str, ref_line: int) -> Any:
-        found = self._built[attr].get(wanted)
-        if found is None:
-            raise UnresolvedReferenceError(f"unknown {kind} {wanted!r}", self.source, ref_line)
-        return found
+    def _find(self, keyword: str, wanted: str, noun: str) -> Any:
+        spec = _KEYWORDS[keyword]
+        for found in getattr(self, spec.attr):
+            if getattr(found, spec.id_field) == wanted:
+                return found
+        raise UnresolvedReferenceError(f"unknown {noun} {wanted!r}", self.source, 0)
 
     def calculus(self, calculus_id: str) -> Calculus:
-        return self._get("calculi", calculus_id, "calculus", 0)
+        return self._find("calculus", calculus_id, "calculus")
 
     def component(self, component_id: str) -> Component:
-        return self._get("components", component_id, "component", 0)
+        return self._find("component", component_id, "component")
 
     def default_prevariety_id(self) -> str:
         if not self.prevarieties:
-            raise ManifestError("the manifest declares no prevariety",
-                                self.source, 0)
+            raise ManifestError("the manifest declares no prevariety", self.source, 0)
         return self.prevarieties[0].prevariety_id
 
     def prevariety(self, prevariety_id: str | None = None) -> Prevariety:
-        wanted = prevariety_id or self.default_prevariety_id()
-        d = self._get("prevarieties", wanted, "prevariety", 0)
-        # validation resolved every component and rule ref
-        built = self._built
-        components = tuple(built["components"][ref] for ref in d.component_refs)
-        if d.is_auto():
-            return assemble_prevariety(components, quasi=d.quasi,
-                                       size_cap=self.bounds.size)
-        rules = frozenset(built["rules"][name] for name in d.rule_refs)
-        return Prevariety(frozenset(d.axioms), rules, frozenset(d.theorems),
-                          components, d.quasi)
+        block = self._find("prevariety", prevariety_id or self.default_prevariety_id(),
+                           "prevariety")
+        if block.union is not None:
+            return block.union
+        return assemble_prevariety(block.components, quasi=block.quasi,
+                                   size_cap=self.bounds.size)
 
     def prevariety_witnesses(self, prevariety_id: str | None = None) -> tuple[VarietyWitness, ...]:
         wanted = prevariety_id or self.default_prevariety_id()
-        built = self._built["witnesses"]
-        return tuple(built[d.witness_id] for d in self.witnesses
-                     if d.prevariety_ref == wanted)
+        return tuple(witness for ref, witness in self.witnesses if ref == wanted)
 
     def theorem_record(self, theorem_id: str) -> TheoremRecord:
-        return self._get("theorem_recs", theorem_id, "theorem record", 0)
+        return self._find("theorem-rec", theorem_id, "theorem record")
 
     def registry(self) -> tuple[tuple[ClassProfile, ...], tuple[TheoremRecord, ...],
                                 dict[str, AxiomDeclaration]]:
-        built = self._built
-        return (tuple(built["classes"].values()), tuple(built["theorem_recs"].values()),
-                built["axiom_decls"])
-
-    # -- validation --
-
-    def __post_init__(self) -> None:
-        """Check every cross-reference, and build each live object once.
-
-        Raises ManifestError naming the offending line, so no manifest
-        exists unvalidated, one from `dataclasses.replace` included. Does
-        not run any closure; resolution errors that need proof search
-        surface later. The rules, calculi, maps, components and witnesses
-        built here are the ones the lookup helpers return, and the class
-        profiles and theorem records are the ones `registry` returns.
-        """
-        for spec in _BLOCKS:
-            seen: set[str] = set()
-            for d in getattr(self, spec.attr):
-                ident = getattr(d, spec.id_field)
-                if ident in seen:
-                    raise ManifestError(f"duplicate {spec.keyword} {ident!r}",
-                                        self.source, d.line)
-                seen.add(ident)
-        built = self._built
-        built.update({attr: {} for attr in (
-            "rules", "calculi", "maps", "components", "witnesses", "classes", "theorem_recs")})
-        built["prevarieties"] = {p.prevariety_id: p for p in self.prevarieties}
-        declarations = built["axiom_decls"] = {a.axiom_id: a for a in self.axiom_decls}
-
-        def component(ident: str, d: ComponentDef | WitnessDef) -> Component:
-            return Component(
-                ident,
-                self._get("calculi", d.calculus_ref, "calculus", d.line),
-                self._get("maps", d.axiom_map_ref, "map", d.line),
-                self._get("maps", d.theorem_map_ref, "map", d.line),
-                frozenset(d.theorems),
-            )
-
-        rules = built["rules"]
-        for rule in self.rules:
-            rules[rule.name] = self._build(lambda: _rule_object(rule), rule.line)
-        for calc in self.calculi:
-            built["calculi"][calc.calculus_id] = self._build(lambda: Calculus(
-                calc.calculus_id,
-                axioms=frozenset(calc.axioms),
-                schemas=tuple(AxiomSchema(sid, pattern) for sid, pattern in calc.schemas),
-                rules=tuple(self._get("rules", name, "rule", calc.line) for name in calc.use)
-                if calc.use else tuple(rules.values()),
-                closure_depth=self.bounds.depth if calc.depth is None else calc.depth,
-                signature_atoms=frozenset(self.signature) | frozenset(calc.atoms),
-            ), calc.line)
-        for map_def in self.maps:
-            built["maps"][map_def.map_id] = self._build(lambda: _formula_map(map_def),
-                                                        map_def.line)
-        for comp in self.components:
-            built["components"][comp.component_id] = component(comp.component_id, comp)
-        for pv in self.prevarieties:
-            if pv.auto and (pv.axioms or pv.rule_refs or pv.theorems):
-                raise ManifestError(
-                    f"prevariety {pv.prevariety_id!r} says auto but also claims "
-                    "an explicit union", self.source, pv.line)
-            for ref in pv.component_refs:
-                self._get("components", ref, "component", pv.line)
-            for name in pv.rule_refs:
-                self._get("rules", name, "rule", pv.line)
-        for wit in self.witnesses:
-            width = len(self._get("prevarieties", wit.prevariety_ref, "prevariety", wit.line)
-                        .component_refs)
-            if not wit.indices or list(wit.indices) != sorted(set(wit.indices)):
-                raise ManifestError(
-                    f"witness {wit.witness_id!r} needs strictly increasing indices",
-                    self.source, wit.line)
-            if wit.indices[0] < 1 or wit.indices[-1] > width:
-                raise ManifestError(
-                    f"witness {wit.witness_id!r} index out of range 1..{width}",
-                    self.source, wit.line)
-            built["witnesses"][wit.witness_id] = VarietyWitness(
-                wit.indices, component(wit.witness_id, wit))
-        for cls in self.classes:
-            statuses: dict[str, AxiomStatus] = {}
-            for axiom_id, status, evidence in cls.statuses:
-                if axiom_id not in declarations:
-                    raise UnresolvedReferenceError(
-                        f"class {cls.class_id!r} scores undeclared axiom {axiom_id!r}",
-                        self.source, cls.line)
-                if axiom_id in statuses:
-                    raise ManifestError(f"class {cls.class_id!r} scores axiom {axiom_id!r} twice",
-                                        self.source, cls.line)
-                statuses[axiom_id] = self._build(lambda: AxiomStatus(status, evidence), cls.line)
-                if evidence is not None and evidence.witness_id is not None \
-                        and evidence.witness_id not in WITNESSES:
-                    raise UnresolvedReferenceError(
-                        f"unknown executable witness {evidence.witness_id!r}",
-                        self.source, cls.line)
-            built["classes"][cls.class_id] = ClassProfile(cls.class_id, cls.display_name,
-                                                          statuses)
-        for rec in self.theorem_recs:
-            for dep in rec.depends:
-                if dep not in declarations:
-                    raise UnresolvedReferenceError(
-                        f"theorem {rec.theorem_id!r} depends on undeclared "
-                        f"axiom {dep!r}", self.source, rec.line)
-            built["theorem_recs"][rec.theorem_id] = self._build(
-                lambda: TheoremRecord(rec.theorem_id, rec.statement,
-                                      frozenset(rec.depends), rec.source,
-                                      rec.unconditional),
-                rec.line)
-
-    def _build(self, thunk, line: int) -> Any:
-        try:
-            return thunk()
-        except ValueError as exc:
-            raise ManifestError(str(exc), self.source, line) from exc
-
-
-def _rule_object(d: RuleDef) -> InferenceRule:
-    if d.kind == "substitution":
-        return SubstitutionRule(d.name)
-    if d.conclusion is None:
-        raise ValueError(f"rule {d.name!r} never concludes")
-    return SchemaRule(d.name, d.premises, d.conclusion)
-
-
-def _formula_map(d: MapDef) -> FormulaMap:
-    domain = None if d.domain is None else frozenset(d.domain)
-    if d.kind == "identity":
-        return FormulaMap.identity(d.map_id)
-    if d.kind == "renaming":
-        return FormulaMap(d.map_id, renaming=tuple(sorted(d.renames)), domain=domain)
-    return FormulaMap.table_map(d.map_id, d.pairs, domain=domain)
+        return self.classes, self.theorem_recs, self.axiom_decls
 
 
 # --- the block table ---------------------------------------------------------
@@ -617,8 +400,9 @@ def _ref(keyword: str, field: str) -> _Entry:
 @dataclass(frozen=True)
 class _Block:
     keyword: str
-    attr: str                               # the Manifest attribute listing the defs
-    cls: type
+    attr: str                               # the Manifest attribute listing the objects
+    # the object a block makes from its values and line; `r` is the reader
+    make: Callable[[_Parser, dict[str, Any], int], Any]
     header: tuple[tuple[str, _Read], ...]   # fields after the keyword; the first is the id
     entries: tuple[_Entry, ...] = ()        # none: a one-line directive without braces
     noun: str = ""                          # names the block in "unknown ... entry"
@@ -640,6 +424,102 @@ class _Block:
         return self.header[0][0]
 
 
+# --- the objects each block makes ---------------------------------------------
+# Each maker builds its block's object from the values the text gave. `r.get`
+# resolves a reference to an object that a block of an earlier kind made, and
+# `r.built` holds those objects by block keyword and id.
+
+
+def _rule(r: _Parser, b: dict[str, Any], line: int) -> InferenceRule:
+    if b.get("kind") == "substitution":
+        return SubstitutionRule(b["name"])
+    return SchemaRule(b["name"], b.get("premises", ()), b["conclusion"])
+
+
+def _calculus(r: _Parser, b: dict[str, Any], line: int) -> Calculus:
+    use = b.get("use", ())
+    return Calculus(
+        b["calculus_id"],
+        axioms=frozenset(b.get("axioms", ())),
+        schemas=tuple(AxiomSchema(sid, pattern) for sid, pattern in b.get("schemas", ())),
+        rules=tuple(r.get("rule", name, line) for name in use)
+        if use else tuple(r.built["rule"].values()),
+        closure_depth=b.get("depth", r.depth),
+        signature_atoms=r.signature | frozenset(b.get("atoms", ())),
+    )
+
+
+def _map(r: _Parser, b: dict[str, Any], line: int) -> FormulaMap:
+    domain = frozenset(b["domain"]) if "domain" in b else None
+    if b["kind"] == "identity":
+        return FormulaMap.identity(b["map_id"])
+    if b["kind"] == "renaming":
+        return FormulaMap(b["map_id"], renaming=tuple(sorted(b.get("renames", ()))),
+                          domain=domain)
+    return FormulaMap.table_map(b["map_id"], b.get("pairs", ()), domain=domain)
+
+
+def _component(r: _Parser, ident: str, b: dict[str, Any], line: int) -> Component:
+    return Component(
+        ident,
+        r.get("calculus", b["calculus_ref"], line),
+        r.get("map", b["axiom_map_ref"], line),
+        r.get("map", b["theorem_map_ref"], line),
+        frozenset(b.get("theorems", ())),
+    )
+
+
+def _prevariety(r: _Parser, b: dict[str, Any], line: int) -> _Prevariety:
+    ident, quasi = b["prevariety_id"], b.get("quasi", False)
+    axioms, rule_refs, theorems = (b.get(name, ()) for name in ("axioms", "rule_refs", "theorems"))
+    explicit = bool(axioms or rule_refs or theorems)
+    if explicit and b.get("auto"):
+        raise ManifestError(f"prevariety {ident!r} says auto but also claims an explicit union",
+                            r.source, line)
+    components = tuple(r.get("component", ref, line) for ref in b["component_refs"])
+    rules = frozenset(r.get("rule", name, line) for name in rule_refs)
+    return _Prevariety(ident, components, quasi, Prevariety(
+        frozenset(axioms), rules, frozenset(theorems), components, quasi) if explicit else None)
+
+
+def _witness(r: _Parser, b: dict[str, Any], line: int) -> tuple[str, VarietyWitness]:
+    ident, indices = b["witness_id"], b.get("indices", ())
+    width = len(r.get("prevariety", b["prevariety_ref"], line).components)
+    if not indices or list(indices) != sorted(set(indices)):
+        raise ManifestError(f"witness {ident!r} needs strictly increasing indices", r.source, line)
+    if indices[0] < 1 or indices[-1] > width:
+        raise ManifestError(f"witness {ident!r} index out of range 1..{width}", r.source, line)
+    return b["prevariety_ref"], VarietyWitness(indices, _component(r, ident, b, line))
+
+
+def _class(r: _Parser, b: dict[str, Any], line: int) -> ClassProfile:
+    ident = b["class_id"]
+    statuses: dict[str, AxiomStatus] = {}
+    for axiom_id, status, evidence in b.get("statuses", ()):
+        if axiom_id not in r.built["axiom-decl"]:
+            raise UnresolvedReferenceError(
+                f"class {ident!r} scores undeclared axiom {axiom_id!r}", r.source, line)
+        if axiom_id in statuses:
+            raise ManifestError(f"class {ident!r} scores axiom {axiom_id!r} twice",
+                                r.source, line)
+        statuses[axiom_id] = AxiomStatus(status, evidence)
+        if evidence is not None and evidence.witness_id is not None \
+                and evidence.witness_id not in WITNESSES:
+            raise UnresolvedReferenceError(
+                f"unknown executable witness {evidence.witness_id!r}", r.source, line)
+    return ClassProfile(ident, b["display_name"], statuses)
+
+
+def _theorem_rec(r: _Parser, b: dict[str, Any], line: int) -> TheoremRecord:
+    ident, depends = b["theorem_id"], b.get("depends", ())
+    for dep in depends:
+        if dep not in r.built["axiom-decl"]:
+            raise UnresolvedReferenceError(
+                f"theorem {ident!r} depends on undeclared axiom {dep!r}", r.source, line)
+    return TheoremRecord(ident, b["statement"], frozenset(depends), b.get("source", ""),
+                         b.get("unconditional", False))
+
+
 _DIRECTIVES = {row.keyword: row for row in (
     _Entry("signature", "signature", _take_atom, spread=True, required="needs at least one atom"),
     _Entry("bounds", "bounds", _read_bounds),
@@ -655,20 +535,20 @@ _COMPONENT_ENTRIES = (
 
 # in Manifest field order
 _BLOCKS = (
-    _Block("rule", "rules", RuleDef, (("name", _word("a rule name")),), (
+    _Block("rule", "rules", _rule, (("name", _word("a rule name")),), (
         _Entry("premise", "premises", parse_formula_tokens, many=True),
         _Entry("conclude", "conclusion", parse_formula_tokens, required="never concludes"),
     ), noun="rule", expect="premise or conclude", line_form=(
         "substitution", "the word substitution", "expected substitution, found {!r}")),
-    _Block("calculus", "calculi", CalculusDef, (("calculus_id", _word("a calculus id")),), (
+    _Block("calculus", "calculi", _calculus, (("calculus_id", _word("a calculus id")),), (
         _Entry("depth", "depth", _int("a depth")),
         _Entry("atoms", "atoms", _take_atom, many=True, spread=True),
         _Entry("axiom", "axioms", parse_formula_tokens, many=True),
         _Entry("schema", "schemas", _seq(_word("a schema id"), parse_formula_tokens), many=True),
         _Entry("use", "use", _word("a rule name"), many=True, spread=True),
     ), noun="calculus", expect="a calculus entry"),
-    _Block("map", "maps", MapDef, (("map_id", _word("a map id")),
-                                   ("kind", _word("renaming or table"))), (
+    _Block("map", "maps", _map, (("map_id", _word("a map id")),
+                                 ("kind", _word("renaming or table"))), (
         _Entry("rename", "renames", _seq(_take_atom, _take_atom), many=True, kind="renaming"),
         _Entry("pair", "pairs", _seq(parse_formula_tokens, parse_formula_tokens), many=True,
                kind="table"),
@@ -676,9 +556,11 @@ _BLOCKS = (
     ), noun="map", expect="a map entry", line_form=(
         "identity", "a map kind",
         "only identity maps fit on one line; renaming and table maps need a block")),
-    _Block("component", "components", ComponentDef, (("component_id", _word("a component id")),),
+    _Block("component", "components",
+           lambda r, b, line: _component(r, b["component_id"], b, line),
+           (("component_id", _word("a component id")),),
            _COMPONENT_ENTRIES, noun="component", expect="a component entry"),
-    _Block("prevariety", "prevarieties", PrevarietyDef,
+    _Block("prevariety", "prevarieties", _prevariety,
            (("prevariety_id", _word("a prevariety id")),), (
         _Entry("quasi", "quasi"),
         _Entry("component", "component_refs", _word("a component id"), many=True,
@@ -688,21 +570,22 @@ _BLOCKS = (
         _Entry("rule-ref", "rule_refs", _word("a rule name"), many=True, spread=True),
         _Entry("theorem", "theorems", parse_formula_tokens, many=True),
     ), noun="prevariety", expect="a prevariety entry"),
-    _Block("witness", "witnesses", WitnessDef, (("witness_id", _word("a witness id")),), (
+    _Block("witness", "witnesses", _witness, (("witness_id", _word("a witness id")),), (
         _ref("prevariety", "prevariety_ref"),
         _Entry("indices", "indices", _int("an index"), spread=True),
     ) + _COMPONENT_ENTRIES, noun="witness", expect="a witness entry"),
-    _Block("axiom-decl", "axiom_decls", AxiomDeclaration,
+    _Block("axiom-decl", "axiom_decls",
+           lambda r, b, line: AxiomDeclaration(**b, line=line),
            (("axiom_id", _word("an axiom id")), ("statement", _string("statement")))),
-    _Block("class", "classes", ClassDef, (("class_id", _word("a class id")),
-                                          ("display_name", _string("display name"))), (
+    _Block("class", "classes", _class, (("class_id", _word("a class id")),
+                                         ("display_name", _string("display name"))), (
         _Entry("status", "statuses", _seq(
             _word("an axiom id"),
             _choice("satisfied, violated or unknown", "status",
                     {"satisfied": SATISFIED, "violated": VIOLATED, "unknown": UNKNOWN}),
             _read_evidence), many=True),
     ), noun="class", expect="status"),
-    _Block("theorem-rec", "theorem_recs", TheoremRecDef,
+    _Block("theorem-rec", "theorem_recs", _theorem_rec,
            (("theorem_id", _word("a theorem id")),), (
         _Entry("statement", "statement", _string("statement"), required="needs a statement"),
         _Entry("depends", "depends", _word("an axiom id"), many=True, spread=True),
@@ -719,9 +602,10 @@ _KEYWORDS = {spec.keyword: spec for spec in _BLOCKS}
 class _Parser:
     def __init__(self, source: str):
         self.source = source
-        self.values: dict[str, Any] = {}  # Manifest fields
+        # the directives' values, and each block kind's (values, line) pairs
+        self.values: dict[str, Any] = {}
 
-    def parse(self, text: str) -> Manifest:
+    def parse(self, text: str, override: Mapping[str, int] | None) -> Manifest:
         block: tuple[str, list[Token], int, list] | None = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             try:
@@ -746,10 +630,43 @@ class _Parser:
                 raise ManifestError(exc.message, self.source, lineno, exc.col) from None
         if block is not None:
             raise ManifestError(f"unclosed {block[0]} block", self.source, block[2])
-        # each directive and block kind collects into a list, held as a tuple
-        return Manifest(source=self.source, **{
-            name: tuple(value) if type(value) is list else value
-            for name, value in self.values.items()})
+        return self._manifest(override or {})
+
+    def _manifest(self, override: Mapping[str, int]) -> Manifest:
+        """Every block's object, made block kind by block kind once no kind
+        has a duplicate id, so the fault raised is the first in that order.
+        Calculi close at the depth of the bounds merged with `override`, and
+        the merged bounds are checked last."""
+        values = self.values
+        for spec in _BLOCKS:
+            seen: set[str] = set()
+            for block, line in values.get(spec.attr, ()):
+                ident = block[spec.id_field]
+                if ident in seen:
+                    raise ManifestError(f"duplicate {spec.keyword} {ident!r}", self.source, line)
+                seen.add(ident)
+        merged = {**values.get("bounds", Bounds()).to_dict(), **override}
+        self.depth = merged["depth"]
+        self.signature = frozenset(values.get("signature", ()))
+        self.built: dict[str, dict[str, Any]] = {}
+        for spec in _BLOCKS:
+            made = self.built[spec.keyword] = {}
+            for block, line in values.get(spec.attr, ()):
+                try:
+                    made[block[spec.id_field]] = spec.make(self, block, line)
+                except ValueError as exc:
+                    raise ManifestError(str(exc), self.source, line) from exc
+        objects = {spec.attr: tuple(self.built[spec.keyword].values()) for spec in _BLOCKS}
+        objects["axiom_decls"] = self.built["axiom-decl"]
+        return Manifest(self.source, tuple(values.get("signature", ())), Bounds(**merged),
+                        **objects)
+
+    def get(self, keyword: str, ident: str, line: int) -> Any:
+        """The object made by the `keyword` block `ident`, for a reference at `line`."""
+        found = self.built[keyword].get(ident)
+        if found is None:
+            raise UnresolvedReferenceError(f"unknown {keyword} {ident!r}", self.source, line)
+        return found
 
     def _directive(self, tokens: list[Token], line: int) -> None:
         keyword, _ = _take_word(tokens, 0, "a directive")
@@ -802,14 +719,17 @@ class _Parser:
         self._add(spec, values, start)
 
     def _add(self, spec: _Block, values: dict[str, Any], line: int) -> None:
-        self.values.setdefault(spec.attr, []).append(spec.cls(**values, line=line))
+        self.values.setdefault(spec.attr, []).append((values, line))
 
 
-def parse_manifest(text: str, source: str = "<manifest>") -> Manifest:
-    return _Parser(source).parse(text)
+def parse_manifest(text: str, source: str = "<manifest>",
+                   bounds: Mapping[str, int] | None = None) -> Manifest:
+    """The manifest `text` says, with its objects built. The `bounds`
+    entries stand in for those of its `bounds` line, as `--bounds` does."""
+    return _Parser(source).parse(text, bounds)
 
 
-def load_manifest(path: str | Path) -> Manifest:
+def load_manifest(path: str | Path, bounds: Mapping[str, int] | None = None) -> Manifest:
     # bytes, not text mode: `str.splitlines` in the parser reads \r\n and \r
     # as line breaks already, and a bad byte gets its line and column
     data = Path(path).read_bytes()
@@ -820,4 +740,4 @@ def load_manifest(path: str | Path) -> Manifest:
         lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
         raise ManifestError(f"not UTF-8 text at byte 0x{data[exc.start]:02x} ({exc.reason})",
                             str(path), len(lines), len(lines[-1]) - 1) from None
-    return parse_manifest(text, source=str(path))
+    return parse_manifest(text, source=str(path), bounds=bounds)

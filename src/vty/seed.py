@@ -11,6 +11,7 @@ afresh, so no two calls share an object (a profile's statuses are a dict).
 from __future__ import annotations
 
 from importlib import resources
+from typing import Mapping
 
 from .manifest import Manifest, parse_manifest
 from .projection import AxiomDeclaration, ClassProfile, TheoremRecord
@@ -18,9 +19,10 @@ from .projection import AxiomDeclaration, ClassProfile, TheoremRecord
 SEED_MANIFEST_LABEL = "seed_registry.vty"
 
 
-def seed_manifest() -> Manifest:
+def seed_manifest(bounds: Mapping[str, int] | None = None) -> Manifest:
+    """The packaged registry, read afresh; `bounds` entries stand in for its bounds line."""
     text = resources.files("vty").joinpath("data/seed_registry.vty").read_text("utf-8")
-    return parse_manifest(text, source=SEED_MANIFEST_LABEL)
+    return parse_manifest(text, source=SEED_MANIFEST_LABEL, bounds=bounds)
 
 
 def seed_registry() -> tuple[ClassProfile, ...]:

@@ -130,16 +130,19 @@ ROWS = (
                "tests/test_manifest.py::test_parse_error_location[indices given twice 2]",
            )),
     Mutant("undeclared-theorem-dependency", "src/vty/manifest.py",
-           "if dep not in declarations:",
+           'if dep not in r.built["axiom-decl"]:',
            "if False:", (
                "tests/test_manifest.py::TestValidation::test_theorem_rec_dependencies_must_be_declared",
            )),
-    # a manifest that validates only when asked to: dataclasses.replace
-    # would then hand out a manifest with unresolved references
-    Mutant("manifest-not-validated-when-made", "src/vty/manifest.py",
-           '    def __post_init__(self) -> None:\n        """Check every cross-reference',
-           '    def validate(self) -> None:\n        """Check every cross-reference', (
-               "tests/test_manifest.py::TestEachObjectBuiltOnce::test_a_replaced_manifest_reports_its_own_faults",
+    # a --bounds override read with the manifest: a calculus with no depth
+    # entry closes at the merged depth, not at the manifest's own (depth=1)
+    Mutant("bounds-override-misses-calculus-depth", "src/vty/manifest.py",
+           'self.depth = merged["depth"]',
+           'self.depth = values.get("bounds", Bounds()).depth', (
+               "tests/test_cli.py::TestReports::test_bounds_override_equals_a_rewritten_manifest"
+               "[{'depth': 3}]",
+               "tests/test_cli.py::TestReports::test_bounds_override_equals_a_rewritten_manifest"
+               "[{'depth': 4, 'size': 40}]",
            )),
     # projection: the one cell decision of project and registry_report
     Mutant("cell-violated-and-unknown-swapped", "src/vty/projection.py",

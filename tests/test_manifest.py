@@ -6,28 +6,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vty
-from vty.calculus import Calculus
+import vty.cli
+from vty.calculus import AxiomSchema, Calculus, SchemaRule, SubstitutionRule
 from vty.errors import ManifestError, UnresolvedReferenceError
 from vty.formulas import parse_formula
 from vty.lex import LexError, Token, _scan_string, tokenize_line
-from vty.manifest import (
-    Bounds,
-    Manifest,
-    RuleDef,
-    load_manifest,
-    parse_manifest,
-)
+from vty.manifest import Bounds, load_manifest, parse_manifest
 from vty.projection import (
+    AxiomDeclaration,
+    AxiomStatus,
     CITATION,
+    ClassProfile,
     EXEC_EXHAUSTIVE,
     EXEC_POSITIVE,
     Evidence,
     SATISFIED,
+    TheoremRecord,
     UNKNOWN,
     VIOLATED,
 )
 from vty.seed import seed_axiom_declarations, seed_manifest, seed_registry
-from vty.varieties import Component, FormulaMap, check_prevariety, check_variety
+from vty.varieties import (
+    Component,
+    FormulaMap,
+    Prevariety,
+    VarietyWitness,
+    check_prevariety,
+    check_variety,
+)
 
 from oracle_tools import oracle_scan_string, oracle_tokenize_line
 
@@ -205,7 +211,7 @@ DATA_FILES = (
     "shared_core_nowitness.vty",
 )
 
-# the block keyword that opens each kind of def, by Manifest attribute
+# the block keyword that opens each kind of block, by Manifest attribute
 BLOCK_KEYWORDS = {
     "rules": "rule", "calculi": "calculus", "maps": "map", "components": "component",
     "prevarieties": "prevariety", "witnesses": "witness", "axiom_decls": "axiom-decl",
@@ -247,16 +253,19 @@ class TestShippedFiles:
 
     @pytest.mark.parametrize("name", DATA_FILES + ("all_entries",))
     def test_each_def_records_the_line_that_opens_it(self, data_dir, name):
+        # a copy of a block put before it makes the block itself the
+        # duplicate, which is reported at the line that opens it
         lines = manifest_text(data_dir, name).splitlines()
         manifest = parse_manifest("\n".join(lines))
-        seen = 0
-        for attr, keyword in BLOCK_KEYWORDS.items():
-            for d in getattr(manifest, attr):
-                ident = getattr(d, dataclasses.fields(d)[0].name)
-                assert lines[d.line - 1].split()[:2] == [keyword, ident]
-                seen += 1
-        assert seen == sum(line.split()[0] in BLOCK_KEYWORDS.values()
-                           for line in lines if line[:1].isalpha())
+        opening = [i for i, line in enumerate(lines)
+                   if line[:1].isalpha() and line.split()[0] in BLOCK_KEYWORDS.values()]
+        assert len(opening) == sum(len(getattr(manifest, attr)) for attr in BLOCK_KEYWORDS)
+        for i in opening:
+            keyword, ident = lines[i].split()[:2]
+            copy = lines[i:lines.index("}", i) + 1] if lines[i].endswith("{") else [lines[i]]
+            with pytest.raises(ManifestError) as err:
+                parse_manifest("\n".join(lines[:i] + copy + lines[i:]), source="w.vty")
+            assert str(err.value) == f"w.vty:{i + 1 + len(copy)}:1: duplicate {keyword} {ident!r}"
 
 
 def test_a_manifest_without_bounds_gets_the_default_bounds():
@@ -279,60 +288,52 @@ class TestAllEntries:
         assert m.signature == ("p", "q", "r")
         assert m.bounds == Bounds(depth=2, atoms=12, enum=5000, size=900)
         mp, sub = m.rules
-        assert (mp.name, mp.kind, mp.premises, mp.conclusion) == (
-            "mp", "schema", (f("a"), f("(-> a b)")), f("b"))
-        assert (sub.name, sub.kind, sub.premises, sub.conclusion) == (
-            "sub", "substitution", (), None)
+        assert mp == SchemaRule("mp", (f("a"), f("(-> a b)")), f("b"))
+        assert sub == SubstitutionRule("sub")
         (calc,) = m.calculi
-        assert calc.depth == 1
-        assert calc.atoms == ("s", "t")
-        assert calc.axioms == (f("(-> p q)"), f("p"))
-        assert calc.schemas == (("K", f("(-> a (-> b a))")), ("E", f("(-> bot a)")))
-        assert calc.use == ("sub", "mp")
+        assert calc == Calculus(
+            "L", axioms=frozenset({f("(-> p q)"), f("p")}),
+            schemas=(AxiomSchema("K", f("(-> a (-> b a))")), AxiomSchema("E", f("(-> bot a)"))),
+            rules=(sub, mp), closure_depth=1, signature_atoms=frozenset("pqrst"))
         ident, ren, tab, swap = m.maps
-        assert (ident.kind, ident.renames, ident.pairs, ident.domain) == (
-            "identity", (), (), None)
-        assert (ren.kind, ren.renames, ren.domain) == (
-            "renaming", (("a", "p"), ("b", "q")), (f("(-> a b)"), f("a")))
-        assert (tab.kind, tab.pairs, tab.domain) == (
-            "table", ((f("p"), f("q")), (f("q"), f("p"))),
-            (f("p"), f("q")))
-        assert (swap.kind, swap.pairs, swap.domain) == (
-            "table", ((f("q"), f("p")),), None)
+        assert ident == FormulaMap.identity("ident")
+        assert ren == FormulaMap("ren", renaming=(("a", "p"), ("b", "q")),
+                                 domain=frozenset({f("(-> a b)"), f("a")}))
+        assert tab == FormulaMap("tab", table=((f("p"), f("q")), (f("q"), f("p"))),
+                                 domain=frozenset({f("p"), f("q")}))
+        assert swap == FormulaMap("swap", table=((f("q"), f("p")),))
         k1, k2 = m.components
-        assert (k1.calculus_ref, k1.axiom_map_ref, k1.theorem_map_ref, k1.theorems) == (
-            "L", "ident", "ident", (f("(-> p q)"), f("p")))
-        assert (k2.axiom_map_ref, k2.theorem_map_ref, k2.theorems) == (
-            "ren", "tab", (f("q"),))
+        assert k1 == Component("K1", calc, ident, ident, frozenset({f("(-> p q)"), f("p")}))
+        assert k2 == Component("K2", calc, ren, tab, frozenset({f("q")}))
+        assert k2.calculus is calc and k2.axiom_map is ren and k2.theorem_map is tab
         pv, ex = m.prevarieties
-        assert (pv.quasi, pv.auto, pv.component_refs) == (True, True, ("K2", "K1"))
-        assert (pv.axioms, pv.rule_refs, pv.theorems) == ((), (), ())
-        assert (ex.quasi, ex.auto, ex.component_refs) == (False, False, ("K1",))
-        assert (ex.axioms, ex.rule_refs, ex.theorems) == (
-            (f("(-> p q)"), f("p")), ("mp", "sub"), (f("p"),))
-        (wit,) = m.witnesses
-        assert (wit.prevariety_ref, wit.indices, wit.calculus_ref) == ("PV", (1, 2), "L")
-        assert (wit.axiom_map_ref, wit.theorem_map_ref, wit.theorems) == (
-            "ident", "ident", (f("(-> p q)"), f("p")))
-        assert [(d.axiom_id, d.statement) for d in m.axiom_decls] == [
-            ("AX", 'says "quoted" and \\ slashed'), ("BX", "second"), ("CX", "third")]
+        assert (pv.prevariety_id, pv.quasi, pv.union) == ("PV", True, None)
+        assert pv.components[0] is k2 and pv.components[1] is k1
+        assert (ex.prevariety_id, ex.quasi, ex.components) == ("EX", False, (k1,))
+        assert m.prevariety("EX") == Prevariety(
+            frozenset({f("(-> p q)"), f("p")}), frozenset({mp, sub}), frozenset({f("p")}), (k1,))
+        (wit,) = m.prevariety_witnesses("PV")
+        assert m.witnesses == (("PV", wit),)
+        assert wit == VarietyWitness(
+            (1, 2), Component("W", calc, ident, ident, frozenset({f("(-> p q)"), f("p")})))
+        assert wit.covering.calculus is calc
+        assert list(m.axiom_decls.values()) == [
+            AxiomDeclaration("AX", 'says "quoted" and \\ slashed'),
+            AxiomDeclaration("BX", "second"), AxiomDeclaration("CX", "third")]
+        assert [d.line for d in m.axiom_decls.values()] == [83, 85, 87]
         c, d = m.classes
-        assert (c.class_id, c.display_name) == ("C", "A class")
-        assert c.statuses == (
-            ("CX", SATISFIED, Evidence(CITATION, citation="a book")),
-            ("AX", VIOLATED, Evidence(EXEC_POSITIVE, witness_id="rm_self_loop_diverges",
-                                      suite_size=3)),
-            ("BX", SATISFIED, Evidence(EXEC_EXHAUSTIVE, witness_id="dfa_totality_exhaustive",
-                                       domain="small automata")),
-        )
-        assert (d.class_id, d.display_name, d.statuses) == (
-            "D", "Another", (("AX", UNKNOWN, None),))
-        t1, t2 = m.theorem_recs
-        assert (t1.theorem_id, t1.statement, t1.depends, t1.source, t1.unconditional) == (
-            "T1", "holds", ("AX", "BX"), "notes", False)
-        assert (t2.theorem_id, t2.statement, t2.depends, t2.source, t2.unconditional) == (
-            "T2", "always", (), "", True)
-        assert [r.line for r in m.rules] == [5, 11]
+        assert c == ClassProfile("C", "A class", {
+            "CX": AxiomStatus(SATISFIED, Evidence(CITATION, citation="a book")),
+            "AX": AxiomStatus(VIOLATED, Evidence(
+                EXEC_POSITIVE, witness_id="rm_self_loop_diverges", suite_size=3)),
+            "BX": AxiomStatus(SATISFIED, Evidence(
+                EXEC_EXHAUSTIVE, witness_id="dfa_totality_exhaustive", domain="small automata")),
+        })
+        assert list(c.statuses) == ["CX", "AX", "BX"]
+        assert d == ClassProfile("D", "Another", {"AX": AxiomStatus(UNKNOWN)})
+        assert m.theorem_recs == (
+            TheoremRecord("T1", "holds", frozenset({"AX", "BX"}), "notes", False),
+            TheoremRecord("T2", "always", frozenset(), "", True))
 
     def test_scrambled_entries_normalize_to_the_fixture(self):
         scrambled = (ALL_ENTRIES
@@ -345,13 +346,12 @@ class TestAllEntries:
                      .replace("depends AX BX", "depends BX AX"))
         assert scrambled != ALL_ENTRIES
 
-        def validated(manifest):
+        def objects(manifest):
             # PV is auto, and its components' maps do not assemble; EX lists its union
-            built = manifest._built
-            return ({attr: built[attr] for attr in ("calculi", "maps", "components", "witnesses")},
+            return (manifest.calculi, manifest.maps, manifest.components, manifest.witnesses,
                     manifest.prevariety("EX"), manifest.registry())
 
-        assert validated(parse_manifest(scrambled)) == validated(parse_manifest(ALL_ENTRIES))
+        assert objects(parse_manifest(scrambled)) == objects(parse_manifest(ALL_ENTRIES))
 
 
 # (text, message, line, 1-based column) for errors raised while parsing
@@ -635,12 +635,6 @@ class TestValidation:
             parse_manifest(text)
         assert "undeclared axiom 'MISSING'" in str(err.value)
 
-    def test_a_schema_rule_def_without_a_conclusion_is_refused(self):
-        rule = RuleDef("r", premises=(parse_formula("a"),), line=4)
-        with pytest.raises(ManifestError) as err:
-            Manifest(rules=(rule,))
-        assert str(err.value) == "<manifest>:4:1: rule 'r' never concludes"
-
     def test_bad_component_objects_fail_at_their_line(self):
         text = MINIMAL.replace("depth 2", "depth 2\n  axiom p\n  axiom p")
         manifest = parse_manifest(text)  # duplicate axiom lines collapse in a set
@@ -713,49 +707,56 @@ class TestEachObjectBuiltOnce:
             manifest.prevariety_witnesses(pv.prevariety_id)
         assert manifest.witnesses or path.stem == "knowledge_five"
         assert builds == Counter(
-            [("Calculus", d.calculus_id) for d in manifest.calculi]
-            + [("FormulaMap", d.map_id) for d in manifest.maps]
-            + [("Component", d.component_id) for d in manifest.components]
-            + [("Component", d.witness_id) for d in manifest.witnesses])
+            [("Calculus", c.calculus_id) for c in manifest.calculi]
+            + [("FormulaMap", m.map_id) for m in manifest.maps]
+            + [("Component", c.component_id) for c in manifest.components]
+            + [("Component", w.covering.component_id) for _, w in manifest.witnesses])
+
+    def test_a_bounds_override_builds_each_object_once(self, builds, capsys):
+        path = Path(vty.__file__).parent / "data" / "shared_core.vty"
+        assert vty.cli.main(["check-prevariety", str(path), "--bounds", "depth=2"]) == 0
+        capsys.readouterr()
+        assert [key for key in builds if key[0] == "Calculus"] == [
+            ("Calculus", "L1"), ("Calculus", "L2"), ("Calculus", "CORE")]
+        assert set(builds.values()) == {1}
 
     def test_lookups_return_the_objects_validation_built(self, data_dir):
         manifest = load_manifest(data_dir / "shared_core.vty")
         pv = manifest.prevariety("SHARED")
-        assert pv.components == tuple(manifest.component(d.component_id)
-                                      for d in manifest.components)
+        assert pv.components == tuple(manifest.component(c.component_id)
+                                      for c in manifest.components)
         assert all(a is b for a, b in zip(pv.components, manifest.prevariety("SHARED").components))
         witness = manifest.prevariety_witnesses("SHARED")[0]
-        assert witness.covering.calculus is manifest.calculus(manifest.witnesses[0].calculus_ref)
+        assert witness.covering.calculus is manifest.calculus("CORE")
 
-    def test_a_replaced_manifest_resolves_its_own_defs(self):
-        manifest = parse_manifest(MINIMAL)
-        first = manifest.calculus("L")
-        changed = dataclasses.replace(
-            manifest, calculi=(dataclasses.replace(manifest.calculi[0], depth=1),))
-        assert changed.calculus("L").closure_depth == 1
-        assert changed.component("C").calculus is changed.calculus("L")
-        assert manifest.calculus("L") is first and first.closure_depth == 2
-        undepthed = parse_manifest(MINIMAL.replace("  depth 2\n", ""))
-        deeper = dataclasses.replace(undepthed, bounds=Bounds(depth=5))
+    def test_a_bounds_override_builds_the_calculi_at_the_merged_depth(self):
+        undepthed = MINIMAL.replace("  depth 2\n", "")
+        assert parse_manifest(undepthed).calculus("L").closure_depth == 3
+        deeper = parse_manifest(undepthed, bounds={"depth": 5})
+        assert deeper.bounds == Bounds(depth=5)
         assert deeper.calculus("L").closure_depth == 5
-        assert undepthed.calculus("L").closure_depth == 3
+        assert deeper.component("C").calculus is deeper.calculus("L")
+        # a calculus's own depth entry outranks the bounds, overridden or not
+        assert parse_manifest(MINIMAL, bounds={"depth": 5}).calculus("L").closure_depth == 2
 
-    def test_a_replaced_manifest_reports_its_own_faults(self):
-        manifest = parse_manifest(MINIMAL)
-        component = dataclasses.replace(manifest.components[0], calculus_ref="nope")
+    def test_a_manifest_fault_comes_before_a_bad_bounds_override(self):
+        text = MINIMAL.replace("  calculus L\n", "  calculus nope\n")
         with pytest.raises(UnresolvedReferenceError) as err:
-            dataclasses.replace(manifest, components=(component,))
+            parse_manifest(text, bounds={"size": 0})
         assert str(err.value) == "<manifest>:18:1: unknown calculus 'nope'"
-        assert manifest.component("C").calculus is manifest.calculus("L")
+        with pytest.raises(ValueError) as err:
+            parse_manifest(MINIMAL, bounds={"size": 0})
+        assert type(err.value) is ValueError
+        assert str(err.value) == "atoms, enum and size bounds must be positive"
 
-    def test_equality_hash_and_text_ignore_the_table(self):
-        built = parse_manifest(MINIMAL)
-        fresh = dataclasses.replace(built)
-        assert built._built and fresh._built
-        assert built._built["calculi"]["L"] is not fresh._built["calculi"]["L"]
-        assert built == fresh
-        assert hash(built) == hash(fresh)
-        assert repr(built) == repr(fresh)
+    def test_two_reads_are_equal_and_share_no_object(self):
+        first, second = parse_manifest(MINIMAL), parse_manifest(MINIMAL)
+        assert first == second
+        assert repr(first) == repr(second)
+        assert first.calculus("L") is not second.calculus("L")
+        assert first.components[0] is not second.components[0]
+        with pytest.raises(TypeError):  # the axiom declarations are a dict
+            hash(first)
 
 
 def scan_outcome(scan, line: str, start: int):
@@ -824,7 +825,7 @@ class TestStringsStaySingleLine:
 
 class TestRequiredEntries:
     def test_substitution_rule_needs_no_conclusion(self):
-        assert parse_manifest("rule sub substitution\n").rules[0].kind == "substitution"
+        assert parse_manifest("rule sub substitution\n").rules == (SubstitutionRule("sub"),)
 
 
 class TestSeedRegistryManifest:
