@@ -15,7 +15,6 @@ from .calculus import (
     SchemaRule,
     SubstitutionRule,
     base_calculus,
-    check_proof,
     closure,
     hilbert_schemas,
     modus_ponens,
@@ -90,11 +89,10 @@ __all__ = [
     "SubstitutionRule", "TheoremRecord", "UndeclaredAxiomError",
     "UnresolvedReferenceError", "VarietyWitness", "VtyError", "assemble_prevariety",
     "base_calculus", "check_bijective_variety", "check_consistency", "check_prevariety",
-    "check_proof", "check_variety", "classify_relation", "closure",
-    "consistency_report", "decode_machine", "encode_machine", "entails",
-    "fixed_output_brute", "fixed_output_recognize", "format_formula",
-    "hilbert_schemas", "load_manifest", "minimal_axiom_subsets",
-    "modus_ponens", "parse_formula", "parse_machine", "parse_manifest",
-    "project", "proves", "registry_report", "run_machine", "universal_run",
-    "with_axioms",
+    "check_variety", "classify_relation", "closure", "consistency_report",
+    "decode_machine", "encode_machine", "entails", "fixed_output_brute",
+    "fixed_output_recognize", "format_formula", "hilbert_schemas", "load_manifest",
+    "minimal_axiom_subsets", "modus_ponens", "parse_formula", "parse_machine",
+    "parse_manifest", "project", "proves", "registry_report", "run_machine",
+    "universal_run", "with_axioms",
 ]

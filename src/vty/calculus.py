@@ -1,4 +1,4 @@
-"""Hilbert-style calculi with bounded forward closure and checkable proofs.
+"""Hilbert-style calculi with bounded forward closure and proof objects.
 
 Theorem sets here are intensional: a theorem set is always a calculus
 plus a depth bound, never a bare set of formulas. Depth counts rule
@@ -168,18 +168,6 @@ class Calculus:
         if len(ids) != len(set(ids)):
             raise ValueError(f"calculus {self.calculus_id!r} has duplicate schema ids")
 
-    def rule(self, name: str) -> InferenceRule | None:
-        for rule in self.rules:
-            if rule.name == name:
-                return rule
-        return None
-
-    def schema(self, schema_id: str) -> AxiomSchema | None:
-        for schema in self.schemas:
-            if schema.schema_id == schema_id:
-                return schema
-        return None
-
 
 # --- proof objects ---------------------------------------------------------
 
@@ -200,79 +188,8 @@ class ProofStep(NamedTuple):
 class Proof:
     steps: tuple[ProofStep, ...]
 
-    @property
-    def conclusion(self) -> Formula:
-        return self.steps[-1].formula
-
     def rule_applications(self) -> int:
         return sum(1 for step in self.steps if step.kind == "rule")
-
-
-@dataclass(frozen=True)
-class ProofCheck:
-    valid: bool
-    step: int | None = None
-    reason: str | None = None
-    detail: str = ""
-
-
-def check_proof(calculus: Calculus, proof: Proof) -> ProofCheck:
-    """Revalidate a proof step by step against the calculus.
-
-    The checker accepts any correct proof; it does not re-impose the
-    closure engine's instantiation restriction.
-    """
-    if not proof.steps:
-        return ProofCheck(False, None, "EMPTY_PROOF", "a proof needs at least one step")
-    for index, step in enumerate(proof.steps):
-        if step.kind == "axiom":
-            if step.formula not in calculus.axioms:
-                return ProofCheck(False, index, "UNKNOWN_AXIOM", formula_key(step.formula))
-        elif step.kind == "schema":
-            schema = calculus.schema(step.ref)
-            if schema is None:
-                return ProofCheck(False, index, "UNKNOWN_SCHEMA", step.ref)
-            if substitute(schema.pattern, dict(step.substitution)) != step.formula:
-                return ProofCheck(
-                    False, index, "SCHEMA_MISMATCH",
-                    f"substitution does not produce {formula_key(step.formula)}",
-                )
-        elif step.kind == "rule":
-            rule = calculus.rule(step.ref)
-            if rule is None:
-                return ProofCheck(False, index, "UNKNOWN_RULE", step.ref)
-            if any(p < 0 or p >= index for p in step.premises):
-                return ProofCheck(False, index, "BAD_PREMISE", "premise index out of range")
-            cited = [proof.steps[p].formula for p in step.premises]
-            mapping = dict(step.substitution)
-            if isinstance(rule, SubstitutionRule):
-                if len(cited) != 1:
-                    return ProofCheck(False, index, "BAD_PREMISE", "substitution takes one premise")
-                if substitute(cited[0], mapping) != step.formula:
-                    return ProofCheck(
-                        False, index, "CONCLUSION_MISMATCH",
-                        "substitution instance does not match the step formula",
-                    )
-            else:
-                if len(cited) != len(rule.premises):
-                    return ProofCheck(
-                        False, index, "BAD_PREMISE",
-                        f"rule {rule.name!r} takes {len(rule.premises)} premises",
-                    )
-                for pattern, formula in zip(rule.premises, cited):
-                    if substitute(pattern, mapping) != formula:
-                        return ProofCheck(
-                            False, index, "BAD_PREMISE",
-                            f"{formula_key(formula)} does not match {formula_key(pattern)}",
-                        )
-                if substitute(rule.conclusion, mapping) != step.formula:
-                    return ProofCheck(
-                        False, index, "CONCLUSION_MISMATCH",
-                        "rule conclusion does not match the step formula",
-                    )
-        else:
-            return ProofCheck(False, index, "UNKNOWN_JUSTIFICATION", repr(step.kind))
-    return ProofCheck(True)
 
 
 # --- bounded closure -------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -40,8 +41,6 @@ from .varieties import (
     check_variety,
     consistency_report,
 )
-
-_RECURSION_MESSAGE = "formula nesting exceeds the interpreter's recursion limit"
 
 
 def _parse_bounds_override(text: str) -> dict[str, int]:
@@ -118,6 +117,22 @@ class _UsageError(Exception):
         self.prog = prog
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps usage as argparse 3.10-3.12 does, where 3.13 keeps an option with
+    its metavar: 3.13.0 calls the first method, later 3.13 the second."""
+
+    _part = re.compile(r"\(.*?\)+(?=\s|$)|\[.*?\]+(?=\s|$)|\S+")
+
+    def _get_actions_usage_parts(self, actions, groups):
+        return self._part.findall(" ".join(super()._get_actions_usage_parts(actions, groups)))
+
+    def _get_actions_usage_parts_with_split(self, actions, groups, opt_count=None):
+        parts, start = super()._get_actions_usage_parts_with_split(actions, groups, opt_count)
+        optionals = self._part.findall(" ".join(parts[:start]))
+        positionals = [] if start is None else self._part.findall(" ".join(parts[start:]))
+        return optionals + positionals, None if start is None else len(optionals)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises `_UsageError` where argparse would print usage text and exit 2.
 
@@ -126,8 +141,16 @@ class _ArgumentParser(argparse.ArgumentParser):
     as JSON. ``--help`` does not go through `error` and prints as before.
     """
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, formatter_class=_HelpFormatter, **kwargs)
+
     def error(self, message: str):
         raise _UsageError(self.prog, message)
+
+    def _check_value(self, action, value):  # choices quoted, as 3.10.13-3.13.0 print them
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
 
 
 # --- command bodies ----------------------------------------------------------
@@ -143,17 +166,13 @@ def _declared(flag: str, lookup: Callable[[], Any]) -> Any:
         raise argparse.ArgumentTypeError(f"argument {flag}: {exc.message}") from None
 
 
-def _substitution_dict(substitution) -> dict[str, str]:
-    return {var: formula_key(value) for var, value in substitution}
-
-
 def _proof_dict(proof: Proof) -> dict:
     steps = []
     for formula, kind, ref, substitution, premises in proof.steps:
         step = {"formula": formula_key(formula), "kind": kind}
         if kind != "axiom":
             step[kind] = ref  # "schema": its id, or "rule": its name
-            step["substitution"] = _substitution_dict(substitution)
+            step["substitution"] = {var: formula_key(value) for var, value in substitution}
             if kind == "rule":
                 step["premises"] = list(premises)
         steps.append(step)
@@ -643,7 +662,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         report["errors"], code = [str(exc)], 1
     except RecursionError:
         # a formula nested past the limit, as a long closure can derive one
-        report["errors"], code = [_RECURSION_MESSAGE], 1
+        report["errors"], code = ["formula nesting exceeds the interpreter's recursion limit"], 1
     else:
         if isinstance(result, MatrixReport):
             if fmt == "text":

@@ -15,7 +15,8 @@ costs nothing. ``run_machine`` runs a machine and ``universal_run_stats``
 a program code through one step loop, which also sums the fetch charge
 of the universal machine's unchanged micro-cost model. A machine
 compiles its program as it validates it, into one integer row per
-address, and the loop dispatches on each row's opcode.
+address with each register it names at a dense cell, so a run holds one
+value per named register; the loop dispatches on each row's opcode.
 
 Text format, bit for bit, one instruction per line with single spaces
 and 0-based decimal addresses::
@@ -114,15 +115,18 @@ _HALT_ROW = (_HALT, 0, 0, 0)
 class RegisterMachine:
     registers: int
     program: tuple[Instruction, ...]
-    # one (opcode, register, target, target) row per address up to the halt
-    # address: INC repeats its target, DECJZ has its zero target first
+    # one (opcode, cell, target, target) row per address up to the halt
+    # address: INC repeats its target, DECJZ has its zero target first; a
+    # cell is a register's place in a run's list, 0 for register 0
     _rows: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False, compare=False)
+    _cells: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.registers < 1:
             raise ValueError("a machine needs at least register 0")
         halt_address = len(self.program)
         rows = []
+        cells = {0: 0}
         for address, instr in enumerate(self.program):
             compiled = _OPERANDS.get(type(instr))
             if compiled is None:
@@ -137,9 +141,10 @@ class RegisterMachine:
             for target in first, last:
                 if not 0 <= target <= halt_address:
                     raise ValueError(f"instruction {address} jumps to {target}")
-            rows.append((opcode, register, first, last))
+            rows.append((opcode, cells.setdefault(register, len(cells)), first, last))
         rows.append(_HALT_ROW)
         object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_cells", len(cells))
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,7 @@ def _step_loop(machine: RegisterMachine, input_value: int, fuel: int) -> tuple[T
     address sums of the whole periods left at once; the trace and the
     charge are those of running every step.
     """
-    registers = [0] * machine.registers
+    registers = [0] * machine._cells
     registers[0] = input_value
     rows = machine._rows
     pc = steps = pcs = 0  # pcs sums the addresses of the executed instructions
@@ -512,7 +517,8 @@ def fixed_output_brute(
     registers = bounds.max_registers
     hits: list[OutputHit] = []
     for length in range(bounds.max_instructions + 1):
-        options = _instruction_options(registers, length)
+        # the empty program has no slot to fill
+        options = _instruction_options(registers, length) if length else []
         # the operands after the register are the targets
         jumps = [frozenset(getattr(option, name) for name in _OPERAND_NAMES[type(option)][1:])
                  - {length} for option in options]

@@ -73,6 +73,18 @@ ROWS = (
                "tests/test_cli.py::TestReports::test_fixed_output_reports",
                "tests/test_bench_contract.py::test_brute_search_makes_one_direct_run_per_class_and_input",
            )),
+    # machines: a run holds one value per register named, and the empty
+    # program has no slot to build instructions for
+    Mutant("a-value-per-register-index", "src/vty/machines.py",
+           "registers = [0] * machine._cells",
+           "registers = [0] * machine.registers", (
+               "tests/test_cli.py::TestReports::test_a_huge_register_index_runs_like_a_small_one",
+           )),
+    Mutant("instructions-for-the-empty-program", "src/vty/machines.py",
+           "options = _instruction_options(registers, length) if length else []",
+           "options = _instruction_options(registers, length)", (
+               "tests/test_cli.py::TestReports::test_a_world_of_the_empty_program_builds_no_instructions",
+           )),
     # the caps that refuse work before it starts, each at exactly its cap
     Mutant("atom-cap-at-the-cap", "src/vty/semantics.py",
            "if len(names) > atom_cap:",
@@ -243,6 +255,13 @@ ROWS = (
            'chunks.append(": ")',
            'chunks.append(":")', (
                "tests/test_cli.py::TestReportEmitter::test_same_text_as_json_dumps",
+           )),
+    # proof building: a rule step cites its premises in the rule's order
+    Mutant("premises-cited-in-reverse", "src/vty/calculus.py",
+           "tuple(index[premise] for premise in premises)",
+           "tuple(index[premise] for premise in reversed(premises))", (
+               "tests/test_cli.py::TestPrintedProofsPassAnIndependentChecker::test_criterion_9_proofs",
+               "tests/test_calculus.py::TestClosureExamples::test_every_emitted_proof_revalidates",
            )),
     # a defaulted keyword that no caller of record sets
     Mutant("unset-keyword-option", "src/vty/machines.py",

@@ -27,6 +27,7 @@ from vty.calculus import (
     theorem_formulas,
     with_axioms,
 )
+from vty.cli import _proof_dict
 from vty.errors import CapExceededError
 from vty.formulas import (
     And,
@@ -69,6 +70,8 @@ from vty.varieties import (
     Prevariety,
     assemble_prevariety,
 )
+
+import proof_checker
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -230,6 +233,18 @@ def oracle_minimal_sufficient_subsets(
             if proves(with_axioms(base_calc, combo), goal, depth, size_cap=size_cap):
                 minimal.append(candidate)
                 yield combo
+
+
+def printed_proof_check(calculus: Calculus, proof: Proof) -> proof_checker.Check:
+    """`proof_checker.check` on the proof as the CLI prints it, against the
+    calculus written out as the checker's plain text."""
+    rules = {rule.name: proof_checker.SUBSTITUTION if isinstance(rule, SubstitutionRule)
+             else ([formula_key(p) for p in rule.premises], formula_key(rule.conclusion))
+             for rule in calculus.rules}
+    text = {"axioms": [formula_key(axiom) for axiom in calculus.axioms],
+            "schemas": {s.schema_id: formula_key(s.pattern) for s in calculus.schemas},
+            "rules": rules}
+    return proof_checker.check(text, _proof_dict(proof))
 
 
 # --- random worlds for differential testing ----------------------------------

@@ -1,6 +1,8 @@
+import ast
 import inspect
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,7 +16,6 @@ from vty.calculus import (
     SchemaRule,
     SubstitutionRule,
     base_calculus,
-    check_proof,
     closure,
     hilbert_schemas,
     instantiation_domain,
@@ -41,11 +42,13 @@ from vty.formulas import (
 from vty.manifest import Bounds
 from vty.projection import classify_relation, minimal_axiom_subsets
 
+import proof_checker
 import vty.calculus
 from oracle_tools import (
     iter_assignments,
     oracle_scan_closure,
     oracle_theorem_set,
+    printed_proof_check,
     random_calculus,
     shrinking_rule_pool,
 )
@@ -130,9 +133,9 @@ class TestClosureExamples:
         goal = pf("(-> p p)")
         proof = proves(calc, goal, 5)
         assert proof is not None
-        assert proof.conclusion == goal
+        assert proof.steps[-1].formula == goal
         assert proof.rule_applications() == 2
-        assert check_proof(calc, proof).valid
+        assert printed_proof_check(calc, proof).valid
 
     def test_identity_implication_exact_cost(self):
         calc = base_calculus("hilbert")
@@ -147,7 +150,7 @@ class TestClosureExamples:
         calc = chain_calc()
         result = closure(calc, 2)
         for entry in result.entries:
-            check = check_proof(calc, entry.proof)
+            check = printed_proof_check(calc, entry.proof)
             assert check.valid, (format_formula(entry.formula), check)
 
     def test_proofs_share_lemmas_instead_of_repeating(self):
@@ -468,6 +471,16 @@ class TestCaps:
 
 
 class TestProofChecking:
+    """`proof_checker` on bogus proofs, each printed as the CLI prints it."""
+
+    def test_checker_imports_nothing_from_vty(self):
+        tree = ast.parse(Path(proof_checker.__file__).read_text(encoding="utf-8"))
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module or "" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)]
+        assert imported and not [name for name in imported if name.split(".")[0] == "vty"]
+
     def proof_of_q(self):
         calc = with_axioms(base_calculus("mp"), [pf("p"), pf("(-> p q)")])
         proof = proves(calc, pf("q"), 1)
@@ -476,13 +489,13 @@ class TestProofChecking:
 
     def test_empty_proof(self):
         calc, _ = self.proof_of_q()
-        check = check_proof(calc, Proof(()))
+        check = printed_proof_check(calc, Proof(()))
         assert not check.valid and check.reason == "EMPTY_PROOF"
 
     def test_unknown_axiom(self):
         calc, _ = self.proof_of_q()
         bogus = Proof((ProofStep(pf("r"), "axiom"),))
-        check = check_proof(calc, bogus)
+        check = printed_proof_check(calc, bogus)
         assert not check.valid and check.reason == "UNKNOWN_AXIOM" and check.step == 0
 
     def test_unknown_rule(self):
@@ -491,7 +504,7 @@ class TestProofChecking:
         last = steps[-1]
         assert last.kind == "rule"
         steps[-1] = last._replace(ref="modus_tollens")
-        check = check_proof(calc, Proof(tuple(steps)))
+        check = printed_proof_check(calc, Proof(tuple(steps)))
         assert not check.valid and check.reason == "UNKNOWN_RULE"
 
     def test_forward_premise_reference_rejected(self):
@@ -499,7 +512,7 @@ class TestProofChecking:
         steps = list(proof.steps)
         last = steps[-1]
         steps[-1] = last._replace(premises=(0, 99))
-        check = check_proof(calc, Proof(tuple(steps)))
+        check = printed_proof_check(calc, Proof(tuple(steps)))
         assert not check.valid and check.reason == "BAD_PREMISE"
 
     def test_premise_pattern_mismatch(self):
@@ -508,7 +521,7 @@ class TestProofChecking:
         last = steps[-1]
         # cite the implication twice; the first premise no longer matches
         steps[-1] = last._replace(premises=(1, 1))
-        check = check_proof(calc, Proof(tuple(steps)))
+        check = printed_proof_check(calc, Proof(tuple(steps)))
         assert not check.valid and check.reason == "BAD_PREMISE"
 
     def test_conclusion_mismatch(self):
@@ -516,19 +529,19 @@ class TestProofChecking:
         steps = list(proof.steps)
         last = steps[-1]
         steps[-1] = last._replace(formula=pf("(not q)"))
-        check = check_proof(calc, Proof(tuple(steps)))
+        check = printed_proof_check(calc, Proof(tuple(steps)))
         assert not check.valid and check.reason == "CONCLUSION_MISMATCH"
 
     def test_unknown_schema_and_mismatch(self):
         calc = base_calculus("hilbert")
         instance = pf("(-> p (-> q p))")
         good = ProofStep(instance, "schema", "P1", (("a", pf("p")), ("b", pf("q"))))
-        assert check_proof(calc, Proof((good,))).valid
+        assert printed_proof_check(calc, Proof((good,))).valid
         unknown = ProofStep(instance, "schema", "P9", (("a", pf("p")),))
-        check = check_proof(calc, Proof((unknown,)))
+        check = printed_proof_check(calc, Proof((unknown,)))
         assert check.reason == "UNKNOWN_SCHEMA"
         lied = ProofStep(instance, "schema", "P1", (("a", pf("q")), ("b", pf("q"))))
-        check = check_proof(calc, Proof((lied,)))
+        check = printed_proof_check(calc, Proof((lied,)))
         assert check.reason == "SCHEMA_MISMATCH"
 
     def test_checker_accepts_unrestricted_instantiation(self):
@@ -539,7 +552,7 @@ class TestProofChecking:
             ProofStep(pf("(-> p p)"), "axiom"),
             ProofStep(big, "rule", "sub", (("p", pf("(and r (and r r))")),), (0,)),
         ))
-        assert check_proof(self.sub_calculus(), proof).valid
+        assert printed_proof_check(self.sub_calculus(), proof).valid
 
     def sub_calculus(self):
         return Calculus("free", axioms=frozenset({pf("(-> p p)")}),
@@ -550,7 +563,7 @@ class TestProofChecking:
             ProofStep(pf("(-> p p)"), "axiom"),
             ProofStep(pf("(-> q q)"), "rule", "sub", (("p", pf("q")),), (0, 0)),
         ))
-        check = check_proof(self.sub_calculus(), proof)
+        check = printed_proof_check(self.sub_calculus(), proof)
         assert (check.valid, check.step, check.reason, check.detail) == (
             False, 1, "BAD_PREMISE", "substitution takes one premise")
 
@@ -559,7 +572,7 @@ class TestProofChecking:
             ProofStep(pf("(-> p p)"), "axiom"),
             ProofStep(pf("(-> q r)"), "rule", "sub", (("p", pf("q")),), (0,)),
         ))
-        check = check_proof(self.sub_calculus(), proof)
+        check = printed_proof_check(self.sub_calculus(), proof)
         assert (check.valid, check.step, check.reason) == (False, 1, "CONCLUSION_MISMATCH")
 
     def test_mp_takes_two_premises(self):
@@ -567,7 +580,7 @@ class TestProofChecking:
         steps = list(proof.steps)
         last = steps[-1]
         steps[-1] = last._replace(premises=last.premises[:1])
-        check = check_proof(calc, Proof(tuple(steps)))
+        check = printed_proof_check(calc, Proof(tuple(steps)))
         assert (check.valid, check.step, check.reason, check.detail) == (
             False, len(steps) - 1, "BAD_PREMISE", "rule 'mp' takes 2 premises")
 
@@ -575,7 +588,7 @@ class TestProofChecking:
         calc, proof = self.proof_of_q()
         steps = list(proof.steps)
         steps[-1] = steps[-1]._replace(kind="lemma")
-        check = check_proof(calc, Proof(tuple(steps)))
+        check = printed_proof_check(calc, Proof(tuple(steps)))
         assert (check.valid, check.step, check.reason, check.detail) == (
             False, len(steps) - 1, "UNKNOWN_JUSTIFICATION", "'lemma'")
 

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from vty.machines import DEFAULT_STEP_CAP, encode_machine, parse_machine
 from vty.manifest import BOUND_NAMES, Bounds, load_manifest
 from vty.varieties import FormulaMap
 
+import proof_checker
+from conftest import GOLDEN_DIR
 from oracle_tools import oracle_report_json
 from test_acceptance import CLI_COMMANDS
 
@@ -533,6 +536,37 @@ class TestReports:
             reports[argv[1]] = report
         golden("fixed_output_reports", reports)
 
+    def test_a_huge_register_index_runs_like_a_small_one(self, capsys, tmp_path):
+        # a run holds one value per register the program names, so register
+        # 10**15 costs what register 1 does
+        reports = []
+        for register in (1, 10**15):
+            path = tmp_path / f"inc{register}.rm"
+            path.write_text(f"INC {register} 1", encoding="utf-8")
+            tracemalloc.start()
+            try:
+                code, report = run_json(capsys, "fixed-output", "recognize", "--machine",
+                                        str(path), "--y", "0", "--schedule", "1,2,3")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < 4 * 2**20
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_a_world_of_the_empty_program_builds_no_instructions(self, capsys):
+        # length 0 has no slot, so the register bound does not matter
+        hits = []
+        for registers in ("1", str(10**15)):
+            start = time.perf_counter()
+            code, report = run_json(capsys, "fixed-output", "brute", "--y", "0",
+                                    "--max-instructions", "0", "--max-registers", registers)
+            assert time.perf_counter() - start < 1.0
+            assert code == 0
+            hits.append(report["result"]["hits"])
+        assert hits[0] == hits[1] == [{"input": 0, "machine": [], "steps": 0}]
+
 
 # every parser vty has: the root, each command and each fixed-output mode
 HELP_ARGVS = (
@@ -894,10 +928,62 @@ def bench():
         sys.path.remove(str(BENCH_DIR))
 
 
+MP = {"mp": (["a", "(-> a b)"], "b")}
+# each golden that holds proofs, the criterion 9 argv that prints the same
+# report, and the calculus of its proofs written out as `proof_checker`
+# reads it: L1 of shared_core.vty, and hilbert with the axioms given
+PRINTED_PROOFS = (
+    ("closure_l1_with_proofs",
+     ("closure", "{data}/shared_core.vty", "--calculus", "L1", "--with-proofs"),
+     {"axioms": ["(-> p q)", "p"], "rules": MP}),
+    ("classify_modus_ponens",
+     ("classify", "--axioms", "p", "(-> p q)", "--goal", "q"),
+     {"axioms": ["p", "(-> p q)"], "rules": MP, "schemas": {
+         "P1": "(-> a (-> b a))",
+         "P2": "(-> (-> a (-> b c)) (-> (-> a b) (-> a c)))",
+         "P3": "(-> (-> (not a) (not b)) (-> b a))"}}),
+)
+
+
+def check_printed_proofs(calculus, argv, result):
+    """Every proof in the result of `argv`, a closure with proofs or a
+    classify, passes `proof_checker`, ends in the formula it proves and
+    counts its rule applications; each printed closure cost is the cost of
+    its proof tree."""
+    if argv[0] == "classify":
+        proofs, costs = {argv[argv.index("--goal") + 1]: result["proof"]}, {}
+    else:
+        proofs, costs = result["proofs"], result["costs"]
+        assert sorted(proofs) == sorted(costs) == result["formulas"]
+    for formula, proof in proofs.items():
+        assert proof_checker.check(calculus, proof) == (True, None, None, ""), formula
+        steps = proof["steps"]
+        assert steps[-1]["formula"] == formula
+        assert proof["rule_applications"] == sum(step["kind"] == "rule" for step in steps)
+        if costs:
+            assert proof_checker.tree_cost(proof) == costs[formula], formula
+
+
 class TestPrintedProofsPassAnIndependentChecker:
     """Every printed proof, and its printed cost where there is one, passes
-    `reference.proof_problem`, which reads the JSON with its own
-    s-expression reader and imports nothing from vty."""
+    a checker that reads the JSON with its own s-expression reader and
+    imports nothing from vty: `proof_checker` for the goldens and criterion
+    9's reports, and the benchmark's `reference.proof_problem` for the
+    benchmark's request shapes."""
+
+    @pytest.mark.parametrize("name, argv, calculus", PRINTED_PROOFS,
+                             ids=[name for name, _, _ in PRINTED_PROOFS])
+    def test_golden_proofs(self, name, argv, calculus):
+        report = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+        check_printed_proofs(calculus, argv, report["result"])
+
+    @pytest.mark.parametrize("name, argv, calculus", PRINTED_PROOFS,
+                             ids=[name for name, _, _ in PRINTED_PROOFS])
+    def test_criterion_9_proofs(self, capsys, data_dir, name, argv, calculus):
+        assert argv in CLI_COMMANDS
+        code, report = run_json(capsys, *(part.format(data=data_dir) for part in argv))
+        assert code == 0
+        check_printed_proofs(calculus, argv, report["result"])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_closure_with_proofs_on_the_benchmark_shapes(self, capsys, tmp_path, bench, seed):

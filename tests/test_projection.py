@@ -11,7 +11,6 @@ from vty.calculus import (
     SchemaRule,
     SubstitutionRule,
     base_calculus,
-    check_proof,
     closure,
     labelled_closure,
     modus_ponens,
@@ -259,7 +258,7 @@ class TestRelationClassifier:
         report = classify_relation(axioms, pf("q"))
         assert report.proof is not None
         calc = with_axioms(base_calculus("hilbert"), axioms)
-        assert check_proof(calc, report.proof).valid
+        assert oracle_tools.printed_proof_check(calc, report.proof).valid
 
     def test_subset_cap_guards_the_search(self):
         axioms = [pf(f"a{i}") for i in range(13)]
