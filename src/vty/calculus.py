@@ -188,6 +188,10 @@ class ProofStep(NamedTuple):
 class Proof:
     steps: tuple[ProofStep, ...]
 
+    @property
+    def conclusion(self) -> Formula:
+        return self.steps[-1].formula
+
     def rule_applications(self) -> int:
         return sum(1 for step in self.steps if step.kind == "rule")
 

@@ -42,6 +42,8 @@ from .varieties import (
     consistency_report,
 )
 
+_RECURSION_MESSAGE = "formula nesting exceeds the interpreter's recursion limit"
+
 
 def _parse_bounds_override(text: str) -> dict[str, int]:
     values: dict[str, int] = {}
@@ -119,7 +121,7 @@ class _UsageError(Exception):
 
 class _HelpFormatter(argparse.HelpFormatter):
     """Wraps usage as argparse 3.10-3.12 does, where 3.13 keeps an option with
-    its metavar: 3.13.0 calls the first method, later 3.13 the second."""
+    its metavar: 3.13.0 wraps from the first method, 3.13.13 from the second."""
 
     _part = re.compile(r"\(.*?\)+(?=\s|$)|\[.*?\]+(?=\s|$)|\S+")
 
@@ -147,7 +149,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):
         raise _UsageError(self.prog, message)
 
-    def _check_value(self, action, value):  # choices quoted, as 3.10.13-3.13.0 print them
+    def _check_value(self, action, value):  # choices quoted, as up to 3.13.0; 3.13.13 prints them bare
         if action.choices is not None and value not in action.choices:
             choices = ", ".join(map(repr, action.choices))
             raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
@@ -166,13 +168,17 @@ def _declared(flag: str, lookup: Callable[[], Any]) -> Any:
         raise argparse.ArgumentTypeError(f"argument {flag}: {exc.message}") from None
 
 
+def _substitution_dict(substitution) -> dict[str, str]:
+    return {var: formula_key(value) for var, value in substitution}
+
+
 def _proof_dict(proof: Proof) -> dict:
     steps = []
     for formula, kind, ref, substitution, premises in proof.steps:
         step = {"formula": formula_key(formula), "kind": kind}
         if kind != "axiom":
             step[kind] = ref  # "schema": its id, or "rule": its name
-            step["substitution"] = {var: formula_key(value) for var, value in substitution}
+            step["substitution"] = _substitution_dict(substitution)
             if kind == "rule":
                 step["premises"] = list(premises)
         steps.append(step)
@@ -662,7 +668,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         report["errors"], code = [str(exc)], 1
     except RecursionError:
         # a formula nested past the limit, as a long closure can derive one
-        report["errors"], code = ["formula nesting exceeds the interpreter's recursion limit"], 1
+        report["errors"], code = [_RECURSION_MESSAGE], 1
     else:
         if isinstance(result, MatrixReport):
             if fmt == "text":

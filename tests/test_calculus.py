@@ -133,7 +133,7 @@ class TestClosureExamples:
         goal = pf("(-> p p)")
         proof = proves(calc, goal, 5)
         assert proof is not None
-        assert proof.steps[-1].formula == goal
+        assert proof.conclusion == goal
         assert proof.rule_applications() == 2
         assert printed_proof_check(calc, proof).valid
 
