@@ -56,7 +56,7 @@ formula if that is known, a connective with a bound atom child takes
 that child's bucket, another connective takes its connective's bucket,
 and an unbound atom takes everything known. A bucket holds every formula
 the premise can match. Proof objects are built from the derivation table
-on first access.
+on each request.
 
 ``labelled_closure`` is the run with listed axioms. It answers for every
 subset of them at once, as an assumption-based truth maintenance system
@@ -73,8 +73,8 @@ within the caps, no subset of it trips one either.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -210,39 +210,28 @@ class _Derivation(NamedTuple):
     premises: tuple[Formula, ...] = ()
 
 
-@dataclass(frozen=True)
-class ClosureEntry:
+class ClosureEntry(NamedTuple):
     formula: Formula
     cost: int
-    # the whole closure's derivation table, shared by its entries
-    _derivations: Mapping[Formula, _Derivation] = field(repr=False, compare=False)
-
-    @cached_property
-    def proof(self) -> Proof:
-        """Built from the derivation table on first access."""
-        return _build_proof(self.formula, self._derivations)
 
 
 @dataclass(frozen=True)
 class ClosureResult:
-    calculus_id: str
     depth: int
     domain_size: int
     entries: tuple[ClosureEntry, ...]
-    _index: dict[Formula, ClosureEntry] = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self._index.update({entry.formula: entry for entry in self.entries})
+    # the derivation behind each entry's cost, keyed by formula
+    _derivations: Mapping[Formula, _Derivation] = field(repr=False, compare=False)
 
     def formulas(self) -> frozenset[Formula]:
-        return frozenset(self._index)
+        return frozenset(self._derivations)
 
     def __contains__(self, formula: Formula) -> bool:
-        return formula in self._index
+        return formula in self._derivations
 
     def proof_for(self, formula: Formula) -> Proof | None:
-        entry = self._index.get(formula)
-        return entry.proof if entry else None
+        """Built from the derivation table on each call; None outside the closure."""
+        return _build_proof(formula, self._derivations) if formula in self else None
 
 
 def instantiation_domain(calculus: Calculus, goals: Iterable[Formula] = ()) -> frozenset[Formula]:
@@ -267,9 +256,9 @@ def closure(
     if depth is None:
         depth = calculus.closure_depth
     labels, derivations, domain_size = _fixpoint(calculus, (), depth, goals, size_cap)
-    entries = tuple(ClosureEntry(formula, labels[formula][0][1], derivations)
+    entries = tuple(ClosureEntry(formula, labels[formula][0][1])
                     for formula in sorted(labels, key=formula_key))
-    return ClosureResult(calculus.calculus_id, depth, domain_size, entries)
+    return ClosureResult(depth, domain_size, entries, derivations)
 
 
 def proves(
@@ -650,12 +639,4 @@ def base_calculus(name: str, *, closure_depth: int = DEFAULT_DEPTH) -> Calculus:
 
 def with_axioms(base: Calculus, axioms: Iterable[Formula]) -> Calculus:
     """The base calculus extended with extra instance axioms."""
-    merged = frozenset(base.axioms) | frozenset(axioms)
-    return Calculus(
-        base.calculus_id,
-        axioms=merged,
-        schemas=base.schemas,
-        rules=base.rules,
-        closure_depth=base.closure_depth,
-        signature_atoms=base.signature_atoms,
-    )
+    return replace(base, axioms=frozenset(base.axioms) | frozenset(axioms))

@@ -226,7 +226,8 @@ def _cmd_closure(args, manifest: Manifest):
         "formulas": formulas,
     }
     if args.with_proofs:
-        out["proofs"] = {formula_key(e.formula): _proof_dict(e.proof) for e in entries}
+        out["proofs"] = {formula_key(e.formula): _proof_dict(result.proof_for(e.formula))
+                         for e in entries}
         out["costs"] = {formula_key(e.formula): e.cost for e in entries}
     return out, 0
 

@@ -205,6 +205,12 @@ ROWS = (
                "tests/test_calculus.py::TestIndexedClosureMatchesScan"
                "::test_ties_in_a_later_round_go_to_the_first_premises_in_formula_key_order",
            )),
+    Mutant("unsorted-walk-snapshot", "src/vty/calculus.py",
+           "known = {formula: labels[formula] for formula in sorted(labels, key=formula_key)}",
+           "known = dict(labels)", (
+               "tests/test_calculus.py::TestPendingBound"
+               "::test_the_ordered_walk_matches_the_scan_oracle[10-(not a)-2-100]",
+           )),
     Mutant("fresh-premise-after-a-fresh-one", "src/vty/calculus.py",
            "if position < first and formula in fresh:",
            "if False:", (

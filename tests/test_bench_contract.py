@@ -1,17 +1,22 @@
 """What the benchmark in vtybench/ needs from vty, checked from the vty side.
 
-The tracer patches functions by module and name, and the benchmark's
-set-up parses the packaged registry through the CLI; a rename in vty
-would break the benchmark without failing any other test. The tracer's
-tables are read from its file, which stays unchanged.
+The tracer patches functions by module and name and reads counts off
+their results, and the benchmark's set-up parses the packaged registry
+through the CLI; a rename in vty would break the benchmark without
+failing any other test. The tracer's tables are read from its file,
+which stays unchanged.
 """
 
+import importlib.util
 import inspect
 import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 import vty.semantics
 from vty.formulas import parse_formula
@@ -46,6 +51,38 @@ def test_traced_functions_resolve_on_a_fresh_import():
                           text=True, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_tracer_reads_its_counts_off_the_results(data_dir):
+    # the tracer's RESULT_COUNTS read fields of these return values; a field
+    # renamed in vty would otherwise fail only the benchmark's traced runs
+    import vty.machines as machines
+    from vty.calculus import base_calculus, closure, proves
+    from vty.formulas import match_pattern
+    from vty.manifest import load_manifest
+    from vty.varieties import check_variety
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    manifest = load_manifest(data_dir / "shared_core.vty")
+    adder = machines.parse_machine((ROOT / "src" / "vty" / "data" / "adder.rm").read_text())
+    results = {
+        "calculus.closure": closure(base_calculus("hilbert"), 1),
+        "projection.proves": proves(base_calculus("mp"), parse_formula("p"), 1),
+        "varieties.check_variety": check_variety(
+            manifest.prevariety("SHARED"), 2, manifest.prevariety_witnesses("SHARED")),
+        "formulas.match_pattern": match_pattern(parse_formula("a"), parse_formula("p"), {}),
+        "machines.run_machine": machines.run_machine(adder, machines.pair(2, 3), 10_000),
+        "machines.universal_run_stats": machines.universal_run_stats(
+            machines.encode_machine(adder), machines.pair(2, 3), 10_000),
+    }
+    assert sorted(results) == sorted(tracer.RESULT_COUNTS)
+    for name, read in tracer.RESULT_COUNTS.items():
+        try:
+            read(defaultdict(int), results[name])
+        except (AttributeError, IndexError, KeyError, TypeError) as exc:
+            pytest.fail(f"the tracer cannot read the result of {name}: {exc!r}")
 
 
 def test_set_up_parses_the_registry_through_the_cli():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import random
 import tracemalloc
@@ -70,6 +71,10 @@ HILBERT4 = [pf("p"), pf("(-> p q)"), pf("(-> q r)"), pf("(-> r s)")]
 
 def texts(formulas):
     return sorted(format_formula(f) for f in formulas)
+
+
+def entries_with_proofs(result):
+    return [(e.formula, e.cost, result.proof_for(e.formula)) for e in result.entries]
 
 
 class TestRuleConstruction:
@@ -150,7 +155,7 @@ class TestClosureExamples:
         calc = chain_calc()
         result = closure(calc, 2)
         for entry in result.entries:
-            check = printed_proof_check(calc, entry.proof)
+            check = printed_proof_check(calc, result.proof_for(entry.formula))
             assert check.valid, (format_formula(entry.formula), check)
 
     def test_proofs_share_lemmas_instead_of_repeating(self):
@@ -297,20 +302,20 @@ class TestIndexedClosureMatchesScan:
         except DepthExplosionError:
             assume(False)
         expected = oracle_scan_closure(calc, depth, goals)
-        assert [(e.formula, e.cost, e.proof) for e in result.entries] == expected
+        assert entries_with_proofs(result) == expected
 
     def test_ties_go_to_the_first_premises_in_formula_key_order(self):
         calc = Calculus("ties", axioms=frozenset(map(pf, [
             "p", "q", "(-> p s)", "(-> q s)", "(-> p q)", "(not q)", "(-> p r)", "(not r)",
         ])), rules=(modus_ponens(), _index_rule_pool()["mt"]))
         result = closure(calc, 1)
-        cited = {format_formula(entry.formula): [format_formula(step.formula)
-                                                 for step in entry.proof.steps[:-1]]
-                 for entry in result.entries if entry.cost == 1}
+        cited = {format_formula(formula): [format_formula(step.formula)
+                                           for step in result.proof_for(formula).steps[:-1]]
+                 for formula, cost in result.entries if cost == 1}
         assert cited["s"] == ["p", "(-> p s)"]
         assert cited["(not p)"] == ["(-> p q)", "(not q)"]
         expected = oracle_scan_closure(calc, 1)
-        assert [(e.formula, e.cost, e.proof) for e in result.entries] == expected
+        assert entries_with_proofs(result) == expected
 
     def test_ties_in_a_later_round_go_to_the_first_premises_in_formula_key_order(self):
         # in round two s has two derivations of cost 2: (p, (-> p s)) whose
@@ -322,7 +327,7 @@ class TestIndexedClosureMatchesScan:
         cited = [format_formula(step.formula) for step in result.proof_for(pf("s")).steps]
         assert cited == ["p", "r", "(-> r (-> p s))", "(-> p s)", "s"]
         expected = oracle_scan_closure(calc, 2)
-        assert [(e.formula, e.cost, e.proof) for e in result.entries] == expected
+        assert entries_with_proofs(result) == expected
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -368,10 +373,7 @@ class TestIndexedClosureMatchesScan:
                             lambda target, best: built.append(target) or build(target, best))
         result = closure(chain_calc(), 2)
         assert built == []
-        proof = result.proof_for(pf("r"))
-        assert built == [pf("r")]
-        (entry,) = [entry for entry in result.entries if entry.formula == pf("r")]
-        assert entry.proof is proof
+        result.proof_for(pf("r"))
         assert built == [pf("r")]
 
 
@@ -380,9 +382,9 @@ class TestPendingBound:
     tuples; past it, it walks the sorted snapshot in order instead."""
 
     @staticmethod
-    def atom_calculus(calculus_id, count, rule):
+    def atom_calculus(calculus_id, count, *rules):
         return Calculus(calculus_id, axioms=frozenset(Atom(f"p{i}") for i in range(count)),
-                        rules=(rule,))
+                        rules=rules)
 
     def test_a_wide_rule_is_refused_in_bounded_memory(self):
         a, b = Atom("a"), Atom("b")
@@ -397,19 +399,25 @@ class TestPendingBound:
             tracemalloc.stop()
         assert peak < 20 * 2**20
 
-    @pytest.mark.parametrize("count, conclusion, depth, size_cap", [
+    @pytest.mark.parametrize("count, rules, depth, size_cap", [
         # 40 000 tuples, every conclusion already known
-        (200, "a", 3, 10_000),
+        (200, [(("a", "b"), "a")], 3, 10_000),
         # 400 tuples, then 800 that hold a fresh premise and fit the depth;
         # each conclusion has 20 derivations, and the first in snapshot order wins
-        (20, "(and a a)", 2, 300),
-    ])
-    def test_the_ordered_walk_matches_the_scan_oracle(self, count, conclusion, depth, size_cap):
-        a, b = Atom("a"), Atom("b")
-        calc = self.atom_calculus("walk", count, SchemaRule("r", (a, b), pf(conclusion)))
+        (20, [(("a", "b"), "(and a a)")], 2, 300),
+        # the third rule walks once over a 40-formula snapshot that the first
+        # two admitted out of formula_key order; (not p0) cites (-> bot p0),
+        # the first implication in sorted order, not (-> p0 bot), the first admitted
+        (10, [(("a",), "(-> a bot)"), (("a",), "(-> bot a)"),
+              (("a", "(-> c d)"), "(not a)")], 2, 100),
+    ], ids=lambda value: value[-1][1] if isinstance(value, list) else None)
+    def test_the_ordered_walk_matches_the_scan_oracle(self, count, rules, depth, size_cap):
+        calc = self.atom_calculus("walk", count, *(
+            SchemaRule(f"r{i}", tuple(map(pf, premises)), pf(conclusion))
+            for i, (premises, conclusion) in enumerate(rules, 1)))
         result = closure(calc, depth, size_cap=size_cap)
         expected = oracle_scan_closure(calc, depth)
-        assert [(e.formula, e.cost, e.proof) for e in result.entries] == expected
+        assert entries_with_proofs(result) == expected
 
 
 class TestClosureProperties:
@@ -606,6 +614,16 @@ class TestPresets:
         assert extended.calculus_id == "mp"
         assert extended.rules == base_calculus("mp").rules
         assert pf("p") in extended.axioms
+
+    def test_with_axioms_keeps_every_other_field(self):
+        base = Calculus("full", axioms=frozenset({pf("p")}), schemas=hilbert_schemas(),
+                        rules=(modus_ponens(), SubstitutionRule()), closure_depth=5,
+                        signature_atoms=frozenset({"s"}))
+        extended = with_axioms(base, [pf("q")])
+        assert extended.axioms == {pf("p"), pf("q")}
+        kept = [field.name for field in dataclasses.fields(Calculus) if field.name != "axioms"]
+        assert len(kept) == 5  # a field added to Calculus gets a non-default value above
+        assert [getattr(extended, name) for name in kept] == [getattr(base, name) for name in kept]
 
     def test_theorem_formulas_memoizes_consistently(self):
         calc = chain_calc()

@@ -889,7 +889,7 @@ class TestOneCommandParser:
 
     def test_every_benchmark_argv_takes_the_direct_path(self, tmp_path, bench):
         # a silent fallback to argparse would pass every other test
-        workloads, _ = bench
+        workloads = bench
         for workload in workloads.WORKLOADS.values():
             for seed in (1, 2):
                 for request in workloads.generate(workload, seed, 40, tmp_path):
@@ -919,29 +919,40 @@ BENCH_DIR = Path(__file__).resolve().parent.parent / "vtybench"
 
 @pytest.fixture(scope="module")
 def bench():
-    """The benchmark's request builders and its reference checker, imported
-    from vtybench/ as they are; its modules import each other by bare name."""
+    """The benchmark's request builders, imported from vtybench/ as they
+    are; its modules import each other by bare name."""
     sys.path.insert(0, str(BENCH_DIR))
     try:
-        return importlib.import_module("workloads"), importlib.import_module("reference")
+        return importlib.import_module("workloads")
     finally:
         sys.path.remove(str(BENCH_DIR))
 
 
+# the presets written out as `proof_checker` reads them: mp is modus
+# ponens alone, and hilbert adds the schemas P1-P3
 MP = {"mp": (["a", "(-> a b)"], "b")}
+HILBERT_SCHEMAS = {
+    "P1": "(-> a (-> b a))",
+    "P2": "(-> (-> a (-> b c)) (-> (-> a b) (-> a c)))",
+    "P3": "(-> (-> (not a) (not b)) (-> b a))",
+}
+
+
+def preset_calculus(preset, axioms):
+    schemas = HILBERT_SCHEMAS if preset == "hilbert" else {}
+    return {"axioms": list(axioms), "rules": MP, "schemas": schemas}
+
+
 # each golden that holds proofs, the criterion 9 argv that prints the same
-# report, and the calculus of its proofs written out as `proof_checker`
-# reads it: L1 of shared_core.vty, and hilbert with the axioms given
+# report, and the calculus of its proofs: L1 of shared_core.vty, and
+# hilbert with the axioms given
 PRINTED_PROOFS = (
     ("closure_l1_with_proofs",
      ("closure", "{data}/shared_core.vty", "--calculus", "L1", "--with-proofs"),
-     {"axioms": ["(-> p q)", "p"], "rules": MP}),
+     preset_calculus("mp", ["(-> p q)", "p"])),
     ("classify_modus_ponens",
      ("classify", "--axioms", "p", "(-> p q)", "--goal", "q"),
-     {"axioms": ["p", "(-> p q)"], "rules": MP, "schemas": {
-         "P1": "(-> a (-> b a))",
-         "P2": "(-> (-> a (-> b c)) (-> (-> a b) (-> a c)))",
-         "P3": "(-> (-> (not a) (not b)) (-> b a))"}}),
+     preset_calculus("hilbert", ["p", "(-> p q)"])),
 )
 
 
@@ -967,9 +978,8 @@ def check_printed_proofs(calculus, argv, result):
 class TestPrintedProofsPassAnIndependentChecker:
     """Every printed proof, and its printed cost where there is one, passes
     a checker that reads the JSON with its own s-expression reader and
-    imports nothing from vty: `proof_checker` for the goldens and criterion
-    9's reports, and the benchmark's `reference.proof_problem` for the
-    benchmark's request shapes."""
+    imports nothing from vty, `proof_checker`: on the goldens, on criterion
+    9's reports, on the benchmark's request shapes and on criterion 6's sets."""
 
     @pytest.mark.parametrize("name, argv, calculus", PRINTED_PROOFS,
                              ids=[name for name, _, _ in PRINTED_PROOFS])
@@ -987,32 +997,29 @@ class TestPrintedProofsPassAnIndependentChecker:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_closure_with_proofs_on_the_benchmark_shapes(self, capsys, tmp_path, bench, seed):
-        workloads, reference = bench
+        workloads = bench
         rng = random.Random(seed)
         names = workloads.NamePool(rng)
         shapes = [shape for shape in workloads.PROOF_SHAPES if shape[3]]
         assert {shape[0] for shape in shapes} == {"hilbert", "mp"}
         for index, shape in enumerate(shapes):
             request = workloads.make_proof_request(rng, names, tmp_path, index, shape)
-            code, report = run_json(capsys, *request.steps[0].argv)
+            argv = request.steps[0].argv
+            code, report = run_json(capsys, *argv)
             assert code == 0, report["errors"]
-            result = report["result"]
-            assert sorted(result["proofs"]) == sorted(result["costs"]) == result["formulas"]
-            axioms = set(request.spec["axioms"])
-            for formula, proof in result["proofs"].items():
-                assert reference.proof_problem(
-                    proof, formula, axioms, result["costs"][formula]) is None
+            calculus = preset_calculus(request.spec["base"], request.spec["axioms"])
+            check_printed_proofs(calculus, argv, report["result"])
 
     @pytest.mark.parametrize("axioms", [["p", "(-> p q)"], ["p", "q", "(-> p q)"], ["(-> p q)"]])
-    def test_classify_on_the_criterion_6_sets(self, capsys, bench, axioms):
-        _, reference = bench
-        code, report = run_json(capsys, "classify", "--axioms", *axioms, "--goal", "q")
+    def test_classify_on_the_criterion_6_sets(self, capsys, axioms):
+        argv = ("classify", "--axioms", *axioms, "--goal", "q")
+        code, report = run_json(capsys, *argv)
         assert code == 0
         result = report["result"]
         if result["sufficient"] == "UNKNOWN":  # the open question has no proof to print
             assert "proof" not in result
         else:
-            assert reference.proof_problem(result["proof"], "q", set(axioms)) is None
+            check_printed_proofs(preset_calculus("hilbert", axioms), argv, result)
 
 
 def test_seed_manifest_bounds_are_the_defaults():
