@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import ClassVar, Iterable, Iterator, Mapping
 
 from .errors import FormulaParseError
-from .lex import LexError, Token, tokenize_line
+from .lex import NON_WORD, LexError, TokenFault, column, split_line, token_value
 
 # the one rule for atom names, used by ``Atom`` and by the manifest reader:
 # ``bot`` reads back as bottom, so it is no atom
@@ -133,64 +133,66 @@ def formula_key(formula: Formula) -> str:
     return format_formula(formula)
 
 
-def parse_formula_tokens(tokens: list[Token], index: int) -> tuple[Formula, int]:
-    """Parse one formula from a token list, returning it and the next index."""
-    return _parse(tokens, index, 0)
+def parse_formula_tokens(texts: list[str], index: int) -> tuple[Formula, int]:
+    """Parse one formula from a line's token texts (`lex.split_line`),
+    returning it and the next index; a fault raises `lex.TokenFault`."""
+    return _parse(texts, index, 0)
 
 
-def _parse(tokens: list[Token], index: int, depth: int) -> tuple[Formula, int]:
-    # depth counts the parentheses open around tokens[index]
-    if index >= len(tokens):
-        col = tokens[-1].col + len(tokens[-1].text) if tokens else 0
-        raise FormulaParseError("expected a formula", col)
-    tok = tokens[index]
-    if tok.kind == "WORD":
-        if tok.text == "bot":
-            return Bottom(), index + 1
-        try:
-            return Atom(tok.text), index + 1
-        except ValueError:
-            raise FormulaParseError(f"bad atom name {tok.text!r}", tok.col) from None
-    if tok.kind == "LPAREN":
+def _parse(texts: list[str], index: int, depth: int) -> tuple[Formula, int]:
+    # depth counts the parentheses open around texts[index]
+    if index >= len(texts):
+        raise TokenFault("expected a formula", index)
+    text = texts[index]
+    if text == "(":
         if depth == MAX_NESTING:
-            raise FormulaParseError(
-                f"formula nests deeper than {MAX_NESTING} parentheses", tok.col)
-        if index + 1 >= len(tokens):
-            raise FormulaParseError("expected a connective after (", tok.col)
-        op = tokens[index + 1]
-        if op.kind != "WORD":
-            raise FormulaParseError("expected a connective after (", op.col)
-        if op.text == "not":
-            operand, nxt = _parse(tokens, index + 2, depth + 1)
-            nxt = _expect_rparen(tokens, nxt, tok.col)
+            raise TokenFault(f"formula nests deeper than {MAX_NESTING} parentheses", index)
+        if index + 1 >= len(texts):
+            raise TokenFault("expected a connective after (", index)
+        op = texts[index + 1]
+        if op[0] in NON_WORD:
+            raise TokenFault("expected a connective after (", index + 1)
+        if op == "not":
+            operand, nxt = _parse(texts, index + 2, depth + 1)
+            nxt = _expect_rparen(texts, nxt, index)
             return Not(operand), nxt
-        if op.text in _BINARY:
-            left, nxt = _parse(tokens, index + 2, depth + 1)
-            right, nxt = _parse(tokens, nxt, depth + 1)
-            nxt = _expect_rparen(tokens, nxt, tok.col)
-            return _BINARY[op.text](left, right), nxt
-        raise FormulaParseError(f"unknown connective {op.text!r}", op.col)
-    raise FormulaParseError(f"unexpected token {tok.text!r}", tok.col)
+        if op in _BINARY:
+            left, nxt = _parse(texts, index + 2, depth + 1)
+            right, nxt = _parse(texts, nxt, depth + 1)
+            nxt = _expect_rparen(texts, nxt, index)
+            return _BINARY[op](left, right), nxt
+        raise TokenFault(f"unknown connective {op!r}", index + 1)
+    if text[0] in NON_WORD:
+        raise TokenFault(f"unexpected token {token_value(text)!r}", index)
+    if text == "bot":
+        return Bottom(), index + 1
+    try:
+        return Atom(text), index + 1
+    except ValueError:
+        raise TokenFault(f"bad atom name {text!r}", index) from None
 
 
-def _expect_rparen(tokens: list[Token], index: int, open_col: int) -> int:
-    if index >= len(tokens):
-        raise FormulaParseError("unclosed ( in formula", open_col)
-    if tokens[index].kind != "RPAREN":
-        raise FormulaParseError(f"expected ) but found {tokens[index].text!r}", tokens[index].col)
+def _expect_rparen(texts: list[str], index: int, open_index: int) -> int:
+    if index >= len(texts):
+        raise TokenFault("unclosed ( in formula", open_index)
+    if texts[index] != ")":
+        raise TokenFault(f"expected ) but found {token_value(texts[index])!r}", index)
     return index + 1
 
 
 def parse_formula(text: str) -> Formula:
     try:
-        tokens = tokenize_line(text)
+        texts = split_line(text)
     except LexError as exc:
         raise FormulaParseError(exc.message, exc.col) from None
-    if not tokens:
+    if not texts:
         raise FormulaParseError("expected a formula", 0)
-    formula, index = parse_formula_tokens(tokens, 0)
-    if index != len(tokens):
-        raise FormulaParseError("unexpected trailing input", tokens[index].col)
+    try:
+        formula, index = parse_formula_tokens(texts, 0)
+        if index != len(texts):
+            raise TokenFault("unexpected trailing input", index)
+    except TokenFault as exc:
+        raise FormulaParseError(exc.message, column(text, exc.index, len(texts))) from None
     return formula
 
 

@@ -1,4 +1,13 @@
-"""Line tokenizer shared by the formula parser and the manifest reader."""
+"""Line splitter shared by the formula parser and the manifest reader.
+
+The readers take a line as its token texts, a list of `str`: a word, a
+parenthesis or brace, or a string with its quotes kept, so a token's
+kind is its first character and a string's value is ``text[1:-1]``.
+`split_line` gives them. A reader's fault names a token index
+(`TokenFault`), and the column it reports is found with `column` only
+then, by reading that one line again with `tokenize_line`, whose
+`Token` records carry columns.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +19,12 @@ _PUNCT = {"(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE"}
 # no escape (3), the quote of any other string (4), or no token at all (a
 # comment or the end of the line); one of them always matches
 _TOKEN = re.compile(r'[ \t]*(?:([^ \t#(){}"]+)|([(){}])|"([^"\\]*)"|(")|#|\Z)')
+# the texts of a line with no comment, no escape and no unterminated string:
+# there only blanks lie between the tokens, so one findall reads them all
+_PLAIN = re.compile(r'[^ \t#(){}"]+|[(){}]|"[^"\\]*"')
+
+# the first characters of the token texts that are no word
+NON_WORD = '(){}"'
 
 
 class Token(NamedTuple):
@@ -25,6 +40,16 @@ class LexError(ValueError):
         super().__init__(message)
         self.message = message
         self.col = col
+
+
+class TokenFault(ValueError):
+    """A reader's fault at token `index` of a line's texts; an index past
+    the last text means the end of the line."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.message = message
+        self.index = index
 
 
 def _scan_string(line: str, start: int) -> tuple[str, int]:
@@ -67,3 +92,25 @@ def tokenize_line(line: str) -> list[Token]:
         else:
             value, i = _scan_string(line, m.start(4))
             tokens.append(Token("STRING", value, m.start(4)))
+
+
+def split_line(line: str) -> list[str]:
+    """The token texts of one line, each string with its quotes; a fault
+    raises LexError as `tokenize_line` does."""
+    if "#" not in line and "\\" not in line and not line.count('"') & 1:
+        return _PLAIN.findall(line)
+    return [f'"{tok.text}"' if tok.kind == "STRING" else tok.text for tok in tokenize_line(line)]
+
+
+def token_value(text: str) -> str:
+    """What a fault names a token by: a string's value, or the text."""
+    return text[1:-1] if text[0] == '"' else text
+
+
+def column(line: str, index: int, width: int) -> int:
+    """The column of token `index` of `line`, counting only its first
+    `width` tokens; an index past them names the end of the last one."""
+    tokens = tokenize_line(line)[:width]
+    if index < len(tokens):
+        return tokens[index].col
+    return tokens[-1].col + len(tokens[-1].text) if tokens else 0

@@ -78,6 +78,10 @@ Each block kind's layout (header fields, entry keywords, how often each
 may appear, how its values read) and the object it makes are declared
 once, in the block table below, and the reader walks it. Quoted strings
 are single-line; formulas nest at most ``formulas.MAX_NESTING`` deep.
+
+The reader takes each line as its token texts (``lex.split_line``), with
+no column: a fault names a token index, and only a fault that is
+reported has its column found, by reading its one line again.
 """
 
 from __future__ import annotations
@@ -95,9 +99,9 @@ from .calculus import (
     SchemaRule,
     SubstitutionRule,
 )
-from .errors import FormulaParseError, ManifestError, UnresolvedReferenceError
+from .errors import ManifestError, UnresolvedReferenceError
 from .formulas import ATOM_NAME, Formula, parse_formula_tokens
-from .lex import LexError, Token, tokenize_line
+from .lex import NON_WORD, LexError, TokenFault, column, split_line, token_value
 from .machines import DEFAULT_ENUMERATION_CAP
 from .projection import (
     AxiomDeclaration,
@@ -219,61 +223,62 @@ class Manifest:
 
 # --- the block table ---------------------------------------------------------
 # Each block kind and directive is declared once, below, and the reader walks
-# these declarations. Each value reads as a function of a line's tokens and
-# the index to start at, giving the value and the index after it. A fault in
-# a line is raised as LexError(message, column) and the reader adds the line
-# number. Token lists are never empty: the reader skips blank lines.
+# these declarations. Each value reads as a function of a line's token texts
+# (`lex.split_line`) and the index to start at, giving the value and the
+# index after it. A fault at a token is raised as TokenFault(message, index),
+# and one that concerns the whole line as LexError(message, 0); the reader
+# adds the line number, and the column of a token fault. Text lists are
+# never empty: the reader skips blank lines.
 
-_Read = Callable[[list[Token], int], tuple[Any, int]]
-
-
-def _take_word(tokens: list[Token], i: int, what: str) -> tuple[str, int]:
-    if i >= len(tokens):
-        raise LexError(f"expected {what}", tokens[-1].col + len(tokens[-1].text))
-    if tokens[i].kind != "WORD":
-        raise LexError(f"expected {what}, found {tokens[i].text!r}", tokens[i].col)
-    return tokens[i].text, i + 1
+_Read = Callable[[list[str], int], tuple[Any, int]]
 
 
-def _take_atom(tokens: list[Token], i: int) -> tuple[str, int]:
-    word, nxt = _take_word(tokens, i, "an atom name")
+def _take_word(texts: list[str], i: int, what: str) -> tuple[str, int]:
+    if i >= len(texts):
+        raise TokenFault(f"expected {what}", i)
+    if texts[i][0] in NON_WORD:
+        raise TokenFault(f"expected {what}, found {token_value(texts[i])!r}", i)
+    return texts[i], i + 1
+
+
+def _take_atom(texts: list[str], i: int) -> tuple[str, int]:
+    word, nxt = _take_word(texts, i, "an atom name")
     if not ATOM_NAME.match(word):
-        raise LexError(f"bad atom name {word!r}", tokens[i].col)
+        raise TokenFault(f"bad atom name {word!r}", i)
     return word, nxt
 
 
-def _done(tokens: list[Token], i: int) -> None:
-    if i < len(tokens):
-        raise LexError(f"unexpected trailing {tokens[i].text!r}", tokens[i].col)
+def _done(texts: list[str], i: int) -> None:
+    if i < len(texts):
+        raise TokenFault(f"unexpected trailing {token_value(texts[i])!r}", i)
 
 
 def _word(what: str) -> _Read:
-    return lambda tokens, i: _take_word(tokens, i, what)
+    return lambda texts, i: _take_word(texts, i, what)
 
 
-def _decimal(digits: str, what: str, col: int) -> int:
+def _decimal(digits: str, what: str, index: int) -> int:
     try:
         return int(digits)
     except ValueError:  # more digits than int() converts
-        raise LexError(f"{what} has too many digits ({len(digits)})", col) from None
+        raise TokenFault(f"{what} has too many digits ({len(digits)})", index) from None
 
 
 def _int(what: str) -> _Read:
-    def read(tokens: list[Token], i: int) -> tuple[int, int]:
-        word, nxt = _take_word(tokens, i, what)
+    def read(texts: list[str], i: int) -> tuple[int, int]:
+        word, nxt = _take_word(texts, i, what)
         if not word.isdecimal():
-            raise LexError(f"expected {what}, found {word!r}", tokens[i].col)
-        return _decimal(word, what, tokens[i].col), nxt
+            raise TokenFault(f"expected {what}, found {word!r}", i)
+        return _decimal(word, what, i), nxt
 
     return read
 
 
 def _string(what: str) -> _Read:
-    def read(tokens: list[Token], i: int) -> tuple[str, int]:
-        if i >= len(tokens) or tokens[i].kind != "STRING":
-            col = tokens[i].col if i < len(tokens) else tokens[-1].col + len(tokens[-1].text)
-            raise LexError(f"expected a quoted {what}", col)
-        return tokens[i].text, i + 1
+    def read(texts: list[str], i: int) -> tuple[str, int]:
+        if i >= len(texts) or texts[i][0] != '"':
+            raise TokenFault(f"expected a quoted {what}", i)
+        return texts[i][1:-1], i + 1
 
     return read
 
@@ -281,10 +286,10 @@ def _string(what: str) -> _Read:
 def _seq(*reads: _Read) -> _Read:
     """Several values in a row, read as one tuple."""
 
-    def read(tokens: list[Token], i: int) -> tuple[tuple, int]:
+    def read(texts: list[str], i: int) -> tuple[tuple, int]:
         values = []
         for read_one in reads:
-            value, i = read_one(tokens, i)
+            value, i = read_one(texts, i)
             values.append(value)
         return tuple(values), i
 
@@ -294,47 +299,47 @@ def _seq(*reads: _Read) -> _Read:
 def _choice(what: str, noun: str, words: dict[str, str]) -> _Read:
     """A word from a fixed set, read as the value it stands for."""
 
-    def read(tokens: list[Token], i: int) -> tuple[str, int]:
-        word, nxt = _take_word(tokens, i, what)
+    def read(texts: list[str], i: int) -> tuple[str, int]:
+        word, nxt = _take_word(texts, i, what)
         if word not in words:
-            raise LexError(f"unknown {noun} {word!r}", tokens[i].col)
+            raise TokenFault(f"unknown {noun} {word!r}", i)
         return words[word], nxt
 
     return read
 
 
-def _take_fields(fields: Sequence[tuple[str, _Read]], tokens: list[Token],
+def _take_fields(fields: Sequence[tuple[str, _Read]], texts: list[str],
                  i: int) -> dict[str, Any]:
     values: dict[str, Any] = {}
     for name, read in fields:
-        values[name], i = read(tokens, i)
-    _done(tokens, i)
+        values[name], i = read(texts, i)
+    _done(texts, i)
     return values
 
 
-def read_bound_entry(text: str, col: int, values: dict[str, int]) -> None:
+def read_bound_entry(text: str, index: int, values: dict[str, int]) -> None:
     """Read one `name=N` entry of a `bounds` line or a `--bounds` override
-    into `values`; a fault raises LexError at `col`."""
+    into `values`; a fault raises TokenFault at token `index`."""
     key, sep, raw = text.partition("=")
     if not sep:
-        raise LexError("bounds entries look like depth=3", col)
+        raise TokenFault("bounds entries look like depth=3", index)
     if key not in BOUND_NAMES:
-        raise LexError(f"unknown bound {key!r}", col)
+        raise TokenFault(f"unknown bound {key!r}", index)
     if key in values:
-        raise LexError(f"bound {key!r} given twice", col)
+        raise TokenFault(f"bound {key!r} given twice", index)
     if not raw.isdecimal():
-        raise LexError(f"bound {key!r} needs an integer", col)
-    values[key] = _decimal(raw, f"bound {key!r}", col)
+        raise TokenFault(f"bound {key!r} needs an integer", index)
+    values[key] = _decimal(raw, f"bound {key!r}", index)
 
 
-def _read_bounds(tokens: list[Token], i: int) -> tuple[Bounds, int]:
+def _read_bounds(texts: list[str], i: int) -> tuple[Bounds, int]:
     values: dict[str, int] = {}
-    for tok in tokens[i:]:
-        if tok.kind != "WORD":
-            raise LexError("bounds entries look like depth=3", tok.col)
-        read_bound_entry(tok.text, tok.col, values)
+    for index in range(i, len(texts)):
+        if texts[index][0] in NON_WORD:
+            raise TokenFault("bounds entries look like depth=3", index)
+        read_bound_entry(texts[index], index, values)
     try:
-        return Bounds(**values), len(tokens)
+        return Bounds(**values), len(texts)
     except ValueError as exc:
         raise LexError(str(exc), 0) from None
 
@@ -351,13 +356,13 @@ _EVIDENCE_FIELDS = {
 }
 
 
-def _read_evidence(tokens: list[Token], i: int) -> tuple[Evidence | None, int]:
-    if i == len(tokens):
+def _read_evidence(texts: list[str], i: int) -> tuple[Evidence | None, int]:
+    if i == len(texts):
         return None, i
-    kind, i = _EVIDENCE_KIND(tokens, i)
-    values = _take_fields(_EVIDENCE_FIELDS[kind], tokens, i)
+    kind, i = _EVIDENCE_KIND(texts, i)
+    values = _take_fields(_EVIDENCE_FIELDS[kind], texts, i)
     try:
-        return Evidence(kind, **values), len(tokens)
+        return Evidence(kind, **values), len(texts)
     except ValueError as exc:
         raise LexError(str(exc), 0) from None
 
@@ -374,17 +379,17 @@ class _Entry:
     required: str = ""        # the fault when the block or directive gives no value
     kind: str = ""            # map blocks: the one map kind that takes it
 
-    def read(self, values: dict[str, Any], tokens: list[Token]) -> None:
+    def read(self, values: dict[str, Any], texts: list[str]) -> None:
         if not self.many and self.field in values:
             raise LexError(f"{self.keyword} given twice", 0)
         if self.spread:
             items, i = [], 1
-            while i < len(tokens):
-                item, i = self.arg(tokens, i)
+            while i < len(texts):
+                item, i = self.arg(texts, i)
                 items.append(item)
         else:
-            item, i = self.arg(tokens, 1) if self.arg else (True, 1)
-            _done(tokens, i)
+            item, i = self.arg(texts, 1) if self.arg else (True, 1)
+            _done(texts, i)
             items = [item]
         if not (self.many or self.spread):
             values[self.field] = items[0]
@@ -606,31 +611,41 @@ class _Parser:
         self.values: dict[str, Any] = {}
 
     def parse(self, text: str, override: Mapping[str, int] | None) -> Manifest:
-        block: tuple[str, list[Token], int, list] | None = None
+        # a block's keyword and its header line, then its entry lines; a
+        # line is (number, text, token texts), and a header's texts stop
+        # before its {
+        block: tuple[str, tuple[int, str, list[str]], list] | None = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
+            texts: list[str] = []
             try:
-                tokens = tokenize_line(raw)
-                if not tokens:
+                texts = split_line(raw)
+                if not texts:
                     continue
-                if block is None and tokens[-1].kind == "LBRACE":
-                    keyword, _ = _take_word(tokens, 0, "a block keyword")
-                    block = (keyword, tokens[:-1], lineno, [])
+                if block is None and texts[-1] == "{":
+                    keyword, _ = _take_word(texts, 0, "a block keyword")
+                    block = (keyword, (lineno, raw, texts[:-1]), [])
                 elif block is None:
-                    self._directive(tokens, lineno)
-                elif len(tokens) == 1 and tokens[0].kind == "RBRACE":
+                    self._directive(texts, lineno)
+                elif texts == ["}"]:
                     self._block(*block)
                     block = None
                 # only a line with a brace character can hold a brace token
-                elif ("{" in raw or "}" in raw) and any(
-                        t.kind in ("LBRACE", "RBRACE") for t in tokens):
-                    raise LexError("braces may not nest", tokens[0].col)
+                elif ("{" in raw or "}" in raw) and ("{" in texts or "}" in texts):
+                    raise TokenFault("braces may not nest", 0)
                 else:
-                    block[3].append((lineno, tokens))
-            except (LexError, FormulaParseError) as exc:
-                raise ManifestError(exc.message, self.source, lineno, exc.col) from None
+                    block[2].append((lineno, raw, texts))
+            except (LexError, TokenFault) as exc:
+                raise self._fault(exc, lineno, raw, texts) from None
         if block is not None:
-            raise ManifestError(f"unclosed {block[0]} block", self.source, block[2])
+            raise ManifestError(f"unclosed {block[0]} block", self.source, block[1][0])
         return self._manifest(override or {})
+
+    def _fault(self, exc: LexError | TokenFault, line: int, raw: str,
+               texts: list[str]) -> ManifestError:
+        """The fault `exc` in `line`, whose text is `raw`, read as `texts`;
+        a token fault's column is found here, by reading the line again."""
+        col = exc.col if isinstance(exc, LexError) else column(raw, exc.index, len(texts))
+        return ManifestError(exc.message, self.source, line, col)
 
     def _manifest(self, override: Mapping[str, int]) -> Manifest:
         """Every block's object, made block kind by block kind once no kind
@@ -668,55 +683,56 @@ class _Parser:
             raise UnresolvedReferenceError(f"unknown {keyword} {ident!r}", self.source, line)
         return found
 
-    def _directive(self, tokens: list[Token], line: int) -> None:
-        keyword, _ = _take_word(tokens, 0, "a directive")
+    def _directive(self, texts: list[str], line: int) -> None:
+        keyword, _ = _take_word(texts, 0, "a directive")
         spec = _KEYWORDS.get(keyword)
         if keyword in _DIRECTIVES:
             row = _DIRECTIVES[keyword]
-            row.read(self.values, tokens)
+            row.read(self.values, texts)
             if row.required and not self.values.get(row.field):
                 raise LexError(f"{keyword} {row.required}", 0)
         elif spec is not None and spec.line_form:
             kind, what, fault = spec.line_form
-            ident, _ = spec.header[0][1](tokens, 1)
-            word, _ = _take_word(tokens, 2, what)
+            ident, _ = spec.header[0][1](texts, 1)
+            word, _ = _take_word(texts, 2, what)
             if word != kind:
-                raise LexError(fault.format(word), tokens[2].col)
-            _done(tokens, 3)
+                raise TokenFault(fault.format(word), 2)
+            _done(texts, 3)
             self._add(spec, {spec.id_field: ident, "kind": kind}, line)
         elif spec is not None and not spec.entries:
-            self._add(spec, _take_fields(spec.header, tokens, 1), line)
+            self._add(spec, _take_fields(spec.header, texts, 1), line)
         else:
-            raise LexError(f"unknown directive {keyword!r}", tokens[0].col)
+            raise TokenFault(f"unknown directive {keyword!r}", 0)
 
-    def _block(self, keyword: str, header: list[Token], start: int,
-               body: list[tuple[int, list[Token]]]) -> None:
+    def _block(self, keyword: str, header: tuple[int, str, list[str]],
+               body: list[tuple[int, str, list[str]]]) -> None:
         spec = _KEYWORDS.get(keyword)
-        line = start  # the line a fault is reported at
+        where = header  # the line a fault is reported at
         try:
             if spec is None or not spec.entries:
                 raise LexError(f"unknown block keyword {keyword!r}", 0)
-            values = _take_fields(spec.header, header, 1)
+            values = _take_fields(spec.header, header[2], 1)
             kind = values.get("kind", "")  # a map block's kind picks its entries
             rows = spec.rows.get(kind)
             if rows is None:
                 raise LexError(f"unknown {keyword} kind {kind!r}", 0)
             noun = f"{kind} {spec.noun}" if kind else spec.noun
-            for line, tokens in body:
-                key, _ = _take_word(tokens, 0, spec.expect)
+            for where in body:
+                texts = where[2]
+                key, _ = _take_word(texts, 0, spec.expect)
                 if key not in rows:
-                    raise LexError(f"unknown {noun} entry {key!r}", tokens[0].col)
-                rows[key].read(values, tokens)
-            line = start
+                    raise TokenFault(f"unknown {noun} entry {key!r}", 0)
+                rows[key].read(values, texts)
+            where = header
             for row in spec.entries:
                 value = values.get(row.field)
                 if row.required and not value:
                     raise LexError(f"{keyword} {values[spec.id_field]!r} {row.required}", 0)
                 if type(value) is list:  # entries collected line by line
                     values[row.field] = tuple(value)
-        except (LexError, FormulaParseError) as exc:
-            raise ManifestError(exc.message, self.source, line, exc.col) from None
-        self._add(spec, values, start)
+        except (LexError, TokenFault) as exc:
+            raise self._fault(exc, *where) from None
+        self._add(spec, values, header[0])
 
     def _add(self, spec: _Block, values: dict[str, Any], line: int) -> None:
         self.values.setdefault(spec.attr, []).append((values, line))

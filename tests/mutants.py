@@ -257,6 +257,30 @@ ROWS = (
                "tests/test_manifest.py::TestLineLexer::test_tokens_match_the_per_character_oracle",
                "tests/test_manifest.py::TestLineLexer::test_each_token_kind",
            )),
+    # the one-findall split: each guard sends a line it cannot read to
+    # tokenize_line, and a header's end column stops before its {
+    Mutant("split-line-reads-past-a-comment", "src/vty/lex.py",
+           'if "#" not in line and ',
+           "if ", (
+               "tests/test_manifest.py::TestSplitLine::test_each_guard[comment]",
+           )),
+    Mutant("split-line-reads-an-odd-quote", "src/vty/lex.py",
+           """ and not line.count('"') & 1:""",
+           ":", (
+               "tests/test_manifest.py::TestSplitLine::test_each_guard[odd quote]",
+           )),
+    Mutant("split-line-reads-an-escape", "src/vty/lex.py",
+           'and "\\\\" not in line ',
+           "", (
+               "tests/test_manifest.py::TestSplitLine::test_each_guard[escape]",
+           )),
+    Mutant("header-end-column-at-its-brace", "src/vty/manifest.py",
+           "column(raw, exc.index, len(texts))",
+           "column(raw, exc.index, len(split_line(raw)))", (
+               "tests/test_manifest.py::test_parse_error_location[expected a quoted display name]",
+               "tests/test_manifest.py::test_a_commented_faulty_line_gives_the_same_fault"
+               "[expected a quoted display name]",
+           )),
     Mutant("json-key-separator", "src/vty/cli.py",
            'chunks.append(": ")',
            'chunks.append(":")', (

@@ -10,7 +10,7 @@ import vty.cli
 from vty.calculus import AxiomSchema, Calculus, SchemaRule, SubstitutionRule
 from vty.errors import ManifestError, UnresolvedReferenceError
 from vty.formulas import parse_formula
-from vty.lex import LexError, Token, _scan_string, tokenize_line
+from vty.lex import LexError, Token, _scan_string, column, split_line, tokenize_line
 from vty.manifest import Bounds, load_manifest, parse_manifest
 from vty.projection import (
     AxiomDeclaration,
@@ -448,6 +448,17 @@ def test_parse_error_location(text, message, line, col):
     assert str(err.value) == f"w.vty:{line}:{col}: {message}"
 
 
+@pytest.mark.parametrize("text, message, line, col", PARSE_ERRORS,
+                         ids=list(case_ids(PARSE_ERRORS)))
+def test_a_commented_faulty_line_gives_the_same_fault(text, message, line, col):
+    # a line with a comment is split by `tokenize_line`, not by one findall
+    lines = text.split("\n")
+    lines[line - 1] += "  # c"
+    with pytest.raises(ManifestError) as err:
+        parse_manifest("\n".join(lines), source="w.vty")
+    assert str(err.value) == f"w.vty:{line}:{col}: {message}"
+
+
 class TestParseErrors:
     def test_unknown_directive_names_itself(self):
         err = failing("widget w\n", "unknown directive 'widget'")
@@ -806,6 +817,40 @@ class TestLineLexer:
             Token("STRING", 'b"c', 4), Token("LBRACE", "{", 11), Token("RBRACE", "}", 12),
             Token("RPAREN", ")", 13), Token("STRING", "", 15),
         ]
+
+
+def split_outcome(line: str):
+    try:
+        return split_line(line)
+    except LexError as err:
+        return err.message, err.col
+
+
+class TestSplitLine:
+    @given(st.text(alphabet='(){}"\\# \t\x0caé', max_size=16))
+    @settings(max_examples=500)
+    def test_texts_and_columns_match_the_tokenizer(self, line):
+        try:
+            tokens = tokenize_line(line)
+        except LexError as err:
+            assert split_outcome(line) == (err.message, err.col)
+            return
+        assert split_line(line) == [
+            f'"{tok.text}"' if tok.kind == "STRING" else tok.text for tok in tokens]
+        width = len(tokens)
+        assert [column(line, i, width) for i in range(width)] == [tok.col for tok in tokens]
+        if tokens:
+            assert column(line, width, width) == tokens[-1].col + len(tokens[-1].text)
+
+    # each line breaks one condition of the one-findall path
+    @pytest.mark.parametrize("line, outcome", [
+        ('a (b) # c "d"', ["a", "(", "b", ")"]),
+        ('a "b', ("unterminated string", 2)),
+        ('"a\\\\" b', ['"a\\"', "b"]),
+        ('x "{ }" {', ["x", '"{ }"', "{"]),
+    ], ids=["comment", "odd quote", "escape", "plain"])
+    def test_each_guard(self, line, outcome):
+        assert split_outcome(line) == outcome
 
 
 class TestStringsStaySingleLine:
