@@ -229,15 +229,20 @@ def subformula_closure(formulas: Iterable[Formula]) -> frozenset[Formula]:
 
 
 def substitute(formula: Formula, mapping: Mapping[str, Formula]) -> Formula:
-    """Replace atoms by formulas. Atoms not in the mapping stay fixed."""
+    """Replace atoms by formulas. Atoms not in the mapping stay fixed, and
+    a node with no atom replaced under it is returned as it is."""
     if isinstance(formula, Atom):
         return mapping.get(formula.name, formula)
     if isinstance(formula, Bottom):
         return formula
     if isinstance(formula, Not):
-        return Not(substitute(formula.operand, mapping))
-    cls = type(formula)
-    return cls(substitute(formula.left, mapping), substitute(formula.right, mapping))
+        operand = substitute(formula.operand, mapping)
+        return formula if operand is formula.operand else Not(operand)
+    left = substitute(formula.left, mapping)
+    right = substitute(formula.right, mapping)
+    if left is formula.left and right is formula.right:
+        return formula
+    return type(formula)(left, right)
 
 
 def evaluate(formula: Formula, assignment: Mapping[str, int], *, true: int = True) -> int:

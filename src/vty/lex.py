@@ -3,10 +3,11 @@
 The readers take a line as its token texts, a list of `str`: a word, a
 parenthesis or brace, or a string with its quotes kept, so a token's
 kind is its first character and a string's value is ``text[1:-1]``.
-`split_line` gives them. A reader's fault names a token index
-(`TokenFault`), and the column it reports is found with `column` only
-then, by reading that one line again with `tokenize_line`, whose
-`Token` records carry columns.
+`split_line` gives them, one line at a time. A reader's fault names a
+token index (`TokenFault`), and the column it reports is found with
+`column` only then, by reading that one line again with `tokenize_line`,
+whose `Token` records carry columns. `NON_WORD` lets a reader tell a
+word from the other kinds by its first character, where it stands.
 """
 
 from __future__ import annotations

@@ -81,12 +81,16 @@ are single-line; formulas nest at most ``formulas.MAX_NESTING`` deep.
 
 The reader takes each line as its token texts (``lex.split_line``), with
 no column: a fault names a token index, and only a fault that is
-reported has its column found, by reading its one line again.
+reported has its column found, by reading its one line again. Each value
+reader checks its common case inline and goes through the generic
+``_take_word`` only to raise its fault; a body line finds its entry row
+from its first text. ``tests/oracle_tools.py`` keeps the generic chain
+as the readers' oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -141,7 +145,7 @@ class Bounds:
             raise ValueError("atoms, enum and size bounds must be positive")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in BOUND_NAMES}
 
 
 BOUND_NAMES = tuple(f.name for f in fields(Bounds))
@@ -242,10 +246,10 @@ def _take_word(texts: list[str], i: int, what: str) -> tuple[str, int]:
 
 
 def _take_atom(texts: list[str], i: int) -> tuple[str, int]:
-    word, nxt = _take_word(texts, i, "an atom name")
-    if not ATOM_NAME.match(word):
-        raise TokenFault(f"bad atom name {word!r}", i)
-    return word, nxt
+    if i < len(texts) and ATOM_NAME.match(texts[i]):  # no other kind of text matches
+        return texts[i], i + 1
+    word, _ = _take_word(texts, i, "an atom name")
+    raise TokenFault(f"bad atom name {word!r}", i)
 
 
 def _done(texts: list[str], i: int) -> None:
@@ -254,7 +258,12 @@ def _done(texts: list[str], i: int) -> None:
 
 
 def _word(what: str) -> _Read:
-    return lambda texts, i: _take_word(texts, i, what)
+    def read(texts: list[str], i: int) -> tuple[str, int]:
+        if i < len(texts) and texts[i][0] not in NON_WORD:
+            return texts[i], i + 1
+        return _take_word(texts, i, what)  # raises the fault
+
+    return read
 
 
 def _decimal(digits: str, what: str, index: int) -> int:
@@ -266,10 +275,10 @@ def _decimal(digits: str, what: str, index: int) -> int:
 
 def _int(what: str) -> _Read:
     def read(texts: list[str], i: int) -> tuple[int, int]:
-        word, nxt = _take_word(texts, i, what)
-        if not word.isdecimal():
-            raise TokenFault(f"expected {what}, found {word!r}", i)
-        return _decimal(word, what, i), nxt
+        if i < len(texts) and texts[i].isdecimal():  # no other kind of text is
+            return _decimal(texts[i], what, i), i + 1
+        word, _ = _take_word(texts, i, what)
+        raise TokenFault(f"expected {what}, found {word!r}", i)
 
     return read
 
@@ -283,27 +292,33 @@ def _string(what: str) -> _Read:
     return read
 
 
-def _seq(*reads: _Read) -> _Read:
-    """Several values in a row, read as one tuple."""
+def _seq(first: _Read, second: _Read, third: _Read | None = None) -> _Read:
+    """Two or three values in a row, read as one tuple."""
+    if third is None:
+        def read2(texts: list[str], i: int) -> tuple[tuple, int]:
+            a, i = first(texts, i)
+            b, i = second(texts, i)
+            return (a, b), i
 
-    def read(texts: list[str], i: int) -> tuple[tuple, int]:
-        values = []
-        for read_one in reads:
-            value, i = read_one(texts, i)
-            values.append(value)
-        return tuple(values), i
+        return read2
 
-    return read
+    def read3(texts: list[str], i: int) -> tuple[tuple, int]:
+        a, i = first(texts, i)
+        b, i = second(texts, i)
+        c, i = third(texts, i)
+        return (a, b, c), i
+
+    return read3
 
 
 def _choice(what: str, noun: str, words: dict[str, str]) -> _Read:
     """A word from a fixed set, read as the value it stands for."""
 
     def read(texts: list[str], i: int) -> tuple[str, int]:
-        word, nxt = _take_word(texts, i, what)
-        if word not in words:
-            raise TokenFault(f"unknown {noun} {word!r}", i)
-        return words[word], nxt
+        if i < len(texts) and texts[i] in words:  # every key is a word
+            return words[texts[i]], i + 1
+        word, _ = _take_word(texts, i, what)
+        raise TokenFault(f"unknown {noun} {word!r}", i)
 
     return read
 
@@ -360,9 +375,13 @@ def _read_evidence(texts: list[str], i: int) -> tuple[Evidence | None, int]:
     if i == len(texts):
         return None, i
     kind, i = _EVIDENCE_KIND(texts, i)
-    values = _take_fields(_EVIDENCE_FIELDS[kind], texts, i)
+    values = {}
+    for name, read in _EVIDENCE_FIELDS[kind]:
+        values[name], i = read(texts, i)
+    if i < len(texts):
+        _done(texts, i)
     try:
-        return Evidence(kind, **values), len(texts)
+        return Evidence(kind, **values), i
     except ValueError as exc:
         raise LexError(str(exc), 0) from None
 
@@ -380,6 +399,12 @@ class _Entry:
     kind: str = ""            # map blocks: the one map kind that takes it
 
     def read(self, values: dict[str, Any], texts: list[str]) -> None:
+        if self.many and not self.spread:  # one value per line, collected
+            item, i = self.arg(texts, 1)
+            if i < len(texts):
+                _done(texts, i)
+            values.setdefault(self.field, []).append(item)
+            return
         if not self.many and self.field in values:
             raise LexError(f"{self.keyword} given twice", 0)
         if self.spread:
@@ -387,14 +412,12 @@ class _Entry:
             while i < len(texts):
                 item, i = self.arg(texts, i)
                 items.append(item)
+            # an empty line is kept too, so a second one is seen
+            values.setdefault(self.field, []).extend(items)
         else:
             item, i = self.arg(texts, 1) if self.arg else (True, 1)
             _done(texts, i)
-            items = [item]
-        if not (self.many or self.spread):
-            values[self.field] = items[0]
-        else:  # an empty line is kept too, so a second one is seen
-            values.setdefault(self.field, []).extend(items)
+            values[self.field] = item
 
 
 def _ref(keyword: str, field: str) -> _Entry:
@@ -719,10 +742,11 @@ class _Parser:
             noun = f"{kind} {spec.noun}" if kind else spec.noun
             for where in body:
                 texts = where[2]
-                key, _ = _take_word(texts, 0, spec.expect)
-                if key not in rows:
+                row = rows.get(texts[0])  # every key is a word
+                if row is None:
+                    key, _ = _take_word(texts, 0, spec.expect)
                     raise TokenFault(f"unknown {noun} entry {key!r}", 0)
-                rows[key].read(values, texts)
+                row.read(values, texts)
             where = header
             for row in spec.entries:
                 value = values.get(row.field)

@@ -137,8 +137,9 @@ ROWS = (
                "tests/test_manifest.py::TestParseErrors::test_bounds_errors",
            )),
     Mutant("empty-line-not-kept", "src/vty/manifest.py",
-           "else:  # an empty line is kept too, so a second one is seen",
-           "elif items:", (
+           "            values.setdefault(self.field, []).extend(items)",
+           "            if items:\n"
+           "                values.setdefault(self.field, []).extend(items)", (
                "tests/test_manifest.py::test_parse_error_location[indices given twice 2]",
            )),
     Mutant("undeclared-theorem-dependency", "src/vty/manifest.py",
@@ -280,6 +281,38 @@ ROWS = (
                "tests/test_manifest.py::test_parse_error_location[expected a quoted display name]",
                "tests/test_manifest.py::test_a_commented_faulty_line_gives_the_same_fault"
                "[expected a quoted display name]",
+           )),
+    # the manifest reader's inline fast paths: each hands a text it cannot
+    # read to the generic fault path, or checks what the generic path did
+    Mutant("word-reads-a-non-word", "src/vty/manifest.py",
+           "if i < len(texts) and texts[i][0] not in NON_WORD:",
+           "if i < len(texts):", (
+               "tests/test_manifest.py::test_parse_error_location[expected an axiom id, found 'AX']",
+               "tests/test_manifest.py::test_parse_error_location[expected a calculus id, found '(']",
+           )),
+    Mutant("choice-takes-an-unknown-word", "src/vty/manifest.py",
+           'raise TokenFault(f"unknown {noun} {word!r}", i)',
+           "return word, i + 1", (
+               "tests/test_manifest.py::test_parse_error_location[unknown status 'maybe']",
+               "tests/test_manifest.py::test_parse_error_location[unknown evidence kind 'rumour']",
+           )),
+    Mutant("unknown-entry-skips-the-word-check", "src/vty/manifest.py",
+           "key, _ = _take_word(texts, 0, spec.expect)",
+           "key = texts[0]", (
+               "tests/test_manifest.py::test_parse_error_location"
+               "[expected premise or conclude, found '(']",
+           )),
+    Mutant("collected-entry-keeps-trailing-texts", "src/vty/manifest.py",
+           "            if i < len(texts):\n"
+           "                _done(texts, i)\n"
+           "            values.setdefault(self.field, []).append(item)",
+           "            values.setdefault(self.field, []).append(item)", (
+               "tests/test_manifest.py::test_parse_error_location[unexpected trailing 'q']",
+           )),
+    Mutant("substitute-rebuilds-every-node", "src/vty/formulas.py",
+           "if left is formula.left and right is formula.right:",
+           "if False:", (
+               "tests/test_formulas.py::TestSubstitution::test_a_node_with_nothing_replaced_under_it_is_kept",
            )),
     Mutant("json-key-separator", "src/vty/cli.py",
            'chunks.append(": ")',

@@ -30,6 +30,7 @@ from vty.calculus import (
 from vty.cli import _proof_dict
 from vty.errors import CapExceededError
 from vty.formulas import (
+    ATOM_NAME,
     And,
     Atom,
     Bottom,
@@ -42,9 +43,10 @@ from vty.formulas import (
     format_formula,
     formula_key,
     match_pattern,
+    parse_formula_tokens,
     substitute,
 )
-from vty.lex import LexError, Token
+from vty.lex import NON_WORD, LexError, Token, TokenFault, token_value
 from vty.machines import (
     HALTED,
     OUT_OF_FUEL,
@@ -59,6 +61,16 @@ from vty.machines import (
     enumerate_machines,
     run_machine,
     unpair,
+)
+from vty.manifest import _read_bounds
+from vty.projection import (
+    CITATION,
+    EXEC_EXHAUSTIVE,
+    EXEC_POSITIVE,
+    SATISFIED,
+    UNKNOWN,
+    VIOLATED,
+    Evidence,
 )
 from vty.semantics import DEFAULT_ATOM_CAP, check_consistency, collect_atoms
 from vty.varieties import (
@@ -644,6 +656,185 @@ def oracle_tokenize_line(line: str) -> list[Token]:
         tokens.append(Token("WORD", line[i:j], i))
         i = j
     return tokens
+
+
+# --- the generic manifest entry reader ------------------------------------------
+# The generic reader that the manifest's value readers, `_Entry.read` and
+# `_read_evidence` are checked against: every word goes through
+# `_oracle_take_word`, every row of fields through `oracle_take_fields`,
+# every tuple through a list. `ORACLE_HEADERS` and `ORACLE_ENTRIES` give each
+# block header and entry row of the reader's table its reader built from
+# these; `bounds` shares the library's `_read_bounds`, which has no fast path.
+
+
+def _oracle_take_word(texts: list[str], i: int, what: str) -> tuple[str, int]:
+    if i >= len(texts):
+        raise TokenFault(f"expected {what}", i)
+    if texts[i][0] in NON_WORD:
+        raise TokenFault(f"expected {what}, found {token_value(texts[i])!r}", i)
+    return texts[i], i + 1
+
+
+def _oracle_atom(texts: list[str], i: int) -> tuple[str, int]:
+    word, nxt = _oracle_take_word(texts, i, "an atom name")
+    if not ATOM_NAME.match(word):
+        raise TokenFault(f"bad atom name {word!r}", i)
+    return word, nxt
+
+
+def _oracle_done(texts: list[str], i: int) -> None:
+    if i < len(texts):
+        raise TokenFault(f"unexpected trailing {token_value(texts[i])!r}", i)
+
+
+def _oracle_word(what: str):
+    return lambda texts, i: _oracle_take_word(texts, i, what)
+
+
+def _oracle_decimal(digits: str, what: str, index: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise TokenFault(f"{what} has too many digits ({len(digits)})", index) from None
+
+
+def _oracle_int(what: str):
+    def read(texts, i):
+        word, nxt = _oracle_take_word(texts, i, what)
+        if not word.isdecimal():
+            raise TokenFault(f"expected {what}, found {word!r}", i)
+        return _oracle_decimal(word, what, i), nxt
+
+    return read
+
+
+def _oracle_string(what: str):
+    def read(texts, i):
+        if i >= len(texts) or texts[i][0] != '"':
+            raise TokenFault(f"expected a quoted {what}", i)
+        return texts[i][1:-1], i + 1
+
+    return read
+
+
+def _oracle_seq(*reads):
+    def read(texts, i):
+        values = []
+        for read_one in reads:
+            value, i = read_one(texts, i)
+            values.append(value)
+        return tuple(values), i
+
+    return read
+
+
+def _oracle_choice(what: str, noun: str, words: dict[str, str]):
+    def read(texts, i):
+        word, nxt = _oracle_take_word(texts, i, what)
+        if word not in words:
+            raise TokenFault(f"unknown {noun} {word!r}", i)
+        return words[word], nxt
+
+    return read
+
+
+def oracle_take_fields(fields, texts: list[str], i: int) -> dict:
+    values = {}
+    for name, read in fields:
+        values[name], i = read(texts, i)
+    _oracle_done(texts, i)
+    return values
+
+
+_ORACLE_EVIDENCE_KIND = _oracle_choice("an evidence kind", "evidence kind", {
+    "citation": CITATION, "exec-positive": EXEC_POSITIVE, "exec-exhaustive": EXEC_EXHAUSTIVE})
+_ORACLE_EVIDENCE_FIELDS = {
+    CITATION: (("citation", _oracle_string("citation")),),
+    EXEC_POSITIVE: (("witness_id", _oracle_word("a witness id")),
+                    ("suite_size", _oracle_int("a suite size"))),
+    EXEC_EXHAUSTIVE: (("witness_id", _oracle_word("a witness id")),
+                      ("domain", _oracle_string("domain description"))),
+}
+
+
+def _oracle_evidence(texts: list[str], i: int):
+    if i == len(texts):
+        return None, i
+    kind, i = _ORACLE_EVIDENCE_KIND(texts, i)
+    values = oracle_take_fields(_ORACLE_EVIDENCE_FIELDS[kind], texts, i)
+    try:
+        return Evidence(kind, **values), len(texts)
+    except ValueError as exc:
+        raise LexError(str(exc), 0) from None
+
+
+def _oracle_ref(keyword: str):
+    return _oracle_word(f"a {keyword} id")
+
+
+_FORMULA = parse_formula_tokens
+_COMPONENT_ENTRIES = {"calculus": _oracle_ref("calculus"), "axiom-map": _oracle_ref("axiom-map"),
+                      "theorem-map": _oracle_ref("theorem-map"), "theorem": _FORMULA}
+
+# the header fields after each block keyword, as `_Block.header` lists them
+ORACLE_HEADERS = {
+    "rule": (("name", _oracle_word("a rule name")),),
+    "calculus": (("calculus_id", _oracle_word("a calculus id")),),
+    "map": (("map_id", _oracle_word("a map id")), ("kind", _oracle_word("renaming or table"))),
+    "component": (("component_id", _oracle_word("a component id")),),
+    "prevariety": (("prevariety_id", _oracle_word("a prevariety id")),),
+    "witness": (("witness_id", _oracle_word("a witness id")),),
+    "axiom-decl": (("axiom_id", _oracle_word("an axiom id")),
+                   ("statement", _oracle_string("statement"))),
+    "class": (("class_id", _oracle_word("a class id")),
+              ("display_name", _oracle_string("display name"))),
+    "theorem-rec": (("theorem_id", _oracle_word("a theorem id")),),
+}
+
+# (block keyword, or "" for a directive) -> entry keyword -> its value reader;
+# None marks a flag
+ORACLE_ENTRIES = {
+    "": {"signature": _oracle_atom, "bounds": _read_bounds},
+    "rule": {"premise": _FORMULA, "conclude": _FORMULA},
+    "calculus": {"depth": _oracle_int("a depth"), "atoms": _oracle_atom, "axiom": _FORMULA,
+                 "schema": _oracle_seq(_oracle_word("a schema id"), _FORMULA),
+                 "use": _oracle_word("a rule name")},
+    "map": {"rename": _oracle_seq(_oracle_atom, _oracle_atom),
+            "pair": _oracle_seq(_FORMULA, _FORMULA), "domain": _FORMULA},
+    "component": _COMPONENT_ENTRIES,
+    "prevariety": {"quasi": None, "component": _oracle_word("a component id"), "auto": None,
+                   "axiom": _FORMULA, "rule-ref": _oracle_word("a rule name"),
+                   "theorem": _FORMULA},
+    "witness": {"prevariety": _oracle_ref("prevariety"), "indices": _oracle_int("an index"),
+                **_COMPONENT_ENTRIES},
+    "class": {"status": _oracle_seq(
+        _oracle_word("an axiom id"),
+        _oracle_choice("satisfied, violated or unknown", "status",
+                       {"satisfied": SATISFIED, "violated": VIOLATED, "unknown": UNKNOWN}),
+        _oracle_evidence)},
+    "theorem-rec": {"statement": _oracle_string("statement"), "depends": _oracle_word("an axiom id"),
+                    "source": _oracle_string("source"), "unconditional": None},
+}
+
+
+def oracle_read_entry(row, arg, values: dict, texts: list[str]) -> None:
+    """The generic `_Entry.read`: one line of `row` (its keyword, field and
+    flags) into `values`, with `arg` reading its values."""
+    if not row.many and row.field in values:
+        raise LexError(f"{row.keyword} given twice", 0)
+    if row.spread:
+        items, i = [], 1
+        while i < len(texts):
+            item, i = arg(texts, i)
+            items.append(item)
+    else:
+        item, i = arg(texts, 1) if arg else (True, 1)
+        _oracle_done(texts, i)
+        items = [item]
+    if not (row.many or row.spread):
+        values[row.field] = items[0]
+    else:
+        values.setdefault(row.field, []).extend(items)
 
 
 def oracle_report_json(value) -> str:

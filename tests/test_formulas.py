@@ -176,7 +176,14 @@ class TestSubstitution:
 
     @given(formulas())
     def test_identity_substitution(self, formula):
-        assert substitute(formula, {}) == formula
+        assert substitute(formula, {}) is formula
+
+    def test_a_node_with_nothing_replaced_under_it_is_kept(self):
+        formula = parse_formula("(-> (not a) (and b (or c bot)))")
+        out = substitute(formula, {"a": Atom("p"), "z": Atom("q")})
+        assert format_formula(out) == "(-> (not p) (and b (or c bot)))"
+        assert out.right is formula.right
+        assert substitute(formula, {"b": Atom("b")}) == formula
 
 
 class TestMatching:

@@ -10,8 +10,15 @@ import vty.cli
 from vty.calculus import AxiomSchema, Calculus, SchemaRule, SubstitutionRule
 from vty.errors import ManifestError, UnresolvedReferenceError
 from vty.formulas import parse_formula
-from vty.lex import LexError, Token, _scan_string, column, split_line, tokenize_line
-from vty.manifest import Bounds, load_manifest, parse_manifest
+from vty.lex import LexError, Token, TokenFault, _scan_string, column, split_line, tokenize_line
+from vty.manifest import (
+    Bounds,
+    _DIRECTIVES,
+    _KEYWORDS,
+    _take_fields,
+    load_manifest,
+    parse_manifest,
+)
 from vty.projection import (
     AxiomDeclaration,
     AxiomStatus,
@@ -35,7 +42,14 @@ from vty.varieties import (
     check_variety,
 )
 
-from oracle_tools import oracle_scan_string, oracle_tokenize_line
+from oracle_tools import (
+    ORACLE_ENTRIES,
+    ORACLE_HEADERS,
+    oracle_read_entry,
+    oracle_scan_string,
+    oracle_take_fields,
+    oracle_tokenize_line,
+)
 
 MINIMAL = """\
 signature p q
@@ -281,6 +295,11 @@ def test_bounds_refuse_values_out_of_range(values, message):
         Bounds(**values)
 
 
+def test_bounds_to_dict_lists_every_bound_in_field_order():
+    bounds = Bounds(depth=1, atoms=2, enum=3, size=4)
+    assert list(bounds.to_dict().items()) == list(dataclasses.asdict(bounds).items())
+
+
 class TestAllEntries:
     def test_parsed_values(self):
         m = parse_manifest(ALL_ENTRIES)
@@ -397,6 +416,11 @@ PARSE_ERRORS = [
     ("prevariety PV {\n  component C\n  quasi\n  quasi\n}\n", "quasi given twice", 4, 1),
     ("prevariety PV {\n  component C\n  auto\n  auto\n}\n", "auto given twice", 4, 1),
     ('class X "X" {\n  status AX maybe\n}\n', "unknown status 'maybe'", 2, 13),
+    # a string or a parenthesis where a word is read
+    ('class X "X" {\n  status "AX" satisfied\n}\n', "expected an axiom id, found 'AX'", 2, 10),
+    ("component C {\n  calculus (\n}\n", "expected a calculus id, found '('", 2, 12),
+    ('class X "X" {\n  status AX satisfied exec-positive ( 3\n}\n',
+     "expected a witness id, found '('", 2, 37),
     ('class X "X" {\n  status AX satisfied rumour "x"\n}\n',
      "unknown evidence kind 'rumour'", 2, 23),
     ('class X "X" {\n  status AX satisfied citation ""\n}\n',
@@ -853,6 +877,101 @@ class TestSplitLine:
         assert split_outcome(line) == outcome
 
 
+def read_outcome(read, *args):
+    """A reader's value, or its fault with the token index or column it names."""
+    try:
+        return "value", read(*args)
+    except TokenFault as err:
+        return "token fault", err.message, err.index
+    except LexError as err:
+        return "line fault", err.message, err.col
+
+
+# every entry row of the block table, by block keyword ("" for a directive)
+ENTRY_ROWS = [(spec.keyword, row) for spec in _KEYWORDS.values() for row in spec.entries] \
+    + [("", row) for row in _DIRECTIVES.values()]
+
+# the texts an entry line is drawn from after its keyword: words (some of
+# them a row's own keywords), strings, parentheses and digits
+LINE_TEXTS = st.one_of(
+    st.sampled_from(["p", "q", "a1", "bot", "Q", "\u00e9", "not", "and", "->", "satisfied",
+                     "violated", "unknown", "citation", "exec-positive", "exec-exhaustive",
+                     "depth=2", "size=0", "frob=1", "depth="]),
+    st.sampled_from(['""', '"x"', '"a b"']),
+    st.sampled_from(["(", ")"]),
+    st.sampled_from(["0", "1", "12", "\u00b2", BIG]),
+)
+
+
+def oracle_walk(text: str):
+    """Each line of a manifest text read by the table's readers and by the
+    generic oracle chain: (line, outcome, oracle outcome) for each header,
+    directive and entry line, with each block's values kept line by line."""
+    block = None
+    for number, raw in enumerate(text.splitlines(), start=1):
+        texts = split_line(raw)
+        if not texts or texts == ["}"]:
+            block = None
+            continue
+        if texts[-1] == "{":
+            block, values, expected = texts[0], {}, {}
+            yield number, read_outcome(_take_fields, _KEYWORDS[block].header, texts[:-1], 1), \
+                read_outcome(oracle_take_fields, ORACLE_HEADERS[block], texts[:-1], 1)
+        elif block is None and texts[0] in _DIRECTIVES:
+            row, values, expected = _DIRECTIVES[texts[0]], {}, {}
+            yield number, read_outcome(row.read, values, texts), \
+                read_outcome(oracle_read_entry, row, ORACLE_ENTRIES[""][row.keyword],
+                             expected, texts)
+        elif block is None:
+            yield number, read_outcome(_take_fields, _KEYWORDS[texts[0]].header, texts, 1), \
+                read_outcome(oracle_take_fields, ORACLE_HEADERS[texts[0]], texts, 1)
+        else:
+            row = next(row for row in _KEYWORDS[block].entries if row.keyword == texts[0])
+            yield number, read_outcome(row.read, values, texts), \
+                read_outcome(oracle_read_entry, row, ORACLE_ENTRIES[block][row.keyword],
+                             expected, texts)
+            assert values == expected
+
+
+class TestEntryReadersMatchTheOracle:
+    """The table's value readers and `_Entry.read` read each line as the
+    generic `_take_word`/`_seq`/`_take_fields` chain in oracle_tools does."""
+
+    def test_the_oracle_covers_every_row(self):
+        assert set(ORACLE_HEADERS) == set(_KEYWORDS)
+        assert {(block, row.keyword) for block, row in ENTRY_ROWS} == {
+            (block, keyword) for block, rows in ORACLE_ENTRIES.items() for keyword in rows}
+
+    @pytest.mark.parametrize("name", DATA_FILES + ("all_entries",))
+    def test_every_line_of_the_shipped_files(self, data_dir, name):
+        walked = list(oracle_walk(manifest_text(data_dir, name)))
+        assert walked
+        for number, outcome, expected in walked:
+            assert outcome == expected, number
+
+    @pytest.mark.parametrize("block, row", ENTRY_ROWS,
+                             ids=[f"{block or 'directive'} {row.keyword}" for block, row in ENTRY_ROWS])
+    @given(tails=st.lists(st.lists(LINE_TEXTS, max_size=6), min_size=1, max_size=2))
+    @settings(max_examples=40)
+    def test_entry_lines(self, block, row, tails):
+        # one or two lines of the row, read into the same values
+        arg = ORACLE_ENTRIES[block][row.keyword]
+        values, expected = {}, {}
+        for tail in tails:
+            texts = [row.keyword, *tail]
+            assert read_outcome(row.read, values, texts) == \
+                read_outcome(oracle_read_entry, row, arg, expected, texts)
+            assert values == expected
+
+    @pytest.mark.parametrize("keyword", sorted(_KEYWORDS))
+    @given(tail=st.lists(LINE_TEXTS, max_size=5))
+    @settings(max_examples=40)
+    def test_header_lines(self, keyword, tail):
+        texts = [keyword, *tail]
+        assert read_outcome(_take_fields, _KEYWORDS[keyword].header, texts, 1) == \
+            read_outcome(oracle_take_fields, ORACLE_HEADERS[keyword], texts, 1)
+
+
 class TestStringsStaySingleLine:
     # every break that str.splitlines knows ends the line, and so the string
     @pytest.mark.parametrize("text, line, col", [
@@ -890,6 +1009,13 @@ class TestSeedRegistryManifest:
         assert first == second
         assert all(a.statuses is not b.statuses for a, b in zip(first, second))
         assert seed_axiom_declarations() is not seed_axiom_declarations()
+
+    def test_two_manifests_share_no_mutable_object(self):
+        # the packaged file is looked up once, but read and parsed per call
+        first, second = seed_manifest(), seed_manifest()
+        assert first == second and first is not second
+        assert first.axiom_decls is not second.axiom_decls
+        assert all(a.statuses is not b.statuses for a, b in zip(first.classes, second.classes))
 
 
 class TestLoadManifest:
