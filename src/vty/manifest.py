@@ -603,7 +603,7 @@ _BLOCKS = (
         _Entry("indices", "indices", _int("an index"), spread=True),
     ) + _COMPONENT_ENTRIES, noun="witness", expect="a witness entry"),
     _Block("axiom-decl", "axiom_decls",
-           lambda r, b, line: AxiomDeclaration(**b, line=line),
+           lambda r, b, line: AxiomDeclaration(**b),
            (("axiom_id", _word("an axiom id")), ("statement", _string("statement")))),
     _Block("class", "classes", _class, (("class_id", _word("a class id")),
                                          ("display_name", _string("display name"))), (

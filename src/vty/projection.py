@@ -9,7 +9,7 @@ is a mechanical partition, not a proof search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .calculus import (
@@ -41,8 +41,6 @@ DEFAULT_SUBSET_CAP = 12
 class AxiomDeclaration:
     axiom_id: str
     statement: str
-    # the manifest line that declared it, or 0
-    line: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -11,17 +11,19 @@ mentions them is verified up to the component's depth and reported as
 such.
 
 Each component materializes its sets and runs its two maps over them
-once per size cap, and assembly and every check read that one record.
-A variety witness is an index tuple and the component that covers it,
-so its record is built and cached the same way; a width-1 tuple with no
-witness is covered by its own component, in quasi mode too.
+once per size cap, one record side per map with its words from one
+table, and assembly and every check read that record. A variety witness
+is an index tuple and the component that covers it, so its record is
+built and cached the same way; a width-1 tuple with no witness is
+covered by its own component, in quasi mode too. A variety or bijective
+report is its base report with the fields its own check sets replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from operator import and_
 from typing import Callable, Iterable, Sequence
@@ -119,10 +121,31 @@ class Component:
     _mapped: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
+# each side's union equation, kind, and what its map misses in a
+# prevariety check and in a witness check
+_SIDES = (
+    ("A", "axiom", "an axiom", "a covering axiom"),
+    ("M", "theorem", "a designated theorem", "a subset member"),
+)
+
+
+class _Side:
+    """One map run over its source set, with the words of its side."""
+
+    def __init__(self, words: tuple[str, ...], formula_map: FormulaMap,
+                 sources: frozenset[Formula]) -> None:
+        self.equation, self.kind, self.missed, self.witness_missed = words
+        self.map = formula_map
+        self.images, self.misses = formula_map.over(sources)
+        self.image_set = frozenset(self.images.values())
+
+
 class _Mapped:
     """A component's sets and two maps run over them, at one size cap.
 
-    The axiom set and both passes are made at once; the bounded theorem
+    ``sides`` is the axiom side, the axiom map over the depth-0 axioms,
+    then the theorem side, the theorem map over the designated theorems.
+    The axiom set and both sides are made at once; the bounded theorem
     set on first read, so that a command which never reads it cannot
     trip the size cap on it.
     """
@@ -132,9 +155,8 @@ class _Mapped:
         self.designated = component.designated_theorems
         self.size_cap = size_cap
         self.axioms = theorem_formulas(self.calculus, 0, size_cap)
-        self.axiom_images, self.axiom_misses = component.axiom_map.over(self.axioms)
-        self.designated_images, self.designated_misses = component.theorem_map.over(
-            self.designated)
+        self.sides = (_Side(_SIDES[0], component.axiom_map, self.axioms),
+                      _Side(_SIDES[1], component.theorem_map, self.designated))
 
     @cached_property
     def theorems(self) -> frozenset[Formula]:
@@ -192,25 +214,18 @@ def assemble_prevariety(
     Raises MapUndefinedError when a map misses a required input; the
     error names the component and the formula.
     """
-    axioms: set[Formula] = set()
-    rules: set[InferenceRule] = set()
-    theorems: set[Formula] = set()
+    unions: dict[str, set] = {"A": set(), "H": set(), "M": set()}
     for component in components:
-        record = _mapped(component, size_cap)
-        for formula_map, images, missed, union, what in (
-            (component.axiom_map, record.axiom_images, record.axiom_misses, axioms, "axioms"),
-            (component.theorem_map, record.designated_images, record.designated_misses,
-             theorems, "theorems"),
-        ):
-            if missed:
+        for side in _mapped(component, size_cap).sides:
+            if side.misses:
                 raise MapUndefinedError(
-                    formula_map.map_id, formula_key(missed[0]),
-                    f"assembling {what} of component {component.component_id!r}",
+                    side.map.map_id, formula_key(side.misses[0]),
+                    f"assembling {side.kind}s of component {component.component_id!r}",
                 )
-            union.update(images.values())
-        rules.update(component.calculus.rules)
+            unions[side.equation].update(side.image_set)
+        unions["H"].update(component.calculus.rules)
     return Prevariety(
-        frozenset(axioms), frozenset(rules), frozenset(theorems),
+        frozenset(unions["A"]), frozenset(unions["H"]), frozenset(unions["M"]),
         tuple(components), quasi,
     )
 
@@ -296,12 +311,6 @@ class StructureReport:
         }
 
 
-def _depth_bounds(pv: Prevariety) -> tuple[tuple[str, int], ...]:
-    return tuple(
-        (c.component_id, c.calculus.closure_depth) for c in pv.components
-    )
-
-
 def _texts(formulas: Iterable[Formula]) -> tuple[str, ...]:
     return tuple(sorted(formula_key(f) for f in formulas))
 
@@ -314,17 +323,12 @@ def check_prevariety(pv: Prevariety, *, size_cap: int = DEFAULT_SIZE_CAP) -> Str
     for component in pv.components:
         cid = component.component_id
         record = _mapped(component, size_cap)
-        for equation, label, formula_map, images, missed, missed_what in (
-            ("A", "axiom map", component.axiom_map, record.axiom_images,
-             record.axiom_misses, "an axiom"),
-            ("M", "theorem map", component.theorem_map, record.designated_images,
-             record.designated_misses, "a designated theorem"),
-        ):
-            expected[equation].update(images.values())
-            for formula in missed:
+        for side in record.sides:
+            expected[side.equation].update(side.image_set)
+            for formula in side.misses:
                 diagnostics.append(Diagnostic(
-                    "MAP_UNDEFINED", cid, equation, formula_key(formula),
-                    f"{label} {formula_map.map_id!r} misses {missed_what}",
+                    "MAP_UNDEFINED", cid, side.equation, formula_key(formula),
+                    f"{side.kind} map {side.map.map_id!r} misses {side.missed}",
                 ))
         expected["H"].update(component.calculus.rules)
         if not pv.quasi:
@@ -355,12 +359,10 @@ def check_prevariety(pv: Prevariety, *, size_cap: int = DEFAULT_SIZE_CAP) -> Str
         equations.append((name, "MISMATCH" if differing else "OK"))
 
     diagnostics.sort(key=Diagnostic.sort_key)
-    notes = ()
-    if pv.quasi:
-        notes = ("quasi mode: designated theorems are not required to be provable",)
+    depth_bounds = tuple((c.component_id, c.calculus.closure_depth) for c in pv.components)
+    notes = ("quasi mode: designated theorems are not required to be provable",) if pv.quasi else ()
     return StructureReport(
-        "prevariety", tuple(equations), tuple(diagnostics),
-        _depth_bounds(pv), notes=notes,
+        "prevariety", tuple(equations), tuple(diagnostics), depth_bounds, notes=notes,
     )
 
 
@@ -372,11 +374,11 @@ def _validate_witness(
     witness_id: str,
     indices: tuple[int, ...],
     covering: _Mapped,
-    axiom_intersection: frozenset[Formula],
-    designated_intersection: frozenset[Formula],
-) -> tuple[list[Diagnostic], bool, bool]:
+    intersections: tuple[frozenset[Formula], ...],
+) -> tuple[list[Diagnostic], tuple[bool, ...]]:
     """Diagnostics of one witness from its covering record, and whether
-    each projection is onto its intersection."""
+    each side's projection is onto its intersection: the axiom-image and
+    the designated-image intersection of the tuple."""
     tuple_text = str(indices)
     depth = covering.calculus.closure_depth
     diagnostics = [
@@ -387,27 +389,22 @@ def _validate_witness(
         for formula in covering.designated - covering.theorems
     ]
     onto = []
-    for kind, images, missed, intersection, missed_what in (
-        ("axiom", covering.axiom_images, covering.axiom_misses, axiom_intersection,
-         "a covering axiom"),
-        ("theorem", covering.designated_images, covering.designated_misses,
-         designated_intersection, "a subset member"),
-    ):
-        for formula in missed:
+    for side, intersection in zip(covering.sides, intersections):
+        for formula in side.misses:
             diagnostics.append(Diagnostic(
                 "WITNESS_MAP_UNDEFINED", witness_id, None, formula_key(formula),
-                f"{kind} projection misses {missed_what} for tuple {tuple_text}",
+                f"{side.kind} projection misses {side.witness_missed} for tuple {tuple_text}",
             ))
-        for formula, image in images.items():
+        for formula, image in side.images.items():
             if image not in intersection:
                 diagnostics.append(Diagnostic(
-                    f"WITNESS_{kind.upper()}_OUTSIDE_INTERSECTION", witness_id, None,
+                    f"WITNESS_{side.kind.upper()}_OUTSIDE_INTERSECTION", witness_id, None,
                     formula_key(formula),
-                    f"projects to {formula_key(image)} outside the {kind} intersection "
+                    f"projects to {formula_key(image)} outside the {side.kind} intersection "
                     f"of {tuple_text}",
                 ))
-        onto.append(frozenset(images.values()) == intersection)
-    return diagnostics, onto[0], onto[1]
+        onto.append(side.image_set == intersection)
+    return diagnostics, tuple(onto)
 
 
 def check_variety(
@@ -431,22 +428,18 @@ def check_variety(
         raise ValueError("tuple width k must be at least 1")
     base = check_prevariety(pv, size_cap=size_cap)
     if not base.passed:
-        return StructureReport(
-            "variety", base.equations,
-            base.diagnostics + (Diagnostic(
-                "PREVARIETY_FAILED", None, None, None,
-                "the union equations must pass before witness checks run",
-            ),),
-            base.depth_bounds, notes=base.notes,
-        )
+        return replace(base, kind="variety", diagnostics=base.diagnostics + (Diagnostic(
+            "PREVARIETY_FAILED", None, None, None,
+            "the union equations must pass before witness checks run",
+        ),))
     count = len(pv.components)
     tuples = sum(math.comb(count, width) for width in range(1, min(k, count) + 1))
     if tuples > DEFAULT_TUPLE_CAP:
         raise CapExceededError("tuples", tuples, DEFAULT_TUPLE_CAP)
 
     mapped = [_mapped(component, size_cap) for component in pv.components]
-    axiom_images = [frozenset(m.axiom_images.values()) for m in mapped]
-    designated_images = [frozenset(m.designated_images.values()) for m in mapped]
+    # each side's image sets, by component position
+    side_images = [[m.sides[side].image_set for m in mapped] for side in range(len(_SIDES))]
     # only this check maps the bounded theorem sets
     theorem_images = [
         frozenset(component.theorem_map.over(m.theorems)[0].values())
@@ -466,13 +459,11 @@ def check_variety(
     records: list[TupleRecord] = []
     for width in range(1, min(k, count) + 1):
         for indices in itertools.combinations(range(1, count + 1), width):
-            axiom_intersection = _intersect(axiom_images, indices)
+            intersections = tuple(_intersect(images, indices) for images in side_images)
+            axiom_intersection = intersections[0]
             theorem_intersection = _intersect(theorem_images, indices)
-            designated_intersection = _intersect(designated_images, indices)
             if not axiom_intersection and not theorem_intersection:
-                records.append(TupleRecord(
-                    indices, (), (), "vacuous",
-                ))
+                records.append(TupleRecord(indices, (), (), "vacuous"))
                 continue
             covering = by_tuple.get(indices)
             if covering is not None:
@@ -491,14 +482,12 @@ def check_variety(
                     "missing",
                 ))
                 continue
-            problems, axiom_onto, theorem_onto = _validate_witness(
-                witness_id, indices, _mapped(covering, size_cap),
-                axiom_intersection, designated_intersection,
+            problems, onto = _validate_witness(
+                witness_id, indices, _mapped(covering, size_cap), intersections,
             )
             records.append(TupleRecord(
                 indices, _texts(axiom_intersection), _texts(theorem_intersection),
-                status if not problems else "invalid",
-                witness_id, axiom_onto, theorem_onto,
+                status if not problems else "invalid", witness_id, *onto,
             ))
             diagnostics.extend(problems)
 
@@ -506,13 +495,10 @@ def check_variety(
     notes = (
         f"checked index tuples of width 1..{min(k, count)}",
         "theorem intersections computed on bounded closures at each component's depth",
+        *base.notes,
     )
-    if pv.quasi:
-        notes = notes + ("quasi mode: designated theorems are not required to be provable",)
-    return StructureReport(
-        "variety", base.equations, tuple(diagnostics),
-        base.depth_bounds, tuple(records), notes,
-    )
+    return replace(base, kind="variety", diagnostics=tuple(diagnostics), tuples=tuple(records),
+                   notes=notes)
 
 
 def check_bijective_variety(
@@ -533,7 +519,6 @@ def check_bijective_variety(
     """
     if mode not in ("prevariety", "variety"):
         raise ValueError(f"mode must be 'prevariety' or 'variety', not {mode!r}")
-    kind = f"bijective-{mode}"
     if mode == "variety":
         base = check_variety(pv, k, witnesses, size_cap=size_cap)
     else:
@@ -543,19 +528,16 @@ def check_bijective_variety(
     for component in pv.components:
         cid = component.component_id
         record = _mapped(component, size_cap)
-        for label, formula_map, images in (
-            ("axiom map", component.axiom_map, record.axiom_images),
-            ("theorem map", component.theorem_map, record.designated_images),
-        ):
+        for side in record.sides:
             # undefined entries are reported by the prevariety check
             first_source: dict[Formula, Formula] = {}
-            for formula, image in images.items():
+            for formula, image in side.images.items():
                 earlier = first_source.setdefault(image, formula)
                 if earlier != formula:
                     diagnostics.append(Diagnostic(
                         "NOT_BIJECTIVE", cid, None,
                         f"{formula_key(earlier)}, {formula_key(formula)}",
-                        f"{label} {formula_map.map_id!r} sends both to {formula_key(image)}",
+                        f"{side.kind} map {side.map.map_id!r} sends both to {formula_key(image)}",
                     ))
         if mode == "variety":
             theorem_set = record.theorems
@@ -577,10 +559,7 @@ def check_bijective_variety(
     )
     if mode == "variety":
         notes = notes + ("designated theorem sets compared with closures up to each depth",)
-    return StructureReport(
-        kind, base.equations, tuple(diagnostics),
-        base.depth_bounds, base.tuples, notes,
-    )
+    return replace(base, kind=f"bijective-{mode}", diagnostics=tuple(diagnostics), notes=notes)
 
 
 # --- knowledge-base consistency --------------------------------------------
@@ -652,10 +631,8 @@ def consistency_report(
     contributions: list[frozenset[Formula]] = []
     atom_counts: list[int] = []
     for component in pv.components:
-        record = _mapped(component, size_cap)
-        pooled = frozenset(record.axiom_images.values()).union(
-            record.designated_images.values()
-        )
+        axiom, theorem = _mapped(component, size_cap).sides
+        pooled = axiom.image_set | theorem.image_set
         atom_count = len(collect_atoms(pooled))
         if atom_count > atom_cap:
             raise CapExceededError("atoms", atom_count, atom_cap)

@@ -326,6 +326,27 @@ ROWS = (
                "tests/test_cli.py::TestPrintedProofsPassAnIndependentChecker::test_criterion_9_proofs",
                "tests/test_calculus.py::TestClosureExamples::test_every_emitted_proof_revalidates",
            )),
+    # varieties: each side's words are stated once in a table, a variety
+    # report's notes end with its prevariety's, and a component's pooled
+    # set reads both sides
+    Mutant("side-miss-words-swapped", "src/vty/varieties.py",
+           '("A", "axiom", "an axiom", "a covering axiom"),\n'
+           '    ("M", "theorem", "a designated theorem", "a subset member"),',
+           '("A", "axiom", "a designated theorem", "a covering axiom"),\n'
+           '    ("M", "theorem", "an axiom", "a subset member"),', (
+               "tests/test_varieties.py::TestComponentInvariants::test_axiom_map_hole",
+               "tests/test_varieties.py::TestComponentInvariants::test_theorem_map_hole",
+           )),
+    Mutant("variety-notes-drop-the-base-notes", "src/vty/varieties.py",
+           "        *base.notes,\n",
+           "", (
+               "tests/test_varieties.py::TestVarietyWitnesses::test_quasi_notes_end_with_the_prevariety_note",
+           )),
+    Mutant("pooled-set-reads-one-side", "src/vty/varieties.py",
+           "pooled = axiom.image_set | theorem.image_set",
+           "pooled = axiom.image_set | axiom.image_set", (
+               "tests/test_varieties.py::TestConsistencyReportMatchesOracle::test_same_report",
+           )),
     # a defaulted keyword that no caller of record sets
     Mutant("unset-keyword-option", "src/vty/machines.py",
            "def run_machine(machine: RegisterMachine, input_value: int, fuel: int) -> Trace:",

@@ -339,7 +339,6 @@ class TestAllEntries:
         assert list(m.axiom_decls.values()) == [
             AxiomDeclaration("AX", 'says "quoted" and \\ slashed'),
             AxiomDeclaration("BX", "second"), AxiomDeclaration("CX", "third")]
-        assert [d.line for d in m.axiom_decls.values()] == [83, 85, 87]
         c, d = m.classes
         assert c == ClassProfile("C", "A class", {
             "CX": AxiomStatus(SATISFIED, Evidence(CITATION, citation="a book")),

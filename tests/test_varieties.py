@@ -13,6 +13,7 @@ from vty.varieties import (
     Component,
     FormulaMap,
     Prevariety,
+    StructureReport,
     VarietyWitness,
     assemble_prevariety,
     check_bijective_variety,
@@ -352,6 +353,14 @@ class TestVarietyWitnesses:
         assert record.theorem_projection_surjective is True
         assert "checked index tuples of width 1..2" in report.notes
 
+    def test_quasi_notes_end_with_the_prevariety_note(self):
+        pv = assemble_prevariety(shared_core_components(), quasi=True)
+        assert check_variety(pv, 2, [core_witness()]).notes == (
+            "checked index tuples of width 1..2",
+            "theorem intersections computed on bounded closures at each component's depth",
+            "quasi mode: designated theorems are not required to be provable",
+        )
+
     def test_witness_axiom_projection_hole(self):
         pv = assemble_prevariety(shared_core_components())
         for projection, message in (
@@ -484,6 +493,32 @@ class TestBijectiveModes:
         pv = assemble_prevariety([comp, mp_component("B4", ["p"], [])])
         report = check_bijective_variety(pv, "prevariety")
         assert report.passed
+
+
+class TestDerivedReports:
+    # a variety or bijective report sets the fields named here and keeps
+    # every other field of its base report; quasi mode gives each base a note
+    @pytest.mark.parametrize("broken, derive, base, sets", [
+        (True, lambda pv: check_variety(pv, 2, [core_witness()]), check_prevariety,
+         {"kind", "diagnostics"}),
+        (False, lambda pv: check_variety(pv, 2, [core_witness()]), check_prevariety,
+         {"kind", "diagnostics", "tuples", "notes"}),
+        (False, lambda pv: check_bijective_variety(pv, "prevariety"), check_prevariety,
+         {"kind", "diagnostics", "notes"}),
+        (False, lambda pv: check_bijective_variety(pv, "variety", 2, [core_witness()]),
+         lambda pv: check_variety(pv, 2, [core_witness()]), {"kind", "diagnostics", "notes"}),
+    ], ids=["variety-on-a-failed-prevariety", "variety", "bijective-prevariety",
+            "bijective-variety"])
+    def test_keeps_every_field_it_does_not_set(self, broken, derive, base, sets):
+        pv = assemble_prevariety(shared_core_components(), quasi=True)
+        if broken:
+            pv = dataclasses.replace(pv, axioms=frozenset())
+        derived, parent = derive(pv), base(pv)
+        assert derived.kind != parent.kind
+        kept = [field.name for field in dataclasses.fields(StructureReport)
+                if field.name not in sets]
+        assert parent.notes and parent.equations and parent.depth_bounds
+        assert [getattr(derived, name) for name in kept] == [getattr(parent, name) for name in kept]
 
 
 def kb(cid, *axiom_texts):
