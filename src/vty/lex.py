@@ -103,6 +103,12 @@ def split_line(line: str) -> list[str]:
     return [f'"{tok.text}"' if tok.kind == "STRING" else tok.text for tok in tokenize_line(line)]
 
 
+def _ascii_digits(text: str) -> bool:
+    """Whether `text` is one or more ASCII digits: str.isdecimal also admits
+    other scripts' digits, and int() signs, blanks and underscores."""
+    return text.isascii() and text.isdecimal()
+
+
 def token_value(text: str) -> str:
     """What a fault names a token by: a string's value, or the text."""
     return text[1:-1] if text[0] == '"' else text

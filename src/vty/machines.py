@@ -57,6 +57,7 @@ from operator import attrgetter
 from typing import ClassVar, Iterator, Sequence
 
 from .errors import CapExceededError, DecodeError
+from .lex import _ascii_digits
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 # the most steps one Fixed Output search may run, counted before any run
@@ -236,7 +237,9 @@ def parse_machine(text: str) -> RegisterMachine:
         word, *operands = line.split()
         kind = _BY_WORD.get(word)
         try:
-            if kind is None or len(operands) != len(_OPERAND_NAMES[kind]):
+            # ASCII digits, a minus kept for the validation message; int() reads more
+            if (kind is None or len(operands) != len(_OPERAND_NAMES[kind])
+                    or not all(_ascii_digits(op.removeprefix("-")) for op in operands)):
                 raise ValueError
             program.append(kind(*map(int, operands)))
         except ValueError:

@@ -105,7 +105,7 @@ from .calculus import (
 )
 from .errors import ManifestError, UnresolvedReferenceError
 from .formulas import ATOM_NAME, Formula, parse_formula_tokens
-from .lex import NON_WORD, LexError, TokenFault, column, split_line, token_value
+from .lex import NON_WORD, LexError, TokenFault, _ascii_digits, column, split_line, token_value
 from .machines import DEFAULT_ENUMERATION_CAP
 from .projection import (
     AxiomDeclaration,
@@ -275,7 +275,7 @@ def _decimal(digits: str, what: str, index: int) -> int:
 
 def _int(what: str) -> _Read:
     def read(texts: list[str], i: int) -> tuple[int, int]:
-        if i < len(texts) and texts[i].isdecimal():  # no other kind of text is
+        if i < len(texts) and _ascii_digits(texts[i]):  # no other kind of text is
             return _decimal(texts[i], what, i), i + 1
         word, _ = _take_word(texts, i, what)
         raise TokenFault(f"expected {what}, found {word!r}", i)
@@ -342,7 +342,7 @@ def read_bound_entry(text: str, index: int, values: dict[str, int]) -> None:
         raise TokenFault(f"unknown bound {key!r}", index)
     if key in values:
         raise TokenFault(f"bound {key!r} given twice", index)
-    if not raw.isdecimal():
+    if not _ascii_digits(raw):
         raise TokenFault(f"bound {key!r} needs an integer", index)
     values[key] = _decimal(raw, f"bound {key!r}", index)
 

@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 from typing import Iterable, Iterator, Sequence
 
 from vty.calculus import (
@@ -701,7 +702,7 @@ def _oracle_decimal(digits: str, what: str, index: int) -> int:
 def _oracle_int(what: str):
     def read(texts, i):
         word, nxt = _oracle_take_word(texts, i, what)
-        if not word.isdecimal():
+        if not re.fullmatch("[0-9]+", word):
             raise TokenFault(f"expected {what}, found {word!r}", i)
         return _oracle_decimal(word, what, i), nxt
 

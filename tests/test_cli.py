@@ -774,6 +774,10 @@ class TestOutputControls:
             (["classify", "--axioms", "p", "--goal", "p", "--bounds", "depth=²"],
              "classify", "argument --bounds: bad bounds entry 'depth=²'; "
              "expected depth=N,atoms=N,enum=N,size=N"),
+            # another script's digit, which str.isdecimal and int() read
+            (["classify", "--axioms", "p", "--goal", "p", "--bounds", "depth=\u0662"],
+             "classify", "argument --bounds: bad bounds entry 'depth=\u0662'; "
+             "expected depth=N,atoms=N,enum=N,size=N"),
         ]
         for argv, command, message in cases:
             code = main(argv)

@@ -206,6 +206,16 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_machine("HALT 0\n")
 
+    @pytest.mark.parametrize("text", [
+        "INC +0 1", "INC 0 \u0661", "INC 0 1_0", "INC 0 --1", "INC 0 1.0", "DECJZ 0 \uff11 0",
+    ])
+    def test_an_operand_is_ascii_digits(self, text):
+        # int() reads each of these: a sign, another script's digit or an
+        # underscore; 'INC 0 1_0' would jump to 10
+        with pytest.raises(ValueError) as err:
+            parse_machine(text)
+        assert str(err.value) == f"line 1: bad instruction {text!r}"
+
     @pytest.mark.parametrize("text, message", [
         ("INC 0 9\n", "instruction 0 jumps to 9"),
         ("INC -1 0\n", "instruction 0 uses register -1"),

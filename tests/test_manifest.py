@@ -384,6 +384,9 @@ PARSE_ERRORS = [
     ("calculus L {\n  depth 1\n  depth 2\n}\n", "depth given twice", 3, 1),
     ("calculus L {\n  depth x\n}\n", "expected a depth, found 'x'", 2, 9),
     ("calculus L {\n  depth \u00b2\n}\n", "expected a depth, found '\u00b2'", 2, 9),
+    # digits of another script, which str.isdecimal and int() read
+    ("calculus L {\n  depth \u0663\n}\n", "expected a depth, found '\u0663'", 2, 9),
+    ("witness W {\n  indices 1 \uff12\n}\n", "expected an index, found '\uff12'", 2, 13),
     ("calculus L {\n  atoms p Q\n}\n", "bad atom name 'Q'", 2, 11),
     ("calculus L {\n  atoms p bot\n}\n", "bad atom name 'bot'", 2, 11),
     ("calculus L {\n  axiom p q\n}\n", "unexpected trailing 'q'", 2, 11),
@@ -446,6 +449,7 @@ PARSE_ERRORS = [
     ("bounds depth=1\nbounds depth=2\n", "bounds given twice", 2, 1),
     ("bounds depth=1 frob=2\n", "unknown bound 'frob'", 1, 16),
     ("bounds depth=\u00b2\n", "bound 'depth' needs an integer", 1, 8),
+    ("bounds depth=\u0662\n", "bound 'depth' needs an integer", 1, 8),
     # integers with more digits than int() converts (4 300 by default)
     (f"calculus L {{\n  depth {BIG}\n}}\n", "a depth has too many digits (4400)", 2, 9),
     (f"bounds depth=1 size={BIG}\n", "bound 'size' has too many digits (4400)", 1, 16),
