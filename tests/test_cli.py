@@ -585,6 +585,91 @@ HELP_ARGVS = (
 )
 
 
+# usage errors argparse finds: (argv, the command the report names, its one error)
+OTHER_USAGE_ERRORS = [
+    (["classify", "--axioms", "p", "--depth", "x", "--goal", "p"],
+     "classify", "argument --depth: invalid int value: 'x'"),
+    (["classify", "--axioms", "p", "--depth", "-1", "--goal", "p"],
+     "classify", "argument --depth: depth must be nonnegative"),
+    (["minimal-subsets", "--axioms", "p", "--goal", "p", "--depth", "-1"],
+     "minimal-subsets", "argument --depth: depth must be nonnegative"),
+    (["closure", "--depth", "-1"],
+     "closure", "argument --depth: depth must be nonnegative"),
+    (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1", "--schedule", "8",
+      "--max-input", "-1"],
+     "fixed-output", "argument --max-input: max-input must be nonnegative"),
+    (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1", "--schedule", "8",
+      "--max-input", "1.5"],
+     "fixed-output", "argument --max-input: invalid int value: '1.5'"),
+    (["fixed-output", "brute", "--y", "1", "--fuel", "0"],
+     "fixed-output", "argument --fuel: fuel must be positive"),
+    (["fixed-output", "brute", "--y", "1", "--max-registers", "0"],
+     "fixed-output", "argument --max-registers: max-registers must be positive"),
+    (["fixed-output", "brute", "--y", "1", "--max-instructions", "-1"],
+     "fixed-output", "argument --max-instructions: max-instructions must be nonnegative"),
+    (["fixed-output", "brute", "--y", "1", "--fuel", "x"],
+     "fixed-output", "argument --fuel: invalid int value: 'x'"),
+    # no machine outputs a negative number
+    (["fixed-output", "brute", "--y", "-1", "--max-instructions", "1",
+      "--inputs", "0,1", "--fuel", "20"],
+     "fixed-output", "argument --y: y must be nonnegative"),
+    (["fixed-output", "recognize", "--machine", "m.rm", "--y", "-1", "--schedule", "8"],
+     "fixed-output", "argument --y: y must be nonnegative"),
+    (["fixed-output", "brute", "--y", "x"],
+     "fixed-output", "argument --y: invalid int value: 'x'"),
+    (["fixed-output", "brute", "--y", "1", "--inputs", "0,-1"],
+     "fixed-output", "argument --inputs: inputs must be nonnegative"),
+    # a repeated input would repeat its hits and count its runs twice
+    (["fixed-output", "brute", "--y", "1", "--inputs", "1,0,1"],
+     "fixed-output", "argument --inputs: inputs must be distinct"),
+    (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1",
+      "--schedule", "0,8"],
+     "fixed-output", "argument --schedule: fuel values must be positive"),
+    (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1",
+      "--schedule", "8,-16"],
+     "fixed-output", "argument --schedule: fuel values must be positive"),
+    (["check-variety", "--depth", "0"],
+     "check-variety", "argument --depth: depth must be positive"),
+    (["check-variety", "--depth", "-1"],
+     "check-variety", "argument --depth: depth must be positive"),
+    (["check-variety", "--depth", "two"],
+     "check-variety", "argument --depth: invalid int value: 'two'"),
+    (["classify", "--axioms", "p"],
+     "classify", "the following arguments are required: --goal"),
+    (["frobnicate"], None, "argument command: invalid choice: 'frobnicate' "
+     "(choose from 'check-prevariety', 'check-variety', 'closure', "
+     "'consistency', 'project', 'classify', 'minimal-subsets', "
+     "'fixed-output', 'report-matrix')"),
+    ([], None, "the following arguments are required: command"),
+    (["--format", "text"], None, "the following arguments are required: command"),
+    # extra tokens are reported against the command that was read
+    (["classify", "--axioms", "p", "--goal", "p", "--bogus"],
+     "classify", "unrecognized arguments: --bogus"),
+    (["fixed-output", "brute", "--y", "1", "extra"],
+     "fixed-output", "unrecognized arguments: extra"),
+    (["--bogus", "classify", "--axioms", "p", "--goal", "p"],
+     "classify", "unrecognized arguments: --bogus"),
+    (["classify", "--axioms", "(p", "--goal", "p"],
+     "classify", "argument --axioms: col 1: unknown connective 'p'"),
+    # global options before the command word; the report is JSON anyway
+    (["--format", "text", "classify", "--axioms", "p"],
+     "classify", "the following arguments are required: --goal"),
+    (["--bounds", "depth=2", "closure", "--calculus"],
+     "closure", "argument --calculus: expected one argument"),
+    (["fixed-output"], "fixed-output", "the following arguments are required: mode"),
+    (["fixed-output", "walk"], "fixed-output",
+     "argument mode: invalid choice: 'walk' (choose from 'brute', 'recognize')"),
+    # a digit that str.isdigit accepts and int() cannot read
+    (["classify", "--axioms", "p", "--goal", "p", "--bounds", "depth=²"],
+     "classify", "argument --bounds: bad bounds entry 'depth=²'; "
+     "expected depth=N,atoms=N,enum=N,size=N"),
+    # another script's digit, which str.isdecimal and int() read
+    (["classify", "--axioms", "p", "--goal", "p", "--bounds", "depth=\u0662"],
+     "classify", "argument --bounds: bad bounds entry 'depth=\u0662'; "
+     "expected depth=N,atoms=N,enum=N,size=N"),
+]
+
+
 class TestOutputControls:
     def test_json_output_is_deterministic(self, capsys, data_dir):
         argv = ("check-prevariety", str(data_dir / "shared_core.vty"))
@@ -697,89 +782,7 @@ class TestOutputControls:
         assert capsys.readouterr().out.startswith("usage: vty fixed-output brute")
 
     def test_other_usage_errors_get_a_json_report(self, capsys):
-        cases = [
-            (["classify", "--axioms", "p", "--depth", "x", "--goal", "p"],
-             "classify", "argument --depth: invalid int value: 'x'"),
-            (["classify", "--axioms", "p", "--depth", "-1", "--goal", "p"],
-             "classify", "argument --depth: depth must be nonnegative"),
-            (["minimal-subsets", "--axioms", "p", "--goal", "p", "--depth", "-1"],
-             "minimal-subsets", "argument --depth: depth must be nonnegative"),
-            (["closure", "--depth", "-1"],
-             "closure", "argument --depth: depth must be nonnegative"),
-            (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1", "--schedule", "8",
-              "--max-input", "-1"],
-             "fixed-output", "argument --max-input: max-input must be nonnegative"),
-            (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1", "--schedule", "8",
-              "--max-input", "1.5"],
-             "fixed-output", "argument --max-input: invalid int value: '1.5'"),
-            (["fixed-output", "brute", "--y", "1", "--fuel", "0"],
-             "fixed-output", "argument --fuel: fuel must be positive"),
-            (["fixed-output", "brute", "--y", "1", "--max-registers", "0"],
-             "fixed-output", "argument --max-registers: max-registers must be positive"),
-            (["fixed-output", "brute", "--y", "1", "--max-instructions", "-1"],
-             "fixed-output", "argument --max-instructions: max-instructions must be nonnegative"),
-            (["fixed-output", "brute", "--y", "1", "--fuel", "x"],
-             "fixed-output", "argument --fuel: invalid int value: 'x'"),
-            # no machine outputs a negative number
-            (["fixed-output", "brute", "--y", "-1", "--max-instructions", "1",
-              "--inputs", "0,1", "--fuel", "20"],
-             "fixed-output", "argument --y: y must be nonnegative"),
-            (["fixed-output", "recognize", "--machine", "m.rm", "--y", "-1", "--schedule", "8"],
-             "fixed-output", "argument --y: y must be nonnegative"),
-            (["fixed-output", "brute", "--y", "x"],
-             "fixed-output", "argument --y: invalid int value: 'x'"),
-            (["fixed-output", "brute", "--y", "1", "--inputs", "0,-1"],
-             "fixed-output", "argument --inputs: inputs must be nonnegative"),
-            # a repeated input would repeat its hits and count its runs twice
-            (["fixed-output", "brute", "--y", "1", "--inputs", "1,0,1"],
-             "fixed-output", "argument --inputs: inputs must be distinct"),
-            (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1",
-              "--schedule", "0,8"],
-             "fixed-output", "argument --schedule: fuel values must be positive"),
-            (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1",
-              "--schedule", "8,-16"],
-             "fixed-output", "argument --schedule: fuel values must be positive"),
-            (["check-variety", "--depth", "0"],
-             "check-variety", "argument --depth: depth must be positive"),
-            (["check-variety", "--depth", "-1"],
-             "check-variety", "argument --depth: depth must be positive"),
-            (["check-variety", "--depth", "two"],
-             "check-variety", "argument --depth: invalid int value: 'two'"),
-            (["classify", "--axioms", "p"],
-             "classify", "the following arguments are required: --goal"),
-            (["frobnicate"], None, "argument command: invalid choice: 'frobnicate' "
-             "(choose from 'check-prevariety', 'check-variety', 'closure', "
-             "'consistency', 'project', 'classify', 'minimal-subsets', "
-             "'fixed-output', 'report-matrix')"),
-            ([], None, "the following arguments are required: command"),
-            (["--format", "text"], None, "the following arguments are required: command"),
-            # extra tokens are reported against the command that was read
-            (["classify", "--axioms", "p", "--goal", "p", "--bogus"],
-             "classify", "unrecognized arguments: --bogus"),
-            (["fixed-output", "brute", "--y", "1", "extra"],
-             "fixed-output", "unrecognized arguments: extra"),
-            (["--bogus", "classify", "--axioms", "p", "--goal", "p"],
-             "classify", "unrecognized arguments: --bogus"),
-            (["classify", "--axioms", "(p", "--goal", "p"],
-             "classify", "argument --axioms: col 1: unknown connective 'p'"),
-            # global options before the command word; the report is JSON anyway
-            (["--format", "text", "classify", "--axioms", "p"],
-             "classify", "the following arguments are required: --goal"),
-            (["--bounds", "depth=2", "closure", "--calculus"],
-             "closure", "argument --calculus: expected one argument"),
-            (["fixed-output"], "fixed-output", "the following arguments are required: mode"),
-            (["fixed-output", "walk"], "fixed-output",
-             "argument mode: invalid choice: 'walk' (choose from 'brute', 'recognize')"),
-            # a digit that str.isdigit accepts and int() cannot read
-            (["classify", "--axioms", "p", "--goal", "p", "--bounds", "depth=²"],
-             "classify", "argument --bounds: bad bounds entry 'depth=²'; "
-             "expected depth=N,atoms=N,enum=N,size=N"),
-            # another script's digit, which str.isdecimal and int() read
-            (["classify", "--axioms", "p", "--goal", "p", "--bounds", "depth=\u0662"],
-             "classify", "argument --bounds: bad bounds entry 'depth=\u0662'; "
-             "expected depth=N,atoms=N,enum=N,size=N"),
-        ]
-        for argv, command, message in cases:
+        for argv, command, message in OTHER_USAGE_ERRORS:
             code = main(argv)
             captured = capsys.readouterr()
             assert code == 2
