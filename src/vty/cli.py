@@ -10,6 +10,7 @@ reference errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -278,12 +279,7 @@ def _cmd_fixed_output(args, manifest: Manifest):
         return {
             "mode": "brute",
             "target": result.target,
-            "world": {
-                "max_instructions": world.max_instructions,
-                "max_registers": world.max_registers,
-                "inputs": list(world.inputs),
-                "fuel": world.fuel,
-            },
+            "world": {**dataclasses.asdict(world), "inputs": list(world.inputs)},
             "runs": result.runs,
             "hits": [
                 {
@@ -539,7 +535,7 @@ def _scalar(value) -> str:
 
 
 _encode_string = json.encoder.encode_basestring_ascii
-_INFINITY = float("inf")
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _write_json(value, chunks: list[str], newline: str) -> None:
@@ -548,31 +544,17 @@ def _write_json(value, chunks: list[str], newline: str) -> None:
     before its closing bracket.
 
     With an indent, json.dumps runs its pure-Python encoder, which nests a
-    generator per container; one list of chunks costs less. Types are
-    tested in json.encoder's order, so subclasses read as json reads them.
-    A dict key that is not a str raises TypeError in the string encoder,
-    where json would convert it.
+    generator per container; one list of chunks costs less. A report holds
+    str, int, bool, None, list and dict with str keys, so the branch is
+    chosen by the exact type, and any other raises TypeError naming it; a
+    dict key that is not a str raises TypeError in the string encoder.
     """
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         chunks.append(_encode_string(value))
-    elif value is None:
-        chunks.append("null")
-    elif value is True:
-        chunks.append("true")
-    elif value is False:
-        chunks.append("false")
-    elif isinstance(value, int):
-        chunks.append(int.__repr__(value))
-    elif isinstance(value, float):
-        if value != value:
-            chunks.append("NaN")
-        elif value == _INFINITY:
-            chunks.append("Infinity")
-        elif value == -_INFINITY:
-            chunks.append("-Infinity")
-        else:
-            chunks.append(float.__repr__(value))
-    elif isinstance(value, (list, tuple)):
+    elif kind is int:
+        chunks.append(repr(value))
+    elif kind is list:
         if not value:
             chunks.append("[]")
             return
@@ -583,7 +565,7 @@ def _write_json(value, chunks: list[str], newline: str) -> None:
             separator = "," + inner
             _write_json(item, chunks, inner)
         chunks.append(newline + "]")
-    elif isinstance(value, dict):
+    elif kind is dict:
         if not value:
             chunks.append("{}")
             return
@@ -596,8 +578,10 @@ def _write_json(value, chunks: list[str], newline: str) -> None:
             chunks.append(": ")
             _write_json(value[key], chunks, inner)
         chunks.append(newline + "}")
+    elif kind is bool or value is None:
+        chunks.append(_LITERALS[value])
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _json_text(value) -> str:
