@@ -319,6 +319,41 @@ ROWS = (
            'chunks.append(":")', (
                "tests/test_cli.py::TestReportEmitter::test_same_text_as_json_dumps",
            )),
+    # the report writer picks its branch by exact type: a bool is no int,
+    # keys are sorted, and each literal has its own text
+    Mutant("writer-reads-a-bool-as-an-int", "src/vty/cli.py",
+           "elif kind is int:",
+           "elif isinstance(value, int):", (
+               "tests/test_cli.py::TestReportEmitter::test_same_text_as_json_dumps",
+               "tests/test_cli.py::TestReportEmitter"
+               "::test_a_value_json_would_convert_or_refuse_raises[int-subclass]",
+           )),
+    Mutant("writer-keys-unsorted", "src/vty/cli.py",
+           "for key in sorted(value):",
+           "for key in value:", (
+               "tests/test_cli.py::TestReportEmitter::test_same_text_as_json_dumps",
+           )),
+    Mutant("writer-literals-swapped", "src/vty/cli.py",
+           '_LITERALS = {None: "null", True: "true", False: "false"}',
+           '_LITERALS = {None: "null", True: "false", False: "true"}', (
+               "tests/test_cli.py::TestReportEmitter::test_same_text_as_json_dumps",
+           )),
+    # a renamed report key changes the answer corpus
+    Mutant("closure-report-key-renamed", "src/vty/cli.py",
+           '"domain_size": result.domain_size,',
+           '"domain": result.domain_size,', (
+               "tests/test_answer_corpus.py::test_no_answer_changed",
+           )),
+    # manifest and machine numbers are ASCII digits, which int() reads exactly
+    Mutant("digits-of-other-scripts", "src/vty/lex.py",
+           "return text.isascii() and text.isdecimal()",
+           "return text.isdecimal()", (
+               "tests/test_manifest.py"
+               "::test_parse_error_location[expected a depth, found '\\u0663']",
+               "tests/test_manifest.py::test_parse_error_location[bound 'depth' needs an integer 2]",
+               "tests/test_machines.py::TestTextFormat"
+               "::test_an_operand_is_ascii_digits[INC 0 \\u0661]",
+           )),
     # proof building: a rule step cites its premises in the rule's order
     Mutant("premises-cited-in-reverse", "src/vty/calculus.py",
            "tuple(index[premise] for premise in premises)",
