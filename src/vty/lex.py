@@ -8,6 +8,7 @@ token index (`TokenFault`), and the column it reports is found with
 `column` only then, by reading that one line again with `tokenize_line`,
 whose `Token` records carry columns. `NON_WORD` lets a reader tell a
 word from the other kinds by its first character, where it stands.
+`_ascii_digits` decides what text is a number, here and in machine text.
 """
 
 from __future__ import annotations

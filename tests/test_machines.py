@@ -210,8 +210,8 @@ class TestTextFormat:
         "INC +0 1", "INC 0 \u0661", "INC 0 1_0", "INC 0 --1", "INC 0 1.0", "DECJZ 0 \uff11 0",
     ])
     def test_an_operand_is_ascii_digits(self, text):
-        # int() reads each of these: a sign, another script's digit or an
-        # underscore; 'INC 0 1_0' would jump to 10
+        # int() reads a plus sign, another script's digits and underscores,
+        # so 'INC 0 1_0' would jump to 10; a minus is read once, before digits
         with pytest.raises(ValueError) as err:
             parse_machine(text)
         assert str(err.value) == f"line 1: bad instruction {text!r}"
