@@ -210,9 +210,8 @@ def _cmd_closure(args, manifest: Manifest):
     calculus_id = args.calculus
     if calculus_id is None:
         if len(manifest.calculi) != 1:
-            raise ManifestError(
-                "pick a calculus with --calculus; the manifest declares "
-                f"{len(manifest.calculi)}", manifest.source, 0)
+            raise argparse.ArgumentTypeError("argument --calculus: pick a calculus; "
+                                             f"the manifest declares {len(manifest.calculi)}")
         calculus_id = manifest.calculi[0].calculus_id
     # closure reads depth None as the calculus depth and sorts its entries
     calculus = _declared("--calculus", lambda: manifest.calculus(calculus_id))

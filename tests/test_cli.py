@@ -231,10 +231,20 @@ class TestExitCodes:
             "errors": [error],
         }
 
-    def test_closure_needs_a_calculus_choice(self, capsys, data_dir):
-        code, report = run_json(capsys, "closure", str(data_dir / "shared_core.vty"))
-        assert code == 2
-        assert "pick a calculus" in report["errors"][0]
+    def test_closure_needs_a_calculus_choice(self, capsys, data_dir, tmp_path):
+        # without --calculus, a manifest must declare exactly one calculus
+        none = tmp_path / "none.vty"
+        none.write_text("map ident identity\n", encoding="utf-8")
+        for path, declared in ((data_dir / "shared_core.vty", 3), (none, 0)):
+            code, report = run_json(capsys, "closure", str(path))
+            assert code == 2
+            assert report == {
+                "command": "closure",
+                "manifest": str(path),
+                "bounds": report["bounds"],
+                "errors": ["argument --calculus: pick a calculus; "
+                           f"the manifest declares {declared}"],
+            }
 
     def test_missing_machine_file_is_an_operational_error(self, capsys, tmp_path):
         code, report = run_json(
@@ -1368,8 +1378,11 @@ class TestFuzzedInput:
         path.write_bytes(data)
         code, report = self.check(capsys, [*command, str(path)])
         if code == 2:
-            # every manifest fault names its place in the file
-            assert all(error.startswith(f"{path}:") for error in report["errors"])
+            # every manifest fault names its place in the file; closure on a
+            # manifest that declares other than one calculus faults --calculus
+            assert all(error.startswith(f"{path}:") or command[0] == "closure"
+                       and error.startswith("argument --calculus: pick a calculus; ")
+                       for error in report["errors"])
 
     @given(argv=st.one_of(CLOSURE_ARGV, PROJECT_ARGV, BRUTE_ARGV))
     @settings(max_examples=150, deadline=None,
