@@ -213,8 +213,14 @@ BAD_FILES = {
     "late_ref.vty": b"map ident identity\ncalculus L {\n}\ncomponent C {\n  calculus nope\n"
                     b"  axiom-map ident\n  theorem-map ident\n}\n",
 }
+# a program of every kind, with comments and blank lines: output is input + 1
+MOVE = ("# move register 0 into register 1, then back with one more\n\n"
+        "DECJZ 0 2 1   # register 0 empty: move back\nINC 1 0\n"
+        "INC 0 3       # the one more\nDECJZ 1 5 4\nINC 0 3\n\nHALT\n")
 MACHINES = {"loop.rm": "INC 0 0\n", "inc1.rm": "INC 1 1", "arabic.rm": "INC 0 ١\n",
-            "underscore.rm": "INC 0 1_0\n", "far.rm": "INC 0 9\n"}
+            "underscore.rm": "INC 0 1_0\n", "far.rm": "INC 0 9\n", "arity.rm": "INC 0\n",
+            "word.rm": "JMP 0\n", "halt_operand.rm": "HALT 0\n", "negative.rm": "INC -1 0\n",
+            "move.rm": MOVE}
 TWENTY = "twenty.vty"
 
 HAND = [
@@ -287,6 +293,8 @@ HAND = [
                "--schedule", "5,2")),
     *(("machine", ("fixed-output", "recognize", "--machine", name, "--y", "0",
                    "--schedule", "1,2,3")) for name in MACHINES),
+    ("machine", ("fixed-output", "recognize", "--machine", "move.rm", "--y", "2",
+                 "--schedule", "4,8,16")),
     ("error", ("--bounds", "width=3", "report-matrix")),
     ("error", ("fixed-output", "brute", "--y", "1", "--inputs", "1,x")),
     ("argparse", ("fixed-output", "brute", "--y=1")),

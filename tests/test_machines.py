@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import vty.machines
 from vty.errors import CapExceededError, DecodeError
 from vty.machines import (
+    INSTRUCTIONS,
     BruteResult,
     DecJz,
     Halt,
@@ -192,6 +194,11 @@ class TestTextFormat:
             parsed = parse_machine(text)
             assert parsed.program == m.program
 
+    def test_a_bool_operand_prints_as_its_number(self):
+        # a bool is an int, and the text format prints each operand as one
+        m = RegisterMachine(2, (Inc(True, 0), DecJz(1, False, 1)))
+        assert format_machine(m) == "INC 1 0\nDECJZ 1 0 1"
+
     def test_comments_and_blank_lines_are_skipped(self):
         text = "# header\n\nINC 0 1   # bump\n\nHALT\n"
         assert parse_machine(text).program == (Inc(0, 1), Halt())
@@ -304,7 +311,13 @@ class TestEncoding:
 
     def test_instruction_round_trip(self):
         for instr in self.instructions():
-            assert decode_instruction(encode_instruction(instr)) == instr
+            decoded = decode_instruction(encode_instruction(instr))
+            assert (type(decoded), decoded) == (type(instr), instr)
+
+    def test_no_two_kinds_share_an_arity(self):
+        # so instructions of two kinds never compare equal
+        arities = [len(inspect.signature(kind).parameters) for kind in INSTRUCTIONS]
+        assert len(set(arities)) == len(INSTRUCTIONS)
 
     @pytest.mark.parametrize("instr, code", [
         (Inc(0, 0), 0), (Inc(1, 0), 2), (Inc(3, 7), 2015),
@@ -318,7 +331,9 @@ class TestEncoding:
         rng = random.Random(20260817)
         for _ in range(40):
             program = random_machine(rng).program
-            assert decode_program(encode_program(program)) == program
+            decoded = decode_program(encode_program(program))
+            assert decoded == program
+            assert list(map(type, decoded)) == list(map(type, program))
 
     def test_empty_program_is_code_zero(self):
         assert encode_program(()) == 0
