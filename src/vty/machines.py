@@ -41,10 +41,12 @@ program whose jump targets fall outside 0..len; the register count of
 a decoded machine is one more than the largest register index used, or
 one for the empty program.
 
-``INSTRUCTIONS`` is the one place that defines the instruction set: an
-opcode is an index into it, a kind's operands are its fields in order,
-the register first. Text, codes, enumeration, counts, random draws,
-validation and the compiled rows read it; the step loop reads only rows.
+An instruction is a ``NamedTuple`` of its operands, the register first,
+and no two kinds have the same number of operands, so instructions of
+two kinds never compare equal. ``INSTRUCTIONS`` is the one place that
+defines the instruction set: an opcode is an index into it. Text, codes,
+enumeration, counts, random draws, validation and the compiled rows read
+it; the step loop reads only rows.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
-from typing import ClassVar, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceededError, DecodeError
 from .lex import _ascii_digits
@@ -67,44 +68,34 @@ HALTED = "HALT"
 OUT_OF_FUEL = "OUT_OF_FUEL"
 
 
-@dataclass(frozen=True)
-class Inc:
-    word: ClassVar[str] = "INC"
+class Inc(NamedTuple):
+    word = "INC"
     register: int
     target: int
 
 
-@dataclass(frozen=True)
-class DecJz:
-    word: ClassVar[str] = "DECJZ"
+class DecJz(NamedTuple):
+    word = "DECJZ"
     register: int
     target_if_zero: int
     target_if_positive: int
 
 
-@dataclass(frozen=True)
-class Halt:
-    word: ClassVar[str] = "HALT"
+class Halt(NamedTuple):
+    word = "HALT"
 
 
 Instruction = Inc | DecJz | Halt
 
 INSTRUCTIONS = (Inc, DecJz, Halt)
-_INC, _HALT = INSTRUCTIONS.index(Inc), INSTRUCTIONS.index(Halt)
-_OPERAND_NAMES = {kind: tuple(f.name for f in fields(kind)) for kind in INSTRUCTIONS}
+_OPCODES = {kind: opcode for opcode, kind in enumerate(INSTRUCTIONS)}
+_INC, _HALT = _OPCODES[Inc], _OPCODES[Halt]
 _BY_WORD = {kind.word: kind for kind in INSTRUCTIONS}
-# the opcode of each kind with operands, and a getter of its register, first
-# target and last target, for validation and compiling
-_OPERANDS = {kind: (INSTRUCTIONS.index(kind), attrgetter(names[0], names[1], names[-1]))
-             for kind, names in _OPERAND_NAMES.items() if names}
-# each kind's text line, e.g. "%s %d %d" % (word, register, target) for INC
-_TEXT = {kind: (" ".join(["%s", *["%d"] * len(names)]), attrgetter("word", *names))
-         for kind, names in _OPERAND_NAMES.items()}
 
 
 def _operand_sizes(kind: type, registers: int, length: int) -> list[int]:
     """How many values each operand of `kind` takes: a register, then 0..length."""
-    targets = len(_OPERAND_NAMES[kind]) - 1
+    targets = len(kind._fields) - 1
     return [registers] + [length + 1] * targets if targets >= 0 else []
 
 
@@ -129,14 +120,13 @@ class RegisterMachine:
         rows = []
         cells = {0: 0}
         for address, instr in enumerate(self.program):
-            compiled = _OPERANDS.get(type(instr))
-            if compiled is None:
-                if type(instr) is not Halt:
-                    raise ValueError(f"instruction {address} is not an instruction")
+            opcode = _OPCODES.get(type(instr))
+            if opcode is None:
+                raise ValueError(f"instruction {address} is not an instruction")
+            if opcode == _HALT:
                 rows.append(_HALT_ROW)
                 continue
-            opcode, operands = compiled
-            register, first, last = operands(instr)
+            register, first, last = instr[0], instr[1], instr[-1]
             if not 0 <= register < self.registers:
                 raise ValueError(f"instruction {address} uses register {register}")
             for target in first, last:
@@ -220,11 +210,8 @@ def _step_loop(machine: RegisterMachine, input_value: int, fuel: int) -> tuple[T
 
 
 def format_machine(machine: RegisterMachine) -> str:
-    lines = []
-    for instr in machine.program:
-        template, values = _TEXT[type(instr)]
-        lines.append(template % values(instr))
-    return "\n".join(lines)
+    return "\n".join(" ".join([instr.word, *("%d" % operand for operand in instr)])
+                     for instr in machine.program)
 
 
 def parse_machine(text: str) -> RegisterMachine:
@@ -238,7 +225,7 @@ def parse_machine(text: str) -> RegisterMachine:
         kind = _BY_WORD.get(word)
         try:
             # ASCII digits, a minus kept for the validation message; int() reads more
-            if (kind is None or len(operands) != len(_OPERAND_NAMES[kind])
+            if (kind is None or len(operands) != len(kind._fields)
                     or not all(_ascii_digits(op.removeprefix("-")) for op in operands)):
                 raise ValueError
             program.append(kind(*map(int, operands)))
@@ -249,8 +236,7 @@ def parse_machine(text: str) -> RegisterMachine:
 
 def machine_from_program(program: Sequence[Instruction]) -> RegisterMachine:
     # the register is each kind's first operand
-    used = [getattr(instr, names[0]) for instr in program
-            if (names := _OPERAND_NAMES[type(instr)])]
+    used = [instr[0] for instr in program if instr]
     return RegisterMachine(max([0, *used]) + 1, tuple(program))
 
 
@@ -273,10 +259,10 @@ def unpair(z: int) -> tuple[int, int]:
 
 
 def encode_instruction(instr: Instruction) -> int:
-    *operands, payload = [getattr(instr, name) for name in _OPERAND_NAMES[type(instr)]] or [0]
+    *operands, payload = instr or (0,)
     for operand in reversed(operands):
         payload = pair(operand, payload)
-    return pair(INSTRUCTIONS.index(type(instr)), payload)
+    return pair(_OPCODES[type(instr)], payload)
 
 
 def decode_instruction(code: int) -> Instruction:
@@ -284,13 +270,13 @@ def decode_instruction(code: int) -> Instruction:
     if opcode >= len(INSTRUCTIONS):
         raise DecodeError(f"opcode {opcode} is outside the instruction set")
     kind = INSTRUCTIONS[opcode]
-    if not _OPERAND_NAMES[kind] and payload != 0:
+    if not kind._fields and payload != 0:
         raise DecodeError(f"{kind.word} carries payload {payload}, expected 0")
     operands = []
-    for _ in _OPERAND_NAMES[kind][1:]:
+    for _ in kind._fields[1:]:
         operand, payload = unpair(payload)
         operands.append(operand)
-    return kind(*operands, payload) if _OPERAND_NAMES[kind] else kind()
+    return kind(*operands, payload) if kind._fields else kind()
 
 
 def encode_program(program: Sequence[Instruction]) -> int:
@@ -384,9 +370,7 @@ def universality_evidence(samples: int = 100, seed: int = 20260817) -> dict:
         input_value = rng.randint(0, _EVIDENCE_MAX_INPUT)
         direct = run_machine(machine, input_value, _EVIDENCE_FUEL)
         simulated, micro = universal_run_stats(code, input_value, _EVIDENCE_FUEL)
-        if (direct.outcome, direct.output, direct.steps) == (
-            simulated.outcome, simulated.output, simulated.steps
-        ):
+        if direct == simulated:
             agreements += 1
         micro_total += micro
         steps_total += simulated.steps
@@ -523,8 +507,7 @@ def fixed_output_brute(
         # the empty program has no slot to fill
         options = _instruction_options(registers, length) if length else []
         # the operands after the register are the targets
-        jumps = [frozenset(getattr(option, name) for name in _OPERAND_NAMES[type(option)][1:])
-                 - {length} for option in options]
+        jumps = [frozenset(option[1:]) - {length} for option in options]
         # option indices of each machine that hits -> its (input, steps), by input
         found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for choices in _slot_classes(jumps, length):

@@ -67,8 +67,8 @@ ROWS = (
                "tests/test_machines.py::TestFixedOutputBrute::test_equals_the_plain_search",
            )),
     Mutant("dropped-jump-target", "src/vty/machines.py",
-           "for name in _OPERAND_NAMES[type(option)][1:])",
-           "for name in _OPERAND_NAMES[type(option)][1:2])", (
+           "frozenset(option[1:]) - {length}",
+           "frozenset(option[1:2]) - {length}", (
                "tests/test_machines.py::TestFixedOutputBrute::test_equals_the_plain_search",
                "tests/test_cli.py::TestReports::test_fixed_output_reports",
                "tests/test_bench_contract.py::test_brute_search_makes_one_direct_run_per_class_and_input",
