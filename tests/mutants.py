@@ -73,6 +73,23 @@ ROWS = (
                "tests/test_cli.py::TestReports::test_fixed_output_reports",
                "tests/test_bench_contract.py::test_brute_search_makes_one_direct_run_per_class_and_input",
            )),
+    # machines: an instruction is the tuple of its operands, register first
+    Mutant("compiled-zero-target-twice", "src/vty/machines.py",
+           "instr[0], instr[1], instr[-1]",
+           "instr[0], instr[1], instr[1]", (
+               "tests/test_machines.py::TestRunner::test_decjz_branches_both_ways",
+           )),
+    Mutant("halt-payload-one", "src/vty/machines.py",
+           "*operands, payload = instr or (0,)",
+           "*operands, payload = instr or (1,)", (
+               "tests/test_machines.py::TestEncoding::test_instruction_round_trip",
+               "tests/test_machines.py::TestEncoding::test_instruction_codes_are_pinned[instr6-3]",
+           )),
+    Mutant("operand-text-by-str", "src/vty/machines.py",
+           '"%d" % operand for operand in instr',
+           "str(operand) for operand in instr", (
+               "tests/test_machines.py::TestTextFormat::test_a_bool_operand_prints_as_its_number",
+           )),
     # machines: a run holds one value per register named, and the empty
     # program has no slot to build instructions for
     Mutant("a-value-per-register-index", "src/vty/machines.py",
@@ -337,6 +354,16 @@ ROWS = (
            '_LITERALS = {None: "null", True: "true", False: "false"}',
            '_LITERALS = {None: "null", True: "false", False: "true"}', (
                "tests/test_cli.py::TestReportEmitter::test_same_text_as_json_dumps",
+           )),
+    # a missing --calculus choice is a fault of the arguments, not of the manifest
+    Mutant("calculus-choice-as-a-manifest-fault", "src/vty/cli.py",
+           'raise argparse.ArgumentTypeError("argument --calculus: pick a calculus; "\n'
+           '                                             f"the manifest declares '
+           '{len(manifest.calculi)}")',
+           'raise ManifestError("pick a calculus with --calculus; the manifest declares "\n'
+           '                                f"{len(manifest.calculi)}", manifest.source, 0)', (
+               "tests/test_cli.py::TestExitCodes::test_closure_needs_a_calculus_choice",
+               "tests/test_answer_corpus.py::test_no_answer_changed",
            )),
     # a renamed report key changes the answer corpus
     Mutant("closure-report-key-renamed", "src/vty/cli.py",
