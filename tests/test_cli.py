@@ -1380,8 +1380,9 @@ class TestFuzzedInput:
         if code == 2:
             # every manifest fault names its place in the file; closure on a
             # manifest that declares other than one calculus faults --calculus
-            assert all(error.startswith(f"{path}:") or command[0] == "closure"
-                       and error.startswith("argument --calculus: pick a calculus; ")
+            assert all(error.startswith(f"{path}:") or (
+                           command[0] == "closure"
+                           and error.startswith("argument --calculus: pick a calculus; "))
                        for error in report["errors"])
 
     @given(argv=st.one_of(CLOSURE_ARGV, PROJECT_ARGV, BRUTE_ARGV))
