@@ -235,8 +235,9 @@ def parse_machine(text: str) -> RegisterMachine:
 
 
 def machine_from_program(program: Sequence[Instruction]) -> RegisterMachine:
-    # the register is each kind's first operand
-    used = [instr[0] for instr in program if instr]
+    # the register is each kind's first operand; RegisterMachine refuses
+    # an entry that is not an instruction
+    used = [instr[0] for instr in program if type(instr) in _OPCODES and instr]
     return RegisterMachine(max([0, *used]) + 1, tuple(program))
 
 

@@ -102,6 +102,12 @@ ROWS = (
            "options = _instruction_options(registers, length)", (
                "tests/test_cli.py::TestReports::test_a_world_of_the_empty_program_builds_no_instructions",
            )),
+    Mutant("program-entry-read-unchecked", "src/vty/machines.py",
+           "if type(instr) in _OPCODES and instr]",
+           "if instr]", (
+               "tests/test_machines.py::TestMachineValidation::test_entry_that_is_not_an_instruction[junk]",
+               "tests/test_machines.py::TestMachineValidation::test_entry_that_is_not_an_instruction[3]",
+           )),
     # the caps that refuse work before it starts, each at exactly its cap
     Mutant("atom-cap-at-the-cap", "src/vty/semantics.py",
            "if len(names) > atom_cap:",

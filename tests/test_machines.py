@@ -175,6 +175,9 @@ class TestMachineValidation:
     def test_entry_that_is_not_an_instruction(self, entry):
         with pytest.raises(ValueError, match="^instruction 1 is not an instruction$"):
             RegisterMachine(1, (Inc(0, 1), entry))
+        # the register count is read from the instructions alone
+        with pytest.raises(ValueError, match="^instruction 1 is not an instruction$"):
+            machine_from_program((Inc(0, 1), entry))
 
     def test_at_least_one_register(self):
         with pytest.raises(ValueError):
