@@ -44,6 +44,8 @@ from .varieties import (
 )
 
 _RECURSION_MESSAGE = "formula nesting exceeds the interpreter's recursion limit"
+# the report formats, by --format or else VTY_FORMAT; json when neither is set
+_FORMATS = ("json", "text")
 
 
 def _parse_bounds_override(text: str) -> dict[str, int]:
@@ -321,7 +323,7 @@ def _arg(*flags: str, **options) -> tuple:
 # either side of the command word; SUPPRESS keeps a subcommand's unset
 # flag from clobbering a value given before it
 _GLOBAL_ARGUMENTS = (
-    _arg("--format", choices=("json", "text"), default=argparse.SUPPRESS,
+    _arg("--format", choices=_FORMATS, default=argparse.SUPPRESS,
          help="report format (env VTY_FORMAT sets the default, else json)"),
     _arg("--bounds", type=_parse_bounds_override, default=argparse.SUPPRESS,
          help="override manifest bounds, e.g. depth=4,atoms=12,enum=100000,size=20000"),
@@ -618,6 +620,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 # command word has been read, so the report names it
                 raise _UsageError(f"vty {args.command}",
                                   f"unrecognized arguments: {' '.join(extra)}")
+        # an empty VTY_FORMAT counts as unset
+        fmt = getattr(args, "format", None) or os.environ.get("VTY_FORMAT") or "json"
+        if fmt not in _FORMATS:
+            raise _UsageError(f"vty {args.command}", f"VTY_FORMAT: invalid choice: {fmt!r} "
+                              f"(choose from {', '.join(map(repr, _FORMATS))})")
     except _UsageError as exc:
         # the command word after "vty", if the parser had reached it; the
         # report is JSON, as --format may not have been read yet
@@ -625,7 +632,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         _emit({"command": command[0] if command else None, "manifest": None,
                "errors": [str(exc)]}, "json")
         return 2
-    fmt = getattr(args, "format", None) or os.environ.get("VTY_FORMAT", "json")
     manifest_path = getattr(args, "manifest", None)
     report: dict = {
         "command": args.command,

@@ -371,6 +371,11 @@ ROWS = (
                "tests/test_cli.py::TestExitCodes::test_closure_needs_a_calculus_choice",
                "tests/test_answer_corpus.py::test_no_answer_changed",
            )),
+    Mutant("format-variable-read-unchecked", "src/vty/cli.py",
+           "if fmt not in _FORMATS:",
+           "if False:", (
+               "tests/test_cli.py::TestOutputControls::test_bad_format_env_variable_is_a_usage_error",
+           )),
     # a renamed report key changes the answer corpus
     Mutant("closure-report-key-renamed", "src/vty/cli.py",
            '"domain_size": result.domain_size,',

@@ -729,6 +729,25 @@ class TestOutputControls:
         assert code == 0
         assert report["result"]["structure"]["verdict"] == "PASS"
 
+    @pytest.mark.parametrize("value", ["xml", "JSON", " json"])
+    def test_bad_format_env_variable_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("VTY_FORMAT", value)
+        code, report = run_json(capsys, "classify", "--axioms", "p", "--goal", "p")
+        assert (code, report) == (2, {
+            "command": "classify", "manifest": None,
+            "errors": [f"VTY_FORMAT: invalid choice: {value!r} (choose from 'json', 'text')"]})
+        # the flag is read first, so the variable is not read at all
+        code, report = run_json(capsys, "classify", "--axioms", "p", "--goal", "p",
+                                "--format", "json")
+        assert (code, report["errors"]) == (0, [])
+
+    def test_empty_format_env_variable_is_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv("VTY_FORMAT", "")
+        empty = run_json(capsys, "classify", "--axioms", "p", "--goal", "p")
+        monkeypatch.delenv("VTY_FORMAT")
+        assert empty == run_json(capsys, "classify", "--axioms", "p", "--goal", "p")
+        assert empty[0] == 0
+
     def test_matrix_text_table(self, capsys):
         code, out = run_cli(capsys, "report-matrix", "--format", "text")
         assert code == 0
