@@ -17,8 +17,11 @@ ACCEPT = "ACCEPT"
 REJECT = "REJECT"
 
 
-@dataclass
+@dataclass(repr=False)
 class DFA:
+    """A deterministic automaton whose transition table is total over
+    its states and alphabet."""
+
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     start: str

@@ -129,8 +129,7 @@ class SchemaRule:
             )
 
 
-@dataclass(frozen=True)
-class SubstitutionRule:
+class SubstitutionRule(NamedTuple):
     """The built-in rule: from a theorem infer any substitution instance.
 
     Instances range over the restricted instantiation domain, like
@@ -143,14 +142,16 @@ class SubstitutionRule:
 InferenceRule = SchemaRule | SubstitutionRule
 
 
-@dataclass(frozen=True)
-class AxiomSchema:
+class AxiomSchema(NamedTuple):
     schema_id: str
     pattern: Formula
 
 
 @dataclass(frozen=True)
 class Calculus:
+    """Axioms, axiom schemas and inference rules, closed to `closure_depth`
+    rule layers over the instantiation domain."""
+
     calculus_id: str
     axioms: frozenset[Formula] = frozenset()
     schemas: tuple[AxiomSchema, ...] = ()
@@ -184,8 +185,7 @@ class ProofStep(NamedTuple):
     premises: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(NamedTuple):
     steps: tuple[ProofStep, ...]
 
     @property
@@ -215,13 +215,16 @@ class ClosureEntry(NamedTuple):
     cost: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ClosureResult:
+    """The formulas a bounded closure derived, each with its least cost,
+    and the derivations that build their proofs."""
+
     depth: int
     domain_size: int
     entries: tuple[ClosureEntry, ...]
     # the derivation behind each entry's cost, keyed by formula
-    _derivations: Mapping[Formula, _Derivation] = field(repr=False, compare=False)
+    _derivations: Mapping[Formula, _Derivation] = field(compare=False)
 
     def formulas(self) -> frozenset[Formula]:
         return frozenset(self._derivations)

@@ -59,7 +59,7 @@ class Atom(Formula):
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Bottom(Formula):
-    pass
+    """The constant false formula."""
 
 
 # Compound formulas compute their hash once, at construction, instead of
@@ -73,6 +73,8 @@ def _cached_hash(formula: Formula) -> int:
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Not(Formula):
+    """The negation of its operand."""
+
     operand: Formula
     _hash: int = field(init=False, repr=False, compare=False)
     __hash__ = _cached_hash

@@ -103,15 +103,18 @@ def _operand_sizes(kind: type, registers: int, length: int) -> list[int]:
 _HALT_ROW = (_HALT, 0, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RegisterMachine:
+    """A program over registers 0 to `registers` - 1, compiled to its rows
+    as it is validated."""
+
     registers: int
     program: tuple[Instruction, ...]
     # one (opcode, cell, target, target) row per address up to the halt
     # address: INC repeats its target, DECJZ has its zero target first; a
     # cell is a register's place in a run's list, 0 for register 0
-    _rows: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False, compare=False)
-    _cells: int = field(init=False, repr=False, compare=False)
+    _rows: tuple[tuple[int, int, int, int], ...] = field(init=False, compare=False)
+    _cells: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.registers < 1:
@@ -138,8 +141,7 @@ class RegisterMachine:
         object.__setattr__(self, "_cells", len(cells))
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     outcome: str  # HALT or OUT_OF_FUEL
     output: int | None
     steps: int
@@ -389,7 +391,7 @@ def universality_evidence(samples: int = 100, seed: int = 20260817) -> dict:
 # --- Fixed Output search -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class WorldBounds:
     """A finite world of machines and inputs for exhaustive search."""
 
@@ -464,15 +466,13 @@ def _check_steps(steps: int) -> None:
         raise CapExceededError("steps", steps, DEFAULT_STEP_CAP)
 
 
-@dataclass(frozen=True)
-class OutputHit:
+class OutputHit(NamedTuple):
     machine: RegisterMachine
     input_value: int
     steps: int
 
 
-@dataclass(frozen=True)
-class BruteResult:
+class BruteResult(NamedTuple):
     bounds: WorldBounds
     target: int
     runs: int
@@ -525,8 +525,7 @@ def fixed_output_brute(
     return BruteResult(bounds, target, runs, tuple(hits))
 
 
-@dataclass(frozen=True)
-class Recognition:
+class Recognition(NamedTuple):
     target: int
     found: bool
     input_value: int | None = None

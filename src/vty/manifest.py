@@ -92,7 +92,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .calculus import (
     AxiomSchema,
@@ -133,6 +133,9 @@ from .witnesses import WITNESSES
 
 @dataclass(frozen=True)
 class Bounds:
+    """The caps a run works under: closure depth, atoms, machine
+    enumeration and closure size."""
+
     depth: int = DEFAULT_DEPTH
     atoms: int = DEFAULT_ATOM_CAP
     enum: int = DEFAULT_ENUMERATION_CAP
@@ -157,8 +160,7 @@ BOUND_NAMES = tuple(f.name for f in fields(Bounds))
 # reported at the line of the block that has it.
 
 
-@dataclass(frozen=True)
-class _Prevariety:
+class _Prevariety(NamedTuple):
     """A prevariety block with its components resolved. The union of an
     `auto` block is assembled when asked for, as assembly runs closures."""
 
@@ -386,8 +388,7 @@ def _read_evidence(texts: list[str], i: int) -> tuple[Evidence | None, int]:
         raise LexError(str(exc), 0) from None
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     """One entry keyword: the field it fills and how its lines read."""
 
     keyword: str
@@ -425,31 +426,30 @@ def _ref(keyword: str, field: str) -> _Entry:
                   required=f"never names its {keyword}")
 
 
-@dataclass(frozen=True)
 class _Block:
-    keyword: str
-    attr: str                               # the Manifest attribute listing the objects
-    # the object a block makes from its values and line; `r` is the reader
-    make: Callable[[_Parser, dict[str, Any], int], Any]
-    header: tuple[tuple[str, _Read], ...]   # fields after the keyword; the first is the id
-    entries: tuple[_Entry, ...] = ()        # none: a one-line directive without braces
-    noun: str = ""                          # names the block in "unknown ... entry"
-    expect: str = ""                        # what an entry line starts with
-    # the kind that `<keyword> <id> <kind>` declares on one line, what the
-    # reader expects in its place, and the fault when another word is there
-    line_form: tuple[str, str, str] | None = None
-    # the entry rows by keyword for each kind a block header may declare
-    # ("" where the header declares none), built once for the reader
-    rows: dict[str, dict[str, _Entry]] = field(init=False, repr=False, compare=False)
+    """One block keyword of the manifest and how its blocks read."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", {
-            kind: {row.keyword: row for row in self.entries if row.kind in ("", kind)}
-            for kind in {row.kind for row in self.entries}})
-
-    @property
-    def id_field(self) -> str:
-        return self.header[0][0]
+    def __init__(
+        self,
+        keyword: str,
+        attr: str,  # the Manifest attribute listing the objects
+        # the object a block makes from its values and line; `r` is the reader
+        make: Callable[[_Parser, dict[str, Any], int], Any],
+        header: tuple[tuple[str, _Read], ...],  # fields after the keyword; the first is the id
+        entries: tuple[_Entry, ...] = (),  # none: a one-line directive without braces
+        noun: str = "",  # names the block in "unknown ... entry"
+        expect: str = "",  # what an entry line starts with
+        # the kind that `<keyword> <id> <kind>` declares on one line, what the
+        # reader expects in its place, and the fault when another word is there
+        line_form: tuple[str, str, str] | None = None,
+    ) -> None:
+        self.keyword, self.attr, self.make, self.header = keyword, attr, make, header
+        self.entries, self.noun, self.expect, self.line_form = entries, noun, expect, line_form
+        self.id_field = header[0][0]
+        # the entry rows by keyword for each kind a block header may declare
+        # ("" where the header declares none), built once for the reader
+        self.rows = {kind: {row.keyword: row for row in entries if row.kind in ("", kind)}
+                     for kind in {row.kind for row in entries}}
 
 
 # --- the objects each block makes ---------------------------------------------

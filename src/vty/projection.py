@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .calculus import (
     Calculus,
@@ -37,14 +37,16 @@ EXEC_EXHAUSTIVE = "EXEC_EXHAUSTIVE"
 DEFAULT_SUBSET_CAP = 12
 
 
-@dataclass(frozen=True)
-class AxiomDeclaration:
+class AxiomDeclaration(NamedTuple):
     axiom_id: str
     statement: str
 
 
 @dataclass(frozen=True)
 class Evidence:
+    """What backs a resolved status: a citation, or an executable witness
+    with its suite size or its domain."""
+
     kind: str  # CITATION, EXEC_POSITIVE or EXEC_EXHAUSTIVE
     citation: str | None = None
     witness_id: str | None = None
@@ -67,6 +69,8 @@ class Evidence:
 
 @dataclass(frozen=True)
 class AxiomStatus:
+    """A class's status on one axiom; a resolved one carries its evidence."""
+
     status: str  # SATISFIED, VIOLATED or UNKNOWN
     evidence: Evidence | None = None
 
@@ -81,6 +85,8 @@ class AxiomStatus:
 
 @dataclass(frozen=True)
 class ClassProfile:
+    """A registered class and its status on each axiom it is scored on."""
+
     class_id: str
     display_name: str
     statuses: Mapping[str, AxiomStatus]
@@ -91,6 +97,8 @@ class ClassProfile:
 
 @dataclass(frozen=True)
 class TheoremRecord:
+    """A theorem of the registry and the axioms it depends on."""
+
     theorem_id: str
     statement: str
     dependencies: frozenset[str]
@@ -104,8 +112,7 @@ class TheoremRecord:
             )
 
 
-@dataclass(frozen=True)
-class ProjectionEntry:
+class ProjectionEntry(NamedTuple):
     class_id: str
     display_name: str
     detail: str
@@ -114,8 +121,7 @@ class ProjectionEntry:
         return {"class": self.class_id, "name": self.display_name, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
+class ProjectionReport(NamedTuple):
     theorem_id: str
     corollaries: tuple[ProjectionEntry, ...]
     not_applicable: tuple[ProjectionEntry, ...]
@@ -175,8 +181,7 @@ def project(
 # --- axioms-to-theorem relation ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     consistent_with: str  # YES or NO, exact by truth table
     sufficient: str       # YES or UNKNOWN, bounded proof search cannot refute
     irreducible: str      # YES, NO or UNKNOWN
@@ -320,8 +325,7 @@ def _minimal_sufficient_subsets(
 # --- registry matrix ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixReport:
+class MatrixReport(NamedTuple):
     classes: tuple[str, ...]
     theorems: tuple[str, ...]
     cells: tuple[tuple[str, ...], ...]  # rows by class, columns by theorem

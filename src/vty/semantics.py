@@ -17,8 +17,7 @@ mask is 128 KiB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError
 from .formulas import Bottom, Formula, Not, atoms, evaluate, formula_key
@@ -80,8 +79,7 @@ def entails(
     return satisfying_assignment([*premises, Not(conclusion)], atom_cap) is None
 
 
-@dataclass(frozen=True)
-class ConsistencyVerdict:
+class ConsistencyVerdict(NamedTuple):
     consistent: bool
     atom_count: int
     # For an inconsistent set: how the inconsistency was witnessed.

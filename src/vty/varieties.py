@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from operator import and_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .calculus import (
     Calculus,
@@ -112,6 +112,8 @@ class FormulaMap:
 
 @dataclass(frozen=True)
 class Component:
+    """A calculus with its axiom map, theorem map and designated theorems."""
+
     component_id: str
     calculus: Calculus
     axiom_map: FormulaMap
@@ -233,8 +235,7 @@ def assemble_prevariety(
 # --- reports ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     component_id: str | None = None
     equation: str | None = None  # A, H or M when a union equation is involved
@@ -260,8 +261,7 @@ class Diagnostic:
         }
 
 
-@dataclass(frozen=True)
-class TupleRecord:
+class TupleRecord(NamedTuple):
     indices: tuple[int, ...]
     axiom_intersection: tuple[str, ...]
     theorem_intersection: tuple[str, ...]
@@ -282,8 +282,11 @@ class TupleRecord:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class StructureReport:
+    """The verdict of one structure check: its equations, diagnostics,
+    depth bounds, index tuples and notes."""
+
     kind: str  # prevariety | variety | bijective-prevariety | bijective-variety
     equations: tuple[tuple[str, str], ...]  # (name, OK | MISMATCH) pairs
     diagnostics: tuple[Diagnostic, ...]
@@ -565,8 +568,7 @@ def check_bijective_variety(
 # --- knowledge-base consistency --------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentConsistency:
+class ComponentConsistency(NamedTuple):
     component_id: str
     verdict: str
     formula_count: int
@@ -581,8 +583,7 @@ class ComponentConsistency:
         }
 
 
-@dataclass(frozen=True)
-class KnowledgeConsistencyReport:
+class KnowledgeConsistencyReport(NamedTuple):
     components: tuple[ComponentConsistency, ...]
     global_verdict: str
     global_witness_kind: str | None

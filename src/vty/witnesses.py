@@ -7,14 +7,12 @@ these ids, which manifest validation checks; `WITNESSES[id]()` runs one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import automata, machines
 
 
-@dataclass(frozen=True)
-class WitnessOutcome:
+class WitnessOutcome(NamedTuple):
     witness_id: str
     passed: bool
     details: dict

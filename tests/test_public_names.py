@@ -106,3 +106,48 @@ def test_every_keyword_option_is_set_by_a_caller_of_record():
                     rf"\b{name}\([^\n]*\b{param}=", README):
                 unset.append(f"{qualified}({param}=)")
     assert unset == []
+
+
+# Every class in src/vty that @dataclass builds, with the generated method
+# or check it needs. Building one runs an exec per generated method at
+# import, 0.6-1.3 ms of every start-up on Python 3.11, where a NamedTuple
+# costs 0.1-0.2 ms; a record that needs none of these is a NamedTuple.
+DATACLASSES = {
+    "automata.DFA": "checks that its transition table is total",
+    "calculus.Calculus": "checks its rule names and schema ids; with_axioms replaces its axioms",
+    "calculus.ClosureResult": "leaves its derivation table out of equality",
+    "calculus.SchemaRule": "checks that its conclusion binds no new metavariable",
+    "formulas.Atom": "checks its name",
+    "formulas.Binary": "And(p, q) != Or(p, q), which tuples of the operands would break",
+    "formulas.Bottom": "an empty tuple would be falsy and equal to ()",
+    "formulas.Not": "stores its hash; as a tuple, Not(p) would equal any one-field tuple of p",
+    "machines.RegisterMachine": "checks and compiles its program into rows left out of equality",
+    "machines.WorldBounds": "checks the world; cli writes its world block with asdict",
+    "manifest.Bounds": "checks the caps; BOUND_NAMES reads its fields",
+    "manifest.Manifest": "leaves its source out of equality",
+    "projection.AxiomStatus": "checks that a resolved status has evidence",
+    "projection.ClassProfile": "a registry record, one kind with the registry records it holds",
+    "projection.Evidence": "checks the fields of each evidence kind",
+    "projection.TheoremRecord": "checks that it has dependencies or is unconditional",
+    "varieties.Component": "caches its mapped records in a field left out of equality",
+    "varieties.FormulaMap": "checks its kind and builds its lookup table",
+    "varieties.Prevariety": "the tests' deletion oracle replaces its union fields",
+    "varieties.StructureReport": "the variety and bijective checks replace fields of the base report",
+    "varieties.VarietyWitness": "checks that its indices strictly increase",
+}
+
+
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass") or (
+        isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def test_only_the_listed_classes_are_dataclasses():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    map(_is_dataclass_decorator, node.decorator_list)):
+                found.add(f"{path.stem}.{node.name}")
+    assert sorted(found) == sorted(DATACLASSES)
