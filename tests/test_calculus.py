@@ -289,12 +289,13 @@ def _index_calculi(draw, featured: str):
 
 
 class TestIndexedClosureMatchesScan:
+    @staticmethod
     @pytest.mark.parametrize("featured", [
         "mp", "hilbert", "chain3", "converse", "dsyl", "mt", "and_use", "bot_not", "sub",
     ])
     @given(data=st.data(), depth=st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
-    def test_entries_match_the_scan_oracle(self, featured, data, depth):
+    def test_entries_match_the_scan_oracle(featured, data, depth):
         calc = data.draw(_index_calculi(featured))
         goals = data.draw(st.lists(_SMALL_FORMULAS, max_size=1))
         try:

@@ -952,11 +952,12 @@ class TestEntryReadersMatchTheOracle:
         for number, outcome, expected in walked:
             assert outcome == expected, number
 
+    @staticmethod
     @pytest.mark.parametrize("block, row", ENTRY_ROWS,
                              ids=[f"{block or 'directive'} {row.keyword}" for block, row in ENTRY_ROWS])
     @given(tails=st.lists(st.lists(LINE_TEXTS, max_size=6), min_size=1, max_size=2))
     @settings(max_examples=40)
-    def test_entry_lines(self, block, row, tails):
+    def test_entry_lines(block, row, tails):
         # one or two lines of the row, read into the same values
         arg = ORACLE_ENTRIES[block][row.keyword]
         values, expected = {}, {}
@@ -966,10 +967,11 @@ class TestEntryReadersMatchTheOracle:
                 read_outcome(oracle_read_entry, row, arg, expected, texts)
             assert values == expected
 
+    @staticmethod
     @pytest.mark.parametrize("keyword", sorted(_KEYWORDS))
     @given(tail=st.lists(LINE_TEXTS, max_size=5))
     @settings(max_examples=40)
-    def test_header_lines(self, keyword, tail):
+    def test_header_lines(keyword, tail):
         texts = [keyword, *tail]
         assert read_outcome(_take_fields, _KEYWORDS[keyword].header, texts, 1) == \
             read_outcome(oracle_take_fields, ORACLE_HEADERS[keyword], texts, 1)

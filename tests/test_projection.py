@@ -457,11 +457,12 @@ CHAIN_POOL = ("a", "b", "c", "(-> a b)", "(-> b c)", "(-> c d)", "(-> d e)", "(-
 class TestLabelledSearchMatchesOracle:
     """The labelled search gives every answer and cap error of the per-subset one."""
 
+    @staticmethod
     @pytest.mark.parametrize("base", sorted(SEARCH_BASES))
     @given(axioms=st.lists(small_formulas(), max_size=5), goal=small_formulas(),
            depth=st.integers(0, 3), size_cap=st.sampled_from([30, 300, 10_000]))
     @settings(max_examples=40, deadline=None)
-    def test_same_subsets_and_reduction(self, base, axioms, goal, depth, size_cap):
+    def test_same_subsets_and_reduction(base, axioms, goal, depth, size_cap):
         assert_search_matches_oracle(axioms, goal, SEARCH_BASES[base], depth, size_cap=size_cap)
 
     @given(pool=st.permutations(CHAIN_POOL), size=st.integers(0, 13),
@@ -525,12 +526,13 @@ class TestLabelContract:
                     expected[formula] = min(costs)
             assert {entry.formula: entry.cost for entry in result.entries} == expected
 
+    @staticmethod
     @pytest.mark.parametrize("base", sorted(SEARCH_BASES))
     @given(axioms=st.lists(small_formulas(), max_size=4, unique=True), goal=small_formulas(),
            depth=st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
-    def test_labels_give_every_subset_closure(self, base, axioms, goal, depth):
-        self.check(vty.projection._resolve_base(SEARCH_BASES[base]), axioms, goal, depth)
+    def test_labels_give_every_subset_closure(base, axioms, goal, depth):
+        TestLabelContract.check(vty.projection._resolve_base(SEARCH_BASES[base]), axioms, goal, depth)
 
     def test_a_cheaper_label_found_later_still_prunes(self):
         # (-> (-> (-> r q) r) (-> (-> r q) q)) needs q at cost 3, by modus
