@@ -20,6 +20,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 from .calculus import PRESET_NAMES, Proof, closure
 from .errors import ManifestError, UnresolvedReferenceError, VtyError
 from .formulas import Formula, formula_key, parse_formula
+from .lex import _ascii_digits
 from .machines import (
     WorldBounds,
     fixed_output_brute,
@@ -79,16 +80,24 @@ def _at_least(minimum: int, what: str, value: int) -> int:
     return value
 
 
+def _int_text(text: str, fault: str) -> int:
+    """`text` as an int if it is ASCII digits after an optional '-', as a
+    manifest number is; int() alone also reads '+', blanks, '_' and other
+    scripts' digits. Anything else is a usage error saying `fault`."""
+    try:
+        if _ascii_digits(text.removeprefix("-")):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(fault)
+
+
 def _int_arg(what: str, minimum: int):
     """An argparse type for an int of at least `minimum`, named `what` in
     errors. A non-integer keeps the message argparse gives for type=int."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        return _at_least(minimum, what, value)
+        return _at_least(minimum, what, _int_text(text, f"invalid int value: {text!r}"))
 
     return parse
 
@@ -100,10 +109,8 @@ def _int_list_arg(what: str, items: str, minimum: int, *, distinct: bool = False
     is below `minimum` or repeats."""
 
     def parse(text: str) -> tuple[int, ...]:
-        try:
-            values = tuple(int(part) for part in text.split(",") if part.strip())
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad {what} {text!r}")
+        values = tuple(_int_text(part, f"bad {what} {text!r}")
+                       for part in map(str.strip, text.split(",")) if part)
         if not values:
             raise argparse.ArgumentTypeError(f"empty {what} {text!r}")
         _at_least(minimum, items, min(values))

@@ -392,6 +392,13 @@ ROWS = (
                "tests/test_machines.py::TestTextFormat"
                "::test_an_operand_is_ascii_digits[INC 0 \\u0661]",
            )),
+    # so are the CLI's integer options, which int() alone would read from
+    # '+2', '1_0' and other scripts' digits
+    Mutant("cli-int-read-by-int", "src/vty/cli.py",
+           '_int_text(text, f"invalid int value: {text!r}")',
+           "int(text)", (
+               "tests/test_cli.py::TestOutputControls::test_other_usage_errors_get_a_json_report",
+           )),
     # proof building: a rule step cites its premises in the rule's order
     Mutant("premises-cited-in-reverse", "src/vty/calculus.py",
            "tuple(index[premise] for premise in premises)",

@@ -297,6 +297,13 @@ HAND = [
                  "--schedule", "4,8,16")),
     ("error", ("--bounds", "width=3", "report-matrix")),
     ("error", ("fixed-output", "brute", "--y", "1", "--inputs", "1,x")),
+    ("error", ("fixed-output", "brute", "--y", "1", "--inputs", "0,\u0661")),
+    ("error", ("fixed-output", "brute", "--y", "1", "--inputs", "+1")),
+    ("error", ("fixed-output", "recognize", "--machine", "data/adder.rm", "--y", "1",
+               "--schedule", "8,1_6")),
+    # blanks around a list entry are read as around a --bounds entry
+    ("more", ("fixed-output", "brute", "--y", "1", "--max-instructions", "1",
+              "--inputs", " 0, 1")),
     ("argparse", ("fixed-output", "brute", "--y=1")),
     ("error", ("classify", "--axioms", "p", "--goal", "(p")),
     # the rest of each command's options

@@ -600,6 +600,12 @@ OTHER_USAGE_ERRORS = [
      "classify", "argument --depth: invalid int value: 'x'"),
     (["classify", "--axioms", "p", "--depth", "-1", "--goal", "p"],
      "classify", "argument --depth: depth must be nonnegative"),
+    # a number is ASCII digits, as in a manifest: int() would read each of these
+    *((["classify", "--axioms", "p", "--goal", "p", "--depth", text],
+      "classify", f"argument --depth: invalid int value: {text!r}")
+      for text in ("\u0661", "1_0", "+2", " 3")),
+    (["fixed-output", "brute", "--y", "\u0661"],
+     "fixed-output", "argument --y: invalid int value: '\u0661'"),
     (["minimal-subsets", "--axioms", "p", "--goal", "p", "--depth", "-1"],
      "minimal-subsets", "argument --depth: depth must be nonnegative"),
     (["closure", "--depth", "-1"],
@@ -792,6 +798,14 @@ class TestOutputControls:
           "(not " * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1)],
          f"col {5 * MAX_NESTING}: formula nests deeper than {MAX_NESTING} parentheses"),
         (["classify", "--axioms", "p", "--goal", "(p"], "col 1: unknown connective 'p'"),
+        # list entries are ASCII digits too
+        (["fixed-output", "brute", "--y", "1", "--inputs", "0,\u0661"],
+         "bad input list '0,\u0661'"),
+        (["fixed-output", "brute", "--y", "1", "--inputs", "+1"], "bad input list '+1'"),
+        (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1", "--schedule", "8,1_6"],
+         "bad fuel schedule '8,1_6'"),
+        (["classify", "--axioms", "p", "--goal", "p", "--depth", "9" * 4400],
+         f"invalid int value: '{'9' * 4400}'"),
     ])
     def test_bad_argument_lists_are_usage_errors(self, capsys, argv, message):
         code = main(argv)
