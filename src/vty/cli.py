@@ -250,8 +250,7 @@ def _cmd_consistency(args, manifest: Manifest):
 
 def _cmd_project(args, manifest: Manifest):
     theorem = _declared("--theorem", lambda: manifest.theorem_record(args.theorem))
-    profiles, _, declarations = manifest.registry()
-    return project(theorem, profiles, declarations).to_dict(), 0
+    return project(theorem, manifest.classes, manifest.axiom_decls).to_dict(), 0
 
 
 def _cmd_classify(args, manifest: Manifest):
@@ -315,8 +314,7 @@ def _cmd_fixed_output(args, manifest: Manifest):
 
 def _cmd_report_matrix(args, manifest: Manifest):
     # the report itself, so main can print its own text layout
-    profiles, theorems, declarations = manifest.registry()
-    return registry_report(profiles, theorems, declarations), 0
+    return registry_report(manifest.classes, manifest.theorem_recs, manifest.axiom_decls), 0
 
 
 # --- command table and parser ------------------------------------------------

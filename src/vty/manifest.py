@@ -222,10 +222,6 @@ class Manifest:
     def theorem_record(self, theorem_id: str) -> TheoremRecord:
         return self._find("theorem-rec", theorem_id, "theorem record")
 
-    def registry(self) -> tuple[tuple[ClassProfile, ...], tuple[TheoremRecord, ...],
-                                dict[str, AxiomDeclaration]]:
-        return self.classes, self.theorem_recs, self.axiom_decls
-
 
 # --- the block table ---------------------------------------------------------
 # Each block kind and directive is declared once, below, and the reader walks

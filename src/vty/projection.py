@@ -83,8 +83,7 @@ class AxiomStatus:
             raise ValueError("an unknown status carries no evidence")
 
 
-@dataclass(frozen=True)
-class ClassProfile:
+class ClassProfile(NamedTuple):
     """A registered class and its status on each axiom it is scored on."""
 
     class_id: str

@@ -30,12 +30,12 @@ def seed_manifest(bounds: Mapping[str, int] | None = None) -> Manifest:
 
 def seed_registry() -> tuple[ClassProfile, ...]:
     """The ten classes in declaration order; an absent status means UNKNOWN."""
-    return seed_manifest().registry()[0]
+    return seed_manifest().classes
 
 
 def seed_theorems() -> tuple[TheoremRecord, ...]:
-    return seed_manifest().registry()[1]
+    return seed_manifest().theorem_recs
 
 
 def seed_axiom_declarations() -> dict[str, AxiomDeclaration]:
-    return seed_manifest().registry()[2]
+    return seed_manifest().axiom_decls

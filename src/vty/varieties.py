@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -172,8 +172,7 @@ def _mapped(component: Component, size_cap: int) -> _Mapped:
     return record
 
 
-@dataclass(frozen=True)
-class Prevariety:
+class Prevariety(NamedTuple):
     """Component list plus the union triad it claims to assemble."""
 
     axioms: frozenset[Formula]
@@ -282,8 +281,7 @@ class TupleRecord(NamedTuple):
         }
 
 
-@dataclass(frozen=True, repr=False)
-class StructureReport:
+class StructureReport(NamedTuple):
     """The verdict of one structure check: its equations, diagnostics,
     depth bounds, index tuples and notes."""
 
@@ -431,7 +429,7 @@ def check_variety(
         raise ValueError("tuple width k must be at least 1")
     base = check_prevariety(pv, size_cap=size_cap)
     if not base.passed:
-        return replace(base, kind="variety", diagnostics=base.diagnostics + (Diagnostic(
+        return base._replace(kind="variety", diagnostics=base.diagnostics + (Diagnostic(
             "PREVARIETY_FAILED", None, None, None,
             "the union equations must pass before witness checks run",
         ),))
@@ -500,8 +498,8 @@ def check_variety(
         "theorem intersections computed on bounded closures at each component's depth",
         *base.notes,
     )
-    return replace(base, kind="variety", diagnostics=tuple(diagnostics), tuples=tuple(records),
-                   notes=notes)
+    return base._replace(kind="variety", diagnostics=tuple(diagnostics),
+                         tuples=tuple(records), notes=notes)
 
 
 def check_bijective_variety(
@@ -562,7 +560,7 @@ def check_bijective_variety(
     )
     if mode == "variety":
         notes = notes + ("designated theorem sets compared with closures up to each depth",)
-    return replace(base, kind=f"bijective-{mode}", diagnostics=tuple(diagnostics), notes=notes)
+    return base._replace(kind=f"bijective-{mode}", diagnostics=tuple(diagnostics), notes=notes)
 
 
 # --- knowledge-base consistency --------------------------------------------

@@ -422,6 +422,15 @@ ROWS = (
            "", (
                "tests/test_varieties.py::TestVarietyWitnesses::test_quasi_notes_end_with_the_prevariety_note",
            )),
+    # a derived report is its base report with only its own fields replaced
+    Mutant("variety-report-built-afresh", "src/vty/varieties.py",
+           'return base._replace(kind="variety", diagnostics=tuple(diagnostics),\n'
+           '                         tuples=tuple(records), notes=notes)',
+           'return StructureReport("variety", base.equations, tuple(diagnostics), (),\n'
+           '                           tuple(records), notes)', (
+               "tests/test_varieties.py::TestDerivedReports"
+               "::test_keeps_every_field_it_does_not_set[variety]",
+           )),
     Mutant("pooled-set-reads-one-side", "src/vty/varieties.py",
            "pooled = axiom.image_set | theorem.image_set",
            "pooled = axiom.image_set | axiom.image_set", (

@@ -9,7 +9,6 @@ are unit-tested on their own.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import random
@@ -342,17 +341,17 @@ def deletion_mutations(pv: Prevariety) -> list[tuple[str, str, Prevariety]]:
     for formula in sorted(pv.axioms, key=formula_key):
         mutations.append((
             "AXIOM_UNION_MISMATCH", formula_key(formula),
-            dataclasses.replace(pv, axioms=pv.axioms - {formula}),
+            pv._replace(axioms=pv.axioms - {formula}),
         ))
     for rule in sorted(pv.rules, key=lambda r: r.name):
         mutations.append((
             "RULE_UNION_MISMATCH", rule.name,
-            dataclasses.replace(pv, rules=pv.rules - {rule}),
+            pv._replace(rules=pv.rules - {rule}),
         ))
     for formula in sorted(pv.theorems, key=formula_key):
         mutations.append((
             "THEOREM_UNION_MISMATCH", formula_key(formula),
-            dataclasses.replace(pv, theorems=pv.theorems - {formula}),
+            pv._replace(theorems=pv.theorems - {formula}),
         ))
     return mutations
 

@@ -1267,7 +1267,7 @@ CLOSURE_ARGV = st.builds(
     BOUNDS_OPTION,
 )
 
-SEED_THEOREMS = tuple(t.theorem_id for t in vty.cli._seed_manifest().registry()[1])
+SEED_THEOREMS = tuple(t.theorem_id for t in vty.cli._seed_manifest().theorem_recs)
 
 PROJECT_ARGV = st.builds(
     lambda theorem, extra: ["project", *theorem, *extra],

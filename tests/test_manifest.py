@@ -263,7 +263,6 @@ class TestShippedFiles:
         manifest = parse_manifest(text)
         again = parse_manifest(noisy(text))
         assert again == manifest
-        assert again.registry() == manifest.registry()
 
     @pytest.mark.parametrize("name", DATA_FILES + ("all_entries",))
     def test_each_def_records_the_line_that_opens_it(self, data_dir, name):
@@ -367,7 +366,8 @@ class TestAllEntries:
         def objects(manifest):
             # PV is auto, and its components' maps do not assemble; EX lists its union
             return (manifest.calculi, manifest.maps, manifest.components, manifest.witnesses,
-                    manifest.prevariety("EX"), manifest.registry())
+                    manifest.prevariety("EX"), manifest.classes, manifest.theorem_recs,
+                    manifest.axiom_decls)
 
         assert objects(parse_manifest(scrambled)) == objects(parse_manifest(ALL_ENTRIES))
 
@@ -1000,12 +1000,8 @@ class TestRequiredEntries:
 class TestSeedRegistryManifest:
     def test_registry_returns_the_records_validation_built(self):
         manifest = seed_manifest()
-        profiles, theorems, declarations = manifest.registry()
-        again = manifest.registry()
-        assert len(profiles) == 10 and len(theorems) == 2
-        assert all(a is b for a, b in zip(profiles + theorems, again[0] + again[1]))
-        assert declarations is again[2]
-        assert all(manifest.theorem_record(t.theorem_id) is t for t in theorems)
+        assert len(manifest.classes) == 10 and len(manifest.theorem_recs) == 2
+        assert all(manifest.theorem_record(t.theorem_id) is t for t in manifest.theorem_recs)
 
     def test_each_call_builds_fresh_objects(self):
         # a ClassProfile's statuses are a mutable dict, so no call may hand

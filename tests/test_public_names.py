@@ -126,13 +126,10 @@ DATACLASSES = {
     "manifest.Bounds": "checks the caps; BOUND_NAMES reads its fields",
     "manifest.Manifest": "leaves its source out of equality",
     "projection.AxiomStatus": "checks that a resolved status has evidence",
-    "projection.ClassProfile": "a registry record, one kind with the registry records it holds",
     "projection.Evidence": "checks the fields of each evidence kind",
     "projection.TheoremRecord": "checks that it has dependencies or is unconditional",
     "varieties.Component": "caches its mapped records in a field left out of equality",
     "varieties.FormulaMap": "checks its kind and builds its lookup table",
-    "varieties.Prevariety": "the tests' deletion oracle replaces its union fields",
-    "varieties.StructureReport": "the variety and bijective checks replace fields of the base report",
     "varieties.VarietyWitness": "checks that its indices strictly increase",
 }
 

@@ -286,7 +286,7 @@ class TestVarietyWitnesses:
     def test_a_failed_prevariety_is_reported_under_any_tuple_cap(self, monkeypatch):
         monkeypatch.setattr(vty.varieties, "DEFAULT_TUPLE_CAP", 0)
         pv = assemble_prevariety([mp_component("C1", ["p"], []), mp_component("C2", ["q"], [])])
-        report = check_variety(dataclasses.replace(pv, axioms=frozenset()), 2)
+        report = check_variety(pv._replace(axioms=frozenset()), 2)
         assert "PREVARIETY_FAILED" in codes(report)
 
     def test_disjoint_alphabets_pass_vacuously(self):
@@ -512,11 +512,10 @@ class TestDerivedReports:
     def test_keeps_every_field_it_does_not_set(self, broken, derive, base, sets):
         pv = assemble_prevariety(shared_core_components(), quasi=True)
         if broken:
-            pv = dataclasses.replace(pv, axioms=frozenset())
+            pv = pv._replace(axioms=frozenset())
         derived, parent = derive(pv), base(pv)
         assert derived.kind != parent.kind
-        kept = [field.name for field in dataclasses.fields(StructureReport)
-                if field.name not in sets]
+        kept = [name for name in StructureReport._fields if name not in sets]
         assert parent.notes and parent.equations and parent.depth_bounds
         assert [getattr(derived, name) for name in kept] == [getattr(parent, name) for name in kept]
 
@@ -619,7 +618,7 @@ class TestConsistencyReportMatchesOracle:
         if union == "one deleted" and (mutations := deletion_mutations(pv)):
             pv = rng.choice(mutations)[2]
         elif union == "empty":
-            pv = dataclasses.replace(pv, axioms=frozenset(), theorems=frozenset())
+            pv = pv._replace(axioms=frozenset(), theorems=frozenset())
         with mock.patch.object(vty.varieties, "DEFAULT_COMPONENT_SUBSET_CAP", subset_cap):
             report = report_or_error(lambda: consistency_report(pv, atom_cap=atom_cap))
         assert report == report_or_error(lambda: oracle_consistency_report(
