@@ -7,7 +7,8 @@ from vty.witnesses import WITNESSES
 # each status of the packaged registry that an executable witness backs
 EXECUTABLE = [(f"{profile.class_id} {axiom}", status.evidence)
               for profile in seed_registry() for axiom, status in profile.statuses.items()
-              if status.evidence.kind in (EXEC_POSITIVE, EXEC_EXHAUSTIVE)]
+              if status.evidence is not None
+              and status.evidence.kind in (EXEC_POSITIVE, EXEC_EXHAUSTIVE)]
 
 # how many cases an exec-positive witness ran, read from its details
 SUITE_SIZES = {
