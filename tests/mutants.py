@@ -270,14 +270,20 @@ ROWS = (
                "tests/test_semantics.py::TestMasks::test_first_model_equals_the_oracle",
            )),
     Mutant("escape-keeps-its-backslash", "src/vty/lex.py",
-           "out.append(line[i + 1])",
-           "out.append(ch)", (
+           """_ESCAPE = re.compile(r'\\\\(["\\\\])')""",
+           """_ESCAPE = re.compile(r'(\\\\["\\\\])')""", (
                "tests/test_manifest.py::TestStringScan::test_scan_matches_the_per_character_oracle",
                'tests/test_manifest.py::TestStringScan::test_escapes_and_errors["a\\\\"b" c-0-outcome2]',
            )),
+    # a string's body reads an escaped quote or backslash as one pair
+    Mutant("string-body-stops-at-every-escape", "src/vty/lex.py",
+           """r'(?:[^"\\\\]|\\\\["\\\\])*'""",
+           """r'(?:[^"\\\\])*'""", (
+               "tests/test_manifest.py::TestStringScan::test_scan_matches_the_per_character_oracle",
+           )),
     Mutant("plain-string-column-off-by-one", "src/vty/lex.py",
-           'tokens.append(Token("STRING", m[3], m.start(3) - 1))',
-           'tokens.append(Token("STRING", m[3], m.start(3)))', (
+           "tokens.append((m[1], m.start(1)))",
+           """tokens.append((m[1], m.start(1) + (m[1][0] == '"')))""", (
                "tests/test_manifest.py::TestLineLexer::test_tokens_match_the_per_character_oracle",
                "tests/test_manifest.py::TestLineLexer::test_each_token_kind",
            )),

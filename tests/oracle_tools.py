@@ -46,7 +46,7 @@ from vty.formulas import (
     parse_formula_tokens,
     substitute,
 )
-from vty.lex import NON_WORD, LexError, Token, TokenFault, token_value
+from vty.lex import NON_WORD, LexError, TokenFault, token_value
 from vty.machines import (
     HALTED,
     OUT_OF_FUEL,
@@ -628,10 +628,9 @@ def oracle_scan_string(line: str, start: int) -> tuple[str, int]:
     raise LexError("unterminated string", start)
 
 
-def oracle_tokenize_line(line: str) -> list[Token]:
+def oracle_tokenize_line(line: str) -> list[tuple[str, int]]:
     """The per-character line scan `lex.tokenize_line` now does with one regex."""
-    punct = {"(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE"}
-    tokens: list[Token] = []
+    tokens: list[tuple[str, int]] = []
     i = 0
     n = len(line)
     while i < n:
@@ -641,19 +640,19 @@ def oracle_tokenize_line(line: str) -> list[Token]:
             continue
         if ch == "#":
             break
-        if ch in punct:
-            tokens.append(Token(punct[ch], ch, i))
+        if ch in "(){}":
+            tokens.append((ch, i))
             i += 1
             continue
         if ch == '"':
             value, end = oracle_scan_string(line, i)
-            tokens.append(Token("STRING", value, i))
+            tokens.append(('"' + value + '"', i))
             i = end
             continue
         j = i
         while j < n and line[j] not in ' \t#(){}"':
             j += 1
-        tokens.append(Token("WORD", line[i:j], i))
+        tokens.append((line[i:j], i))
         i = j
     return tokens
 
