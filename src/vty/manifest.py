@@ -204,7 +204,7 @@ class Manifest:
 
     def default_prevariety_id(self) -> str:
         if not self.prevarieties:
-            raise ManifestError("the manifest declares no prevariety", self.source, 0)
+            raise UnresolvedReferenceError("the manifest declares no prevariety", self.source, 0)
         return self.prevarieties[0].prevariety_id
 
     def prevariety(self, prevariety_id: str | None = None) -> Prevariety:

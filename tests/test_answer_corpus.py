@@ -287,6 +287,8 @@ HAND = [
     ("error", ("check-variety", "data/shared_core.vty", "--prevariety", "nope")),
     ("error", ("consistency", "data/shared_core.vty", "--prevariety", "nope")),
     ("error", ("project", "--theorem", "nope")),
+    # the seed registry declares no prevariety for these to default to
+    *(("error", (command,)) for command in ("check-prevariety", "check-variety", "consistency")),
     ("error", ("fixed-output", "recognize", "--machine", "nope.rm", "--y", "1",
                "--schedule", "1,2")),
     ("error", ("fixed-output", "recognize", "--machine", "data/adder.rm", "--y", "1",

@@ -231,6 +231,18 @@ class TestExitCodes:
             "errors": [error],
         }
 
+    @pytest.mark.parametrize("command", ["check-prevariety", "check-variety", "consistency"])
+    def test_no_declared_prevariety_is_an_argument_error(self, capsys, command):
+        # the seed registry declares none, and no --prevariety names one
+        code, report = run_json(capsys, command)
+        assert code == 2
+        assert report == {
+            "command": command,
+            "manifest": "seed_registry.vty",
+            "bounds": report["bounds"],
+            "errors": ["argument --prevariety: the manifest declares no prevariety"],
+        }
+
     def test_closure_needs_a_calculus_choice(self, capsys, data_dir, tmp_path):
         # without --calculus, a manifest must declare exactly one calculus
         none = tmp_path / "none.vty"

@@ -708,7 +708,7 @@ class TestResolution:
         manifest = load_manifest(data_dir / "shared_core.vty")
         assert manifest.default_prevariety_id() == "SHARED"
         registry_only = parse_manifest('axiom-decl AX "says"\n')
-        with pytest.raises(ManifestError):
+        with pytest.raises(UnresolvedReferenceError):
             registry_only.default_prevariety_id()
 
     def test_explicit_union_is_used_verbatim(self, data_dir):
