@@ -205,10 +205,12 @@ def _cmd_check_prevariety(args, manifest: Manifest):
 
 
 def _cmd_check_variety(args, manifest: Manifest):
+    if args.mode and not args.bijective:
+        raise argparse.ArgumentTypeError("argument --mode: a mode needs --bijective")
     pv = _declared("--prevariety", lambda: manifest.prevariety(args.prevariety))
     witnesses = manifest.prevariety_witnesses(args.prevariety)
     if args.bijective:
-        report = check_bijective_variety(pv, args.mode, args.depth, witnesses,
+        report = check_bijective_variety(pv, args.mode or "variety", args.depth, witnesses,
                                          size_cap=manifest.bounds.size)
     else:
         report = check_variety(pv, args.depth, witnesses, size_cap=manifest.bounds.size)
@@ -364,7 +366,7 @@ _COMMANDS = {
         _arg("--depth", type=_int_arg("depth", 1), default=1, metavar="K",
              help="maximum index tuple width (default 1)"),
         _arg("--bijective", action="store_true", help="require injective maps as well"),
-        _arg("--mode", choices=("prevariety", "variety"), default="variety",
+        _arg("--mode", choices=("prevariety", "variety"), default=None,
              help="bijective mode: prevariety skips the closure equations"),
     )),
     "closure": _Command(_cmd_closure, "bounded theorem set of one calculus", (

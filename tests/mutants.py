@@ -382,6 +382,13 @@ ROWS = (
            "if False:", (
                "tests/test_cli.py::TestOutputControls::test_bad_format_env_variable_is_a_usage_error",
            )),
+    # a --mode given without --bijective would be dropped by the plain check
+    Mutant("mode-without-bijective-dropped", "src/vty/cli.py",
+           "if args.mode and not args.bijective:",
+           "if False:", (
+               "tests/test_cli.py::TestExitCodes::test_a_mode_needs_bijective",
+               "tests/test_answer_corpus.py::test_no_answer_changed",
+           )),
     # a renamed report key changes the answer corpus
     Mutant("closure-report-key-renamed", "src/vty/cli.py",
            '"domain_size": result.domain_size,',

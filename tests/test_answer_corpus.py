@@ -289,6 +289,7 @@ HAND = [
     ("error", ("project", "--theorem", "nope")),
     # the seed registry declares no prevariety for these to default to
     *(("error", (command,)) for command in ("check-prevariety", "check-variety", "consistency")),
+    ("error", ("check-variety", "data/bijective_modes.vty", "--mode", "prevariety")),
     ("error", ("fixed-output", "recognize", "--machine", "nope.rm", "--y", "1",
                "--schedule", "1,2")),
     ("error", ("fixed-output", "recognize", "--machine", "data/adder.rm", "--y", "1",

@@ -243,6 +243,19 @@ class TestExitCodes:
             "errors": ["argument --prevariety: the manifest declares no prevariety"],
         }
 
+    @pytest.mark.parametrize("mode", ["prevariety", "variety"])
+    def test_a_mode_needs_bijective(self, capsys, data_dir, mode):
+        # without --bijective the plain check would run and drop the mode
+        path = str(data_dir / "bijective_modes.vty")
+        code, report = run_json(capsys, "check-variety", path, "--mode", mode)
+        assert code == 2
+        assert report == {
+            "command": "check-variety",
+            "manifest": path,
+            "bounds": report["bounds"],
+            "errors": ["argument --mode: a mode needs --bijective"],
+        }
+
     def test_closure_needs_a_calculus_choice(self, capsys, data_dir, tmp_path):
         # without --calculus, a manifest must declare exactly one calculus
         none = tmp_path / "none.vty"
