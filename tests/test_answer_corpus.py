@@ -13,6 +13,7 @@ errors, and every cap refusal.
 The requests run in process, with that directory as the working
 directory, so reports hold relative paths. `tests/golden/answer_corpus.json`
 maps each id to its argv and digest; set REGEN_GOLDEN=1 to rewrite it.
+A failure names every changed id and shows what the first one prints now.
 """
 
 import contextlib
@@ -386,16 +387,46 @@ def requests(workdir: Path) -> dict[str, tuple[str, ...]]:
     return out
 
 
-def answer(argv) -> str:
-    """The sha256 of the exit code, stdout and stderr of one request."""
+def run_request(argv) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one request."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main(list(argv))
         except SystemExit as exc:  # --help
             code = exc.code
-    text = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def answer(argv) -> str:
+    """The sha256 of the exit code, stdout and stderr of one request."""
+    text = json.dumps(list(run_request(argv)))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def changes(stored: dict, corpus: dict) -> str:
+    """What differs between the stored corpus and this run's, or "" if
+    nothing does: the count and ids, the stored ids this run no longer
+    makes, and what the first changed request prints now. The stored file
+    holds digests only, so what it printed before cannot be shown."""
+    changed = sorted(rid for rid in stored.keys() | corpus.keys()
+                     if stored.get(rid) != corpus.get(rid))
+    if not changed:
+        return ""
+    lines = [f"{len(changed)} of {len(corpus)} answers changed (rerun with REGEN_GOLDEN=1 if "
+             "each change is intended): " + "; ".join(changed)]
+    removed = [rid for rid in changed if rid not in corpus]
+    if removed:
+        lines.append("removed: " + "; ".join(removed))
+    rerun = [rid for rid in changed if rid in corpus]
+    if rerun:
+        argv = corpus[rerun[0]]["argv"]
+        code, stdout, stderr = run_request(argv)
+        lines += [f"first changed: {rerun[0]}", f"argv: {argv}", f"exit code: {code}",
+                  "stdout, first 20 lines:", *stdout.splitlines()[:20],
+                  "stderr, first 20 lines:", *stderr.splitlines()[:20],
+                  "(the corpus stores digests only, so the old output cannot be shown)"]
+    return "\n".join(lines)
 
 
 def test_no_answer_changed(tmp_path, monkeypatch):
@@ -410,8 +441,21 @@ def test_no_answer_changed(tmp_path, monkeypatch):
         CORPUS.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return
     stored = json.loads(CORPUS.read_text(encoding="utf-8"))
-    changed = sorted(rid for rid in stored.keys() | corpus.keys()
-                     if stored.get(rid) != corpus.get(rid))
-    assert changed == [], (
-        f"{len(changed)} of {len(corpus)} answers changed (rerun with REGEN_GOLDEN=1 if "
-        "each change is intended): " + "; ".join(changed))
+    message = changes(stored, corpus)
+    assert message == "", message
+
+
+def test_a_changed_answer_is_shown_as_it_prints_now(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argvs = requests(tmp_path)
+    rids = ["error: project --theorem nope", "golden classify_modus_ponens"]
+    corpus = {rid: {"argv": list(argvs[rid]), "sha256": answer(argvs[rid])} for rid in rids}
+    stored = {**corpus, rids[0]: {**corpus[rids[0]], "sha256": "0" * 64},
+              "gone": {"argv": ["report-matrix"], "sha256": "0" * 64}}
+    assert changes(corpus, corpus) == ""
+    lines = changes(stored, corpus).split("\n")
+    assert lines[0].startswith("2 of 2 answers changed ")
+    assert lines[0].endswith(f": {rids[0]}; gone")
+    assert lines[1:5] == ["removed: gone", f"first changed: {rids[0]}",
+                          f"argv: {corpus[rids[0]]['argv']}", "exit code: 2"]
+    assert "    \"argument --theorem: unknown theorem record 'nope'\"" in lines
