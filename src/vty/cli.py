@@ -102,11 +102,13 @@ def _int_arg(what: str, minimum: int):
     return parse
 
 
-def _int_list_arg(what: str, items: str, minimum: int, *, distinct: bool = False):
+def _int_list_arg(what: str, items: str, minimum: int, *, distinct: bool = False,
+                  increasing: bool = False):
     """An argparse type for a nonempty list of comma-separated ints of at
-    least `minimum`, with no value twice if `distinct`; the list is named
-    `what` when it does not parse or is empty, its entries `items` when one
-    is below `minimum` or repeats."""
+    least `minimum`, with no value twice if `distinct` and each above the
+    last if `increasing`; the list is named `what` when it does not parse,
+    is empty or does not increase, its entries `items` when one is below
+    `minimum` or repeats."""
 
     def parse(text: str) -> tuple[int, ...]:
         values = tuple(_int_text(part, f"bad {what} {text!r}")
@@ -116,6 +118,8 @@ def _int_list_arg(what: str, items: str, minimum: int, *, distinct: bool = False
         _at_least(minimum, items, min(values))
         if distinct and len(set(values)) != len(values):
             raise argparse.ArgumentTypeError(f"{items} must be distinct")
+        if increasing and any(b <= a for a, b in zip(values, values[1:])):
+            raise argparse.ArgumentTypeError(f"the {what} must be strictly increasing")
         return values
 
     return parse
@@ -400,8 +404,8 @@ _COMMANDS = {
             ("recognize", "dovetail one machine", (
                 _arg("--machine", required=True, help="machine text file"),
                 _arg("--y", type=_int_arg("y", 0), required=True),
-                _arg("--schedule", type=_int_list_arg("fuel schedule", "fuel values", 1),
-                     required=True,
+                _arg("--schedule", required=True,
+                     type=_int_list_arg("fuel schedule", "fuel values", 1, increasing=True),
                      help="strictly increasing fuel list, e.g. 8,16,32"),
                 _arg("--max-input", type=_int_arg("max-input", 0), default=None),
             )),
@@ -660,8 +664,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ManifestError, argparse.ArgumentTypeError) as exc:
         report["errors"], code = [str(exc)], 2
     except (OSError, VtyError, ValueError) as exc:
-        # ValueError covers argument values the parser cannot see through,
-        # like a non-increasing fuel schedule or an empty world
+        # ValueError covers values the parser does not read, like the
+        # text of a --machine file that is not a machine
         report["errors"], code = [str(exc)], 1
     except RecursionError:
         # a formula nested past the limit, as a long closure can derive one

@@ -389,6 +389,15 @@ ROWS = (
                "tests/test_cli.py::TestExitCodes::test_a_mode_needs_bijective",
                "tests/test_answer_corpus.py::test_no_answer_changed",
            )),
+    # a fuel schedule that does not increase is refused as an argument
+    Mutant("schedule-read-unchecked", "src/vty/cli.py",
+           "if increasing and any(b <= a for a, b in zip(values, values[1:])):",
+           "if False:", (
+               "tests/test_cli.py::TestExitCodes"
+               "::test_a_schedule_that_does_not_increase_is_an_argument_error",
+               "tests/test_cli.py::TestOutputControls::test_other_usage_errors_get_a_json_report",
+               "tests/test_answer_corpus.py::test_no_answer_changed",
+           )),
     # a renamed report key changes the answer corpus
     Mutant("closure-report-key-renamed", "src/vty/cli.py",
            '"domain_size": result.domain_size,',

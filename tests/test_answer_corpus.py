@@ -295,6 +295,8 @@ HAND = [
                "--schedule", "1,2")),
     ("error", ("fixed-output", "recognize", "--machine", "data/adder.rm", "--y", "1",
                "--schedule", "5,2")),
+    ("error", ("fixed-output", "recognize", "--machine", "data/adder.rm", "--y", "1",
+               "--schedule", "8,8")),
     *(("machine", ("fixed-output", "recognize", "--machine", name, "--y", "0",
                    "--schedule", "1,2,3")) for name in MACHINES),
     ("machine", ("fixed-output", "recognize", "--machine", "move.rm", "--y", "2",

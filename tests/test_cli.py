@@ -336,13 +336,16 @@ class TestExitCodes:
         assert code == 1
         assert report["errors"] == [error]
 
-    def test_bad_schedule_is_an_operational_error(self, capsys, data_dir):
-        code, report = run_json(
-            capsys, "fixed-output", "recognize",
-            "--machine", str(data_dir / "adder.rm"), "--y", "1", "--schedule", "5,2",
-        )
-        assert code == 1
-        assert "strictly increasing" in report["errors"][0]
+    def test_a_schedule_that_does_not_increase_is_an_argument_error(self, capsys, data_dir):
+        # as a repeated --inputs value is; the machine file is never read
+        for schedule in ("5,2", "8,8", "8,16,16"):
+            code, report = run_json(
+                capsys, "fixed-output", "recognize",
+                "--machine", str(data_dir / "adder.rm"), "--y", "1", "--schedule", schedule,
+            )
+            assert code == 2
+            assert report == {"command": "fixed-output", "manifest": None, "errors": [
+                "argument --schedule: the fuel schedule must be strictly increasing"]}
 
 
 class TestReports:
@@ -668,6 +671,10 @@ OTHER_USAGE_ERRORS = [
     (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1",
       "--schedule", "8,-16"],
      "fixed-output", "argument --schedule: fuel values must be positive"),
+    # as a repeated input is
+    (["fixed-output", "recognize", "--machine", "m.rm", "--y", "1",
+      "--schedule", "8,8"],
+     "fixed-output", "argument --schedule: the fuel schedule must be strictly increasing"),
     (["check-variety", "--depth", "0"],
      "check-variety", "argument --depth: depth must be positive"),
     (["check-variety", "--depth", "-1"],
