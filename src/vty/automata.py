@@ -8,47 +8,49 @@ executable evidence this module supplies for the totality axiom.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .errors import BadSymbolError
+from .errors import BadSymbolError, Checked
 
 ACCEPT = "ACCEPT"
 REJECT = "REJECT"
 
 
-@dataclass(repr=False)
-class DFA:
-    """A deterministic automaton whose transition table is total over
-    its states and alphabet."""
-
+class _DFAFields(NamedTuple):
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     start: str
     accepting: frozenset[str]
     transitions: dict[tuple[str, str], str]
 
-    def __post_init__(self) -> None:
-        state_set = set(self.states)
-        if len(self.states) != len(state_set):
+
+class DFA(Checked, _DFAFields):
+    """A deterministic automaton whose transition table is total over
+    its states and alphabet."""
+
+    __slots__ = ()
+
+    def __new__(cls, states: tuple[str, ...], alphabet: tuple[str, ...], start: str,
+                accepting: frozenset[str], transitions: dict[tuple[str, str], str]) -> DFA:
+        state_set = set(states)
+        if len(states) != len(state_set):
             raise ValueError("duplicate state names")
-        if self.start not in state_set:
-            raise ValueError(f"start state {self.start!r} is not a state")
-        stray = self.accepting - state_set
+        if start not in state_set:
+            raise ValueError(f"start state {start!r} is not a state")
+        stray = accepting - state_set
         if stray:
             raise ValueError(f"accepting set names unknown states {sorted(stray)}")
-        for state in self.states:
-            for symbol in self.alphabet:
+        for state in states:
+            for symbol in alphabet:
                 key = (state, symbol)
-                if key not in self.transitions:
+                if key not in transitions:
                     raise ValueError(f"missing transition for {key}")
-                if self.transitions[key] not in state_set:
+                if transitions[key] not in state_set:
                     raise ValueError(f"transition {key} leads outside the state set")
-        extras = set(self.transitions) - {
-            (s, a) for s in self.states for a in self.alphabet
-        }
+        extras = set(transitions) - {(s, a) for s in states for a in alphabet}
         if extras:
             raise ValueError(f"transitions outside states x alphabet: {sorted(extras)}")
+        return tuple.__new__(cls, (states, alphabet, start, accepting, transitions))
 
 
 def dfa_run_trace(dfa: DFA, word: str) -> tuple[str, int]:

@@ -73,12 +73,11 @@ within the caps, no subset of it trips one either.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DepthExplosionError
+from .errors import Checked, DepthExplosionError, Frozen
 from .formulas import (
     Atom,
     Binary,
@@ -103,8 +102,13 @@ def _freeze_substitution(mapping: Mapping[str, Formula]) -> Substitution:
     return tuple(sorted(mapping.items()))
 
 
-@dataclass(frozen=True)
-class SchemaRule:
+class _SchemaRuleFields(NamedTuple):
+    name: str
+    premises: tuple[Formula, ...]
+    conclusion: Formula
+
+
+class SchemaRule(Checked, _SchemaRuleFields):
     """An inference rule given by premise and conclusion patterns.
 
     Every atom occurring in the patterns is a metavariable. A rule is
@@ -112,21 +116,20 @@ class SchemaRule:
     its own, so a match of the premises determines the conclusion.
     """
 
-    name: str
-    premises: tuple[Formula, ...]
-    conclusion: Formula
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.premises:
-            raise ValueError(f"rule {self.name!r} needs at least one premise")
+    def __new__(cls, name: str, premises: tuple[Formula, ...], conclusion: Formula) -> SchemaRule:
+        if not premises:
+            raise ValueError(f"rule {name!r} needs at least one premise")
         premise_vars: set[str] = set()
-        for premise in self.premises:
+        for premise in premises:
             premise_vars.update(atoms(premise))
-        loose = atoms(self.conclusion) - premise_vars
+        loose = atoms(conclusion) - premise_vars
         if loose:
             raise ValueError(
-                f"rule {self.name!r} conclusion uses unbound metavariables {sorted(loose)}"
+                f"rule {name!r} conclusion uses unbound metavariables {sorted(loose)}"
             )
+        return tuple.__new__(cls, (name, premises, conclusion))
 
 
 class SubstitutionRule(NamedTuple):
@@ -147,27 +150,35 @@ class AxiomSchema(NamedTuple):
     pattern: Formula
 
 
-@dataclass(frozen=True)
-class Calculus:
+class _CalculusFields(NamedTuple):
+    calculus_id: str
+    axioms: frozenset[Formula]
+    schemas: tuple[AxiomSchema, ...]
+    rules: tuple[InferenceRule, ...]
+    closure_depth: int
+    signature_atoms: frozenset[str]
+
+
+class Calculus(Checked, _CalculusFields):
     """Axioms, axiom schemas and inference rules, closed to `closure_depth`
     rule layers over the instantiation domain."""
 
-    calculus_id: str
-    axioms: frozenset[Formula] = frozenset()
-    schemas: tuple[AxiomSchema, ...] = ()
-    rules: tuple[InferenceRule, ...] = ()
-    closure_depth: int = DEFAULT_DEPTH
-    signature_atoms: frozenset[str] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.closure_depth < 0:
+    def __new__(cls, calculus_id: str, axioms: frozenset[Formula] = frozenset(),
+                schemas: tuple[AxiomSchema, ...] = (), rules: tuple[InferenceRule, ...] = (),
+                closure_depth: int = DEFAULT_DEPTH,
+                signature_atoms: frozenset[str] = frozenset()) -> Calculus:
+        if closure_depth < 0:
             raise ValueError("closure depth must be nonnegative")
-        names = [rule.name for rule in self.rules]
+        names = [rule.name for rule in rules]
         if len(names) != len(set(names)):
-            raise ValueError(f"calculus {self.calculus_id!r} has duplicate rule names")
-        ids = [schema.schema_id for schema in self.schemas]
+            raise ValueError(f"calculus {calculus_id!r} has duplicate rule names")
+        ids = [schema.schema_id for schema in schemas]
         if len(ids) != len(set(ids)):
-            raise ValueError(f"calculus {self.calculus_id!r} has duplicate schema ids")
+            raise ValueError(f"calculus {calculus_id!r} has duplicate schema ids")
+        return tuple.__new__(cls, (calculus_id, axioms, schemas, rules, closure_depth,
+                                   signature_atoms))
 
 
 # --- proof objects ---------------------------------------------------------
@@ -215,16 +226,20 @@ class ClosureEntry(NamedTuple):
     cost: int
 
 
-@dataclass(frozen=True, repr=False)
-class ClosureResult:
+class ClosureResult(Frozen):
     """The formulas a bounded closure derived, each with its least cost,
     and the derivations that build their proofs."""
 
-    depth: int
-    domain_size: int
-    entries: tuple[ClosureEntry, ...]
-    # the derivation behind each entry's cost, keyed by formula
-    _derivations: Mapping[Formula, _Derivation] = field(compare=False)
+    # _derivations holds the derivation behind each entry's cost, keyed by
+    # formula, and is left out of equality
+    __slots__ = ("depth", "domain_size", "entries", "_derivations")
+
+    def __init__(self, depth: int, domain_size: int, entries: tuple[ClosureEntry, ...],
+                 _derivations: Mapping[Formula, _Derivation]) -> None:
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "domain_size", domain_size)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_derivations", _derivations)
 
     def formulas(self) -> frozenset[Formula]:
         return frozenset(self._derivations)
@@ -642,4 +657,4 @@ def base_calculus(name: str, *, closure_depth: int = DEFAULT_DEPTH) -> Calculus:
 
 def with_axioms(base: Calculus, axioms: Iterable[Formula]) -> Calculus:
     """The base calculus extended with extra instance axioms."""
-    return replace(base, axioms=frozenset(base.axioms) | frozenset(axioms))
+    return base._replace(axioms=frozenset(base.axioms) | frozenset(axioms))

@@ -10,7 +10,6 @@ reference errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -292,7 +291,7 @@ def _cmd_fixed_output(args, manifest: Manifest):
         return {
             "mode": "brute",
             "target": result.target,
-            "world": {**dataclasses.asdict(world), "inputs": list(world.inputs)},
+            "world": {**world._asdict(), "inputs": list(world.inputs)},
             "runs": result.runs,
             "hits": [
                 {

@@ -1,6 +1,49 @@
-"""Exception types shared across the package."""
+"""Exception types and record bases shared across the package."""
 
 from __future__ import annotations
+
+
+class Checked:
+    """The base of a NamedTuple record whose own ``__new__`` checks its
+    fields. ``_make``, and with it ``_replace``, builds through that
+    ``__new__``, which a NamedTuple's own ``_make`` skips."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Frozen:
+    """The base of a slotted record, which refuses assignment and deletion
+    once built. It compares, hashes and prints the slots without a leading
+    underscore, as a dataclass does its fields; its ``__init__`` sets the
+    slots with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in type(self).__slots__
+                 if name[0] != "_")
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class VtyError(Exception):

@@ -21,11 +21,10 @@ renaming atoms is substituting atoms for them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, Iterable, Iterator, Mapping
 
-from .errors import FormulaParseError
+from .errors import FormulaParseError, Frozen
 from .lex import NON_WORD, LexError, TokenFault, column, split_line, token_value
 
 # the one rule for atom names, used by ``Atom`` and by the manifest reader:
@@ -38,64 +37,96 @@ ATOM_NAME = re.compile(r"(?!bot\Z)[a-z][a-z0-9_]*\Z")
 MAX_NESTING = 200
 
 
-class Formula:
+class Formula(Frozen):
     __slots__ = ()
 
     def __repr__(self) -> str:
         return f"<{format_formula(self)}>"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+# A node equals only a node of its own class with equal children, and a
+# child that both hold is equal by identity, as in a tuple comparison. Compound
+# formulas compute their hash once, at construction, instead of re-hashing
+# the whole tree at every set or dict lookup. The value is the hash of the
+# child tuple, the one a frozen dataclass of the same fields gives, so sets
+# of formulas iterate in the same order as before.
+_set = object.__setattr__
+
+
 class Atom(Formula):
     """An atom whose name the parser reads back as this atom, so that
     ``formula_key`` stays injective."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not ATOM_NAME.match(self.name):
-            raise ValueError(f"bad atom name {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if not ATOM_NAME.match(name):
+            raise ValueError(f"bad atom name {name!r}")
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Bottom(Formula):
     """The constant false formula."""
 
+    __slots__ = ()
 
-# Compound formulas compute their hash once, at construction, instead of
-# re-hashing the whole tree at every set or dict lookup. The value is the
-# one the generated dataclass hash gives (the hash of the child tuple), so
-# sets of formulas iterate in the same order as before. Equality stays
-# structural.
-def _cached_hash(formula: Formula) -> int:
-    return formula._hash
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Not(Formula):
     """The negation of its operand."""
 
-    operand: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
-    __hash__ = _cached_hash
+    __slots__ = ("operand", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.operand,)))
+    def __init__(self, operand: Formula) -> None:
+        _set(self, "operand", operand)
+        _set(self, "_hash", hash((operand,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.operand, other.operand
+        return mine is theirs or mine == theirs
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Binary(Formula):
     """A binary connective. Each subclass names its connective word once;
     equality needs the same subclass, so ``And(p, q) != Or(p, q)``."""
 
+    __slots__ = ("left", "right", "_hash")
     word: ClassVar[str]
-    left: Formula
-    right: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
-    __hash__ = _cached_hash
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((left, right)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.left, other.left
+        if mine is not theirs and not mine == theirs:
+            return False
+        mine, theirs = self.right, other.right
+        return mine is theirs or mine == theirs
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 # each keeps empty __slots__ so that its instances carry no __dict__

@@ -54,10 +54,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import CapExceededError, DecodeError
+from .errors import CapExceededError, Checked, DecodeError, Frozen
 from .lex import _ascii_digits
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
@@ -103,26 +102,23 @@ def _operand_sizes(kind: type, registers: int, length: int) -> list[int]:
 _HALT_ROW = (_HALT, 0, 0, 0)
 
 
-@dataclass(frozen=True, repr=False)
-class RegisterMachine:
+class RegisterMachine(Frozen):
     """A program over registers 0 to `registers` - 1, compiled to its rows
     as it is validated."""
 
-    registers: int
-    program: tuple[Instruction, ...]
-    # one (opcode, cell, target, target) row per address up to the halt
-    # address: INC repeats its target, DECJZ has its zero target first; a
-    # cell is a register's place in a run's list, 0 for register 0
-    _rows: tuple[tuple[int, int, int, int], ...] = field(init=False, compare=False)
-    _cells: int = field(init=False, compare=False)
+    # _rows holds one (opcode, cell, target, target) row per address up to
+    # the halt address: INC repeats its target, DECJZ has its zero target
+    # first; a cell is a register's place in a run's list, 0 for register 0.
+    # _rows and _cells are left out of equality.
+    __slots__ = ("registers", "program", "_rows", "_cells")
 
-    def __post_init__(self) -> None:
-        if self.registers < 1:
+    def __init__(self, registers: int, program: tuple[Instruction, ...]) -> None:
+        if registers < 1:
             raise ValueError("a machine needs at least register 0")
-        halt_address = len(self.program)
+        halt_address = len(program)
         rows = []
         cells = {0: 0}
-        for address, instr in enumerate(self.program):
+        for address, instr in enumerate(program):
             opcode = _OPCODES.get(type(instr))
             if opcode is None:
                 raise ValueError(f"instruction {address} is not an instruction")
@@ -130,13 +126,15 @@ class RegisterMachine:
                 rows.append(_HALT_ROW)
                 continue
             register, first, last = instr[0], instr[1], instr[-1]
-            if not 0 <= register < self.registers:
+            if not 0 <= register < registers:
                 raise ValueError(f"instruction {address} uses register {register}")
             for target in first, last:
                 if not 0 <= target <= halt_address:
                     raise ValueError(f"instruction {address} jumps to {target}")
             rows.append((opcode, cells.setdefault(register, len(cells)), first, last))
         rows.append(_HALT_ROW)
+        object.__setattr__(self, "registers", registers)
+        object.__setattr__(self, "program", program)
         object.__setattr__(self, "_rows", tuple(rows))
         object.__setattr__(self, "_cells", len(cells))
 
@@ -391,22 +389,27 @@ def universality_evidence(samples: int = 100, seed: int = 20260817) -> dict:
 # --- Fixed Output search -----------------------------------------------------
 
 
-@dataclass(frozen=True, repr=False)
-class WorldBounds:
-    """A finite world of machines and inputs for exhaustive search."""
-
+class _WorldBoundsFields(NamedTuple):
     max_instructions: int
     max_registers: int
     inputs: tuple[int, ...]
     fuel: int
 
-    def __post_init__(self) -> None:
-        if self.max_instructions < 0 or self.max_registers < 1 or self.fuel < 1:
+
+class WorldBounds(Checked, _WorldBoundsFields):
+    """A finite world of machines and inputs for exhaustive search."""
+
+    __slots__ = ()
+
+    def __new__(cls, max_instructions: int, max_registers: int, inputs: tuple[int, ...],
+                fuel: int) -> WorldBounds:
+        if max_instructions < 0 or max_registers < 1 or fuel < 1:
             raise ValueError("bounds must be positive")
-        if not self.inputs:
+        if not inputs:
             raise ValueError("the world needs at least one input")
-        if len(set(self.inputs)) != len(self.inputs):
+        if len(set(inputs)) != len(inputs):
             raise ValueError("the world's inputs must be distinct")
+        return tuple.__new__(cls, (max_instructions, max_registers, inputs, fuel))
 
 
 def _instruction_options(registers: int, length: int) -> list[Instruction]:

@@ -90,8 +90,8 @@ as the readers' oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .calculus import (
@@ -103,7 +103,7 @@ from .calculus import (
     SchemaRule,
     SubstitutionRule,
 )
-from .errors import ManifestError, UnresolvedReferenceError
+from .errors import Checked, ManifestError, UnresolvedReferenceError
 from .formulas import ATOM_NAME, Formula, parse_formula_tokens
 from .lex import NON_WORD, LexError, TokenFault, _ascii_digits, column, split_line, token_value
 from .machines import DEFAULT_ENUMERATION_CAP
@@ -131,27 +131,32 @@ from .varieties import (
 from .witnesses import WITNESSES
 
 
-@dataclass(frozen=True)
-class Bounds:
+class _BoundsFields(NamedTuple):
+    depth: int
+    atoms: int
+    enum: int
+    size: int
+
+
+class Bounds(Checked, _BoundsFields):
     """The caps a run works under: closure depth, atoms, machine
     enumeration and closure size."""
 
-    depth: int = DEFAULT_DEPTH
-    atoms: int = DEFAULT_ATOM_CAP
-    enum: int = DEFAULT_ENUMERATION_CAP
-    size: int = DEFAULT_SIZE_CAP
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.depth < 0:
+    def __new__(cls, depth: int = DEFAULT_DEPTH, atoms: int = DEFAULT_ATOM_CAP,
+                enum: int = DEFAULT_ENUMERATION_CAP, size: int = DEFAULT_SIZE_CAP) -> Bounds:
+        if depth < 0:
             raise ValueError("depth bound must be nonnegative")
-        if min(self.atoms, self.enum, self.size) < 1:
+        if min(atoms, enum, size) < 1:
             raise ValueError("atoms, enum and size bounds must be positive")
+        return tuple.__new__(cls, (depth, atoms, enum, size))
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in BOUND_NAMES}
+        return self._asdict()
 
 
-BOUND_NAMES = tuple(f.name for f in fields(Bounds))
+BOUND_NAMES = Bounds._fields
 
 
 # --- the manifest ------------------------------------------------------------
@@ -170,13 +175,13 @@ class _Prevariety(NamedTuple):
     union: Prevariety | None  # the union the block claims; None: `auto`
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     """The objects a manifest declares, in block order, each built once by
-    the reader under the bounds it runs with. Not hashable: the axiom
-    declarations are a dict, as are the class profiles' statuses."""
+    the reader under the bounds it runs with. Its source is left out of
+    equality. Not hashable: the axiom declarations are a dict, as are the
+    class profiles' statuses."""
 
-    source: str = field(default="<manifest>", compare=False)
+    source: str = "<manifest>"
     signature: tuple[str, ...] = ()
     bounds: Bounds = Bounds()
     rules: tuple[InferenceRule, ...] = ()
@@ -185,9 +190,21 @@ class Manifest:
     components: tuple[Component, ...] = ()
     prevarieties: tuple[_Prevariety, ...] = ()
     witnesses: tuple[tuple[str, VarietyWitness], ...] = ()  # (prevariety id, witness)
-    axiom_decls: dict[str, AxiomDeclaration] = field(default_factory=dict)
+    # read-only, so that no two manifests share a dict one of them can change
+    axiom_decls: Mapping[str, AxiomDeclaration] = MappingProxyType({})
     classes: tuple[ClassProfile, ...] = ()
     theorem_recs: tuple[TheoremRecord, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self[1:] == other[1:]
+        return NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[1:])
 
     def _find(self, keyword: str, wanted: str, noun: str) -> Any:
         spec = _KEYWORDS[keyword]

@@ -9,7 +9,6 @@ is a mechanical partition, not a proof search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .calculus import (
@@ -22,7 +21,7 @@ from .calculus import (
     proves,
     with_axioms,
 )
-from .errors import CapExceededError, DepthExplosionError, UndeclaredAxiomError
+from .errors import CapExceededError, Checked, DepthExplosionError, UndeclaredAxiomError
 from .formulas import Formula, formula_key
 from .semantics import DEFAULT_ATOM_CAP, check_consistency, entails
 
@@ -42,45 +41,54 @@ class AxiomDeclaration(NamedTuple):
     statement: str
 
 
-@dataclass(frozen=True)
-class Evidence:
+class _EvidenceFields(NamedTuple):
+    kind: str  # CITATION, EXEC_POSITIVE or EXEC_EXHAUSTIVE
+    citation: str | None
+    witness_id: str | None
+    suite_size: int | None
+    domain: str | None
+
+
+class Evidence(Checked, _EvidenceFields):
     """What backs a resolved status: a citation, or an executable witness
     with its suite size or its domain."""
 
-    kind: str  # CITATION, EXEC_POSITIVE or EXEC_EXHAUSTIVE
-    citation: str | None = None
-    witness_id: str | None = None
-    suite_size: int | None = None
-    domain: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind == CITATION:
-            if not self.citation:
+    def __new__(cls, kind: str, citation: str | None = None, witness_id: str | None = None,
+                suite_size: int | None = None, domain: str | None = None) -> Evidence:
+        if kind == CITATION:
+            if not citation:
                 raise ValueError("citation evidence needs citation text")
-        elif self.kind == EXEC_POSITIVE:
-            if not self.witness_id or self.suite_size is None:
+        elif kind == EXEC_POSITIVE:
+            if not witness_id or suite_size is None:
                 raise ValueError("exec-positive evidence needs a witness id and suite size")
-        elif self.kind == EXEC_EXHAUSTIVE:
-            if not self.witness_id or self.domain is None:
+        elif kind == EXEC_EXHAUSTIVE:
+            if not witness_id or domain is None:
                 raise ValueError("exec-exhaustive evidence needs a witness id and a domain")
         else:
-            raise ValueError(f"unknown evidence kind {self.kind!r}")
+            raise ValueError(f"unknown evidence kind {kind!r}")
+        return tuple.__new__(cls, (kind, citation, witness_id, suite_size, domain))
 
 
-@dataclass(frozen=True)
-class AxiomStatus:
+class _AxiomStatusFields(NamedTuple):
+    status: str  # SATISFIED, VIOLATED or UNKNOWN
+    evidence: Evidence | None
+
+
+class AxiomStatus(Checked, _AxiomStatusFields):
     """A class's status on one axiom; a resolved one carries its evidence."""
 
-    status: str  # SATISFIED, VIOLATED or UNKNOWN
-    evidence: Evidence | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.status not in (SATISFIED, VIOLATED, UNKNOWN):
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.status != UNKNOWN and self.evidence is None:
+    def __new__(cls, status: str, evidence: Evidence | None = None) -> AxiomStatus:
+        if status not in (SATISFIED, VIOLATED, UNKNOWN):
+            raise ValueError(f"unknown status {status!r}")
+        if status != UNKNOWN and evidence is None:
             raise ValueError("a resolved status needs evidence")
-        if self.status == UNKNOWN and self.evidence is not None:
+        if status == UNKNOWN and evidence is not None:
             raise ValueError("an unknown status carries no evidence")
+        return tuple.__new__(cls, (status, evidence))
 
 
 class ClassProfile(NamedTuple):
@@ -94,21 +102,26 @@ class ClassProfile(NamedTuple):
         return self.statuses.get(axiom_id, AxiomStatus(UNKNOWN))
 
 
-@dataclass(frozen=True)
-class TheoremRecord:
-    """A theorem of the registry and the axioms it depends on."""
-
+class _TheoremRecordFields(NamedTuple):
     theorem_id: str
     statement: str
     dependencies: frozenset[str]
     source: str
-    unconditional: bool = False
+    unconditional: bool
 
-    def __post_init__(self) -> None:
-        if not self.unconditional and not self.dependencies:
+
+class TheoremRecord(Checked, _TheoremRecordFields):
+    """A theorem of the registry and the axioms it depends on."""
+
+    __slots__ = ()
+
+    def __new__(cls, theorem_id: str, statement: str, dependencies: frozenset[str], source: str,
+                unconditional: bool = False) -> TheoremRecord:
+        if not unconditional and not dependencies:
             raise ValueError(
-                f"theorem {self.theorem_id!r} needs dependencies or the unconditional flag"
+                f"theorem {theorem_id!r} needs dependencies or the unconditional flag"
             )
+        return tuple.__new__(cls, (theorem_id, statement, dependencies, source, unconditional))
 
 
 class ProjectionEntry(NamedTuple):

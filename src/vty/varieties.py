@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -34,7 +33,7 @@ from .calculus import (
     InferenceRule,
     theorem_formulas,
 )
-from .errors import CapExceededError, MapUndefinedError
+from .errors import CapExceededError, Checked, Frozen, MapUndefinedError
 from .formulas import Atom, Formula, evaluate, formula_key, substitute
 from .semantics import (
     DEFAULT_ATOM_CAP,
@@ -48,8 +47,7 @@ DEFAULT_COMPONENT_SUBSET_CAP = 4096
 DEFAULT_TUPLE_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class FormulaMap:
+class FormulaMap(Frozen):
     """A partial formula-to-formula map: an atom renaming or a finite table.
 
     Renamings extend homomorphically over connectives and leave unmapped
@@ -59,23 +57,26 @@ class FormulaMap:
     identity.
     """
 
-    map_id: str
-    renaming: tuple[tuple[str, str], ...] | None = None
-    table: tuple[tuple[Formula, Formula], ...] | None = None
-    domain: frozenset[Formula] | None = None
-    _lookup: dict = field(init=False, repr=False, compare=False)
+    # _lookup, each source's image, is left out of equality
+    __slots__ = ("map_id", "renaming", "table", "domain", "_lookup")
 
-    def __post_init__(self) -> None:
-        if (self.renaming is None) == (self.table is None):
+    def __init__(self, map_id: str, renaming: tuple[tuple[str, str], ...] | None = None,
+                 table: tuple[tuple[Formula, Formula], ...] | None = None,
+                 domain: frozenset[Formula] | None = None) -> None:
+        if (renaming is None) == (table is None):
             raise ValueError("a formula map is either a renaming or a table")
-        if self.table is None:
-            pairs = self.renaming
+        if table is None:
+            pairs = renaming
             lookup = {source: Atom(target) for source, target in pairs}
         else:
-            pairs = self.table
+            pairs = table
             lookup = dict(pairs)
         if len(lookup) != len(pairs):
-            raise ValueError(f"map {self.map_id!r} lists a source formula twice")
+            raise ValueError(f"map {map_id!r} lists a source formula twice")
+        object.__setattr__(self, "map_id", map_id)
+        object.__setattr__(self, "renaming", renaming)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_lookup", lookup)
 
     @classmethod
@@ -110,17 +111,22 @@ class FormulaMap:
         return images, tuple(missed)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Frozen):
     """A calculus with its axiom map, theorem map and designated theorems."""
 
-    component_id: str
-    calculus: Calculus
-    axiom_map: FormulaMap
-    theorem_map: FormulaMap
-    designated_theorems: frozenset[Formula]
-    # _Mapped records by size cap, built on first use
-    _mapped: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # _mapped holds the _Mapped records by size cap, built on first use,
+    # and is left out of equality
+    __slots__ = ("component_id", "calculus", "axiom_map", "theorem_map",
+                 "designated_theorems", "_mapped")
+
+    def __init__(self, component_id: str, calculus: Calculus, axiom_map: FormulaMap,
+                 theorem_map: FormulaMap, designated_theorems: frozenset[Formula]) -> None:
+        object.__setattr__(self, "component_id", component_id)
+        object.__setattr__(self, "calculus", calculus)
+        object.__setattr__(self, "axiom_map", axiom_map)
+        object.__setattr__(self, "theorem_map", theorem_map)
+        object.__setattr__(self, "designated_theorems", designated_theorems)
+        object.__setattr__(self, "_mapped", {})
 
 
 # each side's union equation, kind, and what its map misses in a
@@ -182,8 +188,12 @@ class Prevariety(NamedTuple):
     quasi: bool = False
 
 
-@dataclass(frozen=True)
-class VarietyWitness:
+class _VarietyWitnessFields(NamedTuple):
+    indices: tuple[int, ...]  # 1-based component positions, strictly increasing
+    covering: Component
+
+
+class VarietyWitness(Checked, _VarietyWitnessFields):
     """One index tuple and the component that covers it.
 
     The witness id is the covering component's id. Its axiom map is the
@@ -194,14 +204,14 @@ class VarietyWitness:
     designated-theorem-image intersection.
     """
 
-    indices: tuple[int, ...]  # 1-based component positions, strictly increasing
-    covering: Component
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.indices:
+    def __new__(cls, indices: tuple[int, ...], covering: Component) -> VarietyWitness:
+        if not indices:
             raise ValueError("a witness covers at least one component index")
-        if list(self.indices) != sorted(set(self.indices)):
+        if list(indices) != sorted(set(indices)):
             raise ValueError("witness indices must be strictly increasing")
+        return tuple.__new__(cls, (indices, covering))
 
 
 def assemble_prevariety(

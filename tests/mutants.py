@@ -389,6 +389,32 @@ ROWS = (
                "tests/test_cli.py::TestExitCodes::test_a_mode_needs_bijective",
                "tests/test_answer_corpus.py::test_no_answer_changed",
            )),
+    # records: every path to a checked record runs its checks, a manifest
+    # compares all but its source, and a formula refuses assignment
+    Mutant("make-skips-the-checks", "src/vty/errors.py",
+           "return cls(*iterable)",
+           "return tuple.__new__(cls, iterable)", (
+               "tests/test_records.py::test_every_path_to_a_checked_record_runs_its_checks"
+               "[Evidence]",
+               "tests/test_records.py::test_every_path_to_a_checked_record_runs_its_checks"
+               "[Calculus]",
+               "tests/test_records.py::test_every_path_to_a_checked_record_runs_its_checks"
+               "[Bounds]",
+           )),
+    Mutant("manifest-equality-reads-the-source", "src/vty/manifest.py",
+           "return self[1:] == other[1:]",
+           "return tuple(self) == tuple(other)", (
+               "tests/test_manifest.py::TestShippedFiles::test_load_and_parse_agree",
+               "tests/test_records.py::test_equality_and_hash_cover_the_compared_fields"
+               "[Manifest]",
+           )),
+    Mutant("formula-accepts-assignment", "src/vty/formulas.py",
+           "class Formula(Frozen):",
+           "class Formula:", (
+               "tests/test_records.py::test_fields_refuse_assignment_and_deletion[Atom]",
+               "tests/test_records.py::test_fields_refuse_assignment_and_deletion[Not]",
+               "tests/test_records.py::test_fields_refuse_assignment_and_deletion[And]",
+           )),
     # a fuel schedule that does not increase is refused as an argument
     Mutant("schedule-read-unchecked", "src/vty/cli.py",
            "if increasing and any(b <= a for a, b in zip(values, values[1:])):",

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import random
 import tracemalloc
@@ -622,7 +621,7 @@ class TestPresets:
                         signature_atoms=frozenset({"s"}))
         extended = with_axioms(base, [pf("q")])
         assert extended.axioms == {pf("p"), pf("q")}
-        kept = [field.name for field in dataclasses.fields(Calculus) if field.name != "axioms"]
+        kept = [name for name in Calculus._fields if name != "axioms"]
         assert len(kept) == 5  # a field added to Calculus gets a non-default value above
         assert [getattr(extended, name) for name in kept] == [getattr(base, name) for name in kept]
 

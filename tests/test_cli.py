@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -451,7 +450,7 @@ class TestReports:
         for path in (depthless, KNOWLEDGE_FIVE,
                      *(PACKAGED / name for name in PREVARIETY_MANIFESTS)):
             manifest = load_manifest(path)
-            bounds = dataclasses.replace(manifest.bounds, **override)
+            bounds = manifest.bounds._replace(**override)
             merged = " ".join(f"{name}={value}" for name, value in bounds.to_dict().items())
             rewritten_text, count = re.subn(r"^bounds .*$", f"bounds {merged}",
                                             path.read_text(encoding="utf-8"), flags=re.M)

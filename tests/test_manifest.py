@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -304,7 +303,7 @@ def test_bounds_refuse_values_out_of_range(values, message):
 
 def test_bounds_to_dict_lists_every_bound_in_field_order():
     bounds = Bounds(depth=1, atoms=2, enum=3, size=4)
-    assert list(bounds.to_dict().items()) == list(dataclasses.asdict(bounds).items())
+    assert list(bounds.to_dict().items()) == [("depth", 1), ("atoms", 2), ("enum", 3), ("size", 4)]
 
 
 class TestAllEntries:
@@ -732,12 +731,19 @@ class TestResolution:
 def builds(monkeypatch):
     """Counts each Calculus, FormulaMap and Component built, by type and id."""
     counts: Counter = Counter()
-    for cls in (Calculus, FormulaMap, Component):
-        def counting(self, *args, real=cls.__init__, **kwargs):
-            real(self, *args, **kwargs)
-            counts[type(self).__name__, getattr(self, dataclasses.fields(self)[0].name)] += 1
 
-        monkeypatch.setattr(cls, "__init__", counting)
+    def new(cls, *args, real=Calculus.__new__, **kwargs):
+        calculus = real(cls, *args, **kwargs)
+        counts["Calculus", calculus.calculus_id] += 1
+        return calculus
+
+    monkeypatch.setattr(Calculus, "__new__", new)
+    for cls, ident in ((FormulaMap, "map_id"), (Component, "component_id")):
+        def init(self, *args, real=cls.__init__, ident=ident, **kwargs):
+            real(self, *args, **kwargs)
+            counts[type(self).__name__, getattr(self, ident)] += 1
+
+        monkeypatch.setattr(cls, "__init__", init)
     return counts
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from unittest import mock
 

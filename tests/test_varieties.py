@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from unittest import mock
 
@@ -39,10 +38,8 @@ def fs(*texts):
 
 
 def mp_component(cid, axiom_texts, designated_texts, fmap=None, depth=2):
-    calc = dataclasses.replace(
-        with_axioms(base_calculus("mp", closure_depth=depth), fs(*axiom_texts)),
-        calculus_id=f"calc_{cid}",
-    )
+    calc = with_axioms(base_calculus("mp", closure_depth=depth),
+                       fs(*axiom_texts))._replace(calculus_id=f"calc_{cid}")
     fmap = fmap or FormulaMap.identity()
     return Component(cid, calc, fmap, fmap, fs(*designated_texts))
 
@@ -243,10 +240,8 @@ def shared_core_components():
 
 def core_witness(witness_id="W12", **overrides):
     """Tuple (1, 2) covered by a component on the shared core."""
-    calc = dataclasses.replace(
-        with_axioms(base_calculus("mp", closure_depth=2), fs("p", "(-> p q)")),
-        calculus_id="core",
-    )
+    calc = with_axioms(base_calculus("mp", closure_depth=2),
+                       fs("p", "(-> p q)"))._replace(calculus_id="core")
     fields = {
         "calculus": calc,
         "axiom_map": FormulaMap.identity(),
@@ -471,8 +466,7 @@ class TestBijectiveModes:
 
     def test_non_injective_map_is_rejected(self):
         table = FormulaMap.table_map("merge", [(pf("p"), pf("r")), (pf("q"), pf("r"))])
-        calc = dataclasses.replace(
-            with_axioms(base_calculus("empty"), fs("p", "q")), calculus_id="flat")
+        calc = with_axioms(base_calculus("empty"), fs("p", "q"))._replace(calculus_id="flat")
         ident = FormulaMap.identity()
         for label, comp in (
             ("axiom map", Component("B2", calc, table, ident, frozenset())),
@@ -487,8 +481,7 @@ class TestBijectiveModes:
 
     def test_injectivity_is_per_component(self):
         shared_target = FormulaMap("collapse", renaming=(("q", "p"),))
-        calc = dataclasses.replace(
-            with_axioms(base_calculus("empty"), fs("q")), calculus_id="one")
+        calc = with_axioms(base_calculus("empty"), fs("q"))._replace(calculus_id="one")
         comp = Component("B3", calc, shared_target, shared_target, frozenset())
         pv = assemble_prevariety([comp, mp_component("B4", ["p"], [])])
         report = check_bijective_variety(pv, "prevariety")
@@ -521,10 +514,8 @@ class TestDerivedReports:
 
 
 def kb(cid, *axiom_texts):
-    calc = dataclasses.replace(
-        with_axioms(base_calculus("empty", closure_depth=1), fs(*axiom_texts)),
-        calculus_id=f"kb_{cid}",
-    )
+    calc = with_axioms(base_calculus("empty", closure_depth=1),
+                       fs(*axiom_texts))._replace(calculus_id=f"kb_{cid}")
     return Component(cid, calc, FormulaMap.identity(), FormulaMap.identity(), frozenset())
 
 
