@@ -39,6 +39,15 @@ class Frozen:
                  if name[0] != "_")
         return f"{type(self).__name__}({', '.join(shown)})"
 
+    # copy and pickle restore the slots as they are, as for a dataclass
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for cls in type(self).__mro__
+                for name in getattr(cls, "__slots__", ())}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 

@@ -45,11 +45,11 @@ class Formula(Frozen):
 
 
 # A node equals only a node of its own class with equal children, and a
-# child that both hold is equal by identity, as in a tuple comparison. Compound
-# formulas compute their hash once, at construction, instead of re-hashing
-# the whole tree at every set or dict lookup. The value is the hash of the
-# child tuple, the one a frozen dataclass of the same fields gives, so sets
-# of formulas iterate in the same order as before.
+# child that both hold is equal by identity, as in a tuple comparison.
+# Compound formulas compute their hash once, at construction, instead of
+# re-hashing the whole tree at every set or dict lookup. The value is the
+# hash of the child tuple, the one a frozen dataclass of the same fields
+# gives, so sets of formulas iterate in the same order as before.
 _set = object.__setattr__
 
 

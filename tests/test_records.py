@@ -1,6 +1,6 @@
 """The record contract: every path to a record runs its checks, and each
-record keeps the equality, hash and immutability its fields had as a
-frozen dataclass.
+record has the equality, hash and immutability of a frozen dataclass of
+the fields it compares.
 
 A checked record is a NamedTuple whose own ``__new__`` checks its fields;
 ``_make`` and ``_replace`` build through it. The formula nodes and the
@@ -8,12 +8,14 @@ records that leave a field out of equality are slotted classes, except
 ``Manifest``, a NamedTuple that compares all but its source.
 """
 
+import copy
+import pickle
 import re
 
 import pytest
 
 from vty.automata import DFA
-from vty.calculus import Calculus, ClosureResult, ClosureEntry, SchemaRule, modus_ponens
+from vty.calculus import Calculus, ClosureEntry, ClosureResult, modus_ponens
 from vty.formulas import And, Atom, Bottom, Implies, Not, Or, parse_formula
 from vty.machines import DecJz, Inc, RegisterMachine, WorldBounds
 from vty.manifest import Bounds, Manifest
@@ -31,8 +33,8 @@ EVIDENCE = Evidence(CITATION, citation="x")
 IDENTITY = FormulaMap.identity()
 COMPONENT = Component("C", Calculus("L"), IDENTITY, IDENTITY, frozenset({P}))
 
-# each checked record, a valid one, and a field value it refuses with the
-# parent's message
+# a valid instance of each checked record, and a field value it refuses
+# with this message
 CHECKED = {
     "DFA": (DFA(("s0",), ("a",), "s0", frozenset(), {("s0", "a"): "s0"}),
             "start", "s9", "start state 's9' is not a state"),
@@ -73,8 +75,8 @@ def _closure_result(derivations):
     return ClosureResult(1, 2, (ClosureEntry(P, 0),), derivations)
 
 
-# one instance of each converted class, the fields its dataclass compared,
-# and a copy that differs from it only outside those fields
+# an instance of each record class, the fields it compares, and a copy that
+# differs from it only outside those fields
 RECORDS = {
     **{name: (record, record._fields, None) for name, (record, *_) in CHECKED.items()},
     "Atom": (P, ("name",), None),
@@ -122,6 +124,14 @@ def test_fields_refuse_assignment_and_deletion(name):
         with pytest.raises(AttributeError):
             delattr(record, field)
     assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_copy_and_pickle_give_an_equal_record(name):
+    record = RECORDS[name][0]
+    for copied in (copy.copy(record), copy.deepcopy(record),
+                   pickle.loads(pickle.dumps(record))):
+        assert type(copied) is type(record) and copied == record
 
 
 def test_no_record_equals_one_of_another_class():
